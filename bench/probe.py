@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 
-READINGS = 9  # mpf reference readings after set-up (import is interpreted work)
+READINGS = 9  # reference readings after set-up
 
 
 def main() -> int:
@@ -35,7 +35,7 @@ def main() -> int:
     elapsed = time.perf_counter() - START
     import reference
 
-    readings = [reference.reading("mpf") for _ in range(READINGS)]
+    readings = [reference.reading() for _ in range(READINGS)]
     print(json.dumps({"setup_s": elapsed, "reference_s": statistics.median(readings),
                       "tasks": len(inputs)}))
     return 0

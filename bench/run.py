@@ -37,12 +37,16 @@ SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
 
 SETUP_PROBES = 3
-IMPORT_BREAKDOWN = ("shapeapprox", "numpy", "mpmath", "scipy.special", "scipy.stats")
+IMPORT_PROBED = "scipy.stats"  # most of the set-up time
 PROBE_TIMEOUT_S = 120
 TAIL_BEYOND = 10  # task_tail_s: highest percentile with this many tasks beyond it
-# a task's time is the best of PASSES executions, half a run apart: the
-# speed of a shared machine drifts in phases of seconds (see also reference.py)
+# a task's time is the median of its executions, made in passes over the
+# task list, each pass starting at another point: the speed of a shared
+# machine drifts in phases of seconds (see also reference.py). Tasks under
+# SHORT_TASK_S get SHORT_PASSES executions, the rest PASSES.
 PASSES = 2
+SHORT_PASSES = 4
+SHORT_TASK_S = 0.5
 EXCLUSIONS = [
     "minimax: n > 22 (best_qmonotone(truncpow:0.5:3, q=4, n=25) alone takes ~49 s)",
     "minimax: n = 20..22 at the nominal size (kink q=4 takes 3.4-3.8 s per execution)",
@@ -99,9 +103,9 @@ def load_library():
 
 
 def probe_setup(workload, seed, seconds, importtime):
-    """One fresh-interpreter set-up: (set-up seconds, {module: cumulative
-    import seconds}, empty unless importtime), both at the nominal speed of
-    the probe's own reference readings."""
+    """One fresh-interpreter set-up: (set-up seconds, cumulative import
+    seconds of scipy.stats, 0 unless importtime), both at the nominal speed
+    of the probe's own reference readings."""
     cmd = [sys.executable]
     if importtime:
         cmd += ["-X", "importtime"]
@@ -112,12 +116,12 @@ def probe_setup(workload, seed, seconds, importtime):
         raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()[-2000:]}")
     probe = json.loads(proc.stdout.strip().splitlines()[-1])
     speed = reference.scale([probe["reference_s"]])
-    imports = {}  # cumulative import seconds of the heavy dependencies
+    imported = 0.0
     for line in proc.stderr.splitlines():
         parts = line.split("|")
-        if line.startswith("import time:") and len(parts) == 3 and parts[2].strip() in IMPORT_BREAKDOWN:
-            imports[parts[2].strip()] = int(parts[1]) / 1e6 * speed
-    return probe["setup_s"] * speed, imports
+        if line.startswith("import time:") and len(parts) == 3 and parts[2].strip() == IMPORT_PROBED:
+            imported = int(parts[1]) / 1e6 * speed
+    return probe["setup_s"] * speed, imported
 
 
 def cache_clearers():
@@ -139,14 +143,16 @@ def cache_clearers():
 
 
 def run_once(workload, task, inputs, clearers, readings, tracer=None):
-    """(output, seconds, error) of one timed execution of a task; appends a
-    reference reading taken just before it."""
+    """(output, seconds, seconds at the nominal speed, error) of one timed
+    execution of a task. The nominal time is scaled by reference readings
+    taken just before and just after the execution; both are appended to
+    readings."""
     import workloads
 
     for clear in clearers:
         clear()
     gc.collect()
-    readings.append(reference.reading(workloads.REFERENCE_KIND[workload]))
+    before = reference.reading()
     span = None
     if tracer is not None:
         tracer.install()
@@ -162,7 +168,15 @@ def run_once(workload, task, inputs, clearers, readings, tracer=None):
     if tracer is not None:
         tracer.close(span)
         tracer.uninstall()
-    return out, elapsed, error
+    after = reference.reading()
+    readings += (before, after)
+    return out, elapsed, elapsed * reference.scale([before, after]), error
+
+
+def rotated_passes(order, passes):
+    """passes passes over order, pass p starting p/passes of the way along."""
+    size = len(order)
+    return [order[(j + p * size // passes) % size] for p in range(passes) for j in range(size)]
 
 
 def tail_percentile(count):
@@ -179,7 +193,6 @@ def provenance(args, tasks, task_hash, probes, speed):
     import mpmath
     import numpy
     import scipy
-    import workloads
 
     try:
         blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -203,17 +216,19 @@ def provenance(args, tasks, task_hash, probes, speed):
         "machine": platform.machine(),
         "tasks": len(tasks),
         "task_list_sha256": task_hash,
-        "passes": 1 if args.trace else PASSES,
+        "passes": {"traced": 1} if args.trace else {
+            "passes": PASSES, "short_passes": SHORT_PASSES, "short_task_s": SHORT_TASK_S},
         "tail_percentile": tail_percentile(len(tasks)),
         "time_scale": speed,
         "reference_nominal_s": reference.NOMINAL_S,
-        "reference_kind": workloads.REFERENCE_KIND[args.workload],
         "setup_probes": probes,
         "exclusions": EXCLUSIONS,
     }
 
 
-def layer_metrics(tracer, probes, speed, plain_s, traced_s, count):
+def layer_metrics(tracer, probes, speed, times, traced_times):
+    """Per-layer spans and counts; span times are taken to the nominal speed
+    by the run's median reference reading, task times already are."""
     selfs = tracer.self_times()
     metrics = {}
     for name, (source, key, unit) in LAYER_METRICS.items():
@@ -226,11 +241,12 @@ def layer_metrics(tracer, probes, speed, plain_s, traced_s, count):
     approx = selfs.get("best_approx.best_uniform", 0.0) + selfs.get("best_approx.best_qmonotone", 0.0)
     metrics["best_approx.self_s"] = {"value": approx * speed, "unit": "s"}
     metrics["setup.import_scipy_stats_s"] = {
-        "value": statistics.median(p[1].get("scipy.stats", 0.0) for p in probes), "unit": "s"}
-    plain_rate, traced_rate = count / (plain_s * speed), count / (traced_s * speed)
+        "value": statistics.median(p[1] for p in probes), "unit": "s"}
+    # tracing overhead, over the tasks with an untraced and a traced time
+    both = [(a[0], b[0]) for a, b in zip(times, traced_times) if a and b]
+    plain_rate = len(both) / sum(a for a, _ in both)
+    traced_rate = len(both) / sum(b for _, b in both)
     metrics["trace.tasks_per_s_diff"] = {"value": plain_rate - traced_rate, "unit": "1/s"}
-    metrics["trace.overhead_pct"] = {
-        "value": 100.0 * (plain_rate - traced_rate) / plain_rate, "unit": "%"}
     return metrics
 
 
@@ -255,26 +271,36 @@ def main(argv=None):
     gc.freeze()  # keep the per-execution collections small
 
     count = len(tasks)
-    if tracer:  # untraced and traced back to back, alternating which goes first
-        plan = [(i, traced) for i in range(count)
-                for traced in ((False, True) if i % 2 == 0 else (True, False))]
-    else:  # PASSES passes, each starting at another point of the seeded order
-        plan = [((i + p * count // PASSES) % count, False)
-                for p in range(PASSES) for i in range(count)]
+    # nominal times of the executions that did not raise; any raised error
+    # fails the task
     times = [[] for _ in tasks]
     traced_times = [[] for _ in tasks]
+    raw_times = [[] for _ in tasks]
     outputs = [None] * count
-    raised = [None] * count
+    raised = [[] for _ in tasks]
     readings: list[float] = []
-    for i, traced in plan:
-        out, elapsed, error = run_once(
-            args.workload, tasks[i], inputs[i], clearers, readings, tracer if traced else None)
-        if traced:
-            traced_times[i].append(elapsed)
-            continue
-        if not times[i]:
-            outputs[i], raised[i] = out, error
-        times[i].append(elapsed)
+
+    def execute(plan):
+        for i, traced in plan:
+            out, raw, nominal, error = run_once(
+                args.workload, tasks[i], inputs[i], clearers, readings, tracer if traced else None)
+            if error is not None:
+                raised[i].append(error)
+            elif traced:
+                traced_times[i].append(nominal)
+            else:
+                if not times[i]:
+                    outputs[i] = out
+                times[i].append(nominal)
+                raw_times[i].append(raw)
+
+    if tracer:  # untraced and traced back to back, alternating which goes first
+        execute([(i, traced) for i in range(count)
+                 for traced in ((False, True) if i % 2 == 0 else (True, False))])
+    else:
+        execute([(i, False) for i in rotated_passes(range(count), PASSES)])
+        short = [i for i in range(count) if times[i] and statistics.median(times[i]) < SHORT_TASK_S]
+        execute([(i, False) for i in rotated_passes(short, SHORT_PASSES - PASSES)])
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     speed = reference.scale(readings)
 
@@ -282,8 +308,8 @@ def main(argv=None):
     failed = 0
     check = checks.CHECK[args.workload]
     for i, task in enumerate(tasks):
-        fails = [raised[i]] if raised[i] else []
-        if not raised[i]:
+        fails = list(raised[i])
+        if times[i]:
             try:
                 check_fails, errs = check(task, inputs[i], outputs[i])
                 fails += check_fails
@@ -292,19 +318,23 @@ def main(argv=None):
                 fails.append("check raised: " + traceback.format_exc(limit=3))
         outputs[i] = None
         failed += bool(fails)
-        task_times.append(min(times[i]) * speed)
-        records.append({"task": task, "times_s": times[i], "traced_s": traced_times[i],
-                        "fails": fails})
+        if times[i]:
+            task_times.append(statistics.median(times[i]))
+        records.append({"task": task, "times_s": times[i], "raw_s": raw_times[i],
+                        "traced_s": traced_times[i], "fails": fails})
 
+    if not task_times or (tracer and not any(a and b for a, b in zip(times, traced_times))):
+        first = next(r[0] for r in raised if r)
+        print(f"no task ran without raising an error; first error: {first}", file=sys.stderr)
+        return 1
     if tracer:
-        metrics = layer_metrics(tracer, probes, speed, sum(min(t) for t in times),
-                                sum(min(t) for t in traced_times), count)
+        metrics = layer_metrics(tracer, probes, speed, times, traced_times)
     else:
         metrics = {
             "setup_s": {"value": statistics.median(p[0] for p in probes), "unit": "s"},
-            "tasks_per_s": {"value": count / sum(task_times), "unit": "1/s"},
+            "tasks_per_s": {"value": len(task_times) / sum(task_times), "unit": "1/s"},
             "task_p50_s": {"value": statistics.median(task_times), "unit": "s"},
-            "task_tail_s": {"value": percentile(task_times, tail_percentile(count)),
+            "task_tail_s": {"value": percentile(task_times, tail_percentile(len(task_times))),
                             "unit": "s"},
             "pass_ratio": {"value": (count - failed) / count, "unit": "ratio"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},

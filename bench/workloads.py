@@ -7,7 +7,8 @@ call at its binding site without touching the library source.
 
 The size of each task list scales with ``seconds``; at the nominal 20 s one
 pass over a task list takes 8-15 s on a 2-vCPU x86-64 box with the
-pure-Python mpmath backend, and run.py makes two passes.
+pure-Python mpmath backend, and run.py makes two passes (four over
+the short tasks).
 """
 from __future__ import annotations
 
@@ -21,11 +22,6 @@ from shapeapprox import best_approx, functions, generator, moduli, operators, sh
 from shapeapprox.polynomial import Polynomial
 
 NOMINAL_SECONDS = 20.0
-
-# the reference kernel (reference.py) each workload's times are scaled by:
-# gen_build and mn_batch are mpf and Fraction work; minimax spends about 70%
-# of its time in the dense simplex
-REFERENCE_KIND = {"gen_build": "mpf", "mn_batch": "mpf", "minimax": "dense"}
 
 # gen_build: n log-uniform in (8r, 512], r in {1, 2, 3}
 GEN_N_MAX = 512
