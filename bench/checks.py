@@ -2,8 +2,11 @@
 
 The checks use no certificate from the library: coefficients are turned into
 exact rationals and every sign or size test is made in integer arithmetic at
-dyadic grid points x = j / 2^g. A check returns a list of failure messages
-(empty when the output passes) and the task's output error for ``err_gmean``.
+dyadic grid points x = j / 2^g. A check returns the failures of outputs it
+finds wrong, the failures the library reported itself (a constrained result
+marked ``constraint_validated=False`` that is indeed not q-monotone), both
+lists empty when the output passes, and the task's output error for
+``err_gmean``.
 """
 from __future__ import annotations
 
@@ -133,7 +136,7 @@ def check_gen_build(task, inputs, gen):
         top = max(abs(v) for v in vals)
         if min(vals) < -SIGN_REL_TOL * top:
             fails.append(f"P^({nu}) reaches {min(vals):.3e} on the grid")
-    return fails, [float(delta2)]
+    return fails, [], [float(delta2)]
 
 
 def check_mn_batch(task, inputs, outputs):
@@ -171,7 +174,7 @@ def check_mn_batch(task, inputs, outputs):
             msg = nonnegative_derivative(p, k, p_scale)
             if msg:
                 fails.append(f"{name}: {msg}")
-    return fails, errors
+    return fails, [], errors
 
 
 # the library validates its own results with best_approx.equioscillation_count;
@@ -190,10 +193,11 @@ def check_minimax(task, f, output):
     """The reported error is the returned polynomial's error on the sample
     grid; n+2 equioscillations (unconstrained, above roundoff); constrained
     error >= unconstrained error; q-monotone constrained output, whether or
-    not the library validated it."""
+    not the library validated it. A violation on a result the library marked
+    unvalidated is a failure it reported, not a wrong output."""
     res, modulus = output
     q, n, N = task["q"], task["n"], task["N"]
-    fails = []
+    fails, reported = [], []
     xs = moduli.default_x_grid(N)  # the problem's sample grid
     fv = np.asarray(f(xs), dtype=float)
     fmax = float(np.max(np.abs(fv)))
@@ -214,12 +218,13 @@ def check_minimax(task, f, output):
         if q <= p.degree:
             p_scale = max(abs(v) for v in p.bernstein())
             msg = nonnegative_derivative(p, q, p_scale)
-            if msg:
-                state = "validated" if res.constraint_validated else "unvalidated"
-                fails.append(f"{state} output not {q}-monotone: {msg}")
+            if msg and res.constraint_validated:
+                fails.append(f"validated output not {q}-monotone: {msg}")
+            elif msg:
+                reported.append(f"unvalidated output not {q}-monotone: {msg}")
     if not (math.isfinite(modulus.value) and modulus.value > 0):
         fails.append(f"omega_dt = {modulus.value}")
-    return fails, [max(res.error, ERR_FLOOR_REL * fmax)]
+    return fails, reported, [max(res.error, ERR_FLOOR_REL * fmax)]
 
 
 CHECK = {"gen_build": check_gen_build, "mn_batch": check_mn_batch, "minimax": check_minimax}

@@ -304,24 +304,28 @@ def main(argv=None):
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     speed = reference.scale(readings)
 
+    # a task fails if an execution raised, a check found its output wrong,
+    # or the library reported that its output misses the specification; the
+    # run is correct unless a task failed in one of the first two ways
     records, task_times, errors = [], [], []
-    failed = 0
+    failed = wrong = 0
     check = checks.CHECK[args.workload]
     for i, task in enumerate(tasks):
-        fails = list(raised[i])
+        fails, reported = list(raised[i]), []
         if times[i]:
             try:
-                check_fails, errs = check(task, inputs[i], outputs[i])
+                check_fails, reported, errs = check(task, inputs[i], outputs[i])
                 fails += check_fails
                 errors += errs
             except Exception:  # a check that cannot run fails the task
                 fails.append("check raised: " + traceback.format_exc(limit=3))
         outputs[i] = None
-        failed += bool(fails)
+        wrong += bool(fails)
+        failed += bool(fails or reported)
         if times[i]:
             task_times.append(statistics.median(times[i]))
         records.append({"task": task, "times_s": times[i], "raw_s": raw_times[i],
-                        "traced_s": traced_times[i], "fails": fails})
+                        "traced_s": traced_times[i], "fails": fails, "reported": reported})
 
     if not task_times or (tracer and not any(a and b for a, b in zip(times, traced_times))):
         first = next(r[0] for r in raised if r)
@@ -344,7 +348,7 @@ def main(argv=None):
         }
 
     prov = provenance(args, tasks, task_hash, probes, speed)
-    result = {"correct": failed == 0, "attempted": count, "failed": failed, "metrics": metrics}
+    result = {"correct": wrong == 0, "attempted": count, "failed": failed, "metrics": metrics}
     os.makedirs(OUT_DIR, exist_ok=True)
     stem = os.path.join(OUT_DIR, f"{args.workload}-seed{args.seed}-trace{args.trace}")
     with open(stem + ".json", "w") as fh:
