@@ -36,7 +36,6 @@ from .generator import GeneratorPoly, build_generator, deficiency_slope, moment
 from .moduli import (
     ModulusEstimate,
     bound_envelope,
-    endpoint_refined_x_grid,
     fit_modulus_exponent,
     omega,
     omega_dt,
@@ -46,11 +45,6 @@ from .moduli import (
 from .operators import (
     MnResult,
     MomentProfile,
-    apply_Mn,
-    apply_bernstein,
-    apply_durrmeyer_lupas,
-    apply_gavrea,
-    apply_genuine_durrmeyer,
     bernstein_image,
     derivative_bridge_residual,
     durrmeyer_image,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import sys
 
 import mpmath
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output file (CSV/JSON); stdout if omitted")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--precision-bits", type=int, default=256,
                        dest="precision_bits")
 
@@ -285,7 +283,6 @@ def main(argv=None) -> int:
             for key, value in json.load(fh).items():
                 if getattr(args, key, None) in (None, parser.get_default(key)):
                     setattr(args, key, value)
-    random.seed(getattr(args, "seed", 0))
     return args.fn(args)
 
 

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .best_approx import best_uniform
 from .functions import FunctionHandle, LogShiftFunction, PowerFunction
-from .generator import bernstein_grid_values, build_generator, deficiency_slope, _grid_min_relative
+from .generator import build_generator, deficiency_slope, _grid_min_relative
 from .moduli import default_x_grid, omega_dt, step_weight
 from .operators import _as_handle, mn_image
-from .polynomial import Polynomial
+from .polynomial import bernstein_basis
 
 
 @dataclass
@@ -76,12 +75,6 @@ def _bounded_ratio(values, factor=10.0) -> bool:
 
 
 # ----------------------------------------------------------------------
-def _bernstein_value_direct(n: int, f, x: float) -> float:
-    """B_n(f, x) by direct summation of the binomial kernel."""
-    k = np.arange(n + 1)
-    return float(_binom.pmf(k, n, x) @ np.asarray(f(k / n), dtype=float))
-
-
 def run_bernstein_xeps(eps: float, lam: float, n_list) -> ExperimentTable:
     """Midpoint Bernstein errors for x^eps: the Voronovskaya product
     n*(f - B_n f)(1/2), the interior envelope n^-1 phi^(2 eps - 2)(1/2), and
@@ -103,11 +96,14 @@ def run_bernstein_xeps(eps: float, lam: float, n_list) -> ExperimentTable:
     phi_mid = 0.5
     voron_limit = eps * (1 - eps) / 2 * 0.5 ** (eps - 2) * phi_mid**2
     for n in ns:
-        err_mid = abs(float(f(0.5)) - _bernstein_value_direct(n, f, 0.5))
+        xs = 1.0 / n**2
+        # B_n(f, x) by direct summation of the binomial kernel
+        fk = np.asarray(f(np.arange(n + 1) / n), dtype=float)
+        mid, small = bernstein_basis(n, [0.5, xs])
+        err_mid = abs(float(f(0.5)) - float(mid @ fk))
         voron = n * err_mid
         env_mid = phi_mid ** (2 * eps - 2) / n
-        xs = 1.0 / n**2
-        err_small = abs(float(f(xs)) - _bernstein_value_direct(n, f, xs))
+        err_small = abs(float(f(xs)) - float(small @ fk))
         env_small = (math.sqrt(xs * (1 - xs)) / math.sqrt(n)) ** eps
         table.rows.append(
             [n, err_mid, voron, env_mid, err_mid / env_mid,
@@ -126,19 +122,6 @@ def run_bernstein_xeps(eps: float, lam: float, n_list) -> ExperimentTable:
 
 
 # ----------------------------------------------------------------------
-def _image_grid_values(poly: Polynomial, xs: np.ndarray, prec_bits: int) -> np.ndarray:
-    """float64 values of an operator image: convert to Bernstein form at high
-    precision (the coefficients are O(||f||)), then evaluate stably."""
-    deg = poly.degree
-    mag = 0
-    if poly.backend == "float":
-        mag = max((mpmath.mag(c) for c in poly.coeffs if c != 0), default=0)
-    with mpmath.workprec(prec_bits + max(0, mag) + 2 * deg + 64):
-        bern = poly.to_float().to_bernstein() if poly.backend == "exact" else poly.to_bernstein()
-        coeffs = np.array([float(c) for c in bern.coeffs])
-    return bernstein_grid_values(coeffs, xs)
-
-
 def run_mn_error_study(
     q: int, lam: float, f: FunctionHandle, n_list, prec_bits: int = 256,
     x_points: int = 129,
@@ -158,7 +141,8 @@ def run_mn_error_study(
     ratios_all = []
     for n in ns:
         res = mn_image(q, n, f, prec_bits)
-        vals = _image_grid_values(res.poly, xs, prec_bits)
+        coeffs, _ = res.poly.bernstein_float64()
+        vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
         errs = np.abs(np.asarray(f(xs), dtype=float) - vals)
         args = phi ** (1 - lam / 2) * (phi + 1.0 / n) ** (-lam / 2) / n
         # one modulus sweep per n: per-h maxima, then prefix maxima give
@@ -253,7 +237,7 @@ def run_generator_report(r: int, n_list, prec_bits: int = 256) -> ExperimentTabl
         gen = build_generator(n, r, prec_bits)
         with mpmath.workprec(max(prec_bits, gen.precision_bits) + 2 * gen.P.degree + 64):
             resid = abs(float(gen.P.integrate_01() - 1))
-            min_rel = min(_grid_min_relative(gen.P.differentiate(nu)) for nu in range(r + 1))
+        min_rel = min(_grid_min_relative(gen.P, nu) for nu in range(r + 1))
         d = {mu: float(gen.moment_deficiency[mu]) for mu in (1, 2, 3, 4)}
         table.rows.append(
             [n, gen.m, d[1], d[2], d[3], d[4], n * n * d[2], resid, min_rel,

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .errors import PrecisionError, RegimeError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _to_mpf, bernstein_basis
 from .special import tau
 
 UNIT_INTEGRAL_TOL = mpmath.mpf("1e-20")
@@ -35,60 +35,39 @@ class GeneratorPoly:
 
 
 def moment(P: Polynomial, mu: int):
-    """Integral of x^mu * P(x) over [0,1], exact in the coefficients."""
-    from fractions import Fraction
-
-    c = P.to_monomial().coeffs
-    if P.backend == "exact":
-        total = Fraction(0)
-        for k, ck in enumerate(c):
-            total += ck * Fraction(1, k + mu + 1)
-        return total
-    # the terms cancel down to O(1); work at a precision covering their size
-    mag = max((mpmath.mag(ck) for ck in c if ck != 0), default=0)
-    with mpmath.workprec(mpmath.mp.prec + max(0, mag) + 64):
-        total = mpmath.mpf(0)
-        for k, ck in enumerate(c):
-            total += ck / mpmath.mpf(k + mu + 1)
-    return total
+    """Integral of x^mu * P(x) over [0,1]: exact for exact P, else the exact
+    value of the stored coefficients rounded at the ambient precision."""
+    total = sum(c / (k + mu + 1) for k, c in enumerate(P.to_exact().to_monomial().coeffs))
+    return total if P.backend == "exact" else _to_mpf(total)
 
 
-def bernstein_grid_values(coeffs, xs):
-    """Evaluate a Bernstein-form polynomial (float64 coeffs) at points xs
-    via the binomial pmf; stable since all basis values are nonnegative."""
-    c = np.asarray(coeffs, dtype=float)
-    n = len(c) - 1
-    k = np.arange(n + 1)
-    basis = _binom.pmf(k[None, :], n, np.asarray(xs, dtype=float)[:, None])
-    return basis @ c
-
-
-def _grid_min_relative(poly: Polynomial, points: int = GRID_POINTS):
-    """(min value)/(coefficient scale) of poly on a uniform grid of [0,1],
-    computed from its Bernstein form in float64."""
-    bern = poly.to_bernstein()
-    coeffs = np.array([float(c) for c in bern.coeffs])
+def _grid_relative(poly: Polynomial, nu: int, points: int):
+    """A uniform grid of [0,1], the float64 values of poly^(nu) on it divided
+    by its largest Bernstein coefficient, and that coefficient."""
+    coeffs, _ = poly.bernstein_float64(nu)
     scale = max(1e-300, float(np.max(np.abs(coeffs))))
     xs = np.linspace(0.0, 1.0, points)
-    vals = bernstein_grid_values(coeffs, xs)
-    return float(vals.min()) / scale
+    return xs, bernstein_basis(len(coeffs) - 1, xs) @ coeffs / scale, scale
 
 
-def _grid_min_certified(poly: Polynomial, points: int = GRID_POINTS):
+def _grid_min_relative(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS):
+    """(min value)/(coefficient scale) of poly^(nu) on a uniform grid of
+    [0,1], computed from its Bernstein form in float64."""
+    _, vals, _ = _grid_relative(poly, nu, points)
+    return float(vals.min())
+
+
+def _grid_min_certified(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS):
     """Like _grid_min_relative, but grid points dipping below the sign
-    tolerance are re-evaluated at the ambient working precision; float64
-    Bernstein evaluation is only good to a few ulps at high degree."""
-    bern = poly.to_bernstein()
-    coeffs = np.array([float(c) for c in bern.coeffs])
-    scale = max(1e-300, float(np.max(np.abs(coeffs))))
-    xs = np.linspace(0.0, 1.0, points)
-    vals = bernstein_grid_values(coeffs, xs) / scale
+    tolerance are evaluated again exactly; float64 Bernstein evaluation is
+    only good to a few ulps at high degree."""
+    xs, vals, scale = _grid_relative(poly, nu, points)
     rel_min = float(vals.min())
     if rel_min >= -GRID_SIGN_REL_TOL:
         return rel_min
-    mono = poly.to_monomial()
+    exact = poly.to_exact().differentiate(nu)
     low = vals < -GRID_SIGN_REL_TOL
-    redo = min(float(mono(mpmath.mpf(x))) for x in xs[low]) / scale
+    redo = min(float(exact(Fraction(x))) for x in xs[low]) / scale
     rest = vals[~low]
     return min(redo, float(rest.min())) if rest.size else redo
 
@@ -120,7 +99,7 @@ def _build_at_precision(n: int, r: int, prec_bits: int) -> GeneratorPoly:
                 raise PrecisionError(f"moment deficiency delta_{mu} = {d} <= 0")
             deficiency[mu] = d
         for nu in range(r + 1):
-            rel_min = _grid_min_certified(P.differentiate(nu))
+            rel_min = _grid_min_certified(P, nu)
             if rel_min < -GRID_SIGN_REL_TOL:
                 raise PrecisionError(
                     f"derivative order {nu} dips to {rel_min} (relative) on grid"

@@ -70,20 +70,6 @@ def default_x_grid(size: int = DEFAULT_X_POINTS) -> np.ndarray:
     return (1.0 - np.cos(np.pi * j / (size - 1))) / 2.0
 
 
-def endpoint_refined_x_grid(
-    min_x: float = 1e-14, ratio: float = 10 ** (1 / 16), base_size: int = DEFAULT_X_POINTS
-) -> np.ndarray:
-    """Chebyshev grid augmented with geometric points down to min_x at both
-    endpoints; resolves maximizers of weighted differences that sit at
-    x ~ h^(2/(1-lambda/2)) far below the plain grid spacing."""
-    pts = [min_x]
-    while pts[-1] * ratio < 0.5:
-        pts.append(pts[-1] * ratio)
-    side = np.array(pts)
-    grid = np.concatenate([default_x_grid(base_size), side, 1.0 - side])
-    return np.unique(np.clip(grid, 0.0, 1.0))
-
-
 def _boundary_aligned_points(k: int, lam: float, h: float) -> np.ndarray:
     """Solutions of x = (k h/2) phi^lam(x) (and the mirror image), where the
     leftmost node of the k-th difference sits exactly at the endpoint."""

@@ -8,10 +8,10 @@
 * M_n            the composite operator: H driven by the constructed
                  generating polynomial, with a linear-interpolation fallback
 
-Operators are exposed both pointwise (``apply_*``) and as full polynomial
-images (``*_image``), which is what the shape and moment tests consume.
-Polynomial inputs and catalog functions with exact moments take an exact or
-extended-precision path; other callables fall back to quadrature.
+Operators are exposed as full polynomial images (``*_image``), which is what
+the shape and moment tests consume.  Polynomial inputs and catalog functions
+with exact moments take an exact or extended-precision path; other callables
+fall back to quadrature.
 """
 from __future__ import annotations
 
@@ -24,11 +24,10 @@ from math import comb
 import mpmath
 import numpy as np
 from scipy.special import roots_jacobi
-from scipy.stats import binom as _binom
 
 from .functions import FunctionHandle, PolyFunction
 from .generator import GeneratorPoly, build_generator
-from .polynomial import Polynomial, _to_mpf
+from .polynomial import Polynomial, _to_mpf, bernstein_basis
 from .special import pochhammer
 
 
@@ -74,10 +73,6 @@ def bernstein_image(n: int, f) -> Polynomial:
     f = _as_handle(f)
     vals = [f.value_at(Fraction(k, n)) for k in range(n + 1)]
     return Polynomial.bernstein(vals)
-
-
-def apply_bernstein(n: int, f, x):
-    return bernstein_image(n, f)(x)
 
 
 # ----------------------------------------------------------------------
@@ -137,17 +132,12 @@ def _genuine_durrmeyer_image_quadrature(n, f, quad_order) -> Polynomial:
     order = quad_order or max(64, n + 2)
     t, w = _gauss_legendre_01(order)
     fv = np.asarray(f(t), dtype=float)
-    k = np.arange(n - 1)
-    basis = _binom.pmf(k[None, :], n - 2, t[:, None])  # (order, n-1)
+    basis = bernstein_basis(n - 2, t)  # (order, n-1)
     mids = (n - 1) * ((w * fv) @ basis)
     coeffs = [float(np.asarray(f(np.array([0.0])))[0])]
     coeffs += [float(v) for v in mids]
     coeffs.append(float(np.asarray(f(np.array([1.0])))[0]))
     return Polynomial.bernstein([mpmath.mpf(c) for c in coeffs])
-
-
-def apply_genuine_durrmeyer(n: int, f, x, quad_order: int | None = None):
-    return genuine_durrmeyer_image(n, f, quad_order)(x)
 
 
 def genuine_durrmeyer_moment(n: int, i: int) -> Polynomial:
@@ -232,8 +222,7 @@ def durrmeyer_lupas_image(n: int, alpha, f, quad_order: int | None = None) -> Po
     u, w = roots_jacobi(order, a, a)
     t = (u + 1) / 2
     fv = np.asarray(f(t), dtype=float)
-    k = np.arange(n + 1)
-    basis = _binom.pmf(k[None, :], n, t[:, None])  # (order, n+1)
+    basis = bernstein_basis(n, t)  # (order, n+1)
     num = (w * fv) @ basis
     den = w @ basis
     return Polynomial.bernstein([mpmath.mpf(v) for v in num / den])
@@ -242,10 +231,6 @@ def durrmeyer_lupas_image(n: int, alpha, f, quad_order: int | None = None) -> Po
 def durrmeyer_image(n: int, f, quad_order: int | None = None) -> Polynomial:
     """The plain Bernstein-Durrmeyer operator D_n (alpha = 0)."""
     return durrmeyer_lupas_image(n, 0, f, quad_order)
-
-
-def apply_durrmeyer_lupas(n: int, alpha, f, x, quad_order: int | None = None):
-    return durrmeyer_lupas_image(n, alpha, f, quad_order)(x)
 
 
 def lupas_endpoint_moment(n: int, alpha, i: int):
@@ -350,11 +335,6 @@ def gavrea_image(gen_poly: Polynomial, f, quad_order: int | None = None) -> Poly
     return Polynomial.monomial(acc)
 
 
-def apply_gavrea(gen, f, x, quad_order: int | None = None):
-    gen_poly = gen.P if isinstance(gen, GeneratorPoly) else gen
-    return gavrea_image(gen_poly, f, quad_order)(x)
-
-
 @dataclass(frozen=True)
 class MnResult:
     poly: Polynomial
@@ -394,10 +374,6 @@ def mn_image(q: int, n: int, f, prec_bits: int = 256, quad_order: int | None = N
     with mpmath.workprec(prec_bits):
         img = gavrea_image(gen.P, f, quad_order)
     return MnResult(img, q, n, r, False, alpha_n, gen)
-
-
-def apply_Mn(q: int, n: int, f, x, prec_bits: int = 256):
-    return mn_image(q, n, f, prec_bits).poly(x)
 
 
 # ----------------------------------------------------------------------

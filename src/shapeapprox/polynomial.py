@@ -9,17 +9,24 @@ Two scalar backends are supported:
   control it).
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
+``Polynomial.bernstein_float64`` reads out the float64 Bernstein coefficients
+of any derivative exactly, and ``bernstein_basis`` evaluates that basis on a
+grid; both are independent of the ambient precision.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
 import mpmath
+import numpy as np
 from mpmath import mpf
+from mpmath.libmp import to_rational
+from scipy.stats import binom as _binom
 
 from .errors import BackendError, BasisError, DegreeCapError, DomainError
 
@@ -37,6 +44,41 @@ def _to_mpf(v):
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / v.denominator
     return mpmath.mpf(v)
+
+
+def _to_fraction(v) -> Fraction:
+    """The exact value of an int, Fraction or finite mpf (a dyadic rational)."""
+    if isinstance(v, mpf):
+        if not mpmath.isfinite(v):
+            raise ValueError(f"coefficient {v} has no exact value")
+        return Fraction(*to_rational(v._mpf_))
+    return Fraction(v)
+
+
+_LOG2_10 = math.log2(10)
+
+
+def _json_digits(c: mpf) -> int:
+    """Significant digits written for c: 16 bits beyond its mantissa width
+    (at least 53), so that _json_bits can read every bit back."""
+    return math.ceil((max(c._mpf_[3], 53) + 16) / _LOG2_10) + 1
+
+
+def _json_bits(text: str) -> int:
+    """Parse precision for a decimal string of n significant digits: 8 bits
+    below their resolution. For a string from _json_digits this is at least
+    the mantissa width, and the decimal lies within 2^-8 ulp of the mpf it
+    was written from, so parsing rounds back to that mpf exactly."""
+    digits = text.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0")
+    return max(53, math.floor((len(digits) - 1) * _LOG2_10) - 8)
+
+
+def bernstein_basis(n: int, xs) -> np.ndarray:
+    """float64 values p_{n,k}(x_i), shape (len(xs), n+1), via the binomial
+    pmf. Every entry is nonnegative, so products with coefficient vectors
+    are stable."""
+    k = np.arange(n + 1)
+    return _binom.pmf(k[None, :], n, np.asarray(xs, dtype=float)[:, None])
 
 
 def _normalize(coeffs: Iterable) -> tuple[tuple, str]:
@@ -123,6 +165,10 @@ class Polynomial:
     def to_float(self) -> "Polynomial":
         """Copy with mpf coefficients (rounded at the ambient precision)."""
         return Polynomial(self.basis, [_to_mpf(c) for c in self.coeffs])
+
+    def to_exact(self) -> "Polynomial":
+        """Copy with Fraction coefficients; nothing is rounded."""
+        return Polynomial(self.basis, [_to_fraction(c) for c in self.coeffs])
 
     # ------------------------------------------------------------------
     # evaluation
@@ -287,8 +333,36 @@ class Polynomial:
             out.append(acc)
         return Polynomial(BERNSTEIN, out)
 
+    def bernstein_float64(self, nu: int = 0) -> tuple[np.ndarray, bool]:
+        """Bernstein coefficients of p^(nu) at its exact degree, each rounded
+        once to float64, and whether every exact coefficient is >= 0.
+
+        The derivative and the basis change run in integer arithmetic over a
+        common denominator, so the result does not depend on the ambient
+        precision, and the sign test never passes a tiny negative
+        coefficient that rounds to -0.0."""
+        if nu < 0:
+            raise ValueError("nu must be >= 0")
+        a = self.to_exact().to_monomial().coeffs[nu:] or (Fraction(0),)
+        m = len(a) - 1
+        den = math.lcm(*(c.denominator for c in a))
+        fact = [1]
+        for i in range(1, m + nu + 1):
+            fact.append(fact[-1] * i)
+        # a[j] multiplies x^(j+nu) in p, so p^(nu) has monomial coefficients
+        # b_j = a[j] (j+nu)!/j! and Bernstein coefficients
+        # c_k = sum_j C(k,j) b_j / C(m,j); scaled by den * m!, every
+        # e_j = b_j / C(m,j) is an integer
+        e = [c.numerator * (den // c.denominator) * fact[j + nu] * fact[m - j]
+             for j, c in enumerate(a)]
+        for r in range(1, m + 1):  # c_k = sum_j C(k,j) e_j, by additions
+            e[r:] = [x + y for x, y in zip(e[r:], e[r - 1:-1])]
+        scale = den * fact[m]
+        return np.array([c / scale for c in e]), all(c >= 0 for c in e)
+
     # ------------------------------------------------------------------
-    # serialization: {"basis": ..., "n": int, "coeffs": [strings]}
+    # serialization: {"basis": ..., "n": int, "coeffs": [strings]}; an mpf is
+    # written with every mantissa bit and read back at a precision keeping it
     def to_json(self) -> str:
         if self.backend == "exact":
             strs = [
@@ -296,7 +370,7 @@ class Polynomial:
                 for c in self.coeffs
             ]
         else:
-            strs = [mpmath.nstr(c, 50, strip_zeros=False) for c in self.coeffs]
+            strs = [mpmath.nstr(c, _json_digits(c), strip_zeros=False) for c in self.coeffs]
         return json.dumps(
             {"basis": self.basis, "n": len(self.coeffs) - 1, "coeffs": strs}
         )
@@ -313,7 +387,8 @@ class Polynomial:
             elif all(ch.isdigit() or ch in "+-" for ch in s):
                 coeffs.append(Fraction(int(s)))
             else:
-                coeffs.append(mpmath.mpf(s))
+                with mpmath.workprec(_json_bits(s)):
+                    coeffs.append(mpmath.mpf(s))
                 exact = False
         if not exact:
             coeffs = [_to_mpf(c) for c in coeffs]

@@ -9,12 +9,12 @@ nonnegative, the polynomial is k-monotone with no sampling caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .generator import bernstein_grid_values
 from .moduli import default_x_grid
-from .polynomial import Polynomial
+from .polynomial import Polynomial, bernstein_basis
 
 POLY_GRID_POINTS = 4096
 DEFAULT_TOL = 1e-9
@@ -60,7 +60,7 @@ def check_k_monotone_fn(
     deltas = np.geomspace(2.0 ** -20, 1.0 / max(k, 1), delta_grid_size)
     worst, wx, wd = 0.0, None, None
     offsets = np.arange(k + 1)
-    signs = np.array([(-1) ** (k - i) * _binomial(k, i) for i in range(k + 1)], dtype=float)
+    signs = np.array([(-1) ** (k - i) * comb(k, i) for i in range(k + 1)], dtype=float)
     for d in deltas:
         lo = xs - k * d / 2.0
         hi = xs + k * d / 2.0
@@ -79,46 +79,20 @@ def check_k_monotone_fn(
                        x_grid_size, delta_grid_size, threshold)
 
 
-def _binomial(k, i):
-    from math import comb
-
-    return comb(k, i)
-
-
 def check_k_monotone_poly(p: Polynomial, k: int, tol: float = DEFAULT_TOL) -> ShapeReport:
     """Sign check of p^(k) (p itself for k = 0): Bernstein-coefficient
     certificate first, then dense 4096-point sampling."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    mono = p.to_monomial()
-    if mono.backend == "float":
-        # differentiation and basis conversion cancel the (possibly huge)
-        # monomial coefficients down to O(||f||); run both at a precision
-        # covering their magnitude, or the intermediate rounding is amplified
-        # by the binomial factors of the conversion
-        import mpmath
-
-        mag = max((mpmath.mag(c) for c in mono.coeffs if c != 0), default=0)
-        with mpmath.workprec(mpmath.mp.prec + max(0, mag) + 2 * mono.degree + 64):
-            der = mono.differentiate(k) if k else mono
-            bern = der.to_bernstein()
-            p_bern = mono.to_bernstein()
-            coeffs = np.array([float(c) for c in bern.coeffs])
-            p_scale = max(1e-30, float(np.max(np.abs(
-                np.array([float(c) for c in p_bern.coeffs])))))
-    else:
-        der = mono.differentiate(k) if k else mono
-        bern = der.to_bernstein()
-        coeffs = np.array([float(c) for c in bern.coeffs])
-        p_scale = max(1e-30, float(np.max(np.abs(
-            np.array([float(c) for c in p.to_bernstein().coeffs])))))
-    threshold = tol * max(p_scale, float(np.max(np.abs(coeffs))) if len(coeffs) else 1.0)
-    certificate = bool(np.all(coeffs >= 0))
+    coeffs, certificate = p.bernstein_float64(k)
+    p_coeffs, _ = p.bernstein_float64()
+    threshold = tol * max(1e-30, float(np.max(np.abs(p_coeffs))),
+                          float(np.max(np.abs(coeffs))))
     if certificate:
         return ShapeReport(k, True, None, None, None, POLY_GRID_POINTS, 0,
                            threshold, bernstein_certificate=True)
     xs = np.linspace(0.0, 1.0, POLY_GRID_POINTS)
-    vals = bernstein_grid_values(coeffs, xs)
+    vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
     j = int(np.argmin(vals))
     if vals[j] < -threshold:
         return ShapeReport(k, False, float(xs[j]), 0.0, float(vals[j]),

@@ -1,12 +1,14 @@
 """Generating polynomials: unit integral, nonnegative derivatives, and
 second-moment deficiency decay."""
 import math
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from shapeapprox import build_generator, deficiency_slope, moment
-from shapeapprox.generator import _grid_min_relative
+from shapeapprox import Polynomial, build_generator, deficiency_slope, moment
+from shapeapprox.generator import GRID_POINTS, _grid_min_certified, _grid_min_relative
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -50,3 +52,15 @@ def test_n2_delta2_bounded():
         gen = build_generator(n, 2)
         vals.append(n * n * float(gen.moment_deficiency[2]))
     assert max(vals) <= 4 * min(vals)
+
+
+def test_grid_min_certified_reevaluates_dips_exactly():
+    # (x - 1/2)^2 - 1e-6 dips below the sign tolerance near x = 1/2, so the
+    # dipping grid points are evaluated again in exact arithmetic
+    eps = Fraction(1, 10**6)
+    p = Polynomial.monomial([Fraction(1, 4) - eps, -1, 1])
+    scale = float(Fraction(1, 4) + eps)  # largest |Bernstein coefficient|
+    want = min(float(p(Fraction(x))) for x in np.linspace(0.0, 1.0, GRID_POINTS)) / scale
+    for bits in (53, 1000):
+        with mpmath.workprec(bits):
+            assert _grid_min_certified(p) == want < 0

@@ -1,10 +1,13 @@
-"""Polynomial arithmetic, basis conversion, and serialization."""
+"""Polynomial arithmetic, basis conversion, the exact Bernstein read-out,
+and serialization."""
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath
+import numpy as np
 import pytest
 
-from shapeapprox import BasisError, DomainError, Polynomial
+from shapeapprox import BasisError, DomainError, Polynomial, build_generator, check_k_monotone_poly
 
 
 def test_monomial_eval_horner_exact():
@@ -75,6 +78,63 @@ def test_json_roundtrip_exact():
     s = p.to_json()
     q = Polynomial.from_json(s)
     assert q.coeffs == p.coeffs and q.basis == p.basis
+
+
+def test_json_roundtrip_float_keeps_every_bit():
+    P = build_generator(256, 1).P
+    q = Polynomial.from_json(P.to_json())
+    assert q.basis == P.basis and q.backend == "float"
+    assert q.coeffs == P.coeffs
+
+
+def _bernstein_oracle(p: Polynomial, nu: int) -> list:
+    """Exact Bernstein coefficients of p^(nu) at its exact degree, from the
+    mpf mantissas and exponents in Fraction arithmetic."""
+    a = []
+    for c in p.coeffs:
+        sign, man, exp, _ = c._mpf_
+        a.append((-1) ** sign * Fraction(man) * Fraction(2) ** exp)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    b = [a[j + nu] * factorial(j + nu) / factorial(j) for j in range(len(a) - nu)] or [Fraction(0)]
+    m = len(b) - 1
+    return [sum(b[j] * Fraction(comb(k, j), comb(m, j)) for j in range(k + 1))
+            for k in range(m + 1)]
+
+
+def test_bernstein_float64_matches_fraction_oracle():
+    P = build_generator(256, 2).P
+    for nu in range(3):
+        exact = _bernstein_oracle(P, nu)
+        coeffs, nonnegative = P.bernstein_float64(nu)
+        assert coeffs.tolist() == [float(c) for c in exact]
+        assert nonnegative == all(c >= 0 for c in exact)
+
+
+def test_bernstein_float64_ignores_ambient_precision():
+    P = build_generator(256, 2).P
+    for nu in range(3):
+        with mpmath.workprec(53):
+            low, low_sign = P.bernstein_float64(nu)
+        with mpmath.workprec(1000):
+            high, high_sign = P.bernstein_float64(nu)
+        assert np.array_equal(low, high) and low_sign == high_sign
+
+
+@pytest.mark.parametrize("tiny", [Fraction(-1, 2**1100), -mpmath.mpf(2) ** -1100])
+def test_tiny_negative_bernstein_coefficient_is_no_certificate(tiny):
+    # -2^-1100 rounds to -0.0 in float64; the sign must come from the exact value
+    p = Polynomial.bernstein([1, tiny, 1])
+    coeffs, nonnegative = p.bernstein_float64()
+    assert coeffs[1] == 0.0 and not nonnegative
+    report = check_k_monotone_poly(p, 0)
+    assert report.passed and not report.bernstein_certificate
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_bernstein_float64_rejects_nonfinite(bad):
+    with pytest.raises(ValueError):
+        Polynomial.monomial([1, mpmath.mpf(bad)]).bernstein_float64()
 
 
 def test_basis_constructor_validation():
