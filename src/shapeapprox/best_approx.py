@@ -4,11 +4,13 @@ E_n(f)      = inf over degree-<=n polynomials of the uniform error;
 E_n^(q)(f)  = the same infimum restricted to q-monotone polynomials.
 
 Both are computed as linear programs on Chebyshev-distributed sample nodes:
-minimize t subject to |f(x_i) - p(x_i)| <= t, with the shape constraint
-imposed as p^(q)(y_l) >= 0 on a constraint grid (p >= 0 when q = 0) and the
-winner post-validated densely.  The LP works in the shifted Chebyshev basis
-for conditioning; the returned polynomial is reconstructed exactly from the
-float solution so downstream basis conversions do not amplify cancellation.
+minimize t subject to |f(x_i) - p(x_i)| <= t.  The shape constraint
+p^(q) >= 0 (p >= 0 when q = 0) is imposed as nonnegative Bernstein
+coefficients of p^(q) after degree elevation, which certifies it on all of
+[0,1] (Powers & Reznick, Trans. AMS 2001), not only at sample nodes.  The LP
+works in the shifted Chebyshev basis for conditioning; the returned
+polynomial is reconstructed exactly from the float solution so downstream
+basis conversions do not amplify cancellation.
 """
 from __future__ import annotations
 
@@ -37,6 +39,8 @@ class ApproxResult:
     poly: Polynomial
     error: float  # uniform norm of f - p on the sample grid
     sample_size: int
+    #: Bernstein coefficients of p^(q) constrained in the LP; 0 when the
+    #: unconstrained optimum was already q-monotone
     constraint_size: int
     iterations: int
     equioscillations: int
@@ -53,16 +57,34 @@ def _basis_values(xs: np.ndarray, n: int) -> np.ndarray:
     return npcheb.chebvander(2.0 * np.asarray(xs, dtype=float) - 1.0, n)
 
 
-def _basis_derivative_values(xs: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Matrix D[i,j] = d^q/dx^q T_j(2x_i - 1)."""
-    u = 2.0 * np.asarray(xs, dtype=float) - 1.0
-    out = np.zeros((len(u), n + 1))
-    for j in range(n + 1):
-        cj = np.zeros(j + 1)
-        cj[j] = 1.0
-        dj = npcheb.chebder(cj, m=q) * 2.0**q
-        out[:, j] = npcheb.chebval(u, dj) if len(dj) else 0.0
-    return out
+def _elevate(C: np.ndarray, m: int) -> np.ndarray:
+    """Bernstein coefficients (one column per polynomial) raised to degree m,
+    one degree at a time: c'_i = i/(k+1) c_{i-1} + (1 - i/(k+1)) c_i.  Each
+    step is a convex combination, so the absolute error stays near the
+    rounding level of the largest input coefficient."""
+    for k in range(C.shape[0] - 1, m):
+        w = (np.arange(k + 2) / (k + 1))[:, None]
+        up = np.zeros((k + 2, C.shape[1]))
+        up[1:] += w[1:] * C
+        up[:-1] += (1.0 - w[:-1]) * C
+        C = up
+    return C
+
+
+def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
+    """R with R a = the Bernstein coefficients at degree m of p^(q), for
+    p = sum_j a_j T_j(2x-1), each row scaled to max 1.  R a >= 0 certifies
+    p^(q) >= 0 on [0,1].  Exact coefficients of each T_j^(q), rounded once,
+    are elevated in float, since Fraction elevation to m ~ 1000 costs
+    seconds.  Entries that cancel lose relative accuracy (up to 2e-7 of a
+    row's max at n=35, q=4, m=1024), so check_k_monotone_poly still gives
+    the final verdict."""
+    B = np.zeros((n - q + 1, n + 1))
+    for j in range(q, n + 1):
+        c, _ = _shifted_chebyshev(j).bernstein_float64(q)
+        B[:, j] = _elevate(c[:, None], n - q)[:, 0]
+    R = _elevate(B, m)
+    return R / np.abs(R).max(axis=1, keepdims=True)
 
 
 def _reconstruct(coeffs: np.ndarray) -> Polynomial:
@@ -78,108 +100,44 @@ def _reconstruct(coeffs: np.ndarray) -> Polynomial:
     return Polynomial.monomial(acc)
 
 
-def _grid_values(p: Polynomial, xs: np.ndarray) -> np.ndarray:
-    """float64 values of an exact polynomial, summed at extended precision
-    (its monomial coefficients can be large while the values stay O(1))."""
-    import mpmath
+def _minimax_lp(fvals, V, R=None):
+    """One LP: a minimizing max|fvals - V a| subject to R a >= 0, with the
+    HiGHS iteration count.  fvals is divided by max|fvals| first, so the
+    solver's absolute tolerances act relative to the data.  The free vector
+    a is written u - w*1 (u, w >= 0), one extra variable instead of a full
+    u/v split."""
+    N, k = V.shape
+    scale = float(np.max(np.abs(fvals)))
+    if scale == 0.0:
+        return np.zeros(k), 0
+    g = fvals / scale
+    t = np.ones((N, 1))
+    v1 = V.sum(axis=1, keepdims=True)
+    # variables [t, u_0..u_n, w]: V a - t <= g and -V a - t <= -g
+    A = [np.hstack([-t, V, -v1]), np.hstack([-t, -V, v1])]
+    b = [g, -g]
+    if R is not None:
+        A.append(np.hstack([np.zeros((len(R), 1)), -R, R.sum(axis=1, keepdims=True)]))
+        b.append(np.zeros(len(R)))
+    c = np.zeros(k + 2)
+    c[0] = 1.0
+    res = solve_lp(c, np.vstack(A), np.concatenate(b))
+    return (res.x[1:-1] - res.x[-1]) * scale, res.iterations
 
-    with mpmath.workprec(53 + 2 * p.degree + 64):
-        pf = p.to_float()
-        return np.array([float(pf(mpmath.mpf(float(x)))) for x in xs])
 
-
-def _solve_minimax(fvals, V, D, max_iter=20000, _refine=2):
-    """min t s.t. |fvals - V a| <= t and D a >= 0, with free coefficients.
-
-    Two reformulations keep the LP friendly to the simplex method: the free
-    coefficient vector is written a = u - w*1 (u >= 0, w >= 0), which spans
-    all of R^k with a single extra variable instead of a full u/v split, and
-    t = max|f| - s (s >= 0) makes every right-hand side nonnegative so the
-    slack basis is feasible and no phase-1 artificials are needed.
-    """
-    N, ncoef = V.shape
-    M = D.shape[0] if D is not None else 0
-    fmax = float(np.max(np.abs(fvals))) if N else 0.0
-    # equilibrate: scale each coefficient column to unit max, then each shape
-    # row to unit max.  Derivative entries span ~n^(2q) between low- and
-    # high-order columns; without the column pass the small entries fall
-    # below the pivot tolerance and the tableau degenerates.
-    G = np.vstack([V, -D]) if M else V
-    colscale = np.maximum(np.abs(G).max(axis=0), 1e-30)
-    Vs = V / colscale
-    if M:
-        Dn = D / colscale
-        rowscale = np.maximum(np.abs(Dn).max(axis=1), 1e-30)
-        Dn = Dn / rowscale[:, None]
-    # variables: [s, u_0..u_n, w], all >= 0; scaled coefficients are u - w*1
-    nv = 2 + ncoef
-    A = np.zeros((2 * N + M, nv))
-    b = np.zeros(2 * N + M)
-    v_row_sum = Vs @ np.ones(ncoef)
-    A[:N, 0] = 1.0
-    A[:N, 1 : 1 + ncoef] = Vs
-    A[:N, -1] = -v_row_sum
-    b[:N] = fvals + fmax
-    A[N : 2 * N, 0] = 1.0
-    A[N : 2 * N, 1 : 1 + ncoef] = -Vs
-    A[N : 2 * N, -1] = v_row_sum
-    b[N : 2 * N] = fmax - fvals
-    if M:
-        A[2 * N :, 1 : 1 + ncoef] = -Dn
-        A[2 * N :, -1] = Dn @ np.ones(ncoef)
-        b[2 * N :] = 0.0
-    c = np.zeros(nv)
-    c[0] = -1.0  # maximize s, i.e. minimize t = fmax - s
-
-    # exchange strategy: solve on a small working set of rows, then add the
-    # most violated constraints and re-solve.  The subproblems stay tiny and
-    # numerically clean, unlike one monolithic degenerate tableau.
-    total_rows = A.shape[0]
-    stride_s = max(1, N // (2 * ncoef + 4))
-    work = set(range(0, N, stride_s)) | {N - 1}
-    work |= {N + i for i in work}
-    if M:
-        stride_c = max(1, M // (2 * ncoef + 4))
-        work |= set(range(2 * N, 2 * N + M, stride_c)) | {2 * N + M - 1}
-    work = sorted(work)
-    scale = max(1.0, fmax)
-    iterations = 0
-    for _round in range(60):
-        res = solve_lp(c, A[work], b[work], max_iter=max_iter)
-        iterations += res.iterations
-        violation = A @ res.x - b
-        worst = float(violation.max())
-        if worst <= 1e-12 * scale:
-            break
-        order = np.argsort(violation)[::-1]
-        added = 0
-        threshold = max(0.25 * worst, 1e-12 * scale)
-        for idx in order:
-            if violation[idx] < threshold or added >= 4 * ncoef:
-                break
-            if int(idx) not in work:
-                work.append(int(idx))
-                added += 1
-        if added == 0 or len(work) >= total_rows:
-            # violations persist on rows already in the working set (float
-            # drift on the subproblem): solve the full program once
-            res = solve_lp(c, A, b, max_iter=max_iter)
-            iterations += res.iterations
-            break
-        work.sort()
-    a = (res.x[1 : 1 + ncoef] - res.x[-1]) / colscale
-    err = float(np.max(np.abs(fvals - V @ a))) if N else 0.0
-    # iterative refinement (unconstrained case): the same minimax problem on
-    # the residual is perfectly scaled, so one or two passes push the
-    # absolute error down to the grid optimum at machine precision
-    if D is None and _refine > 0 and N and err > 0:
-        resid = fvals - V @ a
-        delta, _, it2 = _solve_minimax(resid, V, None, max_iter, _refine - 1)
-        iterations += it2
-        a2 = a + delta
-        err2 = float(np.max(np.abs(fvals - V @ a2)))
+def _solve_minimax(fvals, V, R=None):
+    """Coefficients, grid error and LP iterations of min max|fvals - V a|
+    subject to R a >= 0.  The unconstrained problem gets one refinement
+    pass: the same LP on the residual is well scaled and brings the error
+    down to the grid optimum at roundoff level."""
+    a, iterations = _minimax_lp(fvals, V, R)
+    err = float(np.max(np.abs(fvals - V @ a)))
+    if R is None:
+        delta, its = _minimax_lp(fvals - V @ a, V)
+        iterations += its
+        err2 = float(np.max(np.abs(fvals - V @ (a + delta))))
         if err2 < err:
-            a, err = a2, err2
+            a, err = a + delta, err2
     return a, err, iterations
 
 
@@ -199,7 +157,7 @@ def equioscillation_count(residuals: np.ndarray, error: float, slack: float = 0.
     return count
 
 
-def best_uniform(f, n: int, N: int | None = None, max_iter: int = 20000) -> ApproxResult:
+def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
     """Best uniform approximation from degree-<=n polynomials, discretized on
     N Chebyshev-distributed nodes."""
     if n < 0:
@@ -211,7 +169,7 @@ def best_uniform(f, n: int, N: int | None = None, max_iter: int = 20000) -> Appr
     xs = default_x_grid(N)
     fvals = np.asarray(f(xs), dtype=float)
     V = _basis_values(xs, n)
-    a, err, iters = _solve_minimax(fvals, V, None, max_iter)
+    a, err, iters = _solve_minimax(fvals, V)
     p = _reconstruct(a)
     resid = fvals - V @ a
     return ApproxResult(
@@ -223,11 +181,14 @@ def best_uniform(f, n: int, N: int | None = None, max_iter: int = 20000) -> Appr
 
 def best_qmonotone(
     f, q: int, n: int, N: int | None = None, M: int | None = None,
-    max_iter: int = 20000,
 ) -> ApproxResult:
-    """Best approximation from q-monotone degree-<=n polynomials: the shape
-    is imposed as p^(q) >= 0 (p >= 0 for q=0) on M constraint nodes, and the
-    solution is post-validated densely with one grid-refinement retry."""
+    """Best approximation from q-monotone degree-<=n polynomials.
+
+    When the unconstrained optimum is not q-monotone, one LP requires the
+    Bernstein coefficients of p^(q) (p for q=0), elevated to degree
+    m = 4(M-1), to be >= 0, which certifies the shape on all of [0,1];
+    ``constraint_size`` is then m+1.  ``constraint_validated`` is the
+    verdict of ``check_k_monotone_poly`` on the returned polynomial."""
     if q < 0 or n < 0:
         raise ValueError("need q >= 0 and n >= 0")
     if N is None:
@@ -237,74 +198,36 @@ def best_qmonotone(
     xs = default_x_grid(N)
     fvals = np.asarray(f(xs), dtype=float)
     V = _basis_values(xs, n)
-    total_iters = 0
     # if the unconstrained optimum already satisfies the shape constraint it
     # is the constrained optimum too (constrained error can only be larger),
-    # and it avoids the looser numerical floor of the constrained tableau
-    a, err, iters = _solve_minimax(fvals, V, None, max_iter)
-    total_iters += iters
+    # and it keeps the refinement pass the constrained LP cannot take
+    a, err, iters = _solve_minimax(fvals, V)
     p = _reconstruct(a)
-    if check_k_monotone_poly(p, q).passed:
-        resid = fvals - V @ a
-        return ApproxResult(
-            n=n, q=q, poly=p, error=err, sample_size=N, constraint_size=0,
-            iterations=total_iters,
-            equioscillations=equioscillation_count(resid, err),
-            constraint_validated=True,
-        )
-    attempt_M = M
-    for attempt in range(2):
-        ys = default_x_grid(attempt_M)
-        if q <= n:
-            D = _basis_derivative_values(ys, n, q) if q else _basis_values(ys, n)
-            a, err, iters = _solve_minimax(fvals, V, D, max_iter)
-        else:
-            # p^(q) vanishes identically for deg p <= n < q: unconstrained
-            a, err, iters = _solve_minimax(fvals, V, None, max_iter)
-        total_iters += iters
+    constraint_size, validated = 0, True
+    if not check_k_monotone_poly(p, q).passed:
+        m = max(4 * (M - 1), n - q)
+        a, err, its = _solve_minimax(fvals, V, _shape_rows(n, q, m))
+        iters += its
         p = _reconstruct(a)
-        report = check_k_monotone_poly(p, q)
-        if report.passed:
-            resid = fvals - V @ a
-            return ApproxResult(
-                n=n, q=q, poly=p, error=err, sample_size=N,
-                constraint_size=attempt_M, iterations=total_iters,
-                equioscillations=equioscillation_count(resid, err),
-                constraint_validated=True,
-            )
-        if q > n or report.witness_x is None:
-            break
-        attempt_M = 4 * attempt_M + 1
-    # the LP answer can undershoot the dense check by a small margin between
-    # constraint nodes; lifting by a multiple of x^q raises p^(q) uniformly.
-    # Accept the repair only when it is cheap relative to the error itself.
-    p2, err2, validated = p, err, False
-    if q <= n and report.witness_value is not None and report.witness_value < 0:
-        from math import factorial
-
-        lift = Fraction(float(-report.witness_value)) * Fraction(21, 20)
-        cost = float(lift / factorial(q))
-        if cost <= max(10.0 * err, 1e-9 * max(1.0, float(np.max(np.abs(fvals))))):
-            p2 = p + Polynomial.e(q).scale(lift / factorial(q))
-            validated = check_k_monotone_poly(p2, q).passed
-            pvals = _grid_values(p2, xs)
-            err2 = float(np.max(np.abs(fvals - pvals)))
-    if not validated:
-        p2, err2 = p, err
+        constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
     resid = fvals - V @ a
     return ApproxResult(
-        n=n, q=q, poly=p2, error=err2, sample_size=N, constraint_size=attempt_M,
-        iterations=total_iters, equioscillations=equioscillation_count(resid, err),
+        n=n, q=q, poly=p, error=err, sample_size=N, constraint_size=constraint_size,
+        iterations=iters, equioscillations=equioscillation_count(resid, err),
         constraint_validated=validated,
     )
 
 
-def jackson_ratio(f, q: int, n: int, N: int | None = None, M: int | None = None) -> float:
-    """Empirical constant E_n^(q)(f) / omega_2^phi(f, 1/n)."""
-    num = best_qmonotone(f, q, n, N=N, M=M).error
-    den = omega_dt(f, 2, 1.0, 1.0 / n).value
-    if den <= 1e-12:
-        if num <= 1e-12:
+def jackson_quotient(error: float, modulus: float) -> float:
+    """E_n^(q)(f) / omega_2^phi(f, 1/n), taken as 0 when both vanish."""
+    if modulus <= 1e-12:
+        if error <= 1e-12:
             return 0.0
         raise SolverError("modulus vanished while the error did not")
-    return num / den
+    return error / modulus
+
+
+def jackson_ratio(f, q: int, n: int, N: int | None = None, M: int | None = None) -> float:
+    """Empirical constant E_n^(q)(f) / omega_2^phi(f, 1/n)."""
+    return jackson_quotient(best_qmonotone(f, q, n, N=N, M=M).error,
+                            omega_dt(f, 2, 1.0, 1.0 / n).value)

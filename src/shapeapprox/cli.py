@@ -17,7 +17,7 @@ import sys
 import mpmath
 
 from . import experiments
-from .best_approx import best_qmonotone, jackson_ratio
+from .best_approx import best_qmonotone, jackson_quotient
 from .experiments import ExperimentTable
 from .functions import catalog
 from .generator import build_generator
@@ -160,7 +160,7 @@ def _cmd_jackson(args) -> int:
     for n in _int_list(args.n_list):
         res = best_qmonotone(f, args.q, n)
         om = omega_dt(f, 2, 1.0, 1.0 / n).value
-        ratio = jackson_ratio(f, args.q, n)
+        ratio = jackson_quotient(res.error, om)
         ratios.append(ratio)
         table.rows.append([n, res.error, om, ratio])
     table.assertions["ratios_finite"] = all(r == r and r != float("inf") for r in ratios)

@@ -1,21 +1,22 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Small linear programs, solved by the HiGHS dual simplex.
 
 Solves   minimize c.x   subject to  A x <= b,  x >= 0
-by the full-tableau method with Dantzig pricing and a Bland fallback to
-rule out cycling.  Problem sizes here are a few thousand constraints at
-most, so a dense float64 tableau is entirely adequate.
+with ``scipy.optimize.linprog(method="highs-ds")`` (Huangfu & Hall,
+Math. Prog. Comp. 2018).  The primal and dual feasibility tolerances are
+tightened from HiGHS's 1e-7 to 1e-10: the minimax programs in
+``best_approx`` reach errors near 1e-15 on O(1) data, and the default
+tolerances leave their optima about 1e-8 too high.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import SolverError
 
-PIVOT_TOL = 1e-11
-DEFAULT_MAX_ITER = 20000
-BLAND_AFTER = 5000  # switch to Bland's rule once Dantzig has run this long
+FEASIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -26,172 +27,21 @@ class SimplexResult:
     status: str  # "optimal"
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    piv = T[row]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, piv)
-    T[row] = piv
-    basis[row] = col
-
-
-def _refresh_objective(T, basis, costs):
-    """Recompute the reduced-cost row c - z from the current basis, clearing
-    accumulated floating-point drift."""
-    m = T.shape[0] - 1
-    T[-1, :] = 0.0
-    T[-1, : len(costs)] = costs
-    for i in range(m):
-        cb = costs[basis[i]] if basis[i] < len(costs) else 0.0
-        if cb:
-            T[-1, :] -= cb * T[i, :]
-
-
-def _refactorize(T, basis, full, b2):
-    """Rebuild the tableau body exactly from the current basis, discarding
-    drift accumulated over many rank-1 pivot updates."""
-    m = T.shape[0] - 1
-    B = full[:, basis]
-    try:
-        sol = np.linalg.solve(B, np.column_stack([full, b2]))
-    except np.linalg.LinAlgError:
-        return
-    T[:m, : full.shape[1]] = sol[:, :-1]
-    T[:m, -1] = sol[:, -1]
-
-
-def _run_phase(T, basis, ncols_usable, max_iter, start_iter, costs, refactor=None):
-    it = start_iter
-    m = T.shape[0] - 1
-    refreshed_at = start_iter
-    while True:
-        if it - refreshed_at >= 100:
-            if refactor is not None:
-                refactor(T, basis)
-            _refresh_objective(T, basis, costs)
-            refreshed_at = it
-        obj = T[-1, :ncols_usable]
-        cand = np.nonzero(obj < -PIVOT_TOL)[0]
-        if cand.size == 0:
-            return it
-        if it - start_iter < BLAND_AFTER:
-            cand = cand[np.argsort(obj[cand])]  # Dantzig: most negative first
-        rhs = T[:m, -1]
-        row = col = -1
-        for c in cand:
-            colvals = T[:m, c]
-            # every strictly positive entry bounds the step (excluding small
-            # ones lets their rows creep negative), but the pivot element
-            # itself must exceed PIVOT_TOL or roundoff blows up
-            mask = colvals > 1e-14
-            if not mask.any():
-                continue
-            ratios = np.full(m, np.inf)
-            # clamp tiny negative (degenerate) rhs to zero: a negative ratio
-            # would win the argmin and drive the basis infeasible
-            ratios[mask] = np.maximum(rhs[mask], 0.0) / colvals[mask]
-            rmin = ratios.min()
-            # among (near-)tied ratios take the largest pivot element: tiny
-            # pivots amplify roundoff through the whole tableau.  The tie
-            # tolerance must stay tiny or feasibility erodes pivot by pivot.
-            tied = ratios <= rmin * (1.0 + 1e-12) + 1e-15
-            r = int(np.argmax(np.where(tied, colvals, -np.inf)))
-            if colvals[r] <= PIVOT_TOL:
-                continue  # only degenerate tiny pivots available; next column
-            row = r
-            col = int(c)
-            break
-        if col < 0:
-            # every improving column lacks a positive pivot entry; rebuild
-            # the tableau first — after many pivots the apparent violation
-            # is usually floating-point drift
-            if refreshed_at != it:
-                if refactor is not None:
-                    refactor(T, basis)
-                _refresh_objective(T, basis, costs)
-                refreshed_at = it
-                continue
-            if obj[cand].min() >= -1e-7:
-                return it
-            raise SolverError("linear program is unbounded")
-        _pivot(T, basis, row, col)
-        it += 1
-        if it >= max_iter:
-            raise SolverError(f"simplex iteration cap {max_iter} reached")
-
-
-def solve_lp(c, A, b, max_iter: int = DEFAULT_MAX_ITER) -> SimplexResult:
+def solve_lp(c, A, b) -> SimplexResult:
+    """Optimal vertex of min c.x s.t. A x <= b, x >= 0; SolverError when the
+    program is infeasible or unbounded, or HiGHS stops short of an optimum."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-
-    # A x + s = b with s >= 0; flip rows with negative rhs and give each an
-    # artificial variable so the initial basis is feasible
-    flip = b < 0
-    A2 = A.copy()
-    A2[flip] *= -1
-    b2 = np.abs(b)
-    S = np.eye(m)
-    S[flip, flip] = -1.0
-    art_rows = np.nonzero(flip)[0]
-    n_art = len(art_rows)
-    R = np.zeros((m, n_art))
-    for j, i in enumerate(art_rows):
-        R[i, j] = 1.0
-
-    total = n + m + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A2
-    T[:m, n : n + m] = S
-    T[:m, n + m :total] = R
-    T[:m, -1] = b2
-
-    basis = np.empty(m, dtype=int)
-    basis[~flip] = n + np.nonzero(~flip)[0]
-    basis[flip] = n + m + np.arange(n_art)
-
-    full = np.hstack([A2, S, R]) if n_art else np.hstack([A2, S])
-
-    def refactor(Tab, bas):
-        _refactorize(Tab, bas, full, b2)
-
-    iters = 0
-    if n_art:
-        # phase 1: minimize the sum of artificials.  The objective row holds
-        # reduced costs c_j - z_j; entering columns are the negative ones.
-        costs1 = np.zeros(total)
-        costs1[n + m :] = 1.0
-        _refresh_objective(T, basis, costs1)
-        iters = _run_phase(T, basis, total, max_iter, 0, costs1, refactor)
-        if T[-1, -1] < -1e-7:  # rhs cell is minus the phase-1 objective
-            raise SolverError("linear program is infeasible")
-        # pivot any artificial still basic (at zero level) out of the basis
-        for i in range(m):
-            if basis[i] >= n + m:
-                cand = np.nonzero(np.abs(T[i, : n + m]) > PIVOT_TOL)[0]
-                if cand.size:
-                    _pivot(T, basis, i, int(cand[0]))
-
-    # phase 2: the real objective, artificial columns excluded from pricing
-    costs2 = np.zeros(total)
-    costs2[:n] = c
-    _refresh_objective(T, basis, costs2)
-    iters = _run_phase(T, basis, n + m, max_iter, iters, costs2, refactor)
-
-    # refine the basic solution against the original columns, clearing any
-    # first-order drift left since the last refactorization
-    B = full[:, basis]
-    try:
-        z = np.linalg.solve(B, b2)
-        xb = np.zeros(total)
-        xb[basis] = z
-    except np.linalg.LinAlgError:
-        xb = np.zeros(total)
-        for i in range(m):
-            xb[basis[i]] = T[i, -1]
-    x = xb[:n]
-    return SimplexResult(x=x, value=float(c @ x), iterations=iters, status="optimal")
+    res = linprog(
+        c, A_ub=A, b_ub=b, bounds=(0, None), method="highs-ds",
+        options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
+                 "dual_feasibility_tolerance": FEASIBILITY_TOL},
+    )
+    if res.status != 0:
+        raise SolverError(f"linear program not solved: {res.message}")
+    return SimplexResult(x=res.x, value=float(res.fun), iterations=int(res.nit),
+                         status="optimal")

@@ -10,6 +10,7 @@ from shapeapprox import (
     TruncatedPowerFunction,
     best_qmonotone,
     best_uniform,
+    catalog,
     jackson_ratio,
     linear,
     monomial,
@@ -63,6 +64,27 @@ def test_constraint_validation_flag():
     from shapeapprox import check_k_monotone_poly
 
     assert check_k_monotone_poly(res.poly, 4).passed
+
+
+def test_constrained_result_is_certified():
+    # the shape rows are the Bernstein coefficients of p^(q) at degree
+    # constraint_size - 1; their exact values must be nonnegative up to the
+    # LP's feasibility tolerance, so p^(3) >= 0 holds on all of [0,1]
+    res = best_qmonotone(catalog("truncpow:0.5:3"), 3, 19, N=129, M=129)
+    assert res.constraint_size > 0
+    assert res.constraint_validated
+    coeffs = res.poly.to_exact().differentiate(3).to_bernstein(res.constraint_size - 1).coeffs
+    scale = max(abs(c) for c in coeffs)
+    assert min(coeffs) >= -1e-10 * scale
+
+
+def test_constrained_error_nonincreasing_in_n():
+    # degree-n q-monotone polynomials are degree-(n+1) ones too, so the
+    # feasible sets are nested and the constrained optimum cannot rise
+    f = catalog("truncpow:0.5:3")
+    errs = [best_qmonotone(f, 4, n, N=129, M=129).error for n in range(4, 23)]
+    for n, (a, b) in enumerate(zip(errs, errs[1:]), start=5):
+        assert b <= a * (1 + 1e-9), (n, a, b)
 
 
 def test_jackson_ratio_linear_is_zero():

@@ -1,9 +1,11 @@
 """Experiment tables: reproducible CSV serialization and basic assertions."""
 import math
+from fractions import Fraction
 
 import numpy as np
+from mpmath.libmp import to_rational
 
-from shapeapprox import ExpFunction, LogShiftFunction, omega_dt
+from shapeapprox import ExpFunction, LogShiftFunction, build_generator, omega_dt
 from shapeapprox.experiments import (
     run_bernstein_xeps,
     run_generator_report,
@@ -55,6 +57,16 @@ def test_generator_report():
     assert table.ok, table.assertions
     slopes = table.config["delta2_slope"]
     assert -2.4 <= slopes <= -1.6
+
+
+def test_generator_report_residual_is_exact():
+    # the column is the exact integral of the stored coefficients minus 1,
+    # rounded once; an mpf sum at a fixed working precision was off by 6% here
+    table = run_generator_report(1, [32])
+    P = build_generator(32, 1).P
+    assert P.basis == "monomial"
+    integral = sum(Fraction(*to_rational(c._mpf_)) / (k + 1) for k, c in enumerate(P.coeffs))
+    assert table.rows[0][7] == abs(float(integral - 1))
 
 
 def test_csv_assertion_lines():

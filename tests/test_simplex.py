@@ -1,4 +1,4 @@
-"""In-repo dense simplex solver."""
+"""The LP solver behind best_approx (HiGHS dual simplex)."""
 import numpy as np
 import pytest
 
