@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 
 import mpmath
 
@@ -85,18 +86,19 @@ def _cmd_gen_poly(args) -> int:
 
 def _cmd_apply(args) -> int:
     f = _load_function(args.f)
-    if args.op == "bernstein":
-        poly = bernstein_image(args.n, f)
-    elif args.op == "genuine-durrmeyer":
-        poly = genuine_durrmeyer_image(args.n, f)
-    elif args.op == "durrmeyer":
-        poly = durrmeyer_lupas_image(args.n, 0, f)
-    elif args.op == "lupas":
-        poly = durrmeyer_lupas_image(args.n, args.alpha, f)
-    elif args.op == "mn":
-        poly = mn_image(args.q, args.n, f, args.precision_bits).poly
-    else:
-        raise SystemExit(f"unknown operator {args.op!r}")
+    with mpmath.workprec(args.precision_bits):  # the image's coefficient precision
+        if args.op == "bernstein":
+            poly = bernstein_image(args.n, f)
+        elif args.op == "genuine-durrmeyer":
+            poly = genuine_durrmeyer_image(args.n, f)
+        elif args.op == "durrmeyer":
+            poly = durrmeyer_lupas_image(args.n, 0, f)
+        elif args.op == "lupas":
+            poly = durrmeyer_lupas_image(args.n, args.alpha, f)
+        elif args.op == "mn":
+            poly = mn_image(args.q, args.n, f, args.precision_bits).poly
+        else:
+            raise SystemExit(f"unknown operator {args.op!r}")
     xs = _float_list(args.x) if args.x else [i / 16 for i in range(17)]
     table = ExperimentTable(
         name="apply",
@@ -104,10 +106,9 @@ def _cmd_apply(args) -> int:
                 "f": args.f, "precision_bits": args.precision_bits},
         columns=["x", "value"],
     )
-    with mpmath.workprec(args.precision_bits + 2 * poly.degree + 64):
-        pf = poly.to_float() if poly.backend == "exact" else poly
-        for x in xs:
-            table.rows.append([x, float(pf(mpmath.mpf(x)))])
+    exact = poly.to_exact()
+    for x in xs:  # a float is a dyadic rational: evaluate exactly, round once
+        table.rows.append([x, float(exact(Fraction(x)))])
     return _emit(table, args.out)
 
 
@@ -205,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (CSV/JSON); stdout if omitted")
         p.add_argument("--precision-bits", type=int, default=256,
                        dest="precision_bits")
+        p.set_defaults(subparser=p)
 
     p = sub.add_parser("gen-poly", help="build a generating polynomial")
     common(p)
@@ -279,10 +281,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        # config values become the subcommand's defaults; explicit flags win
         with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                if getattr(args, key, None) in (None, parser.get_default(key)):
-                    setattr(args, key, value)
+            args.subparser.set_defaults(**json.load(fh))
+        args = parser.parse_args(argv)
     return args.fn(args)
 
 

@@ -9,25 +9,26 @@
                  generating polynomial, with a linear-interpolation fallback
 
 Operators are exposed as full polynomial images (``*_image``), which is what
-the shape and moment tests consume.  Polynomial inputs and catalog functions
-with exact moments take an exact or extended-precision path; other callables
-fall back to quadrature.
+the shape and moment tests consume.  U_n, D_n (alpha = 0) and H read f once,
+through ``_read_out``, and form the image from that data in exact arithmetic:
+exact data (polynomials, exact moments) give an exact image; otherwise each
+coefficient is rounded once at the ambient precision.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_rational, round_nearest
 from scipy.special import roots_jacobi
 
 from .functions import FunctionHandle, PolyFunction
 from .generator import GeneratorPoly, build_generator
-from .polynomial import Polynomial, _to_mpf, bernstein_basis
+from .polynomial import Polynomial, _to_fraction, bernstein_basis
 from .special import pochhammer
 
 
@@ -54,16 +55,6 @@ def _as_handle(f) -> FunctionHandle:
     raise TypeError(f"cannot interpret {f!r} as a function on [0,1]")
 
 
-@lru_cache(maxsize=8192)
-def _bernstein_monomial_row(m: int, j: int) -> tuple:
-    """Integer monomial coefficients of p_{m,j}, degrees 0..m."""
-    base = comb(m, j)
-    row = [0] * (m + 1)
-    for l in range(j, m + 1):
-        row[l] = base * comb(m - j, l - j) * (-1) ** (l - j)
-    return tuple(row)
-
-
 # ----------------------------------------------------------------------
 # Bernstein operator
 def bernstein_image(n: int, f) -> Polynomial:
@@ -76,8 +67,69 @@ def bernstein_image(n: int, f) -> Polynomial:
 
 
 # ----------------------------------------------------------------------
+# the one read-out of f
+@dataclass(frozen=True)
+class _Reading:
+    """f(0), b_0, ..., b_d, f(1) as integers over one denominator, where
+    b_i = int_0^1 p_{d,i}(t) f(t) dt; ``exact`` says whether they are f's
+    exact values (otherwise images built from them are rounded once).  A
+    function with exact moments is taken to give exact values at 0 and 1,
+    even as floats (x^eps does)."""
+
+    num: list
+    den: int
+    exact: bool
+
+
+def _read_out(f, d: int, gain: int = 0) -> _Reading:
+    """Read f once at Bernstein degree d.
+
+    Polynomials (mpf coefficients convert exactly) and functions with exact
+    moments give exact data: b follows from the moments m_i = g_{i,0} by the
+    triangle g_{i,j+1} = g_{i,j} - g_{i+1,j}, g_{i,j} = int t^i (1-t)^j f,
+    and b_i = C(d,i) g_{i,d-i}.  That triangle multiplies moment errors by
+    less than 3^d, so inexact (mpf) moments are computed with 2d extra bits,
+    plus ``gain`` for a caller whose weights sum to 2^gain in size.  Any
+    other f is integrated by one Gauss-Legendre rule of order max(64, d+4).
+    """
+    f = _as_handle(f)
+    if isinstance(f, PolyFunction):
+        f = PolyFunction(f.poly.to_exact())
+    try:
+        with mpmath.workprec(mpmath.mp.prec + 2 * d + gain):
+            moments = f.monomial_moments(d)
+            exact = all(isinstance(m, (int, Fraction)) for m in moments)
+            x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
+            vals = [f.value_at(x[0]), f.value_at(x[1]), *moments]
+    except NotImplementedError:
+        u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
+        t = (u + 1) / 2
+        b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
+        vals = [*np.asarray(f(np.array([0.0, 1.0])), dtype=float), *b]
+        moments, exact = None, False
+    vals = [_to_fraction(v) for v in vals]
+    den = math.lcm(*(v.denominator for v in vals))
+    v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
+    if moments is not None:
+        diag = [row[-1]]  # g_{d-j,j} for j = 0..d
+        for _ in range(d):
+            row = [x - y for x, y in zip(row, row[1:])]
+            diag.append(row[-1])
+        row = [comb(d, i) * g for i, g in enumerate(reversed(diag))]
+    return _Reading([v0, *row, v1], den, exact)
+
+
+def _coefficients(num, den: int, exact: bool) -> list:
+    """num/den as Fractions, or each rounded once at the ambient precision."""
+    if exact:
+        return [Fraction(v, den) for v in num]
+    prec = mpmath.mp.prec
+    return [mpmath.mpf(from_rational(v, den, prec, round_nearest)) for v in num]
+
+
+# ----------------------------------------------------------------------
 # genuine Bernstein-Durrmeyer operator U_n
-def genuine_durrmeyer_image(n: int, f, quad_order: int | None = None) -> Polynomial:
+def genuine_durrmeyer_image(n: int, f) -> Polynomial:
     """U_n(f) as a Bernstein-form polynomial of degree n.
 
     Coefficients: c_0 = f(0), c_n = f(1),
@@ -85,59 +137,10 @@ def genuine_durrmeyer_image(n: int, f, quad_order: int | None = None) -> Polynom
     """
     if n < 2:
         raise ValueError("U_n requires n >= 2")
-    f = _as_handle(f)
-    if isinstance(f, PolyFunction):
-        # exact route: the image of e_i has Bernstein coefficients (k)_i/(n)_i
-        c = f.poly.coeffs
-        exact = f.poly.backend == "exact"
-        out = []
-        for k in range(n + 1):
-            acc = Fraction(0) if exact else mpmath.mpf(0)
-            kk = Fraction(k) if exact else mpmath.mpf(k)
-            nn = Fraction(n) if exact else mpmath.mpf(n)
-            for i, ci in enumerate(c):
-                if ci == 0:
-                    continue
-                acc += ci * pochhammer(kk, i) / pochhammer(nn, i)
-            out.append(acc)
-        return Polynomial.bernstein(out)
-    try:
-        moments = f.monomial_moments(n - 2)
-    except NotImplementedError:
-        return _genuine_durrmeyer_image_quadrature(n, f, quad_order)
-    if all(isinstance(m, (int, Fraction)) for m in moments):
-        out = [f.value_at(Fraction(0))]
-        for k in range(1, n):
-            row = _bernstein_monomial_row(n - 2, k - 1)
-            out.append((n - 1) * sum(b * m for b, m in zip(row, moments) if b))
-        out.append(f.value_at(Fraction(1)))
-        return Polynomial.bernstein(out)
-    # mpf moments: the binomial expansion of p_{n-2,k-1} cancels heavily
-    with mpmath.workprec(mpmath.mp.prec + 2 * n + 64):
-        mm = [_to_mpf(m) for m in moments]
-        out = [_to_mpf(f.value_at(mpmath.mpf(0)))]
-        for k in range(1, n):
-            row = _bernstein_monomial_row(n - 2, k - 1)
-            out.append((n - 1) * mpmath.fsum(b * m for b, m in zip(row, mm) if b))
-        out.append(_to_mpf(f.value_at(mpmath.mpf(1))))
-    return Polynomial.bernstein(out)
-
-
-def _gauss_legendre_01(order: int):
-    u, w = np.polynomial.legendre.leggauss(order)
-    return (u + 1) / 2, w / 2
-
-
-def _genuine_durrmeyer_image_quadrature(n, f, quad_order) -> Polynomial:
-    order = quad_order or max(64, n + 2)
-    t, w = _gauss_legendre_01(order)
-    fv = np.asarray(f(t), dtype=float)
-    basis = bernstein_basis(n - 2, t)  # (order, n-1)
-    mids = (n - 1) * ((w * fv) @ basis)
-    coeffs = [float(np.asarray(f(np.array([0.0])))[0])]
-    coeffs += [float(v) for v in mids]
-    coeffs.append(float(np.asarray(f(np.array([1.0])))[0]))
-    return Polynomial.bernstein([mpmath.mpf(c) for c in coeffs])
+    r = _read_out(f, n - 2)
+    v0, *b, v1 = r.num
+    num = [v0, *((n - 1) * v for v in b), v1]
+    return Polynomial.bernstein(_coefficients(num, r.den, r.exact))
 
 
 def genuine_durrmeyer_moment(n: int, i: int) -> Polynomial:
@@ -174,13 +177,17 @@ def genuine_durrmeyer_moment_recurrence(n: int, i: int) -> Polynomial:
 
 # ----------------------------------------------------------------------
 # Bernstein-Durrmeyer operators with ultraspherical weights
-def durrmeyer_lupas_image(n: int, alpha, f, quad_order: int | None = None) -> Polynomial:
+def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     """D_n^<alpha>(f) in Bernstein form; coefficients <p_{n,k},f>/<p_{n,k},1>
     against the weight t^alpha (1-t)^alpha."""
     if alpha <= -1:
         raise ValueError("alpha must be > -1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if alpha == 0:  # <p_{n,k},1> = 1/(n+1)
+        r = _read_out(f, n)
+        num = [(n + 1) * v for v in r.num[1:-1]]
+        return Polynomial.bernstein(_coefficients(num, r.den, r.exact))
     f = _as_handle(f)
     exact_alpha = isinstance(alpha, (int, Fraction))
     if isinstance(f, PolyFunction) and exact_alpha and f.poly.backend == "exact":
@@ -197,29 +204,9 @@ def durrmeyer_lupas_image(n: int, alpha, f, quad_order: int | None = None) -> Po
                 acc += ci * pochhammer(a + k + 1, i) / pochhammer(n + 2 * a + 2, i)
             out.append(acc)
         return Polynomial.bernstein(out)
-    if alpha == 0:
-        try:
-            moments = f.monomial_moments(n)
-        except NotImplementedError:
-            moments = None
-        if moments is not None:
-            if all(isinstance(m, (int, Fraction)) for m in moments):
-                out = []
-                for k in range(n + 1):
-                    row = _bernstein_monomial_row(n, k)
-                    out.append((n + 1) * sum(b * m for b, m in zip(row, moments) if b))
-                return Polynomial.bernstein(out)
-            with mpmath.workprec(mpmath.mp.prec + 2 * n + 64):
-                mm = [_to_mpf(m) for m in moments]
-                out = []
-                for k in range(n + 1):
-                    row = _bernstein_monomial_row(n, k)
-                    out.append((n + 1) * mpmath.fsum(b * m for b, m in zip(row, mm) if b))
-            return Polynomial.bernstein(out)
     # Gauss-Jacobi quadrature with weight t^alpha (1-t)^alpha on [0,1]
     a = float(alpha)
-    order = quad_order or max(64, n + 2)
-    u, w = roots_jacobi(order, a, a)
+    u, w = roots_jacobi(max(64, n + 2), a, a)
     t = (u + 1) / 2
     fv = np.asarray(f(t), dtype=float)
     basis = bernstein_basis(n, t)  # (order, n+1)
@@ -228,9 +215,9 @@ def durrmeyer_lupas_image(n: int, alpha, f, quad_order: int | None = None) -> Po
     return Polynomial.bernstein([mpmath.mpf(v) for v in num / den])
 
 
-def durrmeyer_image(n: int, f, quad_order: int | None = None) -> Polynomial:
+def durrmeyer_image(n: int, f) -> Polynomial:
     """The plain Bernstein-Durrmeyer operator D_n (alpha = 0)."""
-    return durrmeyer_lupas_image(n, 0, f, quad_order)
+    return durrmeyer_lupas_image(n, 0, f)
 
 
 def lupas_endpoint_moment(n: int, alpha, i: int):
@@ -296,43 +283,51 @@ def _max_grid_diff(p: Polynomial, q: Polynomial, points: int = 50) -> float:
 
 # ----------------------------------------------------------------------
 # Gavrea combination and the composite operator M_n
-def gavrea_image(gen_poly: Polynomial, f, quad_order: int | None = None) -> Polynomial:
+def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     """sum_k a_k/(k+1) U_{k+2}(f), where a_k are the monomial coefficients of
-    the generating polynomial.
+    the generating polynomial, of degree d.
 
     The weights a_k/(k+1) are huge and alternate in sign while the result is
-    O(||f||); the float path therefore runs in mpmath at a precision sized to
-    the coefficient magnitudes.
+    O(||f||), so the sum is formed exactly from one read-out of f at degree
+    d, converted to the monomial basis, and rounded once at the ambient
+    precision unless P and the data are exact.  With g_{i,j} =
+    int t^i (1-t)^j f, U_{k+2}(f) has Bernstein coefficients f(0),
+    (k+1) b^(k)_i = (k+1) C(k,i) g_{i,k-i} and f(1).  Adding neighbours on
+    the antidiagonal i+j = k (the convex recursion for b^(k)) walks from
+    k = d down to the moments g_{k,0}; the antidiagonals are then rebuilt
+    upwards while the images, written in the basis x^j (1-x)^(k+2-j), are
+    summed by degree elevation.
     """
-    a = gen_poly.to_monomial().coeffs
-    f = _as_handle(f)
-    nmax = len(a) - 1
-    exact = (
-        gen_poly.backend == "exact"
-        and isinstance(f, PolyFunction)
-        and f.poly.backend == "exact"
-    )
-    if exact:
-        acc = [Fraction(0)] * (nmax + 3)
-        for k, ak in enumerate(a):
-            if ak == 0:
-                continue
-            mono = genuine_durrmeyer_image(k + 2, f).to_monomial().coeffs
-            w = Fraction(ak) / (k + 1)
-            for l, cl in enumerate(mono):
-                acc[l] += w * cl
-        return Polynomial.monomial(acc)
-    mag = max((mpmath.mag(_to_mpf(ak)) for ak in a if ak != 0), default=0)
-    with mpmath.workprec(mpmath.mp.prec + max(0, mag) + 2 * nmax + 96):
-        acc = [mpmath.mpf(0)] * (nmax + 3)
-        for k, ak in enumerate(a):
-            if ak == 0:
-                continue
-            mono = genuine_durrmeyer_image(k + 2, f, quad_order).to_monomial()
-            w = _to_mpf(ak) / (k + 1)
-            for l, cl in enumerate(mono.coeffs):
-                acc[l] += w * _to_mpf(cl)
-    return Polynomial.monomial(acc)
+    a = gen_poly.to_exact().to_monomial().coeffs
+    d = len(a) - 1
+    r = _read_out(f, d, int(sum(abs(ak) / (k + 1) for k, ak in enumerate(a))).bit_length())
+    A = math.lcm(*(ak.denominator for ak in a))
+    fact = [math.factorial(i) for i in range(d + 2)]
+    v0, *b, v1 = r.num  # over Q = r.den
+    row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!
+    moments = [row[-1]]
+    for _ in range(d):
+        row = [x + y for x, y in zip(row, row[1:])]
+        moments.append(row[-1])
+    moments.reverse()
+    # everything below is over Z = A Q (d+1)!
+    acc, row = [0, 0], []
+    for k, ak in enumerate(a):
+        alpha = ak.numerator * (A // ak.denominator)
+        new = [moments[k]]
+        for x in reversed(row):  # g_{i,k-i} = g_{i,k-1-i} - g_{i+1,k-1-i}
+            new.append(x - new[-1])
+        row = new[::-1]
+        ends = alpha * fact[d + 1] // (k + 1)
+        term = [ends * v0]
+        term += [alpha * (d + 1) * comb(k + 2, i + 1) * comb(k, i) * g for i, g in enumerate(row)]
+        term.append(ends * v1)
+        acc = [x + y + t for x, y, t in zip([0] + acc, acc + [0], term)]
+    mono = []  # sum_j acc_j x^j (1-x)^(d+2-j), by Horner in (1-x)
+    for e in acc:
+        mono = [x - y for x, y in zip(mono + [e], [0] + mono)]
+    exact = r.exact and gen_poly.backend == "exact"
+    return Polynomial.monomial(_coefficients(mono, A * r.den * fact[d + 1], exact))
 
 
 @dataclass(frozen=True)
@@ -353,7 +348,7 @@ def _linear_interpolation_image(f) -> Polynomial:
     return Polynomial.monomial([v0, v1 - v0])
 
 
-def mn_image(q: int, n: int, f, prec_bits: int = 256, quad_order: int | None = None) -> MnResult:
+def mn_image(q: int, n: int, f, prec_bits: int = 256) -> MnResult:
     """The composite operator of degree <= n preserving k-monotonicity for
     all k <= q.
 
@@ -372,7 +367,7 @@ def mn_image(q: int, n: int, f, prec_bits: int = 256, quad_order: int | None = N
     if alpha_n > 0.25:
         return MnResult(_linear_interpolation_image(f), q, n, r, True, alpha_n, gen)
     with mpmath.workprec(prec_bits):
-        img = gavrea_image(gen.P, f, quad_order)
+        img = gavrea_image(gen.P, f)
     return MnResult(img, q, n, r, False, alpha_n, gen)
 
 

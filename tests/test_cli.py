@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, CSV output with embedded config and
 hash, and JSON polynomial round-trips."""
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,20 @@ from shapeapprox.polynomial import Polynomial
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def _rows(text):
+    return [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
+
+
+def _readme_commands():
+    """The argument lists of the README's block of CLI commands."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("shapeapprox ")]
+    assert commands, "no CLI commands found in README.md"
+    return commands
 
 
 def test_gen_poly(tmp_path):
@@ -89,3 +105,34 @@ def test_config_file_defaults(tmp_path):
                  "--out", str(out)]) == 0
     # explicit flag wins over the config default
     assert json.loads(_read(out))["n"] == 32
+
+
+def test_config_file_reaches_subcommand_defaults(tmp_path):
+    # options with their own default (--k, --lambda) take the config value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 1, "lam": 1.0}))
+    out = tmp_path / "mod.csv"
+    assert main(["--config", str(cfg), "moduli", "--f", "exp", "--t-grid", "0.1",
+                 "--out", str(out)]) == 0
+    line = next(l for l in _read(out).splitlines() if l.startswith("# config: "))
+    config = json.loads(line[len("# config: "):])
+    assert config["k"] == 1 and config["lambda"] == 1.0
+
+
+def test_mn_study_logeps_large_n(tmp_path):
+    # n = 124: the generator's weights reach 2^39 against quadrature data
+    out = tmp_path / "study.csv"
+    assert main(["mn-study", "--q", "1", "--f", "logeps:1e-4", "--n-list", "64,124",
+                 "--out", str(out)]) == 0
+    rows = _rows(_read(out))
+    assert [int(r[0]) for r in rows] == [64, 124]
+    assert all(float(r[2]) < 10 for r in rows)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_command(argv, tmp_path):
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    assert main(argv) == 0

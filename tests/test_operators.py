@@ -3,7 +3,10 @@ the weighted combination driven by a generating polynomial, and the composite
 shape-preserving construction."""
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from shapeapprox import (
     ExpFunction,
@@ -13,6 +16,7 @@ from shapeapprox import (
     build_generator,
     check_k_monotone_poly,
     derivative_bridge_residual,
+    durrmeyer_image,
     durrmeyer_lupas_image,
     gavrea_image,
     genuine_durrmeyer_image,
@@ -26,6 +30,8 @@ from shapeapprox import (
     monomial,
     pochhammer,
 )
+from shapeapprox.functions import TruncatedPowerFunction
+from shapeapprox.polynomial import bernstein_basis
 
 E = Polynomial.e
 
@@ -146,3 +152,51 @@ def test_mn_fallback_for_small_n():
     assert res.used_fallback
     for k in range(4):
         assert check_k_monotone_poly(res.poly, k).passed
+
+
+def test_gavrea_image_matches_its_definition():
+    # sum_k a_k/(k+1) U_{k+2}(f), term by term, in exact arithmetic
+    P = Polynomial.monomial([Fraction(3, 2), -4, Fraction(7, 3), 5, Fraction(-1, 4), 2])
+    inputs = (TruncatedPowerFunction(Fraction(3, 10), 2),
+              PolyFunction(Polynomial.monomial([1, -2, 0, Fraction(1, 3), 0, 0, 1])))
+    for f in inputs:
+        want = Polynomial.monomial([0])
+        for k, ak in enumerate(P.coeffs):
+            want = want + genuine_durrmeyer_image(k + 2, f).to_monomial().scale(ak / (k + 1))
+        assert gavrea_image(P, f).coeffs == want.coeffs
+
+
+def _grid_values(p: Polynomial, points: int = 1025) -> np.ndarray:
+    coeffs, _ = p.bernstein_float64()
+    return bernstein_basis(len(coeffs) - 1, np.linspace(0.0, 1.0, points)) @ coeffs
+
+
+def test_durrmeyer_images_of_exp_moments():
+    # n = 100 at the default 53 bits: turning exp's mpf moments into
+    # Bernstein moments amplifies their rounding by up to 3^98
+    for image in (genuine_durrmeyer_image, durrmeyer_image):
+        by_moments = image(100, ExpFunction()).coeffs
+        by_quadrature = image(100, lambda x: np.exp(x)).coeffs
+        assert max(abs(float(a - b)) for a, b in zip(by_moments, by_quadrature)) <= 1e-11
+
+
+def test_mn_image_quadrature_and_moment_reads_agree():
+    # n = 124: the generator's weights reach 2^39; a callable (quadrature)
+    # and exp's moments must still give the same image
+    by_quadrature = mn_image(1, 124, lambda x: np.exp(x)).poly
+    by_moments = mn_image(1, 124, ExpFunction()).poly
+    diff = np.abs(_grid_values(by_quadrature) - _grid_values(by_moments))
+    assert diff.max() <= 1e-10
+
+
+def test_gavrea_image_is_rounded_once():
+    # an mpf generator and an exact cubic: the image is the exact image of
+    # P's rational values, each coefficient rounded once at the ambient 256 bits
+    P = build_generator(40, 1).P
+    f = PolyFunction(Polynomial.monomial([Fraction(1, 3), -2, Fraction(5, 7), 1]))
+    with mpmath.workprec(256):
+        got = gavrea_image(P, f).coeffs
+        exact = gavrea_image(P.to_exact(), f).coeffs
+    want = [from_rational(c.numerator, c.denominator, 256, round_nearest) for c in exact]
+    assert len(got) == len(want) == 4
+    assert [g._mpf_ for g in got] == want
