@@ -26,7 +26,6 @@ from .moduli import default_x_grid, omega_dt
 from .polynomial import Polynomial
 from .shape import check_k_monotone_poly
 from .simplex import solve_lp
-from .special import chebyshev_T
 
 DEFAULT_SAMPLE_POINTS = 257
 DEFAULT_CONSTRAINT_POINTS = 257
@@ -49,8 +48,13 @@ class ApproxResult:
 
 @lru_cache(maxsize=256)
 def _shifted_chebyshev(j: int) -> Polynomial:
-    """T_j(2x-1) in the monomial basis with exact integer coefficients."""
-    return chebyshev_T(j).compose(Polynomial.monomial([-1, 2]))
+    """T_j(2x-1) in the monomial basis with exact integer coefficients, by
+    the recurrence T*_{j+1} = (4x-2) T*_j - T*_{j-1}."""
+    prev, cur = [1], [-1, 2]
+    for _ in range(j):
+        prev, cur = cur, [4 * b - 2 * c - a for a, b, c in
+                          zip(prev + [0, 0], [0] + cur, cur + [0])]
+    return Polynomial.monomial(prev)
 
 
 def _basis_values(xs: np.ndarray, n: int) -> np.ndarray:
@@ -88,16 +92,18 @@ def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
 
 
 def _reconstruct(coeffs: np.ndarray) -> Polynomial:
-    """Exact monomial polynomial from float Chebyshev-basis coefficients."""
-    n = len(coeffs) - 1
-    acc = [Fraction(0)] * (n + 1)
-    for j, aj in enumerate(coeffs):
-        if aj == 0.0:
-            continue
-        a = Fraction(float(aj))  # exact binary value of the float
-        for l, cl in enumerate(_shifted_chebyshev(j).coeffs):
-            acc[l] += a * cl
-    return Polynomial.monomial(acc)
+    """Exact monomial polynomial from float Chebyshev-basis coefficients.
+    Each float is a dyadic rational, so the sum runs in integers over the
+    largest power-of-two denominator."""
+    parts = [float(aj).as_integer_ratio() for aj in coeffs]
+    den = max(q for _, q in parts)
+    acc = [0] * len(parts)
+    for j, (p, q) in enumerate(parts):
+        if p:
+            a = p * (den // q)
+            for l, cl in enumerate(_shifted_chebyshev(j).coeffs):
+                acc[l] += a * cl.numerator
+    return Polynomial.monomial([Fraction(x, den) for x in acc])
 
 
 def _minimax_lp(fvals, V, R=None):

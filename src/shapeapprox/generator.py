@@ -37,7 +37,10 @@ class GeneratorPoly:
 def moment(P: Polynomial, mu: int):
     """Integral of x^mu * P(x) over [0,1]: exact for exact P, else the exact
     value of the stored coefficients rounded at the ambient precision."""
-    total = sum(c / (k + mu + 1) for k, c in enumerate(P.to_exact().to_monomial().coeffs))
+    form = P.integer_form
+    lcm = math.lcm(*range(mu + 1, form.degree + mu + 2))
+    total = Fraction(sum(a * (lcm // (k + mu + 1)) for k, a in enumerate(form.num)),
+                     form.den * lcm)
     return total if P.backend == "exact" else _to_mpf(total)
 
 
@@ -57,11 +60,10 @@ def _grid_min_relative(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS)
     return float(vals.min())
 
 
-def _grid_min_certified(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS):
-    """Like _grid_min_relative, but grid points dipping below the sign
-    tolerance are evaluated again exactly; float64 Bernstein evaluation is
-    only good to a few ulps at high degree."""
-    xs, vals, scale = _grid_relative(poly, nu, points)
+def _certified_min(poly: Polynomial, nu: int, xs, vals, scale) -> float:
+    """min(vals), with the grid points dipping below the sign tolerance
+    evaluated again exactly; float64 Bernstein evaluation is only good to a
+    few ulps at high degree."""
     rel_min = float(vals.min())
     if rel_min >= -GRID_SIGN_REL_TOL:
         return rel_min
@@ -70,6 +72,40 @@ def _grid_min_certified(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS
     redo = min(float(exact(Fraction(x))) for x in xs[low]) / scale
     rest = vals[~low]
     return min(redo, float(rest.min())) if rest.size else redo
+
+
+def _grid_min_certified(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS):
+    """Like _grid_min_relative, but dipping grid points are evaluated again
+    exactly."""
+    return _certified_min(poly, nu, *_grid_relative(poly, nu, points))
+
+
+def _grid_relative_orders(poly: Polynomial, r: int, points: int):
+    """_grid_relative for nu = 0..r from one basis matrix: a uniform grid,
+    one column of relative values per order, and the native scales.
+
+    The exact Bernstein coefficients of each poly^(nu) are raised to degree
+    d = deg poly (integer convex recursion, nu steps) and rounded once, so
+    one product with the degree-d basis evaluates every derivative; each
+    column is still divided by its native-degree coefficient scale."""
+    form = poly.integer_form
+    d = form.degree
+    columns, scales = [], []
+    for nu in range(r + 1):
+        c, den = form.derivative(nu)
+        scales.append(max(1e-300, max(map(abs, c)) / den))
+        for k in range(len(c) - 1, d):  # c'_i = (i c_{i-1} + (k+1-i) c_i)/(k+1)
+            c = [i * x + (k + 1 - i) * y for i, x, y in zip(range(k + 2), [0] + c, c + [0])]
+            den *= k + 1
+        columns.append([x / den for x in c])
+    xs = np.linspace(0.0, 1.0, points)
+    return xs, bernstein_basis(d, xs) @ np.array(columns).T / np.array(scales), scales
+
+
+def _grid_minima_certified(poly: Polynomial, r: int, points: int = GRID_POINTS) -> list:
+    """_grid_min_certified(poly, nu) for nu = 0..r, from one basis matrix."""
+    xs, vals, scales = _grid_relative_orders(poly, r, points)
+    return [_certified_min(poly, nu, xs, vals[:, nu], scales[nu]) for nu in range(r + 1)]
 
 
 def _build_at_precision(n: int, r: int, prec_bits: int) -> GeneratorPoly:
@@ -98,8 +134,7 @@ def _build_at_precision(n: int, r: int, prec_bits: int) -> GeneratorPoly:
             if d <= 0:
                 raise PrecisionError(f"moment deficiency delta_{mu} = {d} <= 0")
             deficiency[mu] = d
-        for nu in range(r + 1):
-            rel_min = _grid_min_certified(P, nu)
+        for nu, rel_min in enumerate(_grid_minima_certified(P, r)):
             if rel_min < -GRID_SIGN_REL_TOL:
                 raise PrecisionError(
                     f"derivative order {nu} dips to {rel_min} (relative) on grid"

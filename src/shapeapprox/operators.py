@@ -298,10 +298,10 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     upwards while the images, written in the basis x^j (1-x)^(k+2-j), are
     summed by degree elevation.
     """
-    a = gen_poly.to_exact().to_monomial().coeffs
+    form = gen_poly.integer_form  # a_k = num[k] / A
+    a, A = form.num, form.den
     d = len(a) - 1
-    r = _read_out(f, d, int(sum(abs(ak) / (k + 1) for k, ak in enumerate(a))).bit_length())
-    A = math.lcm(*(ak.denominator for ak in a))
+    r = _read_out(f, d, int(sum(Fraction(abs(x), k + 1) for k, x in enumerate(a)) / A).bit_length())
     fact = [math.factorial(i) for i in range(d + 2)]
     v0, *b, v1 = r.num  # over Q = r.den
     row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!
@@ -312,8 +312,7 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     moments.reverse()
     # everything below is over Z = A Q (d+1)!
     acc, row = [0, 0], []
-    for k, ak in enumerate(a):
-        alpha = ak.numerator * (A // ak.denominator)
+    for k, alpha in enumerate(a):
         new = [moments[k]]
         for x in reversed(row):  # g_{i,k-i} = g_{i,k-1-i} - g_{i+1,k-1-i}
             new.append(x - new[-1])

@@ -9,9 +9,10 @@ Two scalar backends are supported:
   control it).
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
-``Polynomial.bernstein_float64`` reads out the float64 Bernstein coefficients
-of any derivative exactly, and ``bernstein_basis`` evaluates that basis on a
-grid; both are independent of the ambient precision.
+``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
+per instance; ``Polynomial.bernstein_float64`` rounds the Bernstein
+coefficients of any derivative from it, and ``bernstein_basis`` evaluates
+that basis on a grid; both are independent of the ambient precision.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -46,13 +48,67 @@ def _to_mpf(v):
     return mpmath.mpf(v)
 
 
-def _to_fraction(v) -> Fraction:
-    """The exact value of an int, Fraction or finite mpf (a dyadic rational)."""
+def _rational(v) -> tuple[int, int]:
+    """Numerator and denominator of an int, Fraction or finite mpf (a dyadic
+    rational), in lowest terms."""
     if isinstance(v, mpf):
         if not mpmath.isfinite(v):
             raise ValueError(f"coefficient {v} has no exact value")
-        return Fraction(*to_rational(v._mpf_))
-    return Fraction(v)
+        return to_rational(v._mpf_)
+    v = Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _to_fraction(v) -> Fraction:
+    """The exact value of an int, Fraction or finite mpf."""
+    return Fraction(*_rational(v))
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """The exact value of a polynomial p of degree d, as integers over one
+    denominator: p = sum_k num[k]/den x^k = sum_k bern[k]/(den d!) p_{d,k}."""
+
+    num: tuple
+    den: int
+    bern: tuple
+
+    @property
+    def degree(self) -> int:
+        return len(self.num) - 1
+
+    def derivative(self, nu: int) -> tuple[list, int]:
+        """Bernstein coefficients of p^(nu) at degree d - nu, as integers and
+        their common denominator.  p^(nu) = d!/(d-nu)! sum_k (Delta^nu c)_k
+        p_{d-nu,k} for Bernstein coefficients c of p, so they are the nu-th
+        forward differences of bern over den (d-nu)!."""
+        if nu < 0:
+            raise ValueError("nu must be >= 0")
+        d = self.degree
+        if nu > d:
+            return [0], 1
+        c = list(self.bern)
+        for _ in range(nu):
+            c = [y - x for x, y in zip(c, c[1:])]
+        return c, self.den * math.factorial(d - nu)
+
+
+def _read_integers(p: "Polynomial") -> IntegerForm:
+    """The exact conversion behind ``Polynomial.integer_form``."""
+    coeffs = p.coeffs if p.basis == MONOMIAL else p.to_exact().to_monomial().coeffs
+    parts = [_rational(c) for c in coeffs]
+    den = math.lcm(*(q for _, q in parts))
+    num = [a * (den // q) for a, q in parts]
+    d = len(num) - 1
+    fact = [1]
+    for i in range(1, d + 1):
+        fact.append(fact[-1] * i)
+    # c_k = sum_j C(k,j) a_j / C(d,j), so den d! c_k = sum_j C(k,j) e_j with
+    # integers e_j = num_j j! (d-j)!; the binomial sums run by additions
+    e = [x * fact[j] * fact[d - j] for j, x in enumerate(num)]
+    for r in range(1, d + 1):
+        e[r:] = [x + y for x, y in zip(e[r:], e[r - 1:-1])]
+    return IntegerForm(tuple(num), den, tuple(e))
 
 
 _LOG2_10 = math.log2(10)
@@ -333,32 +389,21 @@ class Polynomial:
             out.append(acc)
         return Polynomial(BERNSTEIN, out)
 
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """The exact value of p as integers over one denominator, converted
+        once per instance and shared by every derivative read-out."""
+        return _read_integers(self)
+
     def bernstein_float64(self, nu: int = 0) -> tuple[np.ndarray, bool]:
         """Bernstein coefficients of p^(nu) at its exact degree, each rounded
         once to float64, and whether every exact coefficient is >= 0.
 
-        The derivative and the basis change run in integer arithmetic over a
-        common denominator, so the result does not depend on the ambient
-        precision, and the sign test never passes a tiny negative
-        coefficient that rounds to -0.0."""
-        if nu < 0:
-            raise ValueError("nu must be >= 0")
-        a = self.to_exact().to_monomial().coeffs[nu:] or (Fraction(0),)
-        m = len(a) - 1
-        den = math.lcm(*(c.denominator for c in a))
-        fact = [1]
-        for i in range(1, m + nu + 1):
-            fact.append(fact[-1] * i)
-        # a[j] multiplies x^(j+nu) in p, so p^(nu) has monomial coefficients
-        # b_j = a[j] (j+nu)!/j! and Bernstein coefficients
-        # c_k = sum_j C(k,j) b_j / C(m,j); scaled by den * m!, every
-        # e_j = b_j / C(m,j) is an integer
-        e = [c.numerator * (den // c.denominator) * fact[j + nu] * fact[m - j]
-             for j, c in enumerate(a)]
-        for r in range(1, m + 1):  # c_k = sum_j C(k,j) e_j, by additions
-            e[r:] = [x + y for x, y in zip(e[r:], e[r - 1:-1])]
-        scale = den * fact[m]
-        return np.array([c / scale for c in e]), all(c >= 0 for c in e)
+        They come from ``integer_form`` in integer arithmetic, so the result
+        does not depend on the ambient precision, and the sign test never
+        passes a tiny negative coefficient that rounds to -0.0."""
+        c, den = self.integer_form.derivative(nu)
+        return np.array([x / den for x in c]), all(x >= 0 for x in c)
 
     # ------------------------------------------------------------------
     # serialization: {"basis": ..., "n": int, "coeffs": [strings]}; an mpf is

@@ -1,6 +1,7 @@
 """Discretized best uniform / best q-monotone approximation."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shapeapprox import (
@@ -15,6 +16,8 @@ from shapeapprox import (
     linear,
     monomial,
 )
+from shapeapprox.best_approx import _reconstruct, _shifted_chebyshev
+from shapeapprox.special import chebyshev_T
 
 
 def test_best_linear_of_x_squared():
@@ -94,3 +97,24 @@ def test_jackson_ratio_linear_is_zero():
 def test_jackson_ratio_positive_for_kink():
     r = jackson_ratio(TruncatedPowerFunction(Fraction(1, 2), 3), 4, 15)
     assert 0 < r < 10
+
+
+def test_shifted_chebyshev_recurrence_matches_composition():
+    two_x_minus_one = Polynomial.monomial([-1, 2])
+    for j in range(41):
+        assert _shifted_chebyshev(j).coeffs == chebyshev_T(j).compose(two_x_minus_one).coeffs
+
+
+def test_reconstruct_matches_fraction_sum():
+    # integer sum over one power-of-two denominator against a Fraction sum
+    # of the exact float values times T_j(2x-1)
+    rng = np.random.default_rng(5)
+    two_x_minus_one = Polynomial.monomial([-1, 2])
+    for n in (0, 1, 4, 12, 19, 30):
+        for _ in range(3):
+            a = rng.standard_normal(n + 1) * 2.0 ** rng.integers(-60, 20, n + 1)
+            a[rng.random(n + 1) < 0.2] = 0.0
+            want = Polynomial.monomial([0])
+            for j, aj in enumerate(a):
+                want = want + chebyshev_T(j).compose(two_x_minus_one).scale(Fraction(float(aj)))
+            assert _reconstruct(a).coeffs == want.coeffs

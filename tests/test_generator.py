@@ -1,14 +1,32 @@
 """Generating polynomials: unit integral, nonnegative derivatives, and
 second-moment deficiency decay."""
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from shapeapprox import Polynomial, build_generator, deficiency_slope, moment
-from shapeapprox.generator import GRID_POINTS, _grid_min_certified, _grid_min_relative
+from shapeapprox import (
+    Polynomial,
+    best_approx,
+    best_uniform,
+    build_generator,
+    check_k_monotone_poly,
+    deficiency_slope,
+    moment,
+    polynomial,
+)
+from shapeapprox.generator import (
+    GRID_POINTS,
+    GRID_SIGN_REL_TOL,
+    _grid_min_certified,
+    _grid_min_relative,
+    _grid_minima_certified,
+    _grid_relative,
+    _grid_relative_orders,
+)
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -64,3 +82,64 @@ def test_grid_min_certified_reevaluates_dips_exactly():
     for bits in (53, 1000):
         with mpmath.workprec(bits):
             assert _grid_min_certified(p) == want < 0
+
+
+@pytest.mark.parametrize("n, r", [(64, 1), (128, 2), (256, 3), (512, 1)])
+def test_one_basis_minima_match_native_degree(n, r):
+    # every derivative evaluated from degree-elevated coefficients with one
+    # basis matrix agrees with its own native-degree evaluation, point by
+    # point and in the certified minimum
+    P = build_generator(n, r).P
+    _, vals, scales = _grid_relative_orders(P, r, GRID_POINTS)
+    minima = _grid_minima_certified(P, r)
+    assert len(minima) == r + 1
+    for nu, got in enumerate(minima):
+        _, native, scale = _grid_relative(P, nu, GRID_POINTS)
+        assert scales[nu] == scale
+        assert np.max(np.abs(vals[:, nu] - native)) <= 1e-14
+        assert abs(got - _grid_min_certified(P.to_exact().differentiate(nu))) <= 1e-14
+
+
+def test_one_basis_minima_report_a_dipping_derivative():
+    # p' = (x - 1/2)^2 - 1e-6 dips below the sign tolerance near x = 1/2,
+    # while p >= 1 has the larger coefficient scale
+    eps = Fraction(1, 10**6)
+    p = Polynomial.monomial([Fraction(1, 4) - eps, -1, 1]).antidifferentiate_from_zero()
+    p = p + Polynomial.monomial([1])
+    minima = _grid_minima_certified(p, 1)
+    assert minima[0] >= -GRID_SIGN_REL_TOL
+    assert minima[1] == _grid_min_certified(p, 1) < -GRID_SIGN_REL_TOL
+
+
+def test_build_reads_generator_once(monkeypatch):
+    # one exact conversion of P and one basis matrix per build, one exact
+    # conversion per shape check, and the minimax reconstruction composes no
+    # polynomials
+    calls = {"read": 0, "coefficient": 0, "basis": 0, "compose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polynomial, "_read_integers",
+                        counted("read", polynomial._read_integers))
+    monkeypatch.setattr(polynomial, "_rational", counted("coefficient", polynomial._rational))
+    basis = counted("basis", polynomial.bernstein_basis)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("shapeapprox") and hasattr(module, "bernstein_basis"):
+            monkeypatch.setattr(module, "bernstein_basis", basis)
+    monkeypatch.setattr(Polynomial, "compose", counted("compose", Polynomial.compose))
+
+    gen = build_generator.__wrapped__(128, 3)
+    assert gen.precision_bits == 256
+    assert calls["read"] == 1 and calls["basis"] == 1
+    assert calls["coefficient"] == len(gen.P.coeffs)
+
+    assert check_k_monotone_poly(Polynomial.monomial([0, 1, 0, 1]), 2).passed
+    assert calls["read"] == 2
+
+    best_approx._shifted_chebyshev.cache_clear()
+    best_uniform(np.exp, 12)
+    assert calls["compose"] == 0

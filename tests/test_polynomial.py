@@ -103,12 +103,13 @@ def _bernstein_oracle(p: Polynomial, nu: int) -> list:
 
 
 def test_bernstein_float64_matches_fraction_oracle():
-    P = build_generator(256, 2).P
-    for nu in range(3):
-        exact = _bernstein_oracle(P, nu)
-        coeffs, nonnegative = P.bernstein_float64(nu)
-        assert coeffs.tolist() == [float(c) for c in exact]
-        assert nonnegative == all(c >= 0 for c in exact)
+    for n, r in ((256, 2), (512, 3)):
+        P = build_generator(n, r).P
+        for nu in range(r + 1):
+            exact = _bernstein_oracle(P, nu)
+            coeffs, nonnegative = P.bernstein_float64(nu)
+            assert coeffs.tolist() == [float(c) for c in exact]
+            assert nonnegative == all(c >= 0 for c in exact)
 
 
 def test_bernstein_float64_ignores_ambient_precision():
