@@ -147,12 +147,12 @@ def _solve_minimax(fvals, V, R=None):
     return a, err, iterations
 
 
-def equioscillation_count(residuals: np.ndarray, error: float, slack: float = 0.01) -> int:
+def equioscillation_count(residuals: np.ndarray, error: float) -> int:
     """Number of alternating near-extrema of the residual with magnitude
-    within `slack` of the error."""
+    within 1% of the error."""
     if error <= 0:
         return 0
-    level = (1.0 - slack) * error
+    level = 0.99 * error
     count, last_sign = 0, 0
     for r in residuals:
         if abs(r) >= level:
@@ -163,18 +163,23 @@ def equioscillation_count(residuals: np.ndarray, error: float, slack: float = 0.
     return count
 
 
-def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
-    """Best uniform approximation from degree-<=n polynomials, discretized on
-    N Chebyshev-distributed nodes."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _sample(f, n: int, N: int | None):
+    """The sample size, the values of f at N Chebyshev-distributed nodes and
+    the degree-n basis matrix there; N defaults to max(257, 4(n+1))."""
     if N is None:
         N = max(DEFAULT_SAMPLE_POINTS, 4 * (n + 1))
     if N < 4 * (n + 1):
         raise ValueError("need N >= 4(n+1) sample nodes")
     xs = default_x_grid(N)
-    fvals = np.asarray(f(xs), dtype=float)
-    V = _basis_values(xs, n)
+    return N, np.asarray(f(xs), dtype=float), _basis_values(xs, n)
+
+
+def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
+    """Best uniform approximation from degree-<=n polynomials, discretized on
+    N >= 4(n+1) Chebyshev-distributed nodes."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    N, fvals, V = _sample(f, n, N)
     a, err, iters = _solve_minimax(fvals, V)
     p = _reconstruct(a)
     resid = fvals - V @ a
@@ -197,13 +202,9 @@ def best_qmonotone(
     verdict of ``check_k_monotone_poly`` on the returned polynomial."""
     if q < 0 or n < 0:
         raise ValueError("need q >= 0 and n >= 0")
-    if N is None:
-        N = max(DEFAULT_SAMPLE_POINTS, 4 * (n + 1))
     if M is None:
         M = DEFAULT_CONSTRAINT_POINTS
-    xs = default_x_grid(N)
-    fvals = np.asarray(f(xs), dtype=float)
-    V = _basis_values(xs, n)
+    N, fvals, V = _sample(f, n, N)
     # if the unconstrained optimum already satisfies the shape constraint it
     # is the constrained optimum too (constrained error can only be larger),
     # and it keeps the refinement pass the constrained LP cannot take

@@ -202,20 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, precision=False):
         p.add_argument("--out", help="output file (CSV/JSON); stdout if omitted")
-        p.add_argument("--precision-bits", type=int, default=256,
-                       dest="precision_bits")
+        if precision:
+            p.add_argument("--precision-bits", type=int, default=256,
+                           dest="precision_bits")
         p.set_defaults(subparser=p)
 
     p = sub.add_parser("gen-poly", help="build a generating polynomial")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(fn=_cmd_gen_poly)
 
     p = sub.add_parser("apply", help="apply an operator to a function")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--op", required=True,
                    choices=["bernstein", "genuine-durrmeyer", "durrmeyer",
                             "lupas", "mn"])
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bern_xeps)
 
     p = sub.add_parser("mn-study", help="composite-operator error study")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--lambda", type=float, default=0.0, dest="lam")
     p.add_argument("--f", required=True)
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lambda2)
 
     p = sub.add_parser("gen-report", help="generating-polynomial moment report")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n-list", required=True, dest="n_list")
     p.set_defaults(fn=_cmd_gen_report)

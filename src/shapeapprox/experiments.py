@@ -15,8 +15,8 @@ import numpy as np
 
 from .best_approx import best_uniform
 from .functions import FunctionHandle, LogShiftFunction, PowerFunction
-from .generator import build_generator, deficiency_slope, _grid_min_relative
-from .moduli import default_x_grid, omega_dt, step_weight
+from .generator import _grid_minima_certified, build_generator, deficiency_slope
+from .moduli import _sym_diff_grid, default_x_grid, omega_dt, step_weight
 from .operators import _as_handle, mn_image
 from .polynomial import bernstein_basis
 
@@ -123,12 +123,12 @@ def run_bernstein_xeps(eps: float, lam: float, n_list) -> ExperimentTable:
 # ----------------------------------------------------------------------
 def run_mn_error_study(
     q: int, lam: float, f: FunctionHandle, n_list, prec_bits: int = 256,
-    x_points: int = 129,
 ) -> ExperimentTable:
     """Pointwise |f - M_n f| against the weighted modulus at the matching
     argument, with the empirical max ratio per n."""
     f = _as_handle(f)
     ns = [int(n) for n in n_list]
+    x_points = 129
     table = ExperimentTable(
         name="mn-error-study",
         config={"q": q, "lambda": lam, "f": f.name, "n_list": ns,
@@ -170,11 +170,9 @@ def run_mn_error_study(
 
 def _modulus_curve(f, k: int, lam: float, hs: np.ndarray) -> np.ndarray:
     """max_x |Delta^k_{h phi^lam(x)}(f, x)| for each h."""
-    from .moduli import _sym_diff_grid
-
     xs = default_x_grid()
     w = step_weight(xs, lam) if lam != 0 else np.ones_like(xs)
-    return np.array([float(np.max(_sym_diff_grid(f, k, h * w, xs))) for h in hs])
+    return np.array([float(np.max(np.abs(_sym_diff_grid(f, k, h * w, xs)))) for h in hs])
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +233,7 @@ def run_generator_report(r: int, n_list, prec_bits: int = 256) -> ExperimentTabl
     for n in ns:
         gen = build_generator(n, r, prec_bits)
         resid = abs(float(gen.P.to_exact().integrate_01() - 1))
-        min_rel = min(_grid_min_relative(gen.P, nu) for nu in range(r + 1))
+        min_rel = min(_grid_minima_certified(gen.P, r))
         d = {mu: float(gen.moment_deficiency[mu]) for mu in (1, 2, 3, 4)}
         table.rows.append(
             [n, gen.m, d[1], d[2], d[3], d[4], n * n * d[2], resid, min_rel,

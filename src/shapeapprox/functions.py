@@ -13,7 +13,7 @@ from math import comb
 import mpmath
 import numpy as np
 
-from .polynomial import Polynomial, _to_mpf
+from .polynomial import Polynomial, _to_mpf, _zero_of
 
 
 class FunctionHandle:
@@ -53,14 +53,8 @@ class PolyFunction(FunctionHandle):
         return self.poly(x)
 
     def monomial_moments(self, imax: int):
-        c = self.poly.coeffs
-        out = []
-        for i in range(imax + 1):
-            if self.poly.backend == "exact":
-                out.append(sum((ck * Fraction(1, i + k + 1) for k, ck in enumerate(c)), Fraction(0)))
-            else:
-                out.append(sum((ck / mpmath.mpf(i + k + 1) for k, ck in enumerate(c)), mpmath.mpf(0)))
-        return out
+        c, zero = self.poly.coeffs, _zero_of(self.poly.backend)
+        return [sum((ck / (i + k + 1) for k, ck in enumerate(c)), zero) for i in range(imax + 1)]
 
 
 class ExpFunction(FunctionHandle):

@@ -17,7 +17,6 @@ from .special import tau
 UNIT_INTEGRAL_TOL = mpmath.mpf("1e-20")
 GRID_SIGN_REL_TOL = 1e-15
 GRID_POINTS = 2048
-MAX_PRECISION_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -44,50 +43,15 @@ def moment(P: Polynomial, mu: int):
     return total if P.backend == "exact" else _to_mpf(total)
 
 
-def _grid_relative(poly: Polynomial, nu: int, points: int):
-    """A uniform grid of [0,1], the float64 values of poly^(nu) on it divided
-    by its largest Bernstein coefficient, and that coefficient."""
-    coeffs, _ = poly.bernstein_float64(nu)
-    scale = max(1e-300, float(np.max(np.abs(coeffs))))
-    xs = np.linspace(0.0, 1.0, points)
-    return xs, bernstein_basis(len(coeffs) - 1, xs) @ coeffs / scale, scale
-
-
-def _grid_min_relative(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS):
-    """(min value)/(coefficient scale) of poly^(nu) on a uniform grid of
-    [0,1], computed from its Bernstein form in float64."""
-    _, vals, _ = _grid_relative(poly, nu, points)
-    return float(vals.min())
-
-
-def _certified_min(poly: Polynomial, nu: int, xs, vals, scale) -> float:
-    """min(vals), with the grid points dipping below the sign tolerance
-    evaluated again exactly; float64 Bernstein evaluation is only good to a
-    few ulps at high degree."""
-    rel_min = float(vals.min())
-    if rel_min >= -GRID_SIGN_REL_TOL:
-        return rel_min
-    exact = poly.to_exact().differentiate(nu)
-    low = vals < -GRID_SIGN_REL_TOL
-    redo = min(float(exact(Fraction(x))) for x in xs[low]) / scale
-    rest = vals[~low]
-    return min(redo, float(rest.min())) if rest.size else redo
-
-
-def _grid_min_certified(poly: Polynomial, nu: int = 0, points: int = GRID_POINTS):
-    """Like _grid_min_relative, but dipping grid points are evaluated again
-    exactly."""
-    return _certified_min(poly, nu, *_grid_relative(poly, nu, points))
-
-
-def _grid_relative_orders(poly: Polynomial, r: int, points: int):
-    """_grid_relative for nu = 0..r from one basis matrix: a uniform grid,
-    one column of relative values per order, and the native scales.
+def _grid_relative_orders(poly: Polynomial, r: int):
+    """poly^(nu) for nu = 0..r on a uniform GRID_POINTS grid of [0,1], from
+    one basis matrix: the grid, one column of values per order, each divided
+    by the largest Bernstein coefficient of poly^(nu) at its native degree,
+    and those scales.
 
     The exact Bernstein coefficients of each poly^(nu) are raised to degree
     d = deg poly (integer convex recursion, nu steps) and rounded once, so
-    one product with the degree-d basis evaluates every derivative; each
-    column is still divided by its native-degree coefficient scale."""
+    one product with the degree-d basis evaluates every derivative."""
     form = poly.integer_form
     d = form.degree
     columns, scales = [], []
@@ -98,17 +62,34 @@ def _grid_relative_orders(poly: Polynomial, r: int, points: int):
             c = [i * x + (k + 1 - i) * y for i, x, y in zip(range(k + 2), [0] + c, c + [0])]
             den *= k + 1
         columns.append([x / den for x in c])
-    xs = np.linspace(0.0, 1.0, points)
+    xs = np.linspace(0.0, 1.0, GRID_POINTS)
     return xs, bernstein_basis(d, xs) @ np.array(columns).T / np.array(scales), scales
 
 
-def _grid_minima_certified(poly: Polynomial, r: int, points: int = GRID_POINTS) -> list:
-    """_grid_min_certified(poly, nu) for nu = 0..r, from one basis matrix."""
-    xs, vals, scales = _grid_relative_orders(poly, r, points)
-    return [_certified_min(poly, nu, xs, vals[:, nu], scales[nu]) for nu in range(r + 1)]
+def _grid_minima_certified(poly: Polynomial, r: int) -> list:
+    """The grid minimum of each relative column of _grid_relative_orders.
+    float64 Bernstein evaluation is only good to a few ulps at high degree,
+    so grid points dipping below the sign tolerance are evaluated again
+    exactly."""
+    xs, vals, scales = _grid_relative_orders(poly, r)
+    minima = []
+    for nu, col in enumerate(vals.T):
+        low = col < -GRID_SIGN_REL_TOL
+        if low.any():
+            exact = poly.to_exact().differentiate(nu)
+            col = [*col[~low], min(float(exact(Fraction(x))) for x in xs[low]) / scales[nu]]
+        minima.append(float(np.min(col)))
+    return minima
 
 
-def _build_at_precision(n: int, r: int, prec_bits: int) -> GeneratorPoly:
+@lru_cache(maxsize=64)
+def build_generator(n: int, r: int, prec_bits: int = 256) -> GeneratorPoly:
+    """Build the generating polynomial for n > 8r at prec_bits; raises
+    PrecisionError when the result fails its certification."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if n <= 8 * r:
+        raise RegimeError(f"construction requires n > 8r (n={n}, r={r})")
     m = math.ceil(n / (8 * r))
     deg_q = 4 * r * (m - 1)
     work = prec_bits + 2 * deg_q + 64  # convolution/conversion guard digits
@@ -149,25 +130,6 @@ def _build_at_precision(n: int, r: int, prec_bits: int) -> GeneratorPoly:
         moment_deficiency=deficiency,
         precision_bits=prec_bits,
     )
-
-
-@lru_cache(maxsize=64)
-def build_generator(n: int, r: int, prec_bits: int = 256) -> GeneratorPoly:
-    """Build the generating polynomial for n > 8r; doubles the precision on
-    certification failure, up to 1024 bits."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n <= 8 * r:
-        raise RegimeError(f"construction requires n > 8r (n={n}, r={r})")
-    bits = prec_bits
-    last_err = None
-    while bits <= MAX_PRECISION_BITS:
-        try:
-            return _build_at_precision(n, r, bits)
-        except PrecisionError as exc:  # escalate and retry
-            last_err = exc
-            bits *= 2
-    raise PrecisionError(f"failed up to {MAX_PRECISION_BITS} bits: {last_err}")
 
 
 def deficiency_slope(r: int, n_list, prec_bits: int = 256) -> float:

@@ -2,9 +2,9 @@
 
 The step weight is phi(x)^lambda with phi(x) = sqrt(x(1-x)); lambda = 0
 recovers the classical modulus.  Suprema are approximated over finite grids
-(64 geometric h-points, 1025 Chebyshev-distributed x-points by default), so
-every estimate is a lower bound of the true supremum; the grids used are
-recorded in the result.
+(64 geometric h-points, 1025 Chebyshev-distributed x-points), so every
+estimate is a lower bound of the true supremum; the grid sizes are recorded
+in the result.
 """
 from __future__ import annotations
 
@@ -33,16 +33,7 @@ def sym_diff(f, k: int, delta: float, x: float) -> float:
         raise ValueError("delta must be positive")
     if k < 0:
         raise ValueError("k must be >= 0")
-    lo = x - k * delta / 2.0
-    hi = x + k * delta / 2.0
-    eps = 1e-15
-    if lo < -eps or hi > 1.0 + eps:
-        return 0.0
-    total = 0.0
-    for i in range(k + 1):
-        node = min(1.0, max(0.0, lo + i * delta))
-        total += comb(k, i) * (-1) ** (k - i) * float(np.asarray(f(node)))
-    return total
+    return float(_sym_diff_grid(f, k, np.array([float(delta)]), np.array([float(x)]))[0])
 
 
 @dataclass(frozen=True)
@@ -57,11 +48,11 @@ class ModulusEstimate:
     argmax_x: float
 
 
-def default_h_grid(t: float, size: int = DEFAULT_H_POINTS) -> np.ndarray:
+def default_h_grid(t: float) -> np.ndarray:
     """Geometric grid of step bounds in (0, t], largest point exactly t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return t * np.geomspace(_H_SPAN, 1.0, size)
+    return t * np.geomspace(_H_SPAN, 1.0, DEFAULT_H_POINTS)
 
 
 def default_x_grid(size: int = DEFAULT_X_POINTS) -> np.ndarray:
@@ -92,7 +83,7 @@ def _boundary_aligned_points(k: int, lam: float, h: float) -> np.ndarray:
 
 
 def _sym_diff_grid(f, k: int, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """|Delta^k_{delta(x)}(f, x)| for per-point steps; invalid points give 0."""
+    """Delta^k_{delta(x)}(f, x) for per-point steps; invalid points give 0."""
     lo = xs - k * deltas / 2.0
     hi = xs + k * deltas / 2.0
     valid = (deltas > 0) & (lo >= -1e-15) & (hi <= 1.0 + 1e-15)
@@ -103,25 +94,18 @@ def _sym_diff_grid(f, k: int, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     out = vals @ signs
     out[~valid] = 0.0
-    return np.abs(out)
+    return out
 
 
-def omega_dt(
-    f,
-    k: int,
-    lam: float,
-    t: float,
-    h_grid: np.ndarray | None = None,
-    x_grid: np.ndarray | None = None,
-) -> ModulusEstimate:
+def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
     """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
-    discretized over the supplied (or default) grids."""
+    discretized over the default grids."""
     if t <= 0:
         raise ValueError("t must be positive")
     if not 0 <= lam <= 2:
         raise ValueError("lambda must lie in [0,2]")
-    hs = default_h_grid(t) if h_grid is None else np.asarray(h_grid, dtype=float)
-    xs = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    hs = default_h_grid(t)
+    xs = default_x_grid()
     w = step_weight(xs, lam) if lam != 0 else np.ones_like(xs)
     best, best_h, best_x = 0.0, float(hs[0]), float(xs[0])
     for h in hs:
@@ -134,7 +118,7 @@ def omega_dt(
             if len(xa)
             else w
         )
-        vals = _sym_diff_grid(f, k, h * w_all, x_all)
+        vals = np.abs(_sym_diff_grid(f, k, h * w_all, x_all))
         j = int(np.argmax(vals))
         if vals[j] > best:
             best, best_h, best_x = float(vals[j]), float(h), float(x_all[j])
@@ -150,19 +134,17 @@ def omega_dt(
     )
 
 
-def omega(f, k: int, t: float, h_grid=None, x_grid=None) -> ModulusEstimate:
+def omega(f, k: int, t: float) -> ModulusEstimate:
     """Classical modulus of smoothness (lambda = 0)."""
-    return omega_dt(f, k, 0.0, t, h_grid=h_grid, x_grid=x_grid)
+    return omega_dt(f, k, 0.0, t)
 
 
-def fit_modulus_exponent(
-    f, k: int, lam: float, t_list, x_grid: np.ndarray | None = None
-) -> float:
+def fit_modulus_exponent(f, k: int, lam: float, t_list) -> float:
     """Least-squares slope of log omega_dt(f,k,lam,t) against log t."""
     ts = np.asarray(list(t_list), dtype=float)
     if len(ts) < 2:
         raise ValueError("need at least two step bounds")
-    vals = np.array([omega_dt(f, k, lam, t, x_grid=x_grid).value for t in ts])
+    vals = np.array([omega_dt(f, k, lam, t).value for t in ts])
     if np.any(vals <= 0):
         raise ValueError("modulus vanished on the grid; cannot fit an exponent")
     slope, _ = np.polyfit(np.log(ts), np.log(vals), 1)

@@ -396,11 +396,6 @@ def _image_fn(kind: str, params: dict):
         gen = params["gen"]
         gen_poly = gen.P if isinstance(gen, GeneratorPoly) else gen
         return (lambda f: gavrea_image(gen_poly, f)), gen_poly.degree + 2
-    if kind == "mn":
-        prec = params.get("prec_bits", 256)
-        return (lambda f: mn_image(params["q"], params["n"], f, prec).poly), params["n"]
-    if kind == "fallback":
-        return (lambda f: _linear_interpolation_image(f)), 1
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

@@ -201,9 +201,8 @@ class Polynomial:
     # ------------------------------------------------------------------
     @property
     def degree(self) -> int:
-        if self.basis == MONOMIAL:
-            return len(self.coeffs) - 1
-        return len(self.coeffs) - 1  # formal degree n of the Bernstein form
+        """Monomial degree bound, or the formal degree n of the Bernstein form."""
+        return len(self.coeffs) - 1
 
     @property
     def bernstein_n(self) -> int:
@@ -326,26 +325,17 @@ class Polynomial:
 
     def antidifferentiate_from_zero(self) -> "Polynomial":
         c = self.to_monomial().coeffs
-        if self.backend == "exact":
-            out = [Fraction(0)] + [Fraction(ck, 1) / (k + 1) for k, ck in enumerate(c)]
-        else:
-            out = [mpmath.mpf(0)] + [ck / (k + 1) for k, ck in enumerate(c)]
+        out = [_zero_of(self.backend)] + [ck / (k + 1) for k, ck in enumerate(c)]
         return Polynomial(MONOMIAL, out)
 
     def integrate_01(self):
         """Exact integral over [0,1] (in the coefficient arithmetic)."""
         if self.basis == BERNSTEIN:
             n = self.bernstein_n
-            s = sum(self.coeffs, _zero_of(self.backend))
-            if self.backend == "exact":
-                return s / Fraction(n + 1)
-            return s / (n + 1)
+            return sum(self.coeffs, _zero_of(self.backend)) / (n + 1)
         total = _zero_of(self.backend)
         for k, ck in enumerate(self.coeffs):
-            if self.backend == "exact":
-                total += Fraction(ck) / (k + 1)
-            else:
-                total += ck / (k + 1)
+            total += ck / (k + 1)
         return total
 
     def definite_integral(self, a, b):
@@ -382,10 +372,7 @@ class Polynomial:
         for k in range(n + 1):
             acc = _zero_of(self.backend)
             for j in range(0, min(k, deg) + 1):
-                if self.backend == "exact":
-                    acc += a[j] * Fraction(comb(k, j), comb(n, j))
-                else:
-                    acc += a[j] * comb(k, j) / comb(n, j)
+                acc += a[j] * comb(k, j) / comb(n, j)
             out.append(acc)
         return Polynomial(BERNSTEIN, out)
 

@@ -34,6 +34,16 @@ def test_polynomial_approximates_itself():
     assert res_c.error <= 1e-10
 
 
+@pytest.mark.parametrize("solve", [
+    lambda f: best_uniform(f, 19, N=10),
+    lambda f: best_qmonotone(f, 3, 19, N=10),
+])
+def test_too_few_sample_nodes_rejected(solve):
+    # 20 unknowns are not determined by 10 sample nodes, constrained or not
+    with pytest.raises(ValueError, match="sample nodes"):
+        solve(catalog("truncpow:0.5:3"))
+
+
 def test_equioscillation_count_smooth():
     for n in (2, 4, 6):
         res = best_uniform(ExpFunction(), n)

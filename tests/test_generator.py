@@ -10,23 +10,38 @@ import pytest
 
 from shapeapprox import (
     Polynomial,
+    PrecisionError,
     best_approx,
     best_uniform,
     build_generator,
     check_k_monotone_poly,
     deficiency_slope,
+    generator,
     moment,
     polynomial,
 )
 from shapeapprox.generator import (
     GRID_POINTS,
     GRID_SIGN_REL_TOL,
-    _grid_min_certified,
-    _grid_min_relative,
     _grid_minima_certified,
-    _grid_relative,
     _grid_relative_orders,
 )
+
+XS = np.linspace(0.0, 1.0, GRID_POINTS)
+
+
+def native_relative(poly, nu):
+    """poly^(nu) on the sign grid from its own native-degree Bernstein form,
+    divided by its largest coefficient: the oracle for the one-basis check."""
+    coeffs, _ = poly.bernstein_float64(nu)
+    scale = max(1e-300, float(np.max(np.abs(coeffs))))
+    return polynomial.bernstein_basis(len(coeffs) - 1, XS) @ coeffs / scale, scale
+
+
+def exact_grid_min(poly, nu):
+    """Exact minimum of poly^(nu) on the sign grid over its native scale."""
+    exact = poly.to_exact().differentiate(nu)
+    return min(float(exact(Fraction(x))) for x in XS) / native_relative(poly, nu)[1]
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -38,8 +53,8 @@ def test_generator_basic_properties(n, r):
     assert gen.P.degree <= n
     with mpmath.workprec(max(256, gen.precision_bits) + 2 * gen.P.degree + 64):
         assert abs(gen.P.integrate_01() - 1) <= mpmath.mpf("1e-20")
-        for nu in range(r + 1):
-            assert _grid_min_relative(gen.P.differentiate(nu)) >= -1e-15
+    for nu in range(r + 1):
+        assert native_relative(gen.P, nu)[0].min() >= -1e-15
 
 
 def test_generator_moment_deficiencies_positive_and_ordered():
@@ -77,11 +92,11 @@ def test_grid_min_certified_reevaluates_dips_exactly():
     # dipping grid points are evaluated again in exact arithmetic
     eps = Fraction(1, 10**6)
     p = Polynomial.monomial([Fraction(1, 4) - eps, -1, 1])
-    scale = float(Fraction(1, 4) + eps)  # largest |Bernstein coefficient|
-    want = min(float(p(Fraction(x))) for x in np.linspace(0.0, 1.0, GRID_POINTS)) / scale
+    want = exact_grid_min(p, 0)
     for bits in (53, 1000):
         with mpmath.workprec(bits):
-            assert _grid_min_certified(p) == want < 0
+            assert _grid_minima_certified(p, 0) == [want]
+    assert want < -GRID_SIGN_REL_TOL
 
 
 @pytest.mark.parametrize("n, r", [(64, 1), (128, 2), (256, 3), (512, 1)])
@@ -90,14 +105,14 @@ def test_one_basis_minima_match_native_degree(n, r):
     # basis matrix agrees with its own native-degree evaluation, point by
     # point and in the certified minimum
     P = build_generator(n, r).P
-    _, vals, scales = _grid_relative_orders(P, r, GRID_POINTS)
+    _, vals, scales = _grid_relative_orders(P, r)
     minima = _grid_minima_certified(P, r)
     assert len(minima) == r + 1
     for nu, got in enumerate(minima):
-        _, native, scale = _grid_relative(P, nu, GRID_POINTS)
+        native, scale = native_relative(P, nu)
         assert scales[nu] == scale
         assert np.max(np.abs(vals[:, nu] - native)) <= 1e-14
-        assert abs(got - _grid_min_certified(P.to_exact().differentiate(nu))) <= 1e-14
+        assert abs(got - native.min()) <= 1e-14
 
 
 def test_one_basis_minima_report_a_dipping_derivative():
@@ -108,7 +123,22 @@ def test_one_basis_minima_report_a_dipping_derivative():
     p = p + Polynomial.monomial([1])
     minima = _grid_minima_certified(p, 1)
     assert minima[0] >= -GRID_SIGN_REL_TOL
-    assert minima[1] == _grid_min_certified(p, 1) < -GRID_SIGN_REL_TOL
+    assert minima[1] == exact_grid_min(p, 1) < -GRID_SIGN_REL_TOL
+
+
+def test_build_makes_one_attempt(monkeypatch):
+    # a derivative that fails certification raises at the requested
+    # precision; there is no retry at a higher one
+    calls = []
+
+    def dipping(poly, r):
+        calls.append(r)
+        return [-1.0] * (r + 1)
+
+    monkeypatch.setattr(generator, "_grid_minima_certified", dipping)
+    with pytest.raises(PrecisionError, match="dips"):
+        build_generator.__wrapped__(64, 1)
+    assert calls == [1]
 
 
 def test_build_reads_generator_once(monkeypatch):
