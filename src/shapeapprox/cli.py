@@ -21,7 +21,7 @@ from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
 from .experiments import ExperimentTable
 from .functions import catalog
-from .generator import build_generator
+from .generator import PRECISION_BITS, build_generator
 from .moduli import omega_dt
 from .operators import (
     bernstein_image,
@@ -63,7 +63,7 @@ def _emit(table: ExperimentTable, out: str | None) -> int:
 
 
 def _cmd_gen_poly(args) -> int:
-    gen = build_generator(args.n, args.r, args.precision_bits)
+    gen = build_generator(args.n, args.r)
     payload = {
         "n": gen.n,
         "r": gen.r,
@@ -86,7 +86,7 @@ def _cmd_gen_poly(args) -> int:
 
 def _cmd_apply(args) -> int:
     f = _load_function(args.f)
-    with mpmath.workprec(args.precision_bits):  # the image's coefficient precision
+    with mpmath.workprec(PRECISION_BITS):  # the image's coefficient precision
         if args.op == "bernstein":
             poly = bernstein_image(args.n, f)
         elif args.op == "genuine-durrmeyer":
@@ -96,14 +96,14 @@ def _cmd_apply(args) -> int:
         elif args.op == "lupas":
             poly = durrmeyer_lupas_image(args.n, args.alpha, f)
         elif args.op == "mn":
-            poly = mn_image(args.q, args.n, f, args.precision_bits).poly
+            poly = mn_image(args.q, args.n, f).poly
         else:
             raise SystemExit(f"unknown operator {args.op!r}")
     xs = _float_list(args.x) if args.x else [i / 16 for i in range(17)]
     table = ExperimentTable(
         name="apply",
         config={"op": args.op, "n": args.n, "q": args.q, "alpha": args.alpha,
-                "f": args.f, "precision_bits": args.precision_bits},
+                "f": args.f, "precision_bits": PRECISION_BITS},
         columns=["x", "value"],
     )
     exact = poly.to_exact()
@@ -169,15 +169,13 @@ def _cmd_jackson(args) -> int:
 
 
 def _cmd_bern_xeps(args) -> int:
-    table = experiments.run_bernstein_xeps(args.eps, args.lam, _int_list(args.n_list))
+    table = experiments.run_bernstein_xeps(args.eps, _int_list(args.n_list))
     return _emit(table, args.out)
 
 
 def _cmd_mn_study(args) -> int:
     f = _load_function(args.f)
-    table = experiments.run_mn_error_study(
-        args.q, args.lam, f, _int_list(args.n_list), args.precision_bits
-    )
+    table = experiments.run_mn_error_study(args.q, args.lam, f, _int_list(args.n_list))
     return _emit(table, args.out)
 
 
@@ -187,9 +185,7 @@ def _cmd_lambda2(args) -> int:
 
 
 def _cmd_gen_report(args) -> int:
-    table = experiments.run_generator_report(
-        args.r, _int_list(args.n_list), args.precision_bits
-    )
+    table = experiments.run_generator_report(args.r, _int_list(args.n_list))
     return _emit(table, args.out)
 
 
@@ -202,21 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, precision=False):
+    def common(p):
         p.add_argument("--out", help="output file (CSV/JSON); stdout if omitted")
-        if precision:
-            p.add_argument("--precision-bits", type=int, default=256,
-                           dest="precision_bits")
         p.set_defaults(subparser=p)
 
     p = sub.add_parser("gen-poly", help="build a generating polynomial")
-    common(p, precision=True)
+    common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(fn=_cmd_gen_poly)
 
     p = sub.add_parser("apply", help="apply an operator to a function")
-    common(p, precision=True)
+    common(p)
     p.add_argument("--op", required=True,
                    choices=["bernstein", "genuine-durrmeyer", "durrmeyer",
                             "lupas", "mn"])
@@ -251,12 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bern-xeps", help="Bernstein errors for x^eps")
     common(p)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lambda", type=float, default=0.0, dest="lam")
     p.add_argument("--n-list", required=True, dest="n_list")
     p.set_defaults(fn=_cmd_bern_xeps)
 
     p = sub.add_parser("mn-study", help="composite-operator error study")
-    common(p, precision=True)
+    common(p)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--lambda", type=float, default=0.0, dest="lam")
     p.add_argument("--f", required=True)
@@ -270,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lambda2)
 
     p = sub.add_parser("gen-report", help="generating-polynomial moment report")
-    common(p, precision=True)
+    common(p)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n-list", required=True, dest="n_list")
     p.set_defaults(fn=_cmd_gen_report)
@@ -284,7 +276,12 @@ def main(argv=None) -> int:
     if args.config:
         # config values become the subcommand's defaults; explicit flags win
         with open(args.config) as fh:
-            args.subparser.set_defaults(**json.load(fh))
+            config = json.load(fh)
+        options = set(vars(args)) - {"command", "config", "fn", "subparser"}
+        unknown = sorted(set(config) - options)
+        if unknown:
+            parser.error(f"config keys not taken by {args.command}: {', '.join(unknown)}")
+        args.subparser.set_defaults(**config)
         args = parser.parse_args(argv)
     return args.fn(args)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .best_approx import best_uniform
 from .functions import FunctionHandle, LogShiftFunction, PowerFunction
-from .generator import _grid_minima_certified, build_generator, deficiency_slope
+from .generator import PRECISION_BITS, _grid_minima_certified, build_generator, deficiency_slope
 from .moduli import _sym_diff_grid, default_x_grid, omega_dt, step_weight
 from .operators import _as_handle, mn_image
 from .polynomial import bernstein_basis
@@ -74,19 +74,17 @@ def _bounded_ratio(values, factor=10.0) -> bool:
 
 
 # ----------------------------------------------------------------------
-def run_bernstein_xeps(eps: float, lam: float, n_list) -> ExperimentTable:
+def run_bernstein_xeps(eps: float, n_list) -> ExperimentTable:
     """Midpoint Bernstein errors for x^eps: the Voronovskaya product
     n*(f - B_n f)(1/2), the interior envelope n^-1 phi^(2 eps - 2)(1/2), and
     the near-endpoint error at x = 1/n^2 against (n^-1/2 phi(x))^eps."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
-    if not 0 <= lam < 2:
-        raise ValueError("lambda must be in [0,2)")
     f = PowerFunction(eps)
     ns = [int(n) for n in n_list]
     table = ExperimentTable(
         name="bernstein-xeps",
-        config={"eps": eps, "lambda": lam, "n_list": ns},
+        config={"eps": eps, "n_list": ns},
         columns=[
             "n", "err_mid", "voron_product", "envelope_mid", "ratio_mid",
             "x_small", "err_small", "envelope_small", "ratio_small",
@@ -121,9 +119,7 @@ def run_bernstein_xeps(eps: float, lam: float, n_list) -> ExperimentTable:
 
 
 # ----------------------------------------------------------------------
-def run_mn_error_study(
-    q: int, lam: float, f: FunctionHandle, n_list, prec_bits: int = 256,
-) -> ExperimentTable:
+def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> ExperimentTable:
     """Pointwise |f - M_n f| against the weighted modulus at the matching
     argument, with the empirical max ratio per n."""
     f = _as_handle(f)
@@ -132,14 +128,14 @@ def run_mn_error_study(
     table = ExperimentTable(
         name="mn-error-study",
         config={"q": q, "lambda": lam, "f": f.name, "n_list": ns,
-                "prec_bits": prec_bits, "x_points": x_points},
+                "prec_bits": PRECISION_BITS, "x_points": x_points},
         columns=["n", "used_fallback", "max_err", "max_ratio"],
     )
     xs = default_x_grid(x_points)[1:-1]  # both sides interpolate the endpoints
     phi = np.sqrt(xs * (1 - xs))
     ratios_all = []
     for n in ns:
-        res = mn_image(q, n, f, prec_bits)
+        res = mn_image(q, n, f)
         coeffs, _ = res.poly.bernstein_float64()
         vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
         errs = np.abs(np.asarray(f(xs), dtype=float) - vals)
@@ -217,13 +213,13 @@ def run_lambda2_counterexample(eps_list, n: int = 5) -> ExperimentTable:
 
 
 # ----------------------------------------------------------------------
-def run_generator_report(r: int, n_list, prec_bits: int = 256) -> ExperimentTable:
+def run_generator_report(r: int, n_list) -> ExperimentTable:
     """Moment-deficiency table, unit-integral residuals, derivative sign
     verdicts, and the log-log decay slope of delta_2."""
     ns = [int(n) for n in n_list]
     table = ExperimentTable(
         name="generator-report",
-        config={"r": r, "n_list": ns, "prec_bits": prec_bits},
+        config={"r": r, "n_list": ns, "prec_bits": PRECISION_BITS},
         columns=[
             "n", "m", "delta_1", "delta_2", "delta_3", "delta_4",
             "n2_delta_2", "unit_integral_residual", "min_derivative_rel",
@@ -231,7 +227,7 @@ def run_generator_report(r: int, n_list, prec_bits: int = 256) -> ExperimentTabl
         ],
     )
     for n in ns:
-        gen = build_generator(n, r, prec_bits)
+        gen = build_generator(n, r)
         resid = abs(float(gen.P.to_exact().integrate_01() - 1))
         min_rel = min(_grid_minima_certified(gen.P, r))
         d = {mu: float(gen.moment_deficiency[mu]) for mu in (1, 2, 3, 4)}
@@ -246,7 +242,7 @@ def run_generator_report(r: int, n_list, prec_bits: int = 256) -> ExperimentTabl
     n2d2 = [row[6] for row in table.rows]
     table.assertions["n2_delta2_within_factor_4"] = max(n2d2) <= 4 * min(n2d2)
     if len(ns) >= 3:
-        slope = deficiency_slope(r, ns, prec_bits)
+        slope = deficiency_slope(r, ns)
         table.config["delta2_slope"] = slope
         table.assertions["slope_in_range"] = -2.4 <= slope <= -1.6
     return table

@@ -14,6 +14,7 @@ from .errors import PrecisionError, RegimeError
 from .polynomial import Polynomial, _to_mpf, bernstein_basis
 from .special import tau
 
+PRECISION_BITS = 256  # working precision of the generator and the M_n image
 UNIT_INTEGRAL_TOL = mpmath.mpf("1e-20")
 GRID_SIGN_REL_TOL = 1e-15
 GRID_POINTS = 2048
@@ -26,11 +27,10 @@ class GeneratorPoly:
     n: int
     r: int
     m: int
-    Q: Polynomial
     lambda_n: mpmath.mpf
     P: Polynomial
     moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P
-    precision_bits: int = 256
+    precision_bits: int  # mantissa bits P is computed and stored at
 
 
 def moment(P: Polynomial, mu: int):
@@ -83,16 +83,17 @@ def _grid_minima_certified(poly: Polynomial, r: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def build_generator(n: int, r: int, prec_bits: int = 256) -> GeneratorPoly:
-    """Build the generating polynomial for n > 8r at prec_bits; raises
-    PrecisionError when the result fails its certification."""
+def build_generator(n: int, r: int) -> GeneratorPoly:
+    """Build the generating polynomial for n > 8r at PRECISION_BITS plus
+    guard bits; raises PrecisionError when the result fails its
+    certification."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n <= 8 * r:
         raise RegimeError(f"construction requires n > 8r (n={n}, r={r})")
     m = math.ceil(n / (8 * r))
     deg_q = 4 * r * (m - 1)
-    work = prec_bits + 2 * deg_q + 64  # convolution/conversion guard digits
+    work = PRECISION_BITS + 2 * deg_q + 64  # convolution/conversion guard digits
     with mpmath.workprec(work):
         t = tau(m, prec_bits=work)
         Q = t.poly ** (4 * r)
@@ -124,22 +125,21 @@ def build_generator(n: int, r: int, prec_bits: int = 256) -> GeneratorPoly:
         n=n,
         r=r,
         m=m,
-        Q=Q,
         lambda_n=lam,
         P=P,
         moment_deficiency=deficiency,
-        precision_bits=prec_bits,
+        precision_bits=work,
     )
 
 
-def deficiency_slope(r: int, n_list, prec_bits: int = 256) -> float:
+def deficiency_slope(r: int, n_list) -> float:
     """Least-squares slope of log delta_2(n) against log n."""
     ns = list(n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
     logs_n, logs_d = [], []
     for n in ns:
-        gen = build_generator(n, r, prec_bits)
+        gen = build_generator(n, r)
         logs_n.append(math.log(n))
         logs_d.append(float(mpmath.log(gen.moment_deficiency[2])))
     slope, _ = np.polyfit(logs_n, logs_d, 1)

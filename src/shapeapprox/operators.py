@@ -27,7 +27,7 @@ from mpmath.libmp import from_rational, round_nearest
 from scipy.special import roots_jacobi
 
 from .functions import FunctionHandle, PolyFunction
-from .generator import GeneratorPoly, build_generator
+from .generator import PRECISION_BITS, GeneratorPoly, build_generator
 from .polynomial import Polynomial, _to_fraction, bernstein_basis
 from .special import pochhammer
 
@@ -347,7 +347,7 @@ def _linear_interpolation_image(f) -> Polynomial:
     return Polynomial.monomial([v0, v1 - v0])
 
 
-def mn_image(q: int, n: int, f, prec_bits: int = 256) -> MnResult:
+def mn_image(q: int, n: int, f) -> MnResult:
     """The composite operator of degree <= n preserving k-monotonicity for
     all k <= q.
 
@@ -361,11 +361,11 @@ def mn_image(q: int, n: int, f, prec_bits: int = 256) -> MnResult:
     r = max(q - 1, 1)
     if n - 2 <= 8 * r:
         return MnResult(_linear_interpolation_image(f), q, n, r, True, None, None)
-    gen = build_generator(n - 2, r, prec_bits)
+    gen = build_generator(n - 2, r)
     alpha_n = gen.moment_deficiency[2]
     if alpha_n > 0.25:
         return MnResult(_linear_interpolation_image(f), q, n, r, True, alpha_n, gen)
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PRECISION_BITS):
         img = gavrea_image(gen.P, f)
     return MnResult(img, q, n, r, False, alpha_n, gen)
 

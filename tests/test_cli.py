@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, CSV output with embedded config and
 hash, and JSON polynomial round-trips."""
+import argparse
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from shapeapprox.cli import main
+from shapeapprox.cli import build_parser, main
 from shapeapprox.polynomial import Polynomial
 
 
@@ -119,6 +120,19 @@ def test_config_file_reaches_subcommand_defaults(tmp_path):
     assert config["k"] == 1 and config["lambda"] == 1.0
 
 
+@pytest.mark.parametrize("key", ["lamda", "fn"])
+def test_config_file_rejects_unknown_keys(key, tmp_path, capsys):
+    # a misspelled key, or a parser-internal name, is an error, not a
+    # silently kept or silently applied default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "moduli", "--f", "exp", "--t-grid", "0.1",
+              "--out", str(tmp_path / "mod.csv")])
+    assert exc.value.code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_mn_study_logeps_large_n(tmp_path):
     # n = 124: the generator's weights reach 2^39 against quadrature data
     out = tmp_path / "study.csv"
@@ -136,3 +150,9 @@ def test_readme_cli_command(argv, tmp_path):
         i = argv.index("--out") + 1
         argv[i] = str(tmp_path / argv[i])
     assert main(argv) == 0
+
+
+def test_readme_cli_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(sub.choices)

@@ -15,13 +15,13 @@ from shapeapprox.experiments import (
 
 
 def test_bernstein_xeps_small():
-    table = run_bernstein_xeps(0.5, 0.0, [64, 256, 1024])
+    table = run_bernstein_xeps(0.5, [64, 256, 1024])
     assert table.assertions["midpoint_envelope_stable"]
     assert table.assertions["endpoint_envelope_stable"]
     csv = table.to_csv()
     assert "# sha256:" in csv and "err_mid" in csv
     # reruns are bit-identical
-    assert csv == run_bernstein_xeps(0.5, 0.0, [64, 256, 1024]).to_csv()
+    assert csv == run_bernstein_xeps(0.5, [64, 256, 1024]).to_csv()
 
 
 def test_mn_error_study_small():

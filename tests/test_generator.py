@@ -163,7 +163,7 @@ def test_build_reads_generator_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "compose", counted("compose", Polynomial.compose))
 
     gen = build_generator.__wrapped__(128, 3)
-    assert gen.precision_bits == 256
+    assert gen.precision_bits == 440
     assert calls["read"] == 1 and calls["basis"] == 1
     assert calls["coefficient"] == len(gen.P.coeffs)
 
@@ -173,3 +173,12 @@ def test_build_reads_generator_once(monkeypatch):
     best_approx._shifted_chebyshev.cache_clear()
     best_uniform(np.exp, 12)
     assert calls["compose"] == 0
+
+
+@pytest.mark.parametrize("n, r, bits", [(128, 3, 440), (512, 1, 824)])
+def test_precision_bits_is_the_stored_precision(n, r, bits):
+    # P is computed at the working precision plus guard bits for deg Q, and
+    # precision_bits reports those bits, not the working precision
+    gen = build_generator(n, r)
+    assert gen.precision_bits == bits
+    assert max(mpmath.mpf(c).man.bit_length() for c in gen.P.coeffs) <= bits

@@ -140,6 +140,14 @@ def test_moment_profiles_conforming():
     assert moment_profile("durrmeyer", n=8).conforming is False
 
 
+def test_mn_image_shares_the_cached_generator():
+    # M_n of degree 66 is driven by the degree-64 generator, built once
+    build_generator.cache_clear()
+    build_generator(64, 1)
+    mn_image(1, 66, ExpFunction())
+    assert build_generator.cache_info().misses == 1
+
+
 def test_mn_image_preserves_shape():
     res = mn_image(2, 64, ExpFunction())
     assert res.q == 2 and res.n == 64
