@@ -37,6 +37,7 @@ from .moduli import (
     ModulusEstimate,
     bound_envelope,
     fit_modulus_exponent,
+    modulus_sweep,
     omega,
     omega_dt,
     step_weight,

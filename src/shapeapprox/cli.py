@@ -15,8 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
 from .experiments import ExperimentTable
@@ -86,19 +84,18 @@ def _cmd_gen_poly(args) -> int:
 
 def _cmd_apply(args) -> int:
     f = _load_function(args.f)
-    with mpmath.workprec(PRECISION_BITS):  # the image's coefficient precision
-        if args.op == "bernstein":
-            poly = bernstein_image(args.n, f)
-        elif args.op == "genuine-durrmeyer":
-            poly = genuine_durrmeyer_image(args.n, f)
-        elif args.op == "durrmeyer":
-            poly = durrmeyer_lupas_image(args.n, 0, f)
-        elif args.op == "lupas":
-            poly = durrmeyer_lupas_image(args.n, args.alpha, f)
-        elif args.op == "mn":
-            poly = mn_image(args.q, args.n, f).poly
-        else:
-            raise SystemExit(f"unknown operator {args.op!r}")
+    if args.op == "bernstein":
+        poly = bernstein_image(args.n, f)
+    elif args.op == "genuine-durrmeyer":
+        poly = genuine_durrmeyer_image(args.n, f)
+    elif args.op == "durrmeyer":
+        poly = durrmeyer_lupas_image(args.n, 0, f)
+    elif args.op == "lupas":
+        poly = durrmeyer_lupas_image(args.n, args.alpha, f)
+    elif args.op == "mn":
+        poly = mn_image(args.q, args.n, f).poly
+    else:
+        raise SystemExit(f"unknown operator {args.op!r}")
     xs = _float_list(args.x) if args.x else [i / 16 for i in range(17)]
     table = ExperimentTable(
         name="apply",

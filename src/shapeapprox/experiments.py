@@ -15,8 +15,8 @@ import numpy as np
 
 from .best_approx import best_uniform
 from .functions import FunctionHandle, LogShiftFunction, PowerFunction
-from .generator import PRECISION_BITS, _grid_minima_certified, build_generator, deficiency_slope
-from .moduli import _sym_diff_grid, default_x_grid, omega_dt, step_weight
+from .generator import PRECISION_BITS, build_generator, deficiency_slope
+from .moduli import default_x_grid, modulus_sweep, omega_dt
 from .operators import _as_handle, mn_image
 from .polynomial import bernstein_basis
 
@@ -48,10 +48,6 @@ class ExperimentTable:
         ]
         head += [f"# assert {k}: {'pass' if v else 'FAIL'}" for k, v in self.assertions.items()]
         return "\n".join(head) + "\n" + body + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def _fmt(v) -> str:
@@ -140,11 +136,10 @@ def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> Experim
         vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
         errs = np.abs(np.asarray(f(xs), dtype=float) - vals)
         args = phi ** (1 - lam / 2) * (phi + 1.0 / n) ** (-lam / 2) / n
-        # one modulus sweep per n: per-h maxima, then prefix maxima give
+        # omega_dt's sweep, once per n: per-h maxima, then prefix maxima give
         # omega(t) for every needed t
         hs = np.geomspace(max(args.min(), 1e-8) * 2.0**-8, args.max(), 256)
-        curve = _modulus_curve(f, 2, lam, hs)
-        prefix = np.maximum.accumulate(curve)
+        prefix = np.maximum.accumulate(modulus_sweep(f, 2, lam, hs)[0])
         om = prefix[np.searchsorted(hs, args, side="right") - 1]
         mask = om > 1e-13
         ratio = float(np.max(errs[mask] / om[mask])) if mask.any() else 0.0
@@ -162,13 +157,6 @@ def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> Experim
             row[2] <= 1e-12 for row in table.rows
         )
     return table
-
-
-def _modulus_curve(f, k: int, lam: float, hs: np.ndarray) -> np.ndarray:
-    """max_x |Delta^k_{h phi^lam(x)}(f, x)| for each h."""
-    xs = default_x_grid()
-    w = step_weight(xs, lam) if lam != 0 else np.ones_like(xs)
-    return np.array([float(np.max(np.abs(_sym_diff_grid(f, k, h * w, xs)))) for h in hs])
 
 
 # ----------------------------------------------------------------------
@@ -228,12 +216,10 @@ def run_generator_report(r: int, n_list) -> ExperimentTable:
     )
     for n in ns:
         gen = build_generator(n, r)
-        resid = abs(float(gen.P.to_exact().integrate_01() - 1))
-        min_rel = min(_grid_minima_certified(gen.P, r))
         d = {mu: float(gen.moment_deficiency[mu]) for mu in (1, 2, 3, 4)}
         table.rows.append(
-            [n, gen.m, d[1], d[2], d[3], d[4], n * n * d[2], resid, min_rel,
-             gen.precision_bits]
+            [n, gen.m, d[1], d[2], d[3], d[4], n * n * d[2], gen.unit_integral_residual,
+             min(gen.derivative_minima), gen.precision_bits]
         )
     table.assertions["unit_integral_1e20"] = all(row[7] <= 1e-20 for row in table.rows)
     table.assertions["derivatives_nonnegative"] = all(

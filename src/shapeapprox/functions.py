@@ -8,12 +8,11 @@ and declare the k-monotonicity orders they are known to satisfy.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 import mpmath
 import numpy as np
 
-from .polynomial import Polynomial, _to_mpf, _zero_of
+from .polynomial import Polynomial, _to_mpf
 
 
 class FunctionHandle:
@@ -36,6 +35,9 @@ class FunctionHandle:
 
 
 class PolyFunction(FunctionHandle):
+    """A polynomial; its values at Fractions and its moments are exact values
+    of the stored coefficients, whatever their backend."""
+
     def __init__(self, poly: Polynomial, name: str | None = None):
         self.poly = poly.to_monomial()
         self.name = name or "poly"
@@ -50,11 +52,11 @@ class PolyFunction(FunctionHandle):
         return acc
 
     def value_at(self, x):
-        return self.poly(x)
+        return self.poly.to_exact()(x) if isinstance(x, Fraction) else self.poly(x)
 
     def monomial_moments(self, imax: int):
-        c, zero = self.poly.coeffs, _zero_of(self.poly.backend)
-        return [sum((ck / (i + k + 1) for k, ck in enumerate(c)), zero) for i in range(imax + 1)]
+        form = self.poly.integer_form
+        return [form.moment(i) for i in range(imax + 1)]
 
 
 class ExpFunction(FunctionHandle):
@@ -72,9 +74,13 @@ class ExpFunction(FunctionHandle):
 
     def monomial_moments(self, imax: int):
         # I_i = e - i I_{i-1}; the downward recurrence I_{i-1} = (e - I_i)/i
-        # contracts, so a zero guess well above imax converges to full precision
-        start = imax + 60
-        with mpmath.workprec(mpmath.mp.prec + 64):
+        # divides the error of a zero guess at I_start by (imax+1)...start, so
+        # start is the first index where that product passes 2^prec
+        prec = mpmath.mp.prec + 64
+        start, gain = imax, 1
+        while gain <= 1 << prec:
+            start, gain = start + 1, gain * (start + 1)
+        with mpmath.workprec(prec):
             e = mpmath.e + 0
             seq = [mpmath.mpf(0)] * (start + 1)
             for i in range(start, 0, -1):
@@ -127,14 +133,14 @@ class TruncatedPowerFunction(FunctionHandle):
         return np.where(d > 0, d, 0.0) ** self.p
 
     def monomial_moments(self, imax: int):
+        # m_i = int_a^1 t^i (t-a)^p dt; integrating by parts, with
+        # t^(i-1) (t-a)^(p+1) = t^i (t-a)^p - a t^(i-1) (t-a)^p, gives
+        # (p+1+i) m_i = (1-a)^(p+1) + i a m_(i-1)
         a, p = self.a, self.p
-        out = []
-        for i in range(imax + 1):
-            # expand t^i = ((t-a)+a)^i and integrate over [a,1]
-            s = Fraction(0)
-            for j in range(i + 1):
-                s += comb(i, j) * a ** (i - j) * (1 - a) ** (p + j + 1) / Fraction(p + j + 1)
-            out.append(s)
+        top = (1 - a) ** (p + 1)
+        out = [top / (p + 1)]
+        for i in range(1, imax + 1):
+            out.append((top + i * a * out[-1]) / (p + 1 + i))
         return out
 
 

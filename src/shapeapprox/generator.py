@@ -15,7 +15,7 @@ from .polynomial import Polynomial, _to_mpf, bernstein_basis
 from .special import tau
 
 PRECISION_BITS = 256  # working precision of the generator and the M_n image
-UNIT_INTEGRAL_TOL = mpmath.mpf("1e-20")
+UNIT_INTEGRAL_TOL = 1e-20
 GRID_SIGN_REL_TOL = 1e-15
 GRID_POINTS = 2048
 
@@ -31,15 +31,14 @@ class GeneratorPoly:
     P: Polynomial
     moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P
     precision_bits: int  # mantissa bits P is computed and stored at
+    unit_integral_residual: float  # |int P - 1|, exact, rounded once
+    derivative_minima: tuple  # certified grid minimum of each P^(nu), relative
 
 
 def moment(P: Polynomial, mu: int):
     """Integral of x^mu * P(x) over [0,1]: exact for exact P, else the exact
-    value of the stored coefficients rounded at the ambient precision."""
-    form = P.integer_form
-    lcm = math.lcm(*range(mu + 1, form.degree + mu + 2))
-    total = Fraction(sum(a * (lcm // (k + mu + 1)) for k, a in enumerate(form.num)),
-                     form.den * lcm)
+    value of the stored coefficients rounded once at the ambient precision."""
+    total = P.integer_form.moment(mu)
     return total if P.backend == "exact" else _to_mpf(total)
 
 
@@ -107,16 +106,17 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
 
         if P.degree > n:
             raise RegimeError(f"generator degree {P.degree} exceeds n={n}")
-        total = P.integrate_01()
-        if abs(total - 1) > UNIT_INTEGRAL_TOL:
-            raise PrecisionError(f"unit integral off by {abs(total - 1)}")
+        resid = float(abs(P.integer_form.moment(0) - 1))
+        if resid > UNIT_INTEGRAL_TOL:
+            raise PrecisionError(f"unit integral off by {resid}")
         deficiency = {}
         for mu in (1, 2, 3, 4):
             d = 1 - moment(P, mu)
             if d <= 0:
                 raise PrecisionError(f"moment deficiency delta_{mu} = {d} <= 0")
             deficiency[mu] = d
-        for nu, rel_min in enumerate(_grid_minima_certified(P, r)):
+        minima = tuple(_grid_minima_certified(P, r))
+        for nu, rel_min in enumerate(minima):
             if rel_min < -GRID_SIGN_REL_TOL:
                 raise PrecisionError(
                     f"derivative order {nu} dips to {rel_min} (relative) on grid"
@@ -129,6 +129,8 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
         P=P,
         moment_deficiency=deficiency,
         precision_bits=work,
+        unit_integral_residual=resid,
+        derivative_minima=minima,
     )
 
 

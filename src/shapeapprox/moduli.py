@@ -2,9 +2,10 @@
 
 The step weight is phi(x)^lambda with phi(x) = sqrt(x(1-x)); lambda = 0
 recovers the classical modulus.  Suprema are approximated over finite grids
-(64 geometric h-points, 1025 Chebyshev-distributed x-points), so every
+(64 geometric h-points; 1025 Chebyshev-distributed x-points plus, for each h,
+the points where a node of the difference meets an endpoint), so every
 estimate is a lower bound of the true supremum; the grid sizes are recorded
-in the result.
+in the result.  ``modulus_sweep`` is the one sweep behind every estimate.
 """
 from __future__ import annotations
 
@@ -97,40 +98,42 @@ def _sym_diff_grid(f, k: int, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
-    """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
-    discretized over the default grids."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not 0 <= lam <= 2:
-        raise ValueError("lambda must lie in [0,2]")
-    hs = default_h_grid(t)
+def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
+    """For each step bound h in hs, max_x |Delta^k_{h phi^lam(x)}(f, x)| over
+    default_x_grid() and the boundary-aligned points, and the first x that
+    attains it."""
     xs = default_x_grid()
-    w = step_weight(xs, lam) if lam != 0 else np.ones_like(xs)
-    best, best_h, best_x = 0.0, float(hs[0]), float(xs[0])
+    w = step_weight(xs, lam)
+    values, args = [], []
     for h in hs:
         # endpoint-singular functions peak exactly where the leftmost node of
         # the difference touches 0 (mirrored: 1); include those x explicitly
         xa = _boundary_aligned_points(k, lam, h)
-        x_all = np.concatenate([xs, xa]) if len(xa) else xs
-        w_all = (
-            np.concatenate([w, step_weight(xa, lam) if lam != 0 else np.ones_like(xa)])
-            if len(xa)
-            else w
-        )
-        vals = np.abs(_sym_diff_grid(f, k, h * w_all, x_all))
+        x_all = np.concatenate([xs, xa])
+        vals = np.abs(_sym_diff_grid(f, k, h * np.concatenate([w, step_weight(xa, lam)]), x_all))
         j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, best_h, best_x = float(vals[j]), float(h), float(x_all[j])
+        values.append(float(vals[j]))
+        args.append(float(x_all[j]))
+    return np.array(values), np.array(args)
+
+
+def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
+    """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
+    the first maximum of modulus_sweep over default_h_grid(t)."""
+    if not 0 <= lam <= 2:
+        raise ValueError("lambda must lie in [0,2]")
+    hs = default_h_grid(t)  # raises for t <= 0
+    values, args = modulus_sweep(f, k, lam, hs)
+    j = int(np.argmax(values))
     return ModulusEstimate(
         k=k,
         lam=float(lam),
         t=float(t),
-        value=best,
+        value=float(values[j]),
         h_grid_size=len(hs),
-        x_grid_size=len(xs),
-        argmax_h=best_h,
-        argmax_x=best_x,
+        x_grid_size=DEFAULT_X_POINTS,
+        argmax_h=float(hs[j]),
+        argmax_x=float(args[j]),
     )
 
 

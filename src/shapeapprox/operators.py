@@ -12,7 +12,8 @@ Operators are exposed as full polynomial images (``*_image``), which is what
 the shape and moment tests consume.  U_n, D_n (alpha = 0) and H read f once,
 through ``_read_out``, and form the image from that data in exact arithmetic:
 exact data (polynomials, exact moments) give an exact image; otherwise each
-coefficient is rounded once at the ambient precision.
+coefficient is rounded once at PRECISION_BITS, whatever the ambient mpmath
+precision.
 """
 from __future__ import annotations
 
@@ -88,15 +89,14 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
     moments give exact data: b follows from the moments m_i = g_{i,0} by the
     triangle g_{i,j+1} = g_{i,j} - g_{i+1,j}, g_{i,j} = int t^i (1-t)^j f,
     and b_i = C(d,i) g_{i,d-i}.  That triangle multiplies moment errors by
-    less than 3^d, so inexact (mpf) moments are computed with 2d extra bits,
-    plus ``gain`` for a caller whose weights sum to 2^gain in size.  Any
-    other f is integrated by one Gauss-Legendre rule of order max(64, d+4).
+    less than 3^d, so inexact (mpf) moments are computed at PRECISION_BITS
+    plus 2d bits, plus ``gain`` for a caller whose weights sum to 2^gain in
+    size, whatever the ambient precision.  Any other f is integrated by one
+    Gauss-Legendre rule of order max(64, d+4).
     """
     f = _as_handle(f)
-    if isinstance(f, PolyFunction):
-        f = PolyFunction(f.poly.to_exact())
     try:
-        with mpmath.workprec(mpmath.mp.prec + 2 * d + gain):
+        with mpmath.workprec(PRECISION_BITS + 2 * d + gain):
             moments = f.monomial_moments(d)
             exact = all(isinstance(m, (int, Fraction)) for m in moments)
             x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
@@ -120,11 +120,11 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
 
 
 def _coefficients(num, den: int, exact: bool) -> list:
-    """num/den as Fractions, or each rounded once at the ambient precision."""
+    """num/den as Fractions, or each rounded once at PRECISION_BITS (make_mpf
+    keeps those bits; mpf() would round again at the ambient precision)."""
     if exact:
         return [Fraction(v, den) for v in num]
-    prec = mpmath.mp.prec
-    return [mpmath.mpf(from_rational(v, den, prec, round_nearest)) for v in num]
+    return [mpmath.mp.make_mpf(from_rational(v, den, PRECISION_BITS, round_nearest)) for v in num]
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +289,8 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
 
     The weights a_k/(k+1) are huge and alternate in sign while the result is
     O(||f||), so the sum is formed exactly from one read-out of f at degree
-    d, converted to the monomial basis, and rounded once at the ambient
-    precision unless P and the data are exact.  With g_{i,j} =
+    d, converted to the monomial basis, and rounded once at PRECISION_BITS
+    unless P and the data are exact.  With g_{i,j} =
     int t^i (1-t)^j f, U_{k+2}(f) has Bernstein coefficients f(0),
     (k+1) b^(k)_i = (k+1) C(k,i) g_{i,k-i} and f(1).  Adding neighbours on
     the antidiagonal i+j = k (the convex recursion for b^(k)) walks from
@@ -365,9 +365,7 @@ def mn_image(q: int, n: int, f) -> MnResult:
     alpha_n = gen.moment_deficiency[2]
     if alpha_n > 0.25:
         return MnResult(_linear_interpolation_image(f), q, n, r, True, alpha_n, gen)
-    with mpmath.workprec(PRECISION_BITS):
-        img = gavrea_image(gen.P, f)
-    return MnResult(img, q, n, r, False, alpha_n, gen)
+    return MnResult(gavrea_image(gen.P, f), q, n, r, False, alpha_n, gen)
 
 
 # ----------------------------------------------------------------------

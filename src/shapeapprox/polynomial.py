@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import mpmath
 import numpy as np
 from mpmath import mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_nearest, to_rational
 from scipy.stats import binom as _binom
 
 from .errors import BackendError, BasisError, DegreeCapError, DomainError
@@ -43,8 +43,8 @@ _EXACT_TYPES = (int, Fraction)
 def _to_mpf(v):
     if isinstance(v, mpf):
         return v
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / v.denominator
+    if isinstance(v, Fraction):  # rounded once at the ambient precision
+        return mpmath.mp.make_mpf(from_rational(*v.as_integer_ratio(), mpmath.mp.prec, round_nearest))
     return mpmath.mpf(v)
 
 
@@ -91,6 +91,12 @@ class IntegerForm:
         for _ in range(nu):
             c = [y - x for x, y in zip(c, c[1:])]
         return c, self.den * math.factorial(d - nu)
+
+    def moment(self, mu: int) -> Fraction:
+        """int_0^1 x^mu p(x) dx, exactly."""
+        lcm = math.lcm(*range(mu + 1, self.degree + mu + 2))
+        total = sum(a * (lcm // (k + mu + 1)) for k, a in enumerate(self.num))
+        return Fraction(total, self.den * lcm)
 
 
 def _read_integers(p: "Polynomial") -> IntegerForm:

@@ -1,11 +1,15 @@
 """Experiment tables: reproducible CSV serialization and basic assertions."""
+import ast
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from mpmath.libmp import to_rational
 
-from shapeapprox import ExpFunction, LogShiftFunction, build_generator, omega_dt
+import shapeapprox.experiments
+from shapeapprox import ExpFunction, LogShiftFunction, PowerFunction, build_generator, omega_dt
 from shapeapprox.experiments import (
     run_bernstein_xeps,
     run_generator_report,
@@ -29,6 +33,29 @@ def test_mn_error_study_small():
     assert table.ok, table.assertions
     errs = [row[2] for row in table.rows]
     assert errs[1] < errs[0]  # error shrinks with n
+
+
+def test_mn_error_study_uses_the_boundary_aligned_modulus():
+    # x^0.5 at lambda = 1 peaks where the leftmost node of the difference
+    # touches 0; a sweep of the Chebyshev grid alone understated omega there
+    # and reported ratios of 5.409003 and 5.937328
+    table = run_mn_error_study(1, 1.0, PowerFunction(0.5), [32, 64])
+    ratios = [row[3] for row in table.rows]
+    assert ratios == pytest.approx([4.794651, 4.862898], abs=1e-6)
+
+
+def test_experiments_import_no_private_library_names():
+    # the experiments reuse the library's computations instead of copying them
+    tree = ast.parse(inspect.getsource(shapeapprox.experiments))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] in ("moduli", "generator")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_lambda2_counterexample():

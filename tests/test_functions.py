@@ -1,5 +1,6 @@
 """Function handles and the named catalog."""
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from shapeapprox import (
     TruncatedPowerFunction,
     catalog,
     linear,
+    mn_image,
     monomial,
     q_monotone_catalog,
 )
+from shapeapprox.polynomial import bernstein_basis
 
 
 def test_exp_moments_downward_recurrence():
@@ -27,6 +30,31 @@ def test_exp_moments_downward_recurrence():
     expect = [e - 1, 1.0, e - 2, 6 - 2 * e]
     for a, b in zip(moments, expect):
         assert float(a) == pytest.approx(b, rel=1e-12)
+
+
+def test_exp_moments_reach_the_read_out_precision():
+    # at n = 460 the image reads 458 moments at over 1000 bits; a recurrence
+    # started a fixed 60 steps above them left errors that blew the image up
+    xs = np.linspace(0.0, 1.0, 1025)
+    coeffs, _ = mn_image(1, 460, ExpFunction()).poly.bernstein_float64()
+    values = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
+    assert np.max(np.abs(values - np.exp(xs))) <= 1e-3
+
+
+def _truncated_power_moments_by_binomial_sums(a, p, imax):
+    """int_a^1 t^i (t-a)^p dt from t^i = ((t-a)+a)^i, term by term."""
+    return [
+        sum(comb(i, j) * a ** (i - j) * (1 - a) ** (p + j + 1) / Fraction(p + j + 1)
+            for j in range(i + 1))
+        for i in range(imax + 1)
+    ]
+
+
+def test_truncated_power_moments_recurrence_matches_binomial_sums():
+    for a in (Fraction(3, 10), Fraction(3, 5), Fraction(1, 2), Fraction(7, 9)):
+        for p in (1, 2, 3, 5):
+            got = TruncatedPowerFunction(a, p).monomial_moments(40)
+            assert got == _truncated_power_moments_by_binomial_sums(a, p, 40)
 
 
 def test_power_function_exact_moments():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from shapeapprox import (
     Polynomial,
@@ -72,6 +73,23 @@ def test_moment_of_unit_mass():
         assert abs(m0 - 1) <= mpmath.mpf("1e-20")
         m2 = moment(gen.P, 2)
         assert abs((1 - m2) - gen.moment_deficiency[2]) <= mpmath.mpf("1e-25")
+
+
+def test_moment_is_rounded_once():
+    gen = build_generator(64, 1)
+    exact = moment(gen.P.to_exact(), 2)
+    with mpmath.workprec(gen.precision_bits):
+        got = moment(gen.P, 2)
+    assert got._mpf_ == from_rational(exact.numerator, exact.denominator,
+                                      gen.precision_bits, round_nearest)
+
+
+@pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])
+def test_build_records_its_certificate(n, r):
+    gen = build_generator(n, r)
+    assert gen.unit_integral_residual == abs(float(gen.P.to_exact().integrate_01() - 1))
+    assert gen.derivative_minima == tuple(_grid_minima_certified(gen.P, r))
+    assert min(gen.derivative_minima) >= -GRID_SIGN_REL_TOL
 
 
 def test_delta2_decays_like_inverse_square():

@@ -11,10 +11,17 @@ from shapeapprox import (
     bound_envelope,
     fit_modulus_exponent,
     linear,
+    modulus_sweep,
     omega,
     omega_dt,
     step_weight,
     sym_diff,
+)
+from shapeapprox.moduli import (
+    _boundary_aligned_points,
+    _sym_diff_grid,
+    default_h_grid,
+    default_x_grid,
 )
 
 
@@ -58,6 +65,29 @@ def test_omega_exp_second_order():
     est = omega(f, 2, t)
     assert est.value <= t * t * math.e * 1.05
     assert est.value >= t * t * 0.5
+
+
+def test_omega_dt_is_the_first_maximum_of_the_sweep():
+    f = PowerFunction(0.5)
+    for k, lam, t in ((1, 0.0, 0.1), (2, 1.0, 0.05), (3, 1.5, 0.5)):
+        hs = default_h_grid(t)
+        values, args = modulus_sweep(f, k, lam, hs)
+        est = omega_dt(f, k, lam, t)
+        j = int(np.argmax(values))
+        assert (est.value, est.argmax_h, est.argmax_x) == (values[j], hs[j], args[j])
+
+
+def test_sweep_reaches_the_boundary_aligned_points():
+    # x^0.5 at lambda = 1 peaks where the leftmost node of the second
+    # difference sits at 0, which no Chebyshev grid point does
+    f = PowerFunction(0.5)
+    hs = np.geomspace(1e-4, 0.1, 8)
+    values, args = modulus_sweep(f, 2, 1.0, hs)
+    xs = default_x_grid()
+    for h, value, x in zip(hs, values, args):
+        on_grid = np.max(np.abs(_sym_diff_grid(f, 2, h * step_weight(xs, 1.0), xs)))
+        assert value > on_grid
+        assert x in _boundary_aligned_points(2, 1.0, h)
 
 
 def test_fitted_exponent_classical_smooth():

@@ -180,8 +180,8 @@ def _grid_values(p: Polynomial, points: int = 1025) -> np.ndarray:
 
 
 def test_durrmeyer_images_of_exp_moments():
-    # n = 100 at the default 53 bits: turning exp's mpf moments into
-    # Bernstein moments amplifies their rounding by up to 3^98
+    # n = 100: turning exp's mpf moments into Bernstein moments amplifies
+    # their rounding by up to 3^98, which the read-out's 2d extra bits absorb
     for image in (genuine_durrmeyer_image, durrmeyer_image):
         by_moments = image(100, ExpFunction()).coeffs
         by_quadrature = image(100, lambda x: np.exp(x)).coeffs
@@ -199,7 +199,7 @@ def test_mn_image_quadrature_and_moment_reads_agree():
 
 def test_gavrea_image_is_rounded_once():
     # an mpf generator and an exact cubic: the image is the exact image of
-    # P's rational values, each coefficient rounded once at the ambient 256 bits
+    # P's rational values, each coefficient rounded once at PRECISION_BITS (256)
     P = build_generator(40, 1).P
     f = PolyFunction(Polynomial.monomial([Fraction(1, 3), -2, Fraction(5, 7), 1]))
     with mpmath.workprec(256):
@@ -208,3 +208,16 @@ def test_gavrea_image_is_rounded_once():
     want = [from_rational(c.numerator, c.denominator, 256, round_nearest) for c in exact]
     assert len(got) == len(want) == 4
     assert [g._mpf_ for g in got] == want
+
+
+def test_images_do_not_depend_on_the_ambient_precision():
+    # each image is rounded once at PRECISION_BITS whether the caller works
+    # at the default 53 bits or at more
+    P = build_generator(40, 1).P
+    images = (lambda: genuine_durrmeyer_image(60, ExpFunction()),
+              lambda: durrmeyer_image(60, ExpFunction()),
+              lambda: gavrea_image(P, ExpFunction()))
+    for image in images:
+        at_default = [c._mpf_ for c in image().coeffs]
+        with mpmath.workprec(400):
+            assert [c._mpf_ for c in image().coeffs] == at_default
