@@ -40,10 +40,12 @@ def _int_list(text: str):
 
 
 def _load_function(spec: str):
-    """Catalog name, or a path to a polynomial JSON file."""
+    """Catalog name, or a path to a polynomial JSON file: a polynomial, or
+    the output of ``gen-poly`` (which holds it under ``P``)."""
     if spec.endswith(".json"):
         with open(spec) as fh:
-            return Polynomial.from_json(fh.read())
+            obj = json.load(fh)
+        return Polynomial.from_json(json.dumps(obj.get("P", obj)))
     return catalog(spec)
 
 

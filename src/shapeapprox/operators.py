@@ -25,7 +25,6 @@ from math import comb
 import mpmath
 import numpy as np
 from mpmath.libmp import from_rational, round_nearest
-from scipy.special import roots_jacobi
 
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
@@ -205,6 +204,8 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
             out.append(acc)
         return Polynomial.bernstein(out)
     # Gauss-Jacobi quadrature with weight t^alpha (1-t)^alpha on [0,1]
+    from scipy.special import roots_jacobi  # imported here: other reads load no scipy
+
     a = float(alpha)
     u, w = roots_jacobi(max(64, n + 2), a, a)
     t = (u + 1) / 2

@@ -12,7 +12,8 @@ Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
 per instance; ``Polynomial.bernstein_float64`` rounds the Bernstein
 coefficients of any derivative from it, and ``bernstein_basis`` evaluates
-that basis on a grid; both are independent of the ambient precision.
+that basis on a grid in float64 numpy, by ratios taken outward from each
+row's mode (no scipy); both are independent of the ambient precision.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 from mpmath.libmp import from_rational, round_nearest, to_rational
-from scipy.stats import binom as _binom
 
 from .errors import BackendError, BasisError, DegreeCapError, DomainError
 
@@ -136,11 +136,32 @@ def _json_bits(text: str) -> int:
 
 
 def bernstein_basis(n: int, xs) -> np.ndarray:
-    """float64 values p_{n,k}(x_i), shape (len(xs), n+1), via the binomial
-    pmf. Every entry is nonnegative, so products with coefficient vectors
-    are stable."""
+    """float64 values p_{n,k}(x_i), shape (len(xs), n+1); DomainError for x
+    outside [0,1] or NaN.
+
+    Each row is built outward from its mode m = min(floor((n+1)x), n) by the
+    ratios p_k/p_{k-1} = (n-k+1)/k t above it and p_k/p_{k+1} = (k+1)/(n-k)/t
+    below it, t = x/(1-x), then divided by its sum. Every ratio away from the
+    mode is at most 1, so nothing overflows and only negligible tails
+    underflow; x = 0 and x = 1 give exact unit rows. Every entry is
+    nonnegative, so products with coefficient vectors are stable."""
+    x = np.asarray(xs, dtype=float)[:, None]
+    inside = (x >= 0) & (x <= 1)  # False for NaN
+    if not inside.all():
+        raise DomainError(f"Bernstein basis evaluated at x={x[~inside][0]} outside [0,1]")
     k = np.arange(n + 1)
-    return _binom.pmf(k[None, :], n, np.asarray(xs, dtype=float)[:, None])
+    m = np.minimum(np.floor((n + 1) * x), n)
+    with np.errstate(divide="ignore"):  # t = inf at x = 1, 1/t = inf at x = 0
+        t = x / (1 - x)
+        up = (n - k + 1) / np.maximum(k, 1) * t
+        down = (k + 1) / np.maximum(n - k, 1) / t
+    np.copyto(up, 1.0, where=k <= m)
+    np.copyto(down, 1.0, where=k >= m)
+    np.cumprod(up, axis=1, out=up)  # p_k/p_m above the mode
+    np.cumprod(down[:, ::-1], axis=1, out=down[:, ::-1])  # p_k/p_m below it
+    up *= down
+    up /= up.sum(axis=1, keepdims=True)
+    return up
 
 
 def _normalize(coeffs: Iterable) -> tuple[tuple, str]:

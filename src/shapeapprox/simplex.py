@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SolverError
 
@@ -36,6 +35,8 @@ def solve_lp(c, A, b) -> SimplexResult:
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
+    from scipy.optimize import linprog  # imported here: commands without an LP load no scipy
+
     res = linprog(
         c, A_ub=A, b_ub=b, bounds=(0, None), method="highs-ds",
         options={"primal_feasibility_tolerance": FEASIBILITY_TOL,

@@ -3,6 +3,8 @@ hash, and JSON polynomial round-trips."""
 import argparse
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +158,26 @@ def test_readme_cli_covers_every_subcommand():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert sorted(argv[0] for argv in _readme_commands()) == sorted(sub.choices)
+
+
+def test_apply_reads_gen_poly_output(tmp_path):
+    gen = tmp_path / "gen.json"
+    assert main(["gen-poly", "--n", "64", "--r", "2", "--out", str(gen)]) == 0
+    poly = tmp_path / "P.json"
+    poly.write_text(json.dumps(json.loads(_read(gen))["P"]))
+    outs = []
+    for name, source in [("from_gen", gen), ("from_P", poly)]:
+        out = tmp_path / f"{name}.csv"
+        assert main(["apply", "--op", "bernstein", "--n", "70", "--f", str(source),
+                     "--out", str(out)]) == 0
+        outs.append(_rows(_read(out)))
+    assert outs[0] == outs[1] and len(outs[0]) == 17
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import shapeapprox.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

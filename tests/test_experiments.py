@@ -28,6 +28,18 @@ def test_bernstein_xeps_small():
     assert csv == run_bernstein_xeps(0.5, [64, 256, 1024]).to_csv()
 
 
+def test_bernstein_xeps_midpoint_error_is_the_exact_sum():
+    # err_mid against the same float64 data summed exactly with the exact
+    # weights C(n,k)/2^n
+    f = PowerFunction(0.5)
+    table = run_bernstein_xeps(0.5, [256, 1024])
+    for n, err_mid in ((row[0], row[1]) for row in table.rows):
+        fk = np.asarray(f(np.arange(n + 1) / n), dtype=float)
+        exact = Fraction(float(f(0.5))) - sum(
+            Fraction(math.comb(n, k), 2**n) * Fraction(v) for k, v in enumerate(fk))
+        assert abs(Fraction(err_mid) - abs(exact)) <= Fraction(2e-16)
+
+
 def test_mn_error_study_small():
     table = run_mn_error_study(1, 0.0, ExpFunction(), [32, 64])
     assert table.ok, table.assertions

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shapeapprox import BasisError, DomainError, Polynomial, build_generator, check_k_monotone_poly
+from shapeapprox.polynomial import bernstein_basis
 
 
 def test_monomial_eval_horner_exact():
@@ -150,3 +151,62 @@ def test_basis_bernstein_partition_of_unity():
         total = total + Polynomial.basis_bernstein(n, k)
     x = Fraction(3, 11)
     assert total(x) == 1
+
+
+# Points of the evaluator tests: 257 equispaced, a tiny x and
+# the largest double below 1.
+_BASIS_XS = np.concatenate([np.linspace(0.0, 1.0, 257), [1e-17, 1 - 2**-53]])
+
+
+def _row_relative(a, b):
+    return np.max(np.abs(a - b), axis=1) / np.max(np.abs(b), axis=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 100, 1030, 4096, 16384])
+def test_bernstein_basis_matches_binom_pmf(n):
+    # binom.pmf is the oracle; it is itself a few 1e-15 off the 300-bit
+    # values of the next test, hence the looser bound
+    from scipy.stats import binom
+
+    got = bernstein_basis(n, _BASIS_XS)
+    ref = binom.pmf(np.arange(n + 1)[None, :], n, _BASIS_XS[:, None])
+    assert got.shape == (len(_BASIS_XS), n + 1)
+    assert np.max(_row_relative(got, ref)) <= 5e-14
+
+
+def _basis_row_300_bits(n, x):
+    """p_{n,k}(x), k = 0..n, at 300 bits by the ratio recurrence from k = 0,
+    rounded once to float64."""
+    with mpmath.workprec(300):
+        x = mpmath.mpf(x)
+        p = (1 - x) ** n
+        row = [p]
+        for k in range(1, n + 1):
+            p = p * (n - k + 1) / k * x / (1 - x)
+            row.append(p)
+        return np.array([float(v) for v in row])
+
+
+@pytest.mark.parametrize("n", [64, 513, 2048])
+def test_bernstein_basis_matches_300_bit_values(n):
+    xs = np.concatenate([[1e-300, 1e-17, 1e-3, 0.5, 1 - 2**-53],
+                         np.random.default_rng(n).random(11)])
+    ref = np.array([_basis_row_300_bits(n, x) for x in xs])
+    assert np.max(_row_relative(bernstein_basis(n, xs), ref)) <= 4e-15
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 1030, 4096])
+def test_bernstein_basis_rows_are_probability_vectors(n):
+    basis = bernstein_basis(n, _BASIS_XS)
+    assert np.all(basis >= 0)
+    assert np.max(np.abs(basis.sum(axis=1) - 1)) <= 1e-15
+    unit = np.zeros(n + 1)
+    unit[0] = 1
+    assert np.array_equal(basis[0], unit)  # x = 0
+    assert np.array_equal(basis[256], unit[::-1])  # x = 1
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), -float("inf")])
+def test_bernstein_basis_outside_domain_raises(bad):
+    with pytest.raises(DomainError):
+        bernstein_basis(8, [0.5, bad])
