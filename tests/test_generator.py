@@ -1,6 +1,7 @@
 """Generating polynomials: unit integral, nonnegative derivatives, and
 second-moment deficiency decay."""
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from shapeapprox.generator import (
     _grid_minima_certified,
     _grid_relative_orders,
 )
+from shapeapprox.special import tau
 
 XS = np.linspace(0.0, 1.0, GRID_POINTS)
 
@@ -200,3 +202,65 @@ def test_precision_bits_is_the_stored_precision(n, r, bits):
     gen = build_generator(n, r)
     assert gen.precision_bits == bits
     assert max(mpmath.mpf(c).man.bit_length() for c in gen.P.coeffs) <= bits
+
+
+@pytest.mark.parametrize("n, r", [(69, 1), (430, 2), (439, 3)])
+def test_generator_has_one_narrow_denominator(n, r):
+    # P is rounded once onto one power of two that keeps precision_bits bits
+    # of its largest coefficient, so its exact read needs no wider denominator
+    gen = build_generator(n, r)
+    den = gen.P.integer_form.den
+    assert den & (den - 1) == 0
+    assert den.bit_length() <= gen.precision_bits
+
+
+def exact_generator(n, r):
+    """P from the library's own tau in exact arithmetic: tau^(4r), its r-fold
+    antiderivative and lambda, with nothing rounded."""
+    gen = build_generator(n, r)
+    with mpmath.workprec(gen.precision_bits):
+        t = tau(gen.m, prec_bits=gen.precision_bits)
+    Q = t.poly.to_exact() ** (4 * r)
+    lam = r / (Q * Polynomial.monomial([1, -1]) ** r).integrate_01()
+    kernel = Q
+    for _ in range(r):
+        kernel = kernel.antidifferentiate_from_zero()
+    return kernel.scale(lam * math.factorial(r - 1))
+
+
+@pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])
+def test_generator_matches_exact_construction(n, r):
+    # every Bernstein coefficient of P - exact P is below 2^-PRECISION_BITS of
+    # P's largest Bernstein coefficient
+    P = build_generator(n, r).P.to_exact()
+    d = P.degree
+    want = exact_generator(n, r)
+    assert want.degree == d
+    err = max(map(abs, (P - want).to_bernstein(d).coeffs))
+    scale = max(map(abs, P.to_bernstein(d).coeffs))
+    assert err <= Fraction(1, 2**generator.PRECISION_BITS) * scale
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = random.Random(11)
+    cases = [([5], [-7]), ([0], [3, -1]), ([-1, 0, 0, -2**300], [0, 0, 1]),
+             ([2**64 - 1] * 3, [-(2**64 - 1)] * 5), ([1, -1], [1, -1])]
+    for _ in range(200):
+        la, lb = rng.randint(1, 40), rng.randint(1, 40)
+        bits = rng.choice([1, 8, 63, 64, 65, 300])
+        a = [rng.randint(-2**bits, 2**bits) * rng.randint(0, 1) for _ in range(la)]
+        b = [rng.randint(-2**bits, 2**bits) for _ in range(lb)]
+        a[-1] = -abs(a[-1]) or -1  # negative leading coefficient
+        cases.append((a, b))
+    for a, b in cases:
+        assert generator._kronecker_mul(a, b) == schoolbook(a, b)
+    a = cases[-1][0]
+    assert generator._kronecker_mul(a, a) == schoolbook(a, a)
