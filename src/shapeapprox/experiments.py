@@ -202,16 +202,15 @@ def run_lambda2_counterexample(eps_list, n: int = 5) -> ExperimentTable:
 
 # ----------------------------------------------------------------------
 def run_generator_report(r: int, n_list) -> ExperimentTable:
-    """Moment-deficiency table, unit-integral residuals, derivative sign
-    verdicts, and the log-log decay slope of delta_2."""
+    """Moment-deficiency table, unit-integral residuals, build precisions,
+    and the log-log decay slope of delta_2."""
     ns = [int(n) for n in n_list]
     table = ExperimentTable(
         name="generator-report",
         config={"r": r, "n_list": ns, "prec_bits": PRECISION_BITS},
         columns=[
             "n", "m", "delta_1", "delta_2", "delta_3", "delta_4",
-            "n2_delta_2", "unit_integral_residual", "min_derivative_rel",
-            "precision_bits",
+            "n2_delta_2", "unit_integral_residual", "precision_bits",
         ],
     )
     for n in ns:
@@ -219,12 +218,9 @@ def run_generator_report(r: int, n_list) -> ExperimentTable:
         d = {mu: float(gen.moment_deficiency[mu]) for mu in (1, 2, 3, 4)}
         table.rows.append(
             [n, gen.m, d[1], d[2], d[3], d[4], n * n * d[2], gen.unit_integral_residual,
-             min(gen.derivative_minima), gen.precision_bits]
+             gen.precision_bits]
         )
     table.assertions["unit_integral_1e20"] = all(row[7] <= 1e-20 for row in table.rows)
-    table.assertions["derivatives_nonnegative"] = all(
-        row[8] >= -1e-15 for row in table.rows
-    )
     n2d2 = [row[6] for row in table.rows]
     table.assertions["n2_delta2_within_factor_4"] = max(n2d2) <= 4 * min(n2d2)
     if len(ns) >= 3:

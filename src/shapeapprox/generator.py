@@ -1,18 +1,23 @@
 """Construction of the generating polynomial P_n with nonnegative derivatives
 up to order r, unit integral, and O(n^-2) moment deficiency.
 
-P = lambda (r-1)! int^r Q with Q = tau^(4r) is built in Python integers after
-tau: tau's mpf coefficients are read exactly over one power of two, Q is
-raised by repeated squaring with each product made by Kronecker substitution
-(one big-integer multiply) and rounded to ``precision_bits`` bits of its
-largest coefficient, lambda and the r-fold antiderivative are exact, and P
-is rounded once onto one power-of-two denominator that keeps
-``precision_bits`` bits of its largest coefficient."""
+P = lambda (r-1)! int^r S^2 with S = tau^(2r) is built in Python integers
+after tau: tau's mpf coefficients are read exactly over one power of two; S
+comes by repeated squaring, each product one big-integer multiply (Kronecker
+substitution) rounded to ``precision_bits`` bits of its largest coefficient;
+S^2 is one more product, not rounded. The only other rounding is of kappa =
+lambda/L, L = lcm_j r C(j+r,r), to ``precision_bits`` bits, after which every
+coefficient of P is an exact dyadic and is stored exactly.
+
+The construction is the certificate: P^(r) = lambda~ (r-1)! S^2 >= 0 on all
+of R, lambda~ = L kappa~ > 0, and P has no coefficient below x^r, so each
+P^(nu), nu < r, is the integral from 0 of the one above it and P^(nu) >= 0 on
+[0,1] for nu <= r. Rounding kappa moves only int P - 1, to about
+2^-precision_bits. The build checks the identity exactly on the stored P."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -20,13 +25,10 @@ import numpy as np
 from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError, RegimeError
-from .polynomial import Polynomial, _to_mpf, bernstein_basis
+from .polynomial import Polynomial, _round_to_bits, _to_mpf
 from .special import tau
 
 PRECISION_BITS = 256  # working precision of the generator and the M_n image
-UNIT_INTEGRAL_TOL = 1e-20
-GRID_SIGN_REL_TOL = 1e-15
-GRID_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,13 @@ class GeneratorPoly:
     n: int
     r: int
     m: int
-    lambda_n: mpmath.mpf
-    P: Polynomial
+    lambda_n: mpmath.mpf  # lambda~ = L kappa~, exactly the scale P carries
+    P: Polynomial  # exactly lambda_n (r-1)! int^r S^2, over one power of two
     moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P
-    # bits of P's largest coefficient; all coefficients share one
-    # power-of-two denominator
+    # bits each product of tau's power and kappa are rounded to:
+    # PRECISION_BITS plus guard bits for deg Q
     precision_bits: int
     unit_integral_residual: float  # |int P - 1|, exact, rounded once
-    derivative_minima: tuple  # certified grid minimum of each P^(nu), relative
 
 
 def moment(P: Polynomial, mu: int):
@@ -51,45 +52,6 @@ def moment(P: Polynomial, mu: int):
     value of the stored coefficients rounded once at the ambient precision."""
     total = P.integer_form.moment(mu)
     return total if P.backend == "exact" else _to_mpf(total)
-
-
-def _grid_relative_orders(poly: Polynomial, r: int):
-    """poly^(nu) for nu = 0..r on a uniform GRID_POINTS grid of [0,1], from
-    one basis matrix: the grid, one column of values per order, each divided
-    by the largest Bernstein coefficient of poly^(nu) at its native degree,
-    and those scales.
-
-    The exact Bernstein coefficients of each poly^(nu) are raised to degree
-    d = deg poly (integer convex recursion, nu steps) and rounded once, so
-    one product with the degree-d basis evaluates every derivative."""
-    form = poly.integer_form
-    d = form.degree
-    columns, scales = [], []
-    for nu in range(r + 1):
-        c, den = form.derivative(nu)
-        scales.append(max(1e-300, max(map(abs, c)) / den))
-        for k in range(len(c) - 1, d):  # c'_i = (i c_{i-1} + (k+1-i) c_i)/(k+1)
-            c = [i * x + (k + 1 - i) * y for i, x, y in zip(range(k + 2), [0] + c, c + [0])]
-            den *= k + 1
-        columns.append([x / den for x in c])
-    xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    return xs, bernstein_basis(d, xs) @ np.array(columns).T / np.array(scales), scales
-
-
-def _grid_minima_certified(poly: Polynomial, r: int) -> list:
-    """The grid minimum of each relative column of _grid_relative_orders.
-    float64 Bernstein evaluation is only good to a few ulps at high degree,
-    so grid points dipping below the sign tolerance are evaluated again
-    exactly."""
-    xs, vals, scales = _grid_relative_orders(poly, r)
-    minima = []
-    for nu, col in enumerate(vals.T):
-        low = col < -GRID_SIGN_REL_TOL
-        if low.any():
-            exact = poly.to_exact().differentiate(nu)
-            col = [*col[~low], min(float(exact(Fraction(x))) for x in xs[low]) / scales[nu]]
-        minima.append(float(np.min(col)))
-    return minima
 
 
 def _dyadic(coeffs) -> tuple[list, int]:
@@ -127,26 +89,6 @@ def _kronecker_mul(a: list, b: list) -> list:
     return out
 
 
-def _round_div(x: int, den: int, e: int) -> int:
-    """The integer nearest x / (den 2^e), for den > 0 (ties up)."""
-    if e >= 0:
-        den <<= e
-    else:
-        x <<= -e
-    return (2 * x + den) // (2 * den)
-
-
-def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
-    """The values num[j]/den, den > 0, rounded to the nearest multiples of the
-    one power of two 2^e that keeps `bits` bits of the largest: the
-    integers c[j] ~ num[j]/den 2^-e and e."""
-    top = max(map(abs, num))
-    e = top.bit_length() - den.bit_length() - bits
-    if _round_div(top, den, e).bit_length() > bits:
-        e += 1
-    return [_round_div(x, den, e) for x in num], e
-
-
 def _power(c: list, e: int, k: int, bits: int) -> tuple[list, int]:
     """(sum_j c[j] 2^e x^j)^k by repeated squaring, each product rounded to
     `bits` bits of its largest coefficient."""
@@ -167,9 +109,9 @@ def _power(c: list, e: int, k: int, bits: int) -> tuple[list, int]:
 
 @lru_cache(maxsize=64)
 def build_generator(n: int, r: int) -> GeneratorPoly:
-    """Build the generating polynomial P = lambda (r-1)! int^r Q, Q = tau^(4r),
-    for n > 8r; raises PrecisionError when the result fails its
-    certification."""
+    """Build the generating polynomial P = lambda (r-1)! int^r S^2, S =
+    tau^(2r), for n > 8r; raises PrecisionError when the stored P is not that
+    construction or a moment deficiency is not positive."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n <= 8 * r:
@@ -179,38 +121,41 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     work = PRECISION_BITS + 2 * deg_q + 64  # convolution/conversion guard digits
     with mpmath.workprec(work):
         t = tau(m, prec_bits=work)
-        q, eq = _power(*_dyadic(t.poly.coeffs), 4 * r, work)  # Q = sum q_j 2^eq x^j
+        s, es = _power(*_dyadic(t.poly.coeffs), 2 * r, work)  # S = sum s_j 2^es x^j
+        q, eq = _kronecker_mul(s, s), 2 * es  # Q = S^2, exact
         # int_0^1 x^j (1-x)^r = j! r!/(j+r+1)!, so with D = (deg Q + r + 1)!
-        # and g_j = D j!/(j+r+1)!, int Q (1-x)^r = 2^eq r! S/D, S = sum q_j g_j.
-        # P = lambda (r-1)! sum q_j 2^eq j!/(j+r)! x^(j+r) with lambda = r/that
-        # integral, so its x^(j+r) coefficient is q_j g_j (j+r+1)/S exactly.
+        # and g_j = D j!/(j+r+1)!, int Q (1-x)^r = 2^eq r! G/D, G = sum q_j g_j,
+        # and lambda = r/that integral = D/((r-1)! 2^eq G). P's x^(j+r)
+        # coefficient lambda (r-1)! 2^eq q_j j!/(j+r)! is kappa 2^eq q_j L/b_j
+        # with b_j = r C(j+r,r), L = lcm_j b_j and kappa = lambda/L.
         fact = [1]
         for i in range(1, deg_q + r + 2):
             fact.append(fact[-1] * i)
-        g = [fact[-1] // fact[j + r + 1] * fact[j] for j in range(len(q))]
-        s = sum(x * y for x, y in zip(q, g))
-        lam = _to_mpf(Fraction(fact[-1], fact[r - 1] * s) / Fraction(2) ** eq)
-        num = [0] * r + [x * y * (j + r + 1) for j, (x, y) in enumerate(zip(q, g))]
-        coeffs, e = _round_to_bits(num, s, work)
-        P = Polynomial.monomial([mpmath.mp.make_mpf(from_man_exp(c, e)) for c in coeffs])
+        G = sum(x * (fact[-1] // fact[j + r + 1] * fact[j]) for j, x in enumerate(q))
+        b = [r * math.comb(j + r, r) for j in range(len(q))]
+        L = math.lcm(*b)
+        (k,), ek = _round_to_bits([fact[-1]], fact[r - 1] * G * L, work)  # kappa~ 2^eq = k 2^ek
+        lam = mpmath.mp.make_mpf(from_man_exp(k * L, ek - eq))
+        P = Polynomial.monomial(
+            [0] * r + [mpmath.mp.make_mpf(from_man_exp(k * x * (L // y), ek)) for x, y in zip(q, b)]
+        )
 
         if P.degree > n:
             raise RegimeError(f"generator degree {P.degree} exceeds n={n}")
+        # the certificate, on the stored coefficients: none below x^r, and
+        # P^(r) (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q
+        num = P.integer_form.num
+        d = [x * math.perm(j + r, r) for j, x in enumerate(num[r:])]
+        if (any(num[:r]) or len(d) != len(q) or d[-1] * q[-1] <= 0
+                or any(x * q[-1] != y * d[-1] for x, y in zip(d, q))):
+            raise PrecisionError(f"stored P^({r}) is not a positive multiple of tau^{4 * r}")
         resid = float(abs(P.integer_form.moment(0) - 1))
-        if resid > UNIT_INTEGRAL_TOL:
-            raise PrecisionError(f"unit integral off by {resid}")
         deficiency = {}
         for mu in (1, 2, 3, 4):
-            d = 1 - moment(P, mu)
-            if d <= 0:
-                raise PrecisionError(f"moment deficiency delta_{mu} = {d} <= 0")
-            deficiency[mu] = d
-        minima = tuple(_grid_minima_certified(P, r))
-        for nu, rel_min in enumerate(minima):
-            if rel_min < -GRID_SIGN_REL_TOL:
-                raise PrecisionError(
-                    f"derivative order {nu} dips to {rel_min} (relative) on grid"
-                )
+            dm = 1 - moment(P, mu)
+            if dm <= 0:
+                raise PrecisionError(f"moment deficiency delta_{mu} = {dm} <= 0")
+            deficiency[mu] = dm
     return GeneratorPoly(
         n=n,
         r=r,
@@ -220,7 +165,6 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
         moment_deficiency=deficiency,
         precision_bits=work,
         unit_integral_residual=resid,
-        derivative_minima=minima,
     )
 
 

@@ -24,11 +24,11 @@ from math import comb
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import Polynomial, _to_fraction, bernstein_basis
+from .polynomial import Polynomial, _round_to_bits, _to_fraction, bernstein_basis
 from .special import pochhammer
 
 
@@ -119,11 +119,16 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
 
 
 def _coefficients(num, den: int, exact: bool) -> list:
-    """num/den as Fractions, or each rounded once at PRECISION_BITS (make_mpf
-    keeps those bits; mpf() would round again at the ambient precision)."""
+    """num/den as Fractions, or each rounded once to PRECISION_BITS bits, to
+    nearest with ties to even (make_mpf keeps those bits; mpf() would round
+    again at the ambient precision)."""
     if exact:
         return [Fraction(v, den) for v in num]
-    return [mpmath.mp.make_mpf(from_rational(v, den, PRECISION_BITS, round_nearest)) for v in num]
+    out = []
+    for v in num:
+        (c,), e = _round_to_bits([v], den, PRECISION_BITS)
+        out.append(mpmath.mp.make_mpf(from_man_exp(c, e)))
+    return out
 
 
 # ----------------------------------------------------------------------

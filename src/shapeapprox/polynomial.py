@@ -64,6 +64,29 @@ def _to_fraction(v) -> Fraction:
     return Fraction(*_rational(v))
 
 
+def _round_div(x: int, den: int, e: int) -> int:
+    """The integer nearest x / (den 2^e), for den > 0, ties to even (as
+    mpmath's round_nearest)."""
+    if e >= 0:
+        den <<= e
+    else:
+        x <<= -e
+    q, rem = divmod(x, den)
+    return q + (2 * rem > den or (2 * rem == den and q & 1))
+
+
+def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
+    """The values num[j]/den, den > 0, rounded to the nearest multiples of the
+    one power of two 2^e that keeps `bits` bits of the largest: the
+    integers c[j] ~ num[j]/den 2^-e and e. For one value, c 2^e is
+    from_rational(num[0], den, bits, round_nearest) bit for bit."""
+    top = max(map(abs, num))
+    e = top.bit_length() - den.bit_length() - bits
+    if _round_div(top, den, e).bit_length() > bits:
+        e += 1
+    return [_round_div(x, den, e) for x in num], e
+
+
 @dataclass(frozen=True)
 class IntegerForm:
     """The exact value of a polynomial p of degree d, as integers over one

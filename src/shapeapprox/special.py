@@ -35,10 +35,10 @@ def chebyshev_T(m: int) -> Polynomial:
         return Polynomial.monomial([1])
     if m == 1:
         return Polynomial.monomial([0, 1])
-    tm2 = [Fraction(1)]
-    tm1 = [Fraction(0), Fraction(1)]
+    tm2 = [1]
+    tm1 = [0, 1]
     for _ in range(2, m + 1):
-        nxt = [Fraction(0)] + [2 * c for c in tm1]
+        nxt = [0] + [2 * c for c in tm1]
         for i, c in enumerate(tm2):
             nxt[i] -= c
         tm2, tm1 = tm1, nxt

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from shapeapprox import (
     Polynomial,
@@ -22,29 +22,17 @@ from shapeapprox import (
     moment,
     polynomial,
 )
-from shapeapprox.generator import (
-    GRID_POINTS,
-    GRID_SIGN_REL_TOL,
-    _grid_minima_certified,
-    _grid_relative_orders,
-)
 from shapeapprox.special import tau
 
-XS = np.linspace(0.0, 1.0, GRID_POINTS)
+XS = np.linspace(0.0, 1.0, 2048)
 
 
 def native_relative(poly, nu):
-    """poly^(nu) on the sign grid from its own native-degree Bernstein form,
-    divided by its largest coefficient: the oracle for the one-basis check."""
+    """poly^(nu) on a 2048-point grid from its own native-degree Bernstein
+    form, divided by its largest coefficient."""
     coeffs, _ = poly.bernstein_float64(nu)
     scale = max(1e-300, float(np.max(np.abs(coeffs))))
-    return polynomial.bernstein_basis(len(coeffs) - 1, XS) @ coeffs / scale, scale
-
-
-def exact_grid_min(poly, nu):
-    """Exact minimum of poly^(nu) on the sign grid over its native scale."""
-    exact = poly.to_exact().differentiate(nu)
-    return min(float(exact(Fraction(x))) for x in XS) / native_relative(poly, nu)[1]
+    return polynomial.bernstein_basis(len(coeffs) - 1, XS) @ coeffs / scale
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -57,7 +45,7 @@ def test_generator_basic_properties(n, r):
     with mpmath.workprec(max(256, gen.precision_bits) + 2 * gen.P.degree + 64):
         assert abs(gen.P.integrate_01() - 1) <= mpmath.mpf("1e-20")
     for nu in range(r + 1):
-        assert native_relative(gen.P, nu)[0].min() >= -1e-15
+        assert native_relative(gen.P, nu).min() >= -1e-15
 
 
 def test_generator_moment_deficiencies_positive_and_ordered():
@@ -90,8 +78,6 @@ def test_moment_is_rounded_once():
 def test_build_records_its_certificate(n, r):
     gen = build_generator(n, r)
     assert gen.unit_integral_residual == abs(float(gen.P.to_exact().integrate_01() - 1))
-    assert gen.derivative_minima == tuple(_grid_minima_certified(gen.P, r))
-    assert min(gen.derivative_minima) >= -GRID_SIGN_REL_TOL
 
 
 def test_delta2_decays_like_inverse_square():
@@ -107,62 +93,28 @@ def test_n2_delta2_bounded():
     assert max(vals) <= 4 * min(vals)
 
 
-def test_grid_min_certified_reevaluates_dips_exactly():
-    # (x - 1/2)^2 - 1e-6 dips below the sign tolerance near x = 1/2, so the
-    # dipping grid points are evaluated again in exact arithmetic
-    eps = Fraction(1, 10**6)
-    p = Polynomial.monomial([Fraction(1, 4) - eps, -1, 1])
-    want = exact_grid_min(p, 0)
-    for bits in (53, 1000):
-        with mpmath.workprec(bits):
-            assert _grid_minima_certified(p, 0) == [want]
-    assert want < -GRID_SIGN_REL_TOL
-
-
-@pytest.mark.parametrize("n, r", [(64, 1), (128, 2), (256, 3), (512, 1)])
-def test_one_basis_minima_match_native_degree(n, r):
-    # every derivative evaluated from degree-elevated coefficients with one
-    # basis matrix agrees with its own native-degree evaluation, point by
-    # point and in the certified minimum
-    P = build_generator(n, r).P
-    _, vals, scales = _grid_relative_orders(P, r)
-    minima = _grid_minima_certified(P, r)
-    assert len(minima) == r + 1
-    for nu, got in enumerate(minima):
-        native, scale = native_relative(P, nu)
-        assert scales[nu] == scale
-        assert np.max(np.abs(vals[:, nu] - native)) <= 1e-14
-        assert abs(got - native.min()) <= 1e-14
-
-
-def test_one_basis_minima_report_a_dipping_derivative():
-    # p' = (x - 1/2)^2 - 1e-6 dips below the sign tolerance near x = 1/2,
-    # while p >= 1 has the larger coefficient scale
-    eps = Fraction(1, 10**6)
-    p = Polynomial.monomial([Fraction(1, 4) - eps, -1, 1]).antidifferentiate_from_zero()
-    p = p + Polynomial.monomial([1])
-    minima = _grid_minima_certified(p, 1)
-    assert minima[0] >= -GRID_SIGN_REL_TOL
-    assert minima[1] == exact_grid_min(p, 1) < -GRID_SIGN_REL_TOL
-
-
 def test_build_makes_one_attempt(monkeypatch):
-    # a derivative that fails certification raises at the requested
-    # precision; there is no retry at a higher one
+    # a stored P that is not the construction fails the identity gate, which
+    # raises at the requested precision; there is no retry at a higher one
     calls = []
 
-    def dipping(poly, r):
-        calls.append(r)
-        return [-1.0] * (r + 1)
+    def counted(*args):
+        calls.append(args[2])
+        return power(*args)
 
-    monkeypatch.setattr(generator, "_grid_minima_certified", dipping)
-    with pytest.raises(PrecisionError, match="dips"):
+    def perturbed(man, exp):  # one unit more in every nonzero mantissa
+        return from_man_exp(man + (man != 0), exp)
+
+    power, from_man_exp = generator._power, generator.from_man_exp
+    monkeypatch.setattr(generator, "_power", counted)
+    monkeypatch.setattr(generator, "from_man_exp", perturbed)
+    with pytest.raises(PrecisionError, match="positive multiple"):
         build_generator.__wrapped__(64, 1)
-    assert calls == [1]
+    assert calls == [2]
 
 
 def test_build_reads_generator_once(monkeypatch):
-    # one exact conversion of P and one basis matrix per build, one exact
+    # one exact conversion of P and no basis matrix per build, one exact
     # conversion per shape check, and the minimax reconstruction composes no
     # polynomials
     calls = {"read": 0, "coefficient": 0, "basis": 0, "compose": 0}
@@ -184,7 +136,7 @@ def test_build_reads_generator_once(monkeypatch):
 
     gen = build_generator.__wrapped__(128, 3)
     assert gen.precision_bits == 440
-    assert calls["read"] == 1 and calls["basis"] == 1
+    assert calls["read"] == 1 and calls["basis"] == 0
     assert calls["coefficient"] == len(gen.P.coeffs)
 
     assert check_k_monotone_poly(Polynomial.monomial([0, 1, 0, 1]), 2).passed
@@ -197,21 +149,28 @@ def test_build_reads_generator_once(monkeypatch):
 
 @pytest.mark.parametrize("n, r, bits", [(128, 3, 440), (512, 1, 824)])
 def test_precision_bits_is_the_stored_precision(n, r, bits):
-    # P is computed at the working precision plus guard bits for deg Q, and
-    # precision_bits reports those bits, not the working precision
+    # the rounded quantities (the products of tau's power and kappa =
+    # lambda/L) are kept at the working precision plus guard bits for deg Q,
+    # precision_bits reports those bits, and P is stored exactly: its
+    # mantissas, read as stored, are wider than that, and its exact read has
+    # one power-of-two denominator
     gen = build_generator(n, r)
     assert gen.precision_bits == bits
-    assert max(mpmath.mpf(c).man.bit_length() for c in gen.P.coeffs) <= bits
+    kappa = Fraction(*to_rational(gen.lambda_n._mpf_)) / lcm_of_b(gen)
+    assert kappa.numerator.bit_length() <= bits
+    assert kappa.denominator & (kappa.denominator - 1) == 0
+    assert max(c.man.bit_length() for c in gen.P.coeffs) > bits
+    den = gen.P.integer_form.den
+    assert den & (den - 1) == 0
 
 
 @pytest.mark.parametrize("n, r", [(69, 1), (430, 2), (439, 3)])
 def test_generator_has_one_narrow_denominator(n, r):
-    # P is rounded once onto one power of two that keeps precision_bits bits
-    # of its largest coefficient, so its exact read needs no wider denominator
+    # P's coefficients are exact dyadic rationals, so its exact read needs one
+    # power-of-two denominator and no wider one
     gen = build_generator(n, r)
     den = gen.P.integer_form.den
     assert den & (den - 1) == 0
-    assert den.bit_length() <= gen.precision_bits
 
 
 def exact_generator(n, r):
@@ -226,6 +185,34 @@ def exact_generator(n, r):
     for _ in range(r):
         kernel = kernel.antidifferentiate_from_zero()
     return kernel.scale(lam * math.factorial(r - 1))
+
+
+def library_square(gen):
+    """Q = S^2 from the library's tau, with S = tau^(2r) rounded after each
+    product as the build rounds it, and the square taken by schoolbook
+    multiplication, exactly."""
+    with mpmath.workprec(gen.precision_bits):
+        t = tau(gen.m, prec_bits=gen.precision_bits)
+    s, es = generator._power(*generator._dyadic(t.poly.coeffs), 2 * gen.r, gen.precision_bits)
+    return [x * Fraction(2) ** (2 * es) for x in schoolbook(s, s)]
+
+
+def lcm_of_b(gen):
+    """L = lcm_j r C(j+r, r) over the coefficients of Q."""
+    r = gen.r
+    return math.lcm(*(r * math.comb(j + r, r) for j in range(gen.P.degree - r + 1)))
+
+
+@pytest.mark.parametrize("n, r", [(64, 1), (128, 3), (430, 2)])
+def test_generator_is_certified_by_construction(n, r):
+    # P^(r) = lambda_n (r-1)! Q exactly with lambda_n > 0, and P has no
+    # coefficient below x^r, so every P^(nu), nu <= r, is >= 0 on [0,1]
+    gen = build_generator(n, r)
+    P = gen.P.to_exact()
+    assert all(c == 0 for c in P.coeffs[:r])
+    c = Fraction(*to_rational(gen.lambda_n._mpf_)) * math.factorial(r - 1)
+    assert c > 0
+    assert list(P.differentiate(r).coeffs) == [c * x for x in library_square(gen)]
 
 
 @pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])

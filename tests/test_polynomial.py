@@ -1,14 +1,16 @@
 """Polynomial arithmetic, basis conversion, the exact Bernstein read-out,
 and serialization."""
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from shapeapprox import BasisError, DomainError, Polynomial, build_generator, check_k_monotone_poly
-from shapeapprox.polynomial import bernstein_basis
+from shapeapprox.polynomial import _round_to_bits, bernstein_basis
 
 
 def test_monomial_eval_horner_exact():
@@ -86,6 +88,24 @@ def test_json_roundtrip_float_keeps_every_bit():
     q = Polynomial.from_json(P.to_json())
     assert q.basis == P.basis and q.backend == "float"
     assert q.coeffs == P.coeffs
+
+
+def test_round_to_bits_matches_from_rational():
+    # one value rounds to from_rational(v, den, bits, round_nearest) bit for
+    # bit, exact ties (odd mantissas one bit too wide) to even included
+    rng = random.Random(5)
+    cases = [(0, 7, 256), (1, 3, 1), (-5, 2, 2), (7, 2, 2), (2**300 - 1, 1, 256)]
+    for _ in range(2000):
+        v = rng.randint(-2**rng.randint(0, 900), 2**rng.randint(0, 900))
+        den = rng.choice([rng.randint(1, 2**rng.randint(1, 900)), 1 << rng.randint(0, 900)])
+        cases.append((v, den, rng.choice([1, 53, 256])))
+    for _ in range(500):
+        bits, k = rng.choice([1, 5, 256]), rng.choice([1, 3])
+        man = rng.getrandbits(bits) | (1 << bits) | 1  # bits + 1 bits, odd
+        cases.append((rng.choice([-1, 1]) * man * k, k << rng.randint(0, 40), bits))
+    for v, den, bits in cases:
+        (c,), e = _round_to_bits([v], den, bits)
+        assert from_man_exp(c, e) == from_rational(v, den, bits, round_nearest)
 
 
 def _bernstein_oracle(p: Polynomial, nu: int) -> list:
