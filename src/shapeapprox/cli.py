@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
@@ -105,9 +104,9 @@ def _cmd_apply(args) -> int:
                 "f": args.f, "precision_bits": PRECISION_BITS},
         columns=["x", "value"],
     )
-    exact = poly.to_exact()
+    form = poly.integer_form
     for x in xs:  # a float is a dyadic rational: evaluate exactly, round once
-        table.rows.append([x, float(exact(Fraction(x)))])
+        table.rows.append([x, float(form.value(x))])
     return _emit(table, args.out)
 
 

@@ -52,7 +52,7 @@ class PolyFunction(FunctionHandle):
         return acc
 
     def value_at(self, x):
-        return self.poly.to_exact()(x) if isinstance(x, Fraction) else self.poly(x)
+        return self.poly.integer_form.value(x) if isinstance(x, Fraction) else self.poly(x)
 
     def monomial_moments(self, imax: int):
         form = self.poly.integer_form

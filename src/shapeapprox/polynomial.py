@@ -115,6 +115,17 @@ class IntegerForm:
             c = [y - x for x, y in zip(c, c[1:])]
         return c, self.den * math.factorial(d - nu)
 
+    def value(self, x) -> Fraction:
+        """p(x) exactly at a rational x = a/b: sum_k num[k] a^k b^(d-k) by
+        integer Horner, over den b^d, with one Fraction at the end."""
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, bk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * a + c * bk
+            bk *= b
+        return Fraction(acc, self.den * b ** self.degree)
+
     def moment(self, mu: int) -> Fraction:
         """int_0^1 x^mu p(x) dx, exactly."""
         lcm = math.lcm(*range(mu + 1, self.degree + mu + 2))

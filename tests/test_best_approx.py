@@ -1,5 +1,9 @@
 """Discretized best uniform / best q-monotone approximation."""
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,37 @@ from shapeapprox import (
     linear,
     monomial,
 )
-from shapeapprox.best_approx import _reconstruct, _shifted_chebyshev
+from shapeapprox.best_approx import (
+    _elevate,
+    _reconstruct,
+    _sample,
+    _shape_rows,
+    _shifted_chebyshev,
+)
+from shapeapprox.simplex import FEASIBILITY_TOL, solve_lp
 from shapeapprox.special import chebyshev_T
+
+EPS = 2.0 ** -52
+ORACLE_FUNCTIONS = ("exp", "truncpow:0.5:3", "xeps:0.5", "logeps:1e-4", "truncpow:0.3:1")
+
+
+def _lp_minimax(fvals, V):
+    """Reference for the exchange: min t s.t. |fvals - V a| <= t as one HiGHS
+    LP on fvals / max|fvals| with a = u - w (u, w >= 0), then the same LP on
+    its residual, keeping the better grid error."""
+    def lp(g):
+        scale = float(np.max(np.abs(g)))
+        one = np.ones((len(g), 1))
+        A = np.vstack([np.hstack([-one, V, -V]), np.hstack([-one, -V, V])])
+        c = np.zeros(A.shape[1])
+        c[0] = 1.0
+        x = solve_lp(c, A, np.concatenate([g, -g]) / scale).x
+        k = V.shape[1]
+        return (x[1:k + 1] - x[k + 1:]) * scale
+
+    a = lp(fvals)
+    refined = a + lp(fvals - V @ a)
+    return min(float(np.max(np.abs(fvals - V @ b))) for b in (a, refined))
 
 
 def test_best_linear_of_x_squared():
@@ -128,3 +161,84 @@ def test_reconstruct_matches_fraction_sum():
             for j, aj in enumerate(a):
                 want = want + chebyshev_T(j).compose(two_x_minus_one).scale(Fraction(float(aj)))
             assert _reconstruct(a).coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
+def test_exchange_matches_lp_oracle(name):
+    # the exchange solves the discrete problem exactly: its error is the LP
+    # optimum's up to a few ulps of max|f|, or below it at roundoff level
+    f = catalog(name)
+    cases = [(n, None) for n in range(26)] + [(n, 4 * (n + 1)) for n in (0, 1, 3, 10, 25)]
+    for n, N in cases:
+        res = best_uniform(f, n, N=N)
+        _, fvals, V = _sample(f, n, N)
+        scale = float(np.max(np.abs(fvals)))
+        assert res.error <= _lp_minimax(fvals, V) + 4 * EPS * scale, (n, N)
+        if res.error > 1e-13 * scale:
+            assert res.equioscillations >= n + 2, (n, N, res.equioscillations)
+
+
+def test_exchange_degenerate_inputs():
+    res = best_uniform(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 4)
+    assert res.error == 0.0 and res.poly.coeffs == (0,)
+    p = Polynomial.monomial([Fraction(1, 3), -2, 0, 5, Fraction(-7, 2)])
+    for n in (4, 6):
+        assert best_uniform(PolyFunction(p), n).error <= 1e-13 * 5
+    # n = 0: the best constant is the grid's midrange
+    res = best_uniform(ExpFunction(), 0)
+    assert res.error == pytest.approx((np.e - 1) / 2, rel=4 * EPS)
+    assert float(res.poly.coeffs[0]) == pytest.approx((np.e + 1) / 2, rel=4 * EPS)
+    assert res.equioscillations == 2
+
+
+def test_exchange_is_deterministic():
+    f = catalog("truncpow:0.5:3")
+    a, b = best_uniform(f, 17), best_uniform(f, 17)
+    assert a.error == b.error and a.iterations == b.iterations
+    assert a.poly.coeffs == b.poly.coeffs
+
+
+def test_best_uniform_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from shapeapprox import ExpFunction, best_uniform; best_uniform(ExpFunction(), 8); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("d, m", [(0, 3), (1, 1), (3, 10), (12, 40), (19, 512)])
+def test_elevate_matches_fraction_elevation(d, m):
+    # one product with the exact-binomial matrix against Fraction elevation;
+    # the matrix is the image of the identity: nonnegative, rows summing to 1
+    E = _elevate(np.eye(d + 1), m)
+    assert E.min() >= 0.0
+    assert np.abs(E.sum(axis=1) - 1.0).max() <= 4 * EPS
+    C = np.random.default_rng(d).standard_normal((d + 1, 2))
+    exact = [[sum(Fraction(comb(i, k) * comb(m - i, d - k), comb(m, d)) * Fraction(C[k, j])
+                  for k in range(d + 1)) for j in range(2)] for i in range(m + 1)]
+    err = np.abs(_elevate(C, m) - np.array(exact, dtype=float)).max()
+    assert err <= (d + 2) * EPS * np.abs(C).max()
+
+
+@pytest.mark.parametrize("n, q", [(19, 0), (19, 4)])
+def test_shape_rows_match_exact_rows(n, q):
+    # the rows' entries cancel (T_j^(q) has large alternating Bernstein
+    # coefficients); their error must stay an order below the LP's
+    # feasibility tolerance, so that the tolerance sets the certificate's slack
+    m = 512
+    R = _shape_rows(n, q, m)
+    # exact rows: sum_k C(i,k) a_k / C(m,k) for the monomial coefficients a
+    # of T_j^(q), as integers over L = lcm_k C(m,k)
+    L = lcm(*(comb(m, k) for k in range(n - q + 1)))
+    cols = []
+    for j in range(n + 1):
+        a = _shifted_chebyshev(j).differentiate(q).coeffs if j >= q else []
+        w = [int(ak) * (L // comb(m, k)) for k, ak in enumerate(a)]
+        cols.append([sum(comb(i, k) * wk for k, wk in enumerate(w[:i + 1])) for i in range(m + 1)])
+    for i in range(m + 1):
+        row = [c[i] for c in cols]
+        top = max(abs(x) for x in row)
+        err = max(abs(Fraction(R[i, j]) - Fraction(x, top)) for j, x in enumerate(row))
+        assert err <= FEASIBILITY_TOL / 10, (i, float(err))

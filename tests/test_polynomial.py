@@ -133,6 +133,26 @@ def test_bernstein_float64_matches_fraction_oracle():
             assert nonnegative == all(c >= 0 for c in exact)
 
 
+def test_integer_form_value_matches_fraction_evaluation():
+    # integer Horner over den b^d against Fraction Horner (monomial) and
+    # de Casteljau (Bernstein) on the exact coefficients
+    rng = random.Random(3)
+    polys = [Polynomial.monomial([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                                  for _ in range(d + 1)]) for d in (0, 1, 5, 12)]
+    polys.append(Polynomial.bernstein([Fraction(rng.randint(-9, 9), 7) for _ in range(9)]))
+    polys.append(Polynomial.monomial([mpmath.mpf(1) / 3, mpmath.mpf(-2) ** -70, mpmath.pi]))
+    polys.append(build_generator(64, 2).P)
+    xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 3),
+          Fraction(0.1), Fraction(99, 100)]
+    for p in polys:
+        exact = p.to_exact()
+        for x in xs:
+            if exact.basis == "bernstein" and not 0 <= x <= 1:
+                continue
+            assert p.integer_form.value(x) == exact(x), (p, x)
+    assert polys[0].integer_form.value(0.25) == polys[0].to_exact()(Fraction(1, 4))
+
+
 def test_bernstein_float64_ignores_ambient_precision():
     P = build_generator(256, 2).P
     for nu in range(3):
