@@ -60,7 +60,7 @@ from .operators import (
     mn_image,
     moment_profile,
 )
-from .polynomial import BERNSTEIN, DEGREE_CAP, MONOMIAL, Polynomial
+from .polynomial import BERNSTEIN, MONOMIAL, Polynomial
 from .shape import ShapeReport, check_k_monotone_fn, check_k_monotone_poly
 from .simplex import SimplexResult, solve_lp
 from .special import (

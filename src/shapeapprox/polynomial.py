@@ -10,10 +10,11 @@ Two scalar backends are supported:
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
-per instance; ``Polynomial.bernstein_float64`` rounds the Bernstein
-coefficients of any derivative from it, and ``bernstein_basis`` evaluates
-that basis on a grid in float64 numpy, by ratios taken outward from each
-row's mode (no scipy); both are independent of the ambient precision.
+per instance, and its Bernstein integers are formed on first use.
+``Polynomial.bernstein_float64`` rounds the Bernstein coefficients of any
+derivative from them, and ``bernstein_basis`` evaluates that basis on a grid
+in float64 numpy, by ratios taken outward from each row's mode (no scipy);
+both are independent of the ambient precision.
 """
 from __future__ import annotations
 
@@ -94,11 +95,24 @@ class IntegerForm:
 
     num: tuple
     den: int
-    bern: tuple
 
     @property
     def degree(self) -> int:
         return len(self.num) - 1
+
+    @cached_property
+    def bern(self) -> tuple:
+        """The Bernstein integers, formed on first use: c_k = sum_j C(k,j)
+        a_j / C(d,j), so den d! c_k = sum_j C(k,j) e_j with integers
+        e_j = num_j j! (d-j)!; the binomial sums run by additions."""
+        d = self.degree
+        fact = [1]
+        for i in range(1, d + 1):
+            fact.append(fact[-1] * i)
+        e = [x * fact[j] * fact[d - j] for j, x in enumerate(self.num)]
+        for r in range(1, d + 1):
+            e[r:] = [x + y for x, y in zip(e[r:], e[r - 1:-1])]
+        return tuple(e)
 
     def derivative(self, nu: int) -> tuple[list, int]:
         """Bernstein coefficients of p^(nu) at degree d - nu, as integers and
@@ -138,17 +152,7 @@ def _read_integers(p: "Polynomial") -> IntegerForm:
     coeffs = p.coeffs if p.basis == MONOMIAL else p.to_exact().to_monomial().coeffs
     parts = [_rational(c) for c in coeffs]
     den = math.lcm(*(q for _, q in parts))
-    num = [a * (den // q) for a, q in parts]
-    d = len(num) - 1
-    fact = [1]
-    for i in range(1, d + 1):
-        fact.append(fact[-1] * i)
-    # c_k = sum_j C(k,j) a_j / C(d,j), so den d! c_k = sum_j C(k,j) e_j with
-    # integers e_j = num_j j! (d-j)!; the binomial sums run by additions
-    e = [x * fact[j] * fact[d - j] for j, x in enumerate(num)]
-    for r in range(1, d + 1):
-        e[r:] = [x + y for x, y in zip(e[r:], e[r - 1:-1])]
-    return IntegerForm(tuple(num), den, tuple(e))
+    return IntegerForm(tuple(a * (den // q) for a, q in parts), den)
 
 
 _LOG2_10 = math.log2(10)

@@ -42,10 +42,9 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
     if k < 0:
         raise ValueError("k must be >= 0")
     xs = default_x_grid(FN_X_POINTS)
-    scale = max(1e-30, float(np.max(np.abs(np.asarray(f(xs), dtype=float)))))
-    threshold = DEFAULT_TOL * scale
+    vals = np.asarray(f(xs), dtype=float)
+    threshold = DEFAULT_TOL * max(1e-30, float(np.max(np.abs(vals))))
     if k == 0:
-        vals = np.asarray(f(xs), dtype=float)
         j = int(np.argmin(vals))
         if vals[j] < -threshold:
             return ShapeReport(k, False, float(xs[j]), 0.0, float(vals[j]),
@@ -71,7 +70,7 @@ def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
     if k < 0:
         raise ValueError("k must be >= 0")
     coeffs, certificate = p.bernstein_float64(k)
-    p_coeffs, _ = p.bernstein_float64()
+    p_coeffs = p.bernstein_float64()[0] if k else coeffs
     threshold = DEFAULT_TOL * max(1e-30, float(np.max(np.abs(p_coeffs))),
                                   float(np.max(np.abs(coeffs))))
     if certificate:

@@ -147,6 +147,15 @@ def test_build_reads_generator_once(monkeypatch):
     assert calls["compose"] == 0
 
 
+def test_build_forms_no_bernstein_integers():
+    # the build and its exact gate read P's monomial integers only; the
+    # Bernstein integers are formed by the first derivative read-out
+    gen = build_generator.__wrapped__(128, 3)
+    assert "bern" not in vars(gen.P.integer_form)
+    gen.P.bernstein_float64(3)
+    assert "bern" in vars(gen.P.integer_form)
+
+
 @pytest.mark.parametrize("n, r, bits", [(128, 3, 440), (512, 1, 824)])
 def test_precision_bits_is_the_stored_precision(n, r, bits):
     # the rounded quantities (the products of tau's power and kappa =

@@ -133,15 +133,26 @@ def test_bernstein_float64_matches_fraction_oracle():
             assert nonnegative == all(c >= 0 for c in exact)
 
 
-def test_integer_form_value_matches_fraction_evaluation():
-    # integer Horner over den b^d against Fraction Horner (monomial) and
-    # de Casteljau (Bernstein) on the exact coefficients
+def _integer_form_cases():
+    """Exact and mpf polynomials of degree 0, 1, 5 and 12, a Bernstein one,
+    the zero polynomial and a generator."""
     rng = random.Random(3)
     polys = [Polynomial.monomial([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                                   for _ in range(d + 1)]) for d in (0, 1, 5, 12)]
     polys.append(Polynomial.bernstein([Fraction(rng.randint(-9, 9), 7) for _ in range(9)]))
     polys.append(Polynomial.monomial([mpmath.mpf(1) / 3, mpmath.mpf(-2) ** -70, mpmath.pi]))
     polys.append(build_generator(64, 2).P)
+    with mpmath.workprec(80):
+        polys += [Polynomial.monomial([mpmath.mpf(rng.uniform(-1, 1)) / rng.randint(1, 9)
+                                       for _ in range(d + 1)]) for d in (0, 1, 12)]
+    polys.append(Polynomial.monomial([0]))
+    return polys
+
+
+def test_integer_form_value_matches_fraction_evaluation():
+    # integer Horner over den b^d against Fraction Horner (monomial) and
+    # de Casteljau (Bernstein) on the exact coefficients
+    polys = _integer_form_cases()
     xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 3),
           Fraction(0.1), Fraction(99, 100)]
     for p in polys:
@@ -151,6 +162,26 @@ def test_integer_form_value_matches_fraction_evaluation():
                 continue
             assert p.integer_form.value(x) == exact(x), (p, x)
     assert polys[0].integer_form.value(0.25) == polys[0].to_exact()(Fraction(1, 4))
+
+
+def test_integer_form_bern_matches_fraction_oracle():
+    # bern[k] = den d! c_k for the Bernstein coefficients c of p at its exact
+    # degree d, and derivative(nu) the same for p^(nu) at degree d - nu, over
+    # den (d - nu)!; past the degree p^(nu) is 0
+    for p in _integer_form_cases():
+        form = p.integer_form
+        d = form.degree
+        exact = p.to_exact()
+        oracle = exact.to_bernstein(d).coeffs
+        assert list(form.bern) == [c * form.den * factorial(d) for c in oracle], p
+        for nu in range(d + 3):
+            c, den = form.derivative(nu)
+            if nu > d:
+                assert (c, den) == ([0], 1)
+                continue
+            assert den == form.den * factorial(d - nu)
+            oracle = exact.differentiate(nu).to_bernstein(d - nu).coeffs
+            assert c == [x * den for x in oracle], (p, nu)
 
 
 def test_bernstein_float64_ignores_ambient_precision():
