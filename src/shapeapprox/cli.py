@@ -5,7 +5,8 @@
 Subcommands: gen-poly, apply, moduli, shape, jackson, bern-xeps, mn-study,
 lambda2, gen-report.  Tabular results are CSV with the full configuration and
 a content hash embedded as comment lines; the exit code is 0 exactly when all
-in-run assertions pass.
+in-run assertions pass.  A library error (``ShapeApproxError``) ends the run
+with one ``shapeapprox: error: ...`` line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import sys
 
 from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
+from .errors import ShapeApproxError
 from .experiments import ExperimentTable
 from .functions import catalog
 from .generator import PRECISION_BITS, build_generator
@@ -281,7 +283,10 @@ def main(argv=None) -> int:
             parser.error(f"config keys not taken by {args.command}: {', '.join(unknown)}")
         args.subparser.set_defaults(**config)
         args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ShapeApproxError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

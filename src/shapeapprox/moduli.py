@@ -6,6 +6,13 @@ recovers the classical modulus.  Suprema are approximated over finite grids
 the points where a node of the difference meets an endpoint), so every
 estimate is a lower bound of the true supremum; the grid sizes are recorded
 in the result.  ``modulus_sweep`` is the one sweep behind every estimate.
+
+One kernel, ``_sym_diff_grid``, forms every difference, here and in the
+function shape check: centred nodes x + (i - k/2) delta, all sent to f in one
+call, and for even k the centre value f(x) passed in, so a sweep reads it
+once.  The sweep takes the step bounds in blocks of 8.  The aligned points of
+all h come from one bracketed Newton solve and are read in one more kernel
+call, with the outer node exactly on the endpoint.
 """
 from __future__ import annotations
 
@@ -19,6 +26,9 @@ from .errors import RegimeError
 DEFAULT_H_POINTS = 64
 DEFAULT_X_POINTS = 1025
 _H_SPAN = 2.0**-16  # smallest h is t * _H_SPAN
+_H_BLOCK = 8  # step bounds per kernel call; larger blocks fall out of cache
+_ALIGN_STEPS = 60  # cap on the safeguarded Newton steps of the aligned points
+_LN2 = np.log(2.0)
 
 
 def step_weight(x, lam: float):
@@ -62,59 +72,100 @@ def default_x_grid(size: int = DEFAULT_X_POINTS) -> np.ndarray:
     return (1.0 - np.cos(np.pi * j / (size - 1))) / 2.0
 
 
-def _boundary_aligned_points(k: int, lam: float, h: float) -> np.ndarray:
-    """Solutions of x = (k h/2) phi^lam(x) (and the mirror image), where the
-    leftmost node of the k-th difference sits exactly at the endpoint."""
+def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
+    """For each step bound h, the x in (0, 1/2) with x = (k h/2) phi^lam(x),
+    where the leftmost node of the k-th difference sits on 0, its mirror
+    1 - x, and their common step h phi^lam(x): arrays of shape (len(hs), 2),
+    nan where h has no such point.  The root is rounded to x = (k/2) step, so
+    the outer node x - (k/2) step is exactly 0 (mirror: 1 - x + (k/2) step
+    is exactly 1)."""
+    hs = np.atleast_1d(np.asarray(hs, dtype=float))
+    points = np.full((len(hs), 2), np.nan)
+    steps = np.full((len(hs), 2), np.nan)
     if k == 0 or lam >= 2:
-        return np.array([])
-    c = k * h / 2.0
-    expo = 1.0 / (1.0 - lam / 2.0)
-    x = min(0.5, c**expo)  # exact for lam = 0; first-order guess otherwise
-    for _ in range(40):
-        nxt = (c * (1.0 - x) ** (lam / 2.0)) ** expo
-        if not np.isfinite(nxt) or nxt >= 0.5:
-            return np.array([])
-        if abs(nxt - x) <= 1e-16 * max(x, 1e-300):
-            x = nxt
+        return points, steps
+    # in u = ln x the equation is g(u) = a u - b ln(1 - e^u) - ln c = 0, g
+    # convex and increasing; a root below u = -ln 2 exists iff g(-ln 2) > 0
+    a, b = 1.0 - lam / 2.0, lam / 2.0
+    with np.errstate(divide="ignore"):
+        log_c = np.log(k * hs / 2.0)
+    has = np.flatnonzero((hs > 0) & ((b - a) * _LN2 > log_c))
+    log_c = log_c[has]
+    lo = (log_c - b * _LN2) / a  # g(lo) <= 0, since -b ln(1 - x) <= b ln 2
+    hi = np.minimum(log_c / a, -_LN2)  # g(hi) >= 0, since -b ln(1 - x) >= 0
+    u = hi.copy()
+    for _ in range(_ALIGN_STEPS):
+        x = np.exp(u)
+        g = a * u - b * np.log1p(-x) - log_c
+        lo = np.where(g < 0, u, lo)
+        hi = np.where(g > 0, u, hi)
+        nxt = u - g / (a + b * x / (1.0 - x))  # Newton, safeguarded by bisection
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, (lo + hi) / 2.0)
+        converged = np.all(np.abs(nxt - u) <= 1e-15 * np.abs(u))
+        u = nxt
+        if converged:
             break
-        x = nxt
-    if not 0 < x < 0.5:
-        return np.array([])
-    return np.array([x, 1.0 - x])
+    step = hs[has] * step_weight(np.exp(u), lam)
+    x = (k / 2.0) * step
+    ok = (0 < x) & (x < 0.5)
+    has, x, step = has[ok], x[ok], step[ok]
+    points[has] = np.stack([x, 1.0 - x], axis=1)
+    steps[has] = step[:, None]
+    return points, steps
 
 
-def _sym_diff_grid(f, k: int, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Delta^k_{delta(x)}(f, x) for per-point steps; invalid points give 0."""
-    lo = xs - k * deltas / 2.0
-    hi = xs + k * deltas / 2.0
-    valid = (deltas > 0) & (lo >= -1e-15) & (hi <= 1.0 + 1e-15)
-    offsets = np.arange(k + 1)
-    nodes = lo[:, None] + deltas[:, None] * offsets[None, :]
-    nodes = np.clip(nodes, 0.0, 1.0)
-    signs = np.array([comb(k, i) * (-1) ** (k - i) for i in range(k + 1)], dtype=float)
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    out = vals @ signs
-    out[~valid] = 0.0
+def _sym_diff_grid(f, k: int, deltas, xs, centre=None) -> np.ndarray:
+    """Delta^k_delta(f, x) = sum_i (-1)^(k-i) C(k,i) f(x + (i - k/2) delta)
+    for steps deltas of any shape that broadcasts against the points xs; a
+    difference with delta <= 0 or a node outside [0,1] is 0.  All nodes go to
+    f in one call, one contiguous row per i; for even k >= 2 the centre
+    values f(xs) may be passed in, and are then not evaluated again."""
+    shape = np.broadcast_shapes(np.shape(deltas), np.shape(xs))
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), shape)
+    signs = [(-1) ** (k - i) * comb(k, i) for i in range(k + 1)]
+    offsets = [i - k / 2.0 for i in range(k + 1) if centre is None or 2 * i != k]
+    nodes = np.multiply.outer(offsets, deltas)
+    nodes += xs
+    # rows 0 and -1 hold the outer nodes x -+ (k/2) delta
+    invalid = (deltas <= 0) | (nodes[0] < -1e-15) | (nodes[-1] > 1.0 + 1e-15)
+    np.clip(nodes, 0.0, 1.0, out=nodes)
+    rows = list(np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape))
+    if centre is not None:
+        rows.insert(k // 2, np.asarray(centre, dtype=float))
+    out = np.zeros(shape)
+    for sign, row in zip(signs, rows):
+        out += sign * row
+    out[invalid] = 0.0
     return out
 
 
 def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
     """For each step bound h in hs, max_x |Delta^k_{h phi^lam(x)}(f, x)| over
     default_x_grid() and the boundary-aligned points, and the first x that
-    attains it."""
+    attains it (grid points before the aligned points)."""
+    hs = np.asarray(hs, dtype=float)
     xs = default_x_grid()
     w = step_weight(xs, lam)
-    values, args = [], []
-    for h in hs:
-        # endpoint-singular functions peak exactly where the leftmost node of
-        # the difference touches 0 (mirrored: 1); include those x explicitly
-        xa = _boundary_aligned_points(k, lam, h)
-        x_all = np.concatenate([xs, xa])
-        vals = np.abs(_sym_diff_grid(f, k, h * np.concatenate([w, step_weight(xa, lam)]), x_all))
-        j = int(np.argmax(vals))
-        values.append(float(vals[j]))
-        args.append(float(x_all[j]))
-    return np.array(values), np.array(args)
+    centre = np.asarray(f(xs), dtype=float) if k and k % 2 == 0 else None
+    values, args = np.empty(len(hs)), np.empty(len(hs))
+    for s in range(0, len(hs), _H_BLOCK):
+        vals = np.abs(_sym_diff_grid(f, k, hs[s:s + _H_BLOCK, None] * w, xs, centre))
+        j = np.argmax(vals, axis=1)
+        values[s:s + _H_BLOCK] = vals[np.arange(len(j)), j]
+        args[s:s + _H_BLOCK] = xs[j]
+    # endpoint-singular functions peak exactly where the outer node of the
+    # difference touches 0 (mirrored: 1), which no grid point does; those
+    # points come after the grid, so they win only when strictly larger
+    points, steps = _boundary_aligned_points(k, lam, hs)
+    has = np.flatnonzero(~np.isnan(points[:, 0]))
+    if len(has):
+        vals = np.abs(_sym_diff_grid(f, k, steps[has], points[has]))
+        j = np.argmax(vals, axis=1)
+        best = vals[np.arange(len(j)), j]
+        wins = best > values[has]
+        values[has[wins]] = best[wins]
+        args[has[wins]] = points[has[wins], j[wins]]
+    return values, args
 
 
 def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:

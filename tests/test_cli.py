@@ -135,6 +135,17 @@ def test_config_file_rejects_unknown_keys(key, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
+    # RegimeError: the generator needs n > 8r
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-poly", "--n", "9", "--r", "2", "--out", str(tmp_path / "gen.json")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "shapeapprox: error: construction requires n > 8r (n=9, r=2)\n"
+    assert captured.out == ""
+    assert not (tmp_path / "gen.json").exists()
+
+
 def test_mn_study_logeps_large_n(tmp_path):
     # n = 124: the generator's weights reach 2^39 against quadrature data
     out = tmp_path / "study.csv"
@@ -145,7 +156,17 @@ def test_mn_study_logeps_large_n(tmp_path):
     assert all(float(r[2]) < 10 for r in rows)
 
 
-@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def _readme_ids(commands):
+    """Each command's subcommand; a repeated one adds its --out file name."""
+    ids, seen = [], set()
+    for argv in commands:
+        repeated = argv[0] in seen
+        seen.add(argv[0])
+        ids.append(f"{argv[0]}-{argv[argv.index('--out') + 1]}" if repeated else argv[0])
+    return ids
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=_readme_ids(_readme_commands()))
 def test_readme_cli_command(argv, tmp_path):
     argv = list(argv)
     if "--out" in argv:
@@ -157,7 +178,8 @@ def test_readme_cli_command(argv, tmp_path):
 def test_readme_cli_covers_every_subcommand():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert sorted(argv[0] for argv in _readme_commands()) == sorted(sub.choices)
+    # every subcommand runs at least once; moduli runs twice (lambda = 0 and 1)
+    assert sorted({argv[0] for argv in _readme_commands()}) == sorted(sub.choices)
 
 
 def test_apply_reads_gen_poly_output(tmp_path):

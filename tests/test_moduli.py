@@ -9,6 +9,7 @@ from shapeapprox import (
     PowerFunction,
     RegimeError,
     bound_envelope,
+    catalog,
     fit_modulus_exponent,
     linear,
     modulus_sweep,
@@ -87,7 +88,64 @@ def test_sweep_reaches_the_boundary_aligned_points():
     for h, value, x in zip(hs, values, args):
         on_grid = np.max(np.abs(_sym_diff_grid(f, 2, h * step_weight(xs, 1.0), xs)))
         assert value > on_grid
-        assert x in _boundary_aligned_points(2, 1.0, h)
+        points, _ = _boundary_aligned_points(2, 1.0, h)
+        assert x in points
+
+
+def _reference_sweep(f, k, lam, hs):
+    """modulus_sweep one h at a time, at the same aligned points."""
+    xs = default_x_grid()
+    points, steps = _boundary_aligned_points(k, lam, hs)
+    signs = [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+    values, args = [], []
+    for h, xa, da in zip(hs, points, steps):
+        keep = ~np.isnan(xa)
+        x = np.concatenate([xs, xa[keep]])
+        d = np.concatenate([h * step_weight(xs, lam), da[keep]])
+        diff = sum(s * f(np.clip(x + (i - k / 2) * d, 0.0, 1.0)) for i, s in enumerate(signs))
+        diff[(d <= 0) | (x - k / 2 * d < -1e-15) | (x + k / 2 * d > 1 + 1e-15)] = 0.0
+        j = int(np.argmax(np.abs(diff)))
+        values.append(abs(diff[j]))
+        args.append(x[j])
+    return np.array(values), np.array(args)
+
+
+@pytest.mark.parametrize("name", ["exp", "truncpow:0.5:3", "xeps:0.5", "xeps:0.25", "logeps:1e-4"])
+def test_sweep_matches_a_per_h_reference(name):
+    # the block kernel (steps in blocks, the centre value read once, aligned
+    # points in one extra call) against one h at a time
+    f = catalog(name)
+    scale = float(np.max(np.abs(f(default_x_grid()))))
+    for k, lam in ((1, 0.5), (2, 0.0), (2, 1.0), (2, 2.0), (3, 1.5), (4, 1.0)):
+        for t in (1.0, 1.0 / 19):
+            hs = default_h_grid(t)
+            values, args = modulus_sweep(f, k, lam, hs)
+            ref_values, ref_args = _reference_sweep(f, k, lam, hs)
+            assert np.max(np.abs(values - ref_values)) <= 1e-14 * scale, (k, lam, t)
+            assert np.array_equal(args, ref_args), (k, lam, t)
+
+
+@pytest.mark.parametrize("k, lam", [(2, 1.0), (2, 1.5), (3, 1.5)])
+def test_aligned_points_put_the_outer_node_on_the_endpoint(k, lam):
+    # h = 0.5897 and 0.8386 are where a 40-step fixed point stopped short of
+    # x = (k h/2) phi^lam(x), near x = 1/2
+    for hs in (default_h_grid(1.0), default_h_grid(0.5), default_h_grid(1.0 / 19),
+               np.array([0.5897, 0.8386])):
+        points, steps = _boundary_aligned_points(k, lam, hs)
+        has = ~np.isnan(points[:, 0])
+        # a root in (0, 1/2) exists iff k h/2 < phi^-lam(1/2)/2 = 2^(lam-1)
+        assert np.array_equal(has, k * hs / 2 < 2.0 ** (lam - 1))
+        x, step = points[has, 0], steps[has, 0]
+        assert np.all((0 < x) & (x < 0.5))
+        assert np.array_equal(points[has, 1], 1.0 - x)
+        residual = np.abs(x - k / 2 * hs[has] * step_weight(x, lam))
+        assert np.all(residual <= 4e-15 * x)
+        # the differences read f with the outer node exactly on the endpoint
+        nodes = []
+        _sym_diff_grid(lambda v: nodes.append(v.copy()) or np.zeros_like(v),
+                       k, steps[has], points[has])
+        nodes = nodes[0].reshape(k + 1, -1, 2)
+        assert np.all(nodes[0, :, 0] == 0.0) and np.all(nodes[-1, :, 1] == 1.0)
 
 
 def test_fitted_exponent_classical_smooth():
