@@ -62,7 +62,6 @@ from .operators import (
 )
 from .polynomial import BERNSTEIN, MONOMIAL, Polynomial
 from .shape import ShapeReport, check_k_monotone_fn, check_k_monotone_poly
-from .simplex import SimplexResult, solve_lp
 from .special import (
     TauPoly,
     chebyshev_T,

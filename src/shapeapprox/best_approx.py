@@ -4,15 +4,13 @@ E_n(f)      = inf over degree-<=n polynomials of the uniform error;
 E_n^(q)(f)  = the same infimum restricted to q-monotone polynomials.
 
 Both are computed on Chebyshev-distributed sample nodes, as min over a of
-max_i |f(x_i) - p(x_i)|.  Without a shape constraint the problem is solved
-exactly by Stiefel's single-point exchange: degree-<=n polynomials satisfy
-the Haar condition on distinct nodes, so each step is one small linear
-solve.  The shape constraint p^(q) >= 0 (p >= 0 when q = 0) makes it a
-linear program, solved by HiGHS (``simplex.solve_lp``): the constraint is
-imposed as nonnegative Bernstein coefficients of p^(q) after degree
-elevation, which certifies it on all of [0,1] (Powers & Reznick, Trans. AMS
-2001), not only at sample nodes.  Both work in the shifted Chebyshev basis
-for conditioning; the returned polynomial is reconstructed exactly from the
+max_i |f(x_i) - p(x_i)|, by ``simplex.minimax``: Stiefel's exchange without
+a shape constraint, and the same dual simplex continued with the shape
+rows.  The shape constraint p^(q) >= 0 (p >= 0 when q = 0) is imposed as
+nonnegative Bernstein coefficients of p^(q) after degree elevation, which
+certifies it on all of [0,1] (Powers & Reznick, Trans. AMS 2001), not only
+at sample nodes.  Both work in the shifted Chebyshev basis for
+conditioning; the returned polynomial is reconstructed exactly from the
 float solution so downstream basis conversions do not amplify cancellation.
 """
 from __future__ import annotations
@@ -29,13 +27,10 @@ from .errors import SolverError
 from .moduli import default_x_grid, omega_dt
 from .polynomial import Polynomial
 from .shape import check_k_monotone_poly
-from .simplex import solve_lp
+from .simplex import minimax
 
 DEFAULT_SAMPLE_POINTS = 257
 DEFAULT_CONSTRAINT_POINTS = 257
-# the exchange took at most 3.5 steps per reference node on catalog
-# functions up to n = 100 and N = 8193; the bound only stops a runaway
-_MAX_EXCHANGE_STEPS_PER_NODE = 20
 
 
 @dataclass(frozen=True)
@@ -44,12 +39,15 @@ class ApproxResult:
     q: int | None  # None for the unconstrained problem
     poly: Polynomial
     error: float  # uniform norm of f - p on the sample grid
+    #: highest levelled value of the solve: a lower bound on the discrete
+    #: optimum, up to rounding, and never above ``error``
+    error_dual: float
     sample_size: int
-    #: Bernstein coefficients of p^(q) constrained in the LP; 0 when the
+    #: Bernstein coefficients of p^(q) constrained in the solve; 0 when the
     #: unconstrained optimum was already q-monotone
     constraint_size: int
-    #: exchange steps of the unconstrained solve, plus the HiGHS iterations
-    #: of the constrained LP when one ran
+    #: exchange steps, plus the dual simplex steps after them when the
+    #: shape rows were added
     iterations: int
     equioscillations: int
     constraint_validated: bool
@@ -127,73 +125,6 @@ def _reconstruct(coeffs: np.ndarray) -> Polynomial:
     return Polynomial.monomial([Fraction(x, den) for x in acc])
 
 
-def _exchange(fvals, V):
-    """Coefficients, grid error and step count of min max|fvals - V a|, by
-    Stiefel's single-point exchange (Numer. Math. 1, 1959), the simplex
-    method on the dual of this discrete problem.
-
-    Degree-<=n polynomials satisfy the Haar condition on distinct nodes, so
-    every reference of n+2 nodes gives one levelled solution of
-    [V[ref] | (-1)^i] (a, h) = fvals[ref], and |h| <= min over a of the grid
-    error <= max|fvals - V a| (de la Vallee Poussin).  Each step puts the
-    grid's argmax into the reference with alternating signs, which raises
-    |h|; the argmax error then equals |h| at the optimum.  In floating
-    point |h| stops rising once the residual reaches roundoff, which ends
-    the search too, so the iterate with the smallest grid error is
-    returned."""
-    N, k = V.shape
-    ref = np.round(np.linspace(0, N - 1, k + 1)).astype(int)  # the grid is Chebyshev-distributed
-    alt = (-1.0) ** np.arange(k + 1)
-    best_a, best_err, last_h = None, np.inf, -1.0
-    for step in range(1, _MAX_EXCHANGE_STEPS_PER_NODE * (k + 1) + 1):
-        try:
-            sol = np.linalg.solve(np.column_stack([V[ref], alt]), fvals[ref])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular exchange reference: {exc}") from None
-        a, h = sol[:-1], abs(sol[-1])
-        r = fvals - V @ a
-        j = int(np.argmax(np.abs(r)))
-        err = abs(float(r[j]))
-        if err < best_err:
-            best_a, best_err = a, err
-        if err <= h or j in ref or h <= last_h:
-            return best_a, best_err, step
-        last_h = h
-        # j replaces the neighbour whose residual has its sign, or enters at
-        # an end of the reference and pushes out the node at the other end
-        same = (np.copysign(1.0, sol[-1]) * alt > 0) == (r[j] > 0)
-        pos = int(np.searchsorted(ref, j))
-        if pos == 0 and not same[0]:
-            ref = np.concatenate([[j], ref[:-1]])
-        elif pos == k + 1 and not same[-1]:
-            ref = np.concatenate([ref[1:], [j]])
-        else:
-            ref[pos - 1 if pos == k + 1 or (pos > 0 and same[pos - 1]) else pos] = j
-    raise SolverError(f"exchange did not converge in {step} steps")
-
-
-def _minimax_lp(fvals, V, R):
-    """One LP: a minimizing max|fvals - V a| subject to R a >= 0, with the
-    grid error and the HiGHS iteration count.  fvals is divided by
-    max|fvals| first, so the solver's absolute tolerances act relative to
-    the data.  The free vector a is written u - w*1 (u, w >= 0), one extra
-    variable instead of a full u/v split."""
-    N, k = V.shape
-    scale = float(np.max(np.abs(fvals)))  # > 0: for f = 0 the exchange's 0 is q-monotone
-    g = fvals / scale
-    t = np.ones((N, 1))
-    v1 = V.sum(axis=1, keepdims=True)
-    # variables [t, u_0..u_n, w]: V a - t <= g, -V a - t <= -g and R a >= 0
-    A = np.vstack([np.hstack([-t, V, -v1]), np.hstack([-t, -V, v1]),
-                   np.hstack([np.zeros((len(R), 1)), -R, R.sum(axis=1, keepdims=True)])])
-    b = np.concatenate([g, -g, np.zeros(len(R))])
-    c = np.zeros(k + 2)
-    c[0] = 1.0
-    res = solve_lp(c, A, b)
-    a = (res.x[1:-1] - res.x[-1]) * scale
-    return a, float(np.max(np.abs(fvals - V @ a))), res.iterations
-
-
 def equioscillation_count(residuals: np.ndarray, error: float) -> int:
     """Number of alternating near-extrema of the residual with magnitude
     within 1% of the error."""
@@ -227,11 +158,11 @@ def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
     if n < 0:
         raise ValueError("n must be >= 0")
     N, fvals, V = _sample(f, n, N)
-    a, err, iters = _exchange(fvals, V)
+    a, err, bound, iters = minimax(fvals, V)
     p = _reconstruct(a)
     resid = fvals - V @ a
     return ApproxResult(
-        n=n, q=None, poly=p, error=err, sample_size=N, constraint_size=0,
+        n=n, q=None, poly=p, error=err, error_dual=bound, sample_size=N, constraint_size=0,
         iterations=iters, equioscillations=equioscillation_count(resid, err),
         constraint_validated=True,
     )
@@ -242,7 +173,7 @@ def best_qmonotone(
 ) -> ApproxResult:
     """Best approximation from q-monotone degree-<=n polynomials.
 
-    When the unconstrained optimum is not q-monotone, one LP requires the
+    When the unconstrained optimum is not q-monotone, the solve requires the
     Bernstein coefficients of p^(q) (p for q=0), elevated to degree
     m = 4(M-1), to be >= 0, which certifies the shape on all of [0,1];
     ``constraint_size`` is then m+1.  ``constraint_validated`` is the
@@ -253,22 +184,20 @@ def best_qmonotone(
         M = DEFAULT_CONSTRAINT_POINTS
     N, fvals, V = _sample(f, n, N)
     # if the unconstrained optimum already satisfies the shape constraint it
-    # is the constrained optimum too (constrained error can only be larger),
-    # and the exchange reaches it to rounding, past the LP's tolerances
-    a, err, iters = _exchange(fvals, V)
+    # is the constrained optimum too (constrained error can only be larger)
+    a, err, bound, iters = minimax(fvals, V)
     p = _reconstruct(a)
     constraint_size, validated = 0, True
     if not check_k_monotone_poly(p, q).passed:
         m = max(4 * (M - 1), n - q)
-        a, err, its = _minimax_lp(fvals, V, _shape_rows(n, q, m))
-        iters += its
+        a, err, bound, iters = minimax(fvals, V, _shape_rows(n, q, m))
         p = _reconstruct(a)
         constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
     resid = fvals - V @ a
     return ApproxResult(
-        n=n, q=q, poly=p, error=err, sample_size=N, constraint_size=constraint_size,
-        iterations=iters, equioscillations=equioscillation_count(resid, err),
-        constraint_validated=validated,
+        n=n, q=q, poly=p, error=err, error_dual=bound, sample_size=N,
+        constraint_size=constraint_size, iterations=iters,
+        equioscillations=equioscillation_count(resid, err), constraint_validated=validated,
     )
 
 

@@ -47,7 +47,10 @@ def _load_function(spec: str):
         with open(spec) as fh:
             obj = json.load(fh)
         return Polynomial.from_json(json.dumps(obj.get("P", obj)))
-    return catalog(spec)
+    try:
+        return catalog(spec)
+    except ValueError as exc:  # an unknown name, or parameters that do not parse
+        raise ShapeApproxError(exc) from None
 
 
 def _emit(table: ExperimentTable, out: str | None) -> int:

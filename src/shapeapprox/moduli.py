@@ -62,7 +62,7 @@ class ModulusEstimate:
 def default_h_grid(t: float) -> np.ndarray:
     """Geometric grid of step bounds in (0, t], largest point exactly t."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise RegimeError("t must be positive")
     return t * np.geomspace(_H_SPAN, 1.0, DEFAULT_H_POINTS)
 
 
@@ -172,7 +172,7 @@ def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
     """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
     the first maximum of modulus_sweep over default_h_grid(t)."""
     if not 0 <= lam <= 2:
-        raise ValueError("lambda must lie in [0,2]")
+        raise RegimeError("lambda must lie in [0,2]")
     hs = default_h_grid(t)  # raises for t <= 0
     values, args = modulus_sweep(f, k, lam, hs)
     j = int(np.argmax(values))

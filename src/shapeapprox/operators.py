@@ -181,6 +181,22 @@ def genuine_durrmeyer_moment_recurrence(n: int, i: int) -> Polynomial:
 
 # ----------------------------------------------------------------------
 # Bernstein-Durrmeyer operators with ultraspherical weights
+def _gauss_jacobi(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for (1-u^2)^alpha on [-1,1], weights of total mass 1: the
+    eigenvalues of the Jacobi matrix of the orthonormal recurrence, and the
+    Christoffel numbers 1/sum_k p_k(u)^2 (Golub & Welsch, Math. Comp. 1969)."""
+    k = np.arange(2, order, dtype=float)
+    # b_1 apart: the general form is 0/0 at alpha = -1/2
+    b = np.concatenate([[math.sqrt(1 / (3 + 2 * alpha))], np.sqrt(
+        k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1)))])
+    u = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    prev, cur, total = np.zeros(order), np.ones(order), np.ones(order)
+    for bk, bk1 in zip(np.concatenate([[0.0], b[:-1]]), b):
+        prev, cur = cur, (u * cur - bk * prev) / bk1
+        total += cur * cur
+    return u, 1 / total
+
+
 def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     """D_n^<alpha>(f) in Bernstein form; coefficients <p_{n,k},f>/<p_{n,k},1>
     against the weight t^alpha (1-t)^alpha."""
@@ -209,10 +225,7 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
             out.append(acc)
         return Polynomial.bernstein(out)
     # Gauss-Jacobi quadrature with weight t^alpha (1-t)^alpha on [0,1]
-    from scipy.special import roots_jacobi  # imported here: other reads load no scipy
-
-    a = float(alpha)
-    u, w = roots_jacobi(max(64, n + 2), a, a)
+    u, w = _gauss_jacobi(max(64, n + 2), float(alpha))
     t = (u + 1) / 2
     fv = np.asarray(f(t), dtype=float)
     basis = bernstein_basis(n, t)  # (order, n+1)

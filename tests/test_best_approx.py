@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from shapeapprox import (
     ExpFunction,
@@ -27,29 +28,42 @@ from shapeapprox.best_approx import (
     _shape_rows,
     _shifted_chebyshev,
 )
-from shapeapprox.simplex import FEASIBILITY_TOL, solve_lp
+from shapeapprox.shape import check_k_monotone_poly
+from shapeapprox.simplex import minimax
 from shapeapprox.special import chebyshev_T
 
 EPS = 2.0 ** -52
 ORACLE_FUNCTIONS = ("exp", "truncpow:0.5:3", "xeps:0.5", "logeps:1e-4", "truncpow:0.3:1")
+# exp, the fifth function of the panel, has no binding case
+BINDING_FUNCTIONS = ("xeps:0.5", "xeps:0.25", "truncpow:0.5:3", "logeps:1e-4")
+
+
+def _linprog_minimax(fvals, V, R=None):
+    """a minimizing max|fvals - V a|, subject to R a >= 0 when R is given,
+    as one HiGHS LP in t and a = u - w (u, w >= 0) on fvals / max|fvals|,
+    with feasibility tolerances tightened to 1e-10."""
+    scale = float(np.max(np.abs(fvals)))
+    one = np.ones((len(fvals), 1))
+    A = np.vstack([np.hstack([-one, V, -V]), np.hstack([-one, -V, V])])
+    b = np.concatenate([fvals, -fvals]) / scale
+    if R is not None:
+        A = np.vstack([A, np.hstack([np.zeros((len(R), 1)), -R, R])])
+        b = np.concatenate([b, np.zeros(len(R))])
+    c = np.zeros(A.shape[1])
+    c[0] = 1.0
+    res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    k = V.shape[1]
+    return (res.x[1:k + 1] - res.x[k + 1:]) * scale
 
 
 def _lp_minimax(fvals, V):
-    """Reference for the exchange: min t s.t. |fvals - V a| <= t as one HiGHS
-    LP on fvals / max|fvals| with a = u - w (u, w >= 0), then the same LP on
-    its residual, keeping the better grid error."""
-    def lp(g):
-        scale = float(np.max(np.abs(g)))
-        one = np.ones((len(g), 1))
-        A = np.vstack([np.hstack([-one, V, -V]), np.hstack([-one, -V, V])])
-        c = np.zeros(A.shape[1])
-        c[0] = 1.0
-        x = solve_lp(c, A, np.concatenate([g, -g]) / scale).x
-        k = V.shape[1]
-        return (x[1:k + 1] - x[k + 1:]) * scale
-
-    a = lp(fvals)
-    refined = a + lp(fvals - V @ a)
+    """Reference for the exchange: the HiGHS LP, then the same LP on its
+    residual, keeping the better grid error."""
+    a = _linprog_minimax(fvals, V)
+    refined = a + _linprog_minimax(fvals - V @ a, V)
     return min(float(np.max(np.abs(fvals - V @ b))) for b in (a, refined))
 
 
@@ -114,8 +128,8 @@ def test_constraint_validation_flag():
 
 def test_constrained_result_is_certified():
     # the shape rows are the Bernstein coefficients of p^(q) at degree
-    # constraint_size - 1; their exact values must be nonnegative up to the
-    # LP's feasibility tolerance, so p^(3) >= 0 holds on all of [0,1]
+    # constraint_size - 1; their exact values must be nonnegative up to
+    # 1e-10 of their max, so p^(3) >= 0 holds on all of [0,1]
     res = best_qmonotone(catalog("truncpow:0.5:3"), 3, 19, N=129, M=129)
     assert res.constraint_size > 0
     assert res.constraint_validated
@@ -178,6 +192,36 @@ def test_exchange_matches_lp_oracle(name):
             assert res.equioscillations >= n + 2, (n, N, res.equioscillations)
 
 
+@pytest.mark.parametrize("name", BINDING_FUNCTIONS)
+def test_constrained_solve_on_binding_panel(name):
+    # every (q, n) whose unconstrained optimum is not q-monotone, n = 6..19,
+    # and logeps at q = 0, n = 25 and 30, which are degenerate (ln(x + eps)
+    # < 0 on most of [0,1], so the optimum is attained at x = 0 and most
+    # multipliers vanish): the dual bound closes the gap to rounding, the
+    # shape rows hold to 1e-14 of their unit max, and up to n = 19 the error
+    # is the HiGHS LP's
+    f = catalog(name)
+    cases = [(q, n) for q in range(5) for n in range(6, 20)]
+    if name == "logeps:1e-4":
+        cases += [(0, 25), (0, 30)]
+    solved = 0
+    for q, n in cases:
+        N, fvals, V = _sample(f, n, max(129, 4 * (n + 1)))
+        if check_k_monotone_poly(_reconstruct(minimax(fvals, V)[0]), q).passed:
+            continue
+        R = _shape_rows(n, q, 512)
+        a, err, bound, _ = minimax(fvals, V, R)
+        scale = float(np.max(np.abs(fvals)))
+        assert err >= bound >= err * (1 - 1e-12) - 4 * EPS * scale, (q, n, err, bound)
+        assert float(np.min(R @ a)) >= -1e-14, (q, n)
+        if n <= 19:
+            b = _linprog_minimax(fvals, V, R)
+            oracle = float(np.max(np.abs(fvals - V @ b)))
+            assert abs(err - oracle) <= 1e-9 * oracle, (q, n, err, oracle)
+        solved += 1
+    assert solved > 0
+
+
 def test_exchange_degenerate_inputs():
     res = best_uniform(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 4)
     assert res.error == 0.0 and res.poly.coeffs == (0,)
@@ -199,13 +243,17 @@ def test_exchange_is_deterministic():
 
 
 def test_best_uniform_loads_no_scipy():
+    # with scipy blocked (any import of it raises), the unconstrained and a
+    # binding constrained solve and the Gauss-Jacobi read of D_n^<alpha> run
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from shapeapprox import ExpFunction, best_uniform; best_uniform(ExpFunction(), 8); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.modules['scipy'] = None; "
+            "import numpy as np; "
+            "from shapeapprox import ExpFunction, best_qmonotone, best_uniform, catalog, "
+            "durrmeyer_lupas_image; best_uniform(ExpFunction(), 8); "
+            "res = best_qmonotone(catalog('truncpow:0.5:3'), 3, 12, N=129, M=129); "
+            "assert res.constraint_size > 0 and res.constraint_validated; "
+            "durrmeyer_lupas_image(12, 0.5, np.sqrt)")
+    subprocess.run([sys.executable, "-c", code, src], check=True)
 
 
 @pytest.mark.parametrize("d, m", [(0, 3), (1, 1), (3, 10), (12, 40), (19, 512)])
@@ -225,8 +273,7 @@ def test_elevate_matches_fraction_elevation(d, m):
 @pytest.mark.parametrize("n, q", [(19, 0), (19, 4)])
 def test_shape_rows_match_exact_rows(n, q):
     # the rows' entries cancel (T_j^(q) has large alternating Bernstein
-    # coefficients); their error must stay an order below the LP's
-    # feasibility tolerance, so that the tolerance sets the certificate's slack
+    # coefficients); their error must stay below 1e-11 of a row's max
     m = 512
     R = _shape_rows(n, q, m)
     # exact rows: sum_k C(i,k) a_k / C(m,k) for the monomial coefficients a
@@ -241,4 +288,4 @@ def test_shape_rows_match_exact_rows(n, q):
         row = [c[i] for c in cols]
         top = max(abs(x) for x in row)
         err = max(abs(Fraction(R[i, j]) - Fraction(x, top)) for j, x in enumerate(row))
-        assert err <= FEASIBILITY_TOL / 10, (i, float(err))
+        assert err <= 1e-11, (i, float(err))

@@ -144,6 +144,16 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     assert captured.err == "shapeapprox: error: construction requires n > 8r (n=9, r=2)\n"
     assert captured.out == ""
     assert not (tmp_path / "gen.json").exists()
+    # input errors: an unknown catalog name, a step bound t <= 0, lambda > 2
+    for argv, message in [
+        (["--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
+        (["--f", "exp", "--t-grid", "-1"], "t must be positive"),
+        (["--f", "exp", "--t-grid", "0.1", "--lambda", "3"], "lambda must lie in [0,2]"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli", *argv, "--out", str(tmp_path / "mod.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"shapeapprox: error: {message}\n"
 
 
 def test_mn_study_logeps_large_n(tmp_path):
@@ -197,9 +207,13 @@ def test_apply_reads_gen_poly_output(tmp_path):
 
 
 def test_import_loads_no_scipy():
+    # with scipy blocked (any import of it raises), the CLI imports, and a
+    # binding constrained solve and a Gauss-Jacobi read run
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import shapeapprox.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.modules['scipy'] = None; "
+            "import numpy as np; import shapeapprox.cli; "
+            "from shapeapprox import best_qmonotone, catalog, durrmeyer_lupas_image; "
+            "res = best_qmonotone(catalog('truncpow:0.5:3'), 3, 12, N=129, M=129); "
+            "assert res.constraint_size > 0 and res.constraint_validated; "
+            "durrmeyer_lupas_image(12, 0.5, np.sqrt)")
+    subprocess.run([sys.executable, "-c", code, src], check=True)

@@ -31,6 +31,7 @@ from shapeapprox import (
     pochhammer,
 )
 from shapeapprox.functions import TruncatedPowerFunction
+from shapeapprox.operators import _gauss_jacobi
 from shapeapprox.polynomial import bernstein_basis
 
 E = Polynomial.e
@@ -94,6 +95,18 @@ def test_lupas_bernstein_coefficients():
         img = durrmeyer_lupas_image(n, alpha, monomial(i)).to_bernstein(n)
         for k, c in enumerate(img.coeffs):
             assert c == pochhammer(alpha + k + 1, i) / pochhammer(n + 2 * alpha + 2, i)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.5])
+def test_gauss_jacobi_moments(alpha):
+    # the rule is exact for u^(2j), j < order: against the moments
+    # B(j+1/2, alpha+1) of (1-u^2)^alpha, over the total mass B(1/2, alpha+1)
+    order = 514
+    u, w = _gauss_jacobi(order, alpha)
+    mass = mpmath.beta(0.5, alpha + 1)
+    for j in range(order):
+        exact = float(mpmath.beta(j + 0.5, alpha + 1) / mass)
+        assert abs(w @ u ** (2 * j) / exact - 1) <= 1e-10, j
 
 
 def test_lupas_derivative_identity():
