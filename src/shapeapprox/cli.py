@@ -135,12 +135,11 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_shape(args) -> int:
-    if args.f.endswith(".json"):
-        with open(args.f) as fh:
-            poly = Polynomial.from_json(fh.read())
-        report = check_k_monotone_poly(poly, args.k)
+    f = _load_function(args.f)
+    if isinstance(f, Polynomial):
+        report = check_k_monotone_poly(f, args.k)
     else:
-        report = check_k_monotone_fn(catalog(args.f), args.k)
+        report = check_k_monotone_fn(f, args.k)
     payload = dataclasses.asdict(report)
     payload["f"] = args.f
     text = json.dumps(payload, indent=2, default=float)

@@ -320,7 +320,9 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     form = gen_poly.integer_form  # a_k = num[k] / A
     a, A = form.num, form.den
     d = len(a) - 1
-    r = _read_out(f, d, int(sum(Fraction(abs(x), k + 1) for k, x in enumerate(a)) / A).bit_length())
+    lcm = math.lcm(*range(1, d + 2))  # gain = floor(sum_k |a_k|/(k+1)), in integers
+    gain = sum(abs(x) * (lcm // (k + 1)) for k, x in enumerate(a)) // (A * lcm)
+    r = _read_out(f, d, gain.bit_length())
     fact = [math.factorial(i) for i in range(d + 2)]
     v0, *b, v1 = r.num  # over Q = r.den
     row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!

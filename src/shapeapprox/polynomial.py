@@ -12,9 +12,10 @@ Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
 per instance, and its Bernstein integers are formed on first use.
 ``Polynomial.bernstein_float64`` rounds the Bernstein coefficients of any
-derivative from them, and ``bernstein_basis`` evaluates that basis on a grid
-in float64 numpy, by ratios taken outward from each row's mode (no scipy);
-both are independent of the ambient precision.
+derivative from them, ``nonnegative_by_halving`` proves such integers
+nonnegative on [0,1] by integer de Casteljau halving, and ``bernstein_basis``
+evaluates that basis on a grid in float64 numpy, by ratios taken outward from
+each row's mode (no scipy); all are independent of the ambient precision.
 """
 from __future__ import annotations
 
@@ -145,6 +146,46 @@ class IntegerForm:
         lcm = math.lcm(*range(mu + 1, self.degree + mu + 2))
         total = sum(a * (lcm // (k + mu + 1)) for k, a in enumerate(self.num))
         return Fraction(total, self.den * lcm)
+
+
+def _halve(b: list) -> tuple[list, list]:
+    """Integer de Casteljau at 1/2: the Bernstein coefficients of the two
+    halves of sum_k b_k p_{m,k}, each scaled by 2^m so that they stay
+    integers. Row r of the pairwise sums holds sum_t C(r,t) b_{i+t}; the left
+    half's k-th coefficient is its first entry over 2^k, the right half's
+    (m-k)-th its last."""
+    m = len(b) - 1
+    left, right = [b[0] << m], [b[-1] << m]
+    for r in range(1, m + 1):
+        b = [x + y for x, y in zip(b, b[1:])]
+        left.append(b[0] << (m - r))
+        right.append(b[-1] << (m - r))
+    right.reverse()
+    return left, right
+
+
+def nonnegative_by_halving(c: Sequence[int], budget: int) -> tuple[bool, int]:
+    """Whether sum_k c_k p_{m,k} >= 0 on [0,1] is proved by halving its
+    integer Bernstein coefficients c, and the number of halvings made (0
+    when every c_k >= 0 already).
+
+    A piece whose coefficients are all >= 0 is nonnegative on its interval
+    and is dropped; any other piece is halved. The proof gives up (False) at
+    the first piece with a negative end coefficient, an exact negative value
+    at a dyadic point, or when a further halving would exceed the budget.
+    The control polygon converges to the polynomial like O(4^-depth) (Lane &
+    Riesenfeld, 1980), so a p >= 0 whose zeros are all at dyadic points or
+    off [0,1] is proved at a finite depth; a zero elsewhere is never."""
+    pieces, halvings = [list(c)], 0
+    while pieces:
+        b = pieces.pop()
+        if min(b) >= 0:
+            continue
+        if b[0] < 0 or b[-1] < 0 or halvings == budget:
+            return False, halvings
+        halvings += 1
+        pieces.extend(_halve(b))
+    return True, halvings
 
 
 def _read_integers(p: "Polynomial") -> IntegerForm:

@@ -2,9 +2,12 @@
 
 A function is k-monotone when its k-th symmetric differences are nonnegative
 wherever they are defined (k = 0, 1, 2: nonnegative, nondecreasing, convex).
-For polynomials this is equivalent to p^(k) >= 0 on (0,1) for k >= 1, which
-admits a sufficient certificate: if all Bernstein coefficients of p^(k) are
-nonnegative, the polynomial is k-monotone with no sampling caveat.
+For polynomials this is equivalent to p^(k) >= 0 on (0,1) for k >= 1. Every
+polynomial here has an exact value, so p^(k) >= 0 is first proved exactly, in
+two stages with no sampling caveat: all Bernstein coefficients of p^(k) are
+nonnegative (the native certificate), or they become so on every piece of a
+dyadic subdivision (the subdivision certificate). Only when neither proves it
+is p^(k) sampled on a dense grid, and that sample alone decides the verdict.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moduli import _sym_diff_grid, default_x_grid
-from .polynomial import Polynomial, bernstein_basis
+from .polynomial import Polynomial, bernstein_basis, nonnegative_by_halving
 
 POLY_GRID_POINTS = 4096
 FN_X_POINTS = 257
@@ -34,6 +37,8 @@ class ShapeReport:
     #: True when every Bernstein coefficient of p^(k) is >= 0 (polynomials
     #: only); a certificate that needs no grid caveat
     bernstein_certificate: bool = False
+    #: True when they are not, but halving them proved p^(k) >= 0 exactly
+    subdivision_certificate: bool = False
 
 
 def check_k_monotone_fn(f, k: int) -> ShapeReport:
@@ -62,18 +67,35 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
                        FN_X_POINTS, FN_DELTA_POINTS, threshold)
 
 
+def _halving_budget(degree: int) -> int:
+    """Halvings allowed before sampling a degree-`degree` p^(k). A halving
+    costs O(d^2) big-integer additions, the sample 4096 (d+1) basis values;
+    with this budget a proof that never closes (a double zero at a
+    non-dyadic point) costs less than the sample it precedes, and from
+    degree 512 on the budget is 0."""
+    return POLY_GRID_POINTS // (8 * (degree + 1))
+
+
 def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
-    """Sign check of p^(k) (p itself for k = 0): Bernstein-coefficient
-    certificate first, then dense 4096-point sampling."""
+    """Sign check of p^(k) (p itself for k = 0) on [0,1], from the exact
+    Bernstein integers of p^(k): the native certificate (every coefficient
+    >= 0), then the subdivision certificate (``nonnegative_by_halving``
+    within ``_halving_budget``), then dense 4096-point sampling of the
+    float64 coefficients. A proof reports ``x_grid_size = 0``. A proof
+    implies that the sample would pass (roundoff stays far below the
+    threshold), and a failed proof decides nothing: the sample does."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    coeffs, certificate = p.bernstein_float64(k)
+    c, den = p.integer_form.derivative(k)
+    coeffs = np.array([x / den for x in c])
     p_coeffs = p.bernstein_float64()[0] if k else coeffs
     threshold = DEFAULT_TOL * max(1e-30, float(np.max(np.abs(p_coeffs))),
                                   float(np.max(np.abs(coeffs))))
-    if certificate:
-        return ShapeReport(k, True, None, None, None, POLY_GRID_POINTS, 0,
-                           threshold, bernstein_certificate=True)
+    proved, halvings = nonnegative_by_halving(c, _halving_budget(len(c) - 1))
+    if proved:
+        return ShapeReport(k, True, None, None, None, 0, 0, threshold,
+                           bernstein_certificate=not halvings,
+                           subdivision_certificate=bool(halvings))
     xs = np.linspace(0.0, 1.0, POLY_GRID_POINTS)
     vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
     j = int(np.argmin(vals))

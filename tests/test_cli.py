@@ -206,6 +206,15 @@ def test_apply_reads_gen_poly_output(tmp_path):
     assert outs[0] == outs[1] and len(outs[0]) == 17
 
 
+def test_shape_reads_gen_poly_output(tmp_path):
+    # the P of a gen-poly file has P^(r) >= 0, so the r-monotone check passes
+    gen = tmp_path / "gen.json"
+    assert main(["gen-poly", "--n", "64", "--r", "2", "--out", str(gen)]) == 0
+    out = tmp_path / "shape.json"
+    assert main(["shape", "--f", str(gen), "--k", "2", "--out", str(out)]) == 0
+    assert json.loads(_read(out))["passed"]
+
+
 def test_import_loads_no_scipy():
     # with scipy blocked (any import of it raises), the CLI imports, and a
     # binding constrained solve and a Gauss-Jacobi read run

@@ -10,7 +10,7 @@ import pytest
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from shapeapprox import BasisError, DomainError, Polynomial, build_generator, check_k_monotone_poly
-from shapeapprox.polynomial import _round_to_bits, bernstein_basis
+from shapeapprox.polynomial import _halve, _round_to_bits, bernstein_basis, nonnegative_by_halving
 
 
 def test_monomial_eval_horner_exact():
@@ -281,3 +281,23 @@ def test_bernstein_basis_rows_are_probability_vectors(n):
 def test_bernstein_basis_outside_domain_raises(bad):
     with pytest.raises(DomainError):
         bernstein_basis(8, [0.5, bad])
+
+
+def test_halving_matches_exact_restriction():
+    # 2^m times the Bernstein coefficients of p(x/2) and p((1+x)/2)
+    c = [3, -7, 0, 5, -2, 11]
+    m = len(c) - 1
+    p = Polynomial.bernstein(c)
+    left, right = _halve(c)
+    for half, inner in ((left, [0, Fraction(1, 2)]), (right, [Fraction(1, 2), Fraction(1, 2)])):
+        exact = p.compose(Polynomial.monomial(inner)).to_bernstein(m).coeffs
+        assert half == [x * 2 ** m for x in exact]
+
+
+def test_halving_proof_and_give_up():
+    assert nonnegative_by_halving([0, 2, 1], 0) == (True, 0)
+    # (x - 1/2)^2 = (1, -1, 1)/4: one halving puts the zero on the pieces' ends
+    assert nonnegative_by_halving([1, -1, 1], 5) == (True, 1)
+    assert nonnegative_by_halving([1, -1, 1], 0) == (False, 0)
+    # a negative end coefficient is a negative value: no halving is tried
+    assert nonnegative_by_halving([-1, 5, 5], 5) == (False, 0)

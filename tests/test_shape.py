@@ -8,8 +8,13 @@ from shapeapprox import (
     Polynomial,
     check_k_monotone_fn,
     check_k_monotone_poly,
+    mn_image,
     q_monotone_catalog,
+    shape,
 )
+from shapeapprox.functions import TruncatedPowerFunction
+from shapeapprox.polynomial import nonnegative_by_halving
+from shapeapprox.shape import POLY_GRID_POINTS, _halving_budget
 
 
 def test_exp_is_k_monotone_all_orders():
@@ -67,3 +72,41 @@ def test_float_backend_polynomial():
     p = Polynomial.e(2).to_float()
     assert check_k_monotone_poly(p, 2).passed
     assert check_k_monotone_poly(p, 1).passed
+
+
+def test_mn_image_proved_by_subdivision():
+    # M_n preserves convexity; the native coefficients of p'' are not all >= 0
+    p = mn_image(2, 47, TruncatedPowerFunction(Fraction(3, 10), 1)).poly
+    rep = check_k_monotone_poly(p, 2)
+    assert rep.passed and rep.subdivision_certificate
+    assert not rep.bernstein_certificate
+    assert rep.x_grid_size == 0
+
+
+def test_subdivision_proof_agrees_with_sampling(monkeypatch):
+    images = [(mn_image(q, n, f).poly, q) for q in (1, 2, 3, 4)
+              for n in (21, 47, 73) for f in q_monotone_catalog(q)]
+    reports = [check_k_monotone_poly(p, q) for p, q in images]
+    assert any(rep.subdivision_certificate for rep in reports)
+    # the same checks with both proofs off, so that every one is sampled
+    monkeypatch.setattr(shape, "nonnegative_by_halving", lambda c, budget: (False, 0))
+    for rep, (p, q) in zip(reports, images):
+        ref = check_k_monotone_poly(p, q)
+        assert ref.x_grid_size == POLY_GRID_POINTS
+        assert (rep.passed, rep.witness_x, rep.witness_value) == \
+            (ref.passed, ref.witness_x, ref.witness_value)
+
+
+def test_interior_double_root_exhausts_budget_then_samples():
+    # (x - 1/3)^2 (1 + x)^33 >= 0, but its zero at 1/3 lies inside a piece
+    # at every depth, so no halving proves it
+    d = 35
+    p = Polynomial.monomial([Fraction(1, 9), Fraction(-2, 3), 1]) * \
+        Polynomial.monomial([1, 1]) ** (d - 2)
+    c, _ = p.integer_form.derivative(0)
+    budget = _halving_budget(d)
+    assert budget > 0
+    assert nonnegative_by_halving(c, budget) == (False, budget)
+    rep = check_k_monotone_poly(p, 0)
+    assert rep.passed and rep.x_grid_size == POLY_GRID_POINTS
+    assert not rep.bernstein_certificate and not rep.subdivision_certificate
