@@ -10,9 +10,7 @@ from .best_approx import (
     jackson_ratio,
 )
 from .errors import (
-    BackendError,
     BasisError,
-    DegreeCapError,
     DomainError,
     PrecisionError,
     RegimeError,

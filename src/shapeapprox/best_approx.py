@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .errors import SolverError
+from .errors import RegimeError, SolverError
 from .moduli import default_x_grid, omega_dt
 from .polynomial import Polynomial
 from .shape import check_k_monotone_poly
@@ -147,7 +147,7 @@ def _sample(f, n: int, N: int | None):
     if N is None:
         N = max(DEFAULT_SAMPLE_POINTS, 4 * (n + 1))
     if N < 4 * (n + 1):
-        raise ValueError("need N >= 4(n+1) sample nodes")
+        raise RegimeError("need N >= 4(n+1) sample nodes")
     xs = default_x_grid(N)
     return N, np.asarray(f(xs), dtype=float), _basis_values(xs, n)
 
@@ -156,7 +156,7 @@ def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
     """Best uniform approximation from degree-<=n polynomials, discretized on
     N >= 4(n+1) Chebyshev-distributed nodes."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise RegimeError("n must be >= 0")
     N, fvals, V = _sample(f, n, N)
     a, err, bound, iters = minimax(fvals, V)
     p = _reconstruct(a)
@@ -179,7 +179,7 @@ def best_qmonotone(
     ``constraint_size`` is then m+1.  ``constraint_validated`` is the
     verdict of ``check_k_monotone_poly`` on the returned polynomial."""
     if q < 0 or n < 0:
-        raise ValueError("need q >= 0 and n >= 0")
+        raise RegimeError("need q >= 0 and n >= 0")
     if M is None:
         M = DEFAULT_CONSTRAINT_POINTS
     N, fvals, V = _sample(f, n, N)

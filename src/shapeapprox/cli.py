@@ -17,7 +17,7 @@ import sys
 
 from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
-from .errors import ShapeApproxError
+from .errors import RegimeError, ShapeApproxError
 from .experiments import ExperimentTable
 from .functions import catalog
 from .generator import PRECISION_BITS, build_generator
@@ -98,10 +98,8 @@ def _cmd_apply(args) -> int:
         poly = durrmeyer_lupas_image(args.n, 0, f)
     elif args.op == "lupas":
         poly = durrmeyer_lupas_image(args.n, args.alpha, f)
-    elif args.op == "mn":
+    else:  # mn; argparse admits no other --op
         poly = mn_image(args.q, args.n, f).poly
-    else:
-        raise SystemExit(f"unknown operator {args.op!r}")
     xs = _float_list(args.x) if args.x else [i / 16 for i in range(17)]
     table = ExperimentTable(
         name="apply",
@@ -159,8 +157,11 @@ def _cmd_jackson(args) -> int:
         config={"f": args.f, "q": args.q, "n_list": args.n_list},
         columns=["n", "constrained_error", "omega2_phi", "ratio"],
     )
+    ns = _int_list(args.n_list)
+    if any(n < 1 for n in ns):
+        raise RegimeError("jackson needs every n >= 1")
     ratios = []
-    for n in _int_list(args.n_list):
+    for n in ns:
         res = best_qmonotone(f, args.q, n)
         om = omega_dt(f, 2, 1.0, 1.0 / n).value
         ratio = jackson_quotient(res.error, om)

@@ -13,20 +13,13 @@ class DomainError(ShapeApproxError):
     """Evaluation point outside the valid domain of the representation."""
 
 
-class BackendError(ShapeApproxError):
-    """Mixed exact-rational and float scalar backends in one operation."""
-
-
-class DegreeCapError(ShapeApproxError):
-    """Result degree would exceed the configured cap."""
-
-
 class PrecisionError(ShapeApproxError):
     """Floating-point precision was insufficient for a certified step."""
 
 
-class RegimeError(ShapeApproxError):
-    """Parameters outside the regime where a construction is defined."""
+class RegimeError(ShapeApproxError, ValueError):
+    """Parameters outside the range where a construction is defined. It is
+    also a ValueError, the type Python gives a bad argument value."""
 
 
 class SolverError(ShapeApproxError):

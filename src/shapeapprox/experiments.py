@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_approx import best_uniform
+from .errors import RegimeError
 from .functions import FunctionHandle, LogShiftFunction, PowerFunction
 from .generator import PRECISION_BITS, build_generator, deficiency_slope
 from .moduli import default_x_grid, modulus_sweep, omega_dt
@@ -75,9 +76,11 @@ def run_bernstein_xeps(eps: float, n_list) -> ExperimentTable:
     n*(f - B_n f)(1/2), the interior envelope n^-1 phi^(2 eps - 2)(1/2), and
     the near-endpoint error at x = 1/n^2 against (n^-1/2 phi(x))^eps."""
     if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
+        raise RegimeError("eps must be in (0,1)")
     f = PowerFunction(eps)
     ns = [int(n) for n in n_list]
+    if any(n < 1 for n in ns):
+        raise RegimeError("n must be >= 1")
     table = ExperimentTable(
         name="bernstein-xeps",
         config={"eps": eps, "n_list": ns},
@@ -178,7 +181,7 @@ def run_lambda2_counterexample(eps_list, n: int = 5) -> ExperimentTable:
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise RegimeError("eps_list must be strictly decreasing")
     t = 0.5
     table = ExperimentTable(
         name="lambda2-counterexample",

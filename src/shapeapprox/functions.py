@@ -230,11 +230,20 @@ def q_monotone_catalog(q: int) -> list[FunctionHandle]:
     return entries
 
 
+_CATALOG_FORMS = {"exp": "exp", "xeps": "xeps:<eps>", "truncpow": "truncpow:<a>:<p>",
+                  "logeps": "logeps:<eps>", "monomial": "monomial:<k>", "linear": "linear:<a>:<b>"}
+
+
 def catalog(name: str, **params) -> FunctionHandle:
     """Build a handle from a CLI-style name such as ``exp``, ``xeps:0.5``,
     ``truncpow:0.5:3``, ``logeps:1e-4``, ``monomial:3`` or ``linear:1:2``."""
     parts = name.split(":")
     kind = parts[0]
+    if kind not in _CATALOG_FORMS:
+        raise ValueError(f"unknown catalog function {name!r}")
+    form = _CATALOG_FORMS[kind]
+    if len(parts) != form.count(":") + 1:
+        raise ValueError(f"catalog function {name!r} is not of the form {form}")
     if kind == "exp":
         return ExpFunction()
     if kind == "xeps":
@@ -245,6 +254,4 @@ def catalog(name: str, **params) -> FunctionHandle:
         return LogShiftFunction(float(parts[1]))
     if kind == "monomial":
         return monomial(int(parts[1]))
-    if kind == "linear":
-        return linear(Fraction(parts[1]), Fraction(parts[2]))
-    raise ValueError(f"unknown catalog function {name!r}")
+    return linear(Fraction(parts[1]), Fraction(parts[2]))

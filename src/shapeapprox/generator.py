@@ -113,7 +113,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     tau^(2r), for n > 8r; raises PrecisionError when the stored P is not that
     construction or a moment deficiency is not positive."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise RegimeError("r must be >= 1")
     if n <= 8 * r:
         raise RegimeError(f"construction requires n > 8r (n={n}, r={r})")
     m = math.ceil(n / (8 * r))
@@ -172,7 +172,7 @@ def deficiency_slope(r: int, n_list) -> float:
     """Least-squares slope of log delta_2(n) against log n."""
     ns = list(n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_list must be strictly increasing")
+        raise RegimeError("n_list must be strictly increasing")
     logs_n, logs_d = [], []
     for n in ns:
         gen = build_generator(n, r)

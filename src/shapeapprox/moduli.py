@@ -171,6 +171,8 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
 def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
     """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
     the first maximum of modulus_sweep over default_h_grid(t)."""
+    if k < 0:
+        raise RegimeError("k must be >= 0")
     if not 0 <= lam <= 2:
         raise RegimeError("lambda must lie in [0,2]")
     hs = default_h_grid(t)  # raises for t <= 0

@@ -25,10 +25,12 @@ from math import comb
 import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp
+from numpy.polynomial import polynomial as npoly
 
+from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import Polynomial, _round_to_bits, _to_fraction, bernstein_basis
+from .polynomial import Polynomial, _round_to_bits, _to_fraction, _to_mpf, bernstein_basis
 from .special import pochhammer
 
 
@@ -60,7 +62,7 @@ def _as_handle(f) -> FunctionHandle:
 def bernstein_image(n: int, f) -> Polynomial:
     """B_n(f): Bernstein form with coefficients f(k/n)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise RegimeError("n must be >= 1")
     f = _as_handle(f)
     vals = [f.value_at(Fraction(k, n)) for k in range(n + 1)]
     return Polynomial.bernstein(vals)
@@ -140,7 +142,7 @@ def genuine_durrmeyer_image(n: int, f) -> Polynomial:
     c_k = (n-1) int_0^1 p_{n-2,k-1}(t) f(t) dt for 0 < k < n.
     """
     if n < 2:
-        raise ValueError("U_n requires n >= 2")
+        raise RegimeError("U_n requires n >= 2")
     r = _read_out(f, n - 2)
     v0, *b, v1 = r.num
     num = [v0, *((n - 1) * v for v in b), v1]
@@ -161,22 +163,19 @@ def genuine_durrmeyer_moment(n: int, i: int) -> Polynomial:
 
 
 def genuine_durrmeyer_moment_recurrence(n: int, i: int) -> Polynomial:
-    """U_n(e_i) via the three-term recurrence in the moment index."""
+    """U_n(e_i) via the three-term recurrence in the moment index,
+    (n+k) U_n(e_{k+1}) = (2k + (n-k) x) U_n(e_k) - k(k-1)/(n+k-1) (1-x) U_n(e_{k-1}),
+    on object arrays of Fractions, where numpy.polynomial is exact."""
     if n < 2 or i < 0:
         raise ValueError("need n >= 2, i >= 0")
     if i == 0:
         return Polynomial.monomial([1])
-    prev2 = Polynomial.monomial([1])  # U_n(e_0)
-    prev1 = Polynomial.e(1)  # U_n(e_1) = x
-    x = Polynomial.e(1)
-    one_minus_x = Polynomial.monomial([1, -1])
+    prev2 = np.array([Fraction(1)], dtype=object)  # U_n(e_0)
+    prev1 = np.array([Fraction(0), Fraction(1)], dtype=object)  # U_n(e_1) = x
     for k in range(1, i):
-        lead = (x.scale(n - k) + Polynomial.monomial([2 * k])).scale(Fraction(1, n + k))
-        cur = lead * prev1 - (one_minus_x * prev2).scale(
-            Fraction(k * (k - 1), (n + k) * (n + k - 1))
-        )
-        prev2, prev1 = prev1, cur
-    return prev1.to_monomial()
+        tail = npoly.polymul([1, -1], prev2) * Fraction(k * (k - 1), n + k - 1)
+        prev2, prev1 = prev1, npoly.polysub(npoly.polymul([2 * k, n - k], prev1), tail) / (n + k)
+    return Polynomial.monomial(prev1)
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +200,9 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     """D_n^<alpha>(f) in Bernstein form; coefficients <p_{n,k},f>/<p_{n,k},1>
     against the weight t^alpha (1-t)^alpha."""
     if alpha <= -1:
-        raise ValueError("alpha must be > -1")
+        raise RegimeError("alpha must be > -1")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise RegimeError("n must be >= 0")
     if alpha == 0:  # <p_{n,k},1> = 1/(n+1)
         r = _read_out(f, n)
         num = [(n + 1) * v for v in r.num[1:-1]]
@@ -272,11 +271,11 @@ def lupas_derivative_identity_check(n: int, alpha, nu: int, f) -> float:
     f = _as_handle(f)
     if not isinstance(f, PolyFunction):
         raise TypeError("identity check requires a polynomial input")
-    lhs = durrmeyer_lupas_image(n, alpha, f).to_monomial().differentiate(nu)
+    lhs = npoly.polyder(_monomial_array(durrmeyer_lupas_image(n, alpha, f)), nu)
     factor = pochhammer(n - nu + 1, nu) / pochhammer(n + 2 * alpha + 2, nu)
-    fder = PolyFunction(f.poly.differentiate(nu))
-    rhs = durrmeyer_lupas_image(n - nu, alpha + nu, fder).to_monomial().scale(factor)
-    return _max_grid_diff(lhs, rhs)
+    fder = PolyFunction(Polynomial.monomial(npoly.polyder(_monomial_array(f.poly), nu)))
+    rhs = _monomial_array(durrmeyer_lupas_image(n - nu, alpha + nu, fder)) * factor
+    return _max_grid_diff(Polynomial.monomial(lhs), Polynomial.monomial(rhs))
 
 
 def derivative_bridge_residual(n: int, f) -> float:
@@ -284,20 +283,29 @@ def derivative_bridge_residual(n: int, f) -> float:
     f = _as_handle(f)
     if not isinstance(f, PolyFunction):
         raise TypeError("bridge check requires a polynomial input")
-    lhs = genuine_durrmeyer_image(n + 1, f).to_monomial().differentiate()
-    rhs = durrmeyer_lupas_image(n, 0, PolyFunction(f.poly.differentiate())).to_monomial()
-    return _max_grid_diff(lhs, rhs)
+    lhs = npoly.polyder(_monomial_array(genuine_durrmeyer_image(n + 1, f)))
+    fder = PolyFunction(Polynomial.monomial(npoly.polyder(_monomial_array(f.poly))))
+    return _max_grid_diff(Polynomial.monomial(lhs), durrmeyer_lupas_image(n, 0, fder))
+
+
+def _monomial_array(p: Polynomial) -> np.ndarray:
+    """p's monomial coefficients as an object array (Fraction or mpf)."""
+    return np.array(p.to_monomial().coeffs, dtype=object)
 
 
 def _max_grid_diff(p: Polynomial, q: Polynomial, points: int = 50) -> float:
-    if p.backend != q.backend:
-        p, q = p.to_float(), q.to_float()
-    diff = p - q
-    if diff.backend == "exact":
+    """max |p - q| on `points` equispaced nodes of [0,1], exactly when both
+    are exact, otherwise in mpf at the ambient precision."""
+    a, b = _monomial_array(p), _monomial_array(q)
+    exact = p.backend == q.backend == "exact"
+    if not exact:
+        a, b = (np.array([_to_mpf(c) for c in r], dtype=object) for r in (a, b))
+    diff = npoly.polysub(a, b)
+    if exact:
         grid = [Fraction(j, points - 1) for j in range(points)]
     else:
         grid = [mpmath.mpf(j) / (points - 1) for j in range(points)]
-    return max(abs(float(diff(x))) for x in grid)
+    return max(abs(float(npoly.polyval(x, diff))) for x in grid)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +386,7 @@ def mn_image(q: int, n: int, f) -> MnResult:
     endpoint linear interpolant.
     """
     if q < 0 or n < 1:
-        raise ValueError("need q >= 0, n >= 1")
+        raise RegimeError("need q >= 0, n >= 1")
     r = max(q - 1, 1)
     if n - 2 <= 8 * r:
         return MnResult(_linear_interpolation_image(f), q, n, r, True, None, None)

@@ -1,12 +1,16 @@
-"""Degree-bounded polynomials on [0,1] in monomial and Bernstein bases.
+"""Polynomials on [0,1] as immutable values in the monomial or Bernstein basis.
+
+A ``Polynomial`` is built, evaluated, converted to the monomial basis, read
+exactly and serialized; it has no arithmetic. Code that combines coefficient
+vectors uses ``numpy.polynomial.polynomial`` on object arrays, which is exact
+on ``Fraction`` entries.
 
 Two scalar backends are supported:
 
-* ``exact``: coefficients are ``fractions.Fraction`` (or ``int``), and every
-  operation is exact.
-* ``float``: coefficients are ``mpmath.mpf``; the working precision is the
-  ambient mpmath precision (wrap calls in ``mpmath.workprec(bits)`` to
-  control it).
+* ``exact``: coefficients are ``fractions.Fraction`` (or ``int``), and
+  evaluation is exact.
+* ``float``: coefficients are ``mpmath.mpf``; evaluation runs at the ambient
+  mpmath precision (wrap calls in ``mpmath.workprec(bits)`` to control it).
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
@@ -32,9 +36,7 @@ import numpy as np
 from mpmath import mpf
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
-from .errors import BackendError, BasisError, DegreeCapError, DomainError
-
-DEGREE_CAP = 4096
+from .errors import BasisError, DomainError
 
 MONOMIAL = "monomial"
 BERNSTEIN = "bernstein"
@@ -295,15 +297,6 @@ class Polynomial:
         """The monomial x^i with exact coefficients."""
         return Polynomial(MONOMIAL, [0] * i + [1])
 
-    @staticmethod
-    def basis_bernstein(n: int, k: int) -> "Polynomial":
-        """The Bernstein fundamental polynomial p_{n,k}."""
-        if not 0 <= k <= n:
-            raise BasisError(f"p_{{{n},{k}}} undefined")
-        c = [0] * (n + 1)
-        c[k] = 1
-        return Polynomial(BERNSTEIN, c)
-
     # ------------------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -315,17 +308,6 @@ class Polynomial:
         if self.basis != BERNSTEIN:
             raise BasisError("not in Bernstein form")
         return len(self.coeffs) - 1
-
-    def _coerce_pair(self, other: "Polynomial"):
-        if self.backend == other.backend:
-            return self, other
-        raise BackendError(
-            f"mixed backends {self.backend}/{other.backend}; convert explicitly"
-        )
-
-    def to_float(self) -> "Polynomial":
-        """Copy with mpf coefficients (rounded at the ambient precision)."""
-        return Polynomial(self.basis, [_to_mpf(c) for c in self.coeffs])
 
     def to_exact(self) -> "Polynomial":
         """Copy with Fraction coefficients; nothing is rounded."""
@@ -350,106 +332,7 @@ class Polynomial:
         return b[0]
 
     # ------------------------------------------------------------------
-    # arithmetic
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coerce_pair(other)
-        if a.basis == b.basis == BERNSTEIN and a.bernstein_n == b.bernstein_n:
-            return Polynomial(BERNSTEIN, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-        am, bm = a.to_monomial(), b.to_monomial()
-        n = max(len(am.coeffs), len(bm.coeffs))
-        z = _zero_of(a.backend)
-        ca = list(am.coeffs) + [z] * (n - len(am.coeffs))
-        cb = list(bm.coeffs) + [z] * (n - len(bm.coeffs))
-        out = Polynomial(MONOMIAL, [x + y for x, y in zip(ca, cb)])
-        if a.basis == BERNSTEIN:
-            return out.to_bernstein(max(a.bernstein_n, out.degree))
-        return out
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "Polynomial":
-        if self.backend == "exact" and not isinstance(s, _EXACT_TYPES):
-            return self.to_float().scale(_to_mpf(s))
-        return Polynomial(self.basis, [c * s for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        a, b = self._coerce_pair(other)
-        am, bm = a.to_monomial().coeffs, b.to_monomial().coeffs
-        deg = len(am) + len(bm) - 2
-        if deg > DEGREE_CAP:
-            raise DegreeCapError(f"product degree {deg} exceeds cap {DEGREE_CAP}")
-        z = _zero_of(a.backend)
-        out = [z] * (deg + 1)
-        for i, ci in enumerate(am):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(bm):
-                out[i + j] += ci * cj
-        res = Polynomial(MONOMIAL, out)
-        if a.basis == BERNSTEIN:
-            return res.to_bernstein(max(res.degree, deg))
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial(MONOMIAL, [1]) if self.backend == "exact" else Polynomial(
-            MONOMIAL, [mpmath.mpf(1)]
-        )
-        base = self.to_monomial()
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)), via Horner in polynomial arithmetic."""
-        a, b = self.to_monomial()._coerce_pair(inner.to_monomial())
-        acc = Polynomial(MONOMIAL, [a.coeffs[-1]])
-        for c in reversed(a.coeffs[:-1]):
-            acc = acc * b + Polynomial(MONOMIAL, [c])
-        return acc
-
-    # ------------------------------------------------------------------
-    # calculus
-    def differentiate(self, nu: int = 1) -> "Polynomial":
-        if nu < 0:
-            raise ValueError("nu must be >= 0")
-        c = list(self.to_monomial().coeffs)
-        for _ in range(nu):
-            c = [k * c[k] for k in range(1, len(c))] or [_zero_of(self.backend)]
-        return Polynomial(MONOMIAL, c)
-
-    def antidifferentiate_from_zero(self) -> "Polynomial":
-        c = self.to_monomial().coeffs
-        out = [_zero_of(self.backend)] + [ck / (k + 1) for k, ck in enumerate(c)]
-        return Polynomial(MONOMIAL, out)
-
-    def integrate_01(self):
-        """Exact integral over [0,1] (in the coefficient arithmetic)."""
-        if self.basis == BERNSTEIN:
-            n = self.bernstein_n
-            return sum(self.coeffs, _zero_of(self.backend)) / (n + 1)
-        total = _zero_of(self.backend)
-        for k, ck in enumerate(self.coeffs):
-            total += ck / (k + 1)
-        return total
-
-    def definite_integral(self, a, b):
-        anti = self.to_monomial().antidifferentiate_from_zero()
-        return anti(b) - anti(a)
-
-    # ------------------------------------------------------------------
-    # basis conversion
+    # basis conversion and the exact read
     def to_monomial(self) -> "Polynomial":
         if self.basis == MONOMIAL:
             return self
@@ -465,22 +348,6 @@ class Polynomial:
             for l in range(k, n + 1):
                 out[l] += ck * (base * comb(n - k, l - k) * (-1) ** (l - k))
         return Polynomial(MONOMIAL, out)
-
-    def to_bernstein(self, n: int | None = None) -> "Polynomial":
-        mono = self.to_monomial()
-        deg = mono.degree
-        if n is None:
-            n = deg if self.basis == MONOMIAL else self.bernstein_n
-        if n < deg:
-            raise BasisError(f"target Bernstein degree {n} < polynomial degree {deg}")
-        a = mono.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = _zero_of(self.backend)
-            for j in range(0, min(k, deg) + 1):
-                acc += a[j] * comb(k, j) / comb(n, j)
-            out.append(acc)
-        return Polynomial(BERNSTEIN, out)
 
     @cached_property
     def integer_form(self) -> IntegerForm:

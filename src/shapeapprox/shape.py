@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RegimeError
 from .moduli import _sym_diff_grid, default_x_grid
 from .polynomial import Polynomial, bernstein_basis, nonnegative_by_halving
 
@@ -46,7 +47,7 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
     steps in one kernel call; only points with x +- k delta/2 in [0,1]
     participate."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise RegimeError("k must be >= 0")
     xs = default_x_grid(FN_X_POINTS)
     vals = np.asarray(f(xs), dtype=float)
     threshold = DEFAULT_TOL * max(1e-30, float(np.max(np.abs(vals))))
@@ -85,7 +86,7 @@ def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
     implies that the sample would pass (roundoff stays far below the
     threshold), and a failed proof decides nothing: the sample does."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise RegimeError("k must be >= 0")
     c, den = p.integer_form.derivative(k)
     coeffs = np.array([x / den for x in c])
     p_coeffs = p.bernstein_float64()[0] if k else coeffs

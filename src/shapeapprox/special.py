@@ -8,7 +8,9 @@ from functools import lru_cache
 from math import comb
 
 import mpmath
+import numpy as np
 from mpmath import mpf
+from numpy.polynomial import polynomial as npoly
 
 from .errors import PrecisionError
 from .polynomial import Polynomial, _to_mpf
@@ -103,28 +105,14 @@ def ultraspherical_phi(n: int, alpha) -> Polynomial:
     if alpha <= -1:
         raise ValueError("alpha must be > -1")
     exact = isinstance(alpha, (int, Fraction))
-    if exact:
-        alpha = Fraction(alpha)
-    else:
-        alpha = _to_mpf(alpha)
-    one = Polynomial.monomial([Fraction(1) if exact else mpmath.mpf(1)])
-    if n == 0:
-        return one
-    lin = Polynomial.monomial([-1, 2])  # 2x - 1
-    if not exact:
-        lin = lin.to_float()
-    if n == 1:
-        return lin
-    prev2, prev1 = one, lin
+    alpha = Fraction(alpha) if exact else _to_mpf(alpha)
+    one = Fraction(1) if exact else mpmath.mpf(1)
+    lin = np.array([-one, 2 * one], dtype=object)  # 2x - 1
+    prev2, prev1 = np.array([one], dtype=object), lin
     for j in range(2, n + 1):
-        num = (lin * prev1).scale(2 * j + 2 * alpha - 1) - prev2.scale(j - 1)
-        denom = j + 2 * alpha
-        if exact:
-            cur = num.scale(Fraction(1) / Fraction(denom))
-        else:
-            cur = num.scale(1 / _to_mpf(denom))
-        prev2, prev1 = prev1, cur
-    return prev1
+        num = npoly.polysub(npoly.polymul(lin, prev1) * (2 * j + 2 * alpha - 1), prev2 * (j - 1))
+        prev2, prev1 = prev1, num * (1 / (j + 2 * alpha))
+    return Polynomial.monomial(prev1 if n else prev2)
 
 
 def phi_leading_coefficient(n: int, alpha):

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-import mpmath
 import numpy as np
 from scipy.stats import binom as _scipy_binom
 
@@ -44,6 +43,8 @@ from shapeapprox import (
 )
 from shapeapprox.experiments import run_lambda2_counterexample
 from shapeapprox.functions import PowerFunction
+
+from oracles import integral_01
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -192,8 +193,7 @@ def test_criterion_04_generator():
         scaled = []
         for n in ns:
             gen = build_generator(n, r)
-            with mpmath.workprec(max(256, gen.precision_bits) + 2 * gen.P.degree + 64):
-                resid = abs(float(gen.P.integrate_01() - 1))
+            resid = abs(float(integral_01(gen.P.coeffs) - 1))
             min_rel = min(_native_grid_min(gen.P, nu) for nu in range(r + 1))
             scaled.append(n * n * float(gen.moment_deficiency[2]))
             if resid > 1e-20:
@@ -236,7 +236,7 @@ def test_criterion_05_shape_preservation():
     for trial in range(50):
         deg = int(rng.integers(1, 6))
         bern = rng.random(deg + 1)
-        f = PolyFunction(Polynomial.bernstein(list(bern)).to_float())
+        f = PolyFunction(Polynomial.bernstein(list(bern)))
         img = mn_image(1, 40, f).poly
         vals = np.array([float(img(x)) for x in xs])
         fmax = float(bern.max())  # sup of f is at most the max Bernstein coeff
@@ -256,9 +256,8 @@ def test_criterion_06_combination_moments():
     rnd = random.Random(11)
     for _ in range(10):
         deg = rnd.randint(0, 5)
-        P = Polynomial.monomial(
-            [Fraction(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in range(deg + 1)])
-        P = P.scale(1 / P.integrate_01())  # unit integral, exact
+        a = [Fraction(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in range(deg + 1)]
+        P = Polynomial.monomial([c / integral_01(a) for c in a])  # unit integral, exact
         imgs = [gavrea_image(P, PolyFunction(Polynomial.e(i))).to_monomial().coeffs
                 for i in range(3)]
         m2 = sum(ck * Fraction(1, k + 3) for k, ck in enumerate(P.coeffs))

@@ -144,16 +144,34 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     assert captured.err == "shapeapprox: error: construction requires n > 8r (n=9, r=2)\n"
     assert captured.out == ""
     assert not (tmp_path / "gen.json").exists()
-    # input errors: an unknown catalog name, a step bound t <= 0, lambda > 2
+    # input errors: an unknown catalog name or one missing its parameters, and
+    # arguments out of range
     for argv, message in [
-        (["--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
-        (["--f", "exp", "--t-grid", "-1"], "t must be positive"),
-        (["--f", "exp", "--t-grid", "0.1", "--lambda", "3"], "lambda must lie in [0,2]"),
+        (["moduli", "--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
+        (["moduli", "--f", "truncpow:0.5", "--t-grid", "0.1"],
+         "catalog function 'truncpow:0.5' is not of the form truncpow:<a>:<p>"),
+        (["moduli", "--f", "xeps", "--t-grid", "0.1"],
+         "catalog function 'xeps' is not of the form xeps:<eps>"),
+        (["moduli", "--f", "exp", "--t-grid", "-1"], "t must be positive"),
+        (["moduli", "--f", "exp", "--t-grid", "0.1", "--lambda", "3"], "lambda must lie in [0,2]"),
+        (["moduli", "--f", "exp", "--k", "-1", "--t-grid", "0.1"], "k must be >= 0"),
+        (["apply", "--op", "bernstein", "--n", "0", "--f", "exp"], "n must be >= 1"),
+        (["apply", "--op", "mn", "--q", "-1", "--n", "20", "--f", "exp"], "need q >= 0, n >= 1"),
+        (["apply", "--op", "lupas", "--alpha", "-2", "--n", "5", "--f", "exp"],
+         "alpha must be > -1"),
+        (["gen-poly", "--n", "20", "--r", "0"], "r must be >= 1"),
+        (["jackson", "--f", "exp", "--q", "-1", "--n-list", "8"], "need q >= 0 and n >= 0"),
+        (["jackson", "--f", "exp", "--q", "1", "--n-list", "0"], "jackson needs every n >= 1"),
+        (["shape", "--f", "exp", "--k", "-1"], "k must be >= 0"),
+        (["bern-xeps", "--eps", "2", "--n-list", "8"], "eps must be in (0,1)"),
+        (["bern-xeps", "--eps", "0.5", "--n-list", "0"], "n must be >= 1"),
+        (["lambda2", "--eps-list", "1e-2,1e-1"], "eps_list must be strictly decreasing"),
     ]:
         with pytest.raises(SystemExit) as exc:
-            main(["moduli", *argv, "--out", str(tmp_path / "mod.csv")])
+            main([*argv, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"shapeapprox: error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_mn_study_logeps_large_n(tmp_path):

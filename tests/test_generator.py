@@ -9,12 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath.libmp import from_rational, round_nearest, to_rational
+from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
     Polynomial,
     PrecisionError,
-    best_approx,
-    best_uniform,
     build_generator,
     check_k_monotone_poly,
     deficiency_slope,
@@ -23,6 +22,8 @@ from shapeapprox import (
     polynomial,
 )
 from shapeapprox.special import tau
+
+from oracles import bernstein_coeffs, fractions, integral_01
 
 XS = np.linspace(0.0, 1.0, 2048)
 
@@ -42,8 +43,7 @@ def test_generator_basic_properties(n, r):
     assert gen.n == n and gen.r == r
     assert gen.m == math.ceil(n / (8 * r))
     assert gen.P.degree <= n
-    with mpmath.workprec(max(256, gen.precision_bits) + 2 * gen.P.degree + 64):
-        assert abs(gen.P.integrate_01() - 1) <= mpmath.mpf("1e-20")
+    assert abs(integral_01(gen.P.coeffs) - 1) <= Fraction(1, 10**20)
     for nu in range(r + 1):
         assert native_relative(gen.P, nu).min() >= -1e-15
 
@@ -77,7 +77,7 @@ def test_moment_is_rounded_once():
 @pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])
 def test_build_records_its_certificate(n, r):
     gen = build_generator(n, r)
-    assert gen.unit_integral_residual == abs(float(gen.P.to_exact().integrate_01() - 1))
+    assert gen.unit_integral_residual == abs(float(integral_01(gen.P.coeffs) - 1))
 
 
 def test_delta2_decays_like_inverse_square():
@@ -114,10 +114,9 @@ def test_build_makes_one_attempt(monkeypatch):
 
 
 def test_build_reads_generator_once(monkeypatch):
-    # one exact conversion of P and no basis matrix per build, one exact
-    # conversion per shape check, and the minimax reconstruction composes no
-    # polynomials
-    calls = {"read": 0, "coefficient": 0, "basis": 0, "compose": 0}
+    # one exact conversion of P and no basis matrix per build, and one exact
+    # conversion per shape check
+    calls = {"read": 0, "coefficient": 0, "basis": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -132,7 +131,6 @@ def test_build_reads_generator_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("shapeapprox") and hasattr(module, "bernstein_basis"):
             monkeypatch.setattr(module, "bernstein_basis", basis)
-    monkeypatch.setattr(Polynomial, "compose", counted("compose", Polynomial.compose))
 
     gen = build_generator.__wrapped__(128, 3)
     assert gen.precision_bits == 440
@@ -141,10 +139,6 @@ def test_build_reads_generator_once(monkeypatch):
 
     assert check_k_monotone_poly(Polynomial.monomial([0, 1, 0, 1]), 2).passed
     assert calls["read"] == 2
-
-    best_approx._shifted_chebyshev.cache_clear()
-    best_uniform(np.exp, 12)
-    assert calls["compose"] == 0
 
 
 def test_build_forms_no_bernstein_integers():
@@ -188,12 +182,9 @@ def exact_generator(n, r):
     gen = build_generator(n, r)
     with mpmath.workprec(gen.precision_bits):
         t = tau(gen.m, prec_bits=gen.precision_bits)
-    Q = t.poly.to_exact() ** (4 * r)
-    lam = r / (Q * Polynomial.monomial([1, -1]) ** r).integrate_01()
-    kernel = Q
-    for _ in range(r):
-        kernel = kernel.antidifferentiate_from_zero()
-    return kernel.scale(lam * math.factorial(r - 1))
+    Q = npoly.polypow(fractions(t.poly.coeffs), 4 * r)
+    lam = r / integral_01(npoly.polymul(Q, npoly.polypow(fractions([1, -1]), r)))
+    return npoly.polyint(Q, r) * (lam * math.factorial(r - 1))
 
 
 def library_square(gen):
@@ -217,23 +208,23 @@ def test_generator_is_certified_by_construction(n, r):
     # P^(r) = lambda_n (r-1)! Q exactly with lambda_n > 0, and P has no
     # coefficient below x^r, so every P^(nu), nu <= r, is >= 0 on [0,1]
     gen = build_generator(n, r)
-    P = gen.P.to_exact()
-    assert all(c == 0 for c in P.coeffs[:r])
+    P = fractions(gen.P.coeffs)
+    assert all(c == 0 for c in P[:r])
     c = Fraction(*to_rational(gen.lambda_n._mpf_)) * math.factorial(r - 1)
     assert c > 0
-    assert list(P.differentiate(r).coeffs) == [c * x for x in library_square(gen)]
+    assert list(npoly.polyder(P, r)) == [c * x for x in library_square(gen)]
 
 
 @pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])
 def test_generator_matches_exact_construction(n, r):
     # every Bernstein coefficient of P - exact P is below 2^-PRECISION_BITS of
     # P's largest Bernstein coefficient
-    P = build_generator(n, r).P.to_exact()
-    d = P.degree
+    P = fractions(build_generator(n, r).P.coeffs)
+    d = len(P) - 1
     want = exact_generator(n, r)
-    assert want.degree == d
-    err = max(map(abs, (P - want).to_bernstein(d).coeffs))
-    scale = max(map(abs, P.to_bernstein(d).coeffs))
+    assert len(want) - 1 == d
+    err = max(map(abs, bernstein_coeffs(npoly.polysub(P, want), d)))
+    scale = max(map(abs, bernstein_coeffs(P, d)))
     assert err <= Fraction(1, 2**generator.PRECISION_BITS) * scale
 
 

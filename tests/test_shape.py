@@ -1,7 +1,9 @@
 """k-monotonicity checks for functions and polynomials."""
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
     ExpFunction,
@@ -15,6 +17,8 @@ from shapeapprox import (
 from shapeapprox.functions import TruncatedPowerFunction
 from shapeapprox.polynomial import nonnegative_by_halving
 from shapeapprox.shape import POLY_GRID_POINTS, _halving_budget
+
+from oracles import fractions
 
 
 def test_exp_is_k_monotone_all_orders():
@@ -69,7 +73,7 @@ def test_catalog_functions_declared_orders():
 
 
 def test_float_backend_polynomial():
-    p = Polynomial.e(2).to_float()
+    p = Polynomial.monomial([0, 0, mpmath.mpf(1)])  # x^2, mpf backend
     assert check_k_monotone_poly(p, 2).passed
     assert check_k_monotone_poly(p, 1).passed
 
@@ -101,8 +105,8 @@ def test_interior_double_root_exhausts_budget_then_samples():
     # (x - 1/3)^2 (1 + x)^33 >= 0, but its zero at 1/3 lies inside a piece
     # at every depth, so no halving proves it
     d = 35
-    p = Polynomial.monomial([Fraction(1, 9), Fraction(-2, 3), 1]) * \
-        Polynomial.monomial([1, 1]) ** (d - 2)
+    square = fractions([Fraction(1, 9), Fraction(-2, 3), 1])
+    p = Polynomial.monomial(npoly.polymul(square, npoly.polypow(fractions([1, 1]), d - 2, d)))
     c, _ = p.integer_form.derivative(0)
     budget = _halving_budget(d)
     assert budget > 0
