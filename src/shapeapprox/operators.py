@@ -265,6 +265,9 @@ def lupas_derivative_identity_check(n: int, alpha, nu: int, f) -> float:
     """Max grid residual of the commutation identity
 
         d^nu/dx^nu D_n^<a>(f) = n!/((n-nu)! (n+2a+2)_nu) D_{n-nu}^<a+nu>(f^(nu))
+
+    Exact for an exact alpha and an exact polynomial; in mpf at the ambient
+    precision otherwise (a float alpha reads both images by quadrature).
     """
     if not 1 <= nu <= n:
         raise ValueError("need 1 <= nu <= n")
@@ -272,7 +275,7 @@ def lupas_derivative_identity_check(n: int, alpha, nu: int, f) -> float:
     if not isinstance(f, PolyFunction):
         raise TypeError("identity check requires a polynomial input")
     lhs = npoly.polyder(_monomial_array(durrmeyer_lupas_image(n, alpha, f)), nu)
-    factor = pochhammer(n - nu + 1, nu) / pochhammer(n + 2 * alpha + 2, nu)
+    factor = math.perm(n, nu) / pochhammer(n + 2 * alpha + 2, nu)  # int / Fraction or mpf
     fder = PolyFunction(Polynomial.monomial(npoly.polyder(_monomial_array(f.poly), nu)))
     rhs = _monomial_array(durrmeyer_lupas_image(n - nu, alpha + nu, fder)) * factor
     return _max_grid_diff(Polynomial.monomial(lhs), Polynomial.monomial(rhs))

@@ -17,9 +17,10 @@ Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 per instance, and its Bernstein integers are formed on first use.
 ``Polynomial.bernstein_float64`` rounds the Bernstein coefficients of any
 derivative from them, ``nonnegative_by_halving`` proves such integers
-nonnegative on [0,1] by integer de Casteljau halving, and ``bernstein_basis``
-evaluates that basis on a grid in float64 numpy, by ratios taken outward from
-each row's mode (no scipy); all are independent of the ambient precision.
+nonnegative on [0,1] by integer de Casteljau halving, ``bernstein_basis``
+evaluates that basis on a grid and ``bernstein_elevation`` raises its degree,
+both in float64 numpy by ratios taken outward from each row's mode (no
+scipy); all are independent of the ambient precision.
 """
 from __future__ import annotations
 
@@ -91,6 +92,21 @@ def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
     return [_round_div(x, den, e) for x in num], e
 
 
+def bernstein_integers(num: np.ndarray) -> np.ndarray:
+    """d! times the degree-d Bernstein coefficients of sum_j num[j] x^j, for
+    the integer columns of a (d+1)-row object array: c_k = sum_j C(k,j)
+    num_j / C(d,j), so d! c_k = sum_j C(k,j) e_j with integers
+    e_j = num_j j! (d-j)!; the binomial sums run by additions."""
+    d = len(num) - 1
+    fact = [1]
+    for i in range(1, d + 1):
+        fact.append(fact[-1] * i)
+    e = num * np.array([[fact[j] * fact[d - j]] for j in range(d + 1)], dtype=object)
+    for r in range(1, d + 1):
+        e[r:] = e[r:] + e[r - 1:-1]
+    return e
+
+
 @dataclass(frozen=True)
 class IntegerForm:
     """The exact value of a polynomial p of degree d, as integers over one
@@ -105,17 +121,8 @@ class IntegerForm:
 
     @cached_property
     def bern(self) -> tuple:
-        """The Bernstein integers, formed on first use: c_k = sum_j C(k,j)
-        a_j / C(d,j), so den d! c_k = sum_j C(k,j) e_j with integers
-        e_j = num_j j! (d-j)!; the binomial sums run by additions."""
-        d = self.degree
-        fact = [1]
-        for i in range(1, d + 1):
-            fact.append(fact[-1] * i)
-        e = [x * fact[j] * fact[d - j] for j, x in enumerate(self.num)]
-        for r in range(1, d + 1):
-            e[r:] = [x + y for x, y in zip(e[r:], e[r - 1:-1])]
-        return tuple(e)
+        """The Bernstein integers, formed on first use (``bernstein_integers``)."""
+        return tuple(bernstein_integers(np.array(self.num, dtype=object)[:, None])[:, 0])
 
     def derivative(self, nu: int) -> tuple[list, int]:
         """Bernstein coefficients of p^(nu) at degree d - nu, as integers and
@@ -216,16 +223,31 @@ def _json_bits(text: str) -> int:
     return max(53, math.floor((len(digits) - 1) * _LOG2_10) - 8)
 
 
+def _from_mode(up: np.ndarray, down: np.ndarray, k: np.ndarray, mode: np.ndarray) -> np.ndarray:
+    """Rows of a unimodal kernel from the ratios of neighbouring entries:
+    up[:, k] = e_k/e_{k-1} for k above each row's mode, down[:, k] =
+    e_k/e_{k+1} for k below it.  Products of ratios are taken outward from
+    the mode, where every ratio is at most 1, so nothing overflows and only
+    negligible tails underflow; each row is then divided by its sum.
+    Overwrites up and down."""
+    np.copyto(up, 1.0, where=k <= mode)
+    np.copyto(down, 1.0, where=k >= mode)
+    np.cumprod(up, axis=1, out=up)  # e_k/e_mode above the mode
+    np.cumprod(down[:, ::-1], axis=1, out=down[:, ::-1])  # e_k/e_mode below it
+    up *= down
+    up /= up.sum(axis=1, keepdims=True)
+    return up
+
+
 def bernstein_basis(n: int, xs) -> np.ndarray:
     """float64 values p_{n,k}(x_i), shape (len(xs), n+1); DomainError for x
     outside [0,1] or NaN.
 
     Each row is built outward from its mode m = min(floor((n+1)x), n) by the
     ratios p_k/p_{k-1} = (n-k+1)/k t above it and p_k/p_{k+1} = (k+1)/(n-k)/t
-    below it, t = x/(1-x), then divided by its sum. Every ratio away from the
-    mode is at most 1, so nothing overflows and only negligible tails
-    underflow; x = 0 and x = 1 give exact unit rows. Every entry is
-    nonnegative, so products with coefficient vectors are stable."""
+    below it, t = x/(1-x) (``_from_mode``); x = 0 and x = 1 give exact unit
+    rows. Every entry is nonnegative, so products with coefficient vectors
+    are stable."""
     x = np.asarray(xs, dtype=float)[:, None]
     inside = (x >= 0) & (x <= 1)  # False for NaN
     if not inside.all():
@@ -236,13 +258,28 @@ def bernstein_basis(n: int, xs) -> np.ndarray:
         t = x / (1 - x)
         up = (n - k + 1) / np.maximum(k, 1) * t
         down = (k + 1) / np.maximum(n - k, 1) / t
-    np.copyto(up, 1.0, where=k <= m)
-    np.copyto(down, 1.0, where=k >= m)
-    np.cumprod(up, axis=1, out=up)  # p_k/p_m above the mode
-    np.cumprod(down[:, ::-1], axis=1, out=down[:, ::-1])  # p_k/p_m below it
-    up *= down
-    up /= up.sum(axis=1, keepdims=True)
-    return up
+    return _from_mode(up, down, k, m)
+
+
+def bernstein_elevation(d: int, m: int) -> np.ndarray:
+    """The float64 matrix E, shape (m+1, d+1), that raises Bernstein
+    coefficients from degree d to m >= d: E[i,k] = C(i,k) C(m-i,d-k) /
+    C(m,d), the hypergeometric probability of k marked items among d drawn
+    from m, i of them marked.
+
+    Each row is built outward from its mode floor((d+1)(i+1)/(m+2)) by the
+    ratios E[i,k]/E[i,k-1] = (i-k+1)(d-k+1)/(k(m-i-d+k)) above it and
+    E[i,k]/E[i,k+1] = (k+1)(m-i-d+k+1)/((i-k)(d-k)) below it, each one
+    rounding of a quotient of integers (``_from_mode``).  The clipped
+    numerators vanish where a row's support ends.  Every entry is
+    nonnegative and every row sums to 1, so E c is a convex combination of
+    the c_k, with an absolute error near the rounding level of max|c|."""
+    i = np.arange(m + 1)[:, None]
+    k = np.arange(d + 1)
+    mode = (d + 1) * (i + 1) // (m + 2)
+    up = np.maximum((i - k + 1) * (d - k + 1), 0) / np.maximum(k * (m - i - d + k), 1)
+    down = np.maximum((k + 1) * (m - i - d + k + 1), 0) / np.maximum((i - k) * (d - k), 1)
+    return _from_mode(up, down, k, mode)
 
 
 def _normalize(coeffs: Iterable) -> tuple[tuple, str]:

@@ -36,7 +36,10 @@ def minimax(fvals, V, R=None):
     rows violated by roundoff alone would enter and leave in turn: the search
     runs on rows tightened to R_j a >= d_j, d_j distinct, and ratio ties go
     by the lexicographic rule on the columns of G_B^{-1}, which cannot
-    cycle.  Its final basis is evaluated at d = 0."""
+    cycle.  The search stops once no row is violated by more than a tenth of
+    the smallest d_j: below that, violations are roundoff on which nearly
+    parallel rows can still swap in turn.  Its final basis is evaluated at
+    d = 0 by a solve and one step of iterative refinement."""
     N, k = V.shape
     ref = np.round(np.linspace(0, N - 1, k + 1)).astype(int)  # the grid is Chebyshev-distributed
     alt = (-1.0) ** np.arange(k + 1)
@@ -75,7 +78,9 @@ def minimax(fvals, V, R=None):
     G = np.column_stack([sign[:, None] * V[ref], np.ones(k + 1)])
     g = sign * fvals[ref]
     # golden-ratio spacing: neighbouring rows differ by a fair share of d
-    tight = _TIGHTENING * np.max(np.abs(fvals)) * (1 + np.arange(len(R)) * 0.6180339887498949 % 1)
+    d = _TIGHTENING * np.max(np.abs(fvals))
+    tight = d * (1 + np.arange(len(R)) * 0.6180339887498949 % 1)
+    stop = 0.1 * d  # violations below a tenth of every d_j are roundoff
     for step in range(step + 1, step + _MAX_SIMPLEX_STEPS_PER_ROW * (N + len(R)) + 1):
         Binv = np.linalg.inv(G)
         z = Binv @ g
@@ -83,7 +88,7 @@ def minimax(fvals, V, R=None):
         viol_err, viol_shape = np.abs(r) - z[-1], tight - R @ z[:-1]
         viol_err[rows[rows < N]] = viol_shape[rows[rows >= N] - N] = -np.inf
         i, j = int(np.argmax(viol_err)), int(np.argmax(viol_shape))
-        if max(viol_err[i], viol_shape[j]) <= 0:
+        if max(viol_err[i], viol_shape[j]) <= stop:
             break
         if viol_err[i] >= viol_shape[j]:
             s = np.copysign(1.0, r[i])
@@ -99,6 +104,8 @@ def minimax(fvals, V, R=None):
         rows[l], G[l], g[l] = enter, row, rhs
     else:
         raise SolverError(f"dual simplex did not converge in {step} steps")
-    z = Binv @ np.where(rows < N, g, 0.0)
+    g = np.where(rows < N, g, 0.0)
+    z = np.linalg.solve(G, g)
+    z += np.linalg.solve(G, g - G @ z)  # one step of refinement
     err = float(np.max(np.abs(fvals - V @ z[:-1])))
     return z[:-1], err, min(float(z[-1]), err), step

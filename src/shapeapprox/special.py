@@ -147,10 +147,13 @@ def lupas_product_identity_check(n: int, alpha, x, t):
         (x+t-1)^n phi_n((xt)/(x+t-1))
           = (alpha+1)_n sum_k p_{n,k}(x) p_{n,k}(t) / (C(n,k)(alpha+1)_k (alpha+1)_{n-k})
 
-    Exposed as a test utility; exact for rational inputs.
+    Exposed as a test utility; exact for rational inputs, and in mpf at the
+    ambient precision for a float alpha.
     """
     if x + t == 1:
         raise ValueError("requires t != 1 - x")
+    if not isinstance(alpha, (int, Fraction)):  # phi has mpf coefficients
+        x, t = _to_mpf(x), _to_mpf(t)
     if n == 0:
         return 0 * (x + t)
     phi = ultraspherical_phi(n, alpha)

@@ -22,13 +22,8 @@ from shapeapprox import (
     linear,
     monomial,
 )
-from shapeapprox.best_approx import (
-    _elevate,
-    _reconstruct,
-    _sample,
-    _shape_rows,
-    _shifted_chebyshev,
-)
+from shapeapprox.best_approx import _chebyshev_ints, _reconstruct, _sample, _shape_rows
+from shapeapprox.polynomial import bernstein_elevation
 from shapeapprox.shape import check_k_monotone_poly
 from shapeapprox.simplex import minimax
 from shapeapprox.special import chebyshev_T
@@ -160,8 +155,10 @@ def test_jackson_ratio_positive_for_kink():
 
 
 def test_shifted_chebyshev_recurrence_matches_composition():
+    T = _chebyshev_ints(40)
     for j in range(41):
-        assert list(_shifted_chebyshev(j).coeffs) == list(compose(chebyshev_T(j).coeffs, [-1, 2]))
+        assert list(T[:, j]) == list(compose(chebyshev_T(j).coeffs, [-1, 2])) + [0] * (40 - j)
+        assert all(type(c) is int for c in T[:, j])
 
 
 def test_reconstruct_matches_fraction_sum():
@@ -197,21 +194,22 @@ def test_exchange_matches_lp_oracle(name):
 @pytest.mark.parametrize("name", BINDING_FUNCTIONS)
 def test_constrained_solve_on_binding_panel(name):
     # every (q, n) whose unconstrained optimum is not q-monotone, n = 6..19,
-    # and logeps at q = 0, n = 25 and 30, which are degenerate (ln(x + eps)
-    # < 0 on most of [0,1], so the optimum is attained at x = 0 and most
-    # multipliers vanish): the dual bound closes the gap to rounding, the
-    # shape rows hold to 1e-14 of their unit max, and up to n = 19 the error
-    # is the HiGHS LP's
+    # on N = max(129, 4(n+1)) nodes and m = 512, and logeps at q = 0,
+    # n = 22, 25 and 30, and n = 19 on the default grids (N = 257,
+    # m = 1024), which are degenerate (ln(x + eps) < 0 on most of [0,1], so
+    # the optimum is attained at x = 0 and most multipliers vanish): the dual
+    # bound closes the gap to rounding, the shape rows hold to 1e-14 of their
+    # unit max, and up to n = 19 the error is the HiGHS LP's
     f = catalog(name)
-    cases = [(q, n) for q in range(5) for n in range(6, 20)]
+    cases = [(q, n, max(129, 4 * (n + 1)), 512) for q in range(5) for n in range(6, 20)]
     if name == "logeps:1e-4":
-        cases += [(0, 25), (0, 30)]
+        cases += [(0, n, 129, 512) for n in (22, 25, 30)] + [(0, 19, 257, 1024)]
     solved = 0
-    for q, n in cases:
-        N, fvals, V = _sample(f, n, max(129, 4 * (n + 1)))
+    for q, n, N, m in cases:
+        N, fvals, V = _sample(f, n, N)
         if check_k_monotone_poly(_reconstruct(minimax(fvals, V)[0]), q).passed:
             continue
-        R = _shape_rows(n, q, 512)
+        R = _shape_rows(n, q, m)
         a, err, bound, _ = minimax(fvals, V, R)
         scale = float(np.max(np.abs(fvals)))
         assert err >= bound >= err * (1 - 1e-12) - 4 * EPS * scale, (q, n, err, bound)
@@ -260,19 +258,19 @@ def test_best_uniform_loads_no_scipy():
 
 @pytest.mark.parametrize("d, m", [(0, 3), (1, 1), (3, 10), (12, 40), (19, 512)])
 def test_elevate_matches_fraction_elevation(d, m):
-    # one product with the exact-binomial matrix against Fraction elevation;
-    # the matrix is the image of the identity: nonnegative, rows summing to 1
-    E = _elevate(np.eye(d + 1), m)
+    # one product with the float elevation matrix against Fraction
+    # elevation; the matrix is nonnegative, with rows summing to 1
+    E = bernstein_elevation(d, m)
     assert E.min() >= 0.0
     assert np.abs(E.sum(axis=1) - 1.0).max() <= 4 * EPS
     C = np.random.default_rng(d).standard_normal((d + 1, 2))
     exact = [[sum(Fraction(comb(i, k) * comb(m - i, d - k), comb(m, d)) * Fraction(C[k, j])
                   for k in range(d + 1)) for j in range(2)] for i in range(m + 1)]
-    err = np.abs(_elevate(C, m) - np.array(exact, dtype=float)).max()
+    err = np.abs(E @ C - np.array(exact, dtype=float)).max()
     assert err <= (d + 2) * EPS * np.abs(C).max()
 
 
-@pytest.mark.parametrize("n, q", [(19, 0), (19, 4)])
+@pytest.mark.parametrize("n, q", [(19, 0), (19, 4), (30, 1), (35, 4), (40, 2)])
 def test_shape_rows_match_exact_rows(n, q):
     # the rows' entries cancel (T_j^(q) has large alternating Bernstein
     # coefficients); their error must stay below 1e-11 of a row's max
@@ -283,7 +281,7 @@ def test_shape_rows_match_exact_rows(n, q):
     L = lcm(*(comb(m, k) for k in range(n - q + 1)))
     cols = []
     for j in range(n + 1):
-        a = npoly.polyder(fractions(_shifted_chebyshev(j).coeffs), q) if j >= q else []
+        a = npoly.polyder(compose(chebyshev_T(j).coeffs, [-1, 2]), q) if j >= q else []
         w = [int(ak) * (L // comb(m, k)) for k, ak in enumerate(a)]
         cols.append([sum(comb(i, k) * wk for k, wk in enumerate(w[:i + 1])) for i in range(m + 1)])
     for i in range(m + 1):

@@ -112,7 +112,7 @@ def test_gauss_jacobi_moments(alpha):
 def test_lupas_derivative_identity():
     p = PolyFunction(Polynomial.monomial([1, Fraction(-1, 2), 3, Fraction(2, 7), 1]))
     for n in (5, 8):
-        for alpha in (0, 1):
+        for alpha in (0, 1, 0.5, -0.3):  # a float alpha takes the mpf path
             for nu in (1, 2, 3):
                 assert lupas_derivative_identity_check(n, alpha, nu, p) <= 1e-9
 

@@ -94,3 +94,11 @@ def test_lupas_product_identity_exact():
     for n in (1, 3, 5):
         res = lupas_product_identity_check(n, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
         assert res == 0 or abs(res) < Fraction(1, 10**25)
+
+
+def test_lupas_product_identity_float_alpha():
+    # a float alpha takes the mpf path, with rational or float points
+    for n in (1, 3, 6):
+        for alpha in (0.5, -0.3):
+            for x, t in ((Fraction(1, 3), Fraction(1, 4)), (0.9, 0.35), (Fraction(7, 10), 0.05)):
+                assert abs(lupas_product_identity_check(n, alpha, x, t)) <= 1e-10
