@@ -19,7 +19,7 @@ from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
 from .errors import RegimeError, ShapeApproxError
 from .experiments import ExperimentTable
-from .functions import catalog
+from .functions import PolyFunction, catalog
 from .generator import PRECISION_BITS, build_generator
 from .moduli import omega_dt
 from .operators import (
@@ -41,12 +41,13 @@ def _int_list(text: str):
 
 
 def _load_function(spec: str):
-    """Catalog name, or a path to a polynomial JSON file: a polynomial, or
-    the output of ``gen-poly`` (which holds it under ``P``)."""
+    """Catalog name, or a path to a polynomial JSON file (a polynomial, or
+    the output of ``gen-poly``, which holds it under ``P``), read as a
+    ``PolyFunction``."""
     if spec.endswith(".json"):
         with open(spec) as fh:
             obj = json.load(fh)
-        return Polynomial.from_json(json.dumps(obj.get("P", obj)))
+        return PolyFunction(Polynomial.from_json(json.dumps(obj.get("P", obj))))
     try:
         return catalog(spec)
     except ValueError as exc:  # an unknown name, or parameters that do not parse
@@ -134,8 +135,8 @@ def _cmd_moduli(args) -> int:
 
 def _cmd_shape(args) -> int:
     f = _load_function(args.f)
-    if isinstance(f, Polynomial):
-        report = check_k_monotone_poly(f, args.k)
+    if isinstance(f, PolyFunction):
+        report = check_k_monotone_poly(f.poly, args.k)
     else:
         report = check_k_monotone_fn(f, args.k)
     payload = dataclasses.asdict(report)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .best_approx import best_uniform
 from .errors import RegimeError
-from .functions import FunctionHandle, LogShiftFunction, PowerFunction
+from .functions import FunctionHandle, LogShiftFunction, PolyFunction, PowerFunction
 from .generator import PRECISION_BITS, build_generator, deficiency_slope
 from .moduli import default_x_grid, modulus_sweep, omega_dt
 from .operators import _as_handle, mn_image
@@ -135,8 +135,7 @@ def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> Experim
     ratios_all = []
     for n in ns:
         res = mn_image(q, n, f)
-        coeffs, _ = res.poly.bernstein_float64()
-        vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
+        vals = PolyFunction(res.poly)(xs)
         errs = np.abs(np.asarray(f(xs), dtype=float) - vals)
         args = phi ** (1 - lam / 2) * (phi + 1.0 / n) ** (-lam / 2) / n
         # omega_dt's sweep, once per n: per-h maxima, then prefix maxima give

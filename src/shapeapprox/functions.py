@@ -8,11 +8,12 @@ and declare the k-monotonicity orders they are known to satisfy.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 import numpy as np
 
-from .polynomial import Polynomial, _to_mpf
+from .polynomial import Polynomial, _to_mpf, bernstein_basis
 
 
 class FunctionHandle:
@@ -35,24 +36,25 @@ class FunctionHandle:
 
 
 class PolyFunction(FunctionHandle):
-    """A polynomial; its values at Fractions and its moments are exact values
-    of the stored coefficients, whatever their backend."""
+    """A polynomial, kept as given.  Floats and arrays are sampled by
+    ``bernstein_basis`` against its Bernstein coefficients, each rounded once
+    to float64 on first use; its values at Fractions and its moments are
+    exact values of the stored coefficients, whatever their basis and
+    backend."""
 
     def __init__(self, poly: Polynomial, name: str | None = None):
-        self.poly = poly.to_monomial()
+        self.poly = poly
         self.name = name or "poly"
-        self._float_coeffs = np.array([float(c) for c in self.poly.coeffs])
+
+    @cached_property
+    def _bern(self) -> np.ndarray:
+        return self.poly.bernstein_float64()[0]
 
     def __call__(self, x):
-        if isinstance(x, (Fraction, mpmath.mpf)):
-            return self.poly(x)
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for c in self._float_coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
-    def value_at(self, x):
-        return self.poly.integer_form.value(x) if isinstance(x, Fraction) else self.poly(x)
+        if isinstance(x, Fraction):
+            return self.poly.integer_form.value(x)
+        x = np.asarray(x, dtype=float)  # a scalar x gives a scalar back
+        return (bernstein_basis(len(self._bern) - 1, x.ravel()) @ self._bern).reshape(x.shape)[()]
 
     def monomial_moments(self, imax: int):
         form = self.poly.integer_form

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import PrecisionError, RegimeError
 from .polynomial import Polynomial, _round_to_bits, _to_mpf
@@ -41,8 +41,8 @@ class GeneratorPoly:
     lambda_n: mpmath.mpf  # lambda~ = L kappa~, exactly the scale P carries
     P: Polynomial  # exactly lambda_n (r-1)! int^r S^2, over one power of two
     moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P
-    # bits each product of tau's power and kappa are rounded to:
-    # PRECISION_BITS plus guard bits for deg Q
+    # bits each product of tau's power, kappa and each deficiency are
+    # rounded to: PRECISION_BITS plus guard bits for deg Q
     precision_bits: int
     unit_integral_residual: float  # |int P - 1|, exact, rounded once
 
@@ -119,43 +119,42 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     m = math.ceil(n / (8 * r))
     deg_q = 4 * r * (m - 1)
     work = PRECISION_BITS + 2 * deg_q + 64  # convolution/conversion guard digits
-    with mpmath.workprec(work):
-        t = tau(m, prec_bits=work)
-        s, es = _power(*_dyadic(t.poly.coeffs), 2 * r, work)  # S = sum s_j 2^es x^j
-        q, eq = _kronecker_mul(s, s), 2 * es  # Q = S^2, exact
-        # int_0^1 x^j (1-x)^r = j! r!/(j+r+1)!, so with D = (deg Q + r + 1)!
-        # and g_j = D j!/(j+r+1)!, int Q (1-x)^r = 2^eq r! G/D, G = sum q_j g_j,
-        # and lambda = r/that integral = D/((r-1)! 2^eq G). P's x^(j+r)
-        # coefficient lambda (r-1)! 2^eq q_j j!/(j+r)! is kappa 2^eq q_j L/b_j
-        # with b_j = r C(j+r,r), L = lcm_j b_j and kappa = lambda/L.
-        fact = [1]
-        for i in range(1, deg_q + r + 2):
-            fact.append(fact[-1] * i)
-        G = sum(x * (fact[-1] // fact[j + r + 1] * fact[j]) for j, x in enumerate(q))
-        b = [r * math.comb(j + r, r) for j in range(len(q))]
-        L = math.lcm(*b)
-        (k,), ek = _round_to_bits([fact[-1]], fact[r - 1] * G * L, work)  # kappa~ 2^eq = k 2^ek
-        lam = mpmath.mp.make_mpf(from_man_exp(k * L, ek - eq))
-        P = Polynomial.monomial(
-            [0] * r + [mpmath.mp.make_mpf(from_man_exp(k * x * (L // y), ek)) for x, y in zip(q, b)]
-        )
+    t = tau(m, prec_bits=work)
+    s, es = _power(*_dyadic(t.poly.coeffs), 2 * r, work)  # S = sum s_j 2^es x^j
+    q, eq = _kronecker_mul(s, s), 2 * es  # Q = S^2, exact
+    # int_0^1 x^j (1-x)^r = j! r!/(j+r+1)!, so with D = (deg Q + r + 1)!
+    # and g_j = D j!/(j+r+1)!, int Q (1-x)^r = 2^eq r! G/D, G = sum q_j g_j,
+    # and lambda = r/that integral = D/((r-1)! 2^eq G). P's x^(j+r)
+    # coefficient lambda (r-1)! 2^eq q_j j!/(j+r)! is kappa 2^eq q_j L/b_j
+    # with b_j = r C(j+r,r), L = lcm_j b_j and kappa = lambda/L.
+    fact = [1]
+    for i in range(1, deg_q + r + 2):
+        fact.append(fact[-1] * i)
+    G = sum(x * (fact[-1] // fact[j + r + 1] * fact[j]) for j, x in enumerate(q))
+    b = [r * math.comb(j + r, r) for j in range(len(q))]
+    L = math.lcm(*b)
+    (k,), ek = _round_to_bits([fact[-1]], fact[r - 1] * G * L, work)  # kappa~ 2^eq = k 2^ek
+    lam = mpmath.mp.make_mpf(from_man_exp(k * L, ek - eq))
+    P = Polynomial.monomial(
+        [0] * r + [mpmath.mp.make_mpf(from_man_exp(k * x * (L // y), ek)) for x, y in zip(q, b)]
+    )
 
-        if P.degree > n:
-            raise RegimeError(f"generator degree {P.degree} exceeds n={n}")
-        # the certificate, on the stored coefficients: none below x^r, and
-        # P^(r) (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q
-        num = P.integer_form.num
-        d = [x * math.perm(j + r, r) for j, x in enumerate(num[r:])]
-        if (any(num[:r]) or len(d) != len(q) or d[-1] * q[-1] <= 0
-                or any(x * q[-1] != y * d[-1] for x, y in zip(d, q))):
-            raise PrecisionError(f"stored P^({r}) is not a positive multiple of tau^{4 * r}")
-        resid = float(abs(P.integer_form.moment(0) - 1))
-        deficiency = {}
-        for mu in (1, 2, 3, 4):
-            dm = 1 - moment(P, mu)
-            if dm <= 0:
-                raise PrecisionError(f"moment deficiency delta_{mu} = {dm} <= 0")
-            deficiency[mu] = dm
+    if P.degree > n:
+        raise RegimeError(f"generator degree {P.degree} exceeds n={n}")
+    # the certificate, on the stored coefficients: none below x^r, and
+    # P^(r) (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q
+    num = P.integer_form.num
+    d = [x * math.perm(j + r, r) for j, x in enumerate(num[r:])]
+    if (any(num[:r]) or len(d) != len(q) or d[-1] * q[-1] <= 0
+            or any(x * q[-1] != y * d[-1] for x, y in zip(d, q))):
+        raise PrecisionError(f"stored P^({r}) is not a positive multiple of tau^{4 * r}")
+    resid = float(abs(P.integer_form.moment(0) - 1))
+    deficiency = {}
+    for mu in (1, 2, 3, 4):  # exact, then rounded once at `work` bits
+        dm = 1 - P.integer_form.moment(mu)
+        if dm <= 0:
+            raise PrecisionError(f"moment deficiency delta_{mu} = {float(dm)} <= 0")
+        deficiency[mu] = mpmath.mp.make_mpf(from_rational(dm.numerator, dm.denominator, work, round_nearest))
     return GeneratorPoly(
         n=n,
         r=r,

@@ -213,7 +213,7 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
         # exact route: the image of e_i has coefficients
         # (alpha+k+1)_i / (n+2 alpha+2)_i
         a = Fraction(alpha)
-        c = f.poly.coeffs
+        c = f.poly.to_monomial().coeffs
         out = []
         for k in range(n + 1):
             acc = Fraction(0)

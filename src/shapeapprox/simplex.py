@@ -7,7 +7,8 @@ y = G_B^{-T} e_t are nonnegative; its levelled value t is then a lower bound
 on the optimum (weak duality).  Stiefel's exchange (Numer. Math. 1, 1959) is
 this method on the error rows, where the Haar condition makes every
 alternating reference such a basis; shape rows enter the same way
-(Barrodale & Phillips, ACM TOMS Alg. 495, 1975).
+(Barrodale & Phillips, ACM TOMS Alg. 495, 1975).  Every row is searched as
+given, and the search stops once the violations left are roundoff.
 """
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ from .errors import SolverError
 # the exchange took at most 3.5 steps per reference node on catalog
 # functions up to n = 100 and N = 8193; the bound only stops a runaway
 _MAX_EXCHANGE_STEPS_PER_NODE = 20
-# the dual simplex took at most 4.2 steps per row (N sample nodes plus the
-# shape rows) on five catalog functions, q <= 4, n <= 40: a runaway stop too
+# the dual simplex took at most 3.9 steps per row (N sample nodes plus the
+# shape rows) on five catalog functions, q <= 4, n <= 40, m = 512 (1.9 at
+# m = 1024): a runaway stop too
 _MAX_SIMPLEX_STEPS_PER_ROW = 20
-_TIGHTENING = 1e-14  # d_j in [d, 2d), d this fraction of max|f|
+_ROUNDOFF = 1e-15  # violations up to this fraction of max|f| are roundoff
 
 
 def minimax(fvals, V, R=None):
@@ -32,14 +34,12 @@ def minimax(fvals, V, R=None):
     signs, which raises |h|, until |h| stops rising at roundoff; without R,
     the iterate with the smallest grid error is returned.  With R, the most
     violated row enters the exchange's last basis and the ratio test on y
-    picks the leaving row.  Neighbouring shape rows are nearly parallel, so
-    rows violated by roundoff alone would enter and leave in turn: the search
-    runs on rows tightened to R_j a >= d_j, d_j distinct, and ratio ties go
-    by the lexicographic rule on the columns of G_B^{-1}, which cannot
-    cycle.  The search stops once no row is violated by more than a tenth of
-    the smallest d_j: below that, violations are roundoff on which nearly
-    parallel rows can still swap in turn.  Its final basis is evaluated at
-    d = 0 by a solve and one step of iterative refinement."""
+    picks the leaving row, with ties broken by the lexicographic rule on the
+    columns of G_B^{-1}, which cannot cycle.  The search stops once no row
+    is violated by more than _ROUNDOFF max|f|: neighbouring shape rows are
+    nearly parallel, and rows violated by roundoff alone would enter and
+    leave in turn.  The final basis is solved once more, with one step of
+    iterative refinement."""
     N, k = V.shape
     ref = np.round(np.linspace(0, N - 1, k + 1)).astype(int)  # the grid is Chebyshev-distributed
     alt = (-1.0) ** np.arange(k + 1)
@@ -77,15 +77,12 @@ def minimax(fvals, V, R=None):
     rows = ref.copy()  # basis rows: error row i < N, shape row N + j
     G = np.column_stack([sign[:, None] * V[ref], np.ones(k + 1)])
     g = sign * fvals[ref]
-    # golden-ratio spacing: neighbouring rows differ by a fair share of d
-    d = _TIGHTENING * np.max(np.abs(fvals))
-    tight = d * (1 + np.arange(len(R)) * 0.6180339887498949 % 1)
-    stop = 0.1 * d  # violations below a tenth of every d_j are roundoff
+    stop = _ROUNDOFF * np.max(np.abs(fvals))
     for step in range(step + 1, step + _MAX_SIMPLEX_STEPS_PER_ROW * (N + len(R)) + 1):
         Binv = np.linalg.inv(G)
         z = Binv @ g
         r = fvals - V @ z[:-1]
-        viol_err, viol_shape = np.abs(r) - z[-1], tight - R @ z[:-1]
+        viol_err, viol_shape = np.abs(r) - z[-1], -(R @ z[:-1])
         viol_err[rows[rows < N]] = viol_shape[rows[rows >= N] - N] = -np.inf
         i, j = int(np.argmax(viol_err)), int(np.argmax(viol_shape))
         if max(viol_err[i], viol_shape[j]) <= stop:
@@ -94,7 +91,7 @@ def minimax(fvals, V, R=None):
             s = np.copysign(1.0, r[i])
             row, rhs, enter = np.append(s * V[i], 1.0), s * fvals[i], i
         else:
-            row, rhs, enter = np.append(R[j], 0.0), tight[j], N + j
+            row, rhs, enter = np.append(R[j], 0.0), 0.0, N + j
         w = row @ Binv  # the entering row in terms of the basis rows
         pos = np.flatnonzero(w > 0)
         if not len(pos):
@@ -104,7 +101,6 @@ def minimax(fvals, V, R=None):
         rows[l], G[l], g[l] = enter, row, rhs
     else:
         raise SolverError(f"dual simplex did not converge in {step} steps")
-    g = np.where(rows < N, g, 0.0)
     z = np.linalg.solve(G, g)
     z += np.linalg.solve(G, g - G @ z)  # one step of refinement
     err = float(np.max(np.abs(fvals - V @ z[:-1])))

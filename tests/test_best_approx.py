@@ -194,16 +194,19 @@ def test_exchange_matches_lp_oracle(name):
 @pytest.mark.parametrize("name", BINDING_FUNCTIONS)
 def test_constrained_solve_on_binding_panel(name):
     # every (q, n) whose unconstrained optimum is not q-monotone, n = 6..19,
-    # on N = max(129, 4(n+1)) nodes and m = 512, and logeps at q = 0,
-    # n = 22, 25 and 30, and n = 19 on the default grids (N = 257,
-    # m = 1024), which are degenerate (ln(x + eps) < 0 on most of [0,1], so
-    # the optimum is attained at x = 0 and most multipliers vanish): the dual
-    # bound closes the gap to rounding, the shape rows hold to 1e-14 of their
-    # unit max, and up to n = 19 the error is the HiGHS LP's
+    # on N = max(129, 4(n+1)) nodes and m = 512; logeps at q = 0, n = 22, 25
+    # and 30, and n = 19 on the default grids (N = 257, m = 1024), which are
+    # degenerate (ln(x + eps) < 0 on most of [0,1], so the optimum is
+    # attained at x = 0 and most multipliers vanish); and truncpow at
+    # (q, n) = (3, 40) and (2, 39), at the panel's largest n: the dual bound
+    # closes the gap to rounding, the shape rows hold to 1e-14 of their unit
+    # max, and up to n = 19 the error is the HiGHS LP's
     f = catalog(name)
     cases = [(q, n, max(129, 4 * (n + 1)), 512) for q in range(5) for n in range(6, 20)]
     if name == "logeps:1e-4":
         cases += [(0, n, 129, 512) for n in (22, 25, 30)] + [(0, 19, 257, 1024)]
+    if name == "truncpow:0.5:3":
+        cases += [(q, n, 4 * (n + 1), 512) for q, n in ((3, 40), (2, 39))]
     solved = 0
     for q, n, N, m in cases:
         N, fvals, V = _sample(f, n, N)

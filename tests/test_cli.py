@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from shapeapprox.cli import build_parser, main
+from shapeapprox.functions import PolyFunction
+from shapeapprox.moduli import omega_dt
 from shapeapprox.polynomial import Polynomial
 
 
@@ -222,6 +224,17 @@ def test_apply_reads_gen_poly_output(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(_rows(_read(out)))
     assert outs[0] == outs[1] and len(outs[0]) == 17
+
+
+def test_moduli_reads_gen_poly_output_as_a_poly_function(tmp_path):
+    gen = tmp_path / "gen.json"
+    assert main(["gen-poly", "--n", "64", "--r", "2", "--out", str(gen)]) == 0
+    out = tmp_path / "moduli.csv"
+    assert main(["moduli", "--f", str(gen), "--t-grid", "0.1,0.3", "--out", str(out)]) == 0
+    P = Polynomial.from_json(json.dumps(json.loads(_read(gen))["P"]))
+    want = [omega_dt(PolyFunction(P), 2, 0.0, t) for t in (0.1, 0.3)]
+    assert [[float(v) for v in row] for row in _rows(_read(out))] == [
+        [t, e.value, e.argmax_h, e.argmax_x] for t, e in zip((0.1, 0.3), want)]
 
 
 def test_shape_reads_gen_poly_output(tmp_path):

@@ -9,8 +9,11 @@ from shapeapprox import (
     ExpFunction,
     LogShiftFunction,
     PiecewiseLinearFunction,
+    PolyFunction,
+    Polynomial,
     PowerFunction,
     TruncatedPowerFunction,
+    build_generator,
     catalog,
     linear,
     mn_image,
@@ -110,3 +113,20 @@ def test_vectorized_calls():
               monomial(2), linear(0, 1)):
         vals = np.asarray(f(xs), dtype=float)
         assert vals.shape == xs.shape
+
+
+def test_poly_function_samples_the_generator_by_its_bernstein_coefficients():
+    # P's monomial coefficients alternate up to about 1e22 at n = 256, so
+    # float Horner loses every digit; its Bernstein coefficients stay below
+    # 1.4e10, and sampling by them stays within 1e-9 of max|P|
+    P = build_generator(256, 1).P
+    xs = np.linspace(0, 1, 65)  # dyadic points, read exactly as Fractions
+    exact = np.array([float(P.integer_form.value(Fraction(x))) for x in xs])
+    assert np.max(np.abs(PolyFunction(P)(xs) - exact)) <= 1e-9 * np.max(np.abs(exact))
+    assert PolyFunction(P)(Fraction(1, 3)) == P.integer_form.value(Fraction(1, 3))
+
+
+def test_poly_function_moments_of_float_bernstein_input_are_exact():
+    # the polynomial is kept as given: no rounding to monomial form first
+    p = Polynomial.bernstein([0.1, 0.7, 0.3, 0.9])
+    assert PolyFunction(p).monomial_moments(5) == [p.integer_form.moment(i) for i in range(6)]
