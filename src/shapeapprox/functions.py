@@ -35,12 +35,16 @@ class FunctionHandle:
         return f"<{type(self).__name__} {self.name}>"
 
 
+_BASIS_BLOCK = 2**18  # basis entries per block of PolyFunction samples
+
+
 class PolyFunction(FunctionHandle):
     """A polynomial, kept as given.  Floats and arrays are sampled by
     ``bernstein_basis`` against its Bernstein coefficients, each rounded once
-    to float64 on first use; its values at Fractions and its moments are
-    exact values of the stored coefficients, whatever their basis and
-    backend."""
+    to float64 on first use, over blocks of at most ``_BASIS_BLOCK`` basis
+    entries, so that memory stays bounded whatever the number of points; its
+    values at Fractions and its moments are exact values of the stored
+    coefficients, whatever their basis and backend."""
 
     def __init__(self, poly: Polynomial, name: str | None = None):
         self.poly = poly
@@ -54,7 +58,17 @@ class PolyFunction(FunctionHandle):
         if isinstance(x, Fraction):
             return self.poly.integer_form.value(x)
         x = np.asarray(x, dtype=float)  # a scalar x gives a scalar back
-        return (bernstein_basis(len(self._bern) - 1, x.ravel()) @ self._bern).reshape(x.shape)[()]
+        flat, d = x.ravel(), len(self._bern) - 1
+        n, out = len(flat), np.empty(len(flat))
+        # BLAS takes the rows of a product in groups of a few, and one row as
+        # a dot product: blocks that start at multiples of 64 rows and are
+        # never one row long give each sample the bits that one product of
+        # all rows gives on one BLAS thread
+        rows = max(1, _BASIS_BLOCK // (64 * (d + 1))) * 64
+        for s in range(0, max(n - 1, 1), rows):
+            e = s + rows if n - s > rows + 1 else n
+            np.matmul(bernstein_basis(d, flat[s:e]), self._bern, out=out[s:e])
+        return out.reshape(x.shape)[()]
 
     def monomial_moments(self, imax: int):
         form = self.poly.integer_form
@@ -132,7 +146,8 @@ class TruncatedPowerFunction(FunctionHandle):
             d = x - self.a
             return d**self.p if d > 0 else 0 * d
         d = np.asarray(x, dtype=float) - float(self.a)
-        return np.where(d > 0, d, 0.0) ** self.p
+        # the power only where d > 0 (a scalar x gives a scalar back)
+        return np.power(d, self.p, out=np.zeros_like(d), where=d > 0)[()]
 
     def monomial_moments(self, imax: int):
         # m_i = int_a^1 t^i (t-a)^p dt; integrating by parts, with

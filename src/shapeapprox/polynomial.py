@@ -17,10 +17,11 @@ Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 per instance, and its Bernstein integers are formed on first use.
 ``Polynomial.bernstein_float64`` rounds the Bernstein coefficients of any
 derivative from them, ``nonnegative_by_halving`` proves such integers
-nonnegative on [0,1] by integer de Casteljau halving, ``bernstein_basis``
-evaluates that basis on a grid and ``bernstein_elevation`` raises its degree,
-both in float64 numpy by ratios taken outward from each row's mode (no
-scipy); all are independent of the ambient precision.
+nonnegative on [0,1] by integer de Casteljau halving (or finds an exact
+negative value at a dyadic point), ``bernstein_basis`` evaluates that basis
+on a grid and ``bernstein_elevation`` raises its degree, both in float64
+numpy by ratios taken outward from each row's mode (no scipy); all are
+independent of the ambient precision.
 """
 from __future__ import annotations
 
@@ -173,28 +174,38 @@ def _halve(b: list) -> tuple[list, list]:
     return left, right
 
 
-def nonnegative_by_halving(c: Sequence[int], budget: int) -> tuple[bool, int]:
+def nonnegative_by_halving(c: Sequence[int], budget: int
+                           ) -> tuple[bool, int, tuple[Fraction, Fraction] | None]:
     """Whether sum_k c_k p_{m,k} >= 0 on [0,1] is proved by halving its
-    integer Bernstein coefficients c, and the number of halvings made (0
-    when every c_k >= 0 already).
+    integer Bernstein coefficients c, the number of halvings made (0 when
+    every c_k >= 0 already), and a counterexample (x, p(x)) or None.
 
     A piece whose coefficients are all >= 0 is nonnegative on its interval
     and is dropped; any other piece is halved. The proof gives up (False) at
     the first piece with a negative end coefficient, an exact negative value
     at a dyadic point, or when a further halving would exceed the budget.
-    The control polygon converges to the polynomial like O(4^-depth) (Lane &
-    Riesenfeld, 1980), so a p >= 0 whose zeros are all at dyadic points or
-    off [0,1] is proved at a finite depth; a zero elsewhere is never."""
-    pieces, halvings = [list(c)], 0
+    Only the first gives a counterexample: the piece's end x = j/2^depth with
+    the smaller coefficient b (the left one on a tie), and p(x) = b/2^(m
+    depth), since each halving scales the pieces by 2^m. The control polygon
+    converges to the polynomial like O(4^-depth) (Lane & Riesenfeld, 1980),
+    so a p >= 0 whose zeros are all at dyadic points or off [0,1] is proved
+    at a finite depth; a zero elsewhere is never."""
+    m = len(c) - 1
+    pieces, halvings = [(list(c), 0, 0)], 0  # coefficients, j, depth
     while pieces:
-        b = pieces.pop()
+        b, j, depth = pieces.pop()
         if min(b) >= 0:
             continue
-        if b[0] < 0 or b[-1] < 0 or halvings == budget:
-            return False, halvings
+        if b[0] < 0 or b[-1] < 0:
+            value, end = min((b[0], 0), (b[-1], 1))  # the left end on a tie
+            return False, halvings, (Fraction(j + end, 1 << depth),
+                                     Fraction(value, 1 << (m * depth)))
+        if halvings == budget:
+            return False, halvings, None
         halvings += 1
-        pieces.extend(_halve(b))
-    return True, halvings
+        left, right = _halve(b)
+        pieces += [(left, 2 * j, depth + 1), (right, 2 * j + 1, depth + 1)]
+    return True, halvings, None
 
 
 def _read_integers(p: "Polynomial") -> IntegerForm:

@@ -20,6 +20,7 @@ from shapeapprox import (
     monomial,
     q_monotone_catalog,
 )
+from shapeapprox import functions
 from shapeapprox.polynomial import bernstein_basis
 
 
@@ -72,6 +73,34 @@ def test_truncated_power_values():
     f = TruncatedPowerFunction(Fraction(1, 2), 3)
     assert float(f(0.25)) == 0.0
     assert float(f(0.75)) == pytest.approx(0.25**3)
+
+
+def test_truncated_power_masks_the_power_bit_for_bit():
+    # the power is taken only where d = x - a > 0; elsewhere the value is 0
+    edges = [0.3, 0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1)]
+    xs = np.concatenate([np.linspace(0, 1, 1001), edges])
+    for a, p in ((Fraction(1, 2), 3), (Fraction(3, 10), 1), (Fraction(1, 4), 2)):
+        f = TruncatedPowerFunction(a, p)
+        d = xs - float(a)
+        assert np.any(d < 0) and np.any(d == 0) and np.any(d > 0)
+        ref = np.where(d > 0, d, 0.0) ** p
+        assert np.array_equal(f(xs).view(np.int64), ref.view(np.int64)), (a, p)
+        for x in (0.1, float(a), 0.9):
+            value = f(x)
+            assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+            assert value == np.where(x - float(a) > 0, x - float(a), 0.0) ** p
+
+
+def test_poly_function_samples_in_blocks_as_one_product(monkeypatch):
+    # 64-row blocks (degree 7); 129 points leave a one-row rest, which goes
+    # with the block before it
+    monkeypatch.setattr(functions, "_BASIS_BLOCK", 64 * 8)
+    bern = [0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.2, -0.9]
+    f = PolyFunction(Polynomial.bernstein(bern))
+    for size in (1, 63, 64, 129, 1000):
+        xs = np.linspace(0, 1, size)
+        assert np.array_equal(f(xs), bernstein_basis(7, xs) @ f._bern), size
+    assert f(np.linspace(0, 1, 12).reshape(3, 4)).shape == (3, 4)
 
 
 def test_piecewise_linear():

@@ -25,6 +25,8 @@ from shapeapprox.moduli import (
     default_x_grid,
 )
 
+import oracles
+
 
 def test_step_weight_values():
     assert step_weight(0.5, 2.0) == pytest.approx(0.25)
@@ -123,6 +125,23 @@ def test_sweep_matches_a_per_h_reference(name):
             ref_values, ref_args = _reference_sweep(f, k, lam, hs)
             assert np.max(np.abs(values - ref_values)) <= 1e-14 * scale, (k, lam, t)
             assert np.array_equal(args, ref_args), (k, lam, t)
+
+
+@pytest.mark.parametrize("name", ["exp", "truncpow:0.5:3", "truncpow:0.3:1",
+                                  "xeps:0.5", "xeps:0.25", "logeps:1e-4"])
+def test_sweep_in_place_is_bit_identical_to_the_plain_sweep(name):
+    # sweep-owned buffers, the signed centre term formed once and the sum
+    # started from its first term change no bit of any value or argmax; 13
+    # step bounds end in a part block
+    f = catalog(name)
+    grids = [default_h_grid(t) for t in (0.5, 0.1, 1.0 / 19)] + [np.geomspace(1e-4, 0.5, 13)]
+    for k in range(5):
+        for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
+            for g, hs in enumerate(grids):
+                values, args = modulus_sweep(f, k, lam, hs)
+                ref_values, ref_args = oracles.modulus_sweep(f, k, lam, hs)
+                assert np.array_equal(values, ref_values), (k, lam, g)
+                assert np.array_equal(args, ref_args), (k, lam, g)
 
 
 @pytest.mark.parametrize("k, lam", [(2, 1.0), (2, 1.5), (3, 1.5)])

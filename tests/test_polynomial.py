@@ -254,9 +254,9 @@ def test_halving_matches_exact_restriction():
 
 
 def test_halving_proof_and_give_up():
-    assert nonnegative_by_halving([0, 2, 1], 0) == (True, 0)
+    assert nonnegative_by_halving([0, 2, 1], 0) == (True, 0, None)
     # (x - 1/2)^2 = (1, -1, 1)/4: one halving puts the zero on the pieces' ends
-    assert nonnegative_by_halving([1, -1, 1], 5) == (True, 1)
-    assert nonnegative_by_halving([1, -1, 1], 0) == (False, 0)
+    assert nonnegative_by_halving([1, -1, 1], 5) == (True, 1, None)
+    assert nonnegative_by_halving([1, -1, 1], 0) == (False, 0, None)
     # a negative end coefficient is a negative value: no halving is tried
-    assert nonnegative_by_halving([-1, 5, 5], 5) == (False, 0)
+    assert nonnegative_by_halving([-1, 5, 5], 5) == (False, 0, (0, -1))

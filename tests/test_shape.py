@@ -8,6 +8,8 @@ from numpy.polynomial import polynomial as npoly
 from shapeapprox import (
     ExpFunction,
     Polynomial,
+    best_uniform,
+    catalog,
     check_k_monotone_fn,
     check_k_monotone_poly,
     mn_image,
@@ -39,6 +41,19 @@ def test_concave_poly_fails_convexity_check():
     rep = check_k_monotone_poly(p, 2)
     assert not rep.passed
     assert rep.witness_value is not None and rep.witness_value < 0
+
+
+def test_negative_end_coefficient_decides_without_sampling():
+    # p'' = -2 for x(1-x): its one Bernstein coefficient is an exact value
+    rep = check_k_monotone_poly(Polynomial.monomial([0, 1, -1]), 2)
+    assert not rep.passed and rep.x_grid_size == 0
+    assert (rep.witness_x, rep.witness_value) == (0.0, -2.0)
+
+
+def test_tiny_negative_end_coefficient_is_still_sampled():
+    # p(0) = -1e-12 lies above -threshold (1e-9 max|b|): the sample decides
+    rep = check_k_monotone_poly(Polynomial.bernstein([-1e-12, 1, 1]), 0)
+    assert rep.passed and rep.x_grid_size == POLY_GRID_POINTS
 
 
 def test_poly_certificate_path():
@@ -92,13 +107,22 @@ def test_subdivision_proof_agrees_with_sampling(monkeypatch):
               for n in (21, 47, 73) for f in q_monotone_catalog(q)]
     reports = [check_k_monotone_poly(p, q) for p, q in images]
     assert any(rep.subdivision_certificate for rep in reports)
-    # the same checks with both proofs off, so that every one is sampled
-    monkeypatch.setattr(shape, "nonnegative_by_halving", lambda c, budget: (False, 0))
+    # unconstrained optima, most of which fail at an exact counterexample
+    optima = [(best_uniform(f, n).poly, q)
+              for f in map(catalog, ("truncpow:0.5:3", "xeps:0.5", "logeps:1e-4"))
+              for n in (4, 12, 19) for q in sorted(f.known_monotone_orders) if q <= 4]
+    verdicts = [check_k_monotone_poly(p, q) for p, q in optima]
+    assert any(not rep.passed and rep.x_grid_size == 0 for rep in verdicts)
+    # the same checks with both proofs and the counterexample off, so that
+    # every one is sampled
+    monkeypatch.setattr(shape, "nonnegative_by_halving", lambda c, budget: (False, 0, None))
     for rep, (p, q) in zip(reports, images):
         ref = check_k_monotone_poly(p, q)
         assert ref.x_grid_size == POLY_GRID_POINTS
         assert (rep.passed, rep.witness_x, rep.witness_value) == \
             (ref.passed, ref.witness_x, ref.witness_value)
+    for rep, (p, q) in zip(verdicts, optima):
+        assert rep.passed == check_k_monotone_poly(p, q).passed
 
 
 def test_interior_double_root_exhausts_budget_then_samples():
@@ -110,7 +134,7 @@ def test_interior_double_root_exhausts_budget_then_samples():
     c, _ = p.integer_form.derivative(0)
     budget = _halving_budget(d)
     assert budget > 0
-    assert nonnegative_by_halving(c, budget) == (False, budget)
+    assert nonnegative_by_halving(c, budget) == (False, budget, None)
     rep = check_k_monotone_poly(p, 0)
     assert rep.passed and rep.x_grid_size == POLY_GRID_POINTS
     assert not rep.bernstein_certificate and not rep.subdivision_certificate
