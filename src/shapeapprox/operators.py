@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import Polynomial, _round_to_bits, _to_fraction, _to_mpf, bernstein_basis
+from .polynomial import Polynomial, _rational, _round_to_bits, _to_mpf, bernstein_basis
 from .special import pochhammer
 
 
@@ -72,11 +72,11 @@ def bernstein_image(n: int, f) -> Polynomial:
 # the one read-out of f
 @dataclass(frozen=True)
 class _Reading:
-    """f(0), b_0, ..., b_d, f(1) as integers over one denominator, where
-    b_i = int_0^1 p_{d,i}(t) f(t) dt; ``exact`` says whether they are f's
-    exact values (otherwise images built from them are rounded once).  A
-    function with exact moments is taken to give exact values at 0 and 1,
-    even as floats (x^eps does)."""
+    """f(0), m_0, ..., m_d, f(1) as integers over one denominator, where
+    m_i = int_0^1 t^i f(t) dt; ``exact`` says whether they are f's exact
+    values (otherwise images built from them are rounded once).  A function
+    with exact moments is taken to give exact values at 0 and 1, even as
+    floats (x^eps does)."""
 
     num: list
     den: int
@@ -84,16 +84,19 @@ class _Reading:
 
 
 def _read_out(f, d: int, gain: int = 0) -> _Reading:
-    """Read f once at Bernstein degree d.
+    """Read f once at degree d.
 
-    Polynomials (mpf coefficients convert exactly) and functions with exact
-    moments give exact data: b follows from the moments m_i = g_{i,0} by the
-    triangle g_{i,j+1} = g_{i,j} - g_{i+1,j}, g_{i,j} = int t^i (1-t)^j f,
-    and b_i = C(d,i) g_{i,d-i}.  That triangle multiplies moment errors by
-    less than 3^d, so inexact (mpf) moments are computed at PRECISION_BITS
-    plus 2d bits, plus ``gain`` for a caller whose weights sum to 2^gain in
-    size, whatever the ambient precision.  Any other f is integrated by one
-    Gauss-Legendre rule of order max(64, d+4).
+    Polynomials (mpf coefficients convert exactly) and functions with
+    moments give m_0..m_d as they are, exact ones exactly.  The images
+    rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
+    g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
+    than 3^d, so inexact (mpf) moments are computed at PRECISION_BITS plus
+    2d bits, plus ``gain`` for a caller whose weights sum to 2^gain in size,
+    whatever the ambient precision.  Any other f is integrated by one
+    Gauss-Legendre rule of order max(64, d+4) into float64 values
+    b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, whose exact values give the
+    moments m_i = g_{i,0} by the additive triangle
+    g_{i,j} = g_{i,j+1} + g_{i+1,j}.
     """
     f = _as_handle(f)
     try:
@@ -101,23 +104,40 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
             moments = f.monomial_moments(d)
             exact = all(isinstance(m, (int, Fraction)) for m in moments)
             x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
-            vals = [f.value_at(x[0]), f.value_at(x[1]), *moments]
+            vals = [f.value_at(x[0]), *moments, f.value_at(x[1])]
     except NotImplementedError:
         u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
         t = (u + 1) / 2
         b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
-        vals = [*np.asarray(f(np.array([0.0, 1.0])), dtype=float), *b]
+        v0, v1 = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
+        vals = [v0, *b, v1]
         moments, exact = None, False
-    vals = [_to_fraction(v) for v in vals]
-    den = math.lcm(*(v.denominator for v in vals))
-    v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
-    if moments is not None:
-        diag = [row[-1]]  # g_{d-j,j} for j = 0..d
+    parts = [_rational(v) for v in vals]
+    den = math.lcm(*(q for _, q in parts))
+    num = [p * (den // q) for p, q in parts]
+    if moments is None:
+        fact = [math.factorial(i) for i in range(d + 1)]
+        # g_{i,d-i} = b_i i! (d-i)! / d!, over den d!
+        row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(num[1:-1])]
+        moments = [row[-1]]
         for _ in range(d):
-            row = [x - y for x, y in zip(row, row[1:])]
-            diag.append(row[-1])
-        row = [comb(d, i) * g for i, g in enumerate(reversed(diag))]
-    return _Reading([v0, *row, v1], den, exact)
+            row = [x + y for x, y in zip(row, row[1:])]
+            moments.append(row[-1])
+        num = [num[0] * fact[d], *reversed(moments), num[-1] * fact[d]]
+        den *= fact[d]
+    return _Reading(num, den, exact)
+
+
+def _bernstein_moments(r: _Reading) -> list:
+    """b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, over r.den, from the
+    moments of a reading by the triangle g_{i,j+1} = g_{i,j} - g_{i+1,j}."""
+    row = r.num[1:-1]
+    d = len(row) - 1
+    diag = [row[-1]]  # g_{d-j,j} for j = 0..d
+    for _ in range(d):
+        row = [x - y for x, y in zip(row, row[1:])]
+        diag.append(row[-1])
+    return [comb(d, i) * g for i, g in enumerate(reversed(diag))]
 
 
 def _coefficients(num, den: int, exact: bool) -> list:
@@ -144,8 +164,7 @@ def genuine_durrmeyer_image(n: int, f) -> Polynomial:
     if n < 2:
         raise RegimeError("U_n requires n >= 2")
     r = _read_out(f, n - 2)
-    v0, *b, v1 = r.num
-    num = [v0, *((n - 1) * v for v in b), v1]
+    num = [r.num[0], *((n - 1) * v for v in _bernstein_moments(r)), r.num[-1]]
     return Polynomial.bernstein(_coefficients(num, r.den, r.exact))
 
 
@@ -205,7 +224,7 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
         raise RegimeError("n must be >= 0")
     if alpha == 0:  # <p_{n,k},1> = 1/(n+1)
         r = _read_out(f, n)
-        num = [(n + 1) * v for v in r.num[1:-1]]
+        num = [(n + 1) * v for v in _bernstein_moments(r)]
         return Polynomial.bernstein(_coefficients(num, r.den, r.exact))
     f = _as_handle(f)
     exact_alpha = isinstance(alpha, (int, Fraction))
@@ -322,43 +341,42 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     d, converted to the monomial basis, and rounded once at PRECISION_BITS
     unless P and the data are exact.  With g_{i,j} =
     int t^i (1-t)^j f, U_{k+2}(f) has Bernstein coefficients f(0),
-    (k+1) b^(k)_i = (k+1) C(k,i) g_{i,k-i} and f(1).  Adding neighbours on
-    the antidiagonal i+j = k (the convex recursion for b^(k)) walks from
-    k = d down to the moments g_{k,0}; the antidiagonals are then rebuilt
-    upwards while the images, written in the basis x^j (1-x)^(k+2-j), are
-    summed by degree elevation.
+    (k+1) b^(k)_i = (k+1) C(k,i) g_{i,k-i} and f(1).  The antidiagonals
+    i+j = k are built upwards from the read-out's moments g_{k,0} while the
+    images, written in the basis x^j (1-x)^(k+2-j), are summed by degree
+    elevation.  The sum runs on P's numerators divided by their content,
+    a'_k, over A Q M for P's denominator A, the reading's Q and the least M
+    that makes every a'_k M/(k+1) an integer (a few bits for the built
+    generators); the content multiplies the d+3 results.
     """
-    form = gen_poly.integer_form  # a_k = num[k] / A
-    a, A = form.num, form.den
-    d = len(a) - 1
-    lcm = math.lcm(*range(1, d + 2))  # gain = floor(sum_k |a_k|/(k+1)), in integers
-    gain = sum(abs(x) * (lcm // (k + 1)) for k, x in enumerate(a)) // (A * lcm)
+    form = gen_poly.integer_form  # a_k = content a'_k / A
+    A = form.den
+    d = len(form.num) - 1
+    content = math.gcd(*form.num) or 1  # 1 for the zero P
+    a = [x // content for x in form.num]
+    M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
+    # gain = floor(sum_k |a_k|/(k+1)), in integers
+    gain = content * sum(abs(x) * M // (k + 1) for k, x in enumerate(a)) // (A * M)
     r = _read_out(f, d, gain.bit_length())
-    fact = [math.factorial(i) for i in range(d + 2)]
-    v0, *b, v1 = r.num  # over Q = r.den
-    row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!
-    moments = [row[-1]]
-    for _ in range(d):
-        row = [x + y for x, y in zip(row, row[1:])]
-        moments.append(row[-1])
-    moments.reverse()
-    # everything below is over Z = A Q (d+1)!
+    v0, *moments, v1 = r.num  # over Q = r.den
+    # everything below is over Z = A Q M / content
     acc, row = [0, 0], []
-    for k, alpha in enumerate(a):
+    for k, ak in enumerate(a):
         new = [moments[k]]
         for x in reversed(row):  # g_{i,k-i} = g_{i,k-1-i} - g_{i+1,k-1-i}
             new.append(x - new[-1])
         row = new[::-1]
-        ends = alpha * fact[d + 1] // (k + 1)
+        alpha = ak * M
+        ends = alpha // (k + 1)
         term = [ends * v0]
-        term += [alpha * (d + 1) * comb(k + 2, i + 1) * comb(k, i) * g for i, g in enumerate(row)]
+        term += [alpha * (comb(k + 2, i + 1) * comb(k, i) * g) for i, g in enumerate(row)]
         term.append(ends * v1)
         acc = [x + y + t for x, y, t in zip([0] + acc, acc + [0], term)]
     mono = []  # sum_j acc_j x^j (1-x)^(d+2-j), by Horner in (1-x)
     for e in acc:
         mono = [x - y for x, y in zip(mono + [e], [0] + mono)]
     exact = r.exact and gen_poly.backend == "exact"
-    return Polynomial.monomial(_coefficients(mono, A * r.den * fact[d + 1], exact))
+    return Polynomial.monomial(_coefficients([content * c for c in mono], A * r.den * M, exact))
 
 
 @dataclass(frozen=True)

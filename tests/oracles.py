@@ -3,6 +3,7 @@ library's own conversions: coefficient vectors are numpy object arrays of
 Fractions, on which numpy.polynomial.polynomial is exact. Float references:
 library kernels in their earlier, plainer form, which the faster ones must
 match bit for bit."""
+import math
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,10 @@ import numpy as np
 from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
+from shapeapprox.generator import PRECISION_BITS
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, step_weight
+from shapeapprox.operators import _as_handle, _coefficients
+from shapeapprox.polynomial import Polynomial, _to_fraction, bernstein_basis
 
 
 def fractions(coeffs) -> np.ndarray:
@@ -91,3 +95,82 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
         values[has[wins]] = best[wins]
         args[has[wins]] = points[has[wins], j[wins]]
     return values, args
+
+
+def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
+    """The library's read-out of f as it was when it gave b_i =
+    int_0^1 p_{d,i} f rather than moments: f(0), b_0..b_d, f(1) as integers
+    over one denominator, and whether they are exact. Moments (exact, or mpf
+    at PRECISION_BITS + 2d + gain bits) become b by the subtractive triangle;
+    any other f is integrated by one Gauss-Legendre rule."""
+    f = _as_handle(f)
+    try:
+        with mpmath.workprec(PRECISION_BITS + 2 * d + gain):
+            moments = f.monomial_moments(d)
+            exact = all(isinstance(m, (int, Fraction)) for m in moments)
+            x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
+            vals = [f.value_at(x[0]), f.value_at(x[1]), *moments]
+    except NotImplementedError:
+        u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
+        t = (u + 1) / 2
+        b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
+        vals = [*np.asarray(f(np.array([0.0, 1.0])), dtype=float), *b]
+        moments, exact = None, False
+    vals = [_to_fraction(v) for v in vals]
+    den = math.lcm(*(v.denominator for v in vals))
+    v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
+    if moments is not None:
+        diag = [row[-1]]  # g_{d-j,j}, g_{i,j} = int t^i (1-t)^j f
+        for _ in range(d):
+            row = [x - y for x, y in zip(row, row[1:])]
+            diag.append(row[-1])
+        row = [comb(d, i) * g for i, g in enumerate(reversed(diag))]
+    return [v0, *row, v1], den, exact
+
+
+def genuine_durrmeyer_reference(n: int, f) -> Polynomial:
+    """U_n(f) from ``bernstein_read_out``: f(0), (n-1) b_i, f(1)."""
+    (v0, *b, v1), den, exact = bernstein_read_out(f, n - 2)
+    return Polynomial.bernstein(_coefficients([v0, *((n - 1) * v for v in b), v1], den, exact))
+
+
+def durrmeyer_reference(n: int, f) -> Polynomial:
+    """D_n(f) from ``bernstein_read_out``: (n+1) b_i."""
+    num, den, exact = bernstein_read_out(f, n)
+    return Polynomial.bernstein(_coefficients([(n + 1) * v for v in num[1:-1]], den, exact))
+
+
+def gavrea_reference(gen_poly: Polynomial, f) -> Polynomial:
+    """sum_k a_k/(k+1) U_{k+2}(f) as the library formed it from
+    ``bernstein_read_out``: b back to the moments by the additive triangle,
+    the antidiagonals rebuilt upwards and the images summed by degree
+    elevation, all over A Q (d+1)!, on P's numerators as they are."""
+    form = gen_poly.integer_form
+    a, A = form.num, form.den
+    d = len(a) - 1
+    lcm = math.lcm(*range(1, d + 2))
+    gain = sum(abs(x) * (lcm // (k + 1)) for k, x in enumerate(a)) // (A * lcm)
+    (v0, *b, v1), Q, exact = bernstein_read_out(f, d, gain.bit_length())
+    fact = [math.factorial(i) for i in range(d + 2)]
+    row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!
+    moments = [row[-1]]
+    for _ in range(d):
+        row = [x + y for x, y in zip(row, row[1:])]
+        moments.append(row[-1])
+    moments.reverse()
+    acc, row = [0, 0], []
+    for k, alpha in enumerate(a):
+        new = [moments[k]]
+        for x in reversed(row):
+            new.append(x - new[-1])
+        row = new[::-1]
+        ends = alpha * fact[d + 1] // (k + 1)
+        term = [ends * v0]
+        term += [alpha * (d + 1) * comb(k + 2, i + 1) * comb(k, i) * g for i, g in enumerate(row)]
+        term.append(ends * v1)
+        acc = [x + y + t for x, y, t in zip([0] + acc, acc + [0], term)]
+    mono = []
+    for e in acc:
+        mono = [x - y for x, y in zip(mono + [e], [0] + mono)]
+    exact = exact and gen_poly.backend == "exact"
+    return Polynomial.monomial(_coefficients(mono, A * Q * fact[d + 1], exact))

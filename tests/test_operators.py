@@ -15,6 +15,7 @@ from shapeapprox import (
     Polynomial,
     bernstein_image,
     build_generator,
+    catalog,
     check_k_monotone_poly,
     derivative_bridge_residual,
     durrmeyer_image,
@@ -30,12 +31,19 @@ from shapeapprox import (
     moment_profile,
     monomial,
     pochhammer,
+    q_monotone_catalog,
 )
 from shapeapprox.functions import TruncatedPowerFunction
 from shapeapprox.operators import _gauss_jacobi
 from shapeapprox.polynomial import bernstein_basis
 
-from oracles import bernstein_coeffs, fractions
+from oracles import (
+    bernstein_coeffs,
+    durrmeyer_reference,
+    fractions,
+    gavrea_reference,
+    genuine_durrmeyer_reference,
+)
 
 
 def test_bernstein_preserves_linear_and_e2():
@@ -184,6 +192,50 @@ def test_gavrea_image_matches_its_definition():
             image = genuine_durrmeyer_image(k + 2, f).to_monomial()
             want = npoly.polyadd(want, fractions(image.coeffs) * (ak / (k + 1)))
         assert list(gavrea_image(P, f).coeffs) == list(want)
+
+
+def test_gavrea_image_of_the_zero_generator():
+    # P = 0 has no content to divide by; its image is 0 for exact moments,
+    # mpf moments and a quadrature read alike
+    zero = Polynomial.monomial([0])
+    for f in (monomial(2), ExpFunction(), lambda x: np.exp(x)):
+        assert gavrea_image(zero, f).coeffs == (0,)
+    img = gavrea_image(Polynomial.monomial([-2]), monomial(2))
+    assert img.coeffs == (0, Fraction(-4, 3), Fraction(-2, 3))
+
+
+def _stored_values(p: Polynomial) -> list:
+    """p's coefficients bit for bit: mpf as _mpf_ tuples, exact ones as Fractions."""
+    return [c._mpf_ if isinstance(c, mpmath.mpf) else Fraction(c) for c in p.coeffs]
+
+
+@pytest.mark.parametrize("n, r", [(21, 1), (45, 1), (71, 1), (45, 2), (71, 3), (128, 1)])
+def test_gavrea_image_matches_the_bernstein_form_reference(n, r):
+    # reading moments and summing on P's numerators over their content gives
+    # the image of the b-form read-out and sum bit for bit, for an mpf P and
+    # for its exact value
+    P = build_generator(n, r).P
+    rng = np.random.default_rng(n + r)
+    inputs = [f for q in range(1, 5) for f in q_monotone_catalog(q)]
+    inputs += [catalog("xeps:0.5"), catalog("logeps:1e-4"), lambda x: np.exp(x),
+               PolyFunction(Polynomial.bernstein(list(rng.random(6))))]
+    for gen_poly in (P, P.to_exact()):
+        for f in inputs:
+            got, want = gavrea_image(gen_poly, f), gavrea_reference(gen_poly, f)
+            assert got.basis == want.basis
+            assert _stored_values(got) == _stored_values(want)
+
+
+@pytest.mark.parametrize("n", [2, 10, 40, 100])
+def test_durrmeyer_images_match_the_bernstein_form_reference(n):
+    # U_n and D_n take b from the moments; n = 2 reads U_n at degree 0
+    inputs = (ExpFunction(), catalog("xeps:0.5"), catalog("truncpow:0.5:3"),
+              catalog("logeps:1e-4"), lambda x: np.sin(3 * x) + x)
+    pairs = ((genuine_durrmeyer_image, genuine_durrmeyer_reference),
+             (durrmeyer_image, durrmeyer_reference))
+    for image, reference in pairs:
+        for f in inputs:
+            assert _stored_values(image(n, f)) == _stored_values(reference(n, f))
 
 
 def _grid_values(p: Polynomial, points: int = 1025) -> np.ndarray:
