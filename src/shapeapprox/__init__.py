@@ -43,7 +43,6 @@ from .moduli import (
 )
 from .operators import (
     MnResult,
-    MomentProfile,
     bernstein_image,
     derivative_bridge_residual,
     durrmeyer_image,
@@ -56,7 +55,6 @@ from .operators import (
     lupas_endpoint_moment,
     lupas_moment_closed_form,
     mn_image,
-    moment_profile,
 )
 from .polynomial import BERNSTEIN, MONOMIAL, Polynomial
 from .shape import ShapeReport, check_k_monotone_fn, check_k_monotone_poly

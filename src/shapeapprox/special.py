@@ -115,6 +115,17 @@ def ultraspherical_phi(n: int, alpha) -> Polynomial:
     return Polynomial.monomial(prev1 if n else prev2)
 
 
+def shifted_jacobi(m: int, a: int, b: int) -> list[int]:
+    """The integer monomial coefficients c_0..c_m of P_m^(a,b)(2x-1), for
+    integers a, b >= 0, from the hypergeometric form
+    (-1)^m C(m+b,m) 2F1(-m, m+a+b+1; b+1; x): c_0 = (-1)^m C(m+b,m) and
+    c_{i+1} = -c_i (m-i)(m+a+b+1+i) / ((i+1)(b+1+i)), an exact division."""
+    c = [(-1) ** m * comb(m + b, m)]
+    for i in range(m):
+        c.append(-c[-1] * (m - i) * (m + a + b + 1 + i) // ((i + 1) * (b + 1 + i)))
+    return c
+
+
 def phi_leading_coefficient(n: int, alpha):
     """(2 alpha + n + 1)_n / (alpha + 1)_n."""
     return pochhammer(2 * alpha + n + 1, n) / pochhammer(alpha + 1, n)

@@ -4,6 +4,7 @@ Fractions, on which numpy.polynomial.polynomial is exact. Float references:
 library kernels in their earlier, plainer form, which the faster ones must
 match bit for bit."""
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -12,9 +13,10 @@ import numpy as np
 from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
-from shapeapprox.generator import PRECISION_BITS
+from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, step_weight
-from shapeapprox.operators import _as_handle, _coefficients
+from shapeapprox.operators import (_as_handle, _coefficients, bernstein_image, durrmeyer_image,
+                                   durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
 from shapeapprox.polynomial import Polynomial, _to_fraction, bernstein_basis
 
 
@@ -174,3 +176,77 @@ def gavrea_reference(gen_poly: Polynomial, f) -> Polynomial:
         mono = [x - y for x, y in zip(mono + [e], [0] + mono)]
     exact = exact and gen_poly.backend == "exact"
     return Polynomial.monomial(_coefficients(mono, A * Q * fact[d + 1], exact))
+
+
+# ----------------------------------------------------------------------
+# moment profiles of the linear operators
+@dataclass(frozen=True)
+class MomentProfile:
+    n: int
+    image_e0: Polynomial
+    image_e1: Polynomial
+    image_e2: Polynomial
+    alpha_n: object  # factor in L(e_2,x) - x^2 = alpha_n x(1-x); None if n/a
+    conforming: bool
+    residual: float
+
+
+def _image_fn(kind: str, params: dict):
+    if kind == "bernstein":
+        return (lambda f: bernstein_image(params["n"], f)), params["n"]
+    if kind == "genuine_durrmeyer":
+        return (lambda f: genuine_durrmeyer_image(params["n"], f)), params["n"]
+    if kind == "durrmeyer":
+        return (lambda f: durrmeyer_image(params["n"], f)), params["n"]
+    if kind == "lupas":
+        return (lambda f: durrmeyer_lupas_image(params["n"], params["alpha"], f)), params["n"]
+    if kind == "gavrea":
+        gen = params["gen"]
+        gen_poly = gen.P if isinstance(gen, GeneratorPoly) else gen
+        return (lambda f: gavrea_image(gen_poly, f)), gen_poly.degree + 2
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def _float_coeffs(p: Polynomial, length: int) -> list[float]:
+    c = [float(v) for v in p.to_monomial().coeffs]
+    return c + [0.0] * max(0, length - len(c))
+
+
+def moment_profile(kind: str, **params) -> MomentProfile:
+    """Images of e_0, e_1, e_2 and the factor alpha_n when the operator
+    reproduces linear functions and L(e_2,x) - x^2 is proportional to x(1-x).
+
+    Operators that fail either property (e.g. the weighted Durrmeyer family,
+    which does not fix e_1) come back with conforming=False and alpha_n=None.
+    """
+    image, n = _image_fn(kind, params)
+    imgs = [image(Polynomial.e(i)).to_monomial() for i in range(3)]
+    tol = 1e-10
+    lin_resid = 0.0
+    for i in (0, 1):
+        c = _float_coeffs(imgs[i], i + 2)
+        c[i] -= 1.0
+        lin_resid = max(lin_resid, max(abs(v) for v in c))
+    s = _float_coeffs(imgs[2], max(4, len(imgs[2].coeffs)))
+    s[2] -= 1.0  # subtract x^2
+    alpha_float = s[1]
+    resid = max(
+        abs(s[0]),
+        abs(s[1] + s[2]),  # the gap must be alpha * (x - x^2)
+        max((abs(v) for v in s[3:]), default=0.0),
+    )
+    conforming = lin_resid <= tol and resid <= tol and alpha_float >= -tol
+    alpha_n = None
+    if conforming:
+        # report the exact/high-precision coefficient, not its float cast
+        raw = list(imgs[2].coeffs)
+        alpha_n = raw[1] if len(raw) > 1 else alpha_float
+    return MomentProfile(
+        n=n,
+        image_e0=imgs[0],
+        image_e1=imgs[1],
+        image_e2=imgs[2],
+        alpha_n=alpha_n,
+        conforming=conforming,
+        residual=max(lin_resid, resid),
+    )

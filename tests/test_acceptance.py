@@ -34,7 +34,6 @@ from shapeapprox import (
     lupas_endpoint_moment,
     lupas_product_identity_check,
     mn_image,
-    moment_profile,
     phi_bernstein_expansion,
     phi_leading_coefficient,
     pochhammer,
@@ -44,7 +43,7 @@ from shapeapprox import (
 from shapeapprox.experiments import run_lambda2_counterexample
 from shapeapprox.functions import PowerFunction
 
-from oracles import integral_01
+from oracles import integral_01, moment_profile
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,6 +1,7 @@
 """Operator images: Bernstein, genuine Durrmeyer, Lupas-weighted Durrmeyer,
 the weighted combination driven by a generating polynomial, and the composite
 shape-preserving construction."""
+import math
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,6 @@ from shapeapprox import (
     lupas_endpoint_moment,
     lupas_moment_closed_form,
     mn_image,
-    moment_profile,
     monomial,
     pochhammer,
     q_monotone_catalog,
@@ -36,6 +36,7 @@ from shapeapprox import (
 from shapeapprox.functions import TruncatedPowerFunction
 from shapeapprox.operators import _gauss_jacobi
 from shapeapprox.polynomial import bernstein_basis
+from shapeapprox.special import shifted_jacobi
 
 from oracles import (
     bernstein_coeffs,
@@ -43,6 +44,7 @@ from oracles import (
     fractions,
     gavrea_reference,
     genuine_durrmeyer_reference,
+    moment_profile,
 )
 
 
@@ -129,6 +131,22 @@ def test_derivative_bridge():
     p = PolyFunction(Polynomial.monomial([0, 1, -3, 2, Fraction(1, 5)]))
     for n in (4, 9):
         assert derivative_bridge_residual(n, p) <= 1e-9
+
+
+def test_genuine_durrmeyer_eigenpolynomials():
+    # U_n(p_j) = lambda_{n,j} p_j for p_0 = 1-x, p_1 = x and
+    # p_j = x(1-x) P^(1,1)_{j-2}(2x-1), with
+    # lambda_{n,j} = n!(n-1)!/((n+j-1)!(n-j)!), and 0 for j > n
+    fact = math.factorial
+    for n in range(2, 9):
+        for j in range(n + 2):
+            if j < 2:
+                p = fractions([1 - j, 2 * j - 1])
+            else:
+                p = npoly.polymul(fractions([0, 1, -1]), fractions(shifted_jacobi(j - 2, 1, 1)))
+            lam = Fraction(fact(n) * fact(n - 1), fact(n + j - 1) * fact(n - j)) if j <= n else 0
+            image = genuine_durrmeyer_image(n, PolyFunction(Polynomial.monomial(list(p))))
+            assert image.to_monomial().coeffs == Polynomial.monomial(list(p * lam)).coeffs, (n, j)
 
 
 def test_gavrea_moments_with_unit_generator():
@@ -219,6 +237,9 @@ def test_gavrea_image_matches_the_bernstein_form_reference(n, r):
     inputs = [f for q in range(1, 5) for f in q_monotone_catalog(q)]
     inputs += [catalog("xeps:0.5"), catalog("logeps:1e-4"), lambda x: np.exp(x),
                PolyFunction(Polynomial.bernstein(list(rng.random(6))))]
+    # a constant goes through the eigenbasis, degree d + 5 through the triangle
+    inputs += [PolyFunction(Polynomial.monomial([Fraction(2, 3)])),
+               PolyFunction(Polynomial.bernstein(list(rng.random(P.degree + 6))))]
     for gen_poly in (P, P.to_exact()):
         for f in inputs:
             got, want = gavrea_image(gen_poly, f), gavrea_reference(gen_poly, f)

@@ -1,9 +1,11 @@
 """Chebyshev polynomials, the clipped factor tau_m, and ultraspherical
 polynomials."""
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
     chebyshev_T,
@@ -15,7 +17,9 @@ from shapeapprox import (
     ultraspherical_phi,
 )
 
-from oracles import compose
+from shapeapprox.special import shifted_jacobi
+
+from oracles import compose, fractions
 
 
 def test_pochhammer_values():
@@ -75,6 +79,20 @@ def test_ultraspherical_alpha_half_negative_is_shifted_chebyshev():
     for n in range(1, 8):
         shifted = compose(chebyshev_T(n).coeffs, [-1, 2])
         assert list(ultraspherical_phi(n, Fraction(-1, 2)).coeffs) == list(shifted)
+
+
+def test_shifted_jacobi_matches_the_explicit_sum():
+    # P_m^(a,b)(2x-1) = sum_s C(m+a, m-s) C(m+b, s) (x-1)^s x^(m-s), and the
+    # (1,1) family is (m+1) phi_m^(1)
+    for a, b in ((1, 1), (0, 2), (2, 0), (3, 1)):
+        for m in range(13):
+            want = fractions([0])
+            for s in range(m + 1):
+                term = npoly.polymul(npoly.polypow(fractions([-1, 1]), s), fractions([0] * (m - s) + [1]))
+                want = npoly.polyadd(want, term * (comb(m + a, m - s) * comb(m + b, s)))
+            assert shifted_jacobi(m, a, b) == list(want), (a, b, m)
+            if (a, b) == (1, 1):
+                assert shifted_jacobi(m, 1, 1) == [(m + 1) * c for c in ultraspherical_phi(m, 1).coeffs]
 
 
 def test_phi_bernstein_expansion_matches_recurrence():
