@@ -4,12 +4,13 @@ E_n(f)      = inf over degree-<=n polynomials of the uniform error;
 E_n^(q)(f)  = the same infimum restricted to q-monotone polynomials.
 
 Both are computed on Chebyshev-distributed sample nodes, as min over a of
-max_i |f(x_i) - p(x_i)|, by ``simplex.minimax``: Stiefel's exchange without
-a shape constraint, and the same dual simplex continued with the shape
-rows.  The shape constraint p^(q) >= 0 (p >= 0 when q = 0) is imposed as
-nonnegative Bernstein coefficients of p^(q) after degree elevation, which
-certifies it on all of [0,1] (Powers & Reznick, Trans. AMS 2001), not only
-at sample nodes.  The shape rows are the Bernstein coefficients of each
+max_i |f(x_i) - p(x_i)|, by ``simplex.exchange`` (Stiefel's exchange) and,
+when its optimum is not q-monotone, ``simplex.dual_simplex`` continued from
+the exchange's last reference with the shape rows.  The shape constraint
+p^(q) >= 0 (p >= 0 when q = 0) is imposed as nonnegative Bernstein
+coefficients of p^(q) after degree elevation, which certifies it on all of
+[0,1] (Powers & Reznick, Trans. AMS 2001), not only at sample nodes.  The
+shape rows are the Bernstein coefficients of each
 T_j(2x-1)^(q), formed exactly in integers at degree 2(n-q), rounded once,
 and elevated to m by one float product with a nonnegative matrix; the
 simplex stops once no row is violated by more than 1e-15 max|f|.  Both
@@ -30,7 +31,7 @@ from .errors import RegimeError, SolverError
 from .moduli import default_x_grid, omega_dt
 from .polynomial import Polynomial, bernstein_elevation, bernstein_integers
 from .shape import check_k_monotone_poly
-from .simplex import minimax
+from .simplex import dual_simplex, exchange
 
 DEFAULT_SAMPLE_POINTS = 257
 DEFAULT_CONSTRAINT_POINTS = 257
@@ -52,6 +53,9 @@ class ApproxResult:
     #: exchange steps, plus the dual simplex steps after them when the
     #: shape rows were added
     iterations: int
+    #: the dual simplex steps among ``iterations``; 0 when the shape rows
+    #: never entered
+    simplex_steps: int
     equioscillations: int
     constraint_validated: bool
 
@@ -141,13 +145,13 @@ def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
     if n < 0:
         raise RegimeError("n must be >= 0")
     N, fvals, V = _sample(f, n, N)
-    a, err, bound, iters = minimax(fvals, V)
+    a, err, bound, ref = exchange(fvals, V)
     p = _reconstruct(a)
     resid = fvals - V @ a
     return ApproxResult(
         n=n, q=None, poly=p, error=err, error_dual=bound, sample_size=N, constraint_size=0,
-        iterations=iters, equioscillations=equioscillation_count(resid, err),
-        constraint_validated=True,
+        iterations=ref.steps, simplex_steps=0,
+        equioscillations=equioscillation_count(resid, err), constraint_validated=True,
     )
 
 
@@ -168,18 +172,18 @@ def best_qmonotone(
     N, fvals, V = _sample(f, n, N)
     # if the unconstrained optimum already satisfies the shape constraint it
     # is the constrained optimum too (constrained error can only be larger)
-    a, err, bound, iters = minimax(fvals, V)
+    a, err, bound, ref = exchange(fvals, V)
     p = _reconstruct(a)
-    constraint_size, validated = 0, True
+    constraint_size, validated, steps = 0, True, 0
     if not check_k_monotone_poly(p, q).passed:
         m = max(4 * (M - 1), n - q)
-        a, err, bound, iters = minimax(fvals, V, _shape_rows(n, q, m))
+        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m), ref)
         p = _reconstruct(a)
         constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
     resid = fvals - V @ a
     return ApproxResult(
         n=n, q=q, poly=p, error=err, error_dual=bound, sample_size=N,
-        constraint_size=constraint_size, iterations=iters,
+        constraint_size=constraint_size, iterations=ref.steps + steps, simplex_steps=steps,
         equioscillations=equioscillation_count(resid, err), constraint_validated=validated,
     )
 

@@ -1,16 +1,21 @@
 """min over a of max_i |f_i - (V a)_i|, optionally subject to R a >= 0, by
-one dense dual simplex.
+one dense dual simplex in two stages.
 
 This is a linear program in (a, t) with error rows s (f_i - V_i a) <= t,
 s = +-1, and shape rows R_j a >= 0.  A basis is n + 2 rows whose multipliers
 y = G_B^{-T} e_t are nonnegative; its levelled value t is then a lower bound
 on the optimum (weak duality).  Stiefel's exchange (Numer. Math. 1, 1959) is
 this method on the error rows, where the Haar condition makes every
-alternating reference such a basis; shape rows enter the same way
-(Barrodale & Phillips, ACM TOMS Alg. 495, 1975).  Every row is searched as
-given, and the search stops once the violations left are roundoff.
+alternating reference such a basis; ``exchange`` runs it and returns its last
+reference.  ``dual_simplex`` lets shape rows enter that basis the same way
+(Barrodale & Phillips, ACM TOMS Alg. 495, 1975), on an inverse kept by
+rank-one updates (the product form of Dantzig & Orchard-Hays, MTAC 8, 1954).
+Every row is searched as given, and the search stops once the violations
+left are roundoff.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,27 +24,31 @@ from .errors import SolverError
 # the exchange took at most 3.5 steps per reference node on catalog
 # functions up to n = 100 and N = 8193; the bound only stops a runaway
 _MAX_EXCHANGE_STEPS_PER_NODE = 20
-# the dual simplex took at most 3.9 steps per row (N sample nodes plus the
-# shape rows) on five catalog functions, q <= 4, n <= 40, m = 512 (1.9 at
-# m = 1024): a runaway stop too
+# the dual simplex took at most 3.8 steps per row (N sample nodes plus the
+# shape rows) on five catalog functions, q <= 4, n <= 40, m = 512 (1.8 at
+# m = 1024), but 4.4 on truncpow:0.5:3, q = 3 at n = 60 and 19.9 at n = 100
+# (m = 1024): a runaway stop too, which a solvable problem nears at n = 100
 _MAX_SIMPLEX_STEPS_PER_ROW = 20
 _ROUNDOFF = 1e-15  # violations up to this fraction of max|f| are roundoff
 
 
-def minimax(fvals, V, R=None):
-    """(a, grid error, dual bound, steps); the bound is the highest levelled
-    value reached, capped at the grid error.
+class Reference(NamedTuple):
+    """The exchange's last basis: the residual at sample node rows[i] is
+    signs[i] h, after ``steps`` exchange steps."""
+
+    rows: np.ndarray
+    signs: np.ndarray
+    steps: int
+
+
+def exchange(fvals, V):
+    """(a, grid error, dual bound, reference) for min over a of
+    max|fvals - V a|; the bound is the highest levelled value reached,
+    capped at the grid error.
 
     The exchange puts the grid's argmax into the reference with alternating
-    signs, which raises |h|, until |h| stops rising at roundoff; without R,
-    the iterate with the smallest grid error is returned.  With R, the most
-    violated row enters the exchange's last basis and the ratio test on y
-    picks the leaving row, with ties broken by the lexicographic rule on the
-    columns of G_B^{-1}, which cannot cycle.  The search stops once no row
-    is violated by more than _ROUNDOFF max|f|: neighbouring shape rows are
-    nearly parallel, and rows violated by roundoff alone would enter and
-    leave in turn.  The final basis is solved once more, with one step of
-    iterative refinement."""
+    signs, which raises |h|, until |h| stops rising at roundoff; the iterate
+    with the smallest grid error is returned, with the last reference."""
     N, k = V.shape
     ref = np.round(np.linspace(0, N - 1, k + 1)).astype(int)  # the grid is Chebyshev-distributed
     alt = (-1.0) ** np.arange(k + 1)
@@ -70,35 +79,70 @@ def minimax(fvals, V, R=None):
             ref[pos - 1 if pos == k + 1 or (pos > 0 and same[pos - 1]) else pos] = j
     else:
         raise SolverError(f"exchange did not converge in {step} steps")
-    if R is None:
-        return best_a, best_err, min(max(h, last_h), best_err), step
+    bound = min(max(h, last_h), best_err)
+    return best_a, best_err, bound, Reference(ref, np.copysign(1.0, sol[-1]) * alt, step)
 
-    sign = np.copysign(1.0, sol[-1]) * alt
-    rows = ref.copy()  # basis rows: error row i < N, shape row N + j
-    G = np.column_stack([sign[:, None] * V[ref], np.ones(k + 1)])
-    g = sign * fvals[ref]
+
+def dual_simplex(fvals, V, R, ref: Reference):
+    """(a, grid error, dual bound, steps) for min over a of max|fvals - V a|
+    subject to R a >= 0, continued from the exchange's reference ``ref``;
+    the bound is the last levelled value, capped at the grid error.
+
+    Each step prices the error and shape rows with one product, lets the
+    most violated row enter, and picks the leaving row by the ratio test on
+    y, with ties broken by the lexicographic rule on the columns of
+    G_B^{-1}, which cannot cycle.  G_B^{-1} takes a rank-one update per step
+    and is formed afresh every n + 2 updates and before a stop is accepted.
+    The search stops once no row is violated by more than _ROUNDOFF max|f|:
+    neighbouring shape rows are nearly parallel, and rows violated by
+    roundoff alone would enter and leave in turn.  The final basis is
+    solved once more, with one step of iterative refinement."""
+    N, k = V.shape
+    A = np.vstack([V, R])  # error row i < N, shape row N + j
+    rows = ref.rows.copy()
+    basic = np.zeros(len(A), dtype=bool)
+    basic[rows] = True
+    G = np.column_stack([ref.signs[:, None] * V[rows], np.ones(k + 1)])
+    g = ref.signs * fvals[rows]
     stop = _ROUNDOFF * np.max(np.abs(fvals))
-    for step in range(step + 1, step + _MAX_SIMPLEX_STEPS_PER_ROW * (N + len(R)) + 1):
-        Binv = np.linalg.inv(G)
+
+    def price(Binv):
         z = Binv @ g
-        r = fvals - V @ z[:-1]
-        viol_err, viol_shape = np.abs(r) - z[-1], -(R @ z[:-1])
-        viol_err[rows[rows < N]] = viol_shape[rows[rows >= N] - N] = -np.inf
-        i, j = int(np.argmax(viol_err)), int(np.argmax(viol_shape))
-        if max(viol_err[i], viol_shape[j]) <= stop:
+        viol = A @ -z[:-1]  # -(R a) on the shape rows
+        r = viol[:N] + fvals
+        viol[:N] = np.abs(r) - z[-1]
+        viol[basic] = -np.inf
+        e = int(np.argmax(viol))
+        return r, viol[e], e
+
+    Binv, updates = np.linalg.inv(G), 0
+    for step in range(1, _MAX_SIMPLEX_STEPS_PER_ROW * len(A) + 1):
+        r, worst, e = price(Binv)
+        if worst <= stop and updates:  # decide a stop on a fresh inverse
+            Binv, updates = np.linalg.inv(G), 0
+            r, worst, e = price(Binv)
+        if worst <= stop:
             break
-        if viol_err[i] >= viol_shape[j]:
-            s = np.copysign(1.0, r[i])
-            row, rhs, enter = np.append(s * V[i], 1.0), s * fvals[i], i
+        if e < N:
+            s = np.copysign(1.0, r[e])
+            row, rhs = np.append(s * V[e], 1.0), s * fvals[e]
         else:
-            row, rhs, enter = np.append(R[j], 0.0), 0.0, N + j
+            row, rhs = np.append(A[e], 0.0), 0.0
         w = row @ Binv  # the entering row in terms of the basis rows
         pos = np.flatnonzero(w > 0)
         if not len(pos):
             raise SolverError("shape constraints are infeasible")
         ratios = Binv[k, pos] / w[pos]  # y_l / w_l, with y = G_B^{-T} e_t
         l = min(pos[ratios == ratios.min()], key=lambda c: tuple(Binv[:k, c] / w[c]))
-        rows[l], G[l], g[l] = enter, row, rhs
+        basic[rows[l]], basic[e] = False, True
+        rows[l], G[l], g[l] = e, row, rhs
+        updates += 1
+        if updates == k + 1:
+            Binv, updates = np.linalg.inv(G), 0
+        else:  # row l of G_B became w G_B: G_B^{-1} -= (column l / w_l)(w - e_l)
+            col = Binv[:, l] / w[l]
+            w[l] -= 1.0
+            Binv -= np.outer(col, w)
     else:
         raise SolverError(f"dual simplex did not converge in {step} steps")
     z = np.linalg.solve(G, g)

@@ -15,6 +15,7 @@ from shapeapprox import (
     PolyFunction,
     Polynomial,
     TruncatedPowerFunction,
+    best_approx,
     best_qmonotone,
     best_uniform,
     catalog,
@@ -24,8 +25,7 @@ from shapeapprox import (
 )
 from shapeapprox.best_approx import _chebyshev_ints, _reconstruct, _sample, _shape_rows
 from shapeapprox.polynomial import bernstein_elevation
-from shapeapprox.shape import check_k_monotone_poly
-from shapeapprox.simplex import minimax
+from shapeapprox.simplex import dual_simplex, exchange
 from shapeapprox.special import chebyshev_T
 
 from oracles import bernstein_coeffs, compose, fractions
@@ -197,23 +197,35 @@ def test_constrained_solve_on_binding_panel(name):
     # on N = max(129, 4(n+1)) nodes and m = 512; logeps at q = 0, n = 22, 25
     # and 30, and n = 19 on the default grids (N = 257, m = 1024), which are
     # degenerate (ln(x + eps) < 0 on most of [0,1], so the optimum is
-    # attained at x = 0 and most multipliers vanish); and truncpow at
-    # (q, n) = (3, 40) and (2, 39), at the panel's largest n: the dual bound
-    # closes the gap to rounding, the shape rows hold to 1e-14 of their unit
-    # max, and up to n = 19 the error is the HiGHS LP's
+    # attained at x = 0 and most multipliers vanish); truncpow at (q, n) =
+    # (3, 40) and (2, 39), at the panel's largest n; and on the default
+    # grids, through dozens of fresh basis inverses, truncpow at (3, 40) and
+    # xeps:0.5 at (2, 60), solved although the shape check passes its
+    # unconstrained optimum: the dual bound closes the gap to rounding, the
+    # shape rows hold to 1e-14 of their unit max, and up to n = 19 the error
+    # is the HiGHS LP's.  best_qmonotone reports simplex steps exactly where
+    # the shape check fails
     f = catalog(name)
     cases = [(q, n, max(129, 4 * (n + 1)), 512) for q in range(5) for n in range(6, 20)]
     if name == "logeps:1e-4":
         cases += [(0, n, 129, 512) for n in (22, 25, 30)] + [(0, 19, 257, 1024)]
     if name == "truncpow:0.5:3":
-        cases += [(q, n, 4 * (n + 1), 512) for q, n in ((3, 40), (2, 39))]
+        cases += [(q, n, 4 * (n + 1), 512) for q, n in ((3, 40), (2, 39))] + [(3, 40, 257, 1024)]
+    forced = [(2, 60, 257, 1024)] if name == "xeps:0.5" else []
     solved = 0
-    for q, n, N, m in cases:
+    for q, n, N, m in cases + forced:
         N, fvals, V = _sample(f, n, N)
-        if check_k_monotone_poly(_reconstruct(minimax(fvals, V)[0]), q).passed:
-            continue
+        _, _, _, ref = exchange(fvals, V)
+        if (q, n, N, m) not in forced:
+            res = best_qmonotone(f, q, n, N=N, M=m // 4 + 1)
+            if not res.constraint_size:
+                assert res.simplex_steps == 0 and res.iterations == ref.steps, (q, n)
+                continue
         R = _shape_rows(n, q, m)
-        a, err, bound, _ = minimax(fvals, V, R)
+        a, err, bound, steps = dual_simplex(fvals, V, R, ref)
+        assert steps > 0, (q, n)
+        if (q, n, N, m) not in forced:
+            assert res.simplex_steps == steps, (q, n)
         scale = float(np.max(np.abs(fvals)))
         assert err >= bound >= err * (1 - 1e-12) - 4 * EPS * scale, (q, n, err, bound)
         assert float(np.min(R @ a)) >= -1e-14, (q, n)
@@ -243,6 +255,35 @@ def test_exchange_is_deterministic():
     a, b = best_uniform(f, 17), best_uniform(f, 17)
     assert a.error == b.error and a.iterations == b.iterations
     assert a.poly.coeffs == b.poly.coeffs
+    assert a.simplex_steps == b.simplex_steps == 0
+    # a binding constrained solve, twice
+    a, b = (best_qmonotone(f, 3, 12, N=129, M=129) for _ in range(2))
+    assert a.constraint_size > 0
+    assert (a.error, a.iterations, a.simplex_steps) == (b.error, b.iterations, b.simplex_steps)
+    assert a.poly.coeffs == b.poly.coeffs
+    assert 0 < a.simplex_steps < a.iterations
+
+
+def test_qmonotone_runs_the_exchange_once(monkeypatch):
+    # a binding case runs one exchange, then the dual simplex from its
+    # reference; the result is the two stages' own, bit for bit
+    f, q, n, N, M = catalog("truncpow:0.5:3"), 3, 12, 129, 129
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return exchange(*args)
+
+    monkeypatch.setattr(best_approx, "exchange", counted)
+    res = best_qmonotone(f, q, n, N=N, M=M)
+    assert len(calls) == 1
+    _, fvals, V = _sample(f, n, N)
+    _, _, _, ref = exchange(fvals, V)
+    a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, 4 * (M - 1)), ref)
+    assert res.constraint_size == 4 * (M - 1) + 1
+    assert (res.error, res.error_dual) == (err, bound)
+    assert res.poly.coeffs == _reconstruct(a).coeffs
+    assert (res.iterations, res.simplex_steps) == (ref.steps + steps, steps)
 
 
 def test_best_uniform_loads_no_scipy():
