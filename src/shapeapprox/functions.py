@@ -12,8 +12,10 @@ from functools import cached_property
 
 import mpmath
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from .polynomial import Polynomial, _to_mpf, bernstein_basis
+from .errors import DomainError
+from .polynomial import Polynomial, _to_mpf
 
 
 class FunctionHandle:
@@ -35,40 +37,31 @@ class FunctionHandle:
         return f"<{type(self).__name__} {self.name}>"
 
 
-_BASIS_BLOCK = 2**18  # basis entries per block of PolyFunction samples
-
-
 class PolyFunction(FunctionHandle):
-    """A polynomial, kept as given.  Floats and arrays are sampled by
-    ``bernstein_basis`` against its Bernstein coefficients, each rounded once
-    to float64 on first use, over blocks of at most ``_BASIS_BLOCK`` basis
-    entries, so that memory stays bounded whatever the number of points; its
-    values at Fractions and its moments are exact values of the stored
-    coefficients, whatever their basis and backend."""
+    """A polynomial, kept as given.  Floats and arrays are sampled by Clenshaw
+    on its shifted Chebyshev coefficients (``IntegerForm.chebyshev``), each
+    rounded once to float64 on first use: bounded by 2 max|p|, and the same
+    bits whatever the batch or thread count.  Its values at Fractions and its
+    moments are exact values of the stored coefficients, whatever their basis
+    and backend."""
 
     def __init__(self, poly: Polynomial, name: str | None = None):
         self.poly = poly
         self.name = name or "poly"
 
     @cached_property
-    def _bern(self) -> np.ndarray:
-        return self.poly.bernstein_float64()[0]
+    def _cheb(self) -> np.ndarray:
+        c, den = self.poly.integer_form.chebyshev()
+        return np.array([x / den for x in c])
 
     def __call__(self, x):
         if isinstance(x, Fraction):
             return self.poly.integer_form.value(x)
         x = np.asarray(x, dtype=float)  # a scalar x gives a scalar back
-        flat, d = x.ravel(), len(self._bern) - 1
-        n, out = len(flat), np.empty(len(flat))
-        # BLAS takes the rows of a product in groups of a few, and one row as
-        # a dot product: blocks that start at multiples of 64 rows and are
-        # never one row long give each sample the bits that one product of
-        # all rows gives on one BLAS thread
-        rows = max(1, _BASIS_BLOCK // (64 * (d + 1))) * 64
-        for s in range(0, max(n - 1, 1), rows):
-            e = s + rows if n - s > rows + 1 else n
-            np.matmul(bernstein_basis(d, flat[s:e]), self._bern, out=out[s:e])
-        return out.reshape(x.shape)[()]
+        inside = (x >= 0) & (x <= 1)  # False for NaN
+        if not inside.all():
+            raise DomainError(f"polynomial sampled at x={x[~inside][0]} outside [0,1]")
+        return chebval(2 * x - 1, self._cheb)[()]
 
     def monomial_moments(self, imax: int):
         form = self.poly.integer_form

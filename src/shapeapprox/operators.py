@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add, mul
 
@@ -87,6 +88,15 @@ class _Reading:
     exact: bool
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0,1], built once per order."""
+    u, w = np.polynomial.legendre.leggauss(order)
+    t, w = (u + 1) / 2, w / 2
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _read_out(f, d: int, gain: int = 0) -> _Reading:
     """Read f once at degree d.
 
@@ -110,9 +120,8 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
             x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
             vals = [f.value_at(x[0]), *moments, f.value_at(x[1])]
     except NotImplementedError:
-        u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
-        t = (u + 1) / 2
-        b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
+        t, w = _gauss_legendre(max(64, d + 4))
+        b = (w * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
         v0, v1 = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
         vals = [v0, *b, v1]
         moments, exact = None, False

@@ -14,12 +14,11 @@ Two scalar backends are supported:
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
-per instance, and its Bernstein integers are formed on first use.
-``Polynomial.bernstein_float64`` rounds the Bernstein coefficients of any
-derivative from them, ``nonnegative_by_halving`` proves such integers
-nonnegative on [0,1] by integer de Casteljau halving (or finds an exact
-negative value at a dyadic point), ``bernstein_basis`` evaluates that basis
-on a grid and ``bernstein_elevation`` raises its degree, both in float64
+per instance, with its Bernstein integers formed on first use and its shifted
+Chebyshev integers on request. ``nonnegative_by_halving`` proves Bernstein
+integers nonnegative on [0,1] by integer de Casteljau halving (or finds an
+exact negative value at a dyadic point), ``bernstein_basis`` evaluates that
+basis on a grid and ``bernstein_elevation`` raises its degree, both in float64
 numpy by ratios taken outward from each row's mode (no scipy); all are
 independent of the ambient precision.
 """
@@ -139,6 +138,20 @@ class IntegerForm:
         for _ in range(nu):
             c = [y - x for x, y in zip(c, c[1:])]
         return c, self.den * math.factorial(d - nu)
+
+    def chebyshev(self) -> tuple[list, int]:
+        """p = sum_j c_j T_j(2x - 1) (|c_j| <= 2 max|p| on [0,1], Trefethen,
+        ATAP ch. 3): the c_j as integers over den 4^d, by Horner's rule in x =
+        (1 + t)/2 over the T_j(t), with 4x T_j = 2 T_j + T_{j-1} + T_{j+1}
+        (T_{-1} = T_1): O(d^2) integer additions."""
+        c = np.zeros(self.degree + 1, dtype=object)
+        for k, a in enumerate(reversed(self.num)):
+            c, prev = 2 * c, c
+            c[1:] += prev[:-1]
+            c[:-1] += prev[1:]
+            c[1:2] += prev[:1]  # T_{-1} = T_1
+            c[0] += a << 2 * k
+        return list(c), self.den << 2 * self.degree
 
     def value(self, x) -> Fraction:
         """p(x) exactly at a rational x = a/b: sum_k num[k] a^k b^(d-k) by
@@ -351,12 +364,6 @@ class Polynomial:
         """Monomial degree bound, or the formal degree n of the Bernstein form."""
         return len(self.coeffs) - 1
 
-    @property
-    def bernstein_n(self) -> int:
-        if self.basis != BERNSTEIN:
-            raise BasisError("not in Bernstein form")
-        return len(self.coeffs) - 1
-
     def to_exact(self) -> "Polynomial":
         """Copy with Fraction coefficients; nothing is rounded."""
         return Polynomial(self.basis, [_to_fraction(c) for c in self.coeffs])
@@ -385,7 +392,7 @@ class Polynomial:
         if self.basis == MONOMIAL:
             return self
         c = self.coeffs
-        n = self.bernstein_n
+        n = self.degree
         z = _zero_of(self.backend)
         out = [z] * (n + 1)
         # p = sum_k c_k C(n,k) x^k (1-x)^(n-k)
@@ -402,16 +409,6 @@ class Polynomial:
         """The exact value of p as integers over one denominator, converted
         once per instance and shared by every derivative read-out."""
         return _read_integers(self)
-
-    def bernstein_float64(self, nu: int = 0) -> tuple[np.ndarray, bool]:
-        """Bernstein coefficients of p^(nu) at its exact degree, each rounded
-        once to float64, and whether every exact coefficient is >= 0.
-
-        They come from ``integer_form`` in integer arithmetic, so the result
-        does not depend on the ambient precision, and the sign test never
-        passes a tiny negative coefficient that rounds to -0.0."""
-        c, den = self.integer_form.derivative(nu)
-        return np.array([x / den for x in c]), all(x >= 0 for x in c)
 
     # ------------------------------------------------------------------
     # serialization: {"basis": ..., "n": int, "coeffs": [strings]}; an mpf is

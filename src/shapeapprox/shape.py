@@ -98,10 +98,9 @@ def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
     if k < 0:
         raise RegimeError("k must be >= 0")
     c, den = p.integer_form.derivative(k)
-    coeffs = np.array([x / den for x in c])
-    p_coeffs = p.bernstein_float64()[0] if k else coeffs
-    threshold = DEFAULT_TOL * max(1e-30, float(np.max(np.abs(p_coeffs))),
-                                  float(np.max(np.abs(coeffs))))
+    p_c, p_den = p.integer_form.derivative(0) if k else (c, den)
+    # max|c|/den, one correctly rounded quotient: the max of the rounded values
+    threshold = DEFAULT_TOL * max(1e-30, max(map(abs, p_c)) / p_den, max(map(abs, c)) / den)
     proved, halvings, witness = nonnegative_by_halving(c, _halving_budget(len(c) - 1))
     if proved:
         return ShapeReport(k, True, None, None, None, 0, 0, threshold,
@@ -112,7 +111,7 @@ def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
         if value < -threshold:
             return ShapeReport(k, False, float(x), 0.0, float(value), 0, 0, threshold)
     xs = np.linspace(0.0, 1.0, POLY_GRID_POINTS)
-    vals = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
+    vals = bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])
     j = int(np.argmin(vals))
     if vals[j] < -threshold:
         return ShapeReport(k, False, float(xs[j]), 0.0, float(vals[j]),

@@ -176,7 +176,8 @@ def test_criterion_03_identity_suite():
 def _native_grid_min(P, nu):
     """min of P^(nu) on a uniform 2048-point grid of [0,1] over its largest
     Bernstein coefficient, evaluated at its own degree in float64."""
-    coeffs, _ = P.bernstein_float64(nu)
+    c, den = P.integer_form.derivative(nu)
+    coeffs = np.array([x / den for x in c])
     d = len(coeffs) - 1
     xs = np.linspace(0.0, 1.0, 2048)
     vals = _scipy_binom.pmf(np.arange(d + 1)[None, :], d, xs[:, None]) @ coeffs

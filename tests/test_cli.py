@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,19 @@ def test_moduli_reads_gen_poly_output_as_a_poly_function(tmp_path):
     want = [omega_dt(PolyFunction(P), 2, 0.0, t) for t in (0.1, 0.3)]
     assert [[float(v) for v in row] for row in _rows(_read(out))] == [
         [t, e.value, e.argmax_h, e.argmax_x] for t, e in zip((0.1, 0.3), want)]
+
+
+def test_moduli_of_the_n512_generator_stays_within_its_range(tmp_path):
+    # omega_2(P, t) <= 4 max|P|; sampled through P's float64 Bernstein
+    # coefficients, which reach 3.8e24 at n = 512, it read 9.4e8
+    gen = tmp_path / "gen512.json"
+    assert main(["gen-poly", "--n", "512", "--r", "1", "--out", str(gen)]) == 0
+    out = tmp_path / "moduli.csv"
+    assert main(["moduli", "--f", str(gen), "--t-grid", "0.1", "--out", str(out)]) == 0
+    P = Polynomial.from_json(json.dumps(json.loads(_read(gen))["P"]))
+    top = max(abs(P.integer_form.value(Fraction(j, 256))) for j in range(257))
+    (row,) = _rows(_read(out))
+    assert 0 < float(row[1]) <= 4 * top
 
 
 def test_shape_reads_gen_poly_output(tmp_path):

@@ -1,6 +1,10 @@
 """Function handles and the named catalog."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +44,8 @@ def test_exp_moments_reach_the_read_out_precision():
     # at n = 460 the image reads 458 moments at over 1000 bits; a recurrence
     # started a fixed 60 steps above them left errors that blew the image up
     xs = np.linspace(0.0, 1.0, 1025)
-    coeffs, _ = mn_image(1, 460, ExpFunction()).poly.bernstein_float64()
-    values = bernstein_basis(len(coeffs) - 1, xs) @ coeffs
+    c, den = mn_image(1, 460, ExpFunction()).poly.integer_form.derivative(0)
+    values = bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])
     assert np.max(np.abs(values - np.exp(xs))) <= 1e-3
 
 
@@ -91,16 +95,36 @@ def test_truncated_power_masks_the_power_bit_for_bit():
             assert value == np.where(x - float(a) > 0, x - float(a), 0.0) ** p
 
 
-def test_poly_function_samples_in_blocks_as_one_product(monkeypatch):
-    # 64-row blocks (degree 7); 129 points leave a one-row rest, which goes
-    # with the block before it
-    monkeypatch.setattr(functions, "_BASIS_BLOCK", 64 * 8)
-    bern = [0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.2, -0.9]
-    f = PolyFunction(Polynomial.bernstein(bern))
-    for size in (1, 63, 64, 129, 1000):
-        xs = np.linspace(0, 1, size)
-        assert np.array_equal(f(xs), bernstein_basis(7, xs) @ f._bern), size
+_SAMPLE_SCRIPT = """
+import sys
+import numpy as np
+from shapeapprox import PolyFunction, build_generator
+f = PolyFunction(build_generator(int(sys.argv[1]), 1).P)
+xs = np.linspace(0.0, 1.0, 1001)
+runs = [f(xs), np.array([f(x) for x in xs]),
+        np.concatenate([f(xs[s:s + 64]) for s in range(0, len(xs), 64)])]
+sys.stdout.write(" ".join(v.tobytes().hex() for v in runs))
+"""
+
+
+def test_poly_function_samples_do_not_depend_on_batch_or_threads():
+    # one call, one point at a time and 64-point pieces give the same bits,
+    # under one and two BLAS threads
+    src = str(Path(functions.__file__).parents[1])
+    for n in (64, 256, 512):
+        out = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=src)
+            out[threads] = subprocess.run(
+                [sys.executable, "-c", _SAMPLE_SCRIPT, str(n)], env=env, check=True,
+                capture_output=True, text=True).stdout.split()
+            assert len(set(out[threads])) == 1, (n, threads)
+        assert out["1"] == out["2"], n
+    f = PolyFunction(Polynomial.monomial([1, -2, 3]))
     assert f(np.linspace(0, 1, 12).reshape(3, 4)).shape == (3, 4)
+    value = f(0.5)
+    assert np.ndim(value) == 0 and not isinstance(value, np.ndarray) and value == 0.75
 
 
 def test_piecewise_linear():
@@ -146,13 +170,15 @@ def test_vectorized_calls():
 
 def test_poly_function_samples_the_generator_by_its_bernstein_coefficients():
     # P's monomial coefficients alternate up to about 1e22 at n = 256, so
-    # float Horner loses every digit; its Bernstein coefficients stay below
-    # 1.4e10, and sampling by them stays within 1e-9 of max|P|
-    P = build_generator(256, 1).P
-    xs = np.linspace(0, 1, 65)  # dyadic points, read exactly as Fractions
-    exact = np.array([float(P.integer_form.value(Fraction(x))) for x in xs])
-    assert np.max(np.abs(PolyFunction(P)(xs) - exact)) <= 1e-9 * np.max(np.abs(exact))
-    assert PolyFunction(P)(Fraction(1, 3)) == P.integer_form.value(Fraction(1, 3))
+    # float Horner loses every digit, and its Bernstein coefficients reach
+    # 1.4e10 there and 3.8e24 at n = 512; its shifted Chebyshev coefficients
+    # stay below 2 max|P|, and Clenshaw on them stays within 1e-12 of max|P|
+    for n, points in ((256, 65), (512, 257)):
+        P = build_generator(n, 1).P
+        xs = np.linspace(0, 1, points)  # dyadic points, read exactly as Fractions
+        exact = np.array([float(P.integer_form.value(Fraction(x))) for x in xs])
+        assert np.max(np.abs(PolyFunction(P)(xs) - exact)) <= 1e-12 * np.max(np.abs(exact)), n
+        assert PolyFunction(P)(Fraction(1, 3)) == P.integer_form.value(Fraction(1, 3))
 
 
 def test_poly_function_moments_of_float_bernstein_input_are_exact():

@@ -34,7 +34,7 @@ from shapeapprox import (
     q_monotone_catalog,
 )
 from shapeapprox.functions import TruncatedPowerFunction
-from shapeapprox.operators import _gauss_jacobi
+from shapeapprox.operators import _gauss_jacobi, _gauss_legendre
 from shapeapprox.polynomial import bernstein_basis
 from shapeapprox.special import shifted_jacobi
 
@@ -259,8 +259,27 @@ def test_durrmeyer_images_match_the_bernstein_form_reference(n):
             assert _stored_values(image(n, f)) == _stored_values(reference(n, f))
 
 
+def test_quadrature_read_out_builds_each_rule_once(monkeypatch):
+    # two reads at one order give the same image from one leggauss call,
+    # whose nodes and weights are read-only
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda order: calls.append(order) or leggauss(order))
+    _gauss_legendre.cache_clear()
+    f = catalog("logeps:1e-4")
+    first, second = (_stored_values(genuine_durrmeyer_image(40, f)) for _ in range(2))
+    assert first == second and calls == [64]
+    assert _stored_values(mn_image(1, 200, f).poly) == _stored_values(mn_image(1, 200, f).poly)
+    assert len(calls) == 2 and calls[1] > 64
+    t, w = _gauss_legendre(64)
+    assert not t.flags.writeable and not w.flags.writeable
+    _gauss_legendre.cache_clear()
+
+
 def _grid_values(p: Polynomial, points: int = 1025) -> np.ndarray:
-    coeffs, _ = p.bernstein_float64()
+    c, den = p.integer_form.derivative(0)
+    coeffs = np.array([x / den for x in c])
     return bernstein_basis(len(coeffs) - 1, np.linspace(0.0, 1.0, points)) @ coeffs
 
 

@@ -1,5 +1,5 @@
-"""Polynomial evaluation, basis conversion, the exact Bernstein read-out,
-and serialization."""
+"""Polynomial evaluation, basis conversion, the exact Bernstein and
+Chebyshev read-outs, and serialization."""
 import random
 from fractions import Fraction
 from math import factorial
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.chebyshev import chebval
 
-from shapeapprox import BasisError, DomainError, Polynomial, build_generator, check_k_monotone_poly
+from shapeapprox import (BasisError, DomainError, PolyFunction, Polynomial, build_generator,
+                         check_k_monotone_poly)
 from shapeapprox.polynomial import _halve, _round_to_bits, bernstein_basis, nonnegative_by_halving
 
 from oracles import bernstein_coeffs, compose, fractions
@@ -91,14 +93,16 @@ def test_round_to_bits_matches_from_rational():
         assert from_man_exp(c, e) == from_rational(v, den, bits, round_nearest)
 
 
-def test_bernstein_float64_matches_fraction_oracle():
+def test_integer_form_derivative_matches_fraction_oracle_on_generators():
+    # at generator sizes, each quotient of the Bernstein integers of P^(nu)
+    # is the correctly rounded coefficient, and their signs are exact
     for n, r in ((256, 2), (512, 3)):
         P = build_generator(n, r).P
         for nu in range(r + 1):
             exact = bernstein_coeffs(npoly.polyder(fractions(P.coeffs), nu))
-            coeffs, nonnegative = P.bernstein_float64(nu)
-            assert coeffs.tolist() == [float(c) for c in exact]
-            assert nonnegative == all(c >= 0 for c in exact)
+            c, den = P.integer_form.derivative(nu)
+            assert [x / den for x in c] == [float(x) for x in exact]
+            assert all(x >= 0 for x in c) == all(x >= 0 for x in exact)
 
 
 def _integer_form_cases():
@@ -152,30 +156,43 @@ def test_integer_form_bern_matches_fraction_oracle():
             assert c == [x * den for x in oracle], (p, nu)
 
 
-def test_bernstein_float64_ignores_ambient_precision():
+def test_integer_form_chebyshev_matches_exact_values():
+    # sum_j c_j T_j(2x - 1) by Clenshaw on the exact quotients, against the
+    # integer Horner value, at points inside and outside [0,1]
+    xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 3)]
+    for p in _integer_form_cases():
+        c, den = p.integer_form.chebyshev()
+        assert len(c) == p.integer_form.degree + 1
+        assert den == p.integer_form.den << 2 * p.integer_form.degree
+        exact = np.array([Fraction(x, den) for x in c], dtype=object)
+        for x in xs:
+            assert chebval(2 * x - 1, exact) == p.integer_form.value(x), (p, x)
+
+
+def test_poly_function_samples_ignore_ambient_precision():
     P = build_generator(256, 2).P
-    for nu in range(3):
-        with mpmath.workprec(53):
-            low, low_sign = P.bernstein_float64(nu)
-        with mpmath.workprec(1000):
-            high, high_sign = P.bernstein_float64(nu)
-        assert np.array_equal(low, high) and low_sign == high_sign
+    xs = np.linspace(0.0, 1.0, 1025)
+    with mpmath.workprec(53):
+        low = PolyFunction(P)(xs)
+    with mpmath.workprec(1000):
+        high = PolyFunction(P)(xs)
+    assert np.array_equal(low, high)
 
 
 @pytest.mark.parametrize("tiny", [Fraction(-1, 2**1100), -mpmath.mpf(2) ** -1100])
 def test_tiny_negative_bernstein_coefficient_is_no_certificate(tiny):
     # -2^-1100 rounds to -0.0 in float64; the sign must come from the exact value
     p = Polynomial.bernstein([1, tiny, 1])
-    coeffs, nonnegative = p.bernstein_float64()
-    assert coeffs[1] == 0.0 and not nonnegative
+    c, den = p.integer_form.derivative(0)
+    assert c[1] / den == 0.0 and c[1] < 0
     report = check_k_monotone_poly(p, 0)
     assert report.passed and not report.bernstein_certificate
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
-def test_bernstein_float64_rejects_nonfinite(bad):
+def test_poly_function_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
-        Polynomial.monomial([1, mpmath.mpf(bad)]).bernstein_float64()
+        PolyFunction(Polynomial.monomial([1, mpmath.mpf(bad)]))(0.5)
 
 
 def test_basis_constructor_validation():
@@ -240,6 +257,10 @@ def test_bernstein_basis_rows_are_probability_vectors(n):
 def test_bernstein_basis_outside_domain_raises(bad):
     with pytest.raises(DomainError):
         bernstein_basis(8, [0.5, bad])
+    f = PolyFunction(Polynomial.monomial([1, -2, 3]))
+    for x in (bad, [0.5, bad]):
+        with pytest.raises(DomainError):
+            f(x)
 
 
 def test_halving_matches_exact_restriction():
