@@ -7,16 +7,20 @@ comes by repeated squaring, each product one big-integer multiply (Kronecker
 substitution) rounded to ``precision_bits`` bits of its largest coefficient;
 S^2 is one more product, not rounded. The only other rounding is of kappa =
 lambda/L, L = lcm_j r C(j+r,r), to ``precision_bits`` bits, after which every
-coefficient of P is an exact dyadic and is stored exactly.
+coefficient of P is an exact dyadic, stored exactly from its odd mantissa.
 
 The construction is the certificate: P^(r) = lambda~ (r-1)! S^2 >= 0 on all
 of R, lambda~ = L kappa~ > 0, and P has no coefficient below x^r, so each
 P^(nu), nu < r, is the integral from 0 of the one above it and P^(nu) >= 0 on
 [0,1] for nu <= r. Rounding kappa moves only int P - 1, to about
-2^-precision_bits. The build checks the identity exactly on the stored P."""
+2^-precision_bits. The build reads the stored P back once, by shifts, and
+checks the identity exactly against the reduced ratio of the leading
+coefficients of P^(r) and S^2; int P and the deficiencies 1 - int x^mu P come
+from one weighted pass over those integers with one lcm, each rounded once."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,6 +64,12 @@ def _dyadic(coeffs) -> tuple[list, int]:
     parts = [(-man if sign else man, exp) for sign, man, exp, _ in (c._mpf_ for c in coeffs)]
     e = min(exp for man, exp in parts if man)
     return [man << (exp - e) for man, exp in parts], e
+
+
+def _odd_mpf(v: int, e: int) -> mpmath.mpf:
+    """The mpf v 2^e, exactly; v's trailing zeros are stripped in one shift."""
+    t = max((v & -v).bit_length() - 1, 0)
+    return mpmath.mp.make_mpf(from_man_exp(v >> t, e + t))
 
 
 def _pack(c: list, w: int) -> int:
@@ -127,34 +137,41 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     # and lambda = r/that integral = D/((r-1)! 2^eq G). P's x^(j+r)
     # coefficient lambda (r-1)! 2^eq q_j j!/(j+r)! is kappa 2^eq q_j L/b_j
     # with b_j = r C(j+r,r), L = lcm_j b_j and kappa = lambda/L.
-    fact = [1]
-    for i in range(1, deg_q + r + 2):
-        fact.append(fact[-1] * i)
-    G = sum(x * (fact[-1] // fact[j + r + 1] * fact[j]) for j, x in enumerate(q))
+    D = math.factorial(deg_q + r + 1)
+    G, g = 0, D // math.factorial(r + 1)
+    for j, x in enumerate(q):  # g_{j+1} = g_j (j+1)/(j+r+2), exactly
+        G += x * g
+        g = g * (j + 1) // (j + r + 2)
     b = [r * math.comb(j + r, r) for j in range(len(q))]
     L = math.lcm(*b)
-    (k,), ek = _round_to_bits([fact[-1]], fact[r - 1] * G * L, work)  # kappa~ 2^eq = k 2^ek
+    (k,), ek = _round_to_bits([D], math.factorial(r - 1) * G * L, work)  # kappa~ 2^eq = k 2^ek
     lam = mpmath.mp.make_mpf(from_man_exp(k * L, ek - eq))
-    P = Polynomial.monomial(
-        [0] * r + [mpmath.mp.make_mpf(from_man_exp(k * x * (L // y), ek)) for x, y in zip(q, b)]
-    )
+    P = Polynomial.monomial([0] * r + [_odd_mpf(k * x * (L // y), ek) for x, y in zip(q, b)])
 
     if P.degree > n:
         raise RegimeError(f"generator degree {P.degree} exceeds n={n}")
     # the certificate, on the stored coefficients: none below x^r, and
-    # P^(r) (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q
-    num = P.integer_form.num
+    # P^(r) (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q,
+    # tested against the reduced ratio u/v of the leading coefficients
+    num, den = P.integer_form.num, P.integer_form.den
     d = [x * math.perm(j + r, r) for j, x in enumerate(num[r:])]
-    if (any(num[:r]) or len(d) != len(q) or d[-1] * q[-1] <= 0
-            or any(x * q[-1] != y * d[-1] for x, y in zip(d, q))):
+    h = math.gcd(d[-1], q[-1]) or 1
+    u, v = d[-1] // h, q[-1] // h
+    if (any(num[:r]) or len(d) != len(q) or u * v <= 0
+            or any(x * v != y * u for x, y in zip(d, q))):
         raise PrecisionError(f"stored P^({r}) is not a positive multiple of tau^{4 * r}")
-    resid = float(abs(P.integer_form.moment(0) - 1))
+    # int_0^1 x^mu P = T_mu/(den L') for mu = 0..4, T_mu = sum_k num_k
+    # L'/(k+mu+1), on the weights of one L' = lcm(1..deg P + 5)
+    Lm = math.lcm(*range(1, len(num) + 5))
+    w = [Lm // i for i in range(1, len(num) + 5)]
+    T = [sum(map(operator.mul, num, w[mu:])) for mu in range(5)]
+    scale = den * Lm
+    resid = abs(T[0] - scale) / scale  # exact, then rounded once
     deficiency = {}
     for mu in (1, 2, 3, 4):  # exact, then rounded once at `work` bits
-        dm = 1 - P.integer_form.moment(mu)
-        if dm <= 0:
-            raise PrecisionError(f"moment deficiency delta_{mu} = {float(dm)} <= 0")
-        deficiency[mu] = mpmath.mp.make_mpf(from_rational(dm.numerator, dm.denominator, work, round_nearest))
+        if T[mu] >= scale:
+            raise PrecisionError(f"moment deficiency delta_{mu} = {(scale - T[mu]) / scale} <= 0")
+        deficiency[mu] = mpmath.mp.make_mpf(from_rational(scale - T[mu], scale, work, round_nearest))
     return GeneratorPoly(
         n=n,
         r=r,
@@ -170,6 +187,8 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
 def deficiency_slope(r: int, n_list) -> float:
     """Least-squares slope of log delta_2(n) against log n."""
     ns = list(n_list)
+    if len(ns) < 2:
+        raise RegimeError("need at least two n to fit a slope")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise RegimeError("n_list must be strictly increasing")
     logs_n, logs_d = [], []

@@ -71,7 +71,10 @@ def _to_fraction(v) -> Fraction:
 
 def _round_div(x: int, den: int, e: int) -> int:
     """The integer nearest x / (den 2^e), for den > 0, ties to even (as
-    mpmath's round_nearest)."""
+    mpmath's round_nearest); by shifts when den = 1 and e > 0."""
+    if den == 1 and e > 0:  # floor by shift, remainder in the low e bits
+        q, rem, half = x >> e, x & ((1 << e) - 1), 1 << (e - 1)
+        return q + (rem > half or (rem == half and q & 1))
     if e >= 0:
         den <<= e
     else:
@@ -225,6 +228,9 @@ def _read_integers(p: "Polynomial") -> IntegerForm:
     """The exact conversion behind ``Polynomial.integer_form``."""
     coeffs = p.coeffs if p.basis == MONOMIAL else p.to_exact().to_monomial().coeffs
     parts = [_rational(c) for c in coeffs]
+    if all(q & (q - 1) == 0 for _, q in parts):  # dyadic: scaled by shifts
+        top = max(q for _, q in parts).bit_length()
+        return IntegerForm(tuple(a << (top - q.bit_length()) for a, q in parts), 1 << (top - 1))
     den = math.lcm(*(q for _, q in parts))
     return IntegerForm(tuple(a * (den // q) for a, q in parts), den)
 

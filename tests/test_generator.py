@@ -1,5 +1,6 @@
 """Generating polynomials: unit integral, nonnegative derivatives, and
 second-moment deficiency decay."""
+import hashlib
 import math
 import random
 import sys
@@ -14,6 +15,7 @@ from numpy.polynomial import polynomial as npoly
 from shapeapprox import (
     Polynomial,
     PrecisionError,
+    RegimeError,
     build_generator,
     check_k_monotone_poly,
     deficiency_slope,
@@ -86,6 +88,13 @@ def test_delta2_decays_like_inverse_square():
     assert -2.4 <= slope <= -1.6
 
 
+@pytest.mark.parametrize("ns", [[32], []])
+def test_deficiency_slope_needs_two_n(ns):
+    # a slope needs two points; fewer is a regime error, not a degenerate fit
+    with pytest.raises(RegimeError, match="at least two n"):
+        deficiency_slope(1, ns)
+
+
 def test_n2_delta2_bounded():
     vals = []
     for n in (32, 64, 128):
@@ -149,6 +158,27 @@ def test_build_forms_no_bernstein_integers():
     assert "bern" not in vars(gen.P.integer_form)
     gen.P.integer_form.derivative(3)
     assert "bern" in vars(gen.P.integer_form)
+
+
+def _mpf_key(v):
+    return tuple(int(x) for x in v._mpf_)
+
+
+def test_build_output_is_pinned_bit_for_bit():
+    # a SHA-256 over every GeneratorPoly field of 15 builds: P's exact read,
+    # each stored coefficient, lambda_n, each deficiency, the residual and
+    # precision_bits. A change to how the build computes must not move a bit
+    digest = hashlib.sha256()
+    for r in (1, 2, 3):
+        for n in (8 * r + 1, 64, 130, 257, 439):
+            gen = build_generator.__wrapped__(n, r)
+            form = gen.P.integer_form
+            record = (n, r, form.num, form.den, [_mpf_key(c) for c in gen.P.coeffs],
+                      _mpf_key(gen.lambda_n),
+                      [(mu, _mpf_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
+                      gen.unit_integral_residual.hex(), gen.precision_bits)
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == "9458f8f8c85077ad5467bbb0cd67c6e72a0e40be2840cd27df5101a3a8f9b3ab"
 
 
 @pytest.mark.parametrize("n, r, bits", [(128, 3, 440), (512, 1, 824)])

@@ -1,5 +1,6 @@
 """Polynomial evaluation, basis conversion, the exact Bernstein and
 Chebyshev read-outs, and serialization."""
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -13,7 +14,9 @@ from numpy.polynomial.chebyshev import chebval
 
 from shapeapprox import (BasisError, DomainError, PolyFunction, Polynomial, build_generator,
                          check_k_monotone_poly)
-from shapeapprox.polynomial import _halve, _round_to_bits, bernstein_basis, nonnegative_by_halving
+from shapeapprox import polynomial
+from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, bernstein_basis,
+                                    nonnegative_by_halving)
 
 from oracles import bernstein_coeffs, compose, fractions
 
@@ -91,6 +94,52 @@ def test_round_to_bits_matches_from_rational():
     for v, den, bits in cases:
         (c,), e = _round_to_bits([v], den, bits)
         assert from_man_exp(c, e) == from_rational(v, den, bits, round_nearest)
+
+
+def test_round_div_by_shifts_matches_divmod():
+    # den = 1 rounds by shifts; it must agree with the divmod form for either
+    # sign and on exact ties, which go to even
+    def by_divmod(x, e):
+        q, rem = divmod(x, 1 << e)
+        return q + (2 * rem > 1 << e or (2 * rem == 1 << e and q & 1))
+
+    assert [_round_div(x, 1, 1) for x in (3, 5, -3, -5, 1, -1)] == [2, 2, -2, -2, 0, 0]
+    rng = random.Random(23)
+    cases = [(x, e) for x in range(-9, 10) for e in (1, 2, 3)]
+    for _ in range(2000):
+        e = rng.randint(1, 700)
+        cases.append((rng.randint(-2**(e + 300), 2**(e + 300)), e))
+        cases.append(((rng.randint(-2**300, 2**300) << e) + (1 << (e - 1)), e))  # a tie
+    for x, e in cases:
+        assert _round_div(x, 1, e) == by_divmod(x, e)
+
+
+def test_read_integers_by_shifts_matches_the_general_read():
+    # dyadic coefficients (mpf, or Fractions over powers of two) are scaled
+    # by shifts; the integers must be those of the lcm read a (den // q)
+    def general(coeffs):
+        parts = [polynomial._rational(c) for c in coeffs]
+        den = math.lcm(*(q for _, q in parts))
+        return tuple(a * (den // q) for a, q in parts), den
+
+    def dyadic_mpf(rng):
+        man = rng.choice([0, rng.randint(-2**200, 2**200), rng.choice([-1, 1])])
+        return mpmath.mp.make_mpf(from_man_exp(man, rng.randint(-400, 400)))
+
+    rng = random.Random(29)
+    cases = [[Fraction(0)], [mpmath.mpf(-3)], [Fraction(-5, 8)], [0, 0, Fraction(1, 2)],
+             [mpmath.mpf(0), mpmath.mpf(0.75), mpmath.mpf(-2**70)],
+             [Fraction(1, 3), Fraction(-5, 8), 7]]  # not dyadic: the general read
+    for _ in range(300):
+        k = rng.randint(1, 12)
+        cases.append([dyadic_mpf(rng) for _ in range(k)])
+        cases.append([Fraction(rng.randint(-10**40, 10**40) * rng.randint(0, 1),
+                               1 << rng.randint(0, 300)) for _ in range(k)])
+    for coeffs in cases:
+        p = Polynomial.monomial(coeffs)
+        form = polynomial._read_integers(p)
+        assert (form.num, form.den) == general(p.coeffs)
+    assert polynomial._read_integers(Polynomial.monomial(cases[5])).den == 24
 
 
 def test_integer_form_derivative_matches_fraction_oracle_on_generators():
