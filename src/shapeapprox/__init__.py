@@ -7,7 +7,6 @@ from .best_approx import (
     best_qmonotone,
     best_uniform,
     equioscillation_count,
-    jackson_ratio,
 )
 from .errors import (
     BasisError,
@@ -21,7 +20,6 @@ from .functions import (
     ExpFunction,
     FunctionHandle,
     LogShiftFunction,
-    PiecewiseLinearFunction,
     PolyFunction,
     PowerFunction,
     TruncatedPowerFunction,
@@ -33,13 +31,10 @@ from .functions import (
 from .generator import GeneratorPoly, build_generator, deficiency_slope, moment
 from .moduli import (
     ModulusEstimate,
-    bound_envelope,
-    fit_modulus_exponent,
     modulus_sweep,
     omega,
     omega_dt,
     step_weight,
-    sym_diff,
 )
 from .operators import (
     MnResult,

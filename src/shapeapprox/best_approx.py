@@ -28,7 +28,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
 from .errors import RegimeError, SolverError
-from .moduli import default_x_grid, omega_dt
+from .moduli import default_x_grid
 from .polynomial import Polynomial, bernstein_elevation, bernstein_integers
 from .shape import check_k_monotone_poly
 from .simplex import dual_simplex, exchange
@@ -195,9 +195,3 @@ def jackson_quotient(error: float, modulus: float) -> float:
             return 0.0
         raise SolverError("modulus vanished while the error did not")
     return error / modulus
-
-
-def jackson_ratio(f, q: int, n: int, N: int | None = None, M: int | None = None) -> float:
-    """Empirical constant E_n^(q)(f) / omega_2^phi(f, 1/n)."""
-    return jackson_quotient(best_qmonotone(f, q, n, N=N, M=M).error,
-                            omega_dt(f, 2, 1.0, 1.0 / n).value)

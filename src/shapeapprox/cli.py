@@ -43,11 +43,20 @@ def _int_list(text: str):
 def _load_function(spec: str):
     """Catalog name, or a path to a polynomial JSON file (a polynomial, or
     the output of ``gen-poly``, which holds it under ``P``), read as a
-    ``PolyFunction``."""
+    ``PolyFunction``; a file that cannot be read so is a ShapeApproxError
+    that names it."""
     if spec.endswith(".json"):
-        with open(spec) as fh:
-            obj = json.load(fh)
-        return PolyFunction(Polynomial.from_json(json.dumps(obj.get("P", obj))))
+        try:
+            with open(spec) as fh:
+                obj = json.load(fh)
+            return PolyFunction(Polynomial.from_json(json.dumps(obj.get("P", obj))))
+        except OSError as exc:
+            reason = exc.strerror
+        except KeyError as exc:
+            reason = f"no key {exc}"
+        except (ValueError, AttributeError, TypeError) as exc:
+            reason = exc  # not JSON, not an object, or a coefficient that does not parse
+        raise ShapeApproxError(f"cannot read a polynomial from {spec}: {reason}")
     try:
         return catalog(spec)
     except ValueError as exc:  # an unknown name, or parameters that do not parse

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +64,13 @@ def _fmt(v) -> str:
 
 
 def _bounded_ratio(values, factor=10.0) -> bool:
+    """Whether every value is finite and at most factor times their lower
+    median, which is one of them (the mean of two values is at least half
+    the larger, so against it any pair would pass)."""
     vals = [v for v in values if np.isfinite(v)]
     if len(vals) != len(list(values)) or not vals:
         return False
-    med = float(np.median(vals))
+    med = float(statistics.median_low(vals))
     return med > 0 and max(vals) <= factor * med
 
 

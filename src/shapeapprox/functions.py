@@ -64,8 +64,8 @@ class PolyFunction(FunctionHandle):
         return chebval(2 * x - 1, self._cheb)[()]
 
     def monomial_moments(self, imax: int):
-        form = self.poly.integer_form
-        return [form.moment(i) for i in range(imax + 1)]
+        T, den = self.poly.integer_form.moments(imax + 1)
+        return [Fraction(t, den) for t in T]
 
 
 class ExpFunction(FunctionHandle):
@@ -170,49 +170,6 @@ class LogShiftFunction(FunctionHandle):
         if isinstance(x, Fraction):
             return float(np.log(float(x) + self.eps))
         return np.log(np.asarray(x, dtype=float) + self.eps)
-
-
-class PiecewiseLinearFunction(FunctionHandle):
-    """Continuous piecewise-linear interpolant of (xs, ys) with rational data;
-    supports exact moments for positivity/contraction checks."""
-
-    def __init__(self, xs, ys, name: str = "pwl"):
-        self.xs = [Fraction(v) for v in xs]
-        self.ys = [Fraction(v) for v in ys]
-        if sorted(self.xs) != self.xs or self.xs[0] != 0 or self.xs[-1] != 1:
-            raise ValueError("breakpoints must increase from 0 to 1")
-        self.name = name
-        if all(y >= 0 for y in self.ys):
-            self.known_monotone_orders = frozenset({0})
-
-    def __call__(self, x):
-        if isinstance(x, (Fraction, mpmath.mpf)):
-            for (x0, y0), (x1, y1) in zip(
-                zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])
-            ):
-                if x <= x1:
-                    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-            return self.ys[-1]
-        return np.interp(
-            np.asarray(x, dtype=float),
-            [float(v) for v in self.xs],
-            [float(v) for v in self.ys],
-        )
-
-    def monomial_moments(self, imax: int):
-        out = []
-        for i in range(imax + 1):
-            s = Fraction(0)
-            for (x0, y0), (x1, y1) in zip(
-                zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])
-            ):
-                slope = (y1 - y0) / (x1 - x0)
-                c0 = y0 - slope * x0
-                # integral of t^i (c0 + slope t) over [x0, x1]
-                s += c0 * (x1 ** (i + 1) - x0 ** (i + 1)) / Fraction(i + 1)
-                s += slope * (x1 ** (i + 2) - x0 ** (i + 2)) / Fraction(i + 2)
-            out.append(s)
-        return out
 
 
 def monomial(i: int) -> PolyFunction:

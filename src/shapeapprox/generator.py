@@ -20,8 +20,8 @@ from one weighted pass over those integers with one lcm, each rounded once."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -54,7 +54,8 @@ class GeneratorPoly:
 def moment(P: Polynomial, mu: int):
     """Integral of x^mu * P(x) over [0,1]: exact for exact P, else the exact
     value of the stored coefficients rounded once at the ambient precision."""
-    total = P.integer_form.moment(mu)
+    T, den = P.integer_form.moments(mu + 1)
+    total = Fraction(T[mu], den)
     return total if P.backend == "exact" else _to_mpf(total)
 
 
@@ -160,12 +161,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     if (any(num[:r]) or len(d) != len(q) or u * v <= 0
             or any(x * v != y * u for x, y in zip(d, q))):
         raise PrecisionError(f"stored P^({r}) is not a positive multiple of tau^{4 * r}")
-    # int_0^1 x^mu P = T_mu/(den L') for mu = 0..4, T_mu = sum_k num_k
-    # L'/(k+mu+1), on the weights of one L' = lcm(1..deg P + 5)
-    Lm = math.lcm(*range(1, len(num) + 5))
-    w = [Lm // i for i in range(1, len(num) + 5)]
-    T = [sum(map(operator.mul, num, w[mu:])) for mu in range(5)]
-    scale = den * Lm
+    T, scale = P.integer_form.moments(5)  # int_0^1 x^mu P = T_mu/scale, mu <= 4
     resid = abs(T[0] - scale) / scale  # exact, then rounded once
     deficiency = {}
     for mu in (1, 2, 3, 4):  # exact, then rounded once at `work` bits

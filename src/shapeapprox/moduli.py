@@ -43,16 +43,6 @@ def step_weight(x, lam: float):
     return (x * (1.0 - x)) ** (lam / 2.0)
 
 
-def sym_diff(f, k: int, delta: float, x: float) -> float:
-    """k-th symmetric difference with step delta at x; 0 by convention when
-    any node x +- k delta/2 leaves [0,1]."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return float(_sym_diff_grid(f, k, np.array([float(delta)]), np.array([float(x)]))[0])
-
-
 @dataclass(frozen=True)
 class ModulusEstimate:
     k: int
@@ -216,43 +206,3 @@ def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
 def omega(f, k: int, t: float) -> ModulusEstimate:
     """Classical modulus of smoothness (lambda = 0)."""
     return omega_dt(f, k, 0.0, t)
-
-
-def fit_modulus_exponent(f, k: int, lam: float, t_list) -> float:
-    """Least-squares slope of log omega_dt(f,k,lam,t) against log t."""
-    ts = np.asarray(list(t_list), dtype=float)
-    if len(ts) < 2:
-        raise ValueError("need at least two step bounds")
-    vals = np.array([omega_dt(f, k, lam, t).value for t in ts])
-    if np.any(vals <= 0):
-        raise ValueError("modulus vanished on the grid; cannot fit an exponent")
-    slope, _ = np.polyfit(np.log(ts), np.log(vals), 1)
-    return float(slope)
-
-
-ENVELOPE_KINDS = ("pointwise", "modulus_arg", "delta_n_lambda", "bernstein_gamma")
-
-
-def bound_envelope(kind: str, n: int, lam: float, x: float, h: float | None = None) -> float:
-    """Right-hand-side envelope quantities of the main error bounds, without
-    their unknown multiplicative constants."""
-    if kind not in ENVELOPE_KINDS:
-        raise ValueError(f"unknown envelope {kind!r}")
-    if not 0 <= lam < 2:
-        raise RegimeError("envelopes require 0 <= lambda < 2")
-    if n < 1 or not 0 <= x <= 1:
-        raise ValueError("need n >= 1 and x in [0,1]")
-    phi = float(np.sqrt(x * (1.0 - x)))
-    if kind == "pointwise":
-        if h is None or h <= 0:
-            raise ValueError("pointwise envelope requires h > 0")
-        return 1.0 + phi ** (2.0 - lam) / (h * h * n * n * (phi + 1.0 / n) ** lam)
-    if kind == "modulus_arg":
-        return phi ** (1.0 - lam / 2.0) * (phi + 1.0 / n) ** (-lam / 2.0) / n
-    if kind == "delta_n_lambda":
-        if x <= 1.0 / n**2 or x >= 1.0 - 1.0 / n**2:
-            return (phi / n) ** (1.0 - lam / 2.0)
-        return phi ** (1.0 - lam) / n
-    # bernstein_gamma
-    rn = n**-0.5
-    return rn * phi ** (1.0 - lam / 2.0) * (phi + rn) ** (-lam / 2.0)

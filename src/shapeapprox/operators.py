@@ -379,8 +379,8 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     d = form.degree
     f = _as_handle(f)
     if isinstance(f, PolyFunction) and 2 * f.poly.integer_form.degree <= d + 2:
-        num, den = _eigenbasis_sum(form.num, f.poly.integer_form)
-        return Polynomial.monomial(_coefficients(num, A * den, gen_poly.backend == "exact"))
+        num, den = _eigenbasis_sum(form, f.poly.integer_form)
+        return Polynomial.monomial(_coefficients(num, den, gen_poly.backend == "exact"))
     content = math.gcd(*form.num) or 1  # 1 for the zero P
     a = [x // content for x in form.num]
     M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
@@ -412,10 +412,10 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     return Polynomial.monomial(_coefficients([content * c for c in mono], A * r.den * M, exact))
 
 
-def _eigenbasis_sum(a: list, f: IntegerForm) -> tuple[list, int]:
-    """sum_k a_k/(k+1) U_{k+2}(f) for integers a_0..a_d and the exact
-    polynomial f = sum_i F_i/D x^i of degree e: the monomial coefficients
-    as integers, and their denominator L^2 D K (for L and K below).
+def _eigenbasis_sum(P: IntegerForm, f: IntegerForm) -> tuple[list, int]:
+    """sum_k a_k/(k+1) U_{k+2}(f) for the polynomial P = sum_k a_k x^k of
+    degree d and the polynomial f = sum_i F_i/D x^i of degree e, both
+    exact: the monomial coefficients as integers over one denominator.
 
     Every U_n has the eigenpolynomials p_0 = 1-x and p_1 = x, with
     eigenvalue 1, and p_j = x(1-x) P^(1,1)_{j-2}(2x-1), with eigenvalue
@@ -424,38 +424,34 @@ def _eigenbasis_sum(a: list, f: IntegerForm) -> tuple[list, int]:
 
     * Lambda_0 = Lambda_1 = int P, and Lambda_j = sum_k a_k/(k+1)
       lambda_{k+2,j} = int t^2 P(t) P^(0,2)_{j-2}(2t-1) dt, from P's
-      moments S_mu / L = sum_k a_k / (k+mu+1), L = lcm(1..d+e+1);
+      moments S_mu/s, mu <= e;
     * c_0 = f(0), c_1 = f(1), and c_j for j >= 2 is the projection of
       g = f - c_0 p_0 - c_1 p_1, which vanishes at 0 and 1, on
       P^(1,1)_{j-2}(2x-1), orthogonal for the weight x(1-x) with
       int_0^1 x(1-x) P^(1,1)_m(2x-1)^2 = (m+1)/((2m+3)(m+2)), so
-      c_j = (2j-1) j/(j-1) int g(x) P^(1,1)_{j-2}(2x-1) dx.
+      c_j = (2j-1) j/(j-1) int g(x) P^(1,1)_{j-2}(2x-1) dx, from g's
+      moments G_l/t, l <= e - 2.
     """
-    F, D = f.num, f.den
-    d, e = len(a) - 1, len(F) - 1
-    L = math.lcm(*range(1, d + e + 2))
-    w = [L // i for i in range(1, d + e + 2)]  # L/(i+1) at index i
-    S0 = sum(map(mul, a, w))  # int P = S0/(A L)
-    S = [sum(map(mul, a, w[mu:])) for mu in range(2, e + 1)]  # int t^mu P = S_mu/(A L)
-    g = [-sum(F[2:]), *F[2:]]  # D g_1..D g_e
-    G = [sum(map(mul, g, w[l + 1:])) for l in range(e - 1)]  # int x^l g = G_l/(D L)
+    F, D, e = f.num, f.den, f.degree
+    S, s = P.moments(e + 1)  # int x^mu P = S_mu/s
+    G, t = IntegerForm((0, -sum(F[2:]), *F[2:]), D).moments(e - 1)  # int x^l g = G_l/t
     # H f = Lambda_0 (c_0 p_0 + c_1 p_1) + x(1-x) Z with
-    # Z = sum_{j>=2} Lambda_j c_j P^(1,1)_{j-2}(2x-1), all over A L^2 D K for
+    # Z = sum_{j>=2} Lambda_j c_j P^(1,1)_{j-2}(2x-1), all over s t K for
     # K = lcm(1..e-1), which clears the j-1 of c_j
     K = math.lcm(*range(1, e))
     Z = [0] * (e - 1)
     for j in range(2, e + 1):
-        lam = sum(map(mul, shifted_jacobi(j - 2, 0, 2), S))
+        lam = sum(map(mul, shifted_jacobi(j - 2, 0, 2), S[2:]))
         jac = shifted_jacobi(j - 2, 1, 1)
-        t = lam * sum(map(mul, jac, G)) * (2 * j - 1) * j * (K // (j - 1))
-        for i, c in enumerate(jac):
-            Z[i] += t * c
-    ends = S0 * L * K
+        c = lam * sum(map(mul, jac, G)) * (2 * j - 1) * j * (K // (j - 1))
+        for i, x in enumerate(jac):
+            Z[i] += c * x
+    ends = S[0] * (t // D) * K
     num = [ends * F[0], ends * (sum(F) - F[0]), *[0] * (e - 1)]
     for i, z in enumerate(Z):  # x(1-x) Z
         num[i + 1] += z
         num[i + 2] -= z
-    return num, L * L * D * K
+    return num, s * t * K
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,15 @@ Two scalar backends are supported:
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
-per instance, with its Bernstein integers formed on first use and its shifted
-Chebyshev integers on request. ``nonnegative_by_halving`` proves Bernstein
-integers nonnegative on [0,1] by integer de Casteljau halving (or finds an
-exact negative value at a dyadic point), ``bernstein_basis`` evaluates that
-basis on a grid and ``bernstein_elevation`` raises its degree, both in float64
-numpy by ratios taken outward from each row's mode (no scipy); all are
-independent of the ambient precision.
+per instance, and the one place where bases are converted, in integers: the
+monomial form of a Bernstein polynomial comes from it, its Bernstein integers
+are formed on first use, and its shifted Chebyshev integers and moments on
+request. ``nonnegative_by_halving`` proves Bernstein integers nonnegative on
+[0,1] by integer de Casteljau halving (or finds an exact negative value at a
+dyadic point), ``bernstein_basis`` evaluates that basis on a grid and
+``bernstein_elevation`` raises its degree, both in float64 numpy by ratios
+taken outward from each row's mode (no scipy); all are independent of the
+ambient precision.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 import mpmath
@@ -167,11 +170,14 @@ class IntegerForm:
             bk *= b
         return Fraction(acc, self.den * b ** self.degree)
 
-    def moment(self, mu: int) -> Fraction:
-        """int_0^1 x^mu p(x) dx, exactly."""
-        lcm = math.lcm(*range(mu + 1, self.degree + mu + 2))
-        total = sum(a * (lcm // (k + mu + 1)) for k, a in enumerate(self.num))
-        return Fraction(total, self.den * lcm)
+    def moments(self, count: int) -> tuple[list, int]:
+        """int_0^1 x^mu p(x) dx for mu < count, exactly: the integers T_mu =
+        sum_k num[k] L/(k+mu+1) over den L, on the weights L/i of one L =
+        lcm(1..d+count)."""
+        top = self.degree + count
+        L = math.lcm(*range(1, top + 1))
+        w = [L // i for i in range(1, top + 1)]
+        return [sum(map(mul, self.num, w[mu:])) for mu in range(count)], self.den * L
 
 
 def _halve(b: list) -> tuple[list, list]:
@@ -225,14 +231,25 @@ def nonnegative_by_halving(c: Sequence[int], budget: int
 
 
 def _read_integers(p: "Polynomial") -> IntegerForm:
-    """The exact conversion behind ``Polynomial.integer_form``."""
-    coeffs = p.coeffs if p.basis == MONOMIAL else p.to_exact().to_monomial().coeffs
-    parts = [_rational(c) for c in coeffs]
+    """The exact conversion behind ``Polynomial.integer_form``: the stored
+    coefficients as integers over one denominator, and for the Bernstein
+    basis the x^j coefficient C(n,j) Delta^j b_0 of sum_k b_k p_{n,k}
+    (Farouki, CAGD 29, 2012), in O(n^2) integer subtractions."""
+    parts = [_rational(c) for c in p.coeffs]
     if all(q & (q - 1) == 0 for _, q in parts):  # dyadic: scaled by shifts
         top = max(q for _, q in parts).bit_length()
-        return IntegerForm(tuple(a << (top - q.bit_length()) for a, q in parts), 1 << (top - 1))
-    den = math.lcm(*(q for _, q in parts))
-    return IntegerForm(tuple(a * (den // q) for a, q in parts), den)
+        num, den = [a << (top - q.bit_length()) for a, q in parts], 1 << (top - 1)
+    else:
+        den = math.lcm(*(q for _, q in parts))
+        num = [a * (den // q) for a, q in parts]
+    if p.basis == BERNSTEIN:
+        n, diff, num = p.degree, num, []
+        for j in range(n + 1):
+            num.append(comb(n, j) * diff[0])
+            diff = [y - x for x, y in zip(diff, diff[1:])]
+        while len(num) > 1 and num[-1] == 0:  # the exact degree, as a monomial p has
+            num.pop()
+    return IntegerForm(tuple(num), den)
 
 
 _LOG2_10 = math.log2(10)
@@ -361,7 +378,9 @@ class Polynomial:
 
     @staticmethod
     def e(i: int) -> "Polynomial":
-        """The monomial x^i with exact coefficients."""
+        """The monomial x^i, i >= 0, with exact coefficients."""
+        if i < 0:
+            raise ValueError(f"monomial degree must be >= 0, not {i}")
         return Polynomial(MONOMIAL, [0] * i + [1])
 
     # ------------------------------------------------------------------
@@ -395,20 +414,16 @@ class Polynomial:
     # ------------------------------------------------------------------
     # basis conversion and the exact read
     def to_monomial(self) -> "Polynomial":
+        """The monomial form: the values of ``integer_form``, exactly, or for
+        the float backend each rounded once at the ambient precision."""
         if self.basis == MONOMIAL:
             return self
-        c = self.coeffs
-        n = self.degree
-        z = _zero_of(self.backend)
-        out = [z] * (n + 1)
-        # p = sum_k c_k C(n,k) x^k (1-x)^(n-k)
-        for k, ck in enumerate(c):
-            if ck == 0:
-                continue
-            base = comb(n, k)
-            for l in range(k, n + 1):
-                out[l] += ck * (base * comb(n - k, l - k) * (-1) ** (l - k))
-        return Polynomial(MONOMIAL, out)
+        form = self.integer_form
+        if self.backend == "exact":
+            return Polynomial(MONOMIAL, [Fraction(a, form.den) for a in form.num])
+        prec = mpmath.mp.prec
+        return Polynomial(MONOMIAL, [mpmath.mp.make_mpf(from_rational(a, form.den, prec, round_nearest))
+                                     for a in form.num])
 
     @cached_property
     def integer_form(self) -> IntegerForm:

@@ -52,14 +52,13 @@ class TauPoly:
     """T_m divided synthetically by (x - x_tilde) and scaled by |I_1|.
 
     Native variable lives on [-1,1]; x_tilde = cos(pi/2m) is the rightmost
-    zero of T_m, x_1 = cos(pi/m) its rightmost local minimum, and
-    I_1 = [x_1, 1] with |I_1| = 2 sin^2(pi/2m).
+    zero of T_m, and I_1 = [cos(pi/m), 1], from T_m's rightmost local
+    minimum, with |I_1| = 2 sin^2(pi/2m).
     """
 
     m: int
     poly: Polynomial  # degree m-1, monomial, float backend
     x_tilde: mpf
-    x_1: mpf
     len_I1: mpf
     division_remainder: mpf
 
@@ -69,7 +68,6 @@ def tau(m: int, prec_bits: int = 256) -> TauPoly:
         raise ValueError("tau requires m >= 2")
     with mpmath.workprec(prec_bits):
         x_tilde = mpmath.cos(mpmath.pi / (2 * m))
-        x_1 = mpmath.cos(mpmath.pi / m)
         len_i1 = 2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2
         a = [_to_mpf(c) for c in chebyshev_T(m).coeffs]  # ascending
         # synthetic division by (x - x_tilde), descending order
@@ -90,7 +88,6 @@ def tau(m: int, prec_bits: int = 256) -> TauPoly:
         m=m,
         poly=poly,
         x_tilde=x_tilde,
-        x_1=x_1,
         len_I1=len_i1,
         division_remainder=remainder,
     )

@@ -2,7 +2,8 @@
 library's own conversions: coefficient vectors are numpy object arrays of
 Fractions, on which numpy.polynomial.polynomial is exact. Float references:
 library kernels in their earlier, plainer form, which the faster ones must
-match bit for bit."""
+match bit for bit. Empirical constants that the acceptance criteria fit from
+the library's results: modulus decay exponents and Jackson ratios."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,8 +14,9 @@ import numpy as np
 from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
+from shapeapprox.best_approx import best_qmonotone, jackson_quotient
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
-from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, step_weight
+from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _coefficients, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
 from shapeapprox.polynomial import Polynomial, _to_fraction, bernstein_basis
@@ -37,6 +39,21 @@ def bernstein_coeffs(a, m: int | None = None) -> list:
     assert m >= len(a) - 1
     return [sum(Fraction(comb(k, j), comb(m, j)) * a[j] for j in range(min(k, len(a) - 1) + 1))
             for k in range(m + 1)]
+
+
+def monomial_coeffs(b) -> list:
+    """The monomial coefficients of sum_k b_k C(n,k) x^k (1-x)^(n-k), n =
+    len(b) - 1, up to the exact degree: the binomial expansion of each
+    (1-x)^(n-k), summed in Fractions."""
+    b = list(fractions(b))
+    n = len(b) - 1
+    a = [Fraction(0)] * (n + 1)
+    for k, c in enumerate(b):
+        for i in range(n - k + 1):
+            a[k + i] += c * comb(n, k) * comb(n - k, i) * (-1) ** i
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def compose(a, g) -> np.ndarray:
@@ -250,3 +267,17 @@ def moment_profile(kind: str, **params) -> MomentProfile:
         conforming=conforming,
         residual=max(lin_resid, resid),
     )
+
+
+def fit_modulus_exponent(f, k: int, lam: float, t_list) -> float:
+    """Least-squares slope of log omega_dt(f,k,lam,t) against log t."""
+    ts = np.asarray(list(t_list), dtype=float)
+    vals = np.array([omega_dt(f, k, lam, t).value for t in ts])
+    assert len(ts) >= 2 and np.all(vals > 0), (ts, vals)
+    slope, _ = np.polyfit(np.log(ts), np.log(vals), 1)
+    return float(slope)
+
+
+def jackson_ratio(f, q: int, n: int) -> float:
+    """Empirical constant E_n^(q)(f) / omega_2^phi(f, 1/n)."""
+    return jackson_quotient(best_qmonotone(f, q, n).error, omega_dt(f, 2, 1.0, 1.0 / n).value)

@@ -25,11 +25,9 @@ from shapeapprox import (
     deficiency_slope,
     derivative_bridge_residual,
     durrmeyer_lupas_image,
-    fit_modulus_exponent,
     gavrea_image,
     genuine_durrmeyer_image,
     genuine_durrmeyer_moment,
-    jackson_ratio,
     lupas_derivative_identity_check,
     lupas_endpoint_moment,
     lupas_product_identity_check,
@@ -43,7 +41,7 @@ from shapeapprox import (
 from shapeapprox.experiments import run_lambda2_counterexample
 from shapeapprox.functions import PowerFunction
 
-from oracles import integral_01, moment_profile
+from oracles import fit_modulus_exponent, integral_01, jackson_ratio, moment_profile
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

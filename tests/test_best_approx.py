@@ -19,7 +19,6 @@ from shapeapprox import (
     best_qmonotone,
     best_uniform,
     catalog,
-    jackson_ratio,
     linear,
     monomial,
 )
@@ -28,7 +27,7 @@ from shapeapprox.polynomial import bernstein_elevation
 from shapeapprox.simplex import dual_simplex, exchange
 from shapeapprox.special import chebyshev_T
 
-from oracles import bernstein_coeffs, compose, fractions
+from oracles import bernstein_coeffs, compose, fractions, jackson_ratio
 
 EPS = 2.0 ** -52
 ORACLE_FUNCTIONS = ("exp", "truncpow:0.5:3", "xeps:0.5", "logeps:1e-4", "truncpow:0.3:1")

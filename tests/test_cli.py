@@ -147,8 +147,13 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     assert captured.err == "shapeapprox: error: construction requires n > 8r (n=9, r=2)\n"
     assert captured.out == ""
     assert not (tmp_path / "gen.json").exists()
-    # input errors: an unknown catalog name or one missing its parameters, and
-    # arguments out of range
+    # input errors: an unknown catalog name or one missing its parameters,
+    # arguments out of range, and polynomial files that cannot be read
+    missing, nokey, notjson, notobj = (str(tmp_path / name)
+                                       for name in ("missing.json", "n.json", "t.json", "l.json"))
+    (tmp_path / "n.json").write_text('{"n": 1}')
+    (tmp_path / "t.json").write_text("hello")
+    (tmp_path / "l.json").write_text("[1, 2]")
     for argv, message in [
         (["moduli", "--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
         (["moduli", "--f", "truncpow:0.5", "--t-grid", "0.1"],
@@ -169,6 +174,14 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["bern-xeps", "--eps", "2", "--n-list", "8"], "eps must be in (0,1)"),
         (["bern-xeps", "--eps", "0.5", "--n-list", "0"], "n must be >= 1"),
         (["lambda2", "--eps-list", "1e-2,1e-1"], "eps_list must be strictly decreasing"),
+        (["shape", "--f", "monomial:-2", "--k", "1"], "monomial degree must be >= 0, not -2"),
+        (["shape", "--f", missing, "--k", "1"],
+         f"cannot read a polynomial from {missing}: No such file or directory"),
+        (["shape", "--f", nokey, "--k", "1"], f"cannot read a polynomial from {nokey}: no key 'coeffs'"),
+        (["shape", "--f", notjson, "--k", "1"],
+         f"cannot read a polynomial from {notjson}: Expecting value: line 1 column 1 (char 0)"),
+        (["shape", "--f", notobj, "--k", "1"],
+         f"cannot read a polynomial from {notobj}: 'list' object has no attribute 'get'"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])

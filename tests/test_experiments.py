@@ -56,6 +56,12 @@ def test_mn_error_study_uses_the_boundary_aligned_modulus():
     assert ratios == pytest.approx([4.794651, 4.862898], abs=1e-6)
 
 
+def test_bounded_ratio_compares_against_one_of_the_values():
+    # against the mean of two values, max <= 10 median held for any pair
+    assert not shapeapprox.experiments._bounded_ratio([2.1, 1.25e25])
+    assert shapeapprox.experiments._bounded_ratio([1.0, 2.0])
+
+
 def test_experiments_import_no_private_library_names():
     # the experiments reuse the library's computations instead of copying them
     tree = ast.parse(inspect.getsource(shapeapprox.experiments))

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 from shapeapprox import (
     ExpFunction,
     LogShiftFunction,
-    PiecewiseLinearFunction,
     PolyFunction,
     Polynomial,
     PowerFunction,
@@ -26,6 +25,8 @@ from shapeapprox import (
 )
 from shapeapprox import functions
 from shapeapprox.polynomial import bernstein_basis
+
+from oracles import fractions
 
 
 def test_exp_moments_downward_recurrence():
@@ -127,12 +128,6 @@ def test_poly_function_samples_do_not_depend_on_batch_or_threads():
     assert np.ndim(value) == 0 and not isinstance(value, np.ndarray) and value == 0.75
 
 
-def test_piecewise_linear():
-    f = PiecewiseLinearFunction([0, 0.5, 1], [0, 1, 1])
-    assert float(f(0.25)) == pytest.approx(0.5)
-    assert float(f(0.75)) == pytest.approx(1.0)
-
-
 def test_log_shift():
     f = LogShiftFunction(1e-2)
     assert float(f(0.0)) == pytest.approx(np.log(1e-2))
@@ -184,4 +179,8 @@ def test_poly_function_samples_the_generator_by_its_bernstein_coefficients():
 def test_poly_function_moments_of_float_bernstein_input_are_exact():
     # the polynomial is kept as given: no rounding to monomial form first
     p = Polynomial.bernstein([0.1, 0.7, 0.3, 0.9])
-    assert PolyFunction(p).monomial_moments(5) == [p.integer_form.moment(i) for i in range(6)]
+    b = fractions(p.coeffs)
+    # int_0^1 x^i p_{3,k} = C(3,k) (i+k)! (3-k)!/(i+4)!
+    oracle = [sum(b[k] * comb(3, k) * Fraction(factorial(i + k) * factorial(3 - k), factorial(i + 4))
+                  for k in range(4)) for i in range(6)]
+    assert PolyFunction(p).monomial_moments(5) == oracle

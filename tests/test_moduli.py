@@ -1,4 +1,4 @@
-"""Weighted moduli of smoothness and their envelope quantities."""
+"""Weighted moduli of smoothness."""
 import math
 
 import numpy as np
@@ -7,16 +7,12 @@ import pytest
 from shapeapprox import (
     ExpFunction,
     PowerFunction,
-    RegimeError,
-    bound_envelope,
     catalog,
-    fit_modulus_exponent,
     linear,
     modulus_sweep,
     omega,
     omega_dt,
     step_weight,
-    sym_diff,
 )
 from shapeapprox.moduli import (
     _boundary_aligned_points,
@@ -34,19 +30,23 @@ def test_step_weight_values():
     assert step_weight(0.0, 1.0) == pytest.approx(0.0)
 
 
+def _sym_diff(f, k, delta, x):
+    return _sym_diff_grid(f, k, np.array([delta]), np.array([x]))[0]
+
+
 def test_sym_diff_polynomial_annihilation():
     # second difference of a linear function vanishes; of x^2 equals delta^2
     f = lambda x: 2.0 * np.asarray(x) + 1.0
-    assert sym_diff(f, 2, 0.1, 0.5) == pytest.approx(0.0, abs=1e-14)
+    assert _sym_diff(f, 2, 0.1, 0.5) == pytest.approx(0.0, abs=1e-14)
     g = lambda x: np.asarray(x) ** 2
     # f(x-d) - 2 f(x) + f(x+d) = d^2 f'' = 2 d^2 for x^2
-    assert sym_diff(g, 2, 0.1, 0.5) == pytest.approx(0.02)
+    assert _sym_diff(g, 2, 0.1, 0.5) == pytest.approx(0.02)
 
 
 def test_sym_diff_outside_domain_is_zero():
     g = lambda x: np.asarray(x) ** 2
-    assert sym_diff(g, 2, 0.3, 0.1) == 0.0
-    assert sym_diff(g, 2, 0.3, 0.9) == 0.0
+    assert _sym_diff(g, 2, 0.3, 0.1) == 0.0
+    assert _sym_diff(g, 2, 0.3, 0.9) == 0.0
 
 
 def test_omega_linear_function_vanishes():
@@ -169,31 +169,11 @@ def test_aligned_points_put_the_outer_node_on_the_endpoint(k, lam):
 
 def test_fitted_exponent_classical_smooth():
     # omega_2(x^0.5, t) ~ t^0.5 classically
-    slope = fit_modulus_exponent(PowerFunction(0.5), 2, 0.0, [2.0**-k for k in range(4, 9)])
+    slope = oracles.fit_modulus_exponent(PowerFunction(0.5), 2, 0.0, [2.0**-k for k in range(4, 9)])
     assert abs(slope - 0.5) <= 0.05
 
 
 def test_fitted_exponent_weighted():
     # with lambda = 1 the x^eps exponent becomes eps/(1 - lambda/2) = 2 eps
-    slope = fit_modulus_exponent(PowerFunction(0.7), 2, 1.0, [2.0**-k for k in range(4, 9)])
+    slope = oracles.fit_modulus_exponent(PowerFunction(0.7), 2, 1.0, [2.0**-k for k in range(4, 9)])
     assert abs(slope - 1.4) <= 0.05
-
-
-def test_bound_envelope_regimes():
-    with pytest.raises(RegimeError):
-        bound_envelope("modulus_arg", 10, 2.0, 0.5)
-    v = bound_envelope("modulus_arg", 10, 1.0, 0.5)
-    assert v > 0
-    with pytest.raises(ValueError):
-        bound_envelope("nope", 10, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        bound_envelope("pointwise", 10, 1.0, 0.5)  # missing h
-
-
-def test_envelope_delta_n_lambda_piecewise():
-    n = 10
-    inner = bound_envelope("delta_n_lambda", n, 0.0, 0.5)
-    assert inner == pytest.approx(0.5 / n)
-    edge = bound_envelope("delta_n_lambda", n, 0.0, 1.0 / (2 * n * n))
-    x = 1.0 / (2 * n * n)
-    assert edge == pytest.approx(math.sqrt(x * (1 - x)) / n)

@@ -18,7 +18,7 @@ from shapeapprox import polynomial
 from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, bernstein_basis,
                                     nonnegative_by_halving)
 
-from oracles import bernstein_coeffs, compose, fractions
+from oracles import bernstein_coeffs, compose, fractions, integral_01, monomial_coeffs
 
 
 def test_monomial_eval_horner_exact():
@@ -140,6 +140,73 @@ def test_read_integers_by_shifts_matches_the_general_read():
         form = polynomial._read_integers(p)
         assert (form.num, form.den) == general(p.coeffs)
     assert polynomial._read_integers(Polynomial.monomial(cases[5])).den == 24
+
+
+def _bernstein_cases(rng, n):
+    """Degree-n Bernstein coefficients: Fractions over arbitrary and over
+    power-of-two denominators, mpf at 53 to 256 bits, and Fractions of a
+    polynomial of lower exact degree."""
+    cases = [[Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(n + 1)],
+             [Fraction(rng.randint(-999, 999), 1 << rng.randint(0, 80)) for _ in range(n + 1)],
+             bernstein_coeffs([Fraction(rng.randint(-9, 9), 7) for _ in range(n // 2 + 1)], n)]
+    with mpmath.workprec(rng.choice([53, 80, 256])):
+        cases.append([mpmath.mpf(rng.uniform(-1, 1)) for _ in range(n + 1)])
+    return cases
+
+
+def test_bernstein_integer_form_matches_fraction_oracle():
+    # C(n,j) Delta^j b_0 over the coefficients' one denominator, trimmed to
+    # the exact degree, against the Fraction sum of b_k C(n,k) x^k (1-x)^(n-k)
+    rng = random.Random(27)
+    for n in range(41):
+        for b in _bernstein_cases(rng, n) + [[0] * (n + 1)]:
+            p = Polynomial.bernstein(b)
+            form = p.integer_form
+            assert [Fraction(a, form.den) for a in form.num] == monomial_coeffs(b), (n, b)
+            if p.backend == "exact":
+                assert p.to_monomial().coeffs == tuple(monomial_coeffs(b))
+
+
+def test_to_monomial_of_mpf_bernstein_rounds_each_exact_value_once():
+    # each monomial coefficient is the exact value rounded once at the
+    # ambient precision, not a sum rounded term by term
+    rng = random.Random(31)
+    for n in (5, 20, 40):
+        with mpmath.workprec(80):
+            b = [mpmath.mpf(rng.uniform(-1, 1)) for _ in range(n + 1)]
+        p = Polynomial.bernstein(b)
+        for prec in (53, 80, 256):
+            with mpmath.workprec(prec):
+                got = p.to_monomial()
+            assert got.backend == "float"
+            assert [c._mpf_ for c in got.coeffs] == [
+                from_rational(x.numerator, x.denominator, prec, round_nearest)
+                for x in monomial_coeffs(b)], (n, prec)
+
+
+def test_bernstein_read_never_takes_a_fraction_copy(monkeypatch):
+    def to_exact(self):
+        raise AssertionError("Polynomial.to_exact called")
+
+    monkeypatch.setattr(Polynomial, "to_exact", to_exact)
+    for b in ([Fraction(1, 3), 2, -5], [mpmath.mpf(0.1), mpmath.mpf(0.7), mpmath.mpf(2)]):
+        p = Polynomial.bernstein(b)
+        assert p.to_monomial().coeffs[0] == b[0]
+        assert p.integer_form.value(Fraction(1, 2)) == PolyFunction(p)(Fraction(1, 2))
+
+
+def test_integer_form_moments_match_fraction_oracle():
+    # T_mu/(den L) = int_0^1 x^mu p for mu < count, on one L = lcm(1..d+count)
+    rng = random.Random(33)
+    polys = _integer_form_cases() + [Polynomial.bernstein(b) for b in _bernstein_cases(rng, 17)]
+    for p in polys:
+        form = p.integer_form
+        mono = list(fractions(p.coeffs)) if p.basis == "monomial" else monomial_coeffs(p.coeffs)
+        for count in (0, 1, 7):
+            T, den = form.moments(count)
+            assert den == form.den * math.lcm(*range(1, form.degree + count + 1))
+            assert [Fraction(t, den) for t in T] == \
+                [integral_01([0] * mu + mono) for mu in range(count)], (p, count)
 
 
 def test_integer_form_derivative_matches_fraction_oracle_on_generators():
