@@ -32,12 +32,12 @@ from .polynomial import Polynomial
 from .shape import check_k_monotone_fn, check_k_monotone_poly
 
 
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v]
-
-
-def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v]
+def _number_list(text: str, option: str, kind=float) -> list:
+    """The comma-separated values of an option; RegimeError if there are none."""
+    values = [kind(v) for v in text.split(",") if v]
+    if not values:
+        raise RegimeError(f"{option} names no value")
+    return values
 
 
 def _load_function(spec: str):
@@ -110,7 +110,7 @@ def _cmd_apply(args) -> int:
         poly = durrmeyer_lupas_image(args.n, args.alpha, f)
     else:  # mn; argparse admits no other --op
         poly = mn_image(args.q, args.n, f).poly
-    xs = _float_list(args.x) if args.x else [i / 16 for i in range(17)]
+    xs = _number_list(args.x, "--x") if args.x else [i / 16 for i in range(17)]
     table = ExperimentTable(
         name="apply",
         config={"op": args.op, "n": args.n, "q": args.q, "alpha": args.alpha,
@@ -133,7 +133,7 @@ def _cmd_moduli(args) -> int:
     )
     prev = 0.0
     monotone = True
-    for t in _float_list(args.t_grid):
+    for t in _number_list(args.t_grid, "--t-grid"):
         est = omega_dt(f, args.k, args.lam, t)
         monotone &= est.value >= prev - 1e-15
         prev = est.value
@@ -167,7 +167,7 @@ def _cmd_jackson(args) -> int:
         config={"f": args.f, "q": args.q, "n_list": args.n_list},
         columns=["n", "constrained_error", "omega2_phi", "ratio"],
     )
-    ns = _int_list(args.n_list)
+    ns = _number_list(args.n_list, "--n-list", int)
     if any(n < 1 for n in ns):
         raise RegimeError("jackson needs every n >= 1")
     ratios = []
@@ -182,23 +182,25 @@ def _cmd_jackson(args) -> int:
 
 
 def _cmd_bern_xeps(args) -> int:
-    table = experiments.run_bernstein_xeps(args.eps, _int_list(args.n_list))
+    table = experiments.run_bernstein_xeps(args.eps, _number_list(args.n_list, "--n-list", int))
     return _emit(table, args.out)
 
 
 def _cmd_mn_study(args) -> int:
     f = _load_function(args.f)
-    table = experiments.run_mn_error_study(args.q, args.lam, f, _int_list(args.n_list))
+    ns = _number_list(args.n_list, "--n-list", int)
+    table = experiments.run_mn_error_study(args.q, args.lam, f, ns)
     return _emit(table, args.out)
 
 
 def _cmd_lambda2(args) -> int:
-    table = experiments.run_lambda2_counterexample(_float_list(args.eps_list), args.n)
+    eps_list = _number_list(args.eps_list, "--eps-list")
+    table = experiments.run_lambda2_counterexample(eps_list, args.n)
     return _emit(table, args.out)
 
 
 def _cmd_gen_report(args) -> int:
-    table = experiments.run_generator_report(args.r, _int_list(args.n_list))
+    table = experiments.run_generator_report(args.r, _number_list(args.n_list, "--n-list", int))
     return _emit(table, args.out)
 
 

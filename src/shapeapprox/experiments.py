@@ -183,6 +183,8 @@ def run_lambda2_counterexample(eps_list, n: int = 5) -> ExperimentTable:
     n phi(x) = 1.
     """
     eps_list = list(eps_list)
+    if any(eps <= 0 for eps in eps_list):
+        raise RegimeError("eps must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise RegimeError("eps_list must be strictly decreasing")
     t = 0.5

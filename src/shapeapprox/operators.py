@@ -8,14 +8,14 @@
 * M_n            the composite operator: H driven by the constructed
                  generating polynomial, with a linear-interpolation fallback
 
-Operators are exposed as full polynomial images (``*_image``), which is what
-the shape and moment tests consume.  U_n, D_n (alpha = 0) and H read f once,
-through ``_read_out``, and form the image from that data in exact arithmetic:
+Operators are exposed as full polynomial images (``*_image``) in Bernstein
+form, which the shape and moment tests consume.  U_n, D_n (alpha = 0) and H
+read f once, through ``_read_out``, and form the image in exact arithmetic:
 exact data (polynomials, exact moments) give an exact image; otherwise each
-coefficient is rounded once at PRECISION_BITS, whatever the ambient mpmath
-precision.  H takes a polynomial of degree at most about half P's through
-the eigenpolynomials that every U_n shares, which maps it in O(e d) instead
-of the O(d^2) of the general sum, to the same exact value.
+Bernstein coefficient is rounded once at PRECISION_BITS, whatever the ambient
+mpmath precision.  H maps a polynomial of degree at most about half P's
+through the eigenpolynomials that every U_n shares, in O(e d) instead of the
+O(d^2) of the general sum, to the same exact value.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import add, mul
 
@@ -35,7 +36,7 @@ from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
 from .polynomial import (IntegerForm, Polynomial, _rational, _round_to_bits, _to_mpf,
-                         bernstein_basis)
+                         bernstein_basis, bernstein_integers)
 from .special import pochhammer, shifted_jacobi
 
 
@@ -100,8 +101,10 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _read_out(f, d: int, gain: int = 0) -> _Reading:
     """Read f once at degree d.
 
-    Polynomials (mpf coefficients convert exactly) and functions with
-    moments give m_0..m_d as they are, exact ones exactly.  The images
+    A polynomial gives f(0), f(1) and m_0..m_d exactly from its
+    ``integer_form`` (mpf coefficients convert exactly), over the one
+    denominator of its moments.  Functions with moments give m_0..m_d as
+    they are, exact ones exactly.  The images
     rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
     g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
     than 3^d, so inexact (mpf) moments are computed at PRECISION_BITS plus
@@ -113,6 +116,11 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
     g_{i,j} = g_{i,j+1} + g_{i+1,j}.
     """
     f = _as_handle(f)
+    if isinstance(f, PolyFunction):  # f(0), moments and f(1) over one denominator
+        form = f.poly.integer_form
+        T, den = form.moments(d + 1)
+        L = den // form.den
+        return _Reading([form.num[0] * L, *T, sum(form.num) * L], den, True)
     try:
         with mpmath.workprec(PRECISION_BITS + 2 * d + gain):
             moments = f.monomial_moments(d)
@@ -347,12 +355,13 @@ def _max_grid_diff(p: Polynomial, q: Polynomial, points: int = 50) -> float:
 # Gavrea combination and the composite operator M_n
 def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     """sum_k a_k/(k+1) U_{k+2}(f), where a_k are the monomial coefficients of
-    the generating polynomial, of degree d.
+    the generating polynomial, of degree d, in Bernstein form of degree d+2,
+    or of degree e for a polynomial f of degree e that takes the eigenbasis.
 
     The weights a_k/(k+1) are huge and alternate in sign while the result is
-    O(||f||), so the sum is formed exactly and rounded once at
-    PRECISION_BITS unless P and f's data are exact.  Two routes give the
-    same exact sum, so the same image bit for bit:
+    O(||f||), so the sum is formed exactly and each Bernstein coefficient is
+    rounded once at PRECISION_BITS unless P and f's data are exact.  Two
+    routes give the same exact sum:
 
     * a polynomial f of degree e with 2e <= d + 2 goes through the
       eigenbasis that all U_n share (``_eigenbasis_sum``): e + 1 eigenvalues
@@ -377,10 +386,14 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     form = gen_poly.integer_form  # a_k = num_k / A = content a'_k / A
     A = form.den
     d = form.degree
+    D = d + 2  # the degree of the image of a general f
+    fact = list(accumulate(range(1, D + 1), mul, initial=1))
     f = _as_handle(f)
-    if isinstance(f, PolyFunction) and 2 * f.poly.integer_form.degree <= d + 2:
+    e = f.poly.integer_form.degree if isinstance(f, PolyFunction) else D
+    if 2 * e <= D:  # H f has degree e; rounded at degree D it would gain noise above e
         num, den = _eigenbasis_sum(form, f.poly.integer_form)
-        return Polynomial.monomial(_coefficients(num, den, gen_poly.backend == "exact"))
+        bern = bernstein_integers(np.array(num[:e + 1], dtype=object)[:, None])[:, 0]
+        return Polynomial.bernstein(_coefficients(bern, den * fact[e], gen_poly.backend == "exact"))
     content = math.gcd(*form.num) or 1  # 1 for the zero P
     a = [x // content for x in form.num]
     M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
@@ -405,11 +418,10 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
         acc = [x + y + t for x, y, t in zip([0] + acc, acc + [0], term)]
         top = pascal[2]
         pascal = [pascal[1], top, [1, *map(add, top, top[1:]), 1]]
-    mono = []  # sum_j acc_j x^j (1-x)^(d+2-j), by Horner in (1-x)
-    for e in acc:
-        mono = [x - y for x, y in zip(mono + [e], [0] + mono)]
+    # sum_j acc_j x^j (1-x)^(D-j) = sum_j acc_j j! (D-j)!/D! p_{D,j}, times the content
+    bern = [content * c * fact[j] * fact[D - j] for j, c in enumerate(acc)]
     exact = r.exact and gen_poly.backend == "exact"
-    return Polynomial.monomial(_coefficients([content * c for c in mono], A * r.den * M, exact))
+    return Polynomial.bernstein(_coefficients(bern, A * r.den * M * fact[D], exact))
 
 
 def _eigenbasis_sum(P: IntegerForm, f: IntegerForm) -> tuple[list, int]:
@@ -465,13 +477,6 @@ class MnResult:
     generator: GeneratorPoly | None
 
 
-def _linear_interpolation_image(f) -> Polynomial:
-    f = _as_handle(f)
-    v0 = f.value_at(Fraction(0))
-    v1 = f.value_at(Fraction(1))
-    return Polynomial.monomial([v0, v1 - v0])
-
-
 def mn_image(q: int, n: int, f) -> MnResult:
     """The composite operator of degree <= n preserving k-monotonicity for
     all k <= q.
@@ -484,10 +489,12 @@ def mn_image(q: int, n: int, f) -> MnResult:
     if q < 0 or n < 1:
         raise RegimeError("need q >= 0, n >= 1")
     r = max(q - 1, 1)
-    if n - 2 <= 8 * r:
-        return MnResult(_linear_interpolation_image(f), q, n, r, True, None, None)
-    gen = build_generator(n - 2, r)
-    alpha_n = gen.moment_deficiency[2]
-    if alpha_n > 0.25:
-        return MnResult(_linear_interpolation_image(f), q, n, r, True, alpha_n, gen)
-    return MnResult(gavrea_image(gen.P, f), q, n, r, False, alpha_n, gen)
+    gen = alpha_n = None
+    if n - 2 > 8 * r:
+        gen = build_generator(n - 2, r)
+        alpha_n = gen.moment_deficiency[2]
+        if alpha_n <= 0.25:
+            return MnResult(gavrea_image(gen.P, f), q, n, r, False, alpha_n, gen)
+    f = _as_handle(f)
+    ends = Polynomial.bernstein([f.value_at(Fraction(0)), f.value_at(Fraction(1))])
+    return MnResult(ends, q, n, r, True, alpha_n, gen)

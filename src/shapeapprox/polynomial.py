@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import mpmath
 import numpy as np
 from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 from .errors import BasisError, DomainError
 
@@ -414,16 +414,16 @@ class Polynomial:
     # ------------------------------------------------------------------
     # basis conversion and the exact read
     def to_monomial(self) -> "Polynomial":
-        """The monomial form: the values of ``integer_form``, exactly, or for
-        the float backend each rounded once at the ambient precision."""
+        """The monomial form: the values of ``integer_form``, exactly. For
+        the float backend its denominator is a power of two, so each value
+        is an exact mpf, whatever the ambient precision."""
         if self.basis == MONOMIAL:
             return self
         form = self.integer_form
         if self.backend == "exact":
             return Polynomial(MONOMIAL, [Fraction(a, form.den) for a in form.num])
-        prec = mpmath.mp.prec
-        return Polynomial(MONOMIAL, [mpmath.mp.make_mpf(from_rational(a, form.den, prec, round_nearest))
-                                     for a in form.num])
+        e = 1 - form.den.bit_length()
+        return Polynomial(MONOMIAL, [mpmath.mp.make_mpf(from_man_exp(a, e)) for a in form.num])
 
     @cached_property
     def integer_form(self) -> IntegerForm:

@@ -15,6 +15,7 @@ from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
+from shapeapprox.functions import PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _coefficients, bernstein_image, durrmeyer_image,
@@ -163,14 +164,17 @@ def gavrea_reference(gen_poly: Polynomial, f) -> Polynomial:
     """sum_k a_k/(k+1) U_{k+2}(f) as the library formed it from
     ``bernstein_read_out``: b back to the moments by the additive triangle,
     the antidiagonals rebuilt upwards and the images summed by degree
-    elevation, all over A Q (d+1)!, on P's numerators as they are."""
+    elevation, all over A Q (d+1)!, on P's numerators as they are; each
+    Bernstein coefficient of degree d + 2 is rounded once, or for a
+    polynomial f of degree e with 2e <= d + 2 each one of degree e, from
+    the exact sum converted by Fraction binomial sums."""
     form = gen_poly.integer_form
     a, A = form.num, form.den
     d = len(a) - 1
     lcm = math.lcm(*range(1, d + 2))
     gain = sum(abs(x) * (lcm // (k + 1)) for k, x in enumerate(a)) // (A * lcm)
     (v0, *b, v1), Q, exact = bernstein_read_out(f, d, gain.bit_length())
-    fact = [math.factorial(i) for i in range(d + 2)]
+    fact = [math.factorial(i) for i in range(d + 3)]
     row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!
     moments = [row[-1]]
     for _ in range(d):
@@ -188,11 +192,17 @@ def gavrea_reference(gen_poly: Polynomial, f) -> Polynomial:
         term += [alpha * (d + 1) * comb(k + 2, i + 1) * comb(k, i) * g for i, g in enumerate(row)]
         term.append(ends * v1)
         acc = [x + y + t for x, y, t in zip([0] + acc, acc + [0], term)]
-    mono = []
-    for e in acc:
-        mono = [x - y for x, y in zip(mono + [e], [0] + mono)]
+    D = d + 2  # acc_j multiplies x^j (1-x)^(D-j) = p_{D,j} / C(D,j)
+    bern = [c * fact[j] * fact[D - j] for j, c in enumerate(acc)]
+    den = A * Q * fact[d + 1] * fact[D]
+    f = _as_handle(f)
+    e = f.poly.integer_form.degree if isinstance(f, PolyFunction) else D
+    if 2 * e <= D:  # where the library takes the eigenbasis, the image keeps f's degree
+        c = bernstein_coeffs(monomial_coeffs([Fraction(x, den) for x in bern]), e)
+        den = math.lcm(*(x.denominator for x in c))
+        bern = [x.numerator * (den // x.denominator) for x in c]
     exact = exact and gen_poly.backend == "exact"
-    return Polynomial.monomial(_coefficients(mono, A * Q * fact[d + 1], exact))
+    return Polynomial.bernstein(_coefficients(bern, den, exact))
 
 
 # ----------------------------------------------------------------------

@@ -182,6 +182,16 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          f"cannot read a polynomial from {notjson}: Expecting value: line 1 column 1 (char 0)"),
         (["shape", "--f", notobj, "--k", "1"],
          f"cannot read a polynomial from {notobj}: 'list' object has no attribute 'get'"),
+        # list options: an eps that ln(x + eps) does not admit, and lists
+        # with no value
+        (["lambda2", "--eps-list", "-1"], "eps must be positive"),
+        (["lambda2", "--eps-list", ","], "--eps-list names no value"),
+        (["gen-report", "--r", "1", "--n-list", ","], "--n-list names no value"),
+        (["bern-xeps", "--eps", "0.5", "--n-list", ","], "--n-list names no value"),
+        (["mn-study", "--q", "1", "--f", "exp", "--n-list", ","], "--n-list names no value"),
+        (["jackson", "--f", "exp", "--q", "1", "--n-list", ","], "--n-list names no value"),
+        (["moduli", "--f", "exp", "--t-grid", ","], "--t-grid names no value"),
+        (["apply", "--op", "bernstein", "--n", "4", "--f", "exp", "--x", ","], "--x names no value"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])
@@ -198,6 +208,18 @@ def test_mn_study_logeps_large_n(tmp_path):
     rows = _rows(_read(out))
     assert [int(r[0]) for r in rows] == [64, 124]
     assert all(float(r[2]) < 10 for r in rows)
+
+
+def test_mn_study_xeps_past_n_400(tmp_path):
+    # n = 400: the image's monomial coefficients reach 1e99 while its
+    # Bernstein ones stay near 1e13, so it is stored in Bernstein form
+    out = tmp_path / "study.csv"
+    assert main(["mn-study", "--q", "1", "--f", "xeps:0.5", "--n-list", "128,400",
+                 "--out", str(out)]) == 0
+    text = _read(out)
+    assert "# assert ratio_stable: pass" in text
+    assert [int(r[0]) for r in _rows(text)] == [128, 400]
+    assert all(float(r[2]) < 0.05 for r in _rows(text))
 
 
 def _readme_ids(commands):

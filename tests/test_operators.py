@@ -209,7 +209,7 @@ def test_gavrea_image_matches_its_definition():
         for k, ak in enumerate(P.coeffs):
             image = genuine_durrmeyer_image(k + 2, f).to_monomial()
             want = npoly.polyadd(want, fractions(image.coeffs) * (ak / (k + 1)))
-        assert list(gavrea_image(P, f).coeffs) == list(want)
+        assert list(gavrea_image(P, f).to_monomial().coeffs) == list(want)
 
 
 def test_gavrea_image_of_the_zero_generator():
@@ -217,8 +217,8 @@ def test_gavrea_image_of_the_zero_generator():
     # mpf moments and a quadrature read alike
     zero = Polynomial.monomial([0])
     for f in (monomial(2), ExpFunction(), lambda x: np.exp(x)):
-        assert gavrea_image(zero, f).coeffs == (0,)
-    img = gavrea_image(Polynomial.monomial([-2]), monomial(2))
+        assert gavrea_image(zero, f).to_monomial().coeffs == (0,)
+    img = gavrea_image(Polynomial.monomial([-2]), monomial(2)).to_monomial()
     assert img.coeffs == (0, Fraction(-4, 3), Fraction(-2, 3))
 
 
@@ -303,7 +303,8 @@ def test_mn_image_quadrature_and_moment_reads_agree():
 
 def test_gavrea_image_is_rounded_once():
     # an mpf generator and an exact cubic: the image is the exact image of
-    # P's rational values, each coefficient rounded once at PRECISION_BITS (256)
+    # P's rational values, each Bernstein coefficient rounded once at
+    # PRECISION_BITS (256)
     P = build_generator(40, 1).P
     f = PolyFunction(Polynomial.monomial([Fraction(1, 3), -2, Fraction(5, 7), 1]))
     with mpmath.workprec(256):
@@ -312,6 +313,19 @@ def test_gavrea_image_is_rounded_once():
     want = [from_rational(c.numerator, c.denominator, 256, round_nearest) for c in exact]
     assert len(got) == len(want) == 4
     assert [g._mpf_ for g in got] == want
+
+
+def test_mn_image_at_large_n_is_the_exact_image_rounded_once():
+    # at n = 402 the H image of x^0.5 has Bernstein coefficients up to 1e13
+    # and monomial ones up to 1e99; its Bernstein coefficients, each rounded
+    # once, keep the stored image close to the exact image of the stored P
+    xs = [Fraction(j, 64) for j in range(65)]
+    for n in (402, 514):
+        for f in (catalog("xeps:0.5"), catalog("truncpow:0.3:1")):
+            res = mn_image(1, n, f)
+            got = res.poly.integer_form
+            exact = gavrea_image(res.generator.P.to_exact(), f).integer_form
+            assert max(abs(got.value(x) - exact.value(x)) for x in xs) <= Fraction(1, 10**50), (n, f)
 
 
 def test_images_do_not_depend_on_the_ambient_precision():

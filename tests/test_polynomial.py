@@ -167,21 +167,23 @@ def test_bernstein_integer_form_matches_fraction_oracle():
                 assert p.to_monomial().coeffs == tuple(monomial_coeffs(b))
 
 
-def test_to_monomial_of_mpf_bernstein_rounds_each_exact_value_once():
-    # each monomial coefficient is the exact value rounded once at the
-    # ambient precision, not a sum rounded term by term
+def test_to_monomial_of_mpf_bernstein_is_exact():
+    # each monomial coefficient is the exact value, a dyadic rational held
+    # as an mpf whatever the ambient precision, not a rounded one
     rng = random.Random(31)
     for n in (5, 20, 40):
         with mpmath.workprec(80):
             b = [mpmath.mpf(rng.uniform(-1, 1)) for _ in range(n + 1)]
         p = Polynomial.bernstein(b)
-        for prec in (53, 80, 256):
+        stored = []
+        for prec in (53, 80, 256, 400):
             with mpmath.workprec(prec):
-                got = p.to_monomial()
+                got = Polynomial.bernstein(b).to_monomial()
             assert got.backend == "float"
-            assert [c._mpf_ for c in got.coeffs] == [
-                from_rational(x.numerator, x.denominator, prec, round_nearest)
-                for x in monomial_coeffs(b)], (n, prec)
+            assert list(fractions(got.coeffs)) == monomial_coeffs(b), (n, prec)
+            stored.append([c._mpf_ for c in got.coeffs])
+        assert all(s == stored[0] for s in stored), n
+        assert [c._mpf_ for c in p.to_monomial().coeffs] == stored[0]
 
 
 def test_bernstein_read_never_takes_a_fraction_copy(monkeypatch):
