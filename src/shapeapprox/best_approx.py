@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
 from .errors import RegimeError, SolverError
 from .moduli import default_x_grid
-from .polynomial import Polynomial, bernstein_elevation, bernstein_integers
+from .polynomial import MONOMIAL, Polynomial, bernstein_elevation, bernstein_integers
 from .shape import check_k_monotone_poly
 from .simplex import dual_simplex, exchange
 
@@ -109,7 +108,7 @@ def _reconstruct(coeffs: np.ndarray) -> Polynomial:
     parts = [float(aj).as_integer_ratio() for aj in coeffs]
     den = max(q for _, q in parts)
     w = np.array([p * (den // q) for p, q in parts], dtype=object)
-    return Polynomial.monomial([Fraction(x, den) for x in _chebyshev_ints(len(parts) - 1) @ w])
+    return Polynomial.from_integers(MONOMIAL, list(_chebyshev_ints(len(parts) - 1) @ w), den)
 
 
 def equioscillation_count(residuals: np.ndarray, error: float) -> int:

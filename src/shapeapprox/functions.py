@@ -7,6 +7,7 @@ and declare the k-monotonicity orders they are known to satisfy.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -15,7 +16,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
-from .polynomial import Polynomial, _to_mpf
+from .polynomial import Polynomial
+from .special import _to_mpf
 
 
 class FunctionHandle:
@@ -42,8 +44,7 @@ class PolyFunction(FunctionHandle):
     on its shifted Chebyshev coefficients (``IntegerForm.chebyshev``), each
     rounded once to float64 on first use: bounded by 2 max|p|, and the same
     bits whatever the batch or thread count.  Its values at Fractions and its
-    moments are exact values of the stored coefficients, whatever their basis
-    and backend."""
+    moments are exact, whatever its basis."""
 
     def __init__(self, poly: Polynomial, name: str | None = None):
         self.poly = poly
@@ -201,6 +202,24 @@ _CATALOG_FORMS = {"exp": "exp", "xeps": "xeps:<eps>", "truncpow": "truncpow:<a>:
                   "logeps": "logeps:<eps>", "monomial": "monomial:<k>", "linear": "linear:<a>:<b>"}
 
 
+def _fraction(text: str) -> Fraction:
+    """The exact value of a catalog parameter "a/b" or a decimal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"catalog parameter {text!r} divides by zero") from None
+
+
+def _parameter(text: str):
+    """A catalog parameter: the Fraction "a/b", or a finite float."""
+    if "/" in text:
+        return _fraction(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"catalog parameter {text!r} is not finite")
+    return value
+
+
 def catalog(name: str, **params) -> FunctionHandle:
     """Build a handle from a CLI-style name such as ``exp``, ``xeps:0.5``,
     ``truncpow:0.5:3``, ``logeps:1e-4``, ``monomial:3`` or ``linear:1:2``."""
@@ -214,11 +233,11 @@ def catalog(name: str, **params) -> FunctionHandle:
     if kind == "exp":
         return ExpFunction()
     if kind == "xeps":
-        return PowerFunction(Fraction(parts[1]) if "/" in parts[1] else float(parts[1]))
+        return PowerFunction(_parameter(parts[1]))
     if kind == "truncpow":
-        return TruncatedPowerFunction(Fraction(parts[1]) if "/" in parts[1] else float(parts[1]), int(parts[2]))
+        return TruncatedPowerFunction(_parameter(parts[1]), int(parts[2]))
     if kind == "logeps":
-        return LogShiftFunction(float(parts[1]))
+        return LogShiftFunction(_parameter(parts[1]))
     if kind == "monomial":
         return monomial(int(parts[1]))
-    return linear(Fraction(parts[1]), Fraction(parts[2]))
+    return linear(_fraction(parts[1]), _fraction(parts[2]))

@@ -2,21 +2,22 @@
 up to order r, unit integral, and O(n^-2) moment deficiency.
 
 P = lambda (r-1)! int^r S^2 with S = tau^(2r) is built in Python integers
-after tau: tau's mpf coefficients are read exactly over one power of two; S
-comes by repeated squaring, each product one big-integer multiply (Kronecker
+after tau: tau's exact read is its integers over one power of two; S comes
+by repeated squaring, each product one big-integer multiply (Kronecker
 substitution) rounded to ``precision_bits`` bits of its largest coefficient;
 S^2 is one more product, not rounded. The only other rounding is of kappa =
 lambda/L, L = lcm_j r C(j+r,r), to ``precision_bits`` bits, after which every
-coefficient of P is an exact dyadic, stored exactly from its odd mantissa.
+coefficient of P is an exact dyadic, and P is stored as those integers over
+one power of two.
 
 The construction is the certificate: P^(r) = lambda~ (r-1)! S^2 >= 0 on all
 of R, lambda~ = L kappa~ > 0, and P has no coefficient below x^r, so each
 P^(nu), nu < r, is the integral from 0 of the one above it and P^(nu) >= 0 on
 [0,1] for nu <= r. Rounding kappa moves only int P - 1, to about
-2^-precision_bits. The build reads the stored P back once, by shifts, and
-checks the identity exactly against the reduced ratio of the leading
-coefficients of P^(r) and S^2; int P and the deficiencies 1 - int x^mu P come
-from one weighted pass over those integers with one lcm, each rounded once."""
+2^-precision_bits. The build checks the identity exactly on the stored
+integers, against the reduced ratio of the leading coefficients of P^(r) and
+S^2; int P and the deficiencies 1 - int x^mu P come from one weighted pass
+over those integers with one lcm, each rounded once."""
 from __future__ import annotations
 
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import PrecisionError, RegimeError
-from .polynomial import Polynomial, _round_to_bits, _to_mpf
+from .polynomial import MONOMIAL, Polynomial, _round_to_bits
 from .special import tau
 
 PRECISION_BITS = 256  # working precision of the generator and the M_n image
@@ -51,26 +52,10 @@ class GeneratorPoly:
     unit_integral_residual: float  # |int P - 1|, exact, rounded once
 
 
-def moment(P: Polynomial, mu: int):
-    """Integral of x^mu * P(x) over [0,1]: exact for exact P, else the exact
-    value of the stored coefficients rounded once at the ambient precision."""
+def moment(P: Polynomial, mu: int) -> Fraction:
+    """Integral of x^mu * P(x) over [0,1], exactly."""
     T, den = P.integer_form.moments(mu + 1)
-    total = Fraction(T[mu], den)
-    return total if P.backend == "exact" else _to_mpf(total)
-
-
-def _dyadic(coeffs) -> tuple[list, int]:
-    """Exact values of finite mpf coefficients as integers over one power of
-    two: coeffs[j] = c[j] 2^e."""
-    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (c._mpf_ for c in coeffs)]
-    e = min(exp for man, exp in parts if man)
-    return [man << (exp - e) for man, exp in parts], e
-
-
-def _odd_mpf(v: int, e: int) -> mpmath.mpf:
-    """The mpf v 2^e, exactly; v's trailing zeros are stripped in one shift."""
-    t = max((v & -v).bit_length() - 1, 0)
-    return mpmath.mp.make_mpf(from_man_exp(v >> t, e + t))
+    return Fraction(T[mu], den)
 
 
 def _pack(c: list, w: int) -> int:
@@ -131,7 +116,8 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     deg_q = 4 * r * (m - 1)
     work = PRECISION_BITS + 2 * deg_q + 64  # convolution/conversion guard digits
     t = tau(m, prec_bits=work)
-    s, es = _power(*_dyadic(t.poly.coeffs), 2 * r, work)  # S = sum s_j 2^es x^j
+    tf = t.poly.integer_form  # over a power of two
+    s, es = _power(tf.num, 1 - tf.den.bit_length(), 2 * r, work)  # S = sum s_j 2^es x^j
     q, eq = _kronecker_mul(s, s), 2 * es  # Q = S^2, exact
     # int_0^1 x^j (1-x)^r = j! r!/(j+r+1)!, so with D = (deg Q + r + 1)!
     # and g_j = D j!/(j+r+1)!, int Q (1-x)^r = 2^eq r! G/D, G = sum q_j g_j,
@@ -147,14 +133,15 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     L = math.lcm(*b)
     (k,), ek = _round_to_bits([D], math.factorial(r - 1) * G * L, work)  # kappa~ 2^eq = k 2^ek
     lam = mpmath.mp.make_mpf(from_man_exp(k * L, ek - eq))
-    P = Polynomial.monomial([0] * r + [_odd_mpf(k * x * (L // y), ek) for x, y in zip(q, b)])
+    P = Polynomial.from_integers(MONOMIAL, [0] * r + [(k * x * (L // y)) << max(ek, 0)
+                                                      for x, y in zip(q, b)], 1 << max(-ek, 0))
 
     if P.degree > n:
         raise RegimeError(f"generator degree {P.degree} exceeds n={n}")
-    # the certificate, on the stored coefficients: none below x^r, and
-    # P^(r) (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q,
+    # the certificate, on the stored integers: none below x^r, and P^(r)
+    # (x^j coefficient num[j+r] (j+r)!/j!) one positive multiple of Q,
     # tested against the reduced ratio u/v of the leading coefficients
-    num, den = P.integer_form.num, P.integer_form.den
+    num = P.num
     d = [x * math.perm(j + r, r) for j, x in enumerate(num[r:])]
     h = math.gcd(d[-1], q[-1]) or 1
     u, v = d[-1] // h, q[-1] // h

@@ -10,12 +10,13 @@
 
 Operators are exposed as full polynomial images (``*_image``) in Bernstein
 form, which the shape and moment tests consume.  U_n, D_n (alpha = 0) and H
-read f once, through ``_read_out``, and form the image in exact arithmetic:
-exact data (polynomials, exact moments) give an exact image; otherwise each
-Bernstein coefficient is rounded once at PRECISION_BITS, whatever the ambient
-mpmath precision.  H maps a polynomial of degree at most about half P's
-through the eigenpolynomials that every U_n shares, in O(e d) instead of the
-O(d^2) of the general sum, to the same exact value.
+read f once, through ``_read_out``, and form the image in exact arithmetic.
+U_n and D_n give an exact image on exact data (polynomials, exact moments);
+otherwise, and for H always, each Bernstein coefficient is rounded once at
+PRECISION_BITS, whatever the ambient mpmath precision.  H maps a polynomial
+of degree at most about half P's through the eigenpolynomials that every U_n
+shares, in O(e d) instead of the O(d^2) of the general sum, to the same
+exact value.
 """
 from __future__ import annotations
 
@@ -29,14 +30,13 @@ from operator import add, mul
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp
 from numpy.polynomial import polynomial as npoly
 
 from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import (IntegerForm, Polynomial, _rational, _round_to_bits, _to_mpf,
-                         bernstein_basis, bernstein_integers)
+from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _monomial_integers, _rational,
+                         _round_to_bits, bernstein_basis, bernstein_integers)
 from .special import pochhammer, shifted_jacobi
 
 
@@ -161,17 +161,16 @@ def _bernstein_moments(r: _Reading) -> list:
     return [comb(d, i) * g for i, g in enumerate(reversed(diag))]
 
 
-def _coefficients(num, den: int, exact: bool) -> list:
-    """num/den as Fractions, or each rounded once to PRECISION_BITS bits, to
-    nearest with ties to even (make_mpf keeps those bits; mpf() would round
-    again at the ambient precision)."""
+def _bernstein(num, den: int, exact: bool) -> Polynomial:
+    """The Bernstein polynomial with coefficients num/den, exactly, or each
+    rounded once to PRECISION_BITS bits, to nearest with ties to even, and
+    the rounded values held over one power of two."""
     if exact:
-        return [Fraction(v, den) for v in num]
-    out = []
-    for v in num:
-        (c,), e = _round_to_bits([v], den, PRECISION_BITS)
-        out.append(mpmath.mp.make_mpf(from_man_exp(c, e)))
-    return out
+        return Polynomial.from_integers(BERNSTEIN, num, den)
+    parts = [_round_to_bits([v], den, PRECISION_BITS) for v in num]  # c 2^e each
+    low = min([e for (c,), e in parts if c] + [0])  # the values over 2^-low
+    return Polynomial.from_integers(BERNSTEIN, [c << (e - low) if c else 0 for (c,), e in parts],
+                                    1 << -low)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +185,7 @@ def genuine_durrmeyer_image(n: int, f) -> Polynomial:
         raise RegimeError("U_n requires n >= 2")
     r = _read_out(f, n - 2)
     num = [r.num[0], *((n - 1) * v for v in _bernstein_moments(r)), r.num[-1]]
-    return Polynomial.bernstein(_coefficients(num, r.den, r.exact))
+    return _bernstein(num, r.den, r.exact)
 
 
 def genuine_durrmeyer_moment(n: int, i: int) -> Polynomial:
@@ -239,6 +238,8 @@ def _gauss_jacobi(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     """D_n^<alpha>(f) in Bernstein form; coefficients <p_{n,k},f>/<p_{n,k},1>
     against the weight t^alpha (1-t)^alpha."""
+    if not math.isfinite(alpha):
+        raise RegimeError(f"alpha must be finite, not {alpha}")
     if alpha <= -1:
         raise RegimeError("alpha must be > -1")
     if n < 0:
@@ -246,23 +247,28 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     if alpha == 0:  # <p_{n,k},1> = 1/(n+1)
         r = _read_out(f, n)
         num = [(n + 1) * v for v in _bernstein_moments(r)]
-        return Polynomial.bernstein(_coefficients(num, r.den, r.exact))
+        return _bernstein(num, r.den, r.exact)
     f = _as_handle(f)
     exact_alpha = isinstance(alpha, (int, Fraction))
-    if isinstance(f, PolyFunction) and exact_alpha and f.poly.backend == "exact":
-        # exact route: the image of e_i has coefficients
-        # (alpha+k+1)_i / (n+2 alpha+2)_i
-        a = Fraction(alpha)
-        c = f.poly.to_monomial().coeffs
+    if isinstance(f, PolyFunction) and exact_alpha:
+        # exact route: the image of e_i has coefficients (alpha+k+1)_i /
+        # (n+2 alpha+2)_i; for alpha = p/q that is N_{k,i}/D_i with the
+        # integers N_{k,i} = prod_{t<i} (p + (k+1+t) q) and D_i = prod_{t<i}
+        # (2p + (n+2+t) q), so every coefficient is an integer over den D_e
+        p, q = Fraction(alpha).as_integer_ratio()
+        form = f.poly.integer_form
+        D = [1]
+        for t in range(form.degree):
+            D.append(D[-1] * (2 * p + (n + 2 + t) * q))
+        w = [c * (D[-1] // d) for c, d in zip(form.num, D)]
         out = []
         for k in range(n + 1):
-            acc = Fraction(0)
-            for i, ci in enumerate(c):
-                if ci == 0:
-                    continue
-                acc += ci * pochhammer(a + k + 1, i) / pochhammer(n + 2 * a + 2, i)
+            acc, N = 0, 1
+            for t, c in enumerate(w):
+                acc += c * N
+                N *= p + (k + 1 + t) * q
             out.append(acc)
-        return Polynomial.bernstein(out)
+        return Polynomial.from_integers(BERNSTEIN, out, form.den * D[-1])
     # Gauss-Jacobi quadrature with weight t^alpha (1-t)^alpha on [0,1]
     u, w = _gauss_jacobi(max(64, n + 2), float(alpha))
     t = (u + 1) / 2
@@ -270,7 +276,7 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     basis = bernstein_basis(n, t)  # (order, n+1)
     num = (w * fv) @ basis
     den = w @ basis
-    return Polynomial.bernstein([mpmath.mpf(v) for v in num / den])
+    return Polynomial.bernstein(num / den)
 
 
 def durrmeyer_image(n: int, f) -> Polynomial:
@@ -306,8 +312,8 @@ def lupas_derivative_identity_check(n: int, alpha, nu: int, f) -> float:
 
         d^nu/dx^nu D_n^<a>(f) = n!/((n-nu)! (n+2a+2)_nu) D_{n-nu}^<a+nu>(f^(nu))
 
-    Exact for an exact alpha and an exact polynomial; in mpf at the ambient
-    precision otherwise (a float alpha reads both images by quadrature).
+    Exact for an exact alpha; a float alpha reads both images by quadrature
+    and scales one by an mpf at the ambient precision.
     """
     if not 1 <= nu <= n:
         raise ValueError("need 1 <= nu <= n")
@@ -332,23 +338,14 @@ def derivative_bridge_residual(n: int, f) -> float:
 
 
 def _monomial_array(p: Polynomial) -> np.ndarray:
-    """p's monomial coefficients as an object array (Fraction or mpf)."""
+    """p's monomial coefficients as an object array of Fractions."""
     return np.array(p.to_monomial().coeffs, dtype=object)
 
 
 def _max_grid_diff(p: Polynomial, q: Polynomial, points: int = 50) -> float:
-    """max |p - q| on `points` equispaced nodes of [0,1], exactly when both
-    are exact, otherwise in mpf at the ambient precision."""
-    a, b = _monomial_array(p), _monomial_array(q)
-    exact = p.backend == q.backend == "exact"
-    if not exact:
-        a, b = (np.array([_to_mpf(c) for c in r], dtype=object) for r in (a, b))
-    diff = npoly.polysub(a, b)
-    if exact:
-        grid = [Fraction(j, points - 1) for j in range(points)]
-    else:
-        grid = [mpmath.mpf(j) / (points - 1) for j in range(points)]
-    return max(abs(float(npoly.polyval(x, diff))) for x in grid)
+    """max |p - q| on `points` equispaced nodes of [0,1], exactly, rounded once."""
+    diff = npoly.polysub(_monomial_array(p), _monomial_array(q))
+    return max(abs(float(npoly.polyval(Fraction(j, points - 1), diff))) for j in range(points))
 
 
 # ----------------------------------------------------------------------
@@ -356,12 +353,13 @@ def _max_grid_diff(p: Polynomial, q: Polynomial, points: int = 50) -> float:
 def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     """sum_k a_k/(k+1) U_{k+2}(f), where a_k are the monomial coefficients of
     the generating polynomial, of degree d, in Bernstein form of degree d+2,
-    or of degree e for a polynomial f of degree e that takes the eigenbasis.
+    or of degree e for a polynomial f of degree e < d+2, which its image
+    keeps.
 
     The weights a_k/(k+1) are huge and alternate in sign while the result is
-    O(||f||), so the sum is formed exactly and each Bernstein coefficient is
-    rounded once at PRECISION_BITS unless P and f's data are exact.  Two
-    routes give the same exact sum:
+    O(||f||), so the sum is formed exactly, reduced to degree e for a
+    polynomial f, and each Bernstein coefficient is rounded once at
+    PRECISION_BITS.  Two routes give the same exact sum:
 
     * a polynomial f of degree e with 2e <= d + 2 goes through the
       eigenbasis that all U_n share (``_eigenbasis_sum``): e + 1 eigenvalues
@@ -389,11 +387,10 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     D = d + 2  # the degree of the image of a general f
     fact = list(accumulate(range(1, D + 1), mul, initial=1))
     f = _as_handle(f)
-    e = f.poly.integer_form.degree if isinstance(f, PolyFunction) else D
-    if 2 * e <= D:  # H f has degree e; rounded at degree D it would gain noise above e
-        num, den = _eigenbasis_sum(form, f.poly.integer_form)
-        bern = bernstein_integers(np.array(num[:e + 1], dtype=object)[:, None])[:, 0]
-        return Polynomial.bernstein(_coefficients(bern, den * fact[e], gen_poly.backend == "exact"))
+    # H f has f's degree; rounded at degree D it would gain noise above it
+    e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
+    if 2 * e <= D:
+        return _rounded_bernstein(*_eigenbasis_sum(form, f.poly.integer_form), e)
     content = math.gcd(*form.num) or 1  # 1 for the zero P
     a = [x // content for x in form.num]
     M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
@@ -420,8 +417,16 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
         pascal = [pascal[1], top, [1, *map(add, top, top[1:]), 1]]
     # sum_j acc_j x^j (1-x)^(D-j) = sum_j acc_j j! (D-j)!/D! p_{D,j}, times the content
     bern = [content * c * fact[j] * fact[D - j] for j, c in enumerate(acc)]
-    exact = r.exact and gen_poly.backend == "exact"
-    return Polynomial.bernstein(_coefficients(bern, A * r.den * M * fact[D], exact))
+    if e < D:
+        return _rounded_bernstein(_monomial_integers(bern), A * r.den * M * fact[D], e)
+    return _bernstein(bern, A * r.den * M * fact[D], False)
+
+
+def _rounded_bernstein(num: list, den: int, e: int) -> Polynomial:
+    """sum_i num[i]/den x^i, of degree at most e, as its degree-e Bernstein
+    form, each coefficient rounded once."""
+    num = np.array((list(num) + [0] * e)[:e + 1], dtype=object)[:, None]
+    return _bernstein(bernstein_integers(num)[:, 0], den * math.factorial(e), False)
 
 
 def _eigenbasis_sum(P: IntegerForm, f: IntegerForm) -> tuple[list, int]:

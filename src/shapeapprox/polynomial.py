@@ -1,28 +1,25 @@
-"""Polynomials on [0,1] as immutable values in the monomial or Bernstein basis.
+"""Polynomials on [0,1] as exact immutable values in the monomial or Bernstein basis.
 
-A ``Polynomial`` is built, evaluated, converted to the monomial basis, read
-exactly and serialized; it has no arithmetic. Code that combines coefficient
-vectors uses ``numpy.polynomial.polynomial`` on object arrays, which is exact
-on ``Fraction`` entries.
-
-Two scalar backends are supported:
-
-* ``exact``: coefficients are ``fractions.Fraction`` (or ``int``), and
-  evaluation is exact.
-* ``float``: coefficients are ``mpmath.mpf``; evaluation runs at the ambient
-  mpmath precision (wrap calls in ``mpmath.workprec(bits)`` to control it).
+A ``Polynomial`` holds its coefficients as integers over one denominator, in
+lowest terms. It reads int, Fraction, float and mpf coefficients exactly (a
+float or an mpf is a dyadic rational, scaled by shifts); code that has the
+integers already hands them over (``Polynomial.from_integers``). It is
+evaluated exactly, converted to the monomial basis and serialized as exact
+strings; it has no arithmetic. Code that combines coefficient vectors uses
+``numpy.polynomial.polynomial`` on object arrays, which is exact on
+``Fraction`` entries.
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
-``Polynomial.integer_form`` is the one exact read of a polynomial, taken once
-per instance, and the one place where bases are converted, in integers: the
-monomial form of a Bernstein polynomial comes from it, its Bernstein integers
-are formed on first use, and its shifted Chebyshev integers and moments on
-request. ``nonnegative_by_halving`` proves Bernstein integers nonnegative on
-[0,1] by integer de Casteljau halving (or finds an exact negative value at a
-dyadic point), ``bernstein_basis`` evaluates that basis on a grid and
-``bernstein_elevation`` raises its degree, both in float64 numpy by ratios
-taken outward from each row's mode (no scipy); all are independent of the
-ambient precision.
+``Polynomial.integer_form`` is the one exact read of a polynomial in the
+monomial basis, and the one place where bases are converted, in integers: a
+monomial polynomial's is its stored form, a Bernstein one's is converted once
+per instance; its Bernstein integers are formed on first use, and its shifted
+Chebyshev integers and moments on request. ``nonnegative_by_halving`` proves
+Bernstein integers nonnegative on [0,1] by integer de Casteljau halving (or
+finds an exact negative value at a dyadic point), ``bernstein_basis``
+evaluates that basis on a grid and ``bernstein_elevation`` raises its degree,
+both in float64 numpy by ratios taken outward from each row's mode (no
+scipy).
 """
 from __future__ import annotations
 
@@ -33,43 +30,41 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
-from mpmath import mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
+from mpmath.libmp import to_rational
 
 from .errors import BasisError, DomainError
 
 MONOMIAL = "monomial"
 BERNSTEIN = "bernstein"
 
-_EXACT_TYPES = (int, Fraction)
-
-
-def _to_mpf(v):
-    if isinstance(v, mpf):
-        return v
-    if isinstance(v, Fraction):  # rounded once at the ambient precision
-        return mpmath.mp.make_mpf(from_rational(*v.as_integer_ratio(), mpmath.mp.prec, round_nearest))
-    return mpmath.mpf(v)
-
 
 def _rational(v) -> tuple[int, int]:
-    """Numerator and denominator of an int, Fraction or finite mpf (a dyadic
-    rational), in lowest terms."""
-    if isinstance(v, mpf):
+    """Numerator and denominator of an int, Fraction, float or finite mpf (or
+    mpmath constant, at the ambient precision), in lowest terms; ValueError
+    for a value with none (NaN, an infinity)."""
+    if hasattr(v, "_mpf_"):
         if not mpmath.isfinite(v):
             raise ValueError(f"coefficient {v} has no exact value")
         return to_rational(v._mpf_)
-    v = Fraction(v)
-    return v.numerator, v.denominator
+    try:
+        v = Fraction(v)
+    except OverflowError:  # an infinite float
+        raise ValueError(f"coefficient {v} has no exact value") from None
+    return int(v.numerator), int(v.denominator)  # Python ints for numpy integers too
 
 
-def _to_fraction(v) -> Fraction:
-    """The exact value of an int, Fraction or finite mpf."""
-    return Fraction(*_rational(v))
+def _lowest(num: Sequence[int], den: int) -> tuple[list, int]:
+    """num[k]/den, den > 0, in lowest terms: divided by gcd(den, *num), which
+    trailing zeros give when den is a power of two."""
+    if den & (den - 1):
+        g = math.gcd(den, *num)
+        return [x // g for x in num], den // g
+    t = min([(x & -x).bit_length() for x in num if x] + [den.bit_length()]) - 1
+    return [x >> t for x in num], den >> t
 
 
 def _round_div(x: int, den: int, e: int) -> int:
@@ -160,10 +155,10 @@ class IntegerForm:
         return list(c), self.den << 2 * self.degree
 
     def value(self, x) -> Fraction:
-        """p(x) exactly at a rational x = a/b: sum_k num[k] a^k b^(d-k) by
-        integer Horner, over den b^d, with one Fraction at the end."""
-        x = Fraction(x)
-        a, b = x.numerator, x.denominator
+        """p(x) exactly at a rational x = a/b (an int, Fraction, float or
+        finite mpf): sum_k num[k] a^k b^(d-k) by integer Horner, over den
+        b^d, with one Fraction at the end."""
+        a, b = _rational(x)
         acc, bk = 0, 1
         for c in reversed(self.num):
             acc = acc * a + c * bk
@@ -230,44 +225,18 @@ def nonnegative_by_halving(c: Sequence[int], budget: int
     return True, halvings, None
 
 
-def _read_integers(p: "Polynomial") -> IntegerForm:
-    """The exact conversion behind ``Polynomial.integer_form``: the stored
-    coefficients as integers over one denominator, and for the Bernstein
-    basis the x^j coefficient C(n,j) Delta^j b_0 of sum_k b_k p_{n,k}
-    (Farouki, CAGD 29, 2012), in O(n^2) integer subtractions."""
-    parts = [_rational(c) for c in p.coeffs]
-    if all(q & (q - 1) == 0 for _, q in parts):  # dyadic: scaled by shifts
-        top = max(q for _, q in parts).bit_length()
-        num, den = [a << (top - q.bit_length()) for a, q in parts], 1 << (top - 1)
-    else:
-        den = math.lcm(*(q for _, q in parts))
-        num = [a * (den // q) for a, q in parts]
-    if p.basis == BERNSTEIN:
-        n, diff, num = p.degree, num, []
-        for j in range(n + 1):
-            num.append(comb(n, j) * diff[0])
-            diff = [y - x for x, y in zip(diff, diff[1:])]
-        while len(num) > 1 and num[-1] == 0:  # the exact degree, as a monomial p has
-            num.pop()
-    return IntegerForm(tuple(num), den)
-
-
-_LOG2_10 = math.log2(10)
-
-
-def _json_digits(c: mpf) -> int:
-    """Significant digits written for c: 16 bits beyond its mantissa width
-    (at least 53), so that _json_bits can read every bit back."""
-    return math.ceil((max(c._mpf_[3], 53) + 16) / _LOG2_10) + 1
-
-
-def _json_bits(text: str) -> int:
-    """Parse precision for a decimal string of n significant digits: 8 bits
-    below their resolution. For a string from _json_digits this is at least
-    the mantissa width, and the decimal lies within 2^-8 ulp of the mpf it
-    was written from, so parsing rounds back to that mpf exactly."""
-    digits = text.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0")
-    return max(53, math.floor((len(digits) - 1) * _LOG2_10) - 8)
+def _monomial_integers(b: Sequence[int]) -> list:
+    """The monomial numerators of sum_k b_k p_{n,k} over the b_k's
+    denominator, trimmed to the exact degree: the x^j coefficient is
+    C(n,j) Delta^j b_0 (Farouki, CAGD 29, 2012), in O(n^2) integer
+    subtractions."""
+    n, diff, num = len(b) - 1, list(b), []
+    for j in range(n + 1):
+        num.append(comb(n, j) * diff[0])
+        diff = [y - x for x, y in zip(diff, diff[1:])]
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return num
 
 
 def _from_mode(up: np.ndarray, down: np.ndarray, k: np.ndarray, mode: np.ndarray) -> np.ndarray:
@@ -329,42 +298,38 @@ def bernstein_elevation(d: int, m: int) -> np.ndarray:
     return _from_mode(up, down, k, mode)
 
 
-def _normalize(coeffs: Iterable) -> tuple[tuple, str]:
-    vals = list(coeffs)
-    if not vals:
-        vals = [0]
-    exact = all(isinstance(v, _EXACT_TYPES) for v in vals)
-    if exact:
-        return tuple(Fraction(v) for v in vals), "exact"
-    return tuple(_to_mpf(v) for v in vals), "float"
-
-
-def _zero_of(backend: str):
-    return Fraction(0) if backend == "exact" else mpmath.mpf(0)
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Immutable polynomial; ``coeffs[k]`` multiplies x^k (monomial) or
-    p_{n,k} (bernstein, n = len(coeffs)-1)."""
+    """Immutable exact polynomial: num[k]/den multiplies x^k (monomial) or
+    p_{n,k} (bernstein, n = len(num) - 1). The integers are in lowest terms,
+    so den > 0 is the lcm of the reduced coefficients' denominators; a
+    monomial form drops trailing zeros, a Bernstein form keeps its length,
+    which encodes n."""
 
     basis: str
-    coeffs: tuple
-    backend: str
+    num: tuple
+    den: int
 
     def __init__(self, basis: str, coeffs: Sequence):
+        """Read int, Fraction, float or finite mpf coefficients exactly."""
+        parts = [_rational(v) for v in coeffs] or [(0, 1)]
+        if all(q & (q - 1) == 0 for _, q in parts):  # dyadic: scaled by shifts
+            top = max(q for _, q in parts).bit_length()
+            num, den = [a << (top - q.bit_length()) for a, q in parts], 1 << (top - 1)
+        else:
+            den = math.lcm(*(q for _, q in parts))
+            num = [a * (den // q) for a, q in parts]
+        self._store(basis, num, den)
+
+    def _store(self, basis: str, num: list, den: int) -> None:
         if basis not in (MONOMIAL, BERNSTEIN):
             raise BasisError(f"unknown basis {basis!r}")
-        vals, backend = _normalize(coeffs)
         if basis == MONOMIAL:
-            # trim trailing exact zeros; keep Bernstein length (it encodes n)
-            vals = list(vals)
-            while len(vals) > 1 and vals[-1] == 0:
-                vals.pop()
-            vals = tuple(vals)
+            while len(num) > 1 and num[-1] == 0:
+                num.pop()
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", vals)
-        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     # ------------------------------------------------------------------
     # constructors
@@ -377,93 +342,79 @@ class Polynomial:
         return Polynomial(BERNSTEIN, coeffs)
 
     @staticmethod
+    def from_integers(basis: str, num: Sequence[int], den: int = 1) -> "Polynomial":
+        """The polynomial with coefficients num[k]/den, den > 0, put in
+        lowest terms."""
+        p = object.__new__(Polynomial)
+        p._store(basis, *_lowest(num, den))
+        return p
+
+    @staticmethod
     def e(i: int) -> "Polynomial":
-        """The monomial x^i, i >= 0, with exact coefficients."""
+        """The monomial x^i, i >= 0."""
         if i < 0:
             raise ValueError(f"monomial degree must be >= 0, not {i}")
-        return Polynomial(MONOMIAL, [0] * i + [1])
+        return Polynomial.from_integers(MONOMIAL, [0] * i + [1])
 
     # ------------------------------------------------------------------
     @property
     def degree(self) -> int:
         """Monomial degree bound, or the formal degree n of the Bernstein form."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
-    def to_exact(self) -> "Polynomial":
-        """Copy with Fraction coefficients; nothing is rounded."""
-        return Polynomial(self.basis, [_to_fraction(c) for c in self.coeffs])
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, formed on each access."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
-    # ------------------------------------------------------------------
-    # evaluation
-    def __call__(self, x):
-        if self.basis == MONOMIAL:
-            acc = _zero_of(self.backend)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        # de Casteljau; domain restricted to [0,1]
-        if x < 0 or x > 1:
+    def __call__(self, x) -> Fraction:
+        """p(x), exactly, at a rational scalar x (int, Fraction, float or
+        finite mpf); a Bernstein form is defined on [0,1] only."""
+        if self.basis == BERNSTEIN and not 0 <= x <= 1:
             raise DomainError(f"Bernstein form evaluated at x={x} outside [0,1]")
-        b = list(self.coeffs)
-        one = 1
-        for r in range(1, len(b)):
-            for i in range(len(b) - r):
-                b[i] = (one - x) * b[i] + x * b[i + 1]
-        return b[0]
+        return self.integer_form.value(x)
 
     # ------------------------------------------------------------------
     # basis conversion and the exact read
     def to_monomial(self) -> "Polynomial":
-        """The monomial form: the values of ``integer_form``, exactly. For
-        the float backend its denominator is a power of two, so each value
-        is an exact mpf, whatever the ambient precision."""
+        """The monomial form: the values of ``integer_form``."""
         if self.basis == MONOMIAL:
             return self
         form = self.integer_form
-        if self.backend == "exact":
-            return Polynomial(MONOMIAL, [Fraction(a, form.den) for a in form.num])
-        e = 1 - form.den.bit_length()
-        return Polynomial(MONOMIAL, [mpmath.mp.make_mpf(from_man_exp(a, e)) for a in form.num])
+        return Polynomial.from_integers(MONOMIAL, form.num, form.den)
 
     @cached_property
     def integer_form(self) -> IntegerForm:
-        """The exact value of p as integers over one denominator, converted
-        once per instance and shared by every derivative read-out."""
-        return _read_integers(self)
+        """The exact value of p as monomial integers over den: the stored
+        form, or for the Bernstein basis ``_monomial_integers``, converted
+        once per instance and shared by every derivative read-out. When the
+        exact degree is the stored n, the Bernstein integers are the stored
+        numerators times n!, and are not formed again."""
+        if self.basis == MONOMIAL:
+            return IntegerForm(self.num, self.den)
+        form = IntegerForm(tuple(_monomial_integers(self.num)), self.den)
+        if form.degree == self.degree:  # the value IntegerForm.bern would cache
+            vars(form)["bern"] = tuple(x * math.factorial(self.degree) for x in self.num)
+        return form
 
     # ------------------------------------------------------------------
-    # serialization: {"basis": ..., "n": int, "coeffs": [strings]}; an mpf is
-    # written with every mantissa bit and read back at a precision keeping it
+    # serialization: {"basis": ..., "n": int, "coeffs": [strings]}
     def to_json(self) -> str:
-        if self.backend == "exact":
-            strs = [
-                str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                for c in self.coeffs
-            ]
-        else:
-            strs = [mpmath.nstr(c, _json_digits(c), strip_zeros=False) for c in self.coeffs]
-        return json.dumps(
-            {"basis": self.basis, "n": len(self.coeffs) - 1, "coeffs": strs}
-        )
+        """Each coefficient as its exact "a" or "a/b" string."""
+        return json.dumps({"basis": self.basis, "n": self.degree,
+                           "coeffs": [str(c) for c in self.coeffs]})
 
     @staticmethod
     def from_json(text: str) -> "Polynomial":
+        """Each coefficient string read as the rational it spells, exactly:
+        "a", "a/b" or a decimal such as "0.1"; ValueError for one that spells
+        none, such as "nan", and TypeError for a coefficient that is not a
+        string."""
         obj = json.loads(text)
-        coeffs = []
-        exact = True
-        for s in obj["coeffs"]:
-            s = s.strip()
-            if "/" in s:
-                coeffs.append(Fraction(s))
-            elif all(ch.isdigit() or ch in "+-" for ch in s):
-                coeffs.append(Fraction(int(s)))
-            else:
-                with mpmath.workprec(_json_bits(s)):
-                    coeffs.append(mpmath.mpf(s))
-                exact = False
-        if not exact:
-            coeffs = [_to_mpf(c) for c in coeffs]
+        if not all(isinstance(s, str) for s in obj["coeffs"]):
+            raise TypeError("polynomial coefficients must be strings")
+        coeffs = [Fraction(s) for s in obj["coeffs"]]
         return Polynomial(obj["basis"], coeffs)
 
     def __repr__(self):
-        return f"Polynomial({self.basis}, deg<={len(self.coeffs)-1}, {self.backend})"
+        return f"Polynomial({self.basis}, deg<={self.degree})"

@@ -10,12 +10,22 @@ from math import comb
 import mpmath
 import numpy as np
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_nearest
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PrecisionError
-from .polynomial import Polynomial, _to_mpf
+from .polynomial import Polynomial
 
 TAU_REMAINDER_REL_TOL = mpmath.mpf("1e-20")
+
+
+def _to_mpf(v):
+    """v as an mpf at the ambient precision; a Fraction is rounded once."""
+    if isinstance(v, mpf):
+        return v
+    if isinstance(v, Fraction):
+        return mpmath.mp.make_mpf(from_rational(*v.as_integer_ratio(), mpmath.mp.prec, round_nearest))
+    return mpmath.mpf(v)
 
 
 def pochhammer(beta, k: int):
@@ -57,7 +67,7 @@ class TauPoly:
     """
 
     m: int
-    poly: Polynomial  # degree m-1, monomial, float backend
+    poly: Polynomial  # degree m-1, monomial: the exact values of its mpf coefficients
     x_tilde: mpf
     len_I1: mpf
     division_remainder: mpf

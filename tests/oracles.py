@@ -18,9 +18,9 @@ from shapeapprox.best_approx import best_qmonotone, jackson_quotient
 from shapeapprox.functions import PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
-from shapeapprox.operators import (_as_handle, _coefficients, bernstein_image, durrmeyer_image,
+from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
-from shapeapprox.polynomial import Polynomial, _to_fraction, bernstein_basis
+from shapeapprox.polynomial import Polynomial, _rational, bernstein_basis
 
 
 def fractions(coeffs) -> np.ndarray:
@@ -136,7 +136,7 @@ def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
         b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
         vals = [*np.asarray(f(np.array([0.0, 1.0])), dtype=float), *b]
         moments, exact = None, False
-    vals = [_to_fraction(v) for v in vals]
+    vals = [Fraction(*_rational(v)) for v in vals]
     den = math.lcm(*(v.denominator for v in vals))
     v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
     if moments is not None:
@@ -151,29 +151,29 @@ def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
 def genuine_durrmeyer_reference(n: int, f) -> Polynomial:
     """U_n(f) from ``bernstein_read_out``: f(0), (n-1) b_i, f(1)."""
     (v0, *b, v1), den, exact = bernstein_read_out(f, n - 2)
-    return Polynomial.bernstein(_coefficients([v0, *((n - 1) * v for v in b), v1], den, exact))
+    return _bernstein([v0, *((n - 1) * v for v in b), v1], den, exact)
 
 
 def durrmeyer_reference(n: int, f) -> Polynomial:
     """D_n(f) from ``bernstein_read_out``: (n+1) b_i."""
     num, den, exact = bernstein_read_out(f, n)
-    return Polynomial.bernstein(_coefficients([(n + 1) * v for v in num[1:-1]], den, exact))
+    return _bernstein([(n + 1) * v for v in num[1:-1]], den, exact)
 
 
-def gavrea_reference(gen_poly: Polynomial, f) -> Polynomial:
+def gavrea_reference(gen_poly: Polynomial, f, exact: bool = False) -> Polynomial:
     """sum_k a_k/(k+1) U_{k+2}(f) as the library formed it from
     ``bernstein_read_out``: b back to the moments by the additive triangle,
     the antidiagonals rebuilt upwards and the images summed by degree
-    elevation, all over A Q (d+1)!, on P's numerators as they are; each
-    Bernstein coefficient of degree d + 2 is rounded once, or for a
-    polynomial f of degree e with 2e <= d + 2 each one of degree e, from
-    the exact sum converted by Fraction binomial sums."""
+    elevation, all over A Q (d+1)!, on P's numerators as they are. For a
+    polynomial f of degree e < d + 2 the exact sum is converted to degree e
+    by Fraction binomial sums. Each Bernstein coefficient is rounded once,
+    or with ``exact``, on exact data, kept exact."""
     form = gen_poly.integer_form
     a, A = form.num, form.den
     d = len(a) - 1
     lcm = math.lcm(*range(1, d + 2))
     gain = sum(abs(x) * (lcm // (k + 1)) for k, x in enumerate(a)) // (A * lcm)
-    (v0, *b, v1), Q, exact = bernstein_read_out(f, d, gain.bit_length())
+    (v0, *b, v1), Q, read_exact = bernstein_read_out(f, d, gain.bit_length())
     fact = [math.factorial(i) for i in range(d + 3)]
     row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(b)]  # g_{i,d-i}, over Q d!
     moments = [row[-1]]
@@ -196,13 +196,12 @@ def gavrea_reference(gen_poly: Polynomial, f) -> Polynomial:
     bern = [c * fact[j] * fact[D - j] for j, c in enumerate(acc)]
     den = A * Q * fact[d + 1] * fact[D]
     f = _as_handle(f)
-    e = f.poly.integer_form.degree if isinstance(f, PolyFunction) else D
-    if 2 * e <= D:  # where the library takes the eigenbasis, the image keeps f's degree
+    e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
+    if e < D:  # the image keeps f's degree
         c = bernstein_coeffs(monomial_coeffs([Fraction(x, den) for x in bern]), e)
         den = math.lcm(*(x.denominator for x in c))
         bern = [x.numerator * (den // x.denominator) for x in c]
-    exact = exact and gen_poly.backend == "exact"
-    return Polynomial.bernstein(_coefficients(bern, den, exact))
+    return _bernstein(bern, den, exact and read_exact)
 
 
 # ----------------------------------------------------------------------

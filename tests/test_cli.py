@@ -148,12 +148,16 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert not (tmp_path / "gen.json").exists()
     # input errors: an unknown catalog name or one missing its parameters,
-    # arguments out of range, and polynomial files that cannot be read
-    missing, nokey, notjson, notobj = (str(tmp_path / name)
-                                       for name in ("missing.json", "n.json", "t.json", "l.json"))
+    # arguments out of range or not finite, and polynomial files that cannot
+    # be read, such as one with a coefficient that is not a number
+    missing, nokey, notjson, notobj, nan, inf = (
+        str(tmp_path / name)
+        for name in ("missing.json", "n.json", "t.json", "l.json", "nan.json", "inf.json"))
     (tmp_path / "n.json").write_text('{"n": 1}')
     (tmp_path / "t.json").write_text("hello")
     (tmp_path / "l.json").write_text("[1, 2]")
+    (tmp_path / "nan.json").write_text('{"basis": "monomial", "n": 1, "coeffs": ["1", "nan"]}')
+    (tmp_path / "inf.json").write_text('{"basis": "bernstein", "n": 1, "coeffs": ["inf", "1"]}')
     for argv, message in [
         (["moduli", "--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
         (["moduli", "--f", "truncpow:0.5", "--t-grid", "0.1"],
@@ -167,6 +171,18 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["apply", "--op", "mn", "--q", "-1", "--n", "20", "--f", "exp"], "need q >= 0, n >= 1"),
         (["apply", "--op", "lupas", "--alpha", "-2", "--n", "5", "--f", "exp"],
          "alpha must be > -1"),
+        (["apply", "--op", "lupas", "--alpha", "nan", "--n", "5", "--f", "exp"],
+         "alpha must be finite, not nan"),
+        (["apply", "--op", "lupas", "--alpha", "inf", "--n", "5", "--f", "exp"],
+         "alpha must be finite, not inf"),
+        (["shape", "--f", "logeps:nan", "--k", "1"], "catalog parameter 'nan' is not finite"),
+        (["shape", "--f", "logeps:inf", "--k", "1"], "catalog parameter 'inf' is not finite"),
+        (["jackson", "--f", "logeps:nan", "--q", "0", "--n-list", "5"],
+         "catalog parameter 'nan' is not finite"),
+        (["shape", "--f", "xeps:inf", "--k", "1"], "catalog parameter 'inf' is not finite"),
+        (["shape", "--f", "truncpow:inf:2", "--k", "1"], "catalog parameter 'inf' is not finite"),
+        (["shape", "--f", "xeps:1/0", "--k", "1"], "catalog parameter '1/0' divides by zero"),
+        (["shape", "--f", "linear:1:2/0", "--k", "1"], "catalog parameter '2/0' divides by zero"),
         (["gen-poly", "--n", "20", "--r", "0"], "r must be >= 1"),
         (["jackson", "--f", "exp", "--q", "-1", "--n-list", "8"], "need q >= 0 and n >= 0"),
         (["jackson", "--f", "exp", "--q", "1", "--n-list", "0"], "jackson needs every n >= 1"),
@@ -182,6 +198,12 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          f"cannot read a polynomial from {notjson}: Expecting value: line 1 column 1 (char 0)"),
         (["shape", "--f", notobj, "--k", "1"],
          f"cannot read a polynomial from {notobj}: 'list' object has no attribute 'get'"),
+        (["shape", "--f", nan, "--k", "1"],
+         f"cannot read a polynomial from {nan}: Invalid literal for Fraction: 'nan'"),
+        (["moduli", "--f", nan, "--t-grid", "0.1"],
+         f"cannot read a polynomial from {nan}: Invalid literal for Fraction: 'nan'"),
+        (["apply", "--op", "mn", "--n", "20", "--f", inf],
+         f"cannot read a polynomial from {inf}: Invalid literal for Fraction: 'inf'"),
         # list options: an eps that ln(x + eps) does not admit, and lists
         # with no value
         (["lambda2", "--eps-list", "-1"], "eps must be positive"),

@@ -61,20 +61,22 @@ def test_generator_moment_deficiencies_positive_and_ordered():
 
 def test_moment_of_unit_mass():
     gen = build_generator(48, 1)
-    with mpmath.workprec(gen.precision_bits + 2 * gen.P.degree + 64):
-        m0 = moment(gen.P, 0)
-        assert abs(m0 - 1) <= mpmath.mpf("1e-20")
-        m2 = moment(gen.P, 2)
-        assert abs((1 - m2) - gen.moment_deficiency[2]) <= mpmath.mpf("1e-25")
+    m0 = moment(gen.P, 0)
+    assert abs(m0 - 1) <= Fraction(1, 10**20)
+    m2 = moment(gen.P, 2)
+    delta2 = Fraction(*to_rational(gen.moment_deficiency[2]._mpf_))
+    assert abs((1 - m2) - delta2) <= Fraction(1, 10**25)
 
 
 def test_moment_is_rounded_once():
+    # moment is the exact integral of the stored P, and each deficiency is
+    # 1 minus it, rounded once at precision_bits
     gen = build_generator(64, 1)
-    exact = moment(gen.P.to_exact(), 2)
-    with mpmath.workprec(gen.precision_bits):
-        got = moment(gen.P, 2)
-    assert got._mpf_ == from_rational(exact.numerator, exact.denominator,
-                                      gen.precision_bits, round_nearest)
+    exact = moment(gen.P, 2)
+    assert exact == integral_01([0, 0, *fractions(gen.P.coeffs)])
+    delta = 1 - exact
+    assert gen.moment_deficiency[2]._mpf_ == from_rational(delta.numerator, delta.denominator,
+                                                           gen.precision_bits, round_nearest)
 
 
 @pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])
@@ -112,20 +114,21 @@ def test_build_makes_one_attempt(monkeypatch):
         calls.append(args[2])
         return power(*args)
 
-    def perturbed(man, exp):  # one unit more in every nonzero mantissa
-        return from_man_exp(man + (man != 0), exp)
+    def perturbed(basis, num, den=1):  # one unit more in every nonzero numerator
+        return from_integers(basis, [x + (x != 0) for x in num], den)
 
-    power, from_man_exp = generator._power, generator.from_man_exp
+    power, from_integers = generator._power, Polynomial.from_integers
     monkeypatch.setattr(generator, "_power", counted)
-    monkeypatch.setattr(generator, "from_man_exp", perturbed)
+    monkeypatch.setattr(Polynomial, "from_integers", staticmethod(perturbed))
     with pytest.raises(PrecisionError, match="positive multiple"):
         build_generator.__wrapped__(64, 1)
     assert calls == [2]
 
 
 def test_build_reads_generator_once(monkeypatch):
-    # one exact conversion of P and no basis matrix per build, and one exact
-    # conversion per shape check
+    # P is built as its integers: no coefficient of it is read or converted,
+    # only tau's are, and no basis matrix is formed; a shape check forms the
+    # Bernstein integers once
     calls = {"read": 0, "coefficient": 0, "basis": 0}
 
     def counted(name, fn):
@@ -134,8 +137,8 @@ def test_build_reads_generator_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(polynomial, "_read_integers",
-                        counted("read", polynomial._read_integers))
+    monkeypatch.setattr(polynomial, "bernstein_integers",
+                        counted("read", polynomial.bernstein_integers))
     monkeypatch.setattr(polynomial, "_rational", counted("coefficient", polynomial._rational))
     basis = counted("basis", polynomial.bernstein_basis)
     for name, module in list(sys.modules.items()):
@@ -144,11 +147,11 @@ def test_build_reads_generator_once(monkeypatch):
 
     gen = build_generator.__wrapped__(128, 3)
     assert gen.precision_bits == 440
-    assert calls["read"] == 1 and calls["basis"] == 0
-    assert calls["coefficient"] == len(gen.P.coeffs)
+    assert calls["read"] == 0 and calls["basis"] == 0
+    assert calls["coefficient"] == gen.m  # tau's, of degree m - 1
 
     assert check_k_monotone_poly(Polynomial.monomial([0, 1, 0, 1]), 2).passed
-    assert calls["read"] == 2
+    assert calls["read"] == 1
 
 
 def test_build_forms_no_bernstein_integers():
@@ -164,6 +167,16 @@ def _mpf_key(v):
     return tuple(int(x) for x in v._mpf_)
 
 
+def _dyadic_key(c: Fraction):
+    """The _mpf_ key of the mpf with the dyadic value c: its sign, odd
+    mantissa, exponent and mantissa width."""
+    if not c:
+        return (0, 0, 0, 0)
+    man, exp = abs(c.numerator), 1 - c.denominator.bit_length()
+    t = (man & -man).bit_length() - 1
+    return (int(c < 0), man >> t, exp + t, (man >> t).bit_length())
+
+
 def test_build_output_is_pinned_bit_for_bit():
     # a SHA-256 over every GeneratorPoly field of 15 builds: P's exact read,
     # each stored coefficient, lambda_n, each deficiency, the residual and
@@ -173,7 +186,7 @@ def test_build_output_is_pinned_bit_for_bit():
         for n in (8 * r + 1, 64, 130, 257, 439):
             gen = build_generator.__wrapped__(n, r)
             form = gen.P.integer_form
-            record = (n, r, form.num, form.den, [_mpf_key(c) for c in gen.P.coeffs],
+            record = (n, r, form.num, form.den, [_dyadic_key(c) for c in gen.P.coeffs],
                       _mpf_key(gen.lambda_n),
                       [(mu, _mpf_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
                       gen.unit_integral_residual.hex(), gen.precision_bits)
@@ -193,7 +206,7 @@ def test_precision_bits_is_the_stored_precision(n, r, bits):
     kappa = Fraction(*to_rational(gen.lambda_n._mpf_)) / lcm_of_b(gen)
     assert kappa.numerator.bit_length() <= bits
     assert kappa.denominator & (kappa.denominator - 1) == 0
-    assert max(c.man.bit_length() for c in gen.P.coeffs) > bits
+    assert max(_dyadic_key(c)[3] for c in gen.P.coeffs) > bits
     den = gen.P.integer_form.den
     assert den & (den - 1) == 0
 
@@ -224,7 +237,8 @@ def library_square(gen):
     multiplication, exactly."""
     with mpmath.workprec(gen.precision_bits):
         t = tau(gen.m, prec_bits=gen.precision_bits)
-    s, es = generator._power(*generator._dyadic(t.poly.coeffs), 2 * gen.r, gen.precision_bits)
+    form = t.poly.integer_form
+    s, es = generator._power(form.num, 1 - form.den.bit_length(), 2 * gen.r, gen.precision_bits)
     return [x * Fraction(2) ** (2 * es) for x in schoolbook(s, s)]
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
@@ -105,6 +105,14 @@ def test_lupas_bernstein_coefficients():
         img = durrmeyer_lupas_image(n, alpha, monomial(i)).to_monomial()
         for k, c in enumerate(bernstein_coeffs(img.coeffs, n)):
             assert c == pochhammer(alpha + k + 1, i) / pochhammer(n + 2 * alpha + 2, i)
+    # an exact alpha maps every polynomial exactly, float coefficients too
+    f = Polynomial.bernstein([0.25, -1.5, 0.75, 2.0, 0.1])
+    mono = f.to_monomial().coeffs
+    for n, alpha in ((6, Fraction(1, 2)), (9, Fraction(-2, 5))):
+        img = durrmeyer_lupas_image(n, alpha, PolyFunction(f))
+        assert list(img.coeffs) == [
+            sum(c * pochhammer(alpha + k + 1, i) / pochhammer(n + 2 * alpha + 2, i)
+                for i, c in enumerate(mono)) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("alpha", [-0.9, 0.5])
@@ -149,6 +157,13 @@ def test_genuine_durrmeyer_eigenpolynomials():
             assert image.to_monomial().coeffs == Polynomial.monomial(list(p * lam)).coeffs, (n, j)
 
 
+def _rounded_once(values) -> list:
+    """Each Fraction rounded once to PRECISION_BITS (256) bits, to nearest
+    with ties to even."""
+    return [Fraction(*to_rational(from_rational(v.numerator, v.denominator, 256, round_nearest)))
+            for v in values]
+
+
 def test_gavrea_moments_with_unit_generator():
     # generating polynomial 1: the combination reduces to U_2
     one = Polynomial.monomial([1])
@@ -156,10 +171,11 @@ def test_gavrea_moments_with_unit_generator():
     h1 = gavrea_image(one, monomial(1)).to_monomial()
     assert h0.coeffs == (1,)
     assert h1.coeffs == (0, 1)
-    # H(e_2) = e_2 + factor x(1-x), factor = 1 - int t^2 P(t) dt = 1 - 1/3
-    h2 = gavrea_image(one, monomial(2)).to_monomial()
+    # H(e_2) = e_2 + factor x(1-x), factor = 1 - int t^2 P(t) dt = 1 - 1/3,
+    # each Bernstein coefficient rounded once
+    h2 = gavrea_image(one, monomial(2))
     factor = 1 - Fraction(1, 3)
-    assert h2.coeffs == (0, factor, 1 - factor)
+    assert list(h2.coeffs) == _rounded_once(bernstein_coeffs([0, factor, 1 - factor]))
 
 
 def test_gavrea_moments_with_built_generator():
@@ -209,7 +225,8 @@ def test_gavrea_image_matches_its_definition():
         for k, ak in enumerate(P.coeffs):
             image = genuine_durrmeyer_image(k + 2, f).to_monomial()
             want = npoly.polyadd(want, fractions(image.coeffs) * (ak / (k + 1)))
-        assert list(gavrea_image(P, f).to_monomial().coeffs) == list(want)
+        got = gavrea_image(P, f)  # each Bernstein coefficient rounded once
+        assert list(got.coeffs) == _rounded_once(bernstein_coeffs(want, got.degree))
 
 
 def test_gavrea_image_of_the_zero_generator():
@@ -218,33 +235,39 @@ def test_gavrea_image_of_the_zero_generator():
     zero = Polynomial.monomial([0])
     for f in (monomial(2), ExpFunction(), lambda x: np.exp(x)):
         assert gavrea_image(zero, f).to_monomial().coeffs == (0,)
-    img = gavrea_image(Polynomial.monomial([-2]), monomial(2)).to_monomial()
-    assert img.coeffs == (0, Fraction(-4, 3), Fraction(-2, 3))
-
-
-def _stored_values(p: Polynomial) -> list:
-    """p's coefficients bit for bit: mpf as _mpf_ tuples, exact ones as Fractions."""
-    return [c._mpf_ if isinstance(c, mpmath.mpf) else Fraction(c) for c in p.coeffs]
+    img = gavrea_image(Polynomial.monomial([-2]), monomial(2))
+    assert list(img.coeffs) == _rounded_once(bernstein_coeffs([0, Fraction(-4, 3), Fraction(-2, 3)]))
 
 
 @pytest.mark.parametrize("n, r", [(21, 1), (45, 1), (71, 1), (45, 2), (71, 3), (128, 1)])
 def test_gavrea_image_matches_the_bernstein_form_reference(n, r):
     # reading moments and summing on P's numerators over their content gives
-    # the image of the b-form read-out and sum bit for bit, for an mpf P and
-    # for its exact value
+    # the image of the b-form read-out and sum bit for bit
     P = build_generator(n, r).P
     rng = np.random.default_rng(n + r)
     inputs = [f for q in range(1, 5) for f in q_monotone_catalog(q)]
     inputs += [catalog("xeps:0.5"), catalog("logeps:1e-4"), lambda x: np.exp(x),
                PolyFunction(Polynomial.bernstein(list(rng.random(6))))]
-    # a constant goes through the eigenbasis, degree d + 5 through the triangle
+    # a constant goes through the eigenbasis, degree d + 5 through the
+    # triangle, and degree d - 1 through the triangle, reduced to its degree
     inputs += [PolyFunction(Polynomial.monomial([Fraction(2, 3)])),
-               PolyFunction(Polynomial.bernstein(list(rng.random(P.degree + 6))))]
-    for gen_poly in (P, P.to_exact()):
-        for f in inputs:
-            got, want = gavrea_image(gen_poly, f), gavrea_reference(gen_poly, f)
-            assert got.basis == want.basis
-            assert _stored_values(got) == _stored_values(want)
+               PolyFunction(Polynomial.bernstein(list(rng.random(P.degree + 6)))),
+               PolyFunction(Polynomial.bernstein(list(rng.random(P.degree))))]
+    for f in inputs:
+        assert gavrea_image(P, f) == gavrea_reference(P, f)
+
+
+def test_gavrea_image_keeps_the_degree_of_a_polynomial_on_the_loop_route():
+    # d = 37: a degree-25 f takes the loop (2e > d + 2), whose exact sum is
+    # reduced to degree 25 before it is rounded, not rounded at degree 39,
+    # so p^(26) is exactly 0
+    rng = np.random.default_rng(25)
+    f = PolyFunction(Polynomial.bernstein(list(rng.random(26))))
+    res = mn_image(1, 80, f)
+    assert res.generator.P.degree == 37
+    assert res.poly.degree == res.poly.integer_form.degree == 25
+    rep = check_k_monotone_poly(res.poly, 26)
+    assert rep.passed and rep.x_grid_size == 0
 
 
 @pytest.mark.parametrize("n", [2, 10, 40, 100])
@@ -256,7 +279,7 @@ def test_durrmeyer_images_match_the_bernstein_form_reference(n):
              (durrmeyer_image, durrmeyer_reference))
     for image, reference in pairs:
         for f in inputs:
-            assert _stored_values(image(n, f)) == _stored_values(reference(n, f))
+            assert image(n, f) == reference(n, f)
 
 
 def test_quadrature_read_out_builds_each_rule_once(monkeypatch):
@@ -268,9 +291,9 @@ def test_quadrature_read_out_builds_each_rule_once(monkeypatch):
                         lambda order: calls.append(order) or leggauss(order))
     _gauss_legendre.cache_clear()
     f = catalog("logeps:1e-4")
-    first, second = (_stored_values(genuine_durrmeyer_image(40, f)) for _ in range(2))
+    first, second = (genuine_durrmeyer_image(40, f) for _ in range(2))
     assert first == second and calls == [64]
-    assert _stored_values(mn_image(1, 200, f).poly) == _stored_values(mn_image(1, 200, f).poly)
+    assert mn_image(1, 200, f).poly == mn_image(1, 200, f).poly
     assert len(calls) == 2 and calls[1] > 64
     t, w = _gauss_legendre(64)
     assert not t.flags.writeable and not w.flags.writeable
@@ -302,17 +325,17 @@ def test_mn_image_quadrature_and_moment_reads_agree():
 
 
 def test_gavrea_image_is_rounded_once():
-    # an mpf generator and an exact cubic: the image is the exact image of
-    # P's rational values, each Bernstein coefficient rounded once at
-    # PRECISION_BITS (256)
+    # a built generator and an exact cubic: the image is the exact image of
+    # P's values, each Bernstein coefficient rounded once at PRECISION_BITS
+    # (256), whatever the ambient precision
     P = build_generator(40, 1).P
     f = PolyFunction(Polynomial.monomial([Fraction(1, 3), -2, Fraction(5, 7), 1]))
-    with mpmath.workprec(256):
-        got = gavrea_image(P, f).coeffs
-        exact = gavrea_image(P.to_exact(), f).coeffs
-    want = [from_rational(c.numerator, c.denominator, 256, round_nearest) for c in exact]
-    assert len(got) == len(want) == 4
-    assert [g._mpf_ for g in got] == want
+    exact = gavrea_reference(P, f, exact=True).coeffs
+    for prec in (53, 256):
+        with mpmath.workprec(prec):
+            got = gavrea_image(P, f).coeffs
+        assert len(got) == len(exact) == 4
+        assert list(got) == _rounded_once(exact)
 
 
 def test_mn_image_at_large_n_is_the_exact_image_rounded_once():
@@ -324,7 +347,7 @@ def test_mn_image_at_large_n_is_the_exact_image_rounded_once():
         for f in (catalog("xeps:0.5"), catalog("truncpow:0.3:1")):
             res = mn_image(1, n, f)
             got = res.poly.integer_form
-            exact = gavrea_image(res.generator.P.to_exact(), f).integer_form
+            exact = gavrea_reference(res.generator.P, f, exact=True).integer_form
             assert max(abs(got.value(x) - exact.value(x)) for x in xs) <= Fraction(1, 10**50), (n, f)
 
 
@@ -336,6 +359,6 @@ def test_images_do_not_depend_on_the_ambient_precision():
               lambda: durrmeyer_image(60, ExpFunction()),
               lambda: gavrea_image(P, ExpFunction()))
     for image in images:
-        at_default = [c._mpf_ for c in image().coeffs]
+        at_default = image()
         with mpmath.workprec(400):
-            assert [c._mpf_ for c in image().coeffs] == at_default
+            assert image() == at_default

@@ -1,5 +1,6 @@
 """Polynomial evaluation, basis conversion, the exact Bernstein and
 Chebyshev read-outs, and serialization."""
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from shapeapprox import (BasisError, DomainError, PolyFunction, Polynomial, buil
                          check_k_monotone_poly)
 from shapeapprox import polynomial
 from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, bernstein_basis,
-                                    nonnegative_by_halving)
+                                    bernstein_integers, nonnegative_by_halving)
 
 from oracles import bernstein_coeffs, compose, fractions, integral_01, monomial_coeffs
 
@@ -56,14 +57,6 @@ def test_degree_elevation():
         assert b(x) == 1 + x
 
 
-def test_float_backend_evaluation():
-    p = Polynomial.monomial([mpmath.mpf(1), 2, 3])
-    assert p.backend == "float"
-    with mpmath.workprec(120):
-        v = p(mpmath.mpf(1) / 3)
-        assert abs(v - (1 + mpmath.mpf(2) / 3 + mpmath.mpf(1) / 3)) < mpmath.mpf(2) ** -100
-
-
 def test_json_roundtrip_exact():
     p = Polynomial.monomial([Fraction(1, 3), Fraction(-7, 5)])
     s = p.to_json()
@@ -74,8 +67,22 @@ def test_json_roundtrip_exact():
 def test_json_roundtrip_float_keeps_every_bit():
     P = build_generator(256, 1).P
     q = Polynomial.from_json(P.to_json())
-    assert q.basis == P.basis and q.backend == "float"
-    assert q.coeffs == P.coeffs
+    assert q == P and q.integer_form == P.integer_form
+
+
+def test_json_writes_exact_strings_and_reads_decimals_exactly():
+    # "a" or "a/b" per coefficient; a decimal string is the decimal it spells
+    p = Polynomial.bernstein([2, Fraction(-7, 8), 0.1])
+    assert json.loads(p.to_json()) == {"basis": "bernstein", "n": 2,
+                                       "coeffs": ["2", "-7/8", "3602879701896397/36028797018963968"]}
+    q = Polynomial.from_json('{"basis": "bernstein", "n": 1, "coeffs": ["0.1", " 0.7 "]}')
+    assert q.coeffs == (Fraction(1, 10), Fraction(7, 10)) and q(0.5) == Fraction(2, 5)
+    assert Polynomial.from_json('{"basis": "monomial", "coeffs": ["1e-3", "-2"]}').num == (1, -2000)
+    for bad in ("nan", "inf", "-inf", "1/0x"):
+        with pytest.raises(ValueError):
+            Polynomial.from_json(f'{{"basis": "monomial", "coeffs": ["1", "{bad}"]}}')
+    with pytest.raises(TypeError):  # a JSON number has no exact spelling to read
+        Polynomial.from_json('{"basis": "monomial", "coeffs": ["1", 0.1]}')
 
 
 def test_round_to_bits_matches_from_rational():
@@ -129,7 +136,8 @@ def test_read_integers_by_shifts_matches_the_general_read():
     rng = random.Random(29)
     cases = [[Fraction(0)], [mpmath.mpf(-3)], [Fraction(-5, 8)], [0, 0, Fraction(1, 2)],
              [mpmath.mpf(0), mpmath.mpf(0.75), mpmath.mpf(-2**70)],
-             [Fraction(1, 3), Fraction(-5, 8), 7]]  # not dyadic: the general read
+             [Fraction(1, 3), Fraction(-5, 8), 7],  # not dyadic: the general read
+             [np.int64(3), Fraction(1, 1 << 70)]]  # a numpy integer, shifted as a Python int
     for _ in range(300):
         k = rng.randint(1, 12)
         cases.append([dyadic_mpf(rng) for _ in range(k)])
@@ -137,9 +145,12 @@ def test_read_integers_by_shifts_matches_the_general_read():
                                1 << rng.randint(0, 300)) for _ in range(k)])
     for coeffs in cases:
         p = Polynomial.monomial(coeffs)
-        form = polynomial._read_integers(p)
-        assert (form.num, form.den) == general(p.coeffs)
-    assert polynomial._read_integers(Polynomial.monomial(cases[5])).den == 24
+        assert (p.num, p.den) == general(p.coeffs) == (p.integer_form.num, p.integer_form.den)
+        # integers handed over are put in lowest terms, trailing zeros dropped
+        k = rng.choice([1, 3, 1 << rng.randint(1, 90)])
+        assert Polynomial.from_integers("monomial", [x * k for x in p.num] + [0], p.den * k) == p
+    assert Polynomial.monomial(cases[5]).den == 24
+    assert Polynomial.from_integers("bernstein", [0, 30, 0], 45).num == (0, 2, 0)
 
 
 def _bernstein_cases(rng, n):
@@ -163,13 +174,12 @@ def test_bernstein_integer_form_matches_fraction_oracle():
             p = Polynomial.bernstein(b)
             form = p.integer_form
             assert [Fraction(a, form.den) for a in form.num] == monomial_coeffs(b), (n, b)
-            if p.backend == "exact":
-                assert p.to_monomial().coeffs == tuple(monomial_coeffs(b))
+            assert p.to_monomial().coeffs == tuple(monomial_coeffs(b))
 
 
 def test_to_monomial_of_mpf_bernstein_is_exact():
-    # each monomial coefficient is the exact value, a dyadic rational held
-    # as an mpf whatever the ambient precision, not a rounded one
+    # each monomial coefficient is the exact value, a dyadic rational,
+    # whatever the ambient precision, not a rounded one
     rng = random.Random(31)
     for n in (5, 20, 40):
         with mpmath.workprec(80):
@@ -179,22 +189,26 @@ def test_to_monomial_of_mpf_bernstein_is_exact():
         for prec in (53, 80, 256, 400):
             with mpmath.workprec(prec):
                 got = Polynomial.bernstein(b).to_monomial()
-            assert got.backend == "float"
-            assert list(fractions(got.coeffs)) == monomial_coeffs(b), (n, prec)
-            stored.append([c._mpf_ for c in got.coeffs])
+            assert list(got.coeffs) == monomial_coeffs(b), (n, prec)
+            assert got.den & (got.den - 1) == 0
+            stored.append(got)
         assert all(s == stored[0] for s in stored), n
-        assert [c._mpf_ for c in p.to_monomial().coeffs] == stored[0]
+        assert p.to_monomial() == stored[0]
 
 
 def test_bernstein_read_never_takes_a_fraction_copy(monkeypatch):
-    def to_exact(self):
-        raise AssertionError("Polynomial.to_exact called")
+    # the exact read, the monomial form and exact values run on the stored
+    # integers; no Fraction coefficient is formed
+    def coeffs(self):
+        raise AssertionError("Polynomial.coeffs read")
 
-    monkeypatch.setattr(Polynomial, "to_exact", to_exact)
     for b in ([Fraction(1, 3), 2, -5], [mpmath.mpf(0.1), mpmath.mpf(0.7), mpmath.mpf(2)]):
         p = Polynomial.bernstein(b)
-        assert p.to_monomial().coeffs[0] == b[0]
-        assert p.integer_form.value(Fraction(1, 2)) == PolyFunction(p)(Fraction(1, 2))
+        with monkeypatch.context() as m:
+            m.setattr(Polynomial, "coeffs", property(coeffs))
+            mono = p.to_monomial()
+            value, sample = p.integer_form.value(Fraction(1, 2)), PolyFunction(p)(Fraction(1, 2))
+        assert mono.coeffs[0] == b[0] and value == sample == p(Fraction(1, 2))
 
 
 def test_integer_form_moments_match_fraction_oracle():
@@ -246,12 +260,13 @@ def test_integer_form_value_matches_fraction_evaluation():
     xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 3),
           Fraction(0.1), Fraction(99, 100)]
     for p in polys:
-        exact = p.to_exact()
+        mono = fractions(p.coeffs) if p.basis == "monomial" else monomial_coeffs(p.coeffs)
         for x in xs:
-            if exact.basis == "bernstein" and not 0 <= x <= 1:
-                continue
-            assert p.integer_form.value(x) == exact(x), (p, x)
-    assert polys[0].integer_form.value(0.25) == polys[0].to_exact()(Fraction(1, 4))
+            assert p.integer_form.value(x) == npoly.polyval(x, mono), (p, x)
+            if p.basis == "monomial" or 0 <= x <= 1:
+                assert p(x) == p.integer_form.value(x)
+    assert polys[0].integer_form.value(0.25) == polys[0](Fraction(1, 4))
+    assert polys[0](mpmath.mpf(0.25)) == polys[0](Fraction(1, 4))
 
 
 def test_integer_form_bern_matches_fraction_oracle():
@@ -272,6 +287,26 @@ def test_integer_form_bern_matches_fraction_oracle():
             assert den == form.den * factorial(d - nu)
             oracle = bernstein_coeffs(npoly.polyder(mono, nu), d - nu)
             assert c == [x * den for x in oracle], (p, nu)
+
+
+def test_bernstein_integers_seeded_from_the_stored_form():
+    # a Bernstein polynomial of full exact degree n takes its Bernstein
+    # integers from its stored numerators times n!; an elevated one of lower
+    # exact degree forms them at that degree. Either way they are those of
+    # its monomial form
+    rng = random.Random(37)
+    for n in (0, 1, 4, 17, 40):
+        for b in _bernstein_cases(rng, n):
+            p = Polynomial.bernstein(b)
+            form = p.integer_form
+            seeded = "bern" in vars(form)
+            assert seeded == (form.degree == n), (n, b)
+            want = bernstein_integers(np.array(form.num, dtype=object)[:, None])[:, 0]
+            assert list(form.bern) == list(want), (n, b)
+            if seeded:
+                assert list(form.bern) == [x * factorial(n) for x in p.num]
+    elevated = Polynomial.bernstein(bernstein_coeffs([1, -3, 2], 9))
+    assert elevated.integer_form.degree == 2 and "bern" not in vars(elevated.integer_form)
 
 
 def test_integer_form_chebyshev_matches_exact_values():
