@@ -2,8 +2,10 @@
 
 Each handle is callable on floats and numpy arrays.  Handles that support the
 exact operator path also provide ``monomial_moments(imax)``, the integrals
-``int_0^1 t^i f(t) dt`` for i = 0..imax (Fractions where exact, mpf for exp),
-and declare the k-monotonicity orders they are known to satisfy.
+``int_0^1 t^i f(t) dt`` for i = 0..imax, and ``moment_read``, which gives
+those moments with f(0) and f(1) as integers over one denominator: exact, or
+for exp, whose moments are irrational, within 2^-bits of the true values.
+Handles declare the k-monotonicity orders they are known to satisfy.
 """
 from __future__ import annotations
 
@@ -11,19 +13,19 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
-from .polynomial import Polynomial
-from .special import _to_mpf
+from .polynomial import Polynomial, _rational
 
 
 class FunctionHandle:
     name = "f"
     #: orders k for which the function is known to be k-monotone on [0,1]
     known_monotone_orders: frozenset = frozenset()
+    #: whether ``moment_read`` gives exact values
+    exact_moments = True
 
     def __call__(self, x):
         raise NotImplementedError
@@ -31,9 +33,16 @@ class FunctionHandle:
     def monomial_moments(self, imax: int):
         raise NotImplementedError(f"{self.name} has no exact moment path")
 
-    def value_at(self, x):
-        """Evaluation usable with Fraction/mpf scalars (falls back to float)."""
-        return self(x)
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        """f(0), m_0, ..., m_d, f(1), with m_i = int_0^1 t^i f(t) dt, as
+        integers over one denominator: exact, or if not ``exact_moments``
+        within 2^-bits. From ``monomial_moments`` and the values at 0 and 1,
+        each read exactly (x^eps gives them as floats);
+        NotImplementedError for a handle without moments."""
+        vals = [self(Fraction(0)), *self.monomial_moments(d), self(Fraction(1))]
+        parts = [_rational(v) for v in vals]
+        den = math.lcm(*(q for _, q in parts))
+        return [p * (den // q) for p, q in parts], den
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -68,34 +77,49 @@ class PolyFunction(FunctionHandle):
         T, den = self.poly.integer_form.moments(imax + 1)
         return [Fraction(t, den) for t in T]
 
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        """From the integer form, over the one denominator of its moments."""
+        form = self.poly.integer_form
+        T, den = form.moments(d + 1)
+        L = den // form.den
+        return [form.num[0] * L, *T, sum(form.num) * L], den
+
 
 class ExpFunction(FunctionHandle):
     """exp(x); k-monotone for every k."""
 
     name = "exp"
     known_monotone_orders = frozenset(range(32))
+    exact_moments = False
 
     def __call__(self, x):
-        if isinstance(x, mpmath.mpf):
-            return mpmath.exp(x)
         if isinstance(x, Fraction):
             return float(np.exp(float(x)))
         return np.exp(x)
 
     def monomial_moments(self, imax: int):
-        # I_i = e - i I_{i-1}; the downward recurrence I_{i-1} = (e - I_i)/i
-        # divides the error of a zero guess at I_start by (imax+1)...start, so
-        # start is the first index where that product passes 2^prec
-        prec = mpmath.mp.prec + 64
-        start, gain = imax, 1
-        while gain <= 1 << prec:
+        num, den = self.moment_read(imax, 53)
+        return [Fraction(v, den) for v in num[1:-1]]
+
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        """Over 2^w, w = bits + 64: 1, the moments I_0..I_d and E, with E =
+        sum_k 2^w // k! within k_max units of e 2^w. I_i = e - i I_{i-1};
+        the downward recurrence I_{i-1} = (E - I_i) // i divides the error
+        of a zero guess at I_start by (d+1)...start, so start is the first
+        index where that product passes 2^w, and each floor adds less than
+        one unit, which the next division shrinks."""
+        w = bits + 64
+        start, gain = d, 1
+        while gain <= 1 << w:
             start, gain = start + 1, gain * (start + 1)
-        with mpmath.workprec(prec):
-            e = mpmath.e + 0
-            seq = [mpmath.mpf(0)] * (start + 1)
-            for i in range(start, 0, -1):
-                seq[i - 1] = (e - seq[i]) / i
-        return seq[: imax + 1]
+        E, term, k = 0, 1 << w, 0
+        while term:
+            E, k = E + term, k + 1
+            term //= k
+        seq = [0] * (start + 1)
+        for i in range(start, 0, -1):
+            seq[i - 1] = (E - seq[i]) // i
+        return [1 << w, *seq[:d + 1], E], 1 << w
 
 
 class PowerFunction(FunctionHandle):
@@ -109,8 +133,6 @@ class PowerFunction(FunctionHandle):
         self.known_monotone_orders = frozenset({0, 1})
 
     def __call__(self, x):
-        if isinstance(x, mpmath.mpf):
-            return x ** _to_mpf(self.eps)
         if isinstance(x, Fraction):
             return float(x) ** float(self.eps)
         return np.power(np.asarray(x, dtype=float), float(self.eps))
@@ -136,7 +158,7 @@ class TruncatedPowerFunction(FunctionHandle):
         self.known_monotone_orders = frozenset(range(self.p + 2))
 
     def __call__(self, x):
-        if isinstance(x, (Fraction, mpmath.mpf)):
+        if isinstance(x, Fraction):
             d = x - self.a
             return d**self.p if d > 0 else 0 * d
         d = np.asarray(x, dtype=float) - float(self.a)
@@ -166,8 +188,6 @@ class LogShiftFunction(FunctionHandle):
         self.known_monotone_orders = frozenset({1})
 
     def __call__(self, x):
-        if isinstance(x, mpmath.mpf):
-            return mpmath.log(x + self.eps)
         if isinstance(x, Fraction):
             return float(np.log(float(x) + self.eps))
         return np.log(np.asarray(x, dtype=float) + self.eps)
@@ -210,14 +230,12 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"catalog parameter {text!r} divides by zero") from None
 
 
-def _parameter(text: str):
-    """A catalog parameter: the Fraction "a/b", or a finite float."""
-    if "/" in text:
-        return _fraction(text)
-    value = float(text)
-    if not math.isfinite(value):
+def _parameter(text: str) -> Fraction:
+    """A catalog parameter, "a/b" or a decimal, read exactly; ValueError
+    for one that is not finite, or whose float is not (such as 1e400)."""
+    if "/" not in text and not math.isfinite(float(text)):
         raise ValueError(f"catalog parameter {text!r} is not finite")
-    return value
+    return _fraction(text)
 
 
 def catalog(name: str, **params) -> FunctionHandle:

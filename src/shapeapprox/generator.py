@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import PrecisionError, RegimeError
-from .polynomial import MONOMIAL, Polynomial, _round_to_bits
-from .special import tau
+from .polynomial import MONOMIAL, Polynomial, _dyadic, _round_to_bits
+from .special import _log, tau
 
 PRECISION_BITS = 256  # working precision of the generator and the M_n image
 
@@ -43,9 +41,9 @@ class GeneratorPoly:
     n: int
     r: int
     m: int
-    lambda_n: mpmath.mpf  # lambda~ = L kappa~, exactly the scale P carries
+    lambda_n: Fraction  # lambda~ = L kappa~, exactly the scale P carries
     P: Polynomial  # exactly lambda_n (r-1)! int^r S^2, over one power of two
-    moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P
+    moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P, a dyadic Fraction
     # bits each product of tau's power, kappa and each deficiency are
     # rounded to: PRECISION_BITS plus guard bits for deg Q
     precision_bits: int
@@ -132,7 +130,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     b = [r * math.comb(j + r, r) for j in range(len(q))]
     L = math.lcm(*b)
     (k,), ek = _round_to_bits([D], math.factorial(r - 1) * G * L, work)  # kappa~ 2^eq = k 2^ek
-    lam = mpmath.mp.make_mpf(from_man_exp(k * L, ek - eq))
+    lam = _dyadic(k * L, ek - eq)
     P = Polynomial.from_integers(MONOMIAL, [0] * r + [(k * x * (L // y)) << max(ek, 0)
                                                       for x, y in zip(q, b)], 1 << max(-ek, 0))
 
@@ -154,7 +152,8 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     for mu in (1, 2, 3, 4):  # exact, then rounded once at `work` bits
         if T[mu] >= scale:
             raise PrecisionError(f"moment deficiency delta_{mu} = {(scale - T[mu]) / scale} <= 0")
-        deficiency[mu] = mpmath.mp.make_mpf(from_rational(scale - T[mu], scale, work, round_nearest))
+        (c,), e = _round_to_bits([scale - T[mu]], scale, work)
+        deficiency[mu] = _dyadic(c, e)
     return GeneratorPoly(
         n=n,
         r=r,
@@ -178,6 +177,6 @@ def deficiency_slope(r: int, n_list) -> float:
     for n in ns:
         gen = build_generator(n, r)
         logs_n.append(math.log(n))
-        logs_d.append(float(mpmath.log(gen.moment_deficiency[2])))
+        logs_d.append(_log(gen.moment_deficiency[2]))
     slope, _ = np.polyfit(logs_n, logs_d, 1)
     return float(slope)

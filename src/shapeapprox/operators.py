@@ -13,7 +13,7 @@ form, which the shape and moment tests consume.  U_n, D_n (alpha = 0) and H
 read f once, through ``_read_out``, and form the image in exact arithmetic.
 U_n and D_n give an exact image on exact data (polynomials, exact moments);
 otherwise, and for H always, each Bernstein coefficient is rounded once at
-PRECISION_BITS, whatever the ambient mpmath precision.  H maps a polynomial
+PRECISION_BITS.  H maps a polynomial
 of degree at most about half P's through the eigenpolynomials that every U_n
 shares, in O(e d) instead of the O(d^2) of the general sum, to the same
 exact value.
@@ -28,7 +28,6 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 
-import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -48,7 +47,7 @@ class _CallbackHandle(FunctionHandle):
         self.name = getattr(fn, "__name__", "callback")
 
     def __call__(self, x):
-        if isinstance(x, (Fraction, mpmath.mpf)):
+        if isinstance(x, Fraction):
             return self.fn(float(x))
         return self.fn(x)
 
@@ -70,7 +69,7 @@ def bernstein_image(n: int, f) -> Polynomial:
     if n < 1:
         raise RegimeError("n must be >= 1")
     f = _as_handle(f)
-    vals = [f.value_at(Fraction(k, n)) for k in range(n + 1)]
+    vals = [f(Fraction(k, n)) for k in range(n + 1)]
     return Polynomial.bernstein(vals)
 
 
@@ -101,52 +100,39 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _read_out(f, d: int, gain: int = 0) -> _Reading:
     """Read f once at degree d.
 
-    A polynomial gives f(0), f(1) and m_0..m_d exactly from its
-    ``integer_form`` (mpf coefficients convert exactly), over the one
-    denominator of its moments.  Functions with moments give m_0..m_d as
-    they are, exact ones exactly.  The images
-    rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
+    A function with moments gives f(0), m_0..m_d and f(1) over one
+    denominator (``FunctionHandle.moment_read``): a polynomial exactly from
+    its ``integer_form``, others exactly or, for exp, within 2^-bits. The
+    images rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
     g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
-    than 3^d, so inexact (mpf) moments are computed at PRECISION_BITS plus
-    2d bits, plus ``gain`` for a caller whose weights sum to 2^gain in size,
-    whatever the ambient precision.  Any other f is integrated by one
-    Gauss-Legendre rule of order max(64, d+4) into float64 values
-    b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, whose exact values give the
-    moments m_i = g_{i,0} by the additive triangle
-    g_{i,j} = g_{i,j+1} + g_{i+1,j}.
+    than 3^d, so inexact moments are asked for at bits = PRECISION_BITS plus
+    2d, plus ``gain`` for a caller whose weights sum to 2^gain in size.
+    Any other f is integrated by one Gauss-Legendre rule of order
+    max(64, d+4) into float64 values b_i = int_0^1 p_{d,i} f =
+    C(d,i) g_{i,d-i}, whose exact values give the moments m_i = g_{i,0} by
+    the additive triangle g_{i,j} = g_{i,j+1} + g_{i+1,j}.
     """
     f = _as_handle(f)
-    if isinstance(f, PolyFunction):  # f(0), moments and f(1) over one denominator
-        form = f.poly.integer_form
-        T, den = form.moments(d + 1)
-        L = den // form.den
-        return _Reading([form.num[0] * L, *T, sum(form.num) * L], den, True)
     try:
-        with mpmath.workprec(PRECISION_BITS + 2 * d + gain):
-            moments = f.monomial_moments(d)
-            exact = all(isinstance(m, (int, Fraction)) for m in moments)
-            x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
-            vals = [f.value_at(x[0]), *moments, f.value_at(x[1])]
+        num, den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
+        return _Reading(num, den, f.exact_moments)
     except NotImplementedError:
-        t, w = _gauss_legendre(max(64, d + 4))
-        b = (w * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
-        v0, v1 = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
-        vals = [v0, *b, v1]
-        moments, exact = None, False
-    parts = [_rational(v) for v in vals]
+        pass
+    t, w = _gauss_legendre(max(64, d + 4))
+    b = (w * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
+    v0, v1 = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
+    parts = [_rational(v) for v in (v0, *b, v1)]
     den = math.lcm(*(q for _, q in parts))
     num = [p * (den // q) for p, q in parts]
-    if moments is None:
-        fact = [math.factorial(i) for i in range(d + 1)]
-        # g_{i,d-i} = b_i i! (d-i)! / d!, over den d!
-        row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(num[1:-1])]
-        moments = [row[-1]]
-        for _ in range(d):
-            row = [x + y for x, y in zip(row, row[1:])]
-            moments.append(row[-1])
-        num = [num[0] * fact[d], *reversed(moments), num[-1] * fact[d]]
-        den *= fact[d]
-    return _Reading(num, den, exact)
+    fact = [math.factorial(i) for i in range(d + 1)]
+    # g_{i,d-i} = b_i i! (d-i)! / d!, over den d!
+    row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(num[1:-1])]
+    moments = [row[-1]]
+    for _ in range(d):
+        row = [x + y for x, y in zip(row, row[1:])]
+        moments.append(row[-1])
+    num = [num[0] * fact[d], *reversed(moments), num[-1] * fact[d]]
+    return _Reading(num, den * fact[d], False)
 
 
 def _bernstein_moments(r: _Reading) -> list:
@@ -168,9 +154,7 @@ def _bernstein(num, den: int, exact: bool) -> Polynomial:
     if exact:
         return Polynomial.from_integers(BERNSTEIN, num, den)
     parts = [_round_to_bits([v], den, PRECISION_BITS) for v in num]  # c 2^e each
-    low = min([e for (c,), e in parts if c] + [0])  # the values over 2^-low
-    return Polynomial.from_integers(BERNSTEIN, [c << (e - low) if c else 0 for (c,), e in parts],
-                                    1 << -low)
+    return Polynomial.from_dyadics(BERNSTEIN, [(c, e) for (c,), e in parts])
 
 
 # ----------------------------------------------------------------------
@@ -285,14 +269,14 @@ def durrmeyer_image(n: int, f) -> Polynomial:
 
 
 def lupas_endpoint_moment(n: int, alpha, i: int):
-    """D_n^<alpha>(e_i, 0) = (alpha+1)_i / (n+2 alpha+2)_i."""
+    """D_n^<alpha>(e_i, 0) = (alpha+1)_i / (n+2 alpha+2)_i, exactly."""
+    alpha = Fraction(alpha)
     return pochhammer(alpha + 1, i) / pochhammer(n + 2 * alpha + 2, i)
 
 
 def lupas_moment_closed_form(n: int, alpha, i: int) -> Polynomial:
-    """Closed-form images of e_0, e_1, e_2 under D_n^<alpha>."""
-    if not isinstance(alpha, (int, Fraction)):
-        raise TypeError("closed forms use exact alpha")
+    """Closed-form images of e_0, e_1, e_2 under D_n^<alpha>, exactly; a
+    float alpha is read as its exact value."""
     a = Fraction(alpha)
     if i == 0:
         return Polynomial.monomial([1])
@@ -312,16 +296,15 @@ def lupas_derivative_identity_check(n: int, alpha, nu: int, f) -> float:
 
         d^nu/dx^nu D_n^<a>(f) = n!/((n-nu)! (n+2a+2)_nu) D_{n-nu}^<a+nu>(f^(nu))
 
-    Exact for an exact alpha; a float alpha reads both images by quadrature
-    and scales one by an mpf at the ambient precision.
+    Exact; a float alpha is read as its exact value.
     """
     if not 1 <= nu <= n:
         raise ValueError("need 1 <= nu <= n")
-    f = _as_handle(f)
+    f, alpha = _as_handle(f), Fraction(alpha)
     if not isinstance(f, PolyFunction):
         raise TypeError("identity check requires a polynomial input")
     lhs = npoly.polyder(_monomial_array(durrmeyer_lupas_image(n, alpha, f)), nu)
-    factor = math.perm(n, nu) / pochhammer(n + 2 * alpha + 2, nu)  # int / Fraction or mpf
+    factor = math.perm(n, nu) / pochhammer(n + 2 * alpha + 2, nu)
     fder = PolyFunction(Polynomial.monomial(npoly.polyder(_monomial_array(f.poly), nu)))
     rhs = _monomial_array(durrmeyer_lupas_image(n - nu, alpha + nu, fder)) * factor
     return _max_grid_diff(Polynomial.monomial(lhs), Polynomial.monomial(rhs))
@@ -501,5 +484,5 @@ def mn_image(q: int, n: int, f) -> MnResult:
         if alpha_n <= 0.25:
             return MnResult(gavrea_image(gen.P, f), q, n, r, False, alpha_n, gen)
     f = _as_handle(f)
-    ends = Polynomial.bernstein([f.value_at(Fraction(0)), f.value_at(Fraction(1))])
+    ends = Polynomial.bernstein([f(Fraction(0)), f(Fraction(1))])
     return MnResult(ends, q, n, r, True, alpha_n, gen)

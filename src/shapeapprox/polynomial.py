@@ -32,9 +32,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-import mpmath
 import numpy as np
-from mpmath.libmp import to_rational
 
 from .errors import BasisError, DomainError
 
@@ -45,11 +43,15 @@ BERNSTEIN = "bernstein"
 def _rational(v) -> tuple[int, int]:
     """Numerator and denominator of an int, Fraction, float or finite mpf (or
     mpmath constant, at the ambient precision), in lowest terms; ValueError
-    for a value with none (NaN, an infinity)."""
+    for a value with none (NaN, an infinity). An mpf is read from its
+    ``_mpf_`` tuple (sign, odd mantissa, exponent, width), whose zero
+    mantissa with a nonzero exponent marks NaN and the infinities."""
     if hasattr(v, "_mpf_"):
-        if not mpmath.isfinite(v):
+        sign, man, exp, _ = v._mpf_
+        if not man and exp:
             raise ValueError(f"coefficient {v} has no exact value")
-        return to_rational(v._mpf_)
+        man = -int(man) if sign else int(man)
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     try:
         v = Fraction(v)
     except OverflowError:  # an infinite float
@@ -91,6 +93,11 @@ def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
     if _round_div(top, den, e).bit_length() > bits:
         e += 1
     return [_round_div(x, den, e) for x in num], e
+
+
+def _dyadic(c: int, e: int) -> Fraction:
+    """c 2^e, exactly."""
+    return Fraction(c << e) if e >= 0 else Fraction(c, 1 << -e)
 
 
 def bernstein_integers(num: np.ndarray) -> np.ndarray:
@@ -348,6 +355,13 @@ class Polynomial:
         p = object.__new__(Polynomial)
         p._store(basis, *_lowest(num, den))
         return p
+
+    @staticmethod
+    def from_dyadics(basis: str, parts: Sequence[tuple[int, int]]) -> "Polynomial":
+        """The polynomial with coefficients c 2^e, for (c, e) in parts."""
+        low = min([e for c, e in parts if c] + [0])
+        return Polynomial.from_integers(basis, [c << (e - low) if c else 0 for c, e in parts],
+                                        1 << -low)
 
     @staticmethod
     def e(i: int) -> "Polynomial":

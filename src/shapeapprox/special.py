@@ -5,34 +5,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
-import mpmath
 import numpy as np
-from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PrecisionError
-from .polynomial import Polynomial
+from .polynomial import MONOMIAL, Polynomial, _dyadic, _round_div, _round_to_bits
 
-TAU_REMAINDER_REL_TOL = mpmath.mpf("1e-20")
-
-
-def _to_mpf(v):
-    """v as an mpf at the ambient precision; a Fraction is rounded once."""
-    if isinstance(v, mpf):
-        return v
-    if isinstance(v, Fraction):
-        return mpmath.mp.make_mpf(from_rational(*v.as_integer_ratio(), mpmath.mp.prec, round_nearest))
-    return mpmath.mpf(v)
+TAU_REMAINDER_REL_TOL = Fraction(1e-20)  # the double nearest 1e-20, exactly
 
 
-def pochhammer(beta, k: int):
-    """Rising factorial (beta)_k = beta (beta+1) ... (beta+k-1), (beta)_0 = 1."""
+def pochhammer(beta, k: int) -> Fraction:
+    """Rising factorial (beta)_k = beta (beta+1) ... (beta+k-1), (beta)_0 = 1,
+    exactly; a float beta is read as its exact value."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    acc = Fraction(1) if isinstance(beta, (int, Fraction)) else mpmath.mpf(1)
+    acc, beta = Fraction(1), Fraction(beta)
     for i in range(k):
         acc = acc * (beta + i)
     return acc
@@ -43,18 +32,13 @@ def chebyshev_T(m: int) -> Polynomial:
     """T_m in the monomial basis with exact integer coefficients."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return Polynomial.monomial([1])
-    if m == 1:
-        return Polynomial.monomial([0, 1])
-    tm2 = [1]
-    tm1 = [0, 1]
+    tm2, tm1 = [1], [0, 1]
     for _ in range(2, m + 1):
         nxt = [0] + [2 * c for c in tm1]
         for i, c in enumerate(tm2):
             nxt[i] -= c
         tm2, tm1 = tm1, nxt
-    return Polynomial.monomial(tm1)
+    return Polynomial.from_integers(MONOMIAL, tm1 if m else tm2)
 
 
 @dataclass(frozen=True)
@@ -63,59 +47,97 @@ class TauPoly:
 
     Native variable lives on [-1,1]; x_tilde = cos(pi/2m) is the rightmost
     zero of T_m, and I_1 = [cos(pi/m), 1], from T_m's rightmost local
-    minimum, with |I_1| = 2 sin^2(pi/2m).
+    minimum, with |I_1| = 2 sin^2(pi/2m). Every field is an exact dyadic
+    rational.
     """
 
     m: int
-    poly: Polynomial  # degree m-1, monomial: the exact values of its mpf coefficients
-    x_tilde: mpf
-    len_I1: mpf
-    division_remainder: mpf
+    poly: Polynomial  # degree m-1, monomial, over one power of two
+    x_tilde: Fraction
+    len_I1: Fraction
+    division_remainder: Fraction
+
+
+def _atan(z: int, w: int, hyperbolic: bool = False) -> int:
+    """atan(z 2^-w) 2^w, or atanh, for |z| <= 2^w/3, by its Taylor series
+    summed in w-bit fixed point: within one unit per term, about w/3 units."""
+    total, power, z2, k = 0, abs(z), z * z >> w, 1
+    while power:
+        total += power // k if hyperbolic or k & 2 == 0 else -(power // k)
+        power, k = power * z2 >> w, k + 2
+    return total if z >= 0 else -total
+
+
+def _log(v: Fraction) -> float:
+    """ln v for a rational v > 0, within about 2^-120, rounded once to a
+    float: correctly rounded unless |ln v| is below about 2^-60 or that
+    close to a tie. ln v = t ln 2 + 2 atanh(z), z = (y-1)/(y+1) for
+    y = v 2^-t in (1/2, 2), with ln 2 = 2 atanh(1/3), in 128-bit fixed
+    point."""
+    w, t = 128, v.numerator.bit_length() - v.denominator.bit_length()
+    a, b = (v.numerator, v.denominator << t) if t >= 0 else (v.numerator << -t, v.denominator)
+    z = ((a - b) << w) // (a + b)
+    return float(Fraction(2 * t * _atan((1 << w) // 3, w, True) + 2 * _atan(z, w, True), 1 << w))
 
 
 def tau(m: int, prec_bits: int = 256) -> TauPoly:
+    """tau_m in integers, with the roundings of an mpf evaluation at
+    ``prec_bits`` bits, each to nearest with ties to even: pi, theta =
+    pi/2m, cos theta, sin theta, sin^2 theta, each product and sum of the
+    synthetic division and each quotient coefficient times |I_1|. Each value
+    is held as c 2^e; pi, sin and cos are summed in fixed point with 64
+    guard bits (sin by its Taylor series, cos = sqrt(1 - sin^2)) and then
+    rounded."""
     if m < 2:
         raise ValueError("tau requires m >= 2")
-    with mpmath.workprec(prec_bits):
-        x_tilde = mpmath.cos(mpmath.pi / (2 * m))
-        len_i1 = 2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2
-        a = [_to_mpf(c) for c in chebyshev_T(m).coeffs]  # ascending
-        # synthetic division by (x - x_tilde), descending order
-        q = [mpmath.mpf(0)] * m  # quotient, ascending degrees 0..m-1
-        carry = a[m]
-        for k in range(m - 1, -1, -1):
-            q[k] = carry
-            carry = a[k] + x_tilde * carry
-        remainder = carry
-        scale = max(abs(c) for c in a)
-        if abs(remainder) > TAU_REMAINDER_REL_TOL * scale:
-            raise PrecisionError(
-                f"tau({m}): division remainder {remainder} too large at "
-                f"{prec_bits} bits"
-            )
-        poly = Polynomial.monomial([c * len_i1 for c in q])
-    return TauPoly(
-        m=m,
-        poly=poly,
-        x_tilde=x_tilde,
-        len_I1=len_i1,
-        division_remainder=remainder,
-    )
+
+    def rnd(v: int, e: int) -> tuple[int, int]:  # v 2^e rounded to prec_bits bits
+        shift = max(v.bit_length() - prec_bits, 0)
+        return (_round_div(v, 1, shift) if shift else v), e + shift
+
+    w = prec_bits + 64  # pi by Machin's formula 16 atan(1/5) - 4 atan(1/239)
+    pi, e_pi = rnd(16 * _atan((1 << w) // 5, w) - 4 * _atan((1 << w) // 239, w), -w)
+    (t,), e_t = _round_to_bits([pi], 2 * m, prec_bits)  # theta = t 2^(e_t + e_pi)
+    x = t << (w + e_t + e_pi)  # theta 2^w, exactly
+    x2, sin, term, k = x * x >> w, x, x, 0
+    while term:
+        k += 2
+        term = (term * x2 >> w) // (k * (k + 1))
+        sin += -term if k & 2 else term
+    x_tilde = rnd(isqrt((1 << 2 * w) - sin * sin), -w)  # cos theta
+    s, e_s = rnd(sin, -w)
+    c, e_c = rnd(s * s, 2 * e_s)
+    len_i1 = (c, e_c + 1)  # 2 sin^2 theta
+    a = chebyshev_T(m).num  # ascending; integers
+    # synthetic division by (x - x_tilde), descending order
+    q, carry = [None] * m, (a[m], 0)  # quotient, ascending degrees 0..m-1
+    for k in range(m - 1, -1, -1):
+        q[k] = carry
+        p, e = rnd(carry[0] * x_tilde[0], carry[1] + x_tilde[1])  # x_tilde * carry
+        low = min(e, 0)
+        carry = rnd((a[k] << -low) + (p << (e - low)), low)  # a[k] + that
+    remainder = _dyadic(*carry)
+    scale = max(abs(c) for c in a)
+    if abs(remainder) > TAU_REMAINDER_REL_TOL * scale:
+        raise PrecisionError(
+            f"tau({m}): division remainder {float(remainder)} too large at "
+            f"{prec_bits} bits"
+        )
+    poly = Polynomial.from_dyadics(MONOMIAL, [rnd(v * len_i1[0], e + len_i1[1]) for v, e in q])
+    return TauPoly(m=m, poly=poly, x_tilde=_dyadic(*x_tilde), len_I1=_dyadic(*len_i1),
+                   division_remainder=remainder)
 
 
 def ultraspherical_phi(n: int, alpha) -> Polynomial:
     """Shifted ultraspherical polynomial phi_n^(alpha) on [0,1], normalized so
-    phi_n(1) = 1, built by the three-term recurrence.
-
-    Exact when alpha is int/Fraction; mpf otherwise.
+    phi_n(1) = 1, built exactly by the three-term recurrence; a float alpha
+    is read as its exact value.
     """
     if alpha <= -1:
         raise ValueError("alpha must be > -1")
-    exact = isinstance(alpha, (int, Fraction))
-    alpha = Fraction(alpha) if exact else _to_mpf(alpha)
-    one = Fraction(1) if exact else mpmath.mpf(1)
-    lin = np.array([-one, 2 * one], dtype=object)  # 2x - 1
-    prev2, prev1 = np.array([one], dtype=object), lin
+    alpha = Fraction(alpha)
+    lin = np.array([Fraction(-1), Fraction(2)], dtype=object)  # 2x - 1
+    prev2, prev1 = np.array([Fraction(1)], dtype=object), lin
     for j in range(2, n + 1):
         num = npoly.polysub(npoly.polymul(lin, prev1) * (2 * j + 2 * alpha - 1), prev2 * (j - 1))
         prev2, prev1 = prev1, num * (1 / (j + 2 * alpha))
@@ -134,19 +156,16 @@ def shifted_jacobi(m: int, a: int, b: int) -> list[int]:
 
 
 def phi_leading_coefficient(n: int, alpha):
-    """(2 alpha + n + 1)_n / (alpha + 1)_n."""
+    """(2 alpha + n + 1)_n / (alpha + 1)_n, exactly."""
+    alpha = Fraction(alpha)
     return pochhammer(2 * alpha + n + 1, n) / pochhammer(alpha + 1, n)
 
 
 def phi_bernstein_expansion(n: int, alpha) -> Polynomial:
-    """phi_n^(alpha) as an explicit Bernstein-form polynomial."""
+    """phi_n^(alpha) as an explicit Bernstein-form polynomial, exactly."""
     if alpha <= -1:
         raise ValueError("alpha must be > -1")
-    exact = isinstance(alpha, (int, Fraction))
-    if exact:
-        alpha = Fraction(alpha)
-    else:
-        alpha = _to_mpf(alpha)
+    alpha = Fraction(alpha)
     top = pochhammer(alpha + 1, n)
     coeffs = []
     for k in range(n + 1):
@@ -165,19 +184,16 @@ def lupas_product_identity_check(n: int, alpha, x, t):
         (x+t-1)^n phi_n((xt)/(x+t-1))
           = (alpha+1)_n sum_k p_{n,k}(x) p_{n,k}(t) / (C(n,k)(alpha+1)_k (alpha+1)_{n-k})
 
-    Exposed as a test utility; exact for rational inputs, and in mpf at the
-    ambient precision for a float alpha.
+    Exposed as a test utility; exact, with a float alpha, x or t read as
+    its exact value.
     """
+    alpha, x, t = Fraction(alpha), Fraction(x), Fraction(t)
     if x + t == 1:
         raise ValueError("requires t != 1 - x")
-    if not isinstance(alpha, (int, Fraction)):  # phi has mpf coefficients
-        x, t = _to_mpf(x), _to_mpf(t)
-    if n == 0:
-        return 0 * (x + t)
     phi = ultraspherical_phi(n, alpha)
     z = (x * t) / (x + t - 1)
     lhs = (x + t - 1) ** n * phi(z)
-    rhs = 0 * lhs
+    rhs = Fraction(0)
     top = pochhammer(alpha + 1, n)
     for k in range(n + 1):
         denom = comb(n, k) * pochhammer(alpha + 1, k) * pochhammer(alpha + 1, n - k)

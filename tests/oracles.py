@@ -15,19 +15,24 @@ from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
-from shapeapprox.functions import PolyFunction
+from shapeapprox.functions import ExpFunction, PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
 from shapeapprox.polynomial import Polynomial, _rational, bernstein_basis
+from shapeapprox.special import TauPoly, chebyshev_T
+
+
+def exact(v) -> Fraction:
+    """The exact value of an int, Fraction or finite mpf."""
+    return Fraction(*to_rational(v._mpf_)) if isinstance(v, mpmath.mpf) else Fraction(v)
 
 
 def fractions(coeffs) -> np.ndarray:
     """The exact values of int, Fraction or finite mpf coefficients, as an
     object array of Fractions."""
-    return np.array([Fraction(*to_rational(c._mpf_)) if isinstance(c, mpmath.mpf) else Fraction(c)
-                     for c in coeffs], dtype=object)
+    return np.array([exact(c) for c in coeffs], dtype=object)
 
 
 def bernstein_coeffs(a, m: int | None = None) -> list:
@@ -120,32 +125,76 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
 def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
     """The library's read-out of f as it was when it gave b_i =
     int_0^1 p_{d,i} f rather than moments: f(0), b_0..b_d, f(1) as integers
-    over one denominator, and whether they are exact. Moments (exact, or mpf
-    at PRECISION_BITS + 2d + gain bits) become b by the subtractive triangle;
-    any other f is integrated by one Gauss-Legendre rule."""
+    over one denominator, and whether they are exact. Moments (``moment_read``
+    at PRECISION_BITS + 2d + gain bits) become b by the subtractive
+    triangle; any other f is integrated by one Gauss-Legendre rule."""
     f = _as_handle(f)
     try:
-        with mpmath.workprec(PRECISION_BITS + 2 * d + gain):
-            moments = f.monomial_moments(d)
-            exact = all(isinstance(m, (int, Fraction)) for m in moments)
-            x = (Fraction(0), Fraction(1)) if exact else (mpmath.mpf(0), mpmath.mpf(1))
-            vals = [f.value_at(x[0]), f.value_at(x[1]), *moments]
+        (v0, *row, v1), den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
     except NotImplementedError:
         u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
         t = (u + 1) / 2
         b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
-        vals = [*np.asarray(f(np.array([0.0, 1.0])), dtype=float), *b]
-        moments, exact = None, False
-    vals = [Fraction(*_rational(v)) for v in vals]
-    den = math.lcm(*(v.denominator for v in vals))
-    v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
-    if moments is not None:
-        diag = [row[-1]]  # g_{d-j,j}, g_{i,j} = int t^i (1-t)^j f
-        for _ in range(d):
-            row = [x - y for x, y in zip(row, row[1:])]
-            diag.append(row[-1])
-        row = [comb(d, i) * g for i, g in enumerate(reversed(diag))]
-    return [v0, *row, v1], den, exact
+        ends = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
+        vals = [Fraction(*_rational(v)) for v in (*ends, *b)]
+        den = math.lcm(*(v.denominator for v in vals))
+        v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
+        return [v0, *row, v1], den, False
+    diag = [row[-1]]  # g_{d-j,j}, g_{i,j} = int t^i (1-t)^j f
+    for _ in range(d):
+        row = [x - y for x, y in zip(row, row[1:])]
+        diag.append(row[-1])
+    row = [comb(d, i) * g for i, g in enumerate(reversed(diag))]
+    return [v0, *row, v1], den, f.exact_moments
+
+
+# ----------------------------------------------------------------------
+# the mpmath computations that integer arithmetic replaced, bit for bit or
+# to within the bits asked for
+def tau_reference(m: int, prec_bits: int = 256) -> TauPoly:
+    """tau_m as the library formed it in mpmath at ``prec_bits`` bits: cos
+    and sin of pi/2m, each product and sum of the synthetic division by
+    (x - x_tilde) and each product by |I_1|, every operation rounded to
+    nearest; the fields are the exact values of the mpf results."""
+    with mpmath.workprec(prec_bits):
+        x_tilde = mpmath.cos(mpmath.pi / (2 * m))
+        len_i1 = 2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2
+        a = [mpmath.mpf(c) for c in chebyshev_T(m).num]  # ascending, exact
+        q, carry = [None] * m, a[m]  # the quotient, ascending
+        for k in range(m - 1, -1, -1):
+            q[k] = carry
+            carry = a[k] + x_tilde * carry
+        poly = Polynomial.monomial([c * len_i1 for c in q])
+    return TauPoly(m, poly, exact(x_tilde), exact(len_i1), exact(carry))
+
+
+def exp_moments_reference(imax: int, bits: int) -> list:
+    """int_0^1 t^i e^t dt for i <= imax as the library formed them in
+    mpmath: the downward recurrence I_{i-1} = (e - I_i)/i at bits + 64 bits,
+    from a zero guess at the first index where (imax+1)...start passes
+    2^(bits+64); the exact values of the mpf results."""
+    prec = bits + 64
+    start, gain = imax, 1
+    while gain <= 1 << prec:
+        start, gain = start + 1, gain * (start + 1)
+    with mpmath.workprec(prec):
+        e = mpmath.e + 0
+        seq = [mpmath.mpf(0)] * (start + 1)
+        for i in range(start, 0, -1):
+            seq[i - 1] = (e - seq[i]) / i
+    return [exact(v) for v in seq[:imax + 1]]
+
+
+class MpfExp(ExpFunction):
+    """exp read as the library read it in mpmath: the moments of
+    ``exp_moments_reference`` and f(1) = exp(1) rounded to ``bits`` bits."""
+
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        with mpmath.workprec(bits):
+            e = exact(mpmath.exp(mpmath.mpf(1)))
+        vals = [Fraction(1), *exp_moments_reference(d, bits), e]
+        den = math.lcm(*(v.denominator for v in vals))
+        return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def genuine_durrmeyer_reference(n: int, f) -> Polynomial:

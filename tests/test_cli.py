@@ -181,6 +181,7 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          "catalog parameter 'nan' is not finite"),
         (["shape", "--f", "xeps:inf", "--k", "1"], "catalog parameter 'inf' is not finite"),
         (["shape", "--f", "truncpow:inf:2", "--k", "1"], "catalog parameter 'inf' is not finite"),
+        (["shape", "--f", "xeps:1e400", "--k", "1"], "catalog parameter '1e400' is not finite"),
         (["shape", "--f", "xeps:1/0", "--k", "1"], "catalog parameter '1/0' divides by zero"),
         (["shape", "--f", "linear:1:2/0", "--k", "1"], "catalog parameter '2/0' divides by zero"),
         (["gen-poly", "--n", "20", "--r", "0"], "r must be >= 1"),
@@ -220,6 +221,15 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"shapeapprox: error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", ["xeps:1e-13", "xeps:0.9999999999999", "truncpow:1e-10:2"])
+def test_catalog_decimals_near_the_ends_are_read_exactly(spec, tmp_path):
+    # each decimal lies in (0,1); snapped through a float's nearest fraction
+    # with a bounded denominator it read as 0 or 1 and exited 2
+    out = tmp_path / "shape.json"
+    assert main(["shape", "--f", spec, "--k", "1", "--out", str(out)]) == 0
+    assert json.loads(_read(out))["passed"]
 
 
 def test_mn_study_logeps_large_n(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,10 +24,11 @@ from shapeapprox import (
     monomial,
     q_monotone_catalog,
 )
-from shapeapprox import functions
+from shapeapprox import durrmeyer_image, functions, genuine_durrmeyer_image
+from shapeapprox.generator import PRECISION_BITS
 from shapeapprox.polynomial import bernstein_basis
 
-from oracles import fractions
+from oracles import MpfExp, exact, exp_moments_reference, fractions
 
 
 def test_exp_moments_downward_recurrence():
@@ -39,6 +41,32 @@ def test_exp_moments_downward_recurrence():
     expect = [e - 1, 1.0, e - 2, 6 - 2 * e]
     for a, b in zip(moments, expect):
         assert float(a) == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, gain", [(3, 0), (19, 0), (70, 12), (512, 40)])
+def test_exp_integer_moments_are_within_the_bits_asked_for(d, gain):
+    # the integer recurrence and e = sum 2^w // k! stay within 2^-bits of
+    # the mpf recurrence and of exp(1) rounded at bits, which stood there
+    bits = PRECISION_BITS + 2 * d + gain
+    num, den = ExpFunction().moment_read(d, bits)
+    want = [1, *exp_moments_reference(d, bits)]
+    with mpmath.workprec(bits):
+        want.append(exact(mpmath.exp(1)))
+    assert len(num) == len(want) == d + 3 and num[0] == den
+    assert max(abs(Fraction(x, den) - y) for x, y in zip(num, want)) <= Fraction(1, 2**bits)
+    assert ExpFunction.exact_moments is False
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_exp_images_match_the_mpf_read_bit_for_bit(q):
+    # on the (q, n) panel of the mn_batch benchmark, and for U_n and D_n, the
+    # integer read gives the images the mpf read gave: each coefficient is
+    # rounded once at PRECISION_BITS, far above both reads' errors
+    for n in (21, 23, 45, 47, 71, 73):
+        assert mn_image(q, n, ExpFunction()).poly == mn_image(q, n, MpfExp()).poly, n
+    for image in (genuine_durrmeyer_image, durrmeyer_image):
+        n = 20 * q + 40 * (q == 4)
+        assert image(n, ExpFunction()) == image(n, MpfExp()), (image, n)
 
 
 def test_exp_moments_reach_the_read_out_precision():
@@ -131,6 +159,31 @@ def test_poly_function_samples_do_not_depend_on_batch_or_threads():
 def test_log_shift():
     f = LogShiftFunction(1e-2)
     assert float(f(0.0)) == pytest.approx(np.log(1e-2))
+
+
+def test_catalog_reads_decimal_parameters_exactly():
+    # a decimal is the rational it spells, whatever a float would round it
+    # to, so parameters next to the ends of (0,1) are accepted
+    assert catalog("xeps:1e-13").eps == catalog("xeps:1/10000000000000").eps == Fraction(1, 10**13)
+    assert catalog("xeps:0.9999999999999").eps == 1 - Fraction(1, 10**13)
+    assert catalog("truncpow:1e-10:2").a == Fraction(1, 10**10)
+    assert catalog("xeps:0.3").eps == Fraction(3, 10)
+    assert catalog("logeps:1e-4").eps == 1e-4
+    for text in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ValueError, match="is not finite"):
+            catalog(f"logeps:{text}")
+
+
+def test_import_loads_no_mpmath():
+    # with mpmath blocked (any import of it raises), the CLI imports, and a
+    # generator, exp's image and the float-alpha identities run
+    src = str(Path(functions.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.modules['mpmath'] = None; "
+            "import shapeapprox.cli; "
+            "from shapeapprox import ExpFunction, catalog, lupas_product_identity_check, mn_image; "
+            "assert not mn_image(1, 60, ExpFunction()).used_fallback; "
+            "assert lupas_product_identity_check(3, 0.5, 0.9, 0.35) == 0")
+    subprocess.run([sys.executable, "-c", code, src], check=True)
 
 
 def test_catalog_names():

@@ -6,7 +6,6 @@ import random
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from mpmath.libmp import from_rational, round_nearest, to_rational
@@ -64,19 +63,18 @@ def test_moment_of_unit_mass():
     m0 = moment(gen.P, 0)
     assert abs(m0 - 1) <= Fraction(1, 10**20)
     m2 = moment(gen.P, 2)
-    delta2 = Fraction(*to_rational(gen.moment_deficiency[2]._mpf_))
-    assert abs((1 - m2) - delta2) <= Fraction(1, 10**25)
+    assert abs((1 - m2) - gen.moment_deficiency[2]) <= Fraction(1, 10**25)
 
 
 def test_moment_is_rounded_once():
     # moment is the exact integral of the stored P, and each deficiency is
-    # 1 minus it, rounded once at precision_bits
+    # 1 minus it, rounded once at precision_bits, to nearest as mpmath rounds
     gen = build_generator(64, 1)
     exact = moment(gen.P, 2)
     assert exact == integral_01([0, 0, *fractions(gen.P.coeffs)])
     delta = 1 - exact
-    assert gen.moment_deficiency[2]._mpf_ == from_rational(delta.numerator, delta.denominator,
-                                                           gen.precision_bits, round_nearest)
+    rounded = from_rational(delta.numerator, delta.denominator, gen.precision_bits, round_nearest)
+    assert gen.moment_deficiency[2] == Fraction(*to_rational(rounded))
 
 
 @pytest.mark.parametrize("n, r", [(64, 1), (128, 3)])
@@ -126,9 +124,9 @@ def test_build_makes_one_attempt(monkeypatch):
 
 
 def test_build_reads_generator_once(monkeypatch):
-    # P is built as its integers: no coefficient of it is read or converted,
-    # only tau's are, and no basis matrix is formed; a shape check forms the
-    # Bernstein integers once
+    # P is built as its integers, after tau's, which are formed as integers
+    # too: no coefficient is read or converted, and no basis matrix is
+    # formed; a shape check forms the Bernstein integers once
     calls = {"read": 0, "coefficient": 0, "basis": 0}
 
     def counted(name, fn):
@@ -148,7 +146,7 @@ def test_build_reads_generator_once(monkeypatch):
     gen = build_generator.__wrapped__(128, 3)
     assert gen.precision_bits == 440
     assert calls["read"] == 0 and calls["basis"] == 0
-    assert calls["coefficient"] == gen.m  # tau's, of degree m - 1
+    assert calls["coefficient"] == 0
 
     assert check_k_monotone_poly(Polynomial.monomial([0, 1, 0, 1]), 2).passed
     assert calls["read"] == 1
@@ -161,10 +159,6 @@ def test_build_forms_no_bernstein_integers():
     assert "bern" not in vars(gen.P.integer_form)
     gen.P.integer_form.derivative(3)
     assert "bern" in vars(gen.P.integer_form)
-
-
-def _mpf_key(v):
-    return tuple(int(x) for x in v._mpf_)
 
 
 def _dyadic_key(c: Fraction):
@@ -180,15 +174,17 @@ def _dyadic_key(c: Fraction):
 def test_build_output_is_pinned_bit_for_bit():
     # a SHA-256 over every GeneratorPoly field of 15 builds: P's exact read,
     # each stored coefficient, lambda_n, each deficiency, the residual and
-    # precision_bits. A change to how the build computes must not move a bit
+    # precision_bits. A change to how the build computes must not move a bit;
+    # the keys of the dyadic values are those of the mpfs the build once
+    # stored
     digest = hashlib.sha256()
     for r in (1, 2, 3):
         for n in (8 * r + 1, 64, 130, 257, 439):
             gen = build_generator.__wrapped__(n, r)
             form = gen.P.integer_form
             record = (n, r, form.num, form.den, [_dyadic_key(c) for c in gen.P.coeffs],
-                      _mpf_key(gen.lambda_n),
-                      [(mu, _mpf_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
+                      _dyadic_key(gen.lambda_n),
+                      [(mu, _dyadic_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
                       gen.unit_integral_residual.hex(), gen.precision_bits)
             digest.update(repr(record).encode())
     assert digest.hexdigest() == "9458f8f8c85077ad5467bbb0cd67c6e72a0e40be2840cd27df5101a3a8f9b3ab"
@@ -203,7 +199,7 @@ def test_precision_bits_is_the_stored_precision(n, r, bits):
     # one power-of-two denominator
     gen = build_generator(n, r)
     assert gen.precision_bits == bits
-    kappa = Fraction(*to_rational(gen.lambda_n._mpf_)) / lcm_of_b(gen)
+    kappa = gen.lambda_n / lcm_of_b(gen)
     assert kappa.numerator.bit_length() <= bits
     assert kappa.denominator & (kappa.denominator - 1) == 0
     assert max(_dyadic_key(c)[3] for c in gen.P.coeffs) > bits
@@ -224,8 +220,7 @@ def exact_generator(n, r):
     """P from the library's own tau in exact arithmetic: tau^(4r), its r-fold
     antiderivative and lambda, with nothing rounded."""
     gen = build_generator(n, r)
-    with mpmath.workprec(gen.precision_bits):
-        t = tau(gen.m, prec_bits=gen.precision_bits)
+    t = tau(gen.m, prec_bits=gen.precision_bits)
     Q = npoly.polypow(fractions(t.poly.coeffs), 4 * r)
     lam = r / integral_01(npoly.polymul(Q, npoly.polypow(fractions([1, -1]), r)))
     return npoly.polyint(Q, r) * (lam * math.factorial(r - 1))
@@ -235,8 +230,7 @@ def library_square(gen):
     """Q = S^2 from the library's tau, with S = tau^(2r) rounded after each
     product as the build rounds it, and the square taken by schoolbook
     multiplication, exactly."""
-    with mpmath.workprec(gen.precision_bits):
-        t = tau(gen.m, prec_bits=gen.precision_bits)
+    t = tau(gen.m, prec_bits=gen.precision_bits)
     form = t.poly.integer_form
     s, es = generator._power(form.num, 1 - form.den.bit_length(), 2 * gen.r, gen.precision_bits)
     return [x * Fraction(2) ** (2 * es) for x in schoolbook(s, s)]
@@ -255,7 +249,7 @@ def test_generator_is_certified_by_construction(n, r):
     gen = build_generator(n, r)
     P = fractions(gen.P.coeffs)
     assert all(c == 0 for c in P[:r])
-    c = Fraction(*to_rational(gen.lambda_n._mpf_)) * math.factorial(r - 1)
+    c = gen.lambda_n * math.factorial(r - 1)
     assert c > 0
     assert list(npoly.polyder(P, r)) == [c * x for x in library_square(gen)]
 

@@ -130,7 +130,7 @@ def test_gauss_jacobi_moments(alpha):
 def test_lupas_derivative_identity():
     p = PolyFunction(Polynomial.monomial([1, Fraction(-1, 2), 3, Fraction(2, 7), 1]))
     for n in (5, 8):
-        for alpha in (0, 1, 0.5, -0.3):  # a float alpha takes the mpf path
+        for alpha in (0, 1, 0.5, -0.3):  # a float alpha is read as its exact value
             for nu in (1, 2, 3):
                 assert lupas_derivative_identity_check(n, alpha, nu, p) <= 1e-9
 
@@ -231,7 +231,7 @@ def test_gavrea_image_matches_its_definition():
 
 def test_gavrea_image_of_the_zero_generator():
     # P = 0 has no content to divide by; its image is 0 for exact moments,
-    # mpf moments and a quadrature read alike
+    # exp's moments and a quadrature read alike
     zero = Polynomial.monomial([0])
     for f in (monomial(2), ExpFunction(), lambda x: np.exp(x)):
         assert gavrea_image(zero, f).to_monomial().coeffs == (0,)
@@ -307,7 +307,7 @@ def _grid_values(p: Polynomial, points: int = 1025) -> np.ndarray:
 
 
 def test_durrmeyer_images_of_exp_moments():
-    # n = 100: turning exp's mpf moments into Bernstein moments amplifies
+    # n = 100: turning exp's moments into Bernstein moments amplifies
     # their rounding by up to 3^98, which the read-out's 2d extra bits absorb
     for image in (genuine_durrmeyer_image, durrmeyer_image):
         by_moments = image(100, ExpFunction()).coeffs

@@ -88,7 +88,7 @@ def test_catalog_functions_declared_orders():
 
 
 def test_float_backend_polynomial():
-    p = Polynomial.monomial([0, 0, mpmath.mpf(1)])  # x^2, mpf backend
+    p = Polynomial.monomial([0, 0, mpmath.mpf(1)])  # x^2, read exactly from an mpf
     assert check_k_monotone_poly(p, 2).passed
     assert check_k_monotone_poly(p, 1).passed
 

@@ -1,5 +1,6 @@
 """Chebyshev polynomials, the clipped factor tau_m, and ultraspherical
 polynomials."""
+import math
 from fractions import Fraction
 from math import comb
 
@@ -17,9 +18,10 @@ from shapeapprox import (
     ultraspherical_phi,
 )
 
+from shapeapprox.generator import PRECISION_BITS
 from shapeapprox.special import shifted_jacobi
 
-from oracles import compose, fractions
+from oracles import compose, fractions, tau_reference
 
 
 def test_pochhammer_values():
@@ -47,17 +49,30 @@ def test_chebyshev_T_cos_identity():
 
 
 def test_tau_division_and_scaling():
-    with mpmath.workprec(256):
-        for m in (2, 5, 12):
-            t = tau(m)
-            assert abs(t.x_tilde - mpmath.cos(mpmath.pi / (2 * m))) < mpmath.mpf(2) ** -200
-            assert abs(t.len_I1 - 2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2) < mpmath.mpf(2) ** -200
-            # tau(x) * (x - x_tilde) == |I_1| * T_m(x) at a test point
-            x = mpmath.mpf(1) / 3
-            lhs = t.poly(x) * (x - t.x_tilde)
-            rhs = t.len_I1 * chebyshev_T(m)(x)
-            assert abs(lhs - rhs) < mpmath.mpf(2) ** -180
-            assert t.poly.degree == m - 1
+    for m in (2, 5, 12):
+        t = tau(m)
+        with mpmath.workprec(256):
+            assert abs(mpmath.cos(mpmath.pi / (2 * m)) - t.x_tilde) < mpmath.mpf(2) ** -200
+            assert abs(2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2 - t.len_I1) < mpmath.mpf(2) ** -200
+        # tau(x) * (x - x_tilde) == |I_1| * T_m(x) at a test point
+        x = Fraction(1, 3)
+        lhs = t.poly(x) * (x - t.x_tilde)
+        rhs = t.len_I1 * chebyshev_T(m)(x)
+        assert abs(lhs - rhs) < Fraction(1, 2**180)
+        assert t.poly.degree == m - 1
+
+
+def test_tau_matches_the_mpf_reference_bit_for_bit():
+    # every (m, bits) that build_generator asks for at r = 1..3 and n <= 2050,
+    # and the default 256 bits: the integer tau rounds as the mpmath one did
+    pairs = {(m, 256) for m in (2, 5, 12)}
+    for r in (1, 2, 3):
+        for n in range(8 * r + 1, 2051):
+            m = math.ceil(n / (8 * r))
+            pairs.add((m, PRECISION_BITS + 2 * 4 * r * (m - 1) + 64))
+    assert len(pairs) == 472
+    for m, bits in sorted(pairs):
+        assert tau(m, bits) == tau_reference(m, bits), (m, bits)
 
 
 def test_tau_requires_m_at_least_2():
@@ -115,8 +130,9 @@ def test_lupas_product_identity_exact():
 
 
 def test_lupas_product_identity_float_alpha():
-    # a float alpha takes the mpf path, with rational or float points
+    # a float alpha, and float points, are read as their exact values, so
+    # the identity holds exactly
     for n in (1, 3, 6):
         for alpha in (0.5, -0.3):
             for x, t in ((Fraction(1, 3), Fraction(1, 4)), (0.9, 0.35), (Fraction(7, 10), 0.05)):
-                assert abs(lupas_product_identity_check(n, alpha, x, t)) <= 1e-10
+                assert lupas_product_identity_check(n, alpha, x, t) == 0
