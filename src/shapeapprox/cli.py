@@ -19,7 +19,7 @@ from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
 from .errors import RegimeError, ShapeApproxError
 from .experiments import ExperimentTable
-from .functions import PolyFunction, catalog
+from .functions import PolyFunction, _parameter, catalog
 from .generator import PRECISION_BITS, build_generator
 from .moduli import omega_dt
 from .operators import (
@@ -182,7 +182,11 @@ def _cmd_jackson(args) -> int:
 
 
 def _cmd_bern_xeps(args) -> int:
-    table = experiments.run_bernstein_xeps(args.eps, _number_list(args.n_list, "--n-list", int))
+    try:
+        eps = _parameter(args.eps)  # exactly, as a catalog parameter
+    except ValueError as exc:
+        raise ShapeApproxError(f"--eps: {exc}") from None
+    table = experiments.run_bernstein_xeps(eps, _number_list(args.n_list, "--n-list", int))
     return _emit(table, args.out)
 
 
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bern-xeps", help="Bernstein errors for x^eps")
     common(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", required=True)
     p.add_argument("--n-list", required=True, dest="n_list")
     p.set_defaults(fn=_cmd_bern_xeps)
 

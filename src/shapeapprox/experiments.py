@@ -75,13 +75,16 @@ def _bounded_ratio(values, factor=10.0) -> bool:
 
 
 # ----------------------------------------------------------------------
-def run_bernstein_xeps(eps: float, n_list) -> ExperimentTable:
+def run_bernstein_xeps(eps, n_list) -> ExperimentTable:
     """Midpoint Bernstein errors for x^eps: the Voronovskaya product
     n*(f - B_n f)(1/2), the interior envelope n^-1 phi^(2 eps - 2)(1/2), and
-    the near-endpoint error at x = 1/n^2 against (n^-1/2 phi(x))^eps."""
+    the near-endpoint error at x = 1/n^2 against (n^-1/2 phi(x))^eps. An
+    exact eps (a Fraction) is checked and read exactly, and enters the
+    envelopes as its float."""
     if not 0 < eps < 1:
         raise RegimeError("eps must be in (0,1)")
     f = PowerFunction(eps)
+    eps = float(eps)
     ns = [int(n) for n in n_list]
     if any(n < 1 for n in ns):
         raise RegimeError("n must be >= 1")

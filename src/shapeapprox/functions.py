@@ -1,11 +1,13 @@
 """Catalog of test functions on [0,1].
 
-Each handle is callable on floats and numpy arrays.  Handles that support the
-exact operator path also provide ``monomial_moments(imax)``, the integrals
-``int_0^1 t^i f(t) dt`` for i = 0..imax, and ``moment_read``, which gives
-those moments with f(0) and f(1) as integers over one denominator: exact, or
-for exp, whose moments are irrational, within 2^-bits of the true values.
-Handles declare the k-monotonicity orders they are known to satisfy.
+Each handle is callable on floats and numpy arrays.  Every catalog handle
+provides ``moment_read``, the integrals ``int_0^1 t^i f(t) dt`` for
+i = 0..d with f(0) and f(1) as integers over one denominator: exact for
+polynomials, x^eps and the truncated power, and within 2^-bits for exp and
+ln(x + eps), whose moments are irrational and are formed in fixed point.
+Those with rational moments also give them as Fractions,
+``monomial_moments(imax)``.  Handles declare the k-monotonicity orders they
+are known to satisfy.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
-from .polynomial import Polynomial, _rational
+from .polynomial import Polynomial, _lowest, _rational
+from .special import _log_fixed
 
 
 class FunctionHandle:
@@ -123,10 +126,11 @@ class ExpFunction(FunctionHandle):
 
 
 class PowerFunction(FunctionHandle):
-    """x^eps with 0 < eps < 1; nonnegative and nondecreasing (k <= 1)."""
+    """x^eps with 0 < eps < 1, a float read as its exact value; nonnegative
+    and nondecreasing (k <= 1)."""
 
     def __init__(self, eps):
-        self.eps = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**12)
+        self.eps = Fraction(eps)
         self.name = f"x^{float(self.eps):g}"
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0,1)")
@@ -140,15 +144,24 @@ class PowerFunction(FunctionHandle):
     def monomial_moments(self, imax: int):
         return [Fraction(1) / (i + self.eps + 1) for i in range(imax + 1)]
 
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        """0, m_0..m_d, 1 with m_i = v/((i+1)v + u) for eps = u/v, over the
+        lcm L of those denominators, which leaves the integers coprime."""
+        u, v = self.eps.as_integer_ratio()
+        dens = [(i + 1) * v + u for i in range(d + 1)]
+        L = math.lcm(*dens)
+        return [0, *(v * (L // q) for q in dens), L], L
+
 
 class TruncatedPowerFunction(FunctionHandle):
-    """(x - a)_+^p for rational a in (0,1) and integer p >= 1.
+    """(x - a)_+^p for a in (0,1), a float read as its exact value, and
+    integer p >= 1.
 
     k-monotone for every k <= p + 1.
     """
 
     def __init__(self, a, p: int):
-        self.a = Fraction(a).limit_denominator(10**9) if isinstance(a, float) else Fraction(a)
+        self.a = Fraction(a)
         self.p = int(p)
         if not 0 < self.a < 1:
             raise ValueError("a must be in (0,1)")
@@ -176,21 +189,63 @@ class TruncatedPowerFunction(FunctionHandle):
             out.append((top + i * a * out[-1]) / (p + 1 + i))
         return out
 
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        """0, m_0..m_d, (1-a)^p in lowest terms, by the recurrence of
+        ``monomial_moments`` on the integers m_i den: a = u/v and
+        den = v^(p+1+d) (p+1)...(p+1+d) make every m_i den and a m_i den
+        with i < d an integer, so each division is exact."""
+        u, v = self.a.as_integer_ratio()
+        p = self.p
+        den = v ** (p + 1 + d) * math.prod(range(p + 1, p + 2 + d))
+        top = (v - u) ** (p + 1) * (den // v ** (p + 1))  # (1-a)^(p+1) den
+        num = [top // (p + 1)]
+        for i in range(1, d + 1):
+            num.append((top + i * u * num[-1] // v) // (p + 1 + i))
+        return _lowest([0, *num, top * v // (v - u)], den)
+
 
 class LogShiftFunction(FunctionHandle):
-    """ln(x + eps); the lambda=2 counterexample family."""
+    """ln(x + eps) for eps > 0, a float read as its exact value and sampled
+    at float(eps); the lambda=2 counterexample family."""
 
-    def __init__(self, eps: float):
-        self.eps = float(eps)
+    exact_moments = False
+
+    def __init__(self, eps):
+        self.eps = Fraction(eps)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.name = f"ln(x+{self.eps:g})"
+        self.name = f"ln(x+{float(self.eps):g})"
         self.known_monotone_orders = frozenset({1})
 
     def __call__(self, x):
         if isinstance(x, Fraction):
-            return float(np.log(float(x) + self.eps))
-        return np.log(np.asarray(x, dtype=float) + self.eps)
+            return float(np.log(float(x) + float(self.eps)))
+        return np.log(np.asarray(x, dtype=float) + float(self.eps))
+
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        """ln eps, J_0..J_d and ln(1+eps) over 2^w, within 2^-bits, for
+        J_i = int_0^1 t^i ln(t+eps) dt = (ln(1+eps) - K_(i+1))/(i+1) (by
+        parts), K_m = int_0^1 t^m/(t+eps) dt, K_0 = ln(1+eps) - ln eps and
+        K_m = 1/m - eps K_(m-1).
+
+        In w-bit fixed point each ln is within (T+1)(w+8) units
+        (``special._log_fixed``, T bounding |log2| of eps and 1+eps) and
+        each step adds two floors, one unit each, to eps times the error
+        before it: the error stays below eps^(d+1) (3(T+1)(w+8) + 2d + 3)
+        units when eps > 1, and without the eps^(d+1) factor otherwise.
+        So w = bits plus ``grow`` >= log2 eps^(d+1) plus the bit length of
+        the rest, with w + 8 taken as at most bits + grow + 72."""
+        u, v = self.eps.as_integer_ratio()
+        grow = (d + 1) * (u.bit_length() - v.bit_length() + 1) if u > v else 0
+        T = max(u.bit_length(), v.bit_length()) + 1
+        w = bits + grow
+        w += (3 * (T + 1) * (w + 72) + 2 * d + 3).bit_length()
+        ln1, ln0 = _log_fixed(1 + self.eps, w), _log_fixed(self.eps, w)
+        one, K, out = 1 << w, ln1 - ln0, []
+        for m in range(1, d + 2):
+            K = one // m - u * K // v
+            out.append((ln1 - K) // m)
+        return [ln0, *out, ln1], one
 
 
 def monomial(i: int) -> PolyFunction:

@@ -102,15 +102,17 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
 
     A function with moments gives f(0), m_0..m_d and f(1) over one
     denominator (``FunctionHandle.moment_read``): a polynomial exactly from
-    its ``integer_form``, others exactly or, for exp, within 2^-bits. The
+    its ``integer_form``, others exactly or, for exp and ln(x + eps),
+    within 2^-bits. The
     images rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
     g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
     than 3^d, so inexact moments are asked for at bits = PRECISION_BITS plus
     2d, plus ``gain`` for a caller whose weights sum to 2^gain in size.
-    Any other f is integrated by one Gauss-Legendre rule of order
-    max(64, d+4) into float64 values b_i = int_0^1 p_{d,i} f =
-    C(d,i) g_{i,d-i}, whose exact values give the moments m_i = g_{i,0} by
-    the additive triangle g_{i,j} = g_{i,j+1} + g_{i+1,j}.
+    Every catalog function has moments. Any other f, a plain callable, is
+    integrated by one Gauss-Legendre rule of order max(64, d+4) into
+    float64 values b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, whose exact
+    values give the moments m_i = g_{i,0} by the additive triangle
+    g_{i,j} = g_{i,j+1} + g_{i+1,j}.
     """
     f = _as_handle(f)
     try:
@@ -358,39 +360,32 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
       divided by their content, a'_k, over A Q M for P's denominator A, the
       reading's Q and the least M that makes every a'_k M/(k+1) an integer
       (a few bits for the built generators); the content multiplies the
-      d+3 results.
+      d+3 results.  These O(d) integers depend on P alone, so they are
+      formed once per generator (``_h_weights``) and shared by every f
+      sent through it.
 
     For e near d the eigenbasis costs more than the loop it replaces (at
     d = 253, e = 189 it took 309 ms against 227 ms on a 2-vCPU x86-64
     machine), so the route is chosen by e and d alone.
     """
-    form = gen_poly.integer_form  # a_k = num_k / A = content a'_k / A
-    A = form.den
-    d = form.degree
-    D = d + 2  # the degree of the image of a general f
-    fact = list(accumulate(range(1, D + 1), mul, initial=1))
+    form = gen_poly.integer_form
+    D = form.degree + 2  # the degree of the image of a general f
     f = _as_handle(f)
     # H f has f's degree; rounded at degree D it would gain noise above it
     e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
     if 2 * e <= D:
         return _rounded_bernstein(*_eigenbasis_sum(form, f.poly.integer_form), e)
-    content = math.gcd(*form.num) or 1  # 1 for the zero P
-    a = [x // content for x in form.num]
-    M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
-    # gain = floor(sum_k |a_k|/(k+1)), in integers
-    gain = content * sum(abs(x) * M // (k + 1) for k, x in enumerate(a)) // (A * M)
-    r = _read_out(f, d, gain.bit_length())
+    h = _h_weights(form)
+    r = _read_out(f, form.degree, h.gain)
     v0, *moments, v1 = r.num  # over Q = r.den
     # everything below is over Z = A Q M / content
     acc, row = [0, 0], []
     pascal = [[1], [1, 1], [1, 2, 1]]  # rows k, k+1 and k+2
-    for k, ak in enumerate(a):
+    for k, (alpha, ends) in enumerate(zip(h.alpha, h.ends)):
         new = [moments[k]]
         for x in reversed(row):  # g_{i,k-i} = g_{i,k-1-i} - g_{i+1,k-1-i}
             new.append(x - new[-1])
         row = new[::-1]
-        alpha = ak * M
-        ends = alpha // (k + 1)
         term = [ends * v0]
         # C(k+2, i+1) C(k, i) g_{i,k-i}
         term += [alpha * (c2 * c0 * g) for c2, c0, g in zip(pascal[2][1:], pascal[0], row)]
@@ -399,10 +394,41 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
         top = pascal[2]
         pascal = [pascal[1], top, [1, *map(add, top, top[1:]), 1]]
     # sum_j acc_j x^j (1-x)^(D-j) = sum_j acc_j j! (D-j)!/D! p_{D,j}, times the content
-    bern = [content * c * fact[j] * fact[D - j] for j, c in enumerate(acc)]
+    bern = list(map(mul, h.scale, acc))
     if e < D:
-        return _rounded_bernstein(_monomial_integers(bern), A * r.den * M * fact[D], e)
-    return _bernstein(bern, A * r.den * M * fact[D], False)
+        return _rounded_bernstein(_monomial_integers(bern), h.den * r.den, e)
+    return _bernstein(bern, h.den * r.den, False)
+
+
+@dataclass(frozen=True)
+class _HWeights:
+    """What H's loop takes from P = sum_k num_k/A x^k of degree d = D - 2
+    alone, with content the gcd of the num_k, a'_k = num_k/content and M
+    the least integer that makes every a'_k M/(k+1) one: the weights
+    a'_k M, the end weights a'_k M/(k+1), the bit length of
+    floor(sum_k |a_k|/(k+1)), the scales content j!(D-j)! and the
+    denominator A M D!.  O(d) integers."""
+
+    alpha: tuple
+    ends: tuple
+    gain: int
+    scale: tuple
+    den: int
+
+
+@lru_cache(maxsize=16)
+def _h_weights(form: IntegerForm) -> _HWeights:
+    """``_HWeights`` of P's integer form, formed once per generator."""
+    A, D = form.den, form.degree + 2
+    content = math.gcd(*form.num) or 1  # 1 for the zero P
+    a = [x // content for x in form.num]
+    M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
+    alpha = tuple(x * M for x in a)
+    ends = tuple(x // (k + 1) for k, x in enumerate(alpha))
+    gain = content * sum(map(abs, ends)) // (A * M)
+    fact = list(accumulate(range(1, D + 1), mul, initial=1))
+    scale = tuple(content * fact[j] * fact[D - j] for j in range(D + 1))
+    return _HWeights(alpha, ends, gain.bit_length(), scale, A * M * fact[D])
 
 
 def _rounded_bernstein(num: list, den: int, e: int) -> Polynomial:

@@ -86,12 +86,19 @@ def _round_div(x: int, den: int, e: int) -> int:
 def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
     """The values num[j]/den, den > 0, rounded to the nearest multiples of the
     one power of two 2^e that keeps `bits` bits of the largest: the
-    integers c[j] ~ num[j]/den 2^-e and e. For one value, c 2^e is
+    integers c[j] ~ num[j]/den 2^-e and e. e comes from the bit lengths
+    and one comparison, so the largest is divided once to check it, and a
+    single value is not divided again. For one value, c 2^e is
     from_rational(num[0], den, bits, round_nearest) bit for bit."""
     top = max(map(abs, num))
-    e = top.bit_length() - den.bit_length() - bits
-    if _round_div(top, den, e).bit_length() > bits:
+    shift = top.bit_length() - den.bit_length()  # top/den lies in [2^(shift-1), 2^(shift+1))
+    high = (top >= den << shift) if shift >= 0 else (top << -shift >= den)
+    e = shift - bits + high
+    c = _round_div(top, den, e)
+    if not high and c.bit_length() > bits:  # rounded up to 2^bits
         e += 1
+    elif len(num) == 1:  # ties go to even either side of 0, so -x gives -c
+        return [c if num[0] >= 0 else -c], e
     return [_round_div(x, den, e) for x in num], e
 
 

@@ -68,16 +68,22 @@ def _atan(z: int, w: int, hyperbolic: bool = False) -> int:
     return total if z >= 0 else -total
 
 
-def _log(v: Fraction) -> float:
-    """ln v for a rational v > 0, within about 2^-120, rounded once to a
-    float: correctly rounded unless |ln v| is below about 2^-60 or that
-    close to a tie. ln v = t ln 2 + 2 atanh(z), z = (y-1)/(y+1) for
-    y = v 2^-t in (1/2, 2), with ln 2 = 2 atanh(1/3), in 128-bit fixed
-    point."""
-    w, t = 128, v.numerator.bit_length() - v.denominator.bit_length()
+def _log_fixed(v: Fraction, w: int) -> int:
+    """ln v 2^w for a rational v > 0, in w-bit fixed point, within
+    (|t| + 1)(w + 8) units for the t below: ln v = t ln 2 + 2 atanh(z),
+    z = (y-1)/(y+1) for y = v 2^-t in (1/2, 2), with ln 2 = 2 atanh(1/3),
+    each atanh by ``_atan``."""
+    t = v.numerator.bit_length() - v.denominator.bit_length()
     a, b = (v.numerator, v.denominator << t) if t >= 0 else (v.numerator << -t, v.denominator)
     z = ((a - b) << w) // (a + b)
-    return float(Fraction(2 * t * _atan((1 << w) // 3, w, True) + 2 * _atan(z, w, True), 1 << w))
+    return 2 * t * _atan((1 << w) // 3, w, True) + 2 * _atan(z, w, True)
+
+
+def _log(v: Fraction) -> float:
+    """ln v for a rational v > 0, within about 2^-120, rounded once to a
+    float: ``_log_fixed`` at 128 bits, correctly rounded unless |ln v| is
+    below about 2^-60 or that close to a tie."""
+    return float(Fraction(_log_fixed(v, 128), 1 << 128))
 
 
 def tau(m: int, prec_bits: int = 256) -> TauPoly:

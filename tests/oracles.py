@@ -15,7 +15,7 @@ from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
-from shapeapprox.functions import ExpFunction, PolyFunction
+from shapeapprox.functions import ExpFunction, LogShiftFunction, PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
@@ -193,6 +193,33 @@ class MpfExp(ExpFunction):
         with mpmath.workprec(bits):
             e = exact(mpmath.exp(mpmath.mpf(1)))
         vals = [Fraction(1), *exp_moments_reference(d, bits), e]
+        den = math.lcm(*(v.denominator for v in vals))
+        return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def logeps_moments_reference(eps: Fraction, imax: int, bits: int) -> list:
+    """ln eps, int_0^1 t^i ln(t + eps) dt for i <= imax and ln(1 + eps) in
+    mpmath: by parts, J_i = (ln(1+eps) - K_(i+1))/(i+1) with K_m =
+    int_0^1 t^m/(t+eps) dt, K_0 = ln((1+eps)/eps) and K_m = 1/m - eps
+    K_(m-1), at bits + 64 bits plus the log2 eps^(imax+1) the recurrence
+    loses for eps > 1; the exact values of the mpf results."""
+    prec = bits + 64 + (imax + 1) * max(0, math.ceil(math.log2(eps)))
+    with mpmath.workprec(prec):
+        e = mpmath.mpf(eps.numerator) / eps.denominator
+        top = mpmath.log(1 + e)
+        K, out = top - mpmath.log(e), [mpmath.log(e)]
+        for m in range(1, imax + 2):
+            K = mpmath.mpf(1) / m - e * K
+            out.append((top - K) / m)
+        out.append(top)
+    return [exact(v) for v in out]
+
+
+class MpfLogShift(LogShiftFunction):
+    """ln(x + eps) read from ``logeps_moments_reference``."""
+
+    def moment_read(self, d: int, bits: int) -> tuple[list, int]:
+        vals = logeps_moments_reference(self.eps, d, bits)
         den = math.lcm(*(v.denominator for v in vals))
         return [v.numerator * (den // v.denominator) for v in vals], den
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from shapeapprox import operators
 from shapeapprox.cli import build_parser, main
 from shapeapprox.functions import PolyFunction
 from shapeapprox.moduli import omega_dt
@@ -189,6 +190,10 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["jackson", "--f", "exp", "--q", "1", "--n-list", "0"], "jackson needs every n >= 1"),
         (["shape", "--f", "exp", "--k", "-1"], "k must be >= 0"),
         (["bern-xeps", "--eps", "2", "--n-list", "8"], "eps must be in (0,1)"),
+        (["bern-xeps", "--eps", "0", "--n-list", "8"], "eps must be in (0,1)"),
+        (["bern-xeps", "--eps", "1", "--n-list", "8"], "eps must be in (0,1)"),
+        (["bern-xeps", "--eps", "nan", "--n-list", "8"],
+         "--eps: catalog parameter 'nan' is not finite"),
         (["bern-xeps", "--eps", "0.5", "--n-list", "0"], "n must be >= 1"),
         (["lambda2", "--eps-list", "1e-2,1e-1"], "eps_list must be strictly decreasing"),
         (["shape", "--f", "monomial:-2", "--k", "1"], "monomial degree must be >= 0, not -2"),
@@ -230,6 +235,41 @@ def test_catalog_decimals_near_the_ends_are_read_exactly(spec, tmp_path):
     out = tmp_path / "shape.json"
     assert main(["shape", "--f", spec, "--k", "1", "--out", str(out)]) == 0
     assert json.loads(_read(out))["passed"]
+
+
+@pytest.mark.parametrize("eps", ["1e-13", "0.9999999999999"])
+def test_bern_xeps_reads_eps_exactly(eps, tmp_path, capsys):
+    # snapped through a float's nearest fraction with a bounded denominator,
+    # eps read as 0 or 1 and ended in a ValueError traceback
+    out = tmp_path / "xeps.csv"
+    assert main(["bern-xeps", "--eps", eps, "--n-list", "64", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    line = next(l for l in _read(out).splitlines() if l.startswith("# config: "))
+    assert json.loads(line[len("# config: "):])["eps"] == float(eps)
+
+
+def test_readme_cli_catalog_inputs_take_no_quadrature_read(monkeypatch, tmp_path):
+    # every catalog function has moments, so the README's commands, the CI
+    # commands that read f and the logeps images never reach the
+    # Gauss-Legendre read of a plain callable
+    def no_quadrature(order):
+        raise AssertionError(f"Gauss-Legendre read of order {order}")
+
+    monkeypatch.setattr(operators, "_gauss_legendre", no_quadrature)
+    commands = _readme_commands() + [
+        ["apply", "--op", "genuine-durrmeyer", "--n", "40", "--f", "logeps:1e-4"],
+        ["apply", "--op", "mn", "--q", "1", "--n", "200", "--f", "xeps:0.5"],
+        ["apply", "--op", "genuine-durrmeyer", "--n", "300", "--f", "xeps:0.5"],
+        ["mn-study", "--q", "1", "--f", "xeps:0.5", "--n-list", "128,400", "--out", "mn400.csv"],
+        ["apply", "--op", "durrmeyer", "--n", "40", "--f", "logeps:1e-4"],
+        ["mn-study", "--q", "1", "--f", "logeps:1e-4", "--n-list", "64,124"],
+        ["mn-study", "--q", "2", "--f", "truncpow:0.5:3", "--n-list", "40"],
+    ]
+    for argv in commands:
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        assert main(argv) == 0, argv
+    with pytest.raises(AssertionError, match="Gauss-Legendre"):
+        operators.genuine_durrmeyer_image(40, lambda x: x)
 
 
 def test_mn_study_logeps_large_n(tmp_path):

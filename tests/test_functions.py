@@ -1,4 +1,5 @@
 """Function handles and the named catalog."""
+import math
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from shapeapprox import durrmeyer_image, functions, genuine_durrmeyer_image
 from shapeapprox.generator import PRECISION_BITS
 from shapeapprox.polynomial import bernstein_basis
 
-from oracles import MpfExp, exact, exp_moments_reference, fractions
+from oracles import MpfExp, exact, exp_moments_reference, fractions, logeps_moments_reference
 
 
 def test_exp_moments_downward_recurrence():
@@ -159,6 +160,54 @@ def test_poly_function_samples_do_not_depend_on_batch_or_threads():
 def test_log_shift():
     f = LogShiftFunction(1e-2)
     assert float(f(0.0)) == pytest.approx(np.log(1e-2))
+    # eps is kept exact and sampled as its float
+    g = catalog("logeps:1e-4")
+    xs = np.linspace(0, 1, 9)
+    assert g.eps == Fraction(1, 10**4) and LogShiftFunction(1e-4).eps == Fraction(1e-4)
+    assert np.array_equal(g(xs), np.log(xs + 1e-4))
+    assert g(Fraction(1, 3)) == float(np.log(1 / 3 + 1e-4))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**4), Fraction(1, 3), Fraction(1), Fraction(3)])
+@pytest.mark.parametrize("d, gain", [(0, 0), (22, 0), (200, 40), (1024, 0)])
+def test_log_shift_integer_moments_are_within_the_bits_asked_for(eps, d, gain):
+    # the fixed-point recurrence stays within 2^-bits of mpmath's at more
+    # bits, also for eps > 1, where the recurrence loses eps^i
+    bits = PRECISION_BITS + 2 * d + gain
+    num, den = LogShiftFunction(eps).moment_read(d, bits)
+    want = logeps_moments_reference(eps, d, bits)
+    assert len(num) == len(want) == d + 3
+    assert max(abs(Fraction(x, den) - y) for x, y in zip(num, want)) <= Fraction(1, 2**bits)
+    assert LogShiftFunction.exact_moments is False
+
+
+def test_log_shift_moments_are_the_integrals():
+    # the reference's recurrence against its closed form and quadrature
+    for eps in (Fraction(1, 10**4), Fraction(1, 3), Fraction(3)):
+        ln0, *moments, ln1 = logeps_moments_reference(eps, 6, 200)
+        with mpmath.workprec(200):
+            e = mpmath.mpf(eps.numerator) / eps.denominator
+            assert abs(ln0 - exact(mpmath.log(e))) < Fraction(1, 2**190)
+            assert abs(ln1 - exact(mpmath.log(1 + e))) < Fraction(1, 2**190)
+            m0 = (1 + e) * mpmath.log(1 + e) - e * mpmath.log(e) - 1
+            assert abs(moments[0] - exact(m0)) < Fraction(1, 2**190)
+        with mpmath.workdps(40):
+            for i in (1, 2, 6):
+                quad = mpmath.quad(lambda t: t**i * mpmath.log(t + e), [0, e, 1])
+                assert abs(moments[i] - exact(quad)) < Fraction(1, 10**30), (eps, i)
+
+
+def test_truncpow_and_xeps_integer_reads_are_the_exact_moments():
+    # the integer recurrences give the Fractions of monomial_moments, in
+    # lowest terms over one denominator
+    for f in (catalog("truncpow:0.3:1"), catalog("truncpow:0.6:2"),
+              TruncatedPowerFunction(Fraction(7, 9), 5), catalog("xeps:0.5"),
+              catalog("xeps:1e-13"), PowerFunction(Fraction(2, 3))):
+        for d in (0, 1, 40):
+            num, den = f.moment_read(d, 0)
+            want = [f(Fraction(0)), *f.monomial_moments(d), f(Fraction(1))]
+            assert [Fraction(x, den) for x in num] == want, (f, d)
+            assert math.gcd(den, *num) == 1
 
 
 def test_catalog_reads_decimal_parameters_exactly():
@@ -168,7 +217,7 @@ def test_catalog_reads_decimal_parameters_exactly():
     assert catalog("xeps:0.9999999999999").eps == 1 - Fraction(1, 10**13)
     assert catalog("truncpow:1e-10:2").a == Fraction(1, 10**10)
     assert catalog("xeps:0.3").eps == Fraction(3, 10)
-    assert catalog("logeps:1e-4").eps == 1e-4
+    assert catalog("logeps:1e-4").eps == Fraction(1, 10**4)
     for text in ("nan", "inf", "-inf", "1e400"):
         with pytest.raises(ValueError, match="is not finite"):
             catalog(f"logeps:{text}")

@@ -34,11 +34,12 @@ from shapeapprox import (
     q_monotone_catalog,
 )
 from shapeapprox.functions import TruncatedPowerFunction
-from shapeapprox.operators import _gauss_jacobi, _gauss_legendre
+from shapeapprox.operators import _gauss_jacobi, _gauss_legendre, _h_weights
 from shapeapprox.polynomial import bernstein_basis
 from shapeapprox.special import shifted_jacobi
 
 from oracles import (
+    MpfLogShift,
     bernstein_coeffs,
     durrmeyer_reference,
     fractions,
@@ -290,7 +291,7 @@ def test_quadrature_read_out_builds_each_rule_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda order: calls.append(order) or leggauss(order))
     _gauss_legendre.cache_clear()
-    f = catalog("logeps:1e-4")
+    f = lambda x: np.log(x + 1e-4)  # a plain callable: no moments
     first, second = (genuine_durrmeyer_image(40, f) for _ in range(2))
     assert first == second and calls == [64]
     assert mn_image(1, 200, f).poly == mn_image(1, 200, f).poly
@@ -313,6 +314,34 @@ def test_durrmeyer_images_of_exp_moments():
         by_moments = image(100, ExpFunction()).coeffs
         by_quadrature = image(100, lambda x: np.exp(x)).coeffs
         assert max(abs(float(a - b)) for a, b in zip(by_moments, by_quadrature)) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 402])
+def test_mn_image_of_logeps_is_the_image_of_its_mpmath_moments(n):
+    # the fixed-point moments of ln(x + 1e-4) give the image of moments
+    # read in mpmath (the Gauss-Legendre read was 9e-4 off at n = 64)
+    f = catalog("logeps:1e-4")
+    res = mn_image(1, n, f)
+    want = gavrea_image(res.generator.P, MpfLogShift(f.eps))
+    assert res.poly.degree == want.degree == res.generator.P.degree + 2
+    assert max(abs(a - b) for a, b in zip(res.poly.coeffs, want.coeffs)) <= Fraction(1, 10**12)
+
+
+def test_h_weights_are_formed_once_per_generator():
+    # a batch of non-polynomial inputs on one P forms H's P-dependent
+    # integers once; the images are those of fresh forms
+    P = build_generator(70, 1).P
+    batch = (ExpFunction(), catalog("truncpow:0.3:1"), catalog("xeps:0.5"), catalog("logeps:1e-4"))
+    _h_weights.cache_clear()
+    images = [gavrea_image(P, f) for f in batch]
+    info = _h_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    weights = _h_weights(P.integer_form)
+    assert len(weights.alpha) == len(weights.ends) == P.degree + 1
+    assert len(weights.scale) == P.degree + 3
+    for f, image in zip(batch, images):
+        _h_weights.cache_clear()
+        assert gavrea_image(P, f) == image == gavrea_reference(P, f)
 
 
 def test_mn_image_quadrature_and_moment_reads_agree():

@@ -19,7 +19,7 @@ from shapeapprox import (
 )
 
 from shapeapprox.generator import PRECISION_BITS
-from shapeapprox.special import shifted_jacobi
+from shapeapprox.special import _log_fixed, shifted_jacobi
 
 from oracles import compose, fractions, tau_reference
 
@@ -136,3 +136,15 @@ def test_lupas_product_identity_float_alpha():
         for alpha in (0.5, -0.3):
             for x, t in ((Fraction(1, 3), Fraction(1, 4)), (0.9, 0.35), (Fraction(7, 10), 0.05)):
                 assert lupas_product_identity_check(n, alpha, x, t) == 0
+
+
+@pytest.mark.parametrize("w", [64, 300, 2400])
+def test_log_fixed_point_is_within_its_bound(w):
+    # ln v 2^w within (|t| + 1)(w + 8) units, t the bit-length gap of v
+    for v in (Fraction(1, 10**4), Fraction(10001, 10**4), Fraction(1, 3), Fraction(4, 3),
+              Fraction(1), Fraction(3), Fraction(2**80 + 1, 7), Fraction(1, 10**13)):
+        t = abs(v.numerator.bit_length() - v.denominator.bit_length())
+        with mpmath.workprec(w + 64):
+            want = mpmath.log(mpmath.mpf(v.numerator) / v.denominator) * mpmath.mpf(2) ** w
+            assert abs(_log_fixed(v, w) - want) <= (t + 1) * (w + 8), v
+
