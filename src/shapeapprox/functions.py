@@ -293,6 +293,21 @@ def _parameter(text: str) -> Fraction:
     return _fraction(text)
 
 
+def _spells_number(text: str, integer: bool) -> bool:
+    """Whether text is an integer literal or, unless ``integer``, a float or
+    Fraction literal (nan, inf and a zero denominator included: those have
+    errors of their own)."""
+    for read in (int,) if integer else (float, Fraction):
+        try:
+            read(text)
+            return True
+        except ZeroDivisionError:
+            return True
+        except ValueError:
+            pass
+    return False
+
+
 def catalog(name: str, **params) -> FunctionHandle:
     """Build a handle from a CLI-style name such as ``exp``, ``xeps:0.5``,
     ``truncpow:0.5:3``, ``logeps:1e-4``, ``monomial:3`` or ``linear:1:2``."""
@@ -303,6 +318,11 @@ def catalog(name: str, **params) -> FunctionHandle:
     form = _CATALOG_FORMS[kind]
     if len(parts) != form.count(":") + 1:
         raise ValueError(f"catalog function {name!r} is not of the form {form}")
+    for field, text in zip(form.split(":")[1:], parts[1:]):
+        integer = field in ("<p>", "<k>")
+        if not _spells_number(text, integer):
+            raise ValueError(f"catalog function {name!r}: {field[1:-1]} = {text!r} is not "
+                             + ("an integer" if integer else "a number"))
     if kind == "exp":
         return ExpFunction()
     if kind == "xeps":

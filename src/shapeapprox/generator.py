@@ -44,8 +44,8 @@ class GeneratorPoly:
     lambda_n: Fraction  # lambda~ = L kappa~, exactly the scale P carries
     P: Polynomial  # exactly lambda_n (r-1)! int^r S^2, over one power of two
     moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P, a dyadic Fraction
-    # bits each product of tau's power, kappa and each deficiency are
-    # rounded to: PRECISION_BITS plus guard bits for deg Q
+    # bits tau, each product of tau's power, kappa and each deficiency are
+    # rounded to: PRECISION_BITS plus the guard bits for tau's growth
     precision_bits: int
     unit_integral_residual: float  # |int P - 1|, exact, rounded once
 
@@ -83,12 +83,33 @@ def _kronecker_mul(a: list, b: list) -> list:
     return out
 
 
+def _square(c: list) -> list:
+    """c(x)^2 for integer coefficients c (ascending), exactly, as t^2 + 2t x A
+    + x^2 A^2 with c = t + x A, and A^2 formed from A's integers with the
+    trailing zeros they share shifted out. For odd m, tau's constant
+    coefficient is a rounding residue (T_m(0) = 0) about 2^-bits below the
+    others, and over its denominator every other integer carries that many
+    zero bits: squaring c whole would double every slot."""
+    t, rest = c[0], c[1:]
+    shared = 0
+    for v in rest:
+        shared |= v
+    z = (shared & -shared).bit_length() - 1 if shared else 0
+    out = [t * t, *(2 * t * v for v in rest)] + [0] * len(rest)
+    if rest:
+        narrow = [v >> z for v in rest]
+        for j, v in enumerate(_kronecker_mul(narrow, narrow)):
+            out[j + 2] += v << 2 * z
+    return out
+
+
 def _power(c: list, e: int, k: int, bits: int) -> tuple[list, int]:
     """(sum_j c[j] 2^e x^j)^k by repeated squaring, each product rounded to
     `bits` bits of its largest coefficient."""
 
     def product(a, b):
-        out, shift = _round_to_bits(_kronecker_mul(a[0], b[0]), 1, bits)
+        exact = _square(a[0]) if a is b else _kronecker_mul(a[0], b[0])
+        out, shift = _round_to_bits(exact, 1, bits)
         return out, a[1] + b[1] + shift
 
     base, out = (c, e), None
@@ -99,6 +120,19 @@ def _power(c: list, e: int, k: int, bits: int) -> tuple[list, int]:
         if k:
             base = product(base, base)
     return out
+
+
+def _guard_bits(m: int, r: int) -> int:
+    """Bits S = tau^(2r) may lose on [0,1] to the build's roundings, with 64
+    to spare. Each product of tau's power is rounded relative to its largest
+    monomial coefficient, so S loses at most log2(||s||_1 / S(1)) <=
+    2r log2(||tau||_1 / tau(1)) bits of value (||tau^k||_1 <= ||tau||_1^k),
+    and ||tau||_1 / tau(1) <= ||T_m||_1 = |T_m(i)| <= (1 + sqrt 2)^m, with
+    log2(1 + sqrt 2) < 1.272; each of the deg S + 1 terms of a coefficient
+    may carry one rounding of tau (2m + 1 per coefficient) or of a product
+    (at most 2r)."""
+    count = (2 * m + 1 + 2 * r) * (2 * r * (m - 1) + 1)
+    return -(-2 * r * m * 1272 // 1000) + count.bit_length() + 64
 
 
 @lru_cache(maxsize=64)
@@ -112,7 +146,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
         raise RegimeError(f"construction requires n > 8r (n={n}, r={r})")
     m = math.ceil(n / (8 * r))
     deg_q = 4 * r * (m - 1)
-    work = PRECISION_BITS + 2 * deg_q + 64  # convolution/conversion guard digits
+    work = PRECISION_BITS + _guard_bits(m, r)
     t = tau(m, prec_bits=work)
     tf = t.poly.integer_form  # over a power of two
     s, es = _power(tf.num, 1 - tf.den.bit_length(), 2 * r, work)  # S = sum s_j 2^es x^j

@@ -185,6 +185,13 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["shape", "--f", "xeps:1e400", "--k", "1"], "catalog parameter '1e400' is not finite"),
         (["shape", "--f", "xeps:1/0", "--k", "1"], "catalog parameter '1/0' divides by zero"),
         (["shape", "--f", "linear:1:2/0", "--k", "1"], "catalog parameter '2/0' divides by zero"),
+        # parameters that spell no number name the function and the parameter
+        (["shape", "--f", "xeps:abc", "--k", "1"],
+         "catalog function 'xeps:abc': eps = 'abc' is not a number"),
+        (["shape", "--f", "truncpow:0.5:x", "--k", "1"],
+         "catalog function 'truncpow:0.5:x': p = 'x' is not an integer"),
+        (["shape", "--f", "monomial:x", "--k", "1"],
+         "catalog function 'monomial:x': k = 'x' is not an integer"),
         (["gen-poly", "--n", "20", "--r", "0"], "r must be >= 1"),
         (["jackson", "--f", "exp", "--q", "-1", "--n-list", "8"], "need q >= 0 and n >= 0"),
         (["jackson", "--f", "exp", "--q", "1", "--n-list", "0"], "jackson needs every n >= 1"),

@@ -144,7 +144,7 @@ def test_build_reads_generator_once(monkeypatch):
             monkeypatch.setattr(module, "bernstein_basis", basis)
 
     gen = build_generator.__wrapped__(128, 3)
-    assert gen.precision_bits == 440
+    assert gen.precision_bits == 376
     assert calls["read"] == 0 and calls["basis"] == 0
     assert calls["coefficient"] == 0
 
@@ -175,8 +175,9 @@ def test_build_output_is_pinned_bit_for_bit():
     # a SHA-256 over every GeneratorPoly field of 15 builds: P's exact read,
     # each stored coefficient, lambda_n, each deficiency, the residual and
     # precision_bits. A change to how the build computes must not move a bit;
-    # the keys of the dyadic values are those of the mpfs the build once
-    # stored
+    # a change of its precision re-pins the digest, and
+    # test_generator_is_accurate_to_a_wide_guard is then the guarantee. The
+    # keys of the dyadic values are those of the mpfs the build once stored
     digest = hashlib.sha256()
     for r in (1, 2, 3):
         for n in (8 * r + 1, 64, 130, 257, 439):
@@ -187,14 +188,55 @@ def test_build_output_is_pinned_bit_for_bit():
                       [(mu, _dyadic_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
                       gen.unit_integral_residual.hex(), gen.precision_bits)
             digest.update(repr(record).encode())
-    assert digest.hexdigest() == "9458f8f8c85077ad5467bbb0cd67c6e72a0e40be2840cd27df5101a3a8f9b3ab"
+    assert digest.hexdigest() == "632ef0166c8ac19d3c71d2847f84aec948f61a07918a1591ee907c21d2770eee"
 
 
-@pytest.mark.parametrize("n, r, bits", [(128, 3, 440), (512, 1, 824)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", ["8r+1", 64, 130, 257, 512, 1026])
+def test_generator_is_accurate_to_a_wide_guard(monkeypatch, n, r):
+    # P's values at dyadic points and its deficiencies lie within
+    # 2^-(PRECISION_BITS + 32), relative, of the build with the guard
+    # 4 deg Q + 256, far beyond tau's growth
+    n = 8 * r + 1 if n == "8r+1" else n
+    gen = build_generator.__wrapped__(n, r)
+    monkeypatch.setattr(generator, "_guard_bits", lambda m, r: 4 * 4 * r * (m - 1) + 256)
+    wide = build_generator.__wrapped__(n, r)
+    assert wide.precision_bits > gen.precision_bits
+    tol = Fraction(1, 2 ** (generator.PRECISION_BITS + 32))
+    for x in [Fraction(1, 1024), *(Fraction(k, 16) for k in range(1, 17))]:
+        want = wide.P(x)
+        assert abs(gen.P(x) - want) <= tol * abs(want)
+    for mu in (1, 2, 3, 4):
+        want = wide.moment_deficiency[mu]
+        assert abs(gen.moment_deficiency[mu] - want) <= tol * want
+
+
+def test_guard_covers_tau_growth():
+    # in integers, for every m <= 300: 2r log2(||tau||_1 / tau(1)) is at most
+    # ceil(2rm log2(1 + sqrt 2)), and that at most the guard less its 64
+    # spare bits. (1 + sqrt 2)^(2k) = (3 + 2 sqrt 2)^k = a_k + b_k sqrt 2 lies
+    # in (2 a_k - 1, 2 a_k), as a_k - b_k sqrt 2 = (3 - 2 sqrt 2)^k is in (0,1),
+    # so its ceiling log2 is the bit length of 2 a_k - 1
+    a, b = [1], [0]
+    for _ in range(3 * 300):
+        a, b = a + [3 * a[-1] + 4 * b[-1]], b + [2 * a[-1] + 3 * b[-1]]
+    for m in range(2, 301):
+        # at 256 bits tau(1) loses every bit from m = 212 on: read tau at the
+        # build's precision
+        bits = generator.PRECISION_BITS + generator._guard_bits(m, 1)
+        num = tau(m, prec_bits=bits).poly.integer_form.num
+        norm, value = sum(map(abs, num)), sum(num)
+        for r in (1, 2, 3):
+            allowance = (2 * a[r * m] - 1).bit_length()
+            assert norm ** (2 * r) <= value ** (2 * r) << allowance
+            assert allowance + 64 <= generator._guard_bits(m, r)
+
+
+@pytest.mark.parametrize("n, r, bits", [(128, 3, 376), (512, 1, 498)])
 def test_precision_bits_is_the_stored_precision(n, r, bits):
     # the rounded quantities (the products of tau's power and kappa =
-    # lambda/L) are kept at the working precision plus guard bits for deg Q,
-    # precision_bits reports those bits, and P is stored exactly: its
+    # lambda/L) are kept at the working precision plus guard bits for tau's
+    # growth, precision_bits reports those bits, and P is stored exactly: its
     # mantissas, read as stored, are wider than that, and its exact read has
     # one power-of-two denominator
     gen = build_generator(n, r)
@@ -288,5 +330,13 @@ def test_kronecker_product_matches_schoolbook():
         cases.append((a, b))
     for a, b in cases:
         assert generator._kronecker_mul(a, b) == schoolbook(a, b)
+        assert generator._square(a) == schoolbook(a, a)
     a = cases[-1][0]
     assert generator._kronecker_mul(a, a) == schoolbook(a, a)
+    # a constant term far below the rest, as in tau for odd m: the others
+    # share hundreds of trailing zeros, which the square shifts out
+    for m in (7, 53):
+        num = tau(m, prec_bits=500).poly.integer_form.num
+        assert (num[0] & -num[0]).bit_length() < 8
+        assert all(x % 2**400 == 0 for x in num[1:])
+        assert generator._square(num) == schoolbook(num, num)
