@@ -28,7 +28,7 @@ from .functions import (
     monomial,
     q_monotone_catalog,
 )
-from .generator import GeneratorPoly, build_generator, deficiency_slope, moment
+from .generator import GeneratorPoly, build_generator, deficiency_slope
 from .moduli import (
     ModulusEstimate,
     modulus_sweep,

@@ -19,7 +19,7 @@ from . import experiments
 from .best_approx import best_qmonotone, jackson_quotient
 from .errors import RegimeError, ShapeApproxError
 from .experiments import ExperimentTable
-from .functions import PolyFunction, _parameter, catalog
+from .functions import PolyFunction, catalog, parameter
 from .generator import PRECISION_BITS, build_generator
 from .moduli import omega_dt
 from .operators import (
@@ -183,9 +183,11 @@ def _cmd_jackson(args) -> int:
 
 def _cmd_bern_xeps(args) -> int:
     try:
-        eps = _parameter(args.eps)  # exactly, as a catalog parameter
+        eps = parameter(args.eps)  # exactly, as a catalog parameter
     except ValueError as exc:
         raise ShapeApproxError(f"--eps: {exc}") from None
+    if eps is None:
+        raise ShapeApproxError(f"--eps: {args.eps!r} is not a number")
     table = experiments.run_bernstein_xeps(eps, _number_list(args.n_list, "--n-list", int))
     return _emit(table, args.out)
 

@@ -1,26 +1,36 @@
 """Catalog of test functions on [0,1].
 
-Each handle is callable on floats and numpy arrays.  Every catalog handle
-provides ``moment_read``, the integrals ``int_0^1 t^i f(t) dt`` for
-i = 0..d with f(0) and f(1) as integers over one denominator: exact for
+Each handle is callable on floats and numpy arrays, and is read by the
+operators through one method, ``moment_read``: the integrals
+``int_0^1 t^i f(t) dt`` for i = 0..d with f(0) and f(1), as integers over one
+denominator. Every catalog handle gives them itself: exactly for
 polynomials, x^eps and the truncated power, and within 2^-bits for exp and
 ln(x + eps), whose moments are irrational and are formed in fixed point.
-Those with rational moments also give them as Fractions,
-``monomial_moments(imax)``.  Handles declare the k-monotonicity orders they
-are known to satisfy.
+Any other handle (a plain callable, wrapped by the operators) is read by the
+base class's Gauss-Legendre rule in float64. Handles declare the
+k-monotonicity orders they are known to satisfy.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
-from .polynomial import Polynomial, _lowest, _rational
+from .polynomial import Polynomial, _lowest, _rational, bernstein_basis
 from .special import _log_fixed
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0,1], built once per order."""
+    u, w = np.polynomial.legendre.leggauss(order)
+    t, w = (u + 1) / 2, w / 2
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 class FunctionHandle:
@@ -28,24 +38,35 @@ class FunctionHandle:
     #: orders k for which the function is known to be k-monotone on [0,1]
     known_monotone_orders: frozenset = frozenset()
     #: whether ``moment_read`` gives exact values
-    exact_moments = True
+    exact_moments = False
 
     def __call__(self, x):
         raise NotImplementedError
 
-    def monomial_moments(self, imax: int):
-        raise NotImplementedError(f"{self.name} has no exact moment path")
-
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
         """f(0), m_0, ..., m_d, f(1), with m_i = int_0^1 t^i f(t) dt, as
         integers over one denominator: exact, or if not ``exact_moments``
-        within 2^-bits. From ``monomial_moments`` and the values at 0 and 1,
-        each read exactly (x^eps gives them as floats);
-        NotImplementedError for a handle without moments."""
-        vals = [self(Fraction(0)), *self.monomial_moments(d), self(Fraction(1))]
-        parts = [_rational(v) for v in vals]
+        within 2^-bits.
+
+        This default, for a handle without moments of its own, samples f in
+        float64 and ignores ``bits``: one Gauss-Legendre rule of order
+        max(64, d+4) gives b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, for
+        g_{i,j} = int t^i (1-t)^j f, whose exact values give the moments
+        m_i = g_{i,0} by the additive triangle g_{i,j} = g_{i,j+1} + g_{i+1,j}."""
+        t, w = _gauss_legendre(max(64, d + 4))
+        b = (w * np.asarray(self(t), dtype=float)) @ bernstein_basis(d, t)
+        v0, v1 = np.asarray(self(np.array([0.0, 1.0])), dtype=float)
+        parts = [_rational(v) for v in (v0, *b, v1)]
         den = math.lcm(*(q for _, q in parts))
-        return [p * (den // q) for p, q in parts], den
+        num = [p * (den // q) for p, q in parts]
+        fact = [math.factorial(i) for i in range(d + 1)]
+        # g_{i,d-i} = b_i i! (d-i)! / d!, over den d!
+        row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(num[1:-1])]
+        moments = [row[-1]]
+        for _ in range(d):
+            row = [x + y for x, y in zip(row, row[1:])]
+            moments.append(row[-1])
+        return [num[0] * fact[d], *reversed(moments), num[-1] * fact[d]], den * fact[d]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -57,6 +78,8 @@ class PolyFunction(FunctionHandle):
     rounded once to float64 on first use: bounded by 2 max|p|, and the same
     bits whatever the batch or thread count.  Its values at Fractions and its
     moments are exact, whatever its basis."""
+
+    exact_moments = True
 
     def __init__(self, poly: Polynomial, name: str | None = None):
         self.poly = poly
@@ -76,10 +99,6 @@ class PolyFunction(FunctionHandle):
             raise DomainError(f"polynomial sampled at x={x[~inside][0]} outside [0,1]")
         return chebval(2 * x - 1, self._cheb)[()]
 
-    def monomial_moments(self, imax: int):
-        T, den = self.poly.integer_form.moments(imax + 1)
-        return [Fraction(t, den) for t in T]
-
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
         """From the integer form, over the one denominator of its moments."""
         form = self.poly.integer_form
@@ -93,16 +112,11 @@ class ExpFunction(FunctionHandle):
 
     name = "exp"
     known_monotone_orders = frozenset(range(32))
-    exact_moments = False
 
     def __call__(self, x):
         if isinstance(x, Fraction):
             return float(np.exp(float(x)))
         return np.exp(x)
-
-    def monomial_moments(self, imax: int):
-        num, den = self.moment_read(imax, 53)
-        return [Fraction(v, den) for v in num[1:-1]]
 
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
         """Over 2^w, w = bits + 64: 1, the moments I_0..I_d and E, with E =
@@ -129,6 +143,8 @@ class PowerFunction(FunctionHandle):
     """x^eps with 0 < eps < 1, a float read as its exact value; nonnegative
     and nondecreasing (k <= 1)."""
 
+    exact_moments = True
+
     def __init__(self, eps):
         self.eps = Fraction(eps)
         self.name = f"x^{float(self.eps):g}"
@@ -140,9 +156,6 @@ class PowerFunction(FunctionHandle):
         if isinstance(x, Fraction):
             return float(x) ** float(self.eps)
         return np.power(np.asarray(x, dtype=float), float(self.eps))
-
-    def monomial_moments(self, imax: int):
-        return [Fraction(1) / (i + self.eps + 1) for i in range(imax + 1)]
 
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
         """0, m_0..m_d, 1 with m_i = v/((i+1)v + u) for eps = u/v, over the
@@ -159,6 +172,8 @@ class TruncatedPowerFunction(FunctionHandle):
 
     k-monotone for every k <= p + 1.
     """
+
+    exact_moments = True
 
     def __init__(self, a, p: int):
         self.a = Fraction(a)
@@ -178,20 +193,11 @@ class TruncatedPowerFunction(FunctionHandle):
         # the power only where d > 0 (a scalar x gives a scalar back)
         return np.power(d, self.p, out=np.zeros_like(d), where=d > 0)[()]
 
-    def monomial_moments(self, imax: int):
-        # m_i = int_a^1 t^i (t-a)^p dt; integrating by parts, with
-        # t^(i-1) (t-a)^(p+1) = t^i (t-a)^p - a t^(i-1) (t-a)^p, gives
-        # (p+1+i) m_i = (1-a)^(p+1) + i a m_(i-1)
-        a, p = self.a, self.p
-        top = (1 - a) ** (p + 1)
-        out = [top / (p + 1)]
-        for i in range(1, imax + 1):
-            out.append((top + i * a * out[-1]) / (p + 1 + i))
-        return out
-
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
-        """0, m_0..m_d, (1-a)^p in lowest terms, by the recurrence of
-        ``monomial_moments`` on the integers m_i den: a = u/v and
+        """0, m_0..m_d, (1-a)^p in lowest terms for m_i = int_a^1 t^i (t-a)^p
+        dt. Integrating by parts, with t^(i-1) (t-a)^(p+1) = t^i (t-a)^p -
+        a t^(i-1) (t-a)^p, gives (p+1+i) m_i = (1-a)^(p+1) + i a m_(i-1),
+        run on the integers m_i den: a = u/v and
         den = v^(p+1+d) (p+1)...(p+1+d) make every m_i den and a m_i den
         with i < d an integer, so each division is exact."""
         u, v = self.a.as_integer_ratio()
@@ -207,8 +213,6 @@ class TruncatedPowerFunction(FunctionHandle):
 class LogShiftFunction(FunctionHandle):
     """ln(x + eps) for eps > 0, a float read as its exact value and sampled
     at float(eps); the lambda=2 counterexample family."""
-
-    exact_moments = False
 
     def __init__(self, eps):
         self.eps = Fraction(eps)
@@ -273,64 +277,48 @@ def q_monotone_catalog(q: int) -> list[FunctionHandle]:
     return entries
 
 
-_CATALOG_FORMS = {"exp": "exp", "xeps": "xeps:<eps>", "truncpow": "truncpow:<a>:<p>",
-                  "logeps": "logeps:<eps>", "monomial": "monomial:<k>", "linear": "linear:<a>:<b>"}
+_CATALOG = {"exp": ("exp", ExpFunction), "xeps": ("xeps:<eps>", PowerFunction),
+            "truncpow": ("truncpow:<a>:<p>", TruncatedPowerFunction),
+            "logeps": ("logeps:<eps>", LogShiftFunction), "monomial": ("monomial:<k>", monomial),
+            "linear": ("linear:<a>:<b>", linear)}
 
 
-def _fraction(text: str) -> Fraction:
-    """The exact value of a catalog parameter "a/b" or a decimal."""
+def parameter(text: str, integer: bool = False) -> Fraction | int | None:
+    """A catalog parameter read exactly: an integer literal if ``integer``,
+    otherwise "a/b" or a decimal as a Fraction; None for text that spells no
+    such number. ValueError for a zero denominator, or for a decimal that is
+    not finite or whose float is not (nan, inf, 1e400)."""
     try:
-        return Fraction(text)
+        value = int(text) if integer else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"catalog parameter {text!r} divides by zero") from None
-
-
-def _parameter(text: str) -> Fraction:
-    """A catalog parameter, "a/b" or a decimal, read exactly; ValueError
-    for one that is not finite, or whose float is not (such as 1e400)."""
-    if "/" not in text and not math.isfinite(float(text)):
+    except ValueError:
+        value = None
+    if integer or "/" in text:
+        return value
+    try:
+        finite = math.isfinite(float(text))
+    except ValueError:  # no number
+        return value
+    if not finite:
         raise ValueError(f"catalog parameter {text!r} is not finite")
-    return _fraction(text)
-
-
-def _spells_number(text: str, integer: bool) -> bool:
-    """Whether text is an integer literal or, unless ``integer``, a float or
-    Fraction literal (nan, inf and a zero denominator included: those have
-    errors of their own)."""
-    for read in (int,) if integer else (float, Fraction):
-        try:
-            read(text)
-            return True
-        except ZeroDivisionError:
-            return True
-        except ValueError:
-            pass
-    return False
+    return value
 
 
 def catalog(name: str, **params) -> FunctionHandle:
     """Build a handle from a CLI-style name such as ``exp``, ``xeps:0.5``,
     ``truncpow:0.5:3``, ``logeps:1e-4``, ``monomial:3`` or ``linear:1:2``."""
     parts = name.split(":")
-    kind = parts[0]
-    if kind not in _CATALOG_FORMS:
+    if parts[0] not in _CATALOG:
         raise ValueError(f"unknown catalog function {name!r}")
-    form = _CATALOG_FORMS[kind]
+    form, build = _CATALOG[parts[0]]
     if len(parts) != form.count(":") + 1:
         raise ValueError(f"catalog function {name!r} is not of the form {form}")
+    values = []
     for field, text in zip(form.split(":")[1:], parts[1:]):
         integer = field in ("<p>", "<k>")
-        if not _spells_number(text, integer):
+        values.append(parameter(text, integer))
+        if values[-1] is None:
             raise ValueError(f"catalog function {name!r}: {field[1:-1]} = {text!r} is not "
                              + ("an integer" if integer else "a number"))
-    if kind == "exp":
-        return ExpFunction()
-    if kind == "xeps":
-        return PowerFunction(_parameter(parts[1]))
-    if kind == "truncpow":
-        return TruncatedPowerFunction(_parameter(parts[1]), int(parts[2]))
-    if kind == "logeps":
-        return LogShiftFunction(_parameter(parts[1]))
-    if kind == "monomial":
-        return monomial(int(parts[1]))
-    return linear(_fraction(parts[1]), _fraction(parts[2]))
+    return build(*values)

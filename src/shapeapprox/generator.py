@@ -50,12 +50,6 @@ class GeneratorPoly:
     unit_integral_residual: float  # |int P - 1|, exact, rounded once
 
 
-def moment(P: Polynomial, mu: int) -> Fraction:
-    """Integral of x^mu * P(x) over [0,1], exactly."""
-    T, den = P.integer_form.moments(mu + 1)
-    return Fraction(T[mu], den)
-
-
 def _pack(c: list, w: int) -> int:
     """sum_j c[j] 2^(8wj) for integers |c[j]| < 2^(8w)."""
     pos = b"".join(max(v, 0).to_bytes(w, "little") for v in c)

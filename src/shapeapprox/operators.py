@@ -10,7 +10,10 @@
 
 Operators are exposed as full polynomial images (``*_image``) in Bernstein
 form, which the shape and moment tests consume.  U_n, D_n (alpha = 0) and H
-read f once, through ``_read_out``, and form the image in exact arithmetic.
+read f once, through ``_read_out``, that is through f's moments
+(``FunctionHandle.moment_read``, whose base-class default is the
+Gauss-Legendre read of a plain callable), and form the image in exact
+arithmetic.
 U_n and D_n give an exact image on exact data (polynomials, exact moments);
 otherwise, and for H always, each Bernstein coefficient is rounded once at
 PRECISION_BITS.  H maps a polynomial
@@ -34,8 +37,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _monomial_integers, _rational,
-                         _round_to_bits, bernstein_basis, bernstein_integers)
+from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _monomial_integers, _round_to_bits,
+                         bernstein_basis, bernstein_integers)
 from .special import pochhammer, shifted_jacobi
 
 
@@ -88,53 +91,17 @@ class _Reading:
     exact: bool
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [0,1], built once per order."""
-    u, w = np.polynomial.legendre.leggauss(order)
-    t, w = (u + 1) / 2, w / 2
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
 def _read_out(f, d: int, gain: int = 0) -> _Reading:
-    """Read f once at degree d.
-
-    A function with moments gives f(0), m_0..m_d and f(1) over one
-    denominator (``FunctionHandle.moment_read``): a polynomial exactly from
-    its ``integer_form``, others exactly or, for exp and ln(x + eps),
-    within 2^-bits. The
-    images rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
+    """Read f once at degree d: f(0), m_0..m_d and f(1) over one
+    denominator (``FunctionHandle.moment_read``), at bits = PRECISION_BITS
+    plus 2d, plus ``gain`` for a caller whose weights sum to 2^gain in size.
+    The images rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
     g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
-    than 3^d, so inexact moments are asked for at bits = PRECISION_BITS plus
-    2d, plus ``gain`` for a caller whose weights sum to 2^gain in size.
-    Every catalog function has moments. Any other f, a plain callable, is
-    integrated by one Gauss-Legendre rule of order max(64, d+4) into
-    float64 values b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, whose exact
-    values give the moments m_i = g_{i,0} by the additive triangle
-    g_{i,j} = g_{i,j+1} + g_{i+1,j}.
+    than 3^d; a plain callable is read by the handle's Gauss-Legendre rule.
     """
     f = _as_handle(f)
-    try:
-        num, den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
-        return _Reading(num, den, f.exact_moments)
-    except NotImplementedError:
-        pass
-    t, w = _gauss_legendre(max(64, d + 4))
-    b = (w * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
-    v0, v1 = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
-    parts = [_rational(v) for v in (v0, *b, v1)]
-    den = math.lcm(*(q for _, q in parts))
-    num = [p * (den // q) for p, q in parts]
-    fact = [math.factorial(i) for i in range(d + 1)]
-    # g_{i,d-i} = b_i i! (d-i)! / d!, over den d!
-    row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(num[1:-1])]
-    moments = [row[-1]]
-    for _ in range(d):
-        row = [x + y for x, y in zip(row, row[1:])]
-        moments.append(row[-1])
-    num = [num[0] * fact[d], *reversed(moments), num[-1] * fact[d]]
-    return _Reading(num, den * fact[d], False)
+    num, den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
+    return _Reading(num, den, f.exact_moments)
 
 
 def _bernstein_moments(r: _Reading) -> list:

@@ -1,9 +1,9 @@
 """Polynomials on [0,1] as exact immutable values in the monomial or Bernstein basis.
 
 A ``Polynomial`` holds its coefficients as integers over one denominator, in
-lowest terms. It reads int, Fraction, float and mpf coefficients exactly (a
-float or an mpf is a dyadic rational, scaled by shifts); code that has the
-integers already hands them over (``Polynomial.from_integers``). It is
+lowest terms. It reads int, Fraction and float coefficients exactly (a float
+is a dyadic rational, scaled by shifts); code that has the integers already
+hands them over (``Polynomial.from_integers``). It is
 evaluated exactly, converted to the monomial basis and serialized as exact
 strings; it has no arithmetic. Code that combines coefficient vectors uses
 ``numpy.polynomial.polynomial`` on object arrays, which is exact on
@@ -41,17 +41,8 @@ BERNSTEIN = "bernstein"
 
 
 def _rational(v) -> tuple[int, int]:
-    """Numerator and denominator of an int, Fraction, float or finite mpf (or
-    mpmath constant, at the ambient precision), in lowest terms; ValueError
-    for a value with none (NaN, an infinity). An mpf is read from its
-    ``_mpf_`` tuple (sign, odd mantissa, exponent, width), whose zero
-    mantissa with a nonzero exponent marks NaN and the infinities."""
-    if hasattr(v, "_mpf_"):
-        sign, man, exp, _ = v._mpf_
-        if not man and exp:
-            raise ValueError(f"coefficient {v} has no exact value")
-        man = -int(man) if sign else int(man)
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    """Numerator and denominator of an int, Fraction or float, in lowest
+    terms; ValueError for a value with none (NaN, an infinity)."""
     try:
         v = Fraction(v)
     except OverflowError:  # an infinite float
@@ -169,8 +160,8 @@ class IntegerForm:
         return list(c), self.den << 2 * self.degree
 
     def value(self, x) -> Fraction:
-        """p(x) exactly at a rational x = a/b (an int, Fraction, float or
-        finite mpf): sum_k num[k] a^k b^(d-k) by integer Horner, over den
+        """p(x) exactly at a rational x = a/b (an int, Fraction or float):
+        sum_k num[k] a^k b^(d-k) by integer Horner, over den
         b^d, with one Fraction at the end."""
         a, b = _rational(x)
         acc, bk = 0, 1
@@ -325,7 +316,7 @@ class Polynomial:
     den: int
 
     def __init__(self, basis: str, coeffs: Sequence):
-        """Read int, Fraction, float or finite mpf coefficients exactly."""
+        """Read int, Fraction and float coefficients exactly."""
         parts = [_rational(v) for v in coeffs] or [(0, 1)]
         if all(q & (q - 1) == 0 for _, q in parts):  # dyadic: scaled by shifts
             top = max(q for _, q in parts).bit_length()
@@ -389,8 +380,8 @@ class Polynomial:
         return tuple(Fraction(a, self.den) for a in self.num)
 
     def __call__(self, x) -> Fraction:
-        """p(x), exactly, at a rational scalar x (int, Fraction, float or
-        finite mpf); a Bernstein form is defined on [0,1] only."""
+        """p(x), exactly, at a rational scalar x (int, Fraction or float); a
+        Bernstein form is defined on [0,1] only."""
         if self.basis == BERNSTEIN and not 0 <= x <= 1:
             raise DomainError(f"Bernstein form evaluated at x={x} outside [0,1]")
         return self.integer_form.value(x)

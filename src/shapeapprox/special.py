@@ -86,14 +86,21 @@ def _log(v: Fraction) -> float:
     return float(Fraction(_log_fixed(v, 128), 1 << 128))
 
 
-def tau(m: int, prec_bits: int = 256) -> TauPoly:
+def tau(m: int, prec_bits: int) -> TauPoly:
     """tau_m in integers, with the roundings of an mpf evaluation at
     ``prec_bits`` bits, each to nearest with ties to even: pi, theta =
     pi/2m, cos theta, sin theta, sin^2 theta, each product and sum of the
     synthetic division and each quotient coefficient times |I_1|. Each value
     is held as c 2^e; pi, sin and cos are summed in fixed point with 64
     guard bits (sin by its Taylor series, cos = sqrt(1 - sin^2)) and then
-    rounded."""
+    rounded.
+
+    PrecisionError when the division's remainder exceeds
+    TAU_REMAINDER_REL_TOL relative to T_m's largest coefficient, or when
+    tau(1) (1 - x_tilde), which T_m(1) = 1 makes |I_1| (1 - remainder), is
+    off |I_1| by more than that relative: the division amplifies rounding
+    by up to (1 + sqrt 2)^m, so too few bits lose tau(1) while the
+    remainder stays small."""
     if m < 2:
         raise ValueError("tau requires m >= 2")
 
@@ -130,8 +137,11 @@ def tau(m: int, prec_bits: int = 256) -> TauPoly:
             f"{prec_bits} bits"
         )
     poly = Polynomial.from_dyadics(MONOMIAL, [rnd(v * len_i1[0], e + len_i1[1]) for v, e in q])
-    return TauPoly(m=m, poly=poly, x_tilde=_dyadic(*x_tilde), len_I1=_dyadic(*len_i1),
-                   division_remainder=remainder)
+    x_tilde, len_i1 = _dyadic(*x_tilde), _dyadic(*len_i1)
+    gap = abs(Fraction(sum(poly.num), poly.den) * (1 - x_tilde) / len_i1 - 1)
+    if gap > TAU_REMAINDER_REL_TOL:
+        raise PrecisionError(f"tau({m}): tau(1) off by {float(gap):.2g} relative at {prec_bits} bits")
+    return TauPoly(m=m, poly=poly, x_tilde=x_tilde, len_I1=len_i1, division_remainder=remainder)
 
 
 def ultraspherical_phi(n: int, alpha) -> Polynomial:

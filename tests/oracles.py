@@ -15,7 +15,7 @@ from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
-from shapeapprox.functions import ExpFunction, LogShiftFunction, PolyFunction
+from shapeapprox.functions import ExpFunction, FunctionHandle, LogShiftFunction, PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
@@ -127,11 +127,10 @@ def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
     int_0^1 p_{d,i} f rather than moments: f(0), b_0..b_d, f(1) as integers
     over one denominator, and whether they are exact. Moments (``moment_read``
     at PRECISION_BITS + 2d + gain bits) become b by the subtractive
-    triangle; any other f is integrated by one Gauss-Legendre rule."""
+    triangle; a handle without moments of its own (a plain callable) is
+    integrated by one Gauss-Legendre rule straight into b."""
     f = _as_handle(f)
-    try:
-        (v0, *row, v1), den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
-    except NotImplementedError:
+    if type(f).moment_read is FunctionHandle.moment_read:
         u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
         t = (u + 1) / 2
         b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
@@ -140,6 +139,7 @@ def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
         den = math.lcm(*(v.denominator for v in vals))
         v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
         return [v0, *row, v1], den, False
+    (v0, *row, v1), den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
     diag = [row[-1]]  # g_{d-j,j}, g_{i,j} = int t^i (1-t)^j f
     for _ in range(d):
         row = [x - y for x, y in zip(row, row[1:])]
@@ -164,7 +164,7 @@ def tau_reference(m: int, prec_bits: int = 256) -> TauPoly:
         for k in range(m - 1, -1, -1):
             q[k] = carry
             carry = a[k] + x_tilde * carry
-        poly = Polynomial.monomial([c * len_i1 for c in q])
+        poly = Polynomial.monomial([exact(c * len_i1) for c in q])
     return TauPoly(m, poly, exact(x_tilde), exact(len_i1), exact(carry))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from shapeapprox import operators
+from shapeapprox import functions, operators
 from shapeapprox.cli import build_parser, main
 from shapeapprox.functions import PolyFunction
 from shapeapprox.moduli import omega_dt
@@ -201,6 +201,7 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["bern-xeps", "--eps", "1", "--n-list", "8"], "eps must be in (0,1)"),
         (["bern-xeps", "--eps", "nan", "--n-list", "8"],
          "--eps: catalog parameter 'nan' is not finite"),
+        (["bern-xeps", "--eps", "abc", "--n-list", "64"], "--eps: 'abc' is not a number"),
         (["bern-xeps", "--eps", "0.5", "--n-list", "0"], "n must be >= 1"),
         (["lambda2", "--eps-list", "1e-2,1e-1"], "eps_list must be strictly decreasing"),
         (["shape", "--f", "monomial:-2", "--k", "1"], "monomial degree must be >= 0, not -2"),
@@ -262,7 +263,7 @@ def test_readme_cli_catalog_inputs_take_no_quadrature_read(monkeypatch, tmp_path
     def no_quadrature(order):
         raise AssertionError(f"Gauss-Legendre read of order {order}")
 
-    monkeypatch.setattr(operators, "_gauss_legendre", no_quadrature)
+    monkeypatch.setattr(functions, "_gauss_legendre", no_quadrature)
     commands = _readme_commands() + [
         ["apply", "--op", "genuine-durrmeyer", "--n", "40", "--f", "logeps:1e-4"],
         ["apply", "--op", "mn", "--q", "1", "--n", "200", "--f", "xeps:0.5"],
@@ -271,6 +272,8 @@ def test_readme_cli_catalog_inputs_take_no_quadrature_read(monkeypatch, tmp_path
         ["apply", "--op", "durrmeyer", "--n", "40", "--f", "logeps:1e-4"],
         ["mn-study", "--q", "1", "--f", "logeps:1e-4", "--n-list", "64,124"],
         ["mn-study", "--q", "2", "--f", "truncpow:0.5:3", "--n-list", "40"],
+        ["apply", "--op", "mn", "--q", "1", "--n", "200", "--f", "logeps:1e-4", "--out", "mnlog.csv"],
+        ["apply", "--op", "durrmeyer", "--n", "40", "--f", "exp", "--out", "dexp.csv"],
     ]
     for argv in commands:
         argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]

@@ -32,12 +32,15 @@ from shapeapprox.polynomial import bernstein_basis
 from oracles import MpfExp, exact, exp_moments_reference, fractions, logeps_moments_reference
 
 
-def test_exp_moments_downward_recurrence():
-    f = ExpFunction()
-    moments = f.monomial_moments(3)
-    # int_0^1 x^i e^x dx: i=0 -> e-1, i=1 -> 1, i=2 -> e-2, i=3 -> 6-2e
-    import math
+def _moments(f, d: int, bits: int = 0) -> list:
+    """m_0..m_d of f's ``moment_read`` at ``bits``, as Fractions."""
+    num, den = f.moment_read(d, bits)
+    return [Fraction(x, den) for x in num[1:-1]]
 
+
+def test_exp_moments_downward_recurrence():
+    moments = _moments(ExpFunction(), 3, 53)
+    # int_0^1 x^i e^x dx: i=0 -> e-1, i=1 -> 1, i=2 -> e-2, i=3 -> 6-2e
     e = math.e
     expect = [e - 1, 1.0, e - 2, 6 - 2 * e]
     for a, b in zip(moments, expect):
@@ -91,14 +94,15 @@ def _truncated_power_moments_by_binomial_sums(a, p, imax):
 def test_truncated_power_moments_recurrence_matches_binomial_sums():
     for a in (Fraction(3, 10), Fraction(3, 5), Fraction(1, 2), Fraction(7, 9)):
         for p in (1, 2, 3, 5):
-            got = TruncatedPowerFunction(a, p).monomial_moments(40)
+            got = _moments(TruncatedPowerFunction(a, p), 40)
             assert got == _truncated_power_moments_by_binomial_sums(a, p, 40)
 
 
 def test_power_function_exact_moments():
-    f = PowerFunction(Fraction(1, 2))
-    moments = f.monomial_moments(2)
-    # int x^i x^(1/2) = 1/(i + 3/2)
+    # int x^i x^eps = 1/(i + eps + 1), exactly
+    for eps in (Fraction(1, 2), Fraction(2, 3), Fraction(1, 10**13)):
+        assert _moments(PowerFunction(eps), 40) == [1 / (i + eps + 1) for i in range(41)]
+    moments = _moments(PowerFunction(Fraction(1, 2)), 2)
     assert float(moments[0]) == pytest.approx(2 / 3)
     assert float(moments[2]) == pytest.approx(2 / 7)
 
@@ -198,14 +202,18 @@ def test_log_shift_moments_are_the_integrals():
 
 
 def test_truncpow_and_xeps_integer_reads_are_the_exact_moments():
-    # the integer recurrences give the Fractions of monomial_moments, in
-    # lowest terms over one denominator
+    # the integer recurrences give f(0), the exact moments (binomial sums for
+    # the truncated power, 1/(i + eps + 1) for x^eps) and f(1), in lowest
+    # terms over one denominator
     for f in (catalog("truncpow:0.3:1"), catalog("truncpow:0.6:2"),
               TruncatedPowerFunction(Fraction(7, 9), 5), catalog("xeps:0.5"),
               catalog("xeps:1e-13"), PowerFunction(Fraction(2, 3))):
         for d in (0, 1, 40):
             num, den = f.moment_read(d, 0)
-            want = [f(Fraction(0)), *f.monomial_moments(d), f(Fraction(1))]
+            if isinstance(f, TruncatedPowerFunction):
+                want = [0, *_truncated_power_moments_by_binomial_sums(f.a, f.p, d), (1 - f.a) ** f.p]
+            else:
+                want = [0, *(1 / (i + f.eps + 1) for i in range(d + 1)), 1]
             assert [Fraction(x, den) for x in num] == want, (f, d)
             assert math.gcd(den, *num) == 1
 
@@ -285,4 +293,5 @@ def test_poly_function_moments_of_float_bernstein_input_are_exact():
     # int_0^1 x^i p_{3,k} = C(3,k) (i+k)! (3-k)!/(i+4)!
     oracle = [sum(b[k] * comb(3, k) * Fraction(factorial(i + k) * factorial(3 - k), factorial(i + 4))
                   for k in range(4)) for i in range(6)]
-    assert PolyFunction(p).monomial_moments(5) == oracle
+    num, den = PolyFunction(p).moment_read(5, 0)
+    assert [Fraction(x, den) for x in num] == [b[0], *oracle, b[-1]]

@@ -19,7 +19,6 @@ from shapeapprox import (
     check_k_monotone_poly,
     deficiency_slope,
     generator,
-    moment,
     polynomial,
 )
 from shapeapprox.special import tau
@@ -58,20 +57,24 @@ def test_generator_moment_deficiencies_positive_and_ordered():
     assert float(d[1]) < float(d[2]) < float(d[3]) < float(d[4])
 
 
+def _moment(P: Polynomial, mu: int) -> Fraction:
+    """int_0^1 x^mu P, exactly, from the exact monomial coefficients."""
+    return integral_01([0] * mu + list(fractions(P.coeffs)))
+
+
 def test_moment_of_unit_mass():
     gen = build_generator(48, 1)
-    m0 = moment(gen.P, 0)
+    m0 = _moment(gen.P, 0)
     assert abs(m0 - 1) <= Fraction(1, 10**20)
-    m2 = moment(gen.P, 2)
+    m2 = _moment(gen.P, 2)
     assert abs((1 - m2) - gen.moment_deficiency[2]) <= Fraction(1, 10**25)
 
 
 def test_moment_is_rounded_once():
-    # moment is the exact integral of the stored P, and each deficiency is
-    # 1 minus it, rounded once at precision_bits, to nearest as mpmath rounds
+    # each deficiency is 1 minus the exact integral of the stored P, rounded
+    # once at precision_bits, to nearest as mpmath rounds
     gen = build_generator(64, 1)
-    exact = moment(gen.P, 2)
-    assert exact == integral_01([0, 0, *fractions(gen.P.coeffs)])
+    exact = _moment(gen.P, 2)
     delta = 1 - exact
     rounded = from_rational(delta.numerator, delta.denominator, gen.precision_bits, round_nearest)
     assert gen.moment_deficiency[2] == Fraction(*to_rational(rounded))

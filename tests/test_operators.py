@@ -33,8 +33,8 @@ from shapeapprox import (
     pochhammer,
     q_monotone_catalog,
 )
-from shapeapprox.functions import TruncatedPowerFunction
-from shapeapprox.operators import _gauss_jacobi, _gauss_legendre, _h_weights
+from shapeapprox.functions import TruncatedPowerFunction, _gauss_legendre
+from shapeapprox.operators import _gauss_jacobi, _h_weights
 from shapeapprox.polynomial import bernstein_basis
 from shapeapprox.special import shifted_jacobi
 

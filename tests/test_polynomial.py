@@ -19,7 +19,7 @@ from shapeapprox import polynomial
 from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, bernstein_basis,
                                     bernstein_integers, nonnegative_by_halving)
 
-from oracles import bernstein_coeffs, compose, fractions, integral_01, monomial_coeffs
+from oracles import bernstein_coeffs, compose, exact, fractions, integral_01, monomial_coeffs
 
 
 def test_monomial_eval_horner_exact():
@@ -122,25 +122,25 @@ def test_round_div_by_shifts_matches_divmod():
 
 
 def test_read_integers_by_shifts_matches_the_general_read():
-    # dyadic coefficients (mpf, or Fractions over powers of two) are scaled
-    # by shifts; the integers must be those of the lcm read a (den // q)
+    # dyadic coefficients (floats, or Fractions over powers of two) are
+    # scaled by shifts; the integers must be those of the lcm read a (den // q)
     def general(coeffs):
         parts = [polynomial._rational(c) for c in coeffs]
         den = math.lcm(*(q for _, q in parts))
         return tuple(a * (den // q) for a, q in parts), den
 
-    def dyadic_mpf(rng):
+    def dyadic(rng):
         man = rng.choice([0, rng.randint(-2**200, 2**200), rng.choice([-1, 1])])
-        return mpmath.mp.make_mpf(from_man_exp(man, rng.randint(-400, 400)))
+        return exact(mpmath.mp.make_mpf(from_man_exp(man, rng.randint(-400, 400))))
 
     rng = random.Random(29)
-    cases = [[Fraction(0)], [mpmath.mpf(-3)], [Fraction(-5, 8)], [0, 0, Fraction(1, 2)],
-             [mpmath.mpf(0), mpmath.mpf(0.75), mpmath.mpf(-2**70)],
+    cases = [[Fraction(0)], [-3.0], [Fraction(-5, 8)], [0, 0, Fraction(1, 2)],
+             [0.0, 0.75, -2.0**70],
              [Fraction(1, 3), Fraction(-5, 8), 7],  # not dyadic: the general read
              [np.int64(3), Fraction(1, 1 << 70)]]  # a numpy integer, shifted as a Python int
     for _ in range(300):
         k = rng.randint(1, 12)
-        cases.append([dyadic_mpf(rng) for _ in range(k)])
+        cases.append([dyadic(rng) for _ in range(k)])
         cases.append([Fraction(rng.randint(-10**40, 10**40) * rng.randint(0, 1),
                                1 << rng.randint(0, 300)) for _ in range(k)])
     for coeffs in cases:
@@ -155,13 +155,13 @@ def test_read_integers_by_shifts_matches_the_general_read():
 
 def _bernstein_cases(rng, n):
     """Degree-n Bernstein coefficients: Fractions over arbitrary and over
-    power-of-two denominators, mpf at 53 to 256 bits, and Fractions of a
-    polynomial of lower exact degree."""
+    power-of-two denominators, the values of mpfs at 53 to 256 bits, and
+    Fractions of a polynomial of lower exact degree."""
     cases = [[Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(n + 1)],
              [Fraction(rng.randint(-999, 999), 1 << rng.randint(0, 80)) for _ in range(n + 1)],
              bernstein_coeffs([Fraction(rng.randint(-9, 9), 7) for _ in range(n // 2 + 1)], n)]
     with mpmath.workprec(rng.choice([53, 80, 256])):
-        cases.append([mpmath.mpf(rng.uniform(-1, 1)) for _ in range(n + 1)])
+        cases.append([exact(mpmath.mpf(rng.uniform(-1, 1))) for _ in range(n + 1)])
     return cases
 
 
@@ -177,32 +177,13 @@ def test_bernstein_integer_form_matches_fraction_oracle():
             assert p.to_monomial().coeffs == tuple(monomial_coeffs(b))
 
 
-def test_to_monomial_of_mpf_bernstein_is_exact():
-    # each monomial coefficient is the exact value, a dyadic rational,
-    # whatever the ambient precision, not a rounded one
-    rng = random.Random(31)
-    for n in (5, 20, 40):
-        with mpmath.workprec(80):
-            b = [mpmath.mpf(rng.uniform(-1, 1)) for _ in range(n + 1)]
-        p = Polynomial.bernstein(b)
-        stored = []
-        for prec in (53, 80, 256, 400):
-            with mpmath.workprec(prec):
-                got = Polynomial.bernstein(b).to_monomial()
-            assert list(got.coeffs) == monomial_coeffs(b), (n, prec)
-            assert got.den & (got.den - 1) == 0
-            stored.append(got)
-        assert all(s == stored[0] for s in stored), n
-        assert p.to_monomial() == stored[0]
-
-
 def test_bernstein_read_never_takes_a_fraction_copy(monkeypatch):
     # the exact read, the monomial form and exact values run on the stored
     # integers; no Fraction coefficient is formed
     def coeffs(self):
         raise AssertionError("Polynomial.coeffs read")
 
-    for b in ([Fraction(1, 3), 2, -5], [mpmath.mpf(0.1), mpmath.mpf(0.7), mpmath.mpf(2)]):
+    for b in ([Fraction(1, 3), 2, -5], [0.1, 0.7, 2.0]):
         p = Polynomial.bernstein(b)
         with monkeypatch.context() as m:
             m.setattr(Polynomial, "coeffs", property(coeffs))
@@ -238,16 +219,17 @@ def test_integer_form_derivative_matches_fraction_oracle_on_generators():
 
 
 def _integer_form_cases():
-    """Exact and mpf polynomials of degree 0, 1, 5 and 12, a Bernstein one,
-    the zero polynomial and a generator."""
+    """Polynomials of degree 0, 1, 5 and 12 with small Fractions and with the
+    values of mpfs, a Bernstein one, the zero polynomial and a generator."""
     rng = random.Random(3)
     polys = [Polynomial.monomial([Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                                   for _ in range(d + 1)]) for d in (0, 1, 5, 12)]
     polys.append(Polynomial.bernstein([Fraction(rng.randint(-9, 9), 7) for _ in range(9)]))
-    polys.append(Polynomial.monomial([mpmath.mpf(1) / 3, mpmath.mpf(-2) ** -70, mpmath.pi]))
+    polys.append(Polynomial.monomial([exact(mpmath.mpf(1) / 3), exact(mpmath.mpf(-2) ** -70),
+                                      exact(+mpmath.pi)]))
     polys.append(build_generator(64, 2).P)
     with mpmath.workprec(80):
-        polys += [Polynomial.monomial([mpmath.mpf(rng.uniform(-1, 1)) / rng.randint(1, 9)
+        polys += [Polynomial.monomial([exact(mpmath.mpf(rng.uniform(-1, 1)) / rng.randint(1, 9))
                                        for _ in range(d + 1)]) for d in (0, 1, 12)]
     polys.append(Polynomial.monomial([0]))
     return polys
@@ -265,8 +247,7 @@ def test_integer_form_value_matches_fraction_evaluation():
             assert p.integer_form.value(x) == npoly.polyval(x, mono), (p, x)
             if p.basis == "monomial" or 0 <= x <= 1:
                 assert p(x) == p.integer_form.value(x)
-    assert polys[0].integer_form.value(0.25) == polys[0](Fraction(1, 4))
-    assert polys[0](mpmath.mpf(0.25)) == polys[0](Fraction(1, 4))
+    assert polys[0].integer_form.value(0.25) == polys[0](0.25) == polys[0](Fraction(1, 4))
 
 
 def test_integer_form_bern_matches_fraction_oracle():
@@ -332,9 +313,10 @@ def test_poly_function_samples_ignore_ambient_precision():
     assert np.array_equal(low, high)
 
 
-@pytest.mark.parametrize("tiny", [Fraction(-1, 2**1100), -mpmath.mpf(2) ** -1100])
+@pytest.mark.parametrize("tiny", [Fraction(-1, 2**1100), Fraction(-1, 3 * 2**1100)])
 def test_tiny_negative_bernstein_coefficient_is_no_certificate(tiny):
-    # -2^-1100 rounds to -0.0 in float64; the sign must come from the exact value
+    # -2^-1100 and -2^-1100/3 round to -0.0 in float64; the sign must come
+    # from the exact value
     p = Polynomial.bernstein([1, tiny, 1])
     c, den = p.integer_form.derivative(0)
     assert c[1] / den == 0.0 and c[1] < 0
@@ -345,7 +327,7 @@ def test_tiny_negative_bernstein_coefficient_is_no_certificate(tiny):
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
 def test_poly_function_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
-        PolyFunction(Polynomial.monomial([1, mpmath.mpf(bad)]))(0.5)
+        PolyFunction(Polynomial.monomial([1, float(bad)]))(0.5)
 
 
 def test_basis_constructor_validation():

@@ -1,7 +1,6 @@
 """k-monotonicity checks for functions and polynomials."""
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -88,7 +87,7 @@ def test_catalog_functions_declared_orders():
 
 
 def test_float_backend_polynomial():
-    p = Polynomial.monomial([0, 0, mpmath.mpf(1)])  # x^2, read exactly from an mpf
+    p = Polynomial.monomial([0, 0, 1.0])  # x^2, read exactly from a float
     assert check_k_monotone_poly(p, 2).passed
     assert check_k_monotone_poly(p, 1).passed
 

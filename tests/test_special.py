@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
+    PrecisionError,
     chebyshev_T,
     lupas_product_identity_check,
     phi_bernstein_expansion,
@@ -18,10 +19,10 @@ from shapeapprox import (
     ultraspherical_phi,
 )
 
-from shapeapprox.generator import PRECISION_BITS
+from shapeapprox.generator import PRECISION_BITS, _guard_bits
 from shapeapprox.special import _log_fixed, shifted_jacobi
 
-from oracles import compose, fractions, tau_reference
+from oracles import compose, exact, fractions, tau_reference
 
 
 def test_pochhammer_values():
@@ -44,13 +45,13 @@ def test_chebyshev_T_cos_identity():
     with mpmath.workprec(80):
         for m in (5, 9):
             theta = mpmath.mpf(3) / 7
-            lhs = chebyshev_T(m)(mpmath.cos(theta))  # exact at the 80-bit cosine
+            lhs = chebyshev_T(m)(exact(mpmath.cos(theta)))  # exact at the 80-bit cosine
             assert abs(mpmath.mpmathify(lhs) - mpmath.cos(m * theta)) < mpmath.mpf(2) ** -60
 
 
 def test_tau_division_and_scaling():
     for m in (2, 5, 12):
-        t = tau(m)
+        t = tau(m, 256)
         with mpmath.workprec(256):
             assert abs(mpmath.cos(mpmath.pi / (2 * m)) - t.x_tilde) < mpmath.mpf(2) ** -200
             assert abs(2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2 - t.len_I1) < mpmath.mpf(2) ** -200
@@ -64,20 +65,36 @@ def test_tau_division_and_scaling():
 
 def test_tau_matches_the_mpf_reference_bit_for_bit():
     # every (m, bits) that build_generator asks for at r = 1..3 and n <= 2050,
-    # and the default 256 bits: the integer tau rounds as the mpmath one did
+    # with the guard bits of tau's growth, those of the earlier guard
+    # 8r(m-1) + 64, and 256 bits at small m: the integer tau rounds as the
+    # mpmath one did
     pairs = {(m, 256) for m in (2, 5, 12)}
     for r in (1, 2, 3):
         for n in range(8 * r + 1, 2051):
             m = math.ceil(n / (8 * r))
+            pairs.add((m, PRECISION_BITS + _guard_bits(m, r)))
             pairs.add((m, PRECISION_BITS + 2 * 4 * r * (m - 1) + 64))
-    assert len(pairs) == 472
+    assert len(pairs) == 938
     for m, bits in sorted(pairs):
         assert tau(m, bits) == tau_reference(m, bits), (m, bits)
 
 
 def test_tau_requires_m_at_least_2():
     with pytest.raises(ValueError):
-        tau(1)
+        tau(1, 256)
+
+
+def test_tau_raises_when_rounding_loses_tau_at_one():
+    # T_m(1) = 1 gives tau(1) (1 - x_tilde) = |I_1| (1 - remainder); at 256
+    # bits the division's rounding, amplified by up to (1 + sqrt 2)^m, moves
+    # tau(1) by 7.3e-5 relative at m = 200 and 2.2 (its sign flips) at
+    # m = 212, while the remainder stays within its tolerance
+    for m in (200, 212):
+        with pytest.raises(PrecisionError, match=f"tau\\({m}\\): tau\\(1\\) off"):
+            tau(m, 256)
+    t = tau(212, PRECISION_BITS + _guard_bits(212, 1))
+    gap = Fraction(sum(t.poly.num), t.poly.den) * (1 - t.x_tilde) / t.len_I1 - 1
+    assert abs(gap) < Fraction(1, 10**90)
 
 
 def test_ultraspherical_phi_normalization_and_symmetry():
