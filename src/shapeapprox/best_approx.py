@@ -4,7 +4,7 @@ E_n(f)      = inf over degree-<=n polynomials of the uniform error;
 E_n^(q)(f)  = the same infimum restricted to q-monotone polynomials.
 
 Both are computed on Chebyshev-distributed sample nodes, as min over a of
-max_i |f(x_i) - p(x_i)|, by ``simplex.exchange`` (Stiefel's exchange) and,
+max_i |f(x_i) - p(x_i)|, by ``simplex.exchange`` (a Remez-type exchange) and,
 when its optimum is not q-monotone, ``simplex.dual_simplex`` continued from
 the exchange's last reference with the shape rows.  The shape constraint
 p^(q) >= 0 (p >= 0 when q = 0) is imposed as nonnegative Bernstein

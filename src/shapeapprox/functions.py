@@ -305,7 +305,7 @@ def parameter(text: str, integer: bool = False) -> Fraction | int | None:
     return value
 
 
-def catalog(name: str, **params) -> FunctionHandle:
+def catalog(name: str) -> FunctionHandle:
     """Build a handle from a CLI-style name such as ``exp``, ``xeps:0.5``,
     ``truncpow:0.5:3``, ``logeps:1e-4``, ``monomial:3`` or ``linear:1:2``."""
     parts = name.split(":")

@@ -419,13 +419,18 @@ class Polynomial:
     @staticmethod
     def from_json(text: str) -> "Polynomial":
         """Each coefficient string read as the rational it spells, exactly:
-        "a", "a/b" or a decimal such as "0.1"; ValueError for one that spells
-        none, such as "nan", and TypeError for a coefficient that is not a
-        string."""
+        "a", "a/b" or a decimal such as "0.1"; ValueError naming the first
+        one that spells none, such as "nan" or "1/0", and TypeError for a
+        coefficient that is not a string."""
         obj = json.loads(text)
         if not all(isinstance(s, str) for s in obj["coeffs"]):
             raise TypeError("polynomial coefficients must be strings")
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
+        coeffs = []
+        for i, s in enumerate(obj["coeffs"]):
+            try:
+                coeffs.append(Fraction(s))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"coefficient {i} = {s!r} is not a finite number") from None
         return Polynomial(obj["basis"], coeffs)
 
     def __repr__(self):

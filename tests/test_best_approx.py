@@ -1,4 +1,5 @@
 """Discretized best uniform / best q-monotone approximation."""
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from shapeapprox import (
 )
 from shapeapprox.best_approx import _chebyshev_ints, _reconstruct, _sample, _shape_rows
 from shapeapprox.polynomial import bernstein_elevation
+from shapeapprox.shape import check_k_monotone_poly
 from shapeapprox.simplex import dual_simplex, exchange
 from shapeapprox.special import chebyshev_T
 
@@ -234,6 +236,43 @@ def test_constrained_solve_on_binding_panel(name):
             assert abs(err - oracle) <= 1e-9 * oracle, (q, n, err, oracle)
         solved += 1
     assert solved > 0
+
+
+@pytest.mark.parametrize("grid", ["default", "129"])
+def test_exchange_steps_are_few(grid):
+    # the multi-point exchange moves the whole reference to the residual's
+    # sign-run peaks, so away from the roundoff floor it needs at most 12
+    # steps (10 measured); the one-point exchange took up to 67 here
+    for name in ("exp", "truncpow:0.5:3", "xeps:0.5", "xeps:0.25", "logeps:1e-4"):
+        f = catalog(name)
+        for n in range(41):
+            N, fvals, V = _sample(f, n, None if grid == "default" else max(129, 4 * (n + 1)))
+            _, err, _, ref = exchange(fvals, V)
+            if err > 1e-13 * float(np.max(np.abs(fvals))):
+                assert ref.steps <= 12, (name, n, N, ref.steps)
+
+
+def test_dual_simplex_is_pinned_bit_for_bit():
+    # the 20 binding problems of the benchmark's minimax panel (n = 4, 12,
+    # 19, q <= 4, N = 129, m = 512), each continued from the exchange's
+    # reference: a SHA-256 over (a, error, bound, steps) pins every pivot
+    # and the final solve (float64 on x86-64 with OpenBLAS)
+    digest, solved = hashlib.sha256(), 0
+    for name in ("exp", "truncpow:0.5:3", "xeps:0.5", "logeps:1e-4"):
+        f = catalog(name)
+        for q in sorted(q for q in f.known_monotone_orders if q <= 4):
+            for n in (4, 12, 19):
+                _, fvals, V = _sample(f, n, 129)
+                a, _, _, ref = exchange(fvals, V)
+                if check_k_monotone_poly(_reconstruct(a), q).passed:
+                    continue
+                a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, 512), ref)
+                digest.update(np.ascontiguousarray(a).tobytes())
+                digest.update(np.array([err, bound]).tobytes())
+                digest.update(str(steps).encode())
+                solved += 1
+    assert solved == 20
+    assert digest.hexdigest() == "3186a024d03c2202784d0796a2feb65833c183c0ddab92762c5ee03ded79c532"
 
 
 def test_exchange_degenerate_inputs():

@@ -151,14 +151,15 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     # input errors: an unknown catalog name or one missing its parameters,
     # arguments out of range or not finite, and polynomial files that cannot
     # be read, such as one with a coefficient that is not a number
-    missing, nokey, notjson, notobj, nan, inf = (
+    missing, nokey, notjson, notobj, nan, inf, zero = (
         str(tmp_path / name)
-        for name in ("missing.json", "n.json", "t.json", "l.json", "nan.json", "inf.json"))
+        for name in ("missing.json", "n.json", "t.json", "l.json", "nan.json", "inf.json", "z.json"))
     (tmp_path / "n.json").write_text('{"n": 1}')
     (tmp_path / "t.json").write_text("hello")
     (tmp_path / "l.json").write_text("[1, 2]")
     (tmp_path / "nan.json").write_text('{"basis": "monomial", "n": 1, "coeffs": ["1", "nan"]}')
     (tmp_path / "inf.json").write_text('{"basis": "bernstein", "n": 1, "coeffs": ["inf", "1"]}')
+    (tmp_path / "z.json").write_text('{"basis": "monomial", "n": 2, "coeffs": ["1", "2", "1/0"]}')
     for argv, message in [
         (["moduli", "--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
         (["moduli", "--f", "truncpow:0.5", "--t-grid", "0.1"],
@@ -213,11 +214,13 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["shape", "--f", notobj, "--k", "1"],
          f"cannot read a polynomial from {notobj}: 'list' object has no attribute 'get'"),
         (["shape", "--f", nan, "--k", "1"],
-         f"cannot read a polynomial from {nan}: Invalid literal for Fraction: 'nan'"),
+         f"cannot read a polynomial from {nan}: coefficient 1 = 'nan' is not a finite number"),
         (["moduli", "--f", nan, "--t-grid", "0.1"],
-         f"cannot read a polynomial from {nan}: Invalid literal for Fraction: 'nan'"),
+         f"cannot read a polynomial from {nan}: coefficient 1 = 'nan' is not a finite number"),
         (["apply", "--op", "mn", "--n", "20", "--f", inf],
-         f"cannot read a polynomial from {inf}: Invalid literal for Fraction: 'inf'"),
+         f"cannot read a polynomial from {inf}: coefficient 0 = 'inf' is not a finite number"),
+        (["shape", "--f", zero, "--k", "1"],
+         f"cannot read a polynomial from {zero}: coefficient 2 = '1/0' is not a finite number"),
         # list options: an eps that ln(x + eps) does not admit, and lists
         # with no value
         (["lambda2", "--eps-list", "-1"], "eps must be positive"),

@@ -255,6 +255,9 @@ def test_catalog_names():
     assert float(ln(0.5)) == pytest.approx(2.0)
     with pytest.raises(Exception):
         catalog("does-not-exist")
+    # parameters come from the name alone; a keyword is no parameter
+    with pytest.raises(TypeError):
+        catalog("xeps:0.5", eps=0.3)
 
 
 def test_q_monotone_catalog_sizes():
