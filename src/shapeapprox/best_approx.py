@@ -16,7 +16,8 @@ and elevated to m by one float product with a nonnegative matrix; the
 simplex stops once no row is violated by more than 1e-15 max|f|.  Both
 problems work in the shifted Chebyshev basis for conditioning; the returned
 polynomial is reconstructed exactly from the float solution so downstream
-basis conversions do not amplify cancellation.
+basis conversions do not amplify cancellation.  A solve forms the integer
+table of the T_j(2x-1) once, for its shape rows and both reconstructions.
 """
 from __future__ import annotations
 
@@ -62,28 +63,26 @@ class ApproxResult:
 def _chebyshev_ints(n: int) -> np.ndarray:
     """The monomial coefficients of T_j(2x-1), j = 0..n, as Python integers
     in column j of an (n+1)-square object array, by the recurrence
-    T*_{j+1} = (4x-2) T*_j - T*_{j-1}."""
-    T = np.zeros((n + 1, n + 1), dtype=object)
-    T[0, 0] = 1
-    if n:
-        T[:2, 1] = -1, 2
+    T*_{j+1} = (4x-2) T*_j - T*_{j-1}, one list of ints per column."""
+    cols = [[1] + [0] * n, [-1, 2] + [0] * (n - 1)][:n + 1]
     for j in range(1, n):
-        T[:, j + 1] = -2 * T[:, j] - T[:, j - 1]
-        T[1:, j + 1] += 4 * T[:-1, j]
-    return T
+        a, b = cols[j], cols[j - 1]
+        cols.append([-2 * a[0] - b[0]] + [4 * x - 2 * y - z for x, y, z in zip(a, a[1:], b[1:])])
+    return np.array(cols, dtype=object).T
 
 
 def _basis_values(xs: np.ndarray, n: int) -> np.ndarray:
     return npcheb.chebvander(2.0 * np.asarray(xs, dtype=float) - 1.0, n)
 
 
-def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
+def _shape_rows(n: int, q: int, m: int, T: np.ndarray | None = None) -> np.ndarray:
     """R with R a = the Bernstein coefficients at degree m of p^(q), for
     p = sum_j a_j T_j(2x-1), each row scaled to max 1.  R a >= 0 certifies
     p^(q) >= 0 on [0,1].
 
     The Bernstein coefficients of every T_j^(q) at degree d = min(2(n-q), m)
-    are formed exactly in integers from ``_chebyshev_ints`` and rounded once;
+    are formed exactly in integers from T = ``_chebyshev_ints(n)`` (formed
+    here when not passed) and rounded once;
     one float product with ``bernstein_elevation(d, m)`` takes them to m.
     Exact elevation to 2(n-q) damps the alternating coefficients of T_j^(q)
     before any rounding, and the float step forms convex combinations.
@@ -91,7 +90,8 @@ def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
     row's max at n = 19 and 8.7e-13 at n = 40 (m = 512), and 2.1e-12 at
     n = 40, m = 1024."""
     d = min(2 * (n - q), m)
-    T = _chebyshev_ints(n)
+    if T is None:
+        T = _chebyshev_ints(n)
     # monomial coefficients of T_j^(q), padded to degree d
     num = np.zeros((d + 1, n + 1), dtype=object)
     for i in range(n - q + 1):
@@ -101,14 +101,17 @@ def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
     return R / np.abs(R).max(axis=1, keepdims=True)
 
 
-def _reconstruct(coeffs: np.ndarray) -> Polynomial:
+def _reconstruct(coeffs: np.ndarray, T: np.ndarray | None = None) -> Polynomial:
     """Exact monomial polynomial from float Chebyshev-basis coefficients.
     Each float is a dyadic rational, so the sum is one integer product with
-    ``_chebyshev_ints`` over the largest power-of-two denominator."""
+    T = ``_chebyshev_ints`` (formed here when not passed) over the largest
+    power-of-two denominator."""
     parts = [float(aj).as_integer_ratio() for aj in coeffs]
     den = max(q for _, q in parts)
     w = np.array([p * (den // q) for p, q in parts], dtype=object)
-    return Polynomial.from_integers(MONOMIAL, list(_chebyshev_ints(len(parts) - 1) @ w), den)
+    if T is None:
+        T = _chebyshev_ints(len(parts) - 1)
+    return Polynomial.from_integers(MONOMIAL, list(T @ w), den)
 
 
 def equioscillation_count(residuals: np.ndarray, error: float) -> int:
@@ -172,12 +175,13 @@ def best_qmonotone(
     # if the unconstrained optimum already satisfies the shape constraint it
     # is the constrained optimum too (constrained error can only be larger)
     a, err, bound, ref = exchange(fvals, V)
-    p = _reconstruct(a)
+    T = _chebyshev_ints(n)
+    p = _reconstruct(a, T)
     constraint_size, validated, steps = 0, True, 0
     if not check_k_monotone_poly(p, q).passed:
         m = max(4 * (M - 1), n - q)
-        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m), ref)
-        p = _reconstruct(a)
+        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m, T), ref)
+        p = _reconstruct(a, T)
         constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
     resid = fvals - V @ a
     return ApproxResult(

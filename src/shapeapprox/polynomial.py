@@ -19,7 +19,8 @@ Bernstein integers nonnegative on [0,1] by integer de Casteljau halving (or
 finds an exact negative value at a dyadic point), ``bernstein_basis``
 evaluates that basis on a grid and ``bernstein_elevation`` raises its degree,
 both in float64 numpy by ratios taken outward from each row's mode (no
-scipy).
+scipy), in one kernel, ``_from_mode``, that holds the ratios column-major
+and takes one product per column.
 """
 from __future__ import annotations
 
@@ -245,19 +246,27 @@ def _monomial_integers(b: Sequence[int]) -> list:
 
 
 def _from_mode(up: np.ndarray, down: np.ndarray, k: np.ndarray, mode: np.ndarray) -> np.ndarray:
-    """Rows of a unimodal kernel from the ratios of neighbouring entries:
-    up[:, k] = e_k/e_{k-1} for k above each row's mode, down[:, k] =
-    e_k/e_{k+1} for k below it.  Products of ratios are taken outward from
-    the mode, where every ratio is at most 1, so nothing overflows and only
-    negligible tails underflow; each row is then divided by its sum.
-    Overwrites up and down."""
-    np.copyto(up, 1.0, where=k <= mode)
-    np.copyto(down, 1.0, where=k >= mode)
-    np.cumprod(up, axis=1, out=up)  # e_k/e_mode above the mode
-    np.cumprod(down[:, ::-1], axis=1, out=down[:, ::-1])  # e_k/e_mode below it
+    """Rows of a unimodal kernel from the ratios of neighbouring entries,
+    given column-major: up[k] = e_k/e_{k-1} for k above each row's mode,
+    down[k] = e_k/e_{k+1} for k below it, both of shape (columns, rows) and
+    C-contiguous, with k of shape (columns, 1).  Products of ratios are
+    taken outward from the mode, where every ratio is at most 1, so nothing
+    overflows and only negligible tails underflow, one column at a time.
+    The products are then copied row by row into down's memory, where each
+    row is divided by its sum, so the row sums keep numpy's order for
+    C-contiguous rows.  Returns that C-contiguous (rows, columns) array;
+    overwrites up and down."""
+    up[k <= mode] = 1.0
+    down[k >= mode] = 1.0
+    for j in range(1, len(up)):  # e_k/e_mode above the mode
+        np.multiply(up[j - 1], up[j], out=up[j])
+    for j in range(len(down) - 2, -1, -1):  # e_k/e_mode below it
+        np.multiply(down[j + 1], down[j], out=down[j])
     up *= down
-    up /= up.sum(axis=1, keepdims=True)
-    return up
+    rows = down.reshape(-1).reshape(up.shape[::-1])
+    np.copyto(rows, up.T)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def bernstein_basis(n: int, xs) -> np.ndarray:
@@ -269,11 +278,11 @@ def bernstein_basis(n: int, xs) -> np.ndarray:
     below it, t = x/(1-x) (``_from_mode``); x = 0 and x = 1 give exact unit
     rows. Every entry is nonnegative, so products with coefficient vectors
     are stable."""
-    x = np.asarray(xs, dtype=float)[:, None]
+    x = np.asarray(xs, dtype=float).reshape(-1)
     inside = (x >= 0) & (x <= 1)  # False for NaN
     if not inside.all():
         raise DomainError(f"Bernstein basis evaluated at x={x[~inside][0]} outside [0,1]")
-    k = np.arange(n + 1)
+    k = np.arange(n + 1)[:, None]
     m = np.minimum(np.floor((n + 1) * x), n)
     with np.errstate(divide="ignore"):  # t = inf at x = 1, 1/t = inf at x = 0
         t = x / (1 - x)
@@ -291,15 +300,16 @@ def bernstein_elevation(d: int, m: int) -> np.ndarray:
     Each row is built outward from its mode floor((d+1)(i+1)/(m+2)) by the
     ratios E[i,k]/E[i,k-1] = (i-k+1)(d-k+1)/(k(m-i-d+k)) above it and
     E[i,k]/E[i,k+1] = (k+1)(m-i-d+k+1)/((i-k)(d-k)) below it, each one
-    rounding of a quotient of integers (``_from_mode``).  The clipped
-    numerators vanish where a row's support ends.  Every entry is
+    rounding of a quotient of integers (``_from_mode``), formed in float64,
+    which holds them exactly: none exceeds (m+1)(d+1), the size of E.  The
+    clipped numerators vanish where a row's support ends.  Every entry is
     nonnegative and every row sums to 1, so E c is a convex combination of
     the c_k, with an absolute error near the rounding level of max|c|."""
-    i = np.arange(m + 1)[:, None]
-    k = np.arange(d + 1)
-    mode = (d + 1) * (i + 1) // (m + 2)
-    up = np.maximum((i - k + 1) * (d - k + 1), 0) / np.maximum(k * (m - i - d + k), 1)
-    down = np.maximum((k + 1) * (m - i - d + k + 1), 0) / np.maximum((i - k) * (d - k), 1)
+    i = np.arange(m + 1.0)
+    k = np.arange(d + 1.0)[:, None]
+    mode = (d + 1) * (np.arange(m + 1) + 1) // (m + 2)
+    up = np.maximum((i - k + 1) * (d - k + 1), 0) / np.maximum(k * (m - d - i + k), 1)
+    down = np.maximum((k + 1) * (m - d + 1 - i + k), 0) / np.maximum((i - k) * (d - k), 1)
     return _from_mode(up, down, k, mode)
 
 

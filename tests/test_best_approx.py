@@ -275,6 +275,17 @@ def test_dual_simplex_is_pinned_bit_for_bit():
     assert digest.hexdigest() == "3186a024d03c2202784d0796a2feb65833c183c0ddab92762c5ee03ded79c532"
 
 
+def test_shape_rows_are_pinned_bit_for_bit():
+    # the rows of the benchmark's binding minimax problems (n = 4, 12, 19,
+    # q <= 4, m = 512): every bit, and C-contiguous (float64 on x86-64)
+    digest = hashlib.sha256()
+    for n, q in [(4, q) for q in range(4)] + [(n, q) for n in (12, 19) for q in range(5)]:
+        R = _shape_rows(n, q, 512)
+        digest.update(R.tobytes())
+        digest.update(bytes([R.flags.c_contiguous]))
+    assert digest.hexdigest() == "f64ab85244cacb54c7a82e5f953f3d7d2352533265b9bc4044d0e6a781a60029"
+
+
 def test_exchange_degenerate_inputs():
     res = best_uniform(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 4)
     assert res.error == 0.0 and res.poly.coeffs == (0,)

@@ -63,6 +63,10 @@ def test_moduli_cli(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert "assert nondecreasing_in_t: pass" in _read(out)
+    # t past the largest admissible step 2^lambda/k = 1 keeps omega(1)
+    assert main(["moduli", "--f", "exp", "--k", "2", "--lambda", "1", "--t-grid", "1,10",
+                 "--out", str(out)]) == 0
+    assert "assert nondecreasing_in_t: pass" in _read(out)
 
 
 def test_shape_cli_pass_and_fail(tmp_path):
@@ -167,6 +171,8 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["moduli", "--f", "xeps", "--t-grid", "0.1"],
          "catalog function 'xeps' is not of the form xeps:<eps>"),
         (["moduli", "--f", "exp", "--t-grid", "-1"], "t must be positive"),
+        (["moduli", "--f", "exp", "--t-grid", "inf"], "t must be finite, not inf"),
+        (["moduli", "--f", "exp", "--t-grid", "nan"], "t must be finite, not nan"),
         (["moduli", "--f", "exp", "--t-grid", "0.1", "--lambda", "3"], "lambda must lie in [0,2]"),
         (["moduli", "--f", "exp", "--k", "-1", "--t-grid", "0.1"], "k must be >= 0"),
         (["apply", "--op", "bernstein", "--n", "0", "--f", "exp"], "n must be >= 1"),

@@ -1,4 +1,5 @@
 """Weighted moduli of smoothness."""
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from shapeapprox import (
     ExpFunction,
     PowerFunction,
+    RegimeError,
     catalog,
     linear,
     modulus_sweep,
@@ -59,6 +61,29 @@ def test_omega_monotone_in_t():
     v1 = omega_dt(f, 2, 1.0, 0.1).value
     v2 = omega_dt(f, 2, 1.0, 0.3).value
     assert v2 >= v1 > 0
+
+
+@pytest.mark.parametrize("name", ["exp", "xeps:0.5"])
+def test_omega_is_nondecreasing_past_the_largest_admissible_step(name):
+    # no step above h* = 2^lam/k admits a difference (x = 1/2 is the most
+    # interior point for lam <= 2), so omega(t) = omega(h*) for t >= h*; a
+    # sweep of (0, t] read only steps below h* on its coarser grid
+    f = catalog(name)
+    for k, lam in ((1, 0.5), (2, 0.0), (2, 1.0), (3, 1.5), (4, 1.0)):
+        ts = (0.5, 1.0, 2.0, 10.0, 1e300)
+        values = [omega_dt(f, k, lam, t).value for t in ts]
+        assert values == sorted(values), (k, lam, values)
+        top = omega_dt(f, k, lam, 2.0**lam / k)
+        for t in ts[2:]:
+            est = omega_dt(f, k, lam, t)
+            assert est.t == t
+            assert (est.value, est.argmax_h, est.argmax_x) == (top.value, top.argmax_h, top.argmax_x)
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("nan"), -float("inf")])
+def test_omega_of_a_t_that_is_not_finite_raises(t):
+    with pytest.raises(RegimeError, match="t must be finite"):
+        omega_dt(ExpFunction(), 2, 1.0, t)
 
 
 def test_omega_exp_second_order():
@@ -130,11 +155,18 @@ def test_sweep_matches_a_per_h_reference(name):
 @pytest.mark.parametrize("name", ["exp", "truncpow:0.5:3", "truncpow:0.3:1",
                                   "xeps:0.5", "xeps:0.25", "logeps:1e-4"])
 def test_sweep_in_place_is_bit_identical_to_the_plain_sweep(name):
-    # sweep-owned buffers, the signed centre term formed once and the sum
-    # started from its first term change no bit of any value or argmax; 13
-    # step bounds end in a part block
+    # sweep-owned buffers, the signed centre term formed once, the sum
+    # started from its first term and the blocks that skip the clip and the
+    # range masks change no bit of any value or argmax.  The grids mix
+    # blocks that skip and blocks that do not: 13 step bounds end in a part
+    # block, one grid descends, one is unsorted, one starts at subnormal
+    # steps, whose products with the weight round to 0 at some interior
+    # points, and one has 256 steps like mn-study's
     f = catalog(name)
-    grids = [default_h_grid(t) for t in (0.5, 0.1, 1.0 / 19)] + [np.geomspace(1e-4, 0.5, 13)]
+    grids = [default_h_grid(t) for t in (0.5, 0.1, 1.0 / 19, 0.25, 1.0 / 12, 1.0)]
+    grids += [np.geomspace(1e-4, 0.5, 13), np.geomspace(0.6, 1e-3, 19),
+              np.array([0.3, 1e-5, 0.01, 2e-3]), np.r_[5e-324, 1e-310, np.geomspace(1e-300, 0.2, 10)],
+              np.geomspace(2.0**-8 * 1e-8, 0.3, 256)]
     for k in range(5):
         for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
             for g, hs in enumerate(grids):
@@ -142,6 +174,17 @@ def test_sweep_in_place_is_bit_identical_to_the_plain_sweep(name):
                 ref_values, ref_args = oracles.modulus_sweep(f, k, lam, hs)
                 assert np.array_equal(values, ref_values), (k, lam, g)
                 assert np.array_equal(args, ref_args), (k, lam, g)
+
+
+def test_omega_dt_is_pinned_on_the_minimax_panel():
+    # omega_2^phi(f, 1/n) of the benchmark's minimax panel: every bit of the
+    # value and of both arguments (float64 on x86-64)
+    digest = hashlib.sha256()
+    for name in ("exp", "truncpow:0.5:3", "xeps:0.5", "logeps:1e-4"):
+        for n in (4, 12, 19):
+            est = omega_dt(catalog(name), 2, 1.0, 1.0 / n)
+            digest.update(np.array([est.value, est.argmax_h, est.argmax_x]).tobytes())
+    assert digest.hexdigest() == "093f5f7629019825f95d19e36578aededf8dcecca8e2e29af06999e995088134"
 
 
 @pytest.mark.parametrize("k, lam", [(2, 1.0), (2, 1.5), (3, 1.5)])

@@ -34,8 +34,8 @@ from shapeapprox import (
     q_monotone_catalog,
 )
 from shapeapprox.functions import TruncatedPowerFunction, _gauss_legendre
-from shapeapprox.operators import _gauss_jacobi, _h_weights
-from shapeapprox.polynomial import bernstein_basis
+from shapeapprox.operators import _gauss_jacobi, _h_weights, _moment_store
+from shapeapprox.polynomial import IntegerForm, bernstein_basis
 from shapeapprox.special import shifted_jacobi
 
 from oracles import (
@@ -342,6 +342,33 @@ def test_h_weights_are_formed_once_per_generator():
     for f, image in zip(batch, images):
         _h_weights.cache_clear()
         assert gavrea_image(P, f) == image == gavrea_reference(P, f)
+
+
+def test_eigenbasis_forms_the_moments_of_p_once_per_generator(monkeypatch):
+    # a batch of polynomial inputs on one P that starts with its largest
+    # degree reads P's moments from one call; a larger degree later forms
+    # them once more.  The images are those of the reference
+    calls = []
+    moments = IntegerForm.moments
+    monkeypatch.setattr(IntegerForm, "moments",
+                        lambda form, count: calls.append(form) or moments(form, count))
+    _moment_store.cache_clear()
+    rng = np.random.default_rng(3)
+    for n, r in ((45, 1), (71, 2), (128, 1)):
+        P = build_generator(n, r).P
+        top = (P.degree + 2) // 2  # the largest degree the eigenbasis takes
+        degrees = (6, 0, 4, 1, 6, top, 3, top)
+        batch = [PolyFunction(Polynomial.bernstein(list(rng.random(e + 1)))) for e in degrees]
+        calls.clear()
+        images = []
+        for f in batch:
+            images.append(gavrea_image(P, f))
+            if len(images) in (5, 8):  # one call before the larger degree, two after
+                assert sum(form == P.integer_form for form in calls) == len(images) // 4, (n, r)
+        assert [image.degree for image in images] == list(degrees)
+        for f, image in zip(batch, images):
+            assert image == gavrea_reference(P, f)
+    _moment_store.cache_clear()
 
 
 def test_mn_image_quadrature_and_moment_reads_agree():

@@ -1,5 +1,6 @@
 """Polynomial evaluation, basis conversion, the exact Bernstein and
 Chebyshev read-outs, and serialization."""
+import hashlib
 import json
 import math
 import random
@@ -17,7 +18,8 @@ from shapeapprox import (BasisError, DomainError, PolyFunction, Polynomial, buil
                          check_k_monotone_poly)
 from shapeapprox import polynomial
 from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, bernstein_basis,
-                                    bernstein_integers, nonnegative_by_halving)
+                                    bernstein_elevation, bernstein_integers,
+                                    nonnegative_by_halving)
 
 from oracles import bernstein_coeffs, compose, exact, fractions, integral_01, monomial_coeffs
 
@@ -386,6 +388,40 @@ def test_bernstein_basis_rows_are_probability_vectors(n):
     unit[0] = 1
     assert np.array_equal(basis[0], unit)  # x = 0
     assert np.array_equal(basis[256], unit[::-1])  # x = 1
+
+
+def _kernel_digest(arrays) -> str:
+    """SHA-256 over each array's shape, float64 bytes and C-contiguity."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(repr(a.shape).encode())
+        digest.update(np.asarray(a, dtype=np.float64).tobytes())
+        digest.update(bytes([a.flags.c_contiguous]))
+    return digest.hexdigest()[:16]
+
+
+_BASIS_DIGESTS = {
+    0: "782a128ea96bb52c", 1: "8d0f29fb2daa9684", 5: "d7312cf9d258933f",
+    18: "91d3eb2426d231a6", 40: "858b765331ccea50", 513: "a381439336393f2d",
+}
+_ELEVATION_DIGESTS = {
+    (0, 3): "64b678c7e9e675f0", (5, 20): "a408396fdb0f34f8", (18, 512): "efb144c12198e58c",
+    (38, 512): "fd2d3761ba022440", (30, 1024): "598b0f5c6e115943",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_BASIS_DIGESTS))
+def test_bernstein_basis_is_pinned_bit_for_bit(n):
+    # the shape check's 4096-point grid, random points and both ends: every
+    # bit of every entry, and a C-contiguous result (float64 on x86-64)
+    grids = [np.linspace(0.0, 1.0, 4096), np.random.default_rng(n).random(1000),
+             np.array([0.0, 1.0])]
+    assert _kernel_digest([bernstein_basis(n, xs) for xs in grids]) == _BASIS_DIGESTS[n]
+
+
+@pytest.mark.parametrize("d, m", sorted(_ELEVATION_DIGESTS))
+def test_bernstein_elevation_is_pinned_bit_for_bit(d, m):
+    assert _kernel_digest([bernstein_elevation(d, m)]) == _ELEVATION_DIGESTS[d, m]
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), -float("inf")])
