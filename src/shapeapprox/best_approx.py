@@ -165,8 +165,11 @@ def best_qmonotone(
     When the unconstrained optimum is not q-monotone, the solve requires the
     Bernstein coefficients of p^(q) (p for q=0), elevated to degree
     m = 4(M-1), to be >= 0, which certifies the shape on all of [0,1];
-    ``constraint_size`` is then m+1.  ``constraint_validated`` is the
-    verdict of ``check_k_monotone_poly`` on the returned polynomial."""
+    ``constraint_size`` is then m+1.  The solve is skipped only when
+    ``check_k_monotone_poly`` proves the unconstrained optimum's p^(q) >= 0,
+    or >= -tol, in exact arithmetic; a counterexample or an undecided
+    verdict leads to the solve.  ``constraint_validated`` is the verdict of
+    ``check_k_monotone_poly`` on the returned polynomial."""
     if q < 0 or n < 0:
         raise RegimeError("need q >= 0 and n >= 0")
     if M is None:

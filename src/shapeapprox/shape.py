@@ -3,14 +3,15 @@
 A function is k-monotone when its k-th symmetric differences are nonnegative
 wherever they are defined (k = 0, 1, 2: nonnegative, nondecreasing, convex).
 For polynomials this is equivalent to p^(k) >= 0 on (0,1) for k >= 1. Every
-polynomial here has an exact value, so the verdict on p^(k) >= 0 is first
-sought exactly, with no sampling caveat. It has three exits. A proof: all
-Bernstein coefficients of p^(k) are nonnegative (the native certificate), or
-they become so on every piece of a dyadic subdivision (the subdivision
-certificate). A counterexample: the subdivision meets a negative end
-coefficient, which is the exact value of p^(k) at a dyadic point, below the
-threshold. A sample: only when neither decides is p^(k) sampled on a dense
-grid, and that sample alone decides the verdict.
+polynomial here has an exact value, so its verdict is decided exactly, with
+no sample, by integer de Casteljau halving of the Bernstein integers of
+p^(k). It has four exits. A proof: all of them are nonnegative (the native
+certificate), or they become so on every piece of a dyadic subdivision (the
+subdivision certificate). A proof within tolerance: those of p^(k) +
+threshold do, so p^(k) >= -threshold on [0,1]. A counterexample: a negative
+end coefficient of a piece, the exact value of p^(k) at a dyadic point,
+below -threshold. Undecided: a fail with no witness, when the halvings
+allowed find none of these.
 """
 from __future__ import annotations
 
@@ -20,26 +21,33 @@ import numpy as np
 
 from .errors import RegimeError
 from .moduli import _centre_term, _sym_diff_grid, default_x_grid
-from .polynomial import Polynomial, bernstein_basis, nonnegative_by_halving
+from .polynomial import Polynomial, nonnegative_by_halving
 
-POLY_GRID_POINTS = 4096
 FN_X_POINTS = 257
 FN_DELTA_POINTS = 64
 DEFAULT_TOL = 1e-9
+#: halvings allowed to each exact run of a polynomial check: over the tests,
+#: the benchmark panels and M_n images up to degree 511 a proof took at most
+#: 13; more only slow the runs that decide nothing (at 64, 1.5 s at degree 252)
+HALVINGS = 16
 
 
 @dataclass(frozen=True)
 class ShapeReport:
+    """A verdict on k-monotonicity. For a polynomial, ``x_grid_size`` is 0
+    (it is decided exactly), a pass with neither certificate proves p^(k) >=
+    -tol, and a fail with no witness is undecided."""
+
     k: int
     passed: bool
-    witness_x: float | None  # point with the most negative difference, on fail
+    witness_x: float | None  # on fail, a point where the difference is below -tol
     witness_delta: float | None
     witness_value: float | None
     x_grid_size: int
     delta_grid_size: int
     tol: float
     #: True when every Bernstein coefficient of p^(k) is >= 0 (polynomials
-    #: only); a certificate that needs no grid caveat
+    #: only); an exact proof of p^(k) >= 0
     bernstein_certificate: bool = False
     #: True when they are not, but halving them proved p^(k) >= 0 exactly
     subdivision_certificate: bool = False
@@ -72,48 +80,32 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
                        FN_X_POINTS, FN_DELTA_POINTS, threshold)
 
 
-def _halving_budget(degree: int) -> int:
-    """Halvings allowed before sampling a degree-`degree` p^(k). A halving
-    costs O(d^2) big-integer additions, the sample 4096 (d+1) basis values;
-    with this budget a search that finds neither a proof nor a
-    counterexample (a double zero at a non-dyadic point) costs less than
-    the sample it precedes, and from degree 512 on the budget is 0. A
-    counterexample found within it saves the sample."""
-    return POLY_GRID_POINTS // (8 * (degree + 1))
-
-
 def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
-    """Sign check of p^(k) (p itself for k = 0) on [0,1], from the exact
-    Bernstein integers of p^(k), with three exits. A proof passes: the
-    native certificate (every coefficient >= 0), or the subdivision
-    certificate (``nonnegative_by_halving`` within ``_halving_budget``). A
-    counterexample fails: the exact value of p^(k) at the dyadic point where
-    the halving gave up, when it lies below -threshold; it is the witness.
-    Otherwise dense 4096-point sampling of the float64 coefficients decides.
-    ``x_grid_size = 0`` means the verdict was decided exactly. A proof
-    implies that the sample would pass (roundoff stays far below the
-    threshold). A counterexample is a value the sample could only miss, so
-    no sample would pass p more justly; one in (-threshold, 0) decides
-    nothing, and the sample does, against the same threshold as before."""
+    """Sign check of p^(k) (p itself for k = 0) on [0,1] from its exact
+    Bernstein integers c over den, with the module's four exits. Each run
+    of ``nonnegative_by_halving`` takes at most ``HALVINGS`` halvings. When
+    the first decides nothing, the second runs on c_i t_den + t_num den, for
+    threshold = t_num/t_den: the integers of (p^(k) + threshold) den t_den,
+    since the basis sums to 1."""
     if k < 0:
         raise RegimeError("k must be >= 0")
     c, den = p.integer_form.derivative(k)
     p_c, p_den = p.integer_form.derivative(0) if k else (c, den)
     # max|c|/den, one correctly rounded quotient: the max of the rounded values
     threshold = DEFAULT_TOL * max(1e-30, max(map(abs, p_c)) / p_den, max(map(abs, c)) / den)
-    proved, halvings, witness = nonnegative_by_halving(c, _halving_budget(len(c) - 1))
+    proved, halvings, witness = nonnegative_by_halving(c, HALVINGS)
     if proved:
         return ShapeReport(k, True, None, None, None, 0, 0, threshold,
                            bernstein_certificate=not halvings,
                            subdivision_certificate=bool(halvings))
-    if witness is not None:
-        x, value = witness[0], witness[1] / den
-        if value < -threshold:
-            return ShapeReport(k, False, float(x), 0.0, float(value), 0, 0, threshold)
-    xs = np.linspace(0.0, 1.0, POLY_GRID_POINTS)
-    vals = bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])
-    j = int(np.argmin(vals))
-    if vals[j] < -threshold:
-        return ShapeReport(k, False, float(xs[j]), 0.0, float(vals[j]),
-                           POLY_GRID_POINTS, 0, threshold)
-    return ShapeReport(k, True, None, None, None, POLY_GRID_POINTS, 0, threshold)
+    if witness is None or witness[1] / den >= -threshold:
+        t_num, t_den = threshold.as_integer_ratio()
+        proved, _, shifted = nonnegative_by_halving([b * t_den + t_num * den for b in c],
+                                                    HALVINGS)
+        if proved:
+            return ShapeReport(k, True, None, None, None, 0, 0, threshold)
+        if shifted is None:
+            return ShapeReport(k, False, None, None, None, 0, 0, threshold)
+        witness = shifted[0], (shifted[1] - t_num * den) / t_den
+    x, value = witness[0], witness[1] / den
+    return ShapeReport(k, False, float(x), 0.0, float(value), 0, 0, threshold)

@@ -2,7 +2,8 @@
 library's own conversions: coefficient vectors are numpy object arrays of
 Fractions, on which numpy.polynomial.polynomial is exact. Float references:
 library kernels in their earlier, plainer form, which the faster ones must
-match bit for bit. Empirical constants that the acceptance criteria fit from
+match bit for bit, and the sampled shape verdict, with which the exact one
+must agree. Empirical constants that the acceptance criteria fit from
 the library's results: modulus decay exponents and Jackson ratios."""
 import math
 from dataclasses import dataclass
@@ -120,6 +121,15 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
         values[has[wins]] = best[wins]
         args[has[wins]] = points[has[wins], j[wins]]
     return values, args
+
+
+def sampled_shape_verdict(p: Polynomial, k: int, tol: float) -> bool:
+    """The library's polynomial shape verdict as it was when a sample
+    decided it: p^(k) >= -tol at 4096 equispaced points of [0,1], in
+    float64 from the exact Bernstein integers of p^(k)."""
+    c, den = p.integer_form.derivative(k)
+    xs = np.linspace(0.0, 1.0, 4096)
+    return bool(np.min(bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])) >= -tol)
 
 
 def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:

@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from shapeapprox import (
     ExpFunction,
     Polynomial,
+    best_qmonotone,
     best_uniform,
     catalog,
     check_k_monotone_fn,
@@ -17,9 +18,9 @@ from shapeapprox import (
 )
 from shapeapprox.functions import TruncatedPowerFunction
 from shapeapprox.polynomial import nonnegative_by_halving
-from shapeapprox.shape import POLY_GRID_POINTS, _halving_budget
+from shapeapprox.shape import HALVINGS
 
-from oracles import fractions
+from oracles import fractions, sampled_shape_verdict
 
 
 def test_exp_is_k_monotone_all_orders():
@@ -49,10 +50,13 @@ def test_negative_end_coefficient_decides_without_sampling():
     assert (rep.witness_x, rep.witness_value) == (0.0, -2.0)
 
 
-def test_tiny_negative_end_coefficient_is_still_sampled():
-    # p(0) = -1e-12 lies above -threshold (1e-9 max|b|): the sample decides
+def test_tiny_negative_end_coefficient_passes_within_tolerance():
+    # p(0) = -1e-12 lies above -threshold (1e-9 max|b|): p + threshold has
+    # nonnegative Bernstein coefficients, so p >= -threshold, with no
+    # certificate of p >= 0
     rep = check_k_monotone_poly(Polynomial.bernstein([-1e-12, 1, 1]), 0)
-    assert rep.passed and rep.x_grid_size == POLY_GRID_POINTS
+    assert rep.passed and rep.x_grid_size == 0
+    assert not rep.bernstein_certificate and not rep.subdivision_certificate
 
 
 def test_poly_certificate_path():
@@ -64,13 +68,41 @@ def test_poly_certificate_path():
         assert rep.bernstein_certificate
 
 
-def test_poly_grid_path_for_indefinite_bernstein_form():
+def test_indefinite_bernstein_form_is_decided_exactly():
     # (x - 1/4)^2 is convex and nonnegative but its linear Bernstein
     # representation of the first derivative has mixed signs at low degree
     p = Polynomial.monomial([Fraction(1, 16), Fraction(-1, 2), 1])
-    assert check_k_monotone_poly(p, 0).passed
-    assert check_k_monotone_poly(p, 2).passed
-    assert not check_k_monotone_poly(p, 1).passed
+    reports = [check_k_monotone_poly(p, k) for k in range(3)]
+    assert [rep.passed for rep in reports] == [True, False, True]
+    assert reports[0].subdivision_certificate and reports[2].bernstein_certificate
+    assert all(rep.x_grid_size == 0 for rep in reports)
+
+
+def test_dip_between_sample_points_fails():
+    # p = (x - 2001/8190)^2 - 1e-8 dips below -threshold on an interval of
+    # width 2e-4 around 0.2443, between two of 4096 equispaced points
+    dip = fractions([Fraction(2001, 8190) ** 2 - Fraction(1, 10 ** 8), Fraction(-2001, 4095), 1])
+    p = Polynomial.monomial(npoly.polymul(dip, npoly.polypow(fractions([1, Fraction(1, 1024)]),
+                                                             46, 46)))
+    rep = check_k_monotone_poly(p, 0)
+    assert sampled_shape_verdict(p, 0, rep.tol)
+    assert not rep.passed and rep.x_grid_size == 0
+    assert rep.witness_x == 0.244384765625
+    assert rep.witness_value < -10 * rep.tol
+
+
+def test_undecided_verdict_fails_without_witness(monkeypatch):
+    # xeps:0.5's unconstrained optimum at n = 5 is nondecreasing, proved by
+    # subdivision, so the constrained solve is skipped
+    f = catalog("xeps:0.5")
+    assert check_k_monotone_poly(best_uniform(f, 5).poly, 1).subdivision_certificate
+    assert best_qmonotone(f, 1, 5).constraint_size == 0
+    # with no halvings allowed, both runs give up: a fail with no witness,
+    # after which the constrained solve runs
+    monkeypatch.setattr(shape, "HALVINGS", 0)
+    rep = check_k_monotone_poly(Polynomial.monomial([Fraction(1, 16), Fraction(-1, 2), 1]), 0)
+    assert not rep.passed and rep.witness_x is None and rep.witness_value is None
+    assert best_qmonotone(f, 1, 5).constraint_size > 0
 
 
 def test_zero_polynomial_every_order():
@@ -101,7 +133,7 @@ def test_mn_image_proved_by_subdivision():
     assert rep.x_grid_size == 0
 
 
-def test_subdivision_proof_agrees_with_sampling(monkeypatch):
+def test_subdivision_proof_agrees_with_sampling():
     images = [(mn_image(q, n, f).poly, q) for q in (1, 2, 3, 4)
               for n in (21, 47, 73) for f in q_monotone_catalog(q)]
     reports = [check_k_monotone_poly(p, q) for p, q in images]
@@ -112,28 +144,20 @@ def test_subdivision_proof_agrees_with_sampling(monkeypatch):
               for n in (4, 12, 19) for q in sorted(f.known_monotone_orders) if q <= 4]
     verdicts = [check_k_monotone_poly(p, q) for p, q in optima]
     assert any(not rep.passed and rep.x_grid_size == 0 for rep in verdicts)
-    # the same checks with both proofs and the counterexample off, so that
-    # every one is sampled
-    monkeypatch.setattr(shape, "nonnegative_by_halving", lambda c, budget: (False, 0, None))
-    for rep, (p, q) in zip(reports, images):
-        ref = check_k_monotone_poly(p, q)
-        assert ref.x_grid_size == POLY_GRID_POINTS
-        assert (rep.passed, rep.witness_x, rep.witness_value) == \
-            (ref.passed, ref.witness_x, ref.witness_value)
-    for rep, (p, q) in zip(verdicts, optima):
-        assert rep.passed == check_k_monotone_poly(p, q).passed
+    # the sample, against the same threshold, agrees with every verdict
+    for rep, (p, q) in zip(reports + verdicts, images + optima):
+        assert rep.x_grid_size == 0
+        assert rep.passed == sampled_shape_verdict(p, q, rep.tol)
 
 
-def test_interior_double_root_exhausts_budget_then_samples():
+def test_interior_double_root_exhausts_budget_then_passes_within_tolerance():
     # (x - 1/3)^2 (1 + x)^33 >= 0, but its zero at 1/3 lies inside a piece
-    # at every depth, so no halving proves it
+    # at every depth, so no halving proves it; p + threshold is proved
     d = 35
     square = fractions([Fraction(1, 9), Fraction(-2, 3), 1])
     p = Polynomial.monomial(npoly.polymul(square, npoly.polypow(fractions([1, 1]), d - 2, d)))
     c, _ = p.integer_form.derivative(0)
-    budget = _halving_budget(d)
-    assert budget > 0
-    assert nonnegative_by_halving(c, budget) == (False, budget, None)
+    assert nonnegative_by_halving(c, HALVINGS) == (False, HALVINGS, None)
     rep = check_k_monotone_poly(p, 0)
-    assert rep.passed and rep.x_grid_size == POLY_GRID_POINTS
+    assert rep.passed and rep.x_grid_size == 0
     assert not rep.bernstein_certificate and not rep.subdivision_certificate
