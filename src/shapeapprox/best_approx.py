@@ -15,8 +15,9 @@ T_j(2x-1)^(q), formed exactly in integers at degree 2(n-q), rounded once,
 and elevated to m by one float product with a nonnegative matrix; the
 simplex stops once no row is violated by more than 1e-15 max|f|.  Both
 problems work in the shifted Chebyshev basis for conditioning; the returned
-polynomial is reconstructed exactly from the float solution so downstream
-basis conversions do not amplify cancellation.  A solve forms the integer
+polynomial is reconstructed exactly from the float solution
+(``polynomial._reconstruct``) so downstream basis conversions do not
+amplify cancellation.  A solve forms the integer
 table of the T_j(2x-1) once, for its shape rows and both reconstructions.
 """
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy.polynomial.chebyshev as npcheb
 
 from .errors import RegimeError, SolverError
 from .moduli import default_x_grid
-from .polynomial import MONOMIAL, Polynomial, bernstein_elevation, bernstein_integers
+from .polynomial import (Polynomial, _chebyshev_ints, _reconstruct, bernstein_elevation,
+                         bernstein_integers)
 from .shape import check_k_monotone_poly
 from .simplex import dual_simplex, exchange
 
@@ -58,17 +60,6 @@ class ApproxResult:
     simplex_steps: int
     equioscillations: int
     constraint_validated: bool
-
-
-def _chebyshev_ints(n: int) -> np.ndarray:
-    """The monomial coefficients of T_j(2x-1), j = 0..n, as Python integers
-    in column j of an (n+1)-square object array, by the recurrence
-    T*_{j+1} = (4x-2) T*_j - T*_{j-1}, one list of ints per column."""
-    cols = [[1] + [0] * n, [-1, 2] + [0] * (n - 1)][:n + 1]
-    for j in range(1, n):
-        a, b = cols[j], cols[j - 1]
-        cols.append([-2 * a[0] - b[0]] + [4 * x - 2 * y - z for x, y, z in zip(a, a[1:], b[1:])])
-    return np.array(cols, dtype=object).T
 
 
 def _basis_values(xs: np.ndarray, n: int) -> np.ndarray:
@@ -101,19 +92,6 @@ def _shape_rows(n: int, q: int, m: int, T: np.ndarray | None = None) -> np.ndarr
     return R / np.abs(R).max(axis=1, keepdims=True)
 
 
-def _reconstruct(coeffs: np.ndarray, T: np.ndarray | None = None) -> Polynomial:
-    """Exact monomial polynomial from float Chebyshev-basis coefficients.
-    Each float is a dyadic rational, so the sum is one integer product with
-    T = ``_chebyshev_ints`` (formed here when not passed) over the largest
-    power-of-two denominator."""
-    parts = [float(aj).as_integer_ratio() for aj in coeffs]
-    den = max(q for _, q in parts)
-    w = np.array([p * (den // q) for p, q in parts], dtype=object)
-    if T is None:
-        T = _chebyshev_ints(len(parts) - 1)
-    return Polynomial.from_integers(MONOMIAL, list(T @ w), den)
-
-
 def equioscillation_count(residuals: np.ndarray, error: float) -> int:
     """Number of alternating near-extrema of the residual with magnitude
     within 1% of the error."""
@@ -141,20 +119,36 @@ def _sample(f, n: int, N: int | None):
     return N, np.asarray(f(xs), dtype=float), _basis_values(xs, n)
 
 
+def _solve(f, n: int, N: int | None, q: int | None = None, M: int = 0) -> ApproxResult:
+    """Sample f, run the exchange and reconstruct its optimum; for a q that
+    the optimum's shape check does not pass, continue by the dual simplex
+    with the shape rows at degree m = max(4(M-1), n-q)."""
+    N, fvals, V = _sample(f, n, N)
+    a, err, bound, ref = exchange(fvals, V)
+    T = _chebyshev_ints(n)
+    p = _reconstruct(a, T)
+    constraint_size, validated, steps = 0, True, 0
+    # if the unconstrained optimum already satisfies the shape constraint it
+    # is the constrained optimum too (constrained error can only be larger)
+    if q is not None and not check_k_monotone_poly(p, q).passed:
+        m = max(4 * (M - 1), n - q)
+        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m, T), ref)
+        p = _reconstruct(a, T)
+        constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
+    resid = fvals - V @ a
+    return ApproxResult(
+        n=n, q=q, poly=p, error=err, error_dual=bound, sample_size=N,
+        constraint_size=constraint_size, iterations=ref.steps + steps, simplex_steps=steps,
+        equioscillations=equioscillation_count(resid, err), constraint_validated=validated,
+    )
+
+
 def best_uniform(f, n: int, N: int | None = None) -> ApproxResult:
     """Best uniform approximation from degree-<=n polynomials, discretized on
     N >= 4(n+1) Chebyshev-distributed nodes."""
     if n < 0:
         raise RegimeError("n must be >= 0")
-    N, fvals, V = _sample(f, n, N)
-    a, err, bound, ref = exchange(fvals, V)
-    p = _reconstruct(a)
-    resid = fvals - V @ a
-    return ApproxResult(
-        n=n, q=None, poly=p, error=err, error_dual=bound, sample_size=N, constraint_size=0,
-        iterations=ref.steps, simplex_steps=0,
-        equioscillations=equioscillation_count(resid, err), constraint_validated=True,
-    )
+    return _solve(f, n, N)
 
 
 def best_qmonotone(
@@ -172,26 +166,7 @@ def best_qmonotone(
     ``check_k_monotone_poly`` on the returned polynomial."""
     if q < 0 or n < 0:
         raise RegimeError("need q >= 0 and n >= 0")
-    if M is None:
-        M = DEFAULT_CONSTRAINT_POINTS
-    N, fvals, V = _sample(f, n, N)
-    # if the unconstrained optimum already satisfies the shape constraint it
-    # is the constrained optimum too (constrained error can only be larger)
-    a, err, bound, ref = exchange(fvals, V)
-    T = _chebyshev_ints(n)
-    p = _reconstruct(a, T)
-    constraint_size, validated, steps = 0, True, 0
-    if not check_k_monotone_poly(p, q).passed:
-        m = max(4 * (M - 1), n - q)
-        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m, T), ref)
-        p = _reconstruct(a, T)
-        constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
-    resid = fvals - V @ a
-    return ApproxResult(
-        n=n, q=q, poly=p, error=err, error_dual=bound, sample_size=N,
-        constraint_size=constraint_size, iterations=ref.steps + steps, simplex_steps=steps,
-        equioscillations=equioscillation_count(resid, err), constraint_validated=validated,
-    )
+    return _solve(f, n, N, q, DEFAULT_CONSTRAINT_POINTS if M is None else M)
 
 
 def jackson_quotient(error: float, modulus: float) -> float:

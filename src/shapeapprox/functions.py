@@ -7,30 +7,22 @@ denominator. Every catalog handle gives them itself: exactly for
 polynomials, x^eps and the truncated power, and within 2^-bits for exp and
 ln(x + eps), whose moments are irrational and are formed in fixed point.
 Any other handle (a plain callable, wrapped by the operators) is read by the
-base class's Gauss-Legendre rule in float64. Handles declare the
+base class through the exact moments of its Chebyshev interpolant, sampled
+in float64. Handles declare the
 k-monotonicity orders they are known to satisfy.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from .errors import DomainError
-from .polynomial import Polynomial, _lowest, _rational, bernstein_basis
+from .polynomial import Polynomial, _lowest, _rational, _reconstruct
 from .special import _log_fixed
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [0,1], built once per order."""
-    u, w = np.polynomial.legendre.leggauss(order)
-    t, w = (u + 1) / 2, w / 2
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
 
 
 class FunctionHandle:
@@ -48,25 +40,19 @@ class FunctionHandle:
         integers over one denominator: exact, or if not ``exact_moments``
         within 2^-bits.
 
-        This default, for a handle without moments of its own, samples f in
-        float64 and ignores ``bits``: one Gauss-Legendre rule of order
-        max(64, d+4) gives b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, for
-        g_{i,j} = int t^i (1-t)^j f, whose exact values give the moments
-        m_i = g_{i,0} by the additive triangle g_{i,j} = g_{i,j+1} + g_{i+1,j}."""
-        t, w = _gauss_legendre(max(64, d + 4))
-        b = (w * np.asarray(self(t), dtype=float)) @ bernstein_basis(d, t)
-        v0, v1 = np.asarray(self(np.array([0.0, 1.0])), dtype=float)
-        parts = [_rational(v) for v in (v0, *b, v1)]
-        den = math.lcm(*(q for _, q in parts))
-        num = [p * (den // q) for p, q in parts]
-        fact = [math.factorial(i) for i in range(d + 1)]
-        # g_{i,d-i} = b_i i! (d-i)! / d!, over den d!
-        row = [bi * fact[i] * fact[d - i] for i, bi in enumerate(num[1:-1])]
-        moments = [row[-1]]
-        for _ in range(d):
-            row = [x + y for x, y in zip(row, row[1:])]
-            moments.append(row[-1])
-        return [num[0] * fact[d], *reversed(moments), num[-1] * fact[d]], den * fact[d]
+        This default, for a handle without moments of its own, gives f(0),
+        f(1) and the exact moments of the polynomial p that interpolates f
+        at K + 1 first-kind Chebyshev points, K = max(64, d+4), sampled in
+        float64: numpy's float Chebyshev coefficients of p, taken exactly
+        (``_reconstruct``). ``bits`` is not used. A positive operator T that
+        reads them gives T p, within (1 + |T 1 - 1|) max|f - p| of T f."""
+        K = max(64, d + 4)
+        c = chebinterpolate(lambda u: np.asarray(self((u + 1) / 2), dtype=float), K)
+        form = _reconstruct(c).integer_form
+        moments, den = form.moments(d + 1)
+        (v0, q0), (v1, q1) = map(_rational, np.asarray(self(np.array([0.0, 1.0])), dtype=float))
+        L = math.lcm(den, q0, q1)
+        return [v0 * (L // q0), *(m * (L // den) for m in moments), v1 * (L // q1)], L
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"

@@ -11,9 +11,9 @@
 Operators are exposed as full polynomial images (``*_image``) in Bernstein
 form, which the shape and moment tests consume.  U_n, D_n (alpha = 0) and H
 read f once, through ``_read_out``, that is through f's moments
-(``FunctionHandle.moment_read``, whose base-class default is the
-Gauss-Legendre read of a plain callable), and form the image in exact
-arithmetic.
+(``FunctionHandle.moment_read``, whose base-class default reads a plain
+callable through the exact moments of its Chebyshev interpolant), and form
+the image in exact arithmetic.
 U_n and D_n give an exact image on exact data (polynomials, exact moments);
 otherwise, and for H always, each Bernstein coefficient is rounded once at
 PRECISION_BITS.  H maps a polynomial
@@ -97,7 +97,8 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
     plus 2d, plus ``gain`` for a caller whose weights sum to 2^gain in size.
     The images rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
     g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
-    than 3^d; a plain callable is read by the handle's Gauss-Legendre rule.
+    than 3^d; a plain callable is read through the exact moments of its
+    Chebyshev interpolant.
     """
     f = _as_handle(f)
     num, den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import to_rational
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.chebyshev import chebinterpolate
 
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
 from shapeapprox.functions import ExpFunction, FunctionHandle, LogShiftFunction, PolyFunction
@@ -21,7 +22,7 @@ from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
-from shapeapprox.polynomial import Polynomial, _rational, bernstein_basis
+from shapeapprox.polynomial import Polynomial, bernstein_basis
 from shapeapprox.special import TauPoly, chebyshev_T
 
 
@@ -132,24 +133,41 @@ def sampled_shape_verdict(p: Polynomial, k: int, tol: float) -> bool:
     return bool(np.min(bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])) >= -tol)
 
 
+def callable_moments(f, d: int) -> list:
+    """f(0), m_0..m_d, f(1) for a handle without moments of its own, as
+    Fractions: m_i the moments of the polynomial p that interpolates f at
+    K + 1 first-kind Chebyshev points, K = max(64, d+4). numpy's float
+    coefficients c_j of p = sum_j c_j T_j(2x - 1) are summed as Fractions
+    over ``chebyshev_T``, composed with t = 2x - 1 by Horner's rule and
+    integrated term by term."""
+    K = max(64, d + 4)
+    c = chebinterpolate(lambda u: np.asarray(f((u + 1) / 2), dtype=float), K)
+    in_t = np.array([Fraction(0)] * (K + 1), dtype=object)
+    for j, cj in enumerate(c):
+        Tj = chebyshev_T(j).num
+        in_t[:len(Tj)] += np.array(Tj, dtype=object) * Fraction(cj)
+    a = np.array([Fraction(0)], dtype=object)
+    for tk in reversed(in_t):
+        a = npoly.polyadd(npoly.polymul(a, [Fraction(-1), Fraction(2)]), [tk])
+    moments = [sum(ak / (i + k + 1) for k, ak in enumerate(a)) for i in range(d + 1)]
+    ends = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
+    return [Fraction(ends[0]), *moments, Fraction(ends[1])]
+
+
 def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
     """The library's read-out of f as it was when it gave b_i =
     int_0^1 p_{d,i} f rather than moments: f(0), b_0..b_d, f(1) as integers
     over one denominator, and whether they are exact. Moments (``moment_read``
-    at PRECISION_BITS + 2d + gain bits) become b by the subtractive
-    triangle; a handle without moments of its own (a plain callable) is
-    integrated by one Gauss-Legendre rule straight into b."""
+    at PRECISION_BITS + 2d + gain bits, or ``callable_moments`` for a handle
+    without moments of its own, such as a plain callable) become b by the
+    subtractive triangle."""
     f = _as_handle(f)
     if type(f).moment_read is FunctionHandle.moment_read:
-        u, w = np.polynomial.legendre.leggauss(max(64, d + 4))
-        t = (u + 1) / 2
-        b = (w / 2 * np.asarray(f(t), dtype=float)) @ bernstein_basis(d, t)
-        ends = np.asarray(f(np.array([0.0, 1.0])), dtype=float)
-        vals = [Fraction(*_rational(v)) for v in (*ends, *b)]
+        vals = callable_moments(f, d)
         den = math.lcm(*(v.denominator for v in vals))
-        v0, v1, *row = [v.numerator * (den // v.denominator) for v in vals]
-        return [v0, *row, v1], den, False
-    (v0, *row, v1), den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
+        v0, *row, v1 = [v.numerator * (den // v.denominator) for v in vals]
+    else:
+        (v0, *row, v1), den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
     diag = [row[-1]]  # g_{d-j,j}, g_{i,j} = int t^i (1-t)^j f
     for _ in range(d):
         row = [x - y for x, y in zip(row, row[1:])]

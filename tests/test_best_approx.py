@@ -23,8 +23,8 @@ from shapeapprox import (
     linear,
     monomial,
 )
-from shapeapprox.best_approx import _chebyshev_ints, _reconstruct, _sample, _shape_rows
-from shapeapprox.polynomial import bernstein_elevation
+from shapeapprox.best_approx import _sample, _shape_rows
+from shapeapprox.polynomial import _chebyshev_ints, _reconstruct, bernstein_elevation
 from shapeapprox.shape import check_k_monotone_poly
 from shapeapprox.simplex import dual_simplex, exchange
 from shapeapprox.special import chebyshev_T

@@ -265,14 +265,14 @@ def test_bern_xeps_reads_eps_exactly(eps, tmp_path, capsys):
     assert json.loads(line[len("# config: "):])["eps"] == float(eps)
 
 
-def test_readme_cli_catalog_inputs_take_no_quadrature_read(monkeypatch, tmp_path):
+def test_readme_cli_catalog_inputs_take_no_callable_read(monkeypatch, tmp_path):
     # every catalog function has moments, so the README's commands, the CI
-    # commands that read f and the logeps images never reach the
-    # Gauss-Legendre read of a plain callable
-    def no_quadrature(order):
-        raise AssertionError(f"Gauss-Legendre read of order {order}")
+    # commands that read f and the logeps images never reach the default
+    # read of a plain callable
+    def no_callable_read(handle, d, bits):
+        raise AssertionError(f"callable read at degree {d}")
 
-    monkeypatch.setattr(functions, "_gauss_legendre", no_quadrature)
+    monkeypatch.setattr(functions.FunctionHandle, "moment_read", no_callable_read)
     commands = _readme_commands() + [
         ["apply", "--op", "genuine-durrmeyer", "--n", "40", "--f", "logeps:1e-4"],
         ["apply", "--op", "mn", "--q", "1", "--n", "200", "--f", "xeps:0.5"],
@@ -287,12 +287,13 @@ def test_readme_cli_catalog_inputs_take_no_quadrature_read(monkeypatch, tmp_path
     for argv in commands:
         argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
         assert main(argv) == 0, argv
-    with pytest.raises(AssertionError, match="Gauss-Legendre"):
+    with pytest.raises(AssertionError, match="callable read"):
         operators.genuine_durrmeyer_image(40, lambda x: x)
 
 
 def test_mn_study_logeps_large_n(tmp_path):
-    # n = 124: the generator's weights reach 2^39 against quadrature data
+    # n = 124: the generator's weights reach 2^39 against logeps's
+    # fixed-point moments
     out = tmp_path / "study.csv"
     assert main(["mn-study", "--q", "1", "--f", "logeps:1e-4", "--n-list", "64,124",
                  "--out", str(out)]) == 0

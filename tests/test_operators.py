@@ -33,9 +33,9 @@ from shapeapprox import (
     pochhammer,
     q_monotone_catalog,
 )
-from shapeapprox.functions import TruncatedPowerFunction, _gauss_legendre
+from shapeapprox.functions import TruncatedPowerFunction
 from shapeapprox.operators import _gauss_jacobi, _h_weights, _moment_store
-from shapeapprox.polynomial import IntegerForm, bernstein_basis
+from shapeapprox.polynomial import IntegerForm
 from shapeapprox.special import shifted_jacobi
 
 from oracles import (
@@ -232,7 +232,7 @@ def test_gavrea_image_matches_its_definition():
 
 def test_gavrea_image_of_the_zero_generator():
     # P = 0 has no content to divide by; its image is 0 for exact moments,
-    # exp's moments and a quadrature read alike
+    # exp's moments and a callable's read alike
     zero = Polynomial.monomial([0])
     for f in (monomial(2), ExpFunction(), lambda x: np.exp(x)):
         assert gavrea_image(zero, f).to_monomial().coeffs == (0,)
@@ -283,28 +283,20 @@ def test_durrmeyer_images_match_the_bernstein_form_reference(n):
             assert image(n, f) == reference(n, f)
 
 
-def test_quadrature_read_out_builds_each_rule_once(monkeypatch):
-    # two reads at one order give the same image from one leggauss call,
-    # whose nodes and weights are read-only
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda order: calls.append(order) or leggauss(order))
-    _gauss_legendre.cache_clear()
+def test_callable_read_out_is_repeatable():
+    # a plain callable is sampled again on every read, and two reads at one
+    # degree give the same image, bit for bit, also through H's weights
     f = lambda x: np.log(x + 1e-4)  # a plain callable: no moments
     first, second = (genuine_durrmeyer_image(40, f) for _ in range(2))
-    assert first == second and calls == [64]
+    assert first == second
     assert mn_image(1, 200, f).poly == mn_image(1, 200, f).poly
-    assert len(calls) == 2 and calls[1] > 64
-    t, w = _gauss_legendre(64)
-    assert not t.flags.writeable and not w.flags.writeable
-    _gauss_legendre.cache_clear()
 
 
-def _grid_values(p: Polynomial, points: int = 1025) -> np.ndarray:
-    c, den = p.integer_form.derivative(0)
-    coeffs = np.array([x / den for x in c])
-    return bernstein_basis(len(coeffs) - 1, np.linspace(0.0, 1.0, points)) @ coeffs
+def _distance(p: Polynomial, q: Polynomial, points: int = 257) -> float:
+    """max |p - q| over the points k/(points - 1), from exact values."""
+    fp, fq = p.integer_form, q.integer_form
+    xs = [Fraction(k, points - 1) for k in range(points)]
+    return float(max(abs(fp.value(x) - fq.value(x)) for x in xs))
 
 
 def test_durrmeyer_images_of_exp_moments():
@@ -312,8 +304,8 @@ def test_durrmeyer_images_of_exp_moments():
     # their rounding by up to 3^98, which the read-out's 2d extra bits absorb
     for image in (genuine_durrmeyer_image, durrmeyer_image):
         by_moments = image(100, ExpFunction()).coeffs
-        by_quadrature = image(100, lambda x: np.exp(x)).coeffs
-        assert max(abs(float(a - b)) for a, b in zip(by_moments, by_quadrature)) <= 1e-11
+        by_callable = image(100, lambda x: np.exp(x)).coeffs
+        assert max(abs(float(a - b)) for a, b in zip(by_moments, by_callable)) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 402])
@@ -371,13 +363,29 @@ def test_eigenbasis_forms_the_moments_of_p_once_per_generator(monkeypatch):
     _moment_store.cache_clear()
 
 
-def test_mn_image_quadrature_and_moment_reads_agree():
-    # n = 124: the generator's weights reach 2^39; a callable (quadrature)
-    # and exp's moments must still give the same image
-    by_quadrature = mn_image(1, 124, lambda x: np.exp(x)).poly
-    by_moments = mn_image(1, 124, ExpFunction()).poly
-    diff = np.abs(_grid_values(by_quadrature) - _grid_values(by_moments))
-    assert diff.max() <= 1e-10
+@pytest.mark.parametrize("n", [124, 256, 402, 514])
+def test_mn_image_of_an_exp_callable_is_the_image_of_exp(n):
+    # H's weights sum to about 2^39 at n = 124 and 2^125 at n = 256; a
+    # callable is read through the exact moments of its Chebyshev
+    # interpolant, so they amplify no float rounding of the read (a
+    # Gauss-Legendre read was 6.8e-9, 0.29 and 1.2e6 off from n = 256 on)
+    by_callable = mn_image(1, n, lambda x: np.exp(x)).poly
+    assert _distance(by_callable, mn_image(1, n, ExpFunction()).poly) <= 1e-12
+
+
+def test_mn_image_of_a_sqrt_callable_at_n_402():
+    # M_n is positive, so the image lies within about max|f - p| of the
+    # exact x^(1/2) image, for p the interpolant read (a Gauss-Legendre
+    # read was 0.16 off)
+    by_callable = mn_image(1, 402, lambda x: np.sqrt(x)).poly
+    assert _distance(by_callable, mn_image(1, 402, catalog("xeps:0.5")).poly) <= 1e-6
+
+
+def test_genuine_durrmeyer_image_of_a_sqrt_callable():
+    # U_40 reads the interpolant of degree 64 (a Gauss-Legendre read of
+    # order 64 was 5.6e-6 off)
+    by_callable = genuine_durrmeyer_image(40, lambda x: np.sqrt(x))
+    assert _distance(by_callable, genuine_durrmeyer_image(40, catalog("xeps:0.5"))) <= 1e-5
 
 
 def test_gavrea_image_is_rounded_once():
