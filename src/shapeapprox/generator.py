@@ -3,12 +3,13 @@ up to order r, unit integral, and O(n^-2) moment deficiency.
 
 P = lambda (r-1)! int^r S^2 with S = tau^(2r) is built in Python integers
 after tau: tau's exact read is its integers over one power of two; S comes
-by repeated squaring, each product one big-integer multiply (Kronecker
-substitution) rounded to ``precision_bits`` bits of its largest coefficient;
-S^2 is one more product, not rounded. The only other rounding is of kappa =
-lambda/L, L = lcm_j r C(j+r,r), to ``precision_bits`` bits, after which every
-coefficient of P is an exact dyadic, and P is stored as those integers over
-one power of two.
+by repeated squaring, each product exact by multipoint Kronecker substitution
+(Harvey 2009: the product read from its values at x = 2^N and x = -2^N, two
+integer products of half the size of the one at x = 2^(2N)) and rounded to
+``precision_bits`` bits of its largest coefficient; S^2 is one more product,
+not rounded. The only other rounding is of kappa = lambda/L, L = lcm_j
+r C(j+r,r), to ``precision_bits`` bits, after which every coefficient of P is
+an exact dyadic, and P is stored as those integers over one power of two.
 
 The construction is the certificate: P^(r) = lambda~ (r-1)! S^2 >= 0 on all
 of R, lambda~ = L kappa~ > 0, and P has no coefficient below x^r, so each
@@ -51,29 +52,48 @@ class GeneratorPoly:
 
 
 def _pack(c: list, w: int) -> int:
-    """sum_j c[j] 2^(8wj) for integers |c[j]| < 2^(8w)."""
-    pos = b"".join(max(v, 0).to_bytes(w, "little") for v in c)
-    neg = b"".join(max(-v, 0).to_bytes(w, "little") for v in c)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_j c[j] 2^(8wj) for integers |c[j]| < 2^(8w-1): each c[j] + 2^(8w-1)
+    fills its w bytes unsigned, and the offsets are taken off in one
+    subtraction."""
+    off = 1 << (8 * w - 1)
+    return (int.from_bytes(b"".join((v + off).to_bytes(w, "little") for v in c), "little")
+            - int.from_bytes(off.to_bytes(w, "little") * len(c), "little"))
 
 
 def _kronecker_mul(a: list, b: list) -> list:
-    """Coefficients of the product of two integer polynomials (ascending), by
-    Kronecker substitution: pack each at x = 2^B, multiply once, and read the
-    product's B-bit slots back from its two's-complement bytes. A slot read
-    as signed is the coefficient minus the borrow its lower neighbour took,
-    which is that neighbour's top bit. B leaves two bits above the largest
-    product coefficient, so the reading is unique."""
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    w = (bound.bit_length() + 9) // 8  # bytes per slot
-    x = _pack(a, w)
-    y = x if b is a else _pack(b, w)
-    size = (len(a) + len(b) - 1) * w
-    data = (x * y).to_bytes(size, "little", signed=True)
-    out, borrow = [], 0
-    for i in range(0, size, w):
-        out.append(int.from_bytes(data[i:i + w], "little", signed=True) + borrow)
-        borrow = data[i + w - 1] >> 7
+    """Coefficients of the product h of two integer polynomials (ascending),
+    exactly, by Harvey's multipoint Kronecker substitution KS2 ("Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44, 2009): h(2^N) and h(-2^N) are two integer
+    products of half the size of the one product at x = 2^(2N), which costs
+    about 2^-0.585 of it under Karatsuba. A factor c = E(x^2) + x O(x^2) packs
+    its even- and odd-indexed coefficients once each at 2^(2N), and c(+-2^N)
+    = E +- 2^N O. Then (h(2^N) + h(-2^N))/2 packs h's even coefficients at
+    2^(2N), and (h(2^N) - h(-2^N))/2^(N+1) its odd ones. Each 2N-bit slot is
+    read back from the two's-complement bytes as signed, which is the
+    coefficient minus the borrow its lower neighbour took, that neighbour's
+    top bit. 2N leaves two bits above every coefficient of h and of either
+    factor, so each packed factor fits and the reading is unique."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    bound = max(min(len(a), len(b)) * top_a * top_b, top_a, top_b)
+    half = (bound.bit_length() + 17) // 16  # bytes per N
+    w, shift = 2 * half, 8 * half  # bytes per slot, N
+
+    def points(c):
+        even, odd = _pack(c[0::2], w), _pack(c[1::2], w) << shift
+        return even + odd, even - odd
+
+    pa, ma = points(a)
+    pb, mb = (pa, ma) if b is a else points(b)
+    p, m = pa * pb, ma * mb  # h(2^N), h(-2^N); squares when b is a
+    n = len(a) + len(b) - 1
+    out = [0] * n
+    for start, packed in ((0, (p + m) >> 1), (1, (p - m) >> (shift + 1))):
+        data = packed.to_bytes((n - start + 1) // 2 * w, "little", signed=True)
+        borrow = 0
+        for k, i in zip(range(start, n, 2), range(0, len(data), w)):
+            out[k] = int.from_bytes(data[i:i + w], "little", signed=True) + borrow
+            borrow = data[i + w - 1] >> 7
     return out
 
 

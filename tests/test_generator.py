@@ -181,17 +181,31 @@ def test_build_output_is_pinned_bit_for_bit():
     # a change of its precision re-pins the digest, and
     # test_generator_is_accurate_to_a_wide_guard is then the guarantee. The
     # keys of the dyadic values are those of the mpfs the build once stored
+    builds = [(n, r) for r in (1, 2, 3) for n in (8 * r + 1, 64, 130, 257, 439)]
+    assert _builds_digest(builds) == "632ef0166c8ac19d3c71d2847f84aec948f61a07918a1591ee907c21d2770eee"
+
+
+def test_largest_benchmark_builds_are_pinned_bit_for_bit():
+    # n = 512, the largest n the benchmark builds, with the largest products
+    # at each r (tau has m = 64 coefficients at r = 1), by the same record
+    builds = [(512, r) for r in (1, 2, 3)]
+    assert _builds_digest(builds) == "eb1de51e0138323367bf8df50ebf302c57914b25c0d7e62477f5133563f63f9f"
+
+
+def _builds_digest(builds) -> str:
+    """SHA-256 over every GeneratorPoly field of each (n, r) build: P's exact
+    read, each stored coefficient, lambda_n, each deficiency, the residual
+    and precision_bits."""
     digest = hashlib.sha256()
-    for r in (1, 2, 3):
-        for n in (8 * r + 1, 64, 130, 257, 439):
-            gen = build_generator.__wrapped__(n, r)
-            form = gen.P.integer_form
-            record = (n, r, form.num, form.den, [_dyadic_key(c) for c in gen.P.coeffs],
-                      _dyadic_key(gen.lambda_n),
-                      [(mu, _dyadic_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
-                      gen.unit_integral_residual.hex(), gen.precision_bits)
-            digest.update(repr(record).encode())
-    assert digest.hexdigest() == "632ef0166c8ac19d3c71d2847f84aec948f61a07918a1591ee907c21d2770eee"
+    for n, r in builds:
+        gen = build_generator.__wrapped__(n, r)
+        form = gen.P.integer_form
+        record = (n, r, form.num, form.den, [_dyadic_key(c) for c in gen.P.coeffs],
+                  _dyadic_key(gen.lambda_n),
+                  [(mu, _dyadic_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
+                  gen.unit_integral_residual.hex(), gen.precision_bits)
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -322,20 +336,37 @@ def schoolbook(a, b):
 
 def test_kronecker_product_matches_schoolbook():
     rng = random.Random(11)
+    # product lengths 1 to 3, odd and even factor lengths, and a zero factor,
+    # whose product bound is 0 but whose other factor must still fit its slots
     cases = [([5], [-7]), ([0], [3, -1]), ([-1, 0, 0, -2**300], [0, 0, 1]),
-             ([2**64 - 1] * 3, [-(2**64 - 1)] * 5), ([1, -1], [1, -1])]
-    for _ in range(200):
-        la, lb = rng.randint(1, 40), rng.randint(1, 40)
-        bits = rng.choice([1, 8, 63, 64, 65, 300])
-        a = [rng.randint(-2**bits, 2**bits) * rng.randint(0, 1) for _ in range(la)]
-        b = [rng.randint(-2**bits, 2**bits) for _ in range(lb)]
-        a[-1] = -abs(a[-1]) or -1  # negative leading coefficient
-        cases.append((a, b))
+             ([2**64 - 1] * 3, [-(2**64 - 1)] * 5), ([1, -1], [1, -1]), ([2, -3], [7]),
+             ([1, 2, 3, 4], [5, 6, 7]), ([0], [300]), ([300], [0]), ([0, 0], [2**70, 5])]
+    # a product coefficient of `bits` bits, with the two spare bits filling the
+    # 2N-bit slots exactly (bits = 14, 30, 126) or one bit past them, which
+    # takes one more byte for each half slot N
+    for bits in (14, 15, 30, 31, 126, 127):
+        top = math.isqrt((2**bits - 1) // 4)
+        assert (4 * top * top).bit_length() == bits
+        cases += [([top] * 4, [top] * 4), ([-top] * 4, [top] * 4), ([top, -top] * 2, [-top, top] * 2)]
+    # then up to 130 coefficients of up to 1,000 bits
+    for count, width, sizes in ((200, 40, [1, 8, 63, 64, 65, 300]), (40, 130, [500, 1000])):
+        for _ in range(count):
+            la, lb = rng.randint(1, width), rng.randint(1, width)
+            bits = rng.choice(sizes)
+            a = [rng.randint(-2**bits, 2**bits) * rng.randint(0, 1) for _ in range(la)]
+            b = [rng.randint(-2**bits, 2**bits) for _ in range(lb)]
+            a[-1] = -abs(a[-1]) or -1  # negative leading coefficient
+            cases.append((a, b))
+    # unequal lengths: tau^2 tau^4 at m = 19, the last product of S = tau^6
+    form = tau(19, prec_bits=500).poly.integer_form
+    s2, s4 = (generator._power(form.num, 0, k, 500)[0] for k in (2, 4))
+    assert (len(s2), len(s4)) == (37, 73)
+    cases.append((s2, s4))
     for a, b in cases:
         assert generator._kronecker_mul(a, b) == schoolbook(a, b)
         assert generator._square(a) == schoolbook(a, a)
-    a = cases[-1][0]
-    assert generator._kronecker_mul(a, a) == schoolbook(a, a)
+        # a square passed as one list, and as an equal copy
+        assert generator._kronecker_mul(a, a) == generator._kronecker_mul(a, list(a)) == schoolbook(a, a)
     # a constant term far below the rest, as in tau for odd m: the others
     # share hundreds of trailing zeros, which the square shifts out
     for m in (7, 53):
