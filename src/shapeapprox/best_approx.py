@@ -17,8 +17,8 @@ simplex stops once no row is violated by more than 1e-15 max|f|.  Both
 problems work in the shifted Chebyshev basis for conditioning; the returned
 polynomial is reconstructed exactly from the float solution
 (``polynomial._reconstruct``) so downstream basis conversions do not
-amplify cancellation.  A solve forms the integer
-table of the T_j(2x-1) once, for its shape rows and both reconstructions.
+amplify cancellation.  The integer table of the T_j(2x-1), which the
+shape rows and both reconstructions read, is formed once per degree.
 """
 from __future__ import annotations
 
@@ -66,14 +66,14 @@ def _basis_values(xs: np.ndarray, n: int) -> np.ndarray:
     return npcheb.chebvander(2.0 * np.asarray(xs, dtype=float) - 1.0, n)
 
 
-def _shape_rows(n: int, q: int, m: int, T: np.ndarray | None = None) -> np.ndarray:
+def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
     """R with R a = the Bernstein coefficients at degree m of p^(q), for
     p = sum_j a_j T_j(2x-1), each row scaled to max 1.  R a >= 0 certifies
     p^(q) >= 0 on [0,1].
 
     The Bernstein coefficients of every T_j^(q) at degree d = min(2(n-q), m)
-    are formed exactly in integers from T = ``_chebyshev_ints(n)`` (formed
-    here when not passed) and rounded once;
+    are formed exactly in integers from ``_chebyshev_ints(n)`` and rounded
+    once;
     one float product with ``bernstein_elevation(d, m)`` takes them to m.
     Exact elevation to 2(n-q) damps the alternating coefficients of T_j^(q)
     before any rounding, and the float step forms convex combinations.
@@ -81,8 +81,7 @@ def _shape_rows(n: int, q: int, m: int, T: np.ndarray | None = None) -> np.ndarr
     row's max at n = 19 and 8.7e-13 at n = 40 (m = 512), and 2.1e-12 at
     n = 40, m = 1024."""
     d = min(2 * (n - q), m)
-    if T is None:
-        T = _chebyshev_ints(n)
+    T = _chebyshev_ints(n)
     # monomial coefficients of T_j^(q), padded to degree d
     num = np.zeros((d + 1, n + 1), dtype=object)
     for i in range(n - q + 1):
@@ -125,15 +124,14 @@ def _solve(f, n: int, N: int | None, q: int | None = None, M: int = 0) -> Approx
     with the shape rows at degree m = max(4(M-1), n-q)."""
     N, fvals, V = _sample(f, n, N)
     a, err, bound, ref = exchange(fvals, V)
-    T = _chebyshev_ints(n)
-    p = _reconstruct(a, T)
+    p = _reconstruct(a)
     constraint_size, validated, steps = 0, True, 0
     # if the unconstrained optimum already satisfies the shape constraint it
     # is the constrained optimum too (constrained error can only be larger)
     if q is not None and not check_k_monotone_poly(p, q).passed:
         m = max(4 * (M - 1), n - q)
-        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m, T), ref)
-        p = _reconstruct(a, T)
+        a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m), ref)
+        p = _reconstruct(a)
         constraint_size, validated = m + 1, check_k_monotone_poly(p, q).passed
     resid = fvals - V @ a
     return ApproxResult(

@@ -141,15 +141,15 @@ def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> Experim
     phi = np.sqrt(xs * (1 - xs))
     ratios_all = []
     for n in ns:
-        res = mn_image(q, n, f)
-        vals = PolyFunction(res.poly)(xs)
-        errs = np.abs(np.asarray(f(xs), dtype=float) - vals)
         args = phi ** (1 - lam / 2) * (phi + 1.0 / n) ** (-lam / 2) / n
         # omega_dt's sweep, once per n: per-h maxima, then prefix maxima give
-        # omega(t) for every needed t
+        # omega(t) for every needed t; it checks lambda before any image
         hs = np.geomspace(max(args.min(), 1e-8) * 2.0**-8, args.max(), 256)
         prefix = np.maximum.accumulate(modulus_sweep(f, 2, lam, hs)[0])
         om = prefix[np.searchsorted(hs, args, side="right") - 1]
+        res = mn_image(q, n, f)
+        vals = PolyFunction(res.poly)(xs)
+        errs = np.abs(np.asarray(f(xs), dtype=float) - vals)
         mask = om > 1e-13
         ratio = float(np.max(errs[mask] / om[mask])) if mask.any() else 0.0
         small_ok = bool(np.all(errs[~mask] <= 1e-10))

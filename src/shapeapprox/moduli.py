@@ -170,10 +170,20 @@ def _sym_diff_grid(f, k: int, deltas, xs, centre=None, buffers=None, widest=None
     return out
 
 
+def _check_order(k: int, lam: float) -> None:
+    """RegimeError unless k >= 0 and lam lies in [0,2] (NaN does not)."""
+    if k < 0:
+        raise RegimeError("k must be >= 0")
+    if not 0 <= lam <= 2:
+        raise RegimeError("lambda must lie in [0,2]")
+
+
 def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
     """For each step bound h in hs, max_x |Delta^k_{h phi^lam(x)}(f, x)| over
     default_x_grid() and the boundary-aligned points, and the first x that
-    attains it (grid points before the aligned points)."""
+    attains it (grid points before the aligned points); RegimeError for
+    k < 0 or lam outside [0,2]."""
+    _check_order(k, lam)
     hs = np.asarray(hs, dtype=float)
     xs = _XS
     w = step_weight(xs, lam)
@@ -210,11 +220,9 @@ def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
     """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
     the first maximum of modulus_sweep over default_h_grid(min(t, h*)),
     h* = 2^lam/k the largest step that admits a difference (t for k = 0);
-    RegimeError for a t that is not finite and positive."""
-    if k < 0:
-        raise RegimeError("k must be >= 0")
-    if not 0 <= lam <= 2:
-        raise RegimeError("lambda must lie in [0,2]")
+    RegimeError for a t that is not finite and positive, and for k and lam
+    as in modulus_sweep, checked before h* is formed."""
+    _check_order(k, lam)
     if not np.isfinite(t):
         raise RegimeError(f"t must be finite, not {t}")
     # no step above 2^lam/k admits a difference

@@ -16,10 +16,9 @@ callable through the exact moments of its Chebyshev interpolant), and form
 the image in exact arithmetic.
 U_n and D_n give an exact image on exact data (polynomials, exact moments);
 otherwise, and for H always, each Bernstein coefficient is rounded once at
-PRECISION_BITS.  H maps a polynomial
-of degree at most about half P's through the eigenpolynomials that every U_n
-shares, in O(e d) instead of the O(d^2) of the general sum, to the same
-exact value.
+PRECISION_BITS.  H maps every f through the eigenpolynomials that all U_n
+share: its eigenvalues depend on P alone and are formed once per generator,
+and f enters through its projections on them, from its moments.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from operator import add, mul
 
@@ -37,8 +35,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _monomial_integers, _round_to_bits,
-                         bernstein_basis, bernstein_integers)
+from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _round_to_bits, bernstein_basis,
+                         bernstein_integers)
 from .special import pochhammer, shifted_jacobi
 
 
@@ -304,169 +302,113 @@ def _max_grid_diff(p: Polynomial, q: Polynomial, points: int = 50) -> float:
 # ----------------------------------------------------------------------
 # Gavrea combination and the composite operator M_n
 def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
-    """sum_k a_k/(k+1) U_{k+2}(f), where a_k are the monomial coefficients of
-    the generating polynomial, of degree d, in Bernstein form of degree d+2,
-    or of degree e for a polynomial f of degree e < d+2, which its image
-    keeps.
+    """H f = sum_k a_k/(k+1) U_{k+2}(f), where a_k are the monomial
+    coefficients of the generating polynomial P of degree d, in Bernstein
+    form of degree D = d + 2, or of degree e for a polynomial f of degree
+    e < D, which its image keeps.
 
-    The weights a_k/(k+1) are huge and alternate in sign while the result is
-    O(||f||), so the sum is formed exactly, reduced to degree e for a
-    polynomial f, and each Bernstein coefficient is rounded once at
-    PRECISION_BITS.  Two routes give the same exact sum:
+    Every U_n has the eigenpolynomials p_0 = 1-x and p_1 = x, with
+    eigenvalue 1, and p_j = x(1-x) P^(1,1)_{j-2}(2x-1), with eigenvalue
+    lambda_{n,j} = n!(n-1)!/((n+j-1)!(n-j)!), which is 0 for j > n.  For
+    every f, U_n f = sum_j lambda_{n,j} c_j p_j, since U_n g for
+    g = f - c_0 p_0 - c_1 p_1, which vanishes at 0 and 1, is a finite sum
+    over its kernel's p_j.  So H f = sum_{j <= e} Lambda_j c_j p_j, where
 
-    * a polynomial f of degree e with 2e <= d + 2 goes through the
-      eigenbasis that all U_n share (``_eigenbasis_sum``): e + 1 eigenvalues
-      of the combination, from e + 1 moments of P, in O(e d) products;
-    * any other f (catalog functions, callables, polynomials of higher
-      degree) is read once at degree d.  With g_{i,j} = int t^i (1-t)^j f,
-      U_{k+2}(f) has Bernstein coefficients f(0),
-      (k+1) b^(k)_i = (k+1) C(k,i) g_{i,k-i} and f(1).  The antidiagonals
-      i+j = k are built upwards from the read-out's moments g_{k,0} while
-      the images, written in the basis x^j (1-x)^(k+2-j), are summed by
-      degree elevation, in O(d^2) products, with C(k,.) and C(k+2,.)
-      carried as rows of Pascal's triangle.  The sum runs on P's numerators
-      divided by their content, a'_k, over A Q M for P's denominator A, the
-      reading's Q and the least M that makes every a'_k M/(k+1) an integer
-      (a few bits for the built generators); the content multiplies the
-      d+3 results.  These O(d) integers depend on P alone, so they are
-      formed once per generator (``_h_weights``) and shared by every f
-      sent through it.
+    * Lambda_j = sum_k a_k/(k+1) lambda_{k+2,j} are H's eigenvalues,
+      formed once per generator (``_eigenvalues``);
+    * c_0 = f(0), c_1 = f(1), and c_j for j >= 2 is the projection of g on
+      P^(1,1)_{j-2}(2x-1), orthogonal for the weight x(1-x) with
+      int_0^1 x(1-x) P^(1,1)_m(2x-1)^2 = (m+1)/((2m+3)(m+2)), so, with
+      int_0^1 x P^(1,1)_m(2x-1) = 1/(m+2) and
+      int_0^1 (1-x) P^(1,1)_m(2x-1) = (-1)^m/(m+2),
+      c_j = (2j-1) j/(j-1) int g P^(1,1)_{j-2}(2x-1)
+          = (2j-1)/(j-1) (j int f P^(1,1)_{j-2}(2x-1) - (-1)^j f(0) - f(1)),
+      from f's moments up to e - 2.
 
-    For e near d the eigenbasis costs more than the loop it replaces (at
-    d = 253, e = 189 it took 309 ms against 227 ms on a 2-vCPU x86-64
-    machine), so the route is chosen by e and d alone.
+    f is read once at degree e - 2 (0 at least); a function that is not a
+    polynomial at PRECISION_BITS + 2d + gain bits, gain the bit length of
+    floor(sum_k |a_k|/(k+1)), the size of H's weights.  The sum is formed
+    exactly on the reading's integers, in O(e^2) products, and each
+    Bernstein coefficient is rounded once at PRECISION_BITS.
     """
     form = gen_poly.integer_form
     D = form.degree + 2  # the degree of the image of a general f
     f = _as_handle(f)
     # H f has f's degree; rounded at degree D it would gain noise above it
     e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
-    if 2 * e <= D:
-        return _rounded_bernstein(*_eigenbasis_sum(form, f.poly.integer_form), e)
-    h = _h_weights(form)
-    r = _read_out(f, form.degree, h.gain)
+    lam = _eigenvalues(form, e + 1)
+    r = _read_out(f, max(e - 2, 0), lam.gain)
     v0, *moments, v1 = r.num  # over Q = r.den
-    # everything below is over Z = A Q M / content
-    acc, row = [0, 0], []
-    pascal = [[1], [1, 1], [1, 2, 1]]  # rows k, k+1 and k+2
-    for k, (alpha, ends) in enumerate(zip(h.alpha, h.ends)):
-        new = [moments[k]]
-        for x in reversed(row):  # g_{i,k-i} = g_{i,k-1-i} - g_{i+1,k-1-i}
-            new.append(x - new[-1])
-        row = new[::-1]
-        term = [ends * v0]
-        # C(k+2, i+1) C(k, i) g_{i,k-i}
-        term += [alpha * (c2 * c0 * g) for c2, c0, g in zip(pascal[2][1:], pascal[0], row)]
-        term.append(ends * v1)
-        acc = [x + y + t for x, y, t in zip([0] + acc, acc + [0], term)]
-        top = pascal[2]
-        pascal = [pascal[1], top, [1, *map(add, top, top[1:]), 1]]
-    # sum_j acc_j x^j (1-x)^(D-j) = sum_j acc_j j! (D-j)!/D! p_{D,j}, times the content
-    bern = list(map(mul, h.scale, acc))
-    if e < D:
-        return _rounded_bernstein(_monomial_integers(bern), h.den * r.den, e)
-    return _bernstein(bern, h.den * r.den, False)
+    # H f = Lambda_0 (v0 p_0 + v1 p_1) + x(1-x) Z with
+    # Z = sum_{j>=2} Lambda_j c_j P^(1,1)_{j-2}(2x-1), all over Q lam.den K
+    # for K = lcm(1..e-1), which clears the j-1 of c_j
+    K = math.lcm(*range(1, e))
+    Z = [0] * (e - 1)
+    for j, (lam_j, row) in enumerate(zip(lam.num[2:e + 1], map(_jacobi_row, range(e - 1))), 2):
+        edge = v1 + v0 if j % 2 == 0 else v1 - v0  # (-1)^j f(0) + f(1)
+        c = lam_j * (2 * j - 1) * (K // (j - 1)) * (j * sum(map(mul, row, moments)) - edge)
+        Z[:j - 1] = map(add, Z, [c * x for x in row])
+    ends = lam.num[0] * K
+    num = [ends * v0, ends * (v1 - v0), *[0] * (e - 1)]
+    for i, z in enumerate(Z):  # x(1-x) Z
+        num[i + 1] += z
+        num[i + 2] -= z
+    return _rounded_bernstein(num, r.den * lam.den * K, e)
 
 
-@dataclass(frozen=True)
-class _HWeights:
-    """What H's loop takes from P = sum_k num_k/A x^k of degree d = D - 2
-    alone, with content the gcd of the num_k, a'_k = num_k/content and M
-    the least integer that makes every a'_k M/(k+1) one: the weights
-    a'_k M, the end weights a'_k M/(k+1), the bit length of
-    floor(sum_k |a_k|/(k+1)), the scales content j!(D-j)! and the
-    denominator A M D!.  O(d) integers."""
+@lru_cache(maxsize=512)
+def _jacobi_row(m: int) -> tuple:
+    """``shifted_jacobi(m, 1, 1)``, formed once and shared by every image."""
+    return tuple(shifted_jacobi(m, 1, 1))
 
-    alpha: tuple
-    ends: tuple
+
+@dataclass
+class _Eigenvalues:
+    """H's eigenvalues Lambda_j = num[j]/den, j < len(num), for one
+    generator P = sum_k a_k x^k of degree d, and the bit length ``gain`` of
+    floor(sum_k |a_k|/(k+1))."""
+
     gain: int
-    scale: tuple
+    num: list
     den: int
 
 
-@lru_cache(maxsize=16)
-def _h_weights(form: IntegerForm) -> _HWeights:
-    """``_HWeights`` of P's integer form, formed once per generator."""
-    A, D = form.den, form.degree + 2
-    content = math.gcd(*form.num) or 1  # 1 for the zero P
-    a = [x // content for x in form.num]
-    M = math.lcm(*((k + 1) // math.gcd(k + 1, x) for k, x in enumerate(a)))  # (k+1) | a'_k M
-    alpha = tuple(x * M for x in a)
-    ends = tuple(x // (k + 1) for k, x in enumerate(alpha))
-    gain = content * sum(map(abs, ends)) // (A * M)
-    fact = list(accumulate(range(1, D + 1), mul, initial=1))
-    scale = tuple(content * fact[j] * fact[D - j] for j in range(D + 1))
-    return _HWeights(alpha, ends, gain.bit_length(), scale, A * M * fact[D])
+@lru_cache(maxsize=64)
+def _eigen_store(form: IntegerForm) -> _Eigenvalues:
+    """The per-generator store of ``_eigenvalues``, without eigenvalues."""
+    L = math.lcm(*range(1, form.degree + 2))
+    gain = sum(abs(x) * (L // (k + 1)) for k, x in enumerate(form.num)) // (L * form.den)
+    return _Eigenvalues(gain.bit_length(), [], 1)
 
 
-@lru_cache(maxsize=16)
-def _moment_store(form: IntegerForm) -> list:
-    """The per-generator store of ``_eigen_moments``: [S, s], or empty."""
-    return []
-
-
-def _eigen_moments(form: IntegerForm, count: int) -> tuple[list, int]:
-    """P's moments int x^mu P = S_mu/s for mu < count at least, over one
-    denominator.  They are formed again only for a count larger than any
-    asked for before on this generator, so a batch that starts with its
-    largest degree forms them once; moments of a smaller count are the
-    same rationals over a smaller denominator.  Forming them up to (d+2)/2
-    on first use would cost a low degree a hundredfold at d = 509
-    (``mn_image(2, 1026, x^3)`` with P built: 0.41 s against 4.5 ms on a
-    2-vCPU x86-64 machine)."""
-    store = _moment_store(form)
-    if not store or len(store[0]) < count:
-        store[:] = form.moments(count)
-    return store[0], store[1]
+def _eigenvalues(form: IntegerForm, count: int) -> _Eigenvalues:
+    """H's eigenvalues Lambda_j, j < count at least, for P's integer form,
+    over one denominator A L (P's A, L = lcm(1..d+count)): Lambda_0 =
+    Lambda_1 = int P = sum_k a_k/(k+1), and for j = m + 2
+    Lambda_j = sum_k a_k/(k+1) lambda_{k+2,j}
+             = sum_{k >= m} a_k k!(k+2)!/((k-m)!(k+m+3)!).
+    Each weight is int t^(k+2) P^(0,2)_m(2t-1) dt, a sum of integers over
+    k+i+3 <= d+count, so L times it is an integer: L/(k+3) at m = 0, then
+    times (k-m)/(k+m+4), an exact division.  Formed again only for a count
+    larger than any before on this generator."""
+    store = _eigen_store(form)
+    if len(store.num) < count:
+        d, a = form.degree, form.num
+        L = math.lcm(*range(1, d + max(count, 2) + 1))
+        lam = [sum(x * (L // (k + 1)) for k, x in enumerate(a))] * 2
+        w = [L // (k + 3) for k in range(d + 1)]  # the weights times L for k >= m
+        for m in range(count - 2):
+            lam.append(sum(map(mul, a[m:], w)))
+            w = [x * (k - m) // (k + m + 4) for k, x in enumerate(w[1:], m + 1)]
+        store.num, store.den = lam, form.den * L
+    return store
 
 
 def _rounded_bernstein(num: list, den: int, e: int) -> Polynomial:
     """sum_i num[i]/den x^i, of degree at most e, as its degree-e Bernstein
     form, each coefficient rounded once."""
-    num = np.array((list(num) + [0] * e)[:e + 1], dtype=object)[:, None]
+    num = np.array(num[:e + 1], dtype=object)[:, None]
     return _bernstein(bernstein_integers(num)[:, 0], den * math.factorial(e), False)
-
-
-def _eigenbasis_sum(P: IntegerForm, f: IntegerForm) -> tuple[list, int]:
-    """sum_k a_k/(k+1) U_{k+2}(f) for the polynomial P = sum_k a_k x^k of
-    degree d and the polynomial f = sum_i F_i/D x^i of degree e, both
-    exact: the monomial coefficients as integers over one denominator.
-
-    Every U_n has the eigenpolynomials p_0 = 1-x and p_1 = x, with
-    eigenvalue 1, and p_j = x(1-x) P^(1,1)_{j-2}(2x-1), with eigenvalue
-    lambda_{n,j} = n!(n-1)!/((n+j-1)!(n-j)!), which is 0 for j > n.  So
-    with f = sum_j c_j p_j the sum is sum_j Lambda_j c_j p_j, where
-
-    * Lambda_0 = Lambda_1 = int P, and Lambda_j = sum_k a_k/(k+1)
-      lambda_{k+2,j} = int t^2 P(t) P^(0,2)_{j-2}(2t-1) dt, from P's
-      moments S_mu/s, mu <= e, kept per generator (``_eigen_moments``);
-    * c_0 = f(0), c_1 = f(1), and c_j for j >= 2 is the projection of
-      g = f - c_0 p_0 - c_1 p_1, which vanishes at 0 and 1, on
-      P^(1,1)_{j-2}(2x-1), orthogonal for the weight x(1-x) with
-      int_0^1 x(1-x) P^(1,1)_m(2x-1)^2 = (m+1)/((2m+3)(m+2)), so
-      c_j = (2j-1) j/(j-1) int g(x) P^(1,1)_{j-2}(2x-1) dx, from g's
-      moments G_l/t, l <= e - 2.
-    """
-    F, D, e = f.num, f.den, f.degree
-    S, s = _eigen_moments(P, e + 1)  # int x^mu P = S_mu/s, mu <= e at least
-    G, t = IntegerForm((0, -sum(F[2:]), *F[2:]), D).moments(e - 1)  # int x^l g = G_l/t
-    # H f = Lambda_0 (c_0 p_0 + c_1 p_1) + x(1-x) Z with
-    # Z = sum_{j>=2} Lambda_j c_j P^(1,1)_{j-2}(2x-1), all over s t K for
-    # K = lcm(1..e-1), which clears the j-1 of c_j
-    K = math.lcm(*range(1, e))
-    Z = [0] * (e - 1)
-    for j in range(2, e + 1):
-        lam = sum(map(mul, shifted_jacobi(j - 2, 0, 2), S[2:]))
-        jac = shifted_jacobi(j - 2, 1, 1)
-        c = lam * sum(map(mul, jac, G)) * (2 * j - 1) * j * (K // (j - 1))
-        for i, x in enumerate(jac):
-            Z[i] += c * x
-    ends = S[0] * (t // D) * K
-    num = [ends * F[0], ends * (sum(F) - F[0]), *[0] * (e - 1)]
-    for i, z in enumerate(Z):  # x(1-x) Z
-        num[i + 1] += z
-        num[i + 2] -= z
-    return num, s * t * K
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ monomial polynomial's is its stored form, a Bernstein one's is converted once
 per instance; its Bernstein integers are formed on first use, and its shifted
 Chebyshev integers and moments on request. The way back, float shifted
 Chebyshev coefficients to an exact monomial polynomial, is ``_reconstruct``
-on the integer table ``_chebyshev_ints``. ``nonnegative_by_halving`` proves
+on the integer table ``_chebyshev_ints``, formed once per degree.
+``nonnegative_by_halving`` proves
 Bernstein integers nonnegative on [0,1] by integer de Casteljau halving (or
 finds an exact negative value at a dyadic point), ``bernstein_basis``
 evaluates that basis on a grid and ``bernstein_elevation`` raises its degree,
@@ -30,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from operator import mul
 from typing import Sequence
@@ -183,29 +184,30 @@ class IntegerForm:
         return [sum(map(mul, self.num, w[mu:])) for mu in range(count)], self.den * L
 
 
+@lru_cache(maxsize=16)
 def _chebyshev_ints(n: int) -> np.ndarray:
     """The monomial coefficients of T_j(2x-1), j = 0..n, as Python integers
     in column j of an (n+1)-square object array, by the recurrence
-    T*_{j+1} = (4x-2) T*_j - T*_{j-1}, one list of ints per column."""
+    T*_{j+1} = (4x-2) T*_j - T*_{j-1}, one list of ints per column; formed
+    once per n and read-only."""
     cols = [[1] + [0] * n, [-1, 2] + [0] * (n - 1)][:n + 1]
     for j in range(1, n):
         a, b = cols[j], cols[j - 1]
         cols.append([-2 * a[0] - b[0]] + [4 * x - 2 * y - z for x, y, z in zip(a, a[1:], b[1:])])
-    return np.array(cols, dtype=object).T
+    T = np.array(cols, dtype=object).T
+    T.flags.writeable = False
+    return T
 
 
-def _reconstruct(coeffs: np.ndarray, T: np.ndarray | None = None) -> Polynomial:
+def _reconstruct(coeffs: np.ndarray) -> Polynomial:
     """Exact monomial polynomial from float Chebyshev-basis coefficients, the
     inverse of ``IntegerForm.chebyshev``.
     Each float is a dyadic rational, so the sum is one integer product with
-    T = ``_chebyshev_ints`` (formed here when not passed) over the largest
-    power-of-two denominator."""
+    ``_chebyshev_ints`` over the largest power-of-two denominator."""
     parts = [float(aj).as_integer_ratio() for aj in coeffs]
     den = max(q for _, q in parts)
     w = np.array([p * (den // q) for p, q in parts], dtype=object)
-    if T is None:
-        T = _chebyshev_ints(len(parts) - 1)
-    return Polynomial.from_integers(MONOMIAL, list(T @ w), den)
+    return Polynomial.from_integers(MONOMIAL, list(_chebyshev_ints(len(parts) - 1) @ w), den)
 
 
 def _halve(b: list) -> tuple[list, list]:

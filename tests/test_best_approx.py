@@ -157,6 +157,8 @@ def test_jackson_ratio_positive_for_kink():
 
 def test_shifted_chebyshev_recurrence_matches_composition():
     T = _chebyshev_ints(40)
+    # formed once per degree and shared, so no caller may write to it
+    assert _chebyshev_ints(40) is T and not T.flags.writeable
     for j in range(41):
         assert list(T[:, j]) == list(compose(chebyshev_T(j).coeffs, [-1, 2])) + [0] * (40 - j)
         assert all(type(c) is int for c in T[:, j])

@@ -175,6 +175,12 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["moduli", "--f", "exp", "--t-grid", "nan"], "t must be finite, not nan"),
         (["moduli", "--f", "exp", "--t-grid", "0.1", "--lambda", "3"], "lambda must lie in [0,2]"),
         (["moduli", "--f", "exp", "--k", "-1", "--t-grid", "0.1"], "k must be >= 0"),
+        (["mn-study", "--q", "1", "--lambda", "3", "--f", "exp", "--n-list", "32"],
+         "lambda must lie in [0,2]"),
+        (["mn-study", "--q", "1", "--lambda", "-1", "--f", "exp", "--n-list", "32"],
+         "lambda must lie in [0,2]"),
+        (["mn-study", "--q", "1", "--lambda", "nan", "--f", "exp", "--n-list", "32"],
+         "lambda must lie in [0,2]"),
         (["apply", "--op", "bernstein", "--n", "0", "--f", "exp"], "n must be >= 1"),
         (["apply", "--op", "mn", "--q", "-1", "--n", "20", "--f", "exp"], "need q >= 0, n >= 1"),
         (["apply", "--op", "lupas", "--alpha", "-2", "--n", "5", "--f", "exp"],

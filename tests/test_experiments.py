@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import shapeapprox.experiments
-from shapeapprox import ExpFunction, LogShiftFunction, PowerFunction, build_generator, omega_dt
+from shapeapprox import (ExpFunction, LogShiftFunction, PowerFunction, RegimeError, build_generator,
+                         omega_dt)
 from shapeapprox.experiments import (
     run_bernstein_xeps,
     run_generator_report,
@@ -44,6 +45,12 @@ def test_mn_error_study_small():
     assert table.ok, table.assertions
     errs = [row[2] for row in table.rows]
     assert errs[1] < errs[0]  # error shrinks with n
+
+
+@pytest.mark.parametrize("lam", [3.0, -1.0, float("nan")])
+def test_mn_error_study_rejects_a_lambda_outside_0_2(lam):
+    with pytest.raises(RegimeError, match=r"lambda must lie in \[0,2\]"):
+        run_mn_error_study(1, lam, ExpFunction(), [32])
 
 
 def test_mn_error_study_uses_the_boundary_aligned_modulus():

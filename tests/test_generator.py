@@ -12,13 +12,16 @@ from mpmath.libmp import from_rational, round_nearest, to_rational
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
+    PolyFunction,
     Polynomial,
     PrecisionError,
     RegimeError,
     build_generator,
+    catalog,
     check_k_monotone_poly,
     deficiency_slope,
     generator,
+    mn_image,
     polynomial,
 )
 from shapeapprox.special import tau
@@ -190,6 +193,29 @@ def test_largest_benchmark_builds_are_pinned_bit_for_bit():
     # at each r (tau has m = 64 coefficients at r = 1), by the same record
     builds = [(512, r) for r in (1, 2, 3)]
     assert _builds_digest(builds) == "eb1de51e0138323367bf8df50ebf302c57914b25c0d7e62477f5133563f63f9f"
+
+
+def test_mn_images_are_pinned_bit_for_bit():
+    # the exact Bernstein integers of M_n images of the catalog's fixed-point
+    # reads, a callable read through its Chebyshev interpolant, and
+    # polynomials of degree D - 1 and D/4 (D = deg P + 2) on r = 1, 2, 3;
+    # a read at fewer bits (a dropped gain) moves them, where the CSV
+    # digests, at 17 digits, need not move
+    digest = hashlib.sha256()
+    for q in (1, 3, 4):
+        for n in (46, 72, 130, 402):
+            D = build_generator(n - 2, max(q - 1, 1)).P.degree + 2
+            rng = np.random.default_rng(n)
+            inputs = [catalog("exp"), catalog("logeps:1e-4"), catalog("xeps:0.5"),
+                      catalog("truncpow:0.3:2"), lambda x: np.exp(x),
+                      PolyFunction(Polynomial.bernstein(list(rng.random(D)))),
+                      PolyFunction(Polynomial.bernstein(list(rng.random(D // 4 + 1))))]
+            for k, f in enumerate(inputs):
+                res = mn_image(q, n, f)
+                assert not res.used_fallback
+                p = res.poly
+                digest.update(repr((q, n, k, p.basis, p.num, p.den)).encode())
+    assert digest.hexdigest() == "837b0d5c23beab7064ee0a1f18ec04c6bb67f70f83f29c7e399e7f1e55133bef"
 
 
 def _builds_digest(builds) -> str:

@@ -86,6 +86,17 @@ def test_omega_of_a_t_that_is_not_finite_raises(t):
         omega_dt(ExpFunction(), 2, 1.0, t)
 
 
+@pytest.mark.parametrize("k, lam", [(-1, 1.0), (2, 3.0), (2, -1.0), (2, float("nan"))])
+def test_modulus_sweep_checks_k_and_lambda(k, lam):
+    # the one sweep behind every estimate checks them, so the mn-study
+    # ratios, which sweep without omega_dt, check them too
+    message = "k must be >= 0" if k < 0 else r"lambda must lie in \[0,2\]"
+    with pytest.raises(RegimeError, match=message):
+        modulus_sweep(ExpFunction(), k, lam, [0.1])
+    with pytest.raises(RegimeError, match=message):
+        omega_dt(ExpFunction(), k, lam, 0.1)
+
+
 def test_omega_exp_second_order():
     # omega_2(f, t) ~ t^2 max|f''| for smooth f as t -> 0
     f = ExpFunction()

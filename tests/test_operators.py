@@ -34,8 +34,7 @@ from shapeapprox import (
     q_monotone_catalog,
 )
 from shapeapprox.functions import TruncatedPowerFunction
-from shapeapprox.operators import _gauss_jacobi, _h_weights, _moment_store
-from shapeapprox.polynomial import IntegerForm
+from shapeapprox.operators import _eigen_store, _eigenvalues, _gauss_jacobi
 from shapeapprox.special import shifted_jacobi
 
 from oracles import (
@@ -242,15 +241,15 @@ def test_gavrea_image_of_the_zero_generator():
 
 @pytest.mark.parametrize("n, r", [(21, 1), (45, 1), (71, 1), (45, 2), (71, 3), (128, 1)])
 def test_gavrea_image_matches_the_bernstein_form_reference(n, r):
-    # reading moments and summing on P's numerators over their content gives
-    # the image of the b-form read-out and sum bit for bit
+    # the eigenbasis sum on f's moments gives the image of the b-form
+    # read-out and the sum over k of U_{k+2} bit for bit
     P = build_generator(n, r).P
     rng = np.random.default_rng(n + r)
     inputs = [f for q in range(1, 5) for f in q_monotone_catalog(q)]
     inputs += [catalog("xeps:0.5"), catalog("logeps:1e-4"), lambda x: np.exp(x),
                PolyFunction(Polynomial.bernstein(list(rng.random(6))))]
-    # a constant goes through the eigenbasis, degree d + 5 through the
-    # triangle, and degree d - 1 through the triangle, reduced to its degree
+    # a constant, degree d + 5, which H takes to degree d + 2, and degree
+    # d - 1, which it keeps
     inputs += [PolyFunction(Polynomial.monomial([Fraction(2, 3)])),
                PolyFunction(Polynomial.bernstein(list(rng.random(P.degree + 6)))),
                PolyFunction(Polynomial.bernstein(list(rng.random(P.degree))))]
@@ -258,10 +257,9 @@ def test_gavrea_image_matches_the_bernstein_form_reference(n, r):
         assert gavrea_image(P, f) == gavrea_reference(P, f)
 
 
-def test_gavrea_image_keeps_the_degree_of_a_polynomial_on_the_loop_route():
-    # d = 37: a degree-25 f takes the loop (2e > d + 2), whose exact sum is
-    # reduced to degree 25 before it is rounded, not rounded at degree 39,
-    # so p^(26) is exactly 0
+def test_gavrea_image_keeps_the_degree_of_a_polynomial_above_half_of_p():
+    # d = 37: a degree-25 f (2e > d + 2) has an image of exact degree 25,
+    # rounded at that degree, not at 39, so p^(26) is exactly 0
     rng = np.random.default_rng(25)
     f = PolyFunction(Polynomial.bernstein(list(rng.random(26))))
     res = mn_image(1, 80, f)
@@ -321,46 +319,74 @@ def test_mn_image_of_logeps_is_the_image_of_its_mpmath_moments(n):
 
 def test_h_weights_are_formed_once_per_generator():
     # a batch of non-polynomial inputs on one P forms H's P-dependent
-    # integers once; the images are those of fresh forms
+    # integers, its eigenvalues, once: one store, and one list in it, which
+    # each forming replaces.  The images are those of fresh forms
     P = build_generator(70, 1).P
     batch = (ExpFunction(), catalog("truncpow:0.3:1"), catalog("xeps:0.5"), catalog("logeps:1e-4"))
-    _h_weights.cache_clear()
-    images = [gavrea_image(P, f) for f in batch]
-    info = _h_weights.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    weights = _h_weights(P.integer_form)
-    assert len(weights.alpha) == len(weights.ends) == P.degree + 1
-    assert len(weights.scale) == P.degree + 3
+    _eigen_store.cache_clear()
+    images, formed = [], []
+    for f in batch:
+        images.append(gavrea_image(P, f))
+        formed.append(_eigenvalues(P.integer_form, 0).num)
+    info = _eigen_store.cache_info()  # each image and each read takes the store
+    assert (info.misses, info.hits) == (1, 2 * len(batch) - 1)
+    assert len({id(lam) for lam in formed}) == 1 and len(formed[0]) == P.degree + 3
+    assert [image.degree for image in images] == [P.degree + 2] * len(batch)
     for f, image in zip(batch, images):
-        _h_weights.cache_clear()
+        _eigen_store.cache_clear()
         assert gavrea_image(P, f) == image == gavrea_reference(P, f)
 
 
-def test_eigenbasis_forms_the_moments_of_p_once_per_generator(monkeypatch):
+def test_eigenbasis_forms_the_moments_of_p_once_per_generator():
     # a batch of polynomial inputs on one P that starts with its largest
-    # degree reads P's moments from one call; a larger degree later forms
-    # them once more.  The images are those of the reference
-    calls = []
-    moments = IntegerForm.moments
-    monkeypatch.setattr(IntegerForm, "moments",
-                        lambda form, count: calls.append(form) or moments(form, count))
-    _moment_store.cache_clear()
+    # degree forms H's eigenvalues once; a batch that starts low forms them
+    # once more for each larger degree, the same rationals over a larger
+    # denominator, and gives the same images.  The images are those of the
+    # reference
+    _eigen_store.cache_clear()
     rng = np.random.default_rng(3)
     for n, r in ((45, 1), (71, 2), (128, 1)):
         P = build_generator(n, r).P
-        top = (P.degree + 2) // 2  # the largest degree the eigenbasis takes
-        degrees = (6, 0, 4, 1, 6, top, 3, top)
-        batch = [PolyFunction(Polynomial.bernstein(list(rng.random(e + 1)))) for e in degrees]
-        calls.clear()
-        images = []
+        D = P.degree + 2
+        batch = [PolyFunction(Polynomial.bernstein(list(rng.random(e + 1))))
+                 for e in (D + 5, 6, 0, 4, 1, D - 1, 3)]
+        formed, images = [], []
         for f in batch:
             images.append(gavrea_image(P, f))
-            if len(images) in (5, 8):  # one call before the larger degree, two after
-                assert sum(form == P.integer_form for form in calls) == len(images) // 4, (n, r)
-        assert [image.degree for image in images] == list(degrees)
+            formed.append(_eigenvalues(P.integer_form, 0).num)
+        assert len({id(lam) for lam in formed}) == 1 and len(formed[0]) == D + 1, (n, r)
+        assert [image.degree for image in images] == [D, 6, 0, 4, 1, D - 1, 3]
         for f, image in zip(batch, images):
             assert image == gavrea_reference(P, f)
-    _moment_store.cache_clear()
+        _eigen_store.cache_clear()
+        formed = []
+        for f, image in zip(batch[1:6], images[1:6]):  # degrees 6, 0, 4, 1, D - 1
+            assert gavrea_image(P, f) == image
+            lam = _eigenvalues(P.integer_form, 0)
+            formed.append((lam.num, lam.den))
+        assert [len(num) for num, den in formed] == [7, 7, 7, 7, D], (n, r)
+        assert formed[0][0] is formed[3][0] and formed[3][0] is not formed[4][0]
+        (small, s), (large, t) = formed[0], formed[4]
+        assert [Fraction(x, s) for x in small] == [Fraction(x, t) for x in large[:7]]
+    _eigen_store.cache_clear()
+
+
+@pytest.mark.parametrize("n, r", [(19, 1), (21, 2), (45, 3), (71, 3), (128, 1), (400, 1)])
+def test_eigenvalues_are_bounded_by_the_integral_of_p(n, r):
+    # H is positive and H1 = Lambda_0 = int P, so every eigenvalue lies in
+    # [-Lambda_0, Lambda_0]: checked in integers over their one denominator
+    form = build_generator(n, r).P.integer_form
+    lam = _eigenvalues(form, form.degree + 3)
+    assert lam.num[0] == lam.num[1] > 0 and lam.den > 0
+    assert len(lam.num) == form.degree + 3
+    assert all(abs(x) <= lam.num[0] for x in lam.num)
+    # Lambda_j = sum_k a_k/(k+1) lambda_{k+2,j}, with
+    # lambda_{n,j} = n!(n-1)!/((n+j-1)!(n-j)!)
+    f = math.factorial
+    for j in (2, 3, form.degree + 2):
+        want = sum(Fraction(a * f(k + 2) * f(k + 1), form.den * (k + 1) * f(k + j + 1) * f(k + 2 - j))
+                   for k, a in enumerate(form.num) if k + 2 >= j)
+        assert Fraction(lam.num[j], lam.den) == want
 
 
 @pytest.mark.parametrize("n", [124, 256, 402, 514])
