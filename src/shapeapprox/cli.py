@@ -117,9 +117,8 @@ def _cmd_apply(args) -> int:
                 "f": args.f, "precision_bits": PRECISION_BITS},
         columns=["x", "value"],
     )
-    form = poly.integer_form
     for x in xs:  # a float is a dyadic rational: evaluate exactly, round once
-        table.rows.append([x, float(form.value(x))])
+        table.rows.append([x, float(poly(x))])
     return _emit(table, args.out)
 
 

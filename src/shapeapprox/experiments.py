@@ -18,7 +18,7 @@ from .best_approx import best_uniform
 from .errors import RegimeError
 from .functions import FunctionHandle, LogShiftFunction, PolyFunction, PowerFunction
 from .generator import PRECISION_BITS, build_generator, deficiency_slope
-from .moduli import default_x_grid, modulus_sweep, omega_dt
+from .moduli import check_order, default_x_grid, modulus_sweep, omega_dt
 from .operators import _as_handle, mn_image
 from .polynomial import bernstein_basis
 
@@ -80,14 +80,15 @@ def run_bernstein_xeps(eps, n_list) -> ExperimentTable:
     n*(f - B_n f)(1/2), the interior envelope n^-1 phi^(2 eps - 2)(1/2), and
     the near-endpoint error at x = 1/n^2 against (n^-1/2 phi(x))^eps. An
     exact eps (a Fraction) is checked and read exactly, and enters the
-    envelopes as its float."""
+    envelopes as its float. RegimeError for n < 2, whose 1/n^2 is the
+    endpoint 1, where the envelope is 0."""
     if not 0 < eps < 1:
         raise RegimeError("eps must be in (0,1)")
     f = PowerFunction(eps)
     eps = float(eps)
     ns = [int(n) for n in n_list]
-    if any(n < 1 for n in ns):
-        raise RegimeError("n must be >= 1")
+    if any(n < 2 for n in ns):
+        raise RegimeError("n must be >= 2")
     table = ExperimentTable(
         name="bernstein-xeps",
         config={"eps": eps, "n_list": ns},
@@ -127,9 +128,13 @@ def run_bernstein_xeps(eps, n_list) -> ExperimentTable:
 # ----------------------------------------------------------------------
 def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> ExperimentTable:
     """Pointwise |f - M_n f| against the weighted modulus at the matching
-    argument, with the empirical max ratio per n."""
+    argument, with the empirical max ratio per n; lambda and n >= 1 are
+    checked (RegimeError) before any argument is formed."""
+    check_order(2, lam)
     f = _as_handle(f)
     ns = [int(n) for n in n_list]
+    if any(n < 1 for n in ns):
+        raise RegimeError("n must be >= 1")
     x_points = 129
     table = ExperimentTable(
         name="mn-error-study",
@@ -143,7 +148,7 @@ def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> Experim
     for n in ns:
         args = phi ** (1 - lam / 2) * (phi + 1.0 / n) ** (-lam / 2) / n
         # omega_dt's sweep, once per n: per-h maxima, then prefix maxima give
-        # omega(t) for every needed t; it checks lambda before any image
+        # omega(t) for every needed t
         hs = np.geomspace(max(args.min(), 1e-8) * 2.0**-8, args.max(), 256)
         prefix = np.maximum.accumulate(modulus_sweep(f, 2, lam, hs)[0])
         om = prefix[np.searchsorted(hs, args, side="right") - 1]

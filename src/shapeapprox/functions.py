@@ -1,15 +1,15 @@
 """Catalog of test functions on [0,1].
 
-Each handle is callable on floats and numpy arrays, and is read by the
-operators through one method, ``moment_read``: the integrals
+Each handle is called in float64, on scalars and numpy arrays, and is read
+by the operators through one method, ``moment_read``: the integrals
 ``int_0^1 t^i f(t) dt`` for i = 0..d with f(0) and f(1), as integers over one
 denominator. Every catalog handle gives them itself: exactly for
 polynomials, x^eps and the truncated power, and within 2^-bits for exp and
 ln(x + eps), whose moments are irrational and are formed in fixed point.
 Any other handle (a plain callable, wrapped by the operators) is read by the
 base class through the exact moments of its Chebyshev interpolant, sampled
-in float64. Handles declare the
-k-monotonicity orders they are known to satisfy.
+in float64. A polynomial's exact values come from ``Polynomial.__call__``.
+Handles declare the k-monotonicity orders they are known to satisfy.
 """
 from __future__ import annotations
 
@@ -59,11 +59,11 @@ class FunctionHandle:
 
 
 class PolyFunction(FunctionHandle):
-    """A polynomial, kept as given.  Floats and arrays are sampled by Clenshaw
-    on its shifted Chebyshev coefficients (``IntegerForm.chebyshev``), each
-    rounded once to float64 on first use: bounded by 2 max|p|, and the same
-    bits whatever the batch or thread count.  Its values at Fractions and its
-    moments are exact, whatever its basis."""
+    """A polynomial, kept as given.  It is sampled by Clenshaw on its shifted
+    Chebyshev coefficients (``IntegerForm.chebyshev``), each rounded once to
+    float64 on first use: bounded by 2 max|p|, and the same bits whatever the
+    batch or thread count.  Its moments are exact, whatever its basis, and so
+    are its values through ``self.poly(x)``."""
 
     exact_moments = True
 
@@ -77,8 +77,6 @@ class PolyFunction(FunctionHandle):
         return np.array([x / den for x in c])
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return self.poly.integer_form.value(x)
         x = np.asarray(x, dtype=float)  # a scalar x gives a scalar back
         inside = (x >= 0) & (x <= 1)  # False for NaN
         if not inside.all():
@@ -100,9 +98,7 @@ class ExpFunction(FunctionHandle):
     known_monotone_orders = frozenset(range(32))
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return float(np.exp(float(x)))
-        return np.exp(x)
+        return np.exp(np.asarray(x, dtype=float))
 
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
         """Over 2^w, w = bits + 64: 1, the moments I_0..I_d and E, with E =
@@ -139,8 +135,6 @@ class PowerFunction(FunctionHandle):
         self.known_monotone_orders = frozenset({0, 1})
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return float(x) ** float(self.eps)
         return np.power(np.asarray(x, dtype=float), float(self.eps))
 
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
@@ -172,9 +166,6 @@ class TruncatedPowerFunction(FunctionHandle):
         self.known_monotone_orders = frozenset(range(self.p + 2))
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            d = x - self.a
-            return d**self.p if d > 0 else 0 * d
         d = np.asarray(x, dtype=float) - float(self.a)
         # the power only where d > 0 (a scalar x gives a scalar back)
         return np.power(d, self.p, out=np.zeros_like(d), where=d > 0)[()]
@@ -208,8 +199,6 @@ class LogShiftFunction(FunctionHandle):
         self.known_monotone_orders = frozenset({1})
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return float(np.log(float(x) + float(self.eps)))
         return np.log(np.asarray(x, dtype=float) + float(self.eps))
 
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:

@@ -170,7 +170,7 @@ def _sym_diff_grid(f, k: int, deltas, xs, centre=None, buffers=None, widest=None
     return out
 
 
-def _check_order(k: int, lam: float) -> None:
+def check_order(k: int, lam: float) -> None:
     """RegimeError unless k >= 0 and lam lies in [0,2] (NaN does not)."""
     if k < 0:
         raise RegimeError("k must be >= 0")
@@ -183,7 +183,7 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
     default_x_grid() and the boundary-aligned points, and the first x that
     attains it (grid points before the aligned points); RegimeError for
     k < 0 or lam outside [0,2]."""
-    _check_order(k, lam)
+    check_order(k, lam)
     hs = np.asarray(hs, dtype=float)
     xs = _XS
     w = step_weight(xs, lam)
@@ -222,7 +222,7 @@ def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
     h* = 2^lam/k the largest step that admits a difference (t for k = 0);
     RegimeError for a t that is not finite and positive, and for k and lam
     as in modulus_sweep, checked before h* is formed."""
-    _check_order(k, lam)
+    check_order(k, lam)
     if not np.isfinite(t):
         raise RegimeError(f"t must be finite, not {t}")
     # no step above 2^lam/k admits a difference

@@ -41,16 +41,14 @@ from .special import pochhammer, shifted_jacobi
 
 
 class _CallbackHandle(FunctionHandle):
-    """Adapter for plain callables: float/array evaluation only."""
+    """Adapter for plain callables, called on float64 scalars and arrays."""
 
     def __init__(self, fn):
         self.fn = fn
         self.name = getattr(fn, "__name__", "callback")
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return self.fn(float(x))
-        return self.fn(x)
+        return self.fn(np.asarray(x, dtype=float))
 
 
 def _as_handle(f) -> FunctionHandle:
@@ -66,12 +64,14 @@ def _as_handle(f) -> FunctionHandle:
 # ----------------------------------------------------------------------
 # Bernstein operator
 def bernstein_image(n: int, f) -> Polynomial:
-    """B_n(f): Bernstein form with coefficients f(k/n)."""
+    """B_n(f): Bernstein form with coefficients f(k/n), a polynomial's exact
+    values, or any other f's float64 values at the floats k/n."""
     if n < 1:
         raise RegimeError("n must be >= 1")
     f = _as_handle(f)
-    vals = [f(Fraction(k, n)) for k in range(n + 1)]
-    return Polynomial.bernstein(vals)
+    if isinstance(f, PolyFunction):
+        return Polynomial.bernstein([f.poly(Fraction(k, n)) for k in range(n + 1)])
+    return Polynomial.bernstein(np.asarray(f(np.arange(n + 1) / n), dtype=float))
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +429,8 @@ def mn_image(q: int, n: int, f) -> MnResult:
     With r = max(q-1, 1): for n-2 > 8r build the generating polynomial of
     degree <= n-2 and apply the combination when its second-moment gap
     alpha_n <= 1/4; otherwise (small n, or gap too large) fall back to the
-    endpoint linear interpolant.
+    endpoint linear interpolant of f(0) and f(1) as ``_read_out`` gives
+    them, rounded once unless exact, as H's images are.
     """
     if q < 0 or n < 1:
         raise RegimeError("need q >= 0, n >= 1")
@@ -440,6 +441,6 @@ def mn_image(q: int, n: int, f) -> MnResult:
         alpha_n = gen.moment_deficiency[2]
         if alpha_n <= 0.25:
             return MnResult(gavrea_image(gen.P, f), q, n, r, False, alpha_n, gen)
-    f = _as_handle(f)
-    ends = Polynomial.bernstein([f(Fraction(0)), f(Fraction(1))])
-    return MnResult(ends, q, n, r, True, alpha_n, gen)
+    ends = _read_out(f, 0)
+    poly = _bernstein([ends.num[0], ends.num[-1]], ends.den, ends.exact)
+    return MnResult(poly, q, n, r, True, alpha_n, gen)

@@ -56,12 +56,14 @@ class ShapeReport:
 def check_k_monotone_fn(f, k: int) -> ShapeReport:
     """Test Delta^k_delta(f, x) >= -tol*scale over a product grid, all 64
     steps in one kernel call; only points with x +- k delta/2 in [0,1]
-    participate."""
+    participate; scale = max|f|, tol = max(DEFAULT_TOL, 2^k eps): a k-th
+    difference sums 2^k roundings of size eps max|f|."""
     if k < 0:
         raise RegimeError("k must be >= 0")
     xs = default_x_grid(FN_X_POINTS)
     vals = np.asarray(f(xs), dtype=float)
-    threshold = DEFAULT_TOL * max(1e-30, float(np.max(np.abs(vals))))
+    tol = max(DEFAULT_TOL, 2.0**k * np.finfo(float).eps)
+    threshold = tol * max(1e-30, float(np.max(np.abs(vals))))
     if k == 0:
         j = int(np.argmin(vals))
         if vals[j] < -threshold:

@@ -143,6 +143,7 @@ def test_config_file_rejects_unknown_keys(key, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     # RegimeError: the generator needs n > 8r
     with pytest.raises(SystemExit) as exc:
@@ -181,8 +182,17 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          "lambda must lie in [0,2]"),
         (["mn-study", "--q", "1", "--lambda", "nan", "--f", "exp", "--n-list", "32"],
          "lambda must lie in [0,2]"),
+        (["mn-study", "--q", "1", "--lambda", "inf", "--f", "exp", "--n-list", "32"],
+         "lambda must lie in [0,2]"),
+        (["mn-study", "--q", "1", "--f", "exp", "--n-list", "0"], "n must be >= 1"),
+        (["mn-study", "--q", "1", "--f", "exp", "--n-list", "-3"], "n must be >= 1"),
         (["apply", "--op", "bernstein", "--n", "0", "--f", "exp"], "n must be >= 1"),
         (["apply", "--op", "mn", "--q", "-1", "--n", "20", "--f", "exp"], "need q >= 0, n >= 1"),
+        # an image is evaluated on [0,1] only
+        (["apply", "--op", "mn", "--n", "20", "--f", "exp", "--x", "2"],
+         "Bernstein form evaluated at x=2.0 outside [0,1]"),
+        (["apply", "--op", "mn", "--n", "20", "--f", "exp", "--x", "nan"],
+         "Bernstein form evaluated at x=nan outside [0,1]"),
         (["apply", "--op", "lupas", "--alpha", "-2", "--n", "5", "--f", "exp"],
          "alpha must be > -1"),
         (["apply", "--op", "lupas", "--alpha", "nan", "--n", "5", "--f", "exp"],
@@ -215,7 +225,8 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["bern-xeps", "--eps", "nan", "--n-list", "8"],
          "--eps: catalog parameter 'nan' is not finite"),
         (["bern-xeps", "--eps", "abc", "--n-list", "64"], "--eps: 'abc' is not a number"),
-        (["bern-xeps", "--eps", "0.5", "--n-list", "0"], "n must be >= 1"),
+        (["bern-xeps", "--eps", "0.5", "--n-list", "0"], "n must be >= 2"),
+        (["bern-xeps", "--eps", "0.5", "--n-list", "1"], "n must be >= 2"),
         (["lambda2", "--eps-list", "1e-2,1e-1"], "eps_list must be strictly decreasing"),
         (["shape", "--f", "monomial:-2", "--k", "1"], "monomial degree must be >= 0, not -2"),
         (["shape", "--f", missing, "--k", "1"],

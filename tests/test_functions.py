@@ -286,7 +286,7 @@ def test_poly_function_samples_the_generator_by_its_bernstein_coefficients():
         xs = np.linspace(0, 1, points)  # dyadic points, read exactly as Fractions
         exact = np.array([float(P.integer_form.value(Fraction(x))) for x in xs])
         assert np.max(np.abs(PolyFunction(P)(xs) - exact)) <= 1e-12 * np.max(np.abs(exact)), n
-        assert PolyFunction(P)(Fraction(1, 3)) == P.integer_form.value(Fraction(1, 3))
+        assert P(Fraction(1, 3)) == P.integer_form.value(Fraction(1, 3))
 
 
 def test_poly_function_moments_of_float_bernstein_input_are_exact():

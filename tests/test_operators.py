@@ -213,6 +213,15 @@ def test_mn_fallback_for_small_n():
     assert res.used_fallback
     for k in range(4):
         assert check_k_monotone_poly(res.poly, k).passed
+    # f(0) and f(1) from the one read of f, each rounded once at 256 bits:
+    # exp's f(1) is e to 256 bits, not its float64
+    num, den = ExpFunction().moment_read(0, 256)
+    assert list(res.poly.coeffs) == _rounded_once([Fraction(num[0], den), Fraction(num[-1], den)])
+    with mpmath.workprec(256):
+        assert res.poly.coeffs == (1, Fraction(*to_rational(mpmath.e._mpf_)))
+    # a polynomial's ends are exact
+    f = PolyFunction(Polynomial.monomial([Fraction(1, 3), 0, Fraction(2, 7)]))
+    assert mn_image(3, 10, f).poly.coeffs == (Fraction(1, 3), Fraction(1, 3) + Fraction(2, 7))
 
 
 def test_gavrea_image_matches_its_definition():

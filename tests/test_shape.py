@@ -116,6 +116,19 @@ def test_catalog_functions_declared_orders():
         for f in q_monotone_catalog(q):
             rep = check_k_monotone_fn(f, q)
             assert rep.passed, (q, f.name, rep)
+    # every declared order: a k-th difference sums 2^k roundings of size
+    # eps max|f|, which from k = 23 on passes 1e-9 max|f|, and exp (witnesses
+    # from -1.5e-9 at k = 24 to -1.8e-7 at k = 31) and x^3 failed there
+    for name in ("exp", "monomial:3", "monomial:0", "xeps:0.5", "xeps:1e-13",
+                 "truncpow:0.5:3", "truncpow:0.3:1", "logeps:1e-4"):
+        f = catalog(name)
+        for k in sorted(f.known_monotone_orders):
+            rep = check_k_monotone_fn(f, k)
+            assert rep.passed, (name, k, rep)
+    # the orders just beyond them still fail, with a witness
+    for name, k in (("truncpow:0.5:3", 5), ("logeps:1e-4", 2)):
+        rep = check_k_monotone_fn(catalog(name), k)
+        assert not rep.passed and rep.witness_value < -rep.tol, (name, k, rep)
 
 
 def test_float_backend_polynomial():
