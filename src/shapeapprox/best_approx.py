@@ -5,12 +5,12 @@ E_n^(q)(f)  = the same infimum restricted to q-monotone polynomials.
 
 Both are computed on Chebyshev-distributed sample nodes, as min over a of
 max_i |f(x_i) - p(x_i)|, by ``simplex.exchange`` (a Remez-type exchange) and,
-when its optimum is not q-monotone, ``simplex.dual_simplex`` continued from
-the exchange's last reference with the shape rows.  The shape constraint
-p^(q) >= 0 (p >= 0 when q = 0) is imposed as nonnegative Bernstein
-coefficients of p^(q) after degree elevation, which certifies it on all of
-[0,1] (Powers & Reznick, Trans. AMS 2001), not only at sample nodes.  The
-shape rows are the Bernstein coefficients of each
+when its optimum is not proved q-monotone, ``simplex.dual_simplex``
+continued from the exchange's last reference with the shape rows.  The
+shape constraint p^(q) >= 0 (p >= 0 when q = 0) is imposed as nonnegative
+Bernstein coefficients of p^(q) after degree elevation, which certifies it
+on all of [0,1] (Powers & Reznick, Trans. AMS 2001), not only at sample
+nodes.  The shape rows are the Bernstein coefficients of each
 T_j(2x-1)^(q), formed exactly in integers at degree 2(n-q), rounded once,
 and elevated to m by one float product with a nonnegative matrix; the
 simplex stops once no row is violated by more than 1e-15 max|f|.  Both
@@ -32,7 +32,7 @@ from .errors import RegimeError, SolverError
 from .moduli import default_x_grid
 from .polynomial import (Polynomial, _chebyshev_ints, _reconstruct, bernstein_elevation,
                          bernstein_integers)
-from .shape import check_k_monotone_poly
+from .shape import PROOFS, check_k_monotone_poly
 from .simplex import dual_simplex, exchange
 
 DEFAULT_SAMPLE_POINTS = 257
@@ -50,7 +50,7 @@ class ApproxResult:
     error_dual: float
     sample_size: int
     #: Bernstein coefficients of p^(q) constrained in the solve; 0 when the
-    #: unconstrained optimum was already q-monotone
+    #: unconstrained optimum was proved q-monotone
     constraint_size: int
     #: exchange steps, plus the dual simplex steps after them when the
     #: shape rows were added
@@ -120,15 +120,16 @@ def _sample(f, n: int, N: int | None):
 
 def _solve(f, n: int, N: int | None, q: int | None = None, M: int = 0) -> ApproxResult:
     """Sample f, run the exchange and reconstruct its optimum; for a q that
-    the optimum's shape check does not pass, continue by the dual simplex
+    the optimum's shape check does not prove, continue by the dual simplex
     with the shape rows at degree m = max(4(M-1), n-q)."""
     N, fvals, V = _sample(f, n, N)
     a, err, bound, ref = exchange(fvals, V)
     p = _reconstruct(a)
     constraint_size, validated, steps = 0, True, 0
-    # if the unconstrained optimum already satisfies the shape constraint it
-    # is the constrained optimum too (constrained error can only be larger)
-    if q is not None and not check_k_monotone_poly(p, q).passed:
+    # if the unconstrained optimum is proved to satisfy the shape constraint
+    # it is the constrained optimum too (constrained error can only be
+    # larger); a pass within tolerance proves nothing of the kind
+    if q is not None and check_k_monotone_poly(p, q).certificate not in PROOFS:
         m = max(4 * (M - 1), n - q)
         a, err, bound, steps = dual_simplex(fvals, V, _shape_rows(n, q, m), ref)
         p = _reconstruct(a)
@@ -158,10 +159,12 @@ def best_qmonotone(
     Bernstein coefficients of p^(q) (p for q=0), elevated to degree
     m = 4(M-1), to be >= 0, which certifies the shape on all of [0,1];
     ``constraint_size`` is then m+1.  The solve is skipped only when
-    ``check_k_monotone_poly`` proves the unconstrained optimum's p^(q) >= 0,
-    or >= -tol, in exact arithmetic; a counterexample or an undecided
-    verdict leads to the solve.  ``constraint_validated`` is the verdict of
-    ``check_k_monotone_poly`` on the returned polynomial."""
+    ``check_k_monotone_poly`` proves the unconstrained optimum's p^(q) >= 0
+    in exact arithmetic (a "native" or "subdivision" certificate); a pass
+    within tolerance, a counterexample or an undecided verdict leads to the
+    solve.  ``constraint_validated`` is the verdict of
+    ``check_k_monotone_poly`` on the returned polynomial, a pass within
+    tolerance included."""
     if q < 0 or n < 0:
         raise RegimeError("need q >= 0 and n >= 0")
     return _solve(f, n, N, q, DEFAULT_CONSTRAINT_POINTS if M is None else M)

@@ -16,9 +16,11 @@ callable through the exact moments of its Chebyshev interpolant), and form
 the image in exact arithmetic.
 U_n and D_n give an exact image on exact data (polynomials, exact moments);
 otherwise, and for H always, each Bernstein coefficient is rounded once at
-PRECISION_BITS.  H maps every f through the eigenpolynomials that all U_n
-share: its eigenvalues depend on P alone and are formed once per generator,
-and f enters through its projections on them, from its moments.
+PRECISION_BITS.  D_n^<a>, a != 0, maps a polynomial exactly (a float a is
+read as its exact value) and any other f by a Gauss-Jacobi rule.  H maps
+every f through the eigenpolynomials that all U_n share: its eigenvalues
+depend on P alone and are formed once per generator, and f enters through
+its projections on them, from its moments.
 """
 from __future__ import annotations
 
@@ -189,7 +191,8 @@ def _gauss_jacobi(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     """D_n^<alpha>(f) in Bernstein form; coefficients <p_{n,k},f>/<p_{n,k},1>
-    against the weight t^alpha (1-t)^alpha."""
+    against the weight t^alpha (1-t)^alpha: exact for a polynomial f, by a
+    Gauss-Jacobi rule of order max(64, n+2) otherwise."""
     if not math.isfinite(alpha):
         raise RegimeError(f"alpha must be finite, not {alpha}")
     if alpha <= -1:
@@ -201,12 +204,12 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
         num = [(n + 1) * v for v in _bernstein_moments(r)]
         return _bernstein(num, r.den, r.exact)
     f = _as_handle(f)
-    exact_alpha = isinstance(alpha, (int, Fraction))
-    if isinstance(f, PolyFunction) and exact_alpha:
-        # exact route: the image of e_i has coefficients (alpha+k+1)_i /
-        # (n+2 alpha+2)_i; for alpha = p/q that is N_{k,i}/D_i with the
-        # integers N_{k,i} = prod_{t<i} (p + (k+1+t) q) and D_i = prod_{t<i}
-        # (2p + (n+2+t) q), so every coefficient is an integer over den D_e
+    if isinstance(f, PolyFunction):
+        # exact route, a float alpha read as its exact value: the image of
+        # e_i has coefficients (alpha+k+1)_i / (n+2 alpha+2)_i; for alpha =
+        # p/q that is N_{k,i}/D_i with the integers N_{k,i} = prod_{t<i}
+        # (p + (k+1+t) q) and D_i = prod_{t<i} (2p + (n+2+t) q), so every
+        # coefficient is an integer over den D_e
         p, q = Fraction(alpha).as_integer_ratio()
         form = f.poly.integer_form
         D = [1]
@@ -221,7 +224,8 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
                 N *= p + (k + 1 + t) * q
             out.append(acc)
         return Polynomial.from_integers(BERNSTEIN, out, form.den * D[-1])
-    # Gauss-Jacobi quadrature with weight t^alpha (1-t)^alpha on [0,1]
+    # a non-polynomial f: Gauss-Jacobi quadrature with weight t^alpha
+    # (1-t)^alpha on [0,1]
     u, w = _gauss_jacobi(max(64, n + 2), float(alpha))
     t = (u + 1) / 2
     fv = np.asarray(f(t), dtype=float)

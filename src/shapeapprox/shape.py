@@ -5,13 +5,14 @@ wherever they are defined (k = 0, 1, 2: nonnegative, nondecreasing, convex).
 For polynomials this is equivalent to p^(k) >= 0 on (0,1) for k >= 1. Every
 polynomial here has an exact value, so its verdict is decided exactly, with
 no sample, by integer de Casteljau halving of the Bernstein integers of
-p^(k). It has four exits. A proof: all of them are nonnegative (the native
-certificate), or they become so on every piece of a dyadic subdivision (the
-subdivision certificate). A proof within tolerance: those of p^(k) +
-threshold do, so p^(k) >= -threshold on [0,1]. A counterexample: a negative
-end coefficient of a piece, the exact value of p^(k) at a dyadic point,
-below -threshold. Undecided: a fail with no witness, when the halvings
-allowed find none of these.
+p^(k). Its ``certificate`` names the exit. Two are proofs of p^(k) >= 0:
+all of them are nonnegative ("native"), or they become so on every piece of
+a dyadic subdivision ("subdivision"). A proof within tolerance
+("tolerance"): those of p^(k) + threshold do, so p^(k) >= -threshold on
+[0,1]. A counterexample ("counterexample"): a negative end coefficient of a
+piece, the exact value of p^(k) at a dyadic point, below -threshold.
+Undecided ("undecided"): a fail with no witness, when the halvings allowed
+find none of these. A function's verdict is read from a sample ("sample").
 """
 from __future__ import annotations
 
@@ -30,13 +31,14 @@ DEFAULT_TOL = 1e-9
 #: the benchmark panels and M_n images up to degree 511 a proof took at most
 #: 13; more only slow the runs that decide nothing (at 64, 1.5 s at degree 252)
 HALVINGS = 16
+#: the ``certificate`` values of a proof of p^(k) >= 0
+PROOFS = ("native", "subdivision")
 
 
 @dataclass(frozen=True)
 class ShapeReport:
-    """A verdict on k-monotonicity. For a polynomial, ``x_grid_size`` is 0
-    (it is decided exactly), a pass with neither certificate proves p^(k) >=
-    -tol, and a fail with no witness is undecided."""
+    """A verdict on k-monotonicity, with the name of how it was reached. For
+    a polynomial, ``x_grid_size`` is 0 (it is decided exactly)."""
 
     k: int
     passed: bool
@@ -46,11 +48,15 @@ class ShapeReport:
     x_grid_size: int
     delta_grid_size: int
     tol: float
-    #: True when every Bernstein coefficient of p^(k) is >= 0 (polynomials
-    #: only); an exact proof of p^(k) >= 0
-    bernstein_certificate: bool = False
-    #: True when they are not, but halving them proved p^(k) >= 0 exactly
-    subdivision_certificate: bool = False
+    #: "sample" for a function; for a polynomial one of the module's exits:
+    #: "native" or "subdivision" (proofs of p^(k) >= 0), "tolerance" (a
+    #: proof of p^(k) >= -tol), "counterexample" or "undecided"
+    certificate: str = "sample"
+
+    @property
+    def bernstein_certificate(self) -> bool:
+        """True when every Bernstein coefficient of p^(k) is >= 0."""
+        return self.certificate == "native"
 
 
 def check_k_monotone_fn(f, k: int) -> ShapeReport:
@@ -84,7 +90,7 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
 
 def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
     """Sign check of p^(k) (p itself for k = 0) on [0,1] from its exact
-    Bernstein integers c over den, with the module's four exits. Each run
+    Bernstein integers c over den, with the module's five exits. Each run
     of ``nonnegative_by_halving`` takes at most ``HALVINGS`` halvings. When
     the first decides nothing, the second runs on c_i t_den + t_num den, for
     threshold = t_num/t_den: the integers of (p^(k) + threshold) den t_den,
@@ -98,16 +104,15 @@ def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
     proved, halvings, witness = nonnegative_by_halving(c, HALVINGS)
     if proved:
         return ShapeReport(k, True, None, None, None, 0, 0, threshold,
-                           bernstein_certificate=not halvings,
-                           subdivision_certificate=bool(halvings))
+                           "subdivision" if halvings else "native")
     if witness is None or witness[1] / den >= -threshold:
         t_num, t_den = threshold.as_integer_ratio()
         proved, _, shifted = nonnegative_by_halving([b * t_den + t_num * den for b in c],
                                                     HALVINGS)
         if proved:
-            return ShapeReport(k, True, None, None, None, 0, 0, threshold)
+            return ShapeReport(k, True, None, None, None, 0, 0, threshold, "tolerance")
         if shifted is None:
-            return ShapeReport(k, False, None, None, None, 0, 0, threshold)
+            return ShapeReport(k, False, None, None, None, 0, 0, threshold, "undecided")
         witness = shifted[0], (shifted[1] - t_num * den) / t_den
     x, value = witness[0], witness[1] / den
-    return ShapeReport(k, False, float(x), 0.0, float(value), 0, 0, threshold)
+    return ShapeReport(k, False, float(x), 0.0, float(value), 0, 0, threshold, "counterexample")

@@ -132,7 +132,8 @@ def dual_simplex(fvals, V, R, ref: Reference):
     most violated row enter, and picks the leaving row by the ratio test on
     y, with ties broken by the lexicographic rule on the columns of
     G_B^{-1}, which cannot cycle.  G_B^{-1} takes a rank-one update per step
-    and is formed afresh every n + 2 updates and before a stop is accepted.
+    and is formed afresh every n + 2 updates, before a stop is accepted and
+    before an entering row with no positive w is taken for infeasibility.
     The search stops once no row is violated by more than _ROUNDOFF max|f|:
     neighbouring shape rows are nearly parallel, and rows violated by
     roundoff alone would enter and leave in turn.  The final basis is
@@ -172,6 +173,9 @@ def dual_simplex(fvals, V, R, ref: Reference):
             row[:], rhs = At[e], 0.0
         np.matmul(row, Binv, out=w)  # the entering row in terms of the basis rows
         pos = (w > 0).nonzero()[0]
+        if not len(pos) and updates:  # decide infeasibility on a fresh inverse
+            Binv, updates = np.linalg.inv(G), 0
+            continue
         if not len(pos):
             raise SolverError("shape constraints are infeasible")
         ratios = Binv[k, pos] / w[pos]  # y_l / w_l, with y = G_B^{-T} e_t

@@ -146,6 +146,24 @@ def test_constrained_error_nonincreasing_in_n():
         assert b <= a * (1 + 1e-9), (n, a, b)
 
 
+def test_pass_within_tolerance_does_not_skip_the_solve():
+    # the unconstrained optima pass their checks only within tolerance; their
+    # p^(q) dip below 0, and the constrained optimum lies far above them
+    res = best_qmonotone(catalog("xeps:0.5"), 2, 60)
+    assert res.constraint_size > 0 and res.error >= 0.1035
+    res = best_qmonotone(catalog("truncpow:0.5:3"), 4, 40, N=164, M=129)
+    assert res.constraint_size > 0 and res.error >= 4e-5
+
+
+def test_infeasibility_is_decided_on_a_fresh_inverse():
+    # an entering row with no positive w on a rank-one-updated inverse is
+    # no proof of infeasibility: here it is an artefact of the drifted
+    # inverse, and p = 0 is feasible and optimal, at the error max|f| = ln(1e4)
+    res = best_qmonotone(catalog("logeps:1e-4"), 0, 38, N=156, M=129)
+    assert res.constraint_size > 0
+    assert res.error == 9.210340371976182
+
+
 def test_jackson_ratio_linear_is_zero():
     assert jackson_ratio(linear(2, 5), 2, 8) == 0.0
 

@@ -77,6 +77,11 @@ def test_shape_cli_pass_and_fail(tmp_path):
     pfile.write_text(Polynomial.monomial([1, -1]).to_json())
     assert main(["shape", "--f", str(pfile), "--k", "1",
                  "--out", str(tmp_path / "s2.json")]) == 1
+    # each verdict names how it was reached, under one key
+    for name, certificate in (("s1.json", "sample"), ("s2.json", "counterexample")):
+        payload = json.loads((tmp_path / name).read_text())
+        assert payload["certificate"] == certificate
+        assert not any(key.endswith("_certificate") for key in payload)
 
 
 def test_jackson_cli(tmp_path):

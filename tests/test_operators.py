@@ -115,6 +115,12 @@ def test_lupas_bernstein_coefficients():
                 for i, c in enumerate(mono)) for k in range(n + 1)]
 
 
+def test_lupas_image_reads_a_float_alpha_exactly():
+    # degree 200 is beyond the exactness of a Gauss-Jacobi rule of order 64
+    f = PolyFunction(Polynomial.e(200))
+    assert durrmeyer_lupas_image(5, 0.5, f) == durrmeyer_lupas_image(5, Fraction(1, 2), f)
+
+
 @pytest.mark.parametrize("alpha", [-0.9, 0.5])
 def test_gauss_jacobi_moments(alpha):
     # the rule is exact for u^(2j), j < order: against the moments

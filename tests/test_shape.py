@@ -56,7 +56,7 @@ def test_tiny_negative_end_coefficient_passes_within_tolerance():
     # certificate of p >= 0
     rep = check_k_monotone_poly(Polynomial.bernstein([-1e-12, 1, 1]), 0)
     assert rep.passed and rep.x_grid_size == 0
-    assert not rep.bernstein_certificate and not rep.subdivision_certificate
+    assert rep.certificate == "tolerance"
 
 
 def test_poly_certificate_path():
@@ -74,7 +74,7 @@ def test_indefinite_bernstein_form_is_decided_exactly():
     p = Polynomial.monomial([Fraction(1, 16), Fraction(-1, 2), 1])
     reports = [check_k_monotone_poly(p, k) for k in range(3)]
     assert [rep.passed for rep in reports] == [True, False, True]
-    assert reports[0].subdivision_certificate and reports[2].bernstein_certificate
+    assert [rep.certificate for rep in reports] == ["subdivision", "counterexample", "native"]
     assert all(rep.x_grid_size == 0 for rep in reports)
 
 
@@ -95,7 +95,7 @@ def test_undecided_verdict_fails_without_witness(monkeypatch):
     # xeps:0.5's unconstrained optimum at n = 5 is nondecreasing, proved by
     # subdivision, so the constrained solve is skipped
     f = catalog("xeps:0.5")
-    assert check_k_monotone_poly(best_uniform(f, 5).poly, 1).subdivision_certificate
+    assert check_k_monotone_poly(best_uniform(f, 5).poly, 1).certificate == "subdivision"
     assert best_qmonotone(f, 1, 5).constraint_size == 0
     # with no halvings allowed, both runs give up: a fail with no witness,
     # after which the constrained solve runs
@@ -141,8 +141,7 @@ def test_mn_image_proved_by_subdivision():
     # M_n preserves convexity; the native coefficients of p'' are not all >= 0
     p = mn_image(2, 47, TruncatedPowerFunction(Fraction(3, 10), 1)).poly
     rep = check_k_monotone_poly(p, 2)
-    assert rep.passed and rep.subdivision_certificate
-    assert not rep.bernstein_certificate
+    assert rep.passed and rep.certificate == "subdivision"
     assert rep.x_grid_size == 0
 
 
@@ -150,7 +149,7 @@ def test_subdivision_proof_agrees_with_sampling():
     images = [(mn_image(q, n, f).poly, q) for q in (1, 2, 3, 4)
               for n in (21, 47, 73) for f in q_monotone_catalog(q)]
     reports = [check_k_monotone_poly(p, q) for p, q in images]
-    assert any(rep.subdivision_certificate for rep in reports)
+    assert any(rep.certificate == "subdivision" for rep in reports)
     # unconstrained optima, most of which fail at an exact counterexample
     optima = [(best_uniform(f, n).poly, q)
               for f in map(catalog, ("truncpow:0.5:3", "xeps:0.5", "logeps:1e-4"))
@@ -173,4 +172,22 @@ def test_interior_double_root_exhausts_budget_then_passes_within_tolerance():
     assert nonnegative_by_halving(c, HALVINGS) == (False, HALVINGS, None)
     rep = check_k_monotone_poly(p, 0)
     assert rep.passed and rep.x_grid_size == 0
-    assert not rep.bernstein_certificate and not rep.subdivision_certificate
+    assert rep.certificate == "tolerance"
+
+
+def test_certificate_names_each_exit(monkeypatch):
+    square = Polynomial.monomial([Fraction(1, 16), Fraction(-1, 2), 1])  # (x - 1/4)^2
+    cases = [
+        (check_k_monotone_fn(ExpFunction(), 2), True, "sample"),
+        (check_k_monotone_fn(lambda x: 1.0 - np.asarray(x), 1), False, "sample"),
+        (check_k_monotone_poly(Polynomial.e(3), 1), True, "native"),
+        (check_k_monotone_poly(square, 0), True, "subdivision"),
+        (check_k_monotone_poly(Polynomial.bernstein([-1e-12, 1, 1]), 0), True, "tolerance"),
+        (check_k_monotone_poly(Polynomial.monomial([0, 1, -1]), 2), False, "counterexample"),
+    ]
+    monkeypatch.setattr(shape, "HALVINGS", 0)
+    cases.append((check_k_monotone_poly(square, 0), False, "undecided"))
+    for rep, passed, certificate in cases:
+        assert (rep.passed, rep.certificate) == (passed, certificate)
+        assert rep.bernstein_certificate == (certificate == "native")
+        assert (rep.witness_value is None) == (passed or certificate == "undecided")
