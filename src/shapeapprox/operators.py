@@ -37,7 +37,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _round_to_bits, bernstein_basis,
+from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _round_value, bernstein_basis,
                          bernstein_integers)
 from .special import pochhammer, shifted_jacobi
 
@@ -123,8 +123,7 @@ def _bernstein(num, den: int, exact: bool) -> Polynomial:
     the rounded values held over one power of two."""
     if exact:
         return Polynomial.from_integers(BERNSTEIN, num, den)
-    parts = [_round_to_bits([v], den, PRECISION_BITS) for v in num]  # c 2^e each
-    return Polynomial.from_dyadics(BERNSTEIN, [(c, e) for (c,), e in parts])
+    return Polynomial.from_dyadics(BERNSTEIN, [_round_value(v, den, PRECISION_BITS) for v in num])
 
 
 # ----------------------------------------------------------------------
@@ -411,8 +410,7 @@ def _eigenvalues(form: IntegerForm, count: int) -> _Eigenvalues:
 def _rounded_bernstein(num: list, den: int, e: int) -> Polynomial:
     """sum_i num[i]/den x^i, of degree at most e, as its degree-e Bernstein
     form, each coefficient rounded once."""
-    num = np.array(num[:e + 1], dtype=object)[:, None]
-    return _bernstein(bernstein_integers(num)[:, 0], den * math.factorial(e), False)
+    return _bernstein(bernstein_integers(num[:e + 1]), den * math.factorial(e), False)
 
 
 @dataclass(frozen=True)
@@ -434,7 +432,10 @@ def mn_image(q: int, n: int, f) -> MnResult:
     degree <= n-2 and apply the combination when its second-moment gap
     alpha_n <= 1/4; otherwise (small n, or gap too large) fall back to the
     endpoint linear interpolant of f(0) and f(1) as ``_read_out`` gives
-    them, rounded once unless exact, as H's images are.
+    them, rounded once unless exact, as H's images are.  A handle without
+    moments of its own (a plain callable) is sampled at its two ends alone:
+    the base ``moment_read`` gives those float64 values, and its
+    interpolant would be formed only to be dropped.
     """
     if q < 0 or n < 1:
         raise RegimeError("need q >= 0, n >= 1")
@@ -445,6 +446,10 @@ def mn_image(q: int, n: int, f) -> MnResult:
         alpha_n = gen.moment_deficiency[2]
         if alpha_n <= 0.25:
             return MnResult(gavrea_image(gen.P, f), q, n, r, False, alpha_n, gen)
-    ends = _read_out(f, 0)
-    poly = _bernstein([ends.num[0], ends.num[-1]], ends.den, ends.exact)
+    f = _as_handle(f)
+    if type(f).moment_read is FunctionHandle.moment_read:
+        poly = Polynomial.bernstein(np.asarray(f(np.array([0.0, 1.0])), dtype=float))
+    else:
+        ends = _read_out(f, 0)
+        poly = _bernstein([ends.num[0], ends.num[-1]], ends.den, ends.exact)
     return MnResult(poly, q, n, r, True, alpha_n, gen)

@@ -11,10 +11,14 @@ strings; it has no arithmetic. Code that combines coefficient vectors uses
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial in the
-monomial basis, and the one place where bases are converted, in integers: a
-monomial polynomial's is its stored form, a Bernstein one's is converted once
-per instance; its Bernstein integers are formed on first use, and its shifted
-Chebyshev integers and moments on request. The way back, float shifted
+monomial basis, and the one place where a polynomial is converted to it, in
+integers: a monomial polynomial's is its stored form, a Bernstein one's is
+converted once per instance; its Bernstein integers are formed on first use,
+and its shifted Chebyshev integers and moments on request.
+``Polynomial.bernstein_read`` is the one read of the Bernstein integers at
+the exact degree, which the shape verdicts take: a Bernstein form stored at
+its exact degree n gives its stored numerators times n!, with no monomial
+round trip; any other form, ``integer_form``'s. The way back, float shifted
 Chebyshev coefficients to an exact monomial polynomial, is ``_reconstruct``
 on the integer table ``_chebyshev_ints``, formed once per degree.
 ``nonnegative_by_halving`` proves
@@ -32,8 +36,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -78,22 +83,32 @@ def _round_div(x: int, den: int, e: int) -> int:
     return q + (2 * rem > den or (2 * rem == den and q & 1))
 
 
-def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
-    """The values num[j]/den, den > 0, rounded to the nearest multiples of the
-    one power of two 2^e that keeps `bits` bits of the largest: the
-    integers c[j] ~ num[j]/den 2^-e and e. e comes from the bit lengths
-    and one comparison, so the largest is divided once to check it, and a
-    single value is not divided again. For one value, c 2^e is
-    from_rational(num[0], den, bits, round_nearest) bit for bit."""
-    top = max(map(abs, num))
+def _round_value(v: int, den: int, bits: int) -> tuple[int, int]:
+    """v/den, den > 0, rounded to nearest, ties to even, with `bits` bits:
+    the integer c ~ v/den 2^-e and e, c 2^e being from_rational(v, den,
+    bits, round_nearest) bit for bit. e comes from the bit lengths and one
+    comparison, so v is divided once, or twice when it rounds up to 2^bits.
+    Ties go to even either side of 0, so -v gives -c."""
+    top = abs(v)
     shift = top.bit_length() - den.bit_length()  # top/den lies in [2^(shift-1), 2^(shift+1))
     high = (top >= den << shift) if shift >= 0 else (top << -shift >= den)
     e = shift - bits + high
     c = _round_div(top, den, e)
     if not high and c.bit_length() > bits:  # rounded up to 2^bits
         e += 1
-    elif len(num) == 1:  # ties go to even either side of 0, so -x gives -c
-        return [c if num[0] >= 0 else -c], e
+        c = _round_div(top, den, e)
+    return (c if v >= 0 else -c), e
+
+
+def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
+    """The values num[j]/den, den > 0, rounded to the nearest multiples of the
+    one power of two 2^e that keeps `bits` bits of the largest: the
+    integers c[j] ~ num[j]/den 2^-e and e, with the largest's e from
+    ``_round_value``. A single value is ``_round_value``'s."""
+    if len(num) == 1:
+        c, e = _round_value(num[0], den, bits)
+        return [c], e
+    _, e = _round_value(max(num, key=abs), den, bits)
     return [_round_div(x, den, e) for x in num], e
 
 
@@ -102,19 +117,54 @@ def _dyadic(c: int, e: int) -> Fraction:
     return Fraction(c << e) if e >= 0 else Fraction(c, 1 << -e)
 
 
-def bernstein_integers(num: np.ndarray) -> np.ndarray:
-    """d! times the degree-d Bernstein coefficients of sum_j num[j] x^j, for
-    the integer columns of a (d+1)-row object array: c_k = sum_j C(k,j)
-    num_j / C(d,j), so d! c_k = sum_j C(k,j) e_j with integers
-    e_j = num_j j! (d-j)!; the binomial sums run by additions."""
+def bernstein_integers(num):
+    """d! times the degree-d Bernstein coefficients of sum_j num[j] x^j: c_k =
+    sum_j C(k,j) num_j / C(d,j), so d! c_k = sum_j C(k,j) e_j with integers
+    e_j = num_j j! (d-j)!, formed by additions.  For one column, a sequence
+    of ints, they come back as a list: e_j = Delta^j (d! c)_0, so each row
+    of the difference table of d! c is the running sums of the row below,
+    started at its e_j.  For the integer columns of a (d+1)-row object
+    array, an object array, by Pascal's rule on whole rows."""
     d = len(num) - 1
     fact = [1]
     for i in range(1, d + 1):
         fact.append(fact[-1] * i)
+    if not isinstance(num, np.ndarray):
+        row = []
+        for j in range(d, -1, -1):
+            row = list(accumulate(row, initial=num[j] * fact[j] * fact[d - j]))
+        return row
     e = num * np.array([[fact[j] * fact[d - j]] for j in range(d + 1)], dtype=object)
     for r in range(1, d + 1):
         e[r:] = e[r:] + e[r - 1:-1]
     return e
+
+
+def bernstein_derivative(bern: Sequence[int], den: int, nu: int) -> tuple[list, int]:
+    """Bernstein coefficients of p^(nu) at degree d - nu, as integers and
+    their common denominator, for p = sum_k bern[k]/(den d!) p_{d,k} of
+    degree d = len(bern) - 1.  p^(nu) = d!/(d-nu)! sum_k (Delta^nu c)_k
+    p_{d-nu,k} for Bernstein coefficients c of p, so they are the nu-th
+    forward differences of bern over den (d-nu)!."""
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    d = len(bern) - 1
+    if nu > d:
+        return [0], 1
+    c = list(bern)
+    for _ in range(nu):
+        c = list(map(sub, c[1:], c))
+    return c, den * math.factorial(d - nu)
+
+
+def _leading(b: Sequence[int]) -> int:
+    """The x^n coefficient of sum_k b_k p_{n,k}, n = len(b) - 1:
+    Delta^n b_0 = sum_k (-1)^(n-k) C(n,k) b_k, in O(n) products."""
+    n, acc, binom = len(b) - 1, 0, 1
+    for k, x in enumerate(b):  # acc = sum_{j <= k} (-1)^(k-j) C(n,j) b_j
+        acc = binom * x - acc
+        binom = binom * (n - k) // (k + 1)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -132,22 +182,12 @@ class IntegerForm:
     @cached_property
     def bern(self) -> tuple:
         """The Bernstein integers, formed on first use (``bernstein_integers``)."""
-        return tuple(bernstein_integers(np.array(self.num, dtype=object)[:, None])[:, 0])
+        return tuple(bernstein_integers(self.num))
 
     def derivative(self, nu: int) -> tuple[list, int]:
         """Bernstein coefficients of p^(nu) at degree d - nu, as integers and
-        their common denominator.  p^(nu) = d!/(d-nu)! sum_k (Delta^nu c)_k
-        p_{d-nu,k} for Bernstein coefficients c of p, so they are the nu-th
-        forward differences of bern over den (d-nu)!."""
-        if nu < 0:
-            raise ValueError("nu must be >= 0")
-        d = self.degree
-        if nu > d:
-            return [0], 1
-        c = list(self.bern)
-        for _ in range(nu):
-            c = [y - x for x, y in zip(c, c[1:])]
-        return c, self.den * math.factorial(d - nu)
+        their common denominator (``bernstein_derivative`` of bern)."""
+        return bernstein_derivative(self.bern, self.den, nu)
 
     def chebyshev(self) -> tuple[list, int]:
         """p = sum_j c_j T_j(2x - 1) (|c_j| <= 2 max|p| on [0,1], Trefethen,
@@ -219,7 +259,7 @@ def _halve(b: list) -> tuple[list, list]:
     m = len(b) - 1
     left, right = [b[0] << m], [b[-1] << m]
     for r in range(1, m + 1):
-        b = [x + y for x, y in zip(b, b[1:])]
+        b = list(map(add, b, b[1:]))
         left.append(b[0] << (m - r))
         right.append(b[-1] << (m - r))
     right.reverse()
@@ -268,7 +308,7 @@ def _monomial_integers(b: Sequence[int]) -> list:
     n, diff, num = len(b) - 1, list(b), []
     for j in range(n + 1):
         num.append(comb(n, j) * diff[0])
-        diff = [y - x for x, y in zip(diff, diff[1:])]
+        diff = list(map(sub, diff[1:], diff))
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return num
@@ -447,6 +487,19 @@ class Polynomial:
         if form.degree == self.degree:  # the value IntegerForm.bern would cache
             vars(form)["bern"] = tuple(x * math.factorial(self.degree) for x in self.num)
         return form
+
+    def bernstein_read(self) -> tuple[Sequence[int], int]:
+        """p's Bernstein integers b at its exact degree d = len(b) - 1, and
+        den: p = sum_k b_k/(den d!) p_{d,k}, as ``integer_form.bern`` and
+        ``integer_form.den``, bit for bit. A Bernstein form whose leading
+        monomial coefficient (``_leading``) is not 0 is at its exact degree
+        n, and b is its stored numerators times n!: O(n) products, with no
+        monomial round trip. A monomial form, or a Bernstein form stored
+        above its exact degree, reads ``integer_form``."""
+        if self.basis == BERNSTEIN and _leading(self.num):
+            scale = math.factorial(self.degree)
+            return [x * scale for x in self.num], self.den
+        return self.integer_form.bern, self.den
 
     # ------------------------------------------------------------------
     # serialization: {"basis": ..., "n": int, "coeffs": [strings]}

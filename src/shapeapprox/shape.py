@@ -5,9 +5,12 @@ wherever they are defined (k = 0, 1, 2: nonnegative, nondecreasing, convex).
 For polynomials this is equivalent to p^(k) >= 0 on (0,1) for k >= 1. Every
 polynomial here has an exact value, so its verdict is decided exactly, with
 no sample, by integer de Casteljau halving of the Bernstein integers of
-p^(k). Its ``certificate`` names the exit. Two are proofs of p^(k) >= 0:
-all of them are nonnegative ("native"), or they become so on every piece of
-a dyadic subdivision ("subdivision"). A proof within tolerance
+p^(k), the differences of p's own (``Polynomial.bernstein_read``): a
+Bernstein form stored at its exact degree, as an M_n image is as a rule,
+gives its stored numerators, and any other form reads ``integer_form``.
+Its ``certificate`` names the exit. Two are proofs of p^(k) >= 0: all of
+them are nonnegative ("native"), or they become so on every piece of a
+dyadic subdivision ("subdivision"). A proof within tolerance
 ("tolerance"): those of p^(k) + threshold do, so p^(k) >= -threshold on
 [0,1]. A counterexample ("counterexample"): a negative end coefficient of a
 piece, the exact value of p^(k) at a dyadic point, below -threshold.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .moduli import _centre_term, _sym_diff_grid, default_x_grid
-from .polynomial import Polynomial, nonnegative_by_halving
+from .polynomial import Polynomial, bernstein_derivative, nonnegative_by_halving
 
 FN_X_POINTS = 257
 FN_DELTA_POINTS = 64
@@ -90,15 +93,17 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
 
 def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
     """Sign check of p^(k) (p itself for k = 0) on [0,1] from its exact
-    Bernstein integers c over den, with the module's five exits. Each run
+    Bernstein integers c over den, with the module's five exits; c and p's
+    scale come from one ``bernstein_read``. Each run
     of ``nonnegative_by_halving`` takes at most ``HALVINGS`` halvings. When
     the first decides nothing, the second runs on c_i t_den + t_num den, for
     threshold = t_num/t_den: the integers of (p^(k) + threshold) den t_den,
     since the basis sums to 1."""
     if k < 0:
         raise RegimeError("k must be >= 0")
-    c, den = p.integer_form.derivative(k)
-    p_c, p_den = p.integer_form.derivative(0) if k else (c, den)
+    bern, bern_den = p.bernstein_read()
+    c, den = bernstein_derivative(bern, bern_den, k)
+    p_c, p_den = bernstein_derivative(bern, bern_den, 0) if k else (c, den)
     # max|c|/den, one correctly rounded quotient: the max of the rounded values
     threshold = DEFAULT_TOL * max(1e-30, max(map(abs, p_c)) / p_den, max(map(abs, c)) / den)
     proved, halvings, witness = nonnegative_by_halving(c, HALVINGS)

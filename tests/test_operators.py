@@ -33,8 +33,10 @@ from shapeapprox import (
     pochhammer,
     q_monotone_catalog,
 )
+from shapeapprox import functions
 from shapeapprox.functions import TruncatedPowerFunction
-from shapeapprox.operators import _eigen_store, _eigenvalues, _gauss_jacobi
+from shapeapprox.operators import (_as_handle, _bernstein, _eigen_store, _eigenvalues,
+                                   _gauss_jacobi, _read_out)
 from shapeapprox.special import shifted_jacobi
 
 from oracles import (
@@ -228,6 +230,27 @@ def test_mn_fallback_for_small_n():
     # a polynomial's ends are exact
     f = PolyFunction(Polynomial.monomial([Fraction(1, 3), 0, Fraction(2, 7)]))
     assert mn_image(3, 10, f).poly.coeffs == (Fraction(1, 3), Fraction(1, 3) + Fraction(2, 7))
+
+
+def test_mn_fallback_samples_a_callable_at_its_ends(monkeypatch):
+    # a handle without moments of its own gives the fallback the float64
+    # f(0) and f(1) that its base read would, and no interpolant is formed
+    fns = (lambda x: np.exp(x), lambda x: np.sqrt(x) - 0.3, lambda x: np.cos(3 * x) / 7)
+    want = []
+    for fn in fns:
+        r = _read_out(_as_handle(fn), 0)
+        want.append(_bernstein([r.num[0], r.num[-1]], r.den, r.exact))
+
+    def no_interpolant(*args, **kwargs):
+        raise AssertionError("interpolant formed")
+
+    monkeypatch.setattr(functions, "chebinterpolate", no_interpolant)
+    for fn, w in zip(fns, want):
+        res = mn_image(4, 22, fn)
+        assert res.used_fallback and res.poly == w
+        assert res.poly.coeffs == tuple(Fraction(float(v)) for v in fn(np.array([0.0, 1.0])))
+    # exp's own moments still give its ends to 256 bits
+    assert mn_image(4, 22, ExpFunction()).poly.coeffs[1] != Fraction(math.e)
 
 
 def test_gavrea_image_matches_its_definition():

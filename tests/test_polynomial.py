@@ -17,8 +17,8 @@ from numpy.polynomial.chebyshev import chebval
 from shapeapprox import (BasisError, DomainError, PolyFunction, Polynomial, build_generator,
                          check_k_monotone_poly)
 from shapeapprox import polynomial
-from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, bernstein_basis,
-                                    bernstein_elevation, bernstein_integers,
+from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, _round_value,
+                                    bernstein_basis, bernstein_elevation, bernstein_integers,
                                     nonnegative_by_halving)
 
 from oracles import bernstein_coeffs, compose, exact, fractions, integral_01, monomial_coeffs
@@ -103,6 +103,45 @@ def test_round_to_bits_matches_from_rational():
     for v, den, bits in cases:
         (c,), e = _round_to_bits([v], den, bits)
         assert from_man_exp(c, e) == from_rational(v, den, bits, round_nearest)
+
+
+def test_round_value_is_round_to_bits_of_one_value():
+    # the per-value helper against the list path, which divides v again at
+    # the helper's e, and against from_rational: exact ties to even, both
+    # signs, zero, and values that round up to 2^bits
+    rng = random.Random(41)
+    cases = [(0, 7, 256), (0, 1, 1), (1, 2, 1), (-1, 2, 1)]
+    for bits in (1, 5, 53, 256):
+        cases += [(s * ((1 << (bits + 1)) - 1), 2, bits) for s in (1, -1)]  # 2^bits - 1/2
+        cases += [(s * ((3 << bits) - 1), 3, bits) for s in (1, -1)]  # 2^bits - 1/3
+    for _ in range(1000):
+        bits, k = rng.choice([1, 5, 53, 256]), rng.choice([1, 3, 7])
+        man = rng.getrandbits(bits) | (1 << bits) | 1  # bits + 1 bits, odd: a tie
+        cases.append((rng.choice([-1, 1]) * man * k, k << rng.randint(0, 40), bits))
+        v = rng.randint(-2**rng.randint(0, 600), 2**rng.randint(0, 600))
+        cases.append((v, rng.randint(1, 2**rng.randint(1, 600)), bits))
+    for v, den, bits in cases:
+        c, e = _round_value(v, den, bits)
+        assert ([c], e) == _round_to_bits([v], den, bits)
+        assert ([c, 0], e) == _round_to_bits([v, 0], den, bits)
+        assert from_man_exp(c, e) == from_rational(v, den, bits, round_nearest)
+        assert (c >= 0) == (v >= 0)
+    for bits in (1, 5, 53, 256):  # 2^bits - 1/3 rounds up to 2^bits = 2^(bits-1) 2^1
+        assert _round_value((3 << bits) - 1, 3, bits) == (1 << (bits - 1), 1)
+        assert _round_value(1 - (3 << bits), 3, bits) == (-(1 << (bits - 1)), 1)
+
+
+def test_bernstein_integers_of_one_column_match_the_object_array():
+    # a sequence of ints is summed on Python lists; the same integers as the
+    # object-array path on that one column
+    rng = random.Random(43)
+    for d in (0, 1, 2, 7, 35, 90):
+        for _ in range(3):
+            num = [rng.randint(-2**300, 2**300) for _ in range(d + 1)]
+            want = bernstein_integers(np.array(num, dtype=object)[:, None])[:, 0]
+            got = bernstein_integers(num)
+            assert isinstance(got, list) and got == list(want), d
+            assert bernstein_integers(tuple(num)) == got
 
 
 def test_round_div_by_shifts_matches_divmod():

@@ -20,7 +20,7 @@ from shapeapprox.functions import TruncatedPowerFunction
 from shapeapprox.polynomial import nonnegative_by_halving
 from shapeapprox.shape import HALVINGS
 
-from oracles import fractions, sampled_shape_verdict
+from oracles import bernstein_coeffs, fractions, sampled_shape_verdict
 
 
 def test_exp_is_k_monotone_all_orders():
@@ -191,3 +191,34 @@ def test_certificate_names_each_exit(monkeypatch):
         assert (rep.passed, rep.certificate) == (passed, certificate)
         assert rep.bernstein_certificate == (certificate == "native")
         assert (rep.witness_value is None) == (passed or certificate == "undecided")
+
+
+def test_bernstein_forms_get_the_monomial_verdict(monkeypatch):
+    # a Bernstein form at its exact degree reads its stored integers, an
+    # elevated one reads integer_form; both give the monomial form's
+    # ShapeReport, every field, for k = 0..4 and each of the five exits
+    polys = [Polynomial.e(3), Polynomial.monomial([Fraction(1, 16), Fraction(-1, 2), 1]),
+             Polynomial.bernstein([-1e-12, 1, 1]).to_monomial(),
+             Polynomial.monomial([0, 1, -1]),
+             Polynomial.monomial([Fraction(3, 7), -2, 5, Fraction(-11, 3), 1, Fraction(1, 9)])]
+    seen = set()
+
+    def verdicts(p):
+        d = p.degree
+        exact = Polynomial.bernstein(bernstein_coeffs(p.coeffs, d))
+        elevated = Polynomial.bernstein(bernstein_coeffs(p.coeffs, d + 3))
+        for k in range(5):
+            want = check_k_monotone_poly(p, k)
+            assert check_k_monotone_poly(exact, k) == want, (p.coeffs, k)
+            assert check_k_monotone_poly(elevated, k) == want, (p.coeffs, k)
+            seen.add(want.certificate)
+        assert "integer_form" not in vars(exact) and "integer_form" in vars(elevated)
+
+    for p in polys:
+        verdicts(p)
+    monkeypatch.setattr(shape, "HALVINGS", 0)
+    verdicts(polys[1])
+    assert seen == {"native", "subdivision", "tolerance", "counterexample", "undecided"}
+    zero = Polynomial.bernstein([0, 0, 0])  # not of exact degree 2: read through integer_form
+    for k in range(3):
+        assert check_k_monotone_poly(zero, k) == check_k_monotone_poly(Polynomial.monomial([0]), k)
