@@ -33,8 +33,16 @@ from .shape import check_k_monotone_fn, check_k_monotone_poly
 
 
 def _number_list(text: str, option: str, kind=float) -> list:
-    """The comma-separated values of an option; RegimeError if there are none."""
-    values = [kind(v) for v in text.split(",") if v]
+    """The comma-separated values of an option, each read by ``kind``;
+    RegimeError naming the option if there are none, or if one is not a
+    number of that kind."""
+    values = []
+    for v in filter(None, text.split(",")):
+        try:
+            values.append(kind(v))
+        except ValueError:
+            raise RegimeError(f"{option}: {v!r} is not "
+                              + ("an integer" if kind is int else "a number")) from None
     if not values:
         raise RegimeError(f"{option} names no value")
     return values

@@ -148,7 +148,7 @@ class PowerFunction(FunctionHandle):
 
 class TruncatedPowerFunction(FunctionHandle):
     """(x - a)_+^p for a in (0,1), a float read as its exact value, and
-    integer p >= 1.
+    integer p >= 1 (an int, or an integral Fraction or float).
 
     k-monotone for every k <= p + 1.
     """
@@ -156,6 +156,8 @@ class TruncatedPowerFunction(FunctionHandle):
     exact_moments = True
 
     def __init__(self, a, p: int):
+        if p % 1:  # NaN and the infinities too
+            raise ValueError(f"p must be an integer, not {p}")
         self.a = Fraction(a)
         self.p = int(p)
         if not 0 < self.a < 1:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError, RegimeError
-from .polynomial import MONOMIAL, Polynomial, _dyadic, _round_to_bits
+from .polynomial import MONOMIAL, Polynomial, _dyadic, _round_to_bits, _round_value
 from .special import _log, tau
 
 PRECISION_BITS = 256  # working precision of the generator and the M_n image
@@ -177,7 +177,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
         g = g * (j + 1) // (j + r + 2)
     b = [r * math.comb(j + r, r) for j in range(len(q))]
     L = math.lcm(*b)
-    (k,), ek = _round_to_bits([D], math.factorial(r - 1) * G * L, work)  # kappa~ 2^eq = k 2^ek
+    k, ek = _round_value(D, math.factorial(r - 1) * G * L, work)  # kappa~ 2^eq = k 2^ek
     lam = _dyadic(k * L, ek - eq)
     P = Polynomial.from_integers(MONOMIAL, [0] * r + [(k * x * (L // y)) << max(ek, 0)
                                                       for x, y in zip(q, b)], 1 << max(-ek, 0))
@@ -200,7 +200,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     for mu in (1, 2, 3, 4):  # exact, then rounded once at `work` bits
         if T[mu] >= scale:
             raise PrecisionError(f"moment deficiency delta_{mu} = {(scale - T[mu]) / scale} <= 0")
-        (c,), e = _round_to_bits([scale - T[mu]], scale, work)
+        c, e = _round_value(scale - T[mu], scale, work)
         deficiency[mu] = _dyadic(c, e)
     return GeneratorPoly(
         n=n,

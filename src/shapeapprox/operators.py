@@ -78,23 +78,13 @@ def bernstein_image(n: int, f) -> Polynomial:
 
 # ----------------------------------------------------------------------
 # the one read-out of f
-@dataclass(frozen=True)
-class _Reading:
-    """f(0), m_0, ..., m_d, f(1) as integers over one denominator, where
-    m_i = int_0^1 t^i f(t) dt; ``exact`` says whether they are f's exact
-    values (otherwise images built from them are rounded once).  A function
-    with exact moments is taken to give exact values at 0 and 1, even as
-    floats (x^eps does)."""
-
-    num: list
-    den: int
-    exact: bool
-
-
-def _read_out(f, d: int, gain: int = 0) -> _Reading:
-    """Read f once at degree d: f(0), m_0..m_d and f(1) over one
-    denominator (``FunctionHandle.moment_read``), at bits = PRECISION_BITS
-    plus 2d, plus ``gain`` for a caller whose weights sum to 2^gain in size.
+def _read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
+    """Read f once at degree d: f(0), m_0..m_d and f(1), m_i = int_0^1 t^i
+    f(t) dt, over one denominator (``FunctionHandle.moment_read``) at bits =
+    PRECISION_BITS plus 2d, plus ``gain`` for a caller whose weights sum to
+    2^gain in size, and whether they are f's exact values (otherwise images
+    built from them are rounded once; a function with exact moments is taken
+    to give exact values at 0 and 1, even as floats, as x^eps does).
     The images rebuild g_{i,j} = int t^i (1-t)^j f from them by the triangle
     g_{i,j+1} = g_{i,j} - g_{i+1,j}, which multiplies moment errors by less
     than 3^d; a plain callable is read through the exact moments of its
@@ -102,13 +92,13 @@ def _read_out(f, d: int, gain: int = 0) -> _Reading:
     """
     f = _as_handle(f)
     num, den = f.moment_read(d, PRECISION_BITS + 2 * d + gain)
-    return _Reading(num, den, f.exact_moments)
+    return num, den, f.exact_moments
 
 
-def _bernstein_moments(r: _Reading) -> list:
-    """b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i}, over r.den, from the
-    moments of a reading by the triangle g_{i,j+1} = g_{i,j} - g_{i+1,j}."""
-    row = r.num[1:-1]
+def _bernstein_moments(row: list) -> list:
+    """b_i = int_0^1 p_{d,i} f = C(d,i) g_{i,d-i} from the moments m_0..m_d
+    of f, over their denominator, by the triangle g_{i,j+1} = g_{i,j} -
+    g_{i+1,j}."""
     d = len(row) - 1
     diag = [row[-1]]  # g_{d-j,j} for j = 0..d
     for _ in range(d):
@@ -136,9 +126,8 @@ def genuine_durrmeyer_image(n: int, f) -> Polynomial:
     """
     if n < 2:
         raise RegimeError("U_n requires n >= 2")
-    r = _read_out(f, n - 2)
-    num = [r.num[0], *((n - 1) * v for v in _bernstein_moments(r)), r.num[-1]]
-    return _bernstein(num, r.den, r.exact)
+    (v0, *moments, v1), den, exact = _read_out(f, n - 2)
+    return _bernstein([v0, *((n - 1) * v for v in _bernstein_moments(moments)), v1], den, exact)
 
 
 def genuine_durrmeyer_moment(n: int, i: int) -> Polynomial:
@@ -199,9 +188,8 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
     if n < 0:
         raise RegimeError("n must be >= 0")
     if alpha == 0:  # <p_{n,k},1> = 1/(n+1)
-        r = _read_out(f, n)
-        num = [(n + 1) * v for v in _bernstein_moments(r)]
-        return _bernstein(num, r.den, r.exact)
+        (_, *moments, _), den, exact = _read_out(f, n)
+        return _bernstein([(n + 1) * v for v in _bernstein_moments(moments)], den, exact)
     f = _as_handle(f)
     if isinstance(f, PolyFunction):
         # exact route, a float alpha read as its exact value: the image of
@@ -340,8 +328,7 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     # H f has f's degree; rounded at degree D it would gain noise above it
     e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
     lam = _eigenvalues(form, e + 1)
-    r = _read_out(f, max(e - 2, 0), lam.gain)
-    v0, *moments, v1 = r.num  # over Q = r.den
+    (v0, *moments, v1), Q, _ = _read_out(f, max(e - 2, 0), lam.gain)
     # H f = Lambda_0 (v0 p_0 + v1 p_1) + x(1-x) Z with
     # Z = sum_{j>=2} Lambda_j c_j P^(1,1)_{j-2}(2x-1), all over Q lam.den K
     # for K = lcm(1..e-1), which clears the j-1 of c_j
@@ -356,7 +343,7 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     for i, z in enumerate(Z):  # x(1-x) Z
         num[i + 1] += z
         num[i + 2] -= z
-    return _rounded_bernstein(num, r.den * lam.den * K, e)
+    return _rounded_bernstein(num, Q * lam.den * K, e)
 
 
 @lru_cache(maxsize=512)
@@ -450,6 +437,6 @@ def mn_image(q: int, n: int, f) -> MnResult:
     if type(f).moment_read is FunctionHandle.moment_read:
         poly = Polynomial.bernstein(np.asarray(f(np.array([0.0, 1.0])), dtype=float))
     else:
-        ends = _read_out(f, 0)
-        poly = _bernstein([ends.num[0], ends.num[-1]], ends.den, ends.exact)
+        (v0, _, v1), den, exact = _read_out(f, 0)
+        poly = _bernstein([v0, v1], den, exact)
     return MnResult(poly, q, n, r, True, alpha_n, gen)

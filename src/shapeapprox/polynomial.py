@@ -13,21 +13,21 @@ Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
 ``Polynomial.integer_form`` is the one exact read of a polynomial in the
 monomial basis, and the one place where a polynomial is converted to it, in
 integers: a monomial polynomial's is its stored form, a Bernstein one's is
-converted once per instance; its Bernstein integers are formed on first use,
-and its shifted Chebyshev integers and moments on request.
-``Polynomial.bernstein_read`` is the one read of the Bernstein integers at
-the exact degree, which the shape verdicts take: a Bernstein form stored at
-its exact degree n gives its stored numerators times n!, with no monomial
-round trip; any other form, ``integer_form``'s. The way back, float shifted
-Chebyshev coefficients to an exact monomial polynomial, is ``_reconstruct``
-on the integer table ``_chebyshev_ints``, formed once per degree.
-``nonnegative_by_halving`` proves
-Bernstein integers nonnegative on [0,1] by integer de Casteljau halving (or
-finds an exact negative value at a dyadic point), ``bernstein_basis``
-evaluates that basis on a grid and ``bernstein_elevation`` raises its degree,
-both in float64 numpy by ratios taken outward from each row's mode (no
-scipy), in one kernel, ``_from_mode``, that holds the ratios column-major
-and takes one product per column.
+converted once per instance; its shifted Chebyshev integers and moments
+are formed on request. ``Polynomial.bernstein_read`` is the one read of the
+Bernstein integers at the exact degree, which the shape verdicts take and
+``bernstein_derivative`` differences: a Bernstein form stored at its exact
+degree n gives its stored numerators times n!, with no monomial round trip;
+any other form, ``bernstein_integers`` of ``integer_form``. The way back,
+float shifted Chebyshev coefficients to an exact monomial polynomial, is
+``_reconstruct`` on the integer table ``_chebyshev_ints``, formed once per
+degree. ``nonnegative_by_halving`` proves Bernstein integers nonnegative
+on [0,1] by integer de Casteljau halving (or finds an exact negative value
+at a dyadic point), ``bernstein_basis`` evaluates that basis on a grid and
+``bernstein_elevation`` raises its degree, both in float64 numpy by ratios
+taken outward from each row's mode (no scipy), in one kernel,
+``_from_mode``, that holds the ratios column-major and takes one product
+per column.
 """
 from __future__ import annotations
 
@@ -104,10 +104,7 @@ def _round_to_bits(num: list, den: int, bits: int) -> tuple[list, int]:
     """The values num[j]/den, den > 0, rounded to the nearest multiples of the
     one power of two 2^e that keeps `bits` bits of the largest: the
     integers c[j] ~ num[j]/den 2^-e and e, with the largest's e from
-    ``_round_value``. A single value is ``_round_value``'s."""
-    if len(num) == 1:
-        c, e = _round_value(num[0], den, bits)
-        return [c], e
+    ``_round_value``."""
     _, e = _round_value(max(num, key=abs), den, bits)
     return [_round_div(x, den, e) for x in num], e
 
@@ -170,7 +167,7 @@ def _leading(b: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class IntegerForm:
     """The exact value of a polynomial p of degree d, as integers over one
-    denominator: p = sum_k num[k]/den x^k = sum_k bern[k]/(den d!) p_{d,k}."""
+    denominator: p = sum_k num[k]/den x^k."""
 
     num: tuple
     den: int
@@ -178,16 +175,6 @@ class IntegerForm:
     @property
     def degree(self) -> int:
         return len(self.num) - 1
-
-    @cached_property
-    def bern(self) -> tuple:
-        """The Bernstein integers, formed on first use (``bernstein_integers``)."""
-        return tuple(bernstein_integers(self.num))
-
-    def derivative(self, nu: int) -> tuple[list, int]:
-        """Bernstein coefficients of p^(nu) at degree d - nu, as integers and
-        their common denominator (``bernstein_derivative`` of bern)."""
-        return bernstein_derivative(self.bern, self.den, nu)
 
     def chebyshev(self) -> tuple[list, int]:
         """p = sum_j c_j T_j(2x - 1) (|c_j| <= 2 max|p| on [0,1], Trefethen,
@@ -460,9 +447,12 @@ class Polynomial:
 
     def __call__(self, x) -> Fraction:
         """p(x), exactly, at a rational scalar x (int, Fraction or float); a
-        Bernstein form is defined on [0,1] only."""
+        Bernstein form is defined on [0,1] only. DomainError for an x outside
+        it, or a float x with no exact value (NaN, an infinity)."""
         if self.basis == BERNSTEIN and not 0 <= x <= 1:
             raise DomainError(f"Bernstein form evaluated at x={x} outside [0,1]")
+        if isinstance(x, float) and not math.isfinite(x):
+            raise DomainError(f"polynomial evaluated at x={x}, which is not finite")
         return self.integer_form.value(x)
 
     # ------------------------------------------------------------------
@@ -478,28 +468,23 @@ class Polynomial:
     def integer_form(self) -> IntegerForm:
         """The exact value of p as monomial integers over den: the stored
         form, or for the Bernstein basis ``_monomial_integers``, converted
-        once per instance and shared by every derivative read-out. When the
-        exact degree is the stored n, the Bernstein integers are the stored
-        numerators times n!, and are not formed again."""
+        once per instance."""
         if self.basis == MONOMIAL:
             return IntegerForm(self.num, self.den)
-        form = IntegerForm(tuple(_monomial_integers(self.num)), self.den)
-        if form.degree == self.degree:  # the value IntegerForm.bern would cache
-            vars(form)["bern"] = tuple(x * math.factorial(self.degree) for x in self.num)
-        return form
+        return IntegerForm(tuple(_monomial_integers(self.num)), self.den)
 
-    def bernstein_read(self) -> tuple[Sequence[int], int]:
+    def bernstein_read(self) -> tuple[list, int]:
         """p's Bernstein integers b at its exact degree d = len(b) - 1, and
-        den: p = sum_k b_k/(den d!) p_{d,k}, as ``integer_form.bern`` and
-        ``integer_form.den``, bit for bit. A Bernstein form whose leading
+        den: p = sum_k b_k/(den d!) p_{d,k}. A Bernstein form whose leading
         monomial coefficient (``_leading``) is not 0 is at its exact degree
         n, and b is its stored numerators times n!: O(n) products, with no
         monomial round trip. A monomial form, or a Bernstein form stored
-        above its exact degree, reads ``integer_form``."""
+        above its exact degree, gives ``bernstein_integers`` of
+        ``integer_form``, formed on each read."""
         if self.basis == BERNSTEIN and _leading(self.num):
             scale = math.factorial(self.degree)
             return [x * scale for x in self.num], self.den
-        return self.integer_form.bern, self.den
+        return bernstein_integers(self.integer_form.num), self.den
 
     # ------------------------------------------------------------------
     # serialization: {"basis": ..., "n": int, "coeffs": [strings]}

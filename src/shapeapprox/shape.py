@@ -7,7 +7,8 @@ polynomial here has an exact value, so its verdict is decided exactly, with
 no sample, by integer de Casteljau halving of the Bernstein integers of
 p^(k), the differences of p's own (``Polynomial.bernstein_read``): a
 Bernstein form stored at its exact degree, as an M_n image is as a rule,
-gives its stored numerators, and any other form reads ``integer_form``.
+gives its stored numerators, and any other form has them formed from
+its monomial integers (``integer_form``).
 Its ``certificate`` names the exit. Two are proofs of p^(k) >= 0: all of
 them are nonnegative ("native"), or they become so on every piece of a
 dyadic subdivision ("subdivision"). A proof within tolerance
@@ -19,6 +20,7 @@ find none of these. A function's verdict is read from a sample ("sample").
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +105,10 @@ def check_k_monotone_poly(p: Polynomial, k: int) -> ShapeReport:
         raise RegimeError("k must be >= 0")
     bern, bern_den = p.bernstein_read()
     c, den = bernstein_derivative(bern, bern_den, k)
-    p_c, p_den = bernstein_derivative(bern, bern_den, 0) if k else (c, den)
-    # max|c|/den, one correctly rounded quotient: the max of the rounded values
-    threshold = DEFAULT_TOL * max(1e-30, max(map(abs, p_c)) / p_den, max(map(abs, c)) / den)
+    # max|b|/(den d!) and max|c|/den, each one correctly rounded quotient:
+    # the max of the rounded values
+    p_scale = max(map(abs, bern)) / (bern_den * math.factorial(len(bern) - 1))
+    threshold = DEFAULT_TOL * max(1e-30, p_scale, max(map(abs, c)) / den)
     proved, halvings, witness = nonnegative_by_halving(c, HALVINGS)
     if proved:
         return ShapeReport(k, True, None, None, None, 0, 0, threshold,

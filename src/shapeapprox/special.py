@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PrecisionError
-from .polynomial import MONOMIAL, Polynomial, _dyadic, _round_div, _round_to_bits
+from .polynomial import MONOMIAL, Polynomial, _dyadic, _round_div, _round_value
 
 TAU_REMAINDER_REL_TOL = Fraction(1e-20)  # the double nearest 1e-20, exactly
 
@@ -110,7 +110,7 @@ def tau(m: int, prec_bits: int) -> TauPoly:
 
     w = prec_bits + 64  # pi by Machin's formula 16 atan(1/5) - 4 atan(1/239)
     pi, e_pi = rnd(16 * _atan((1 << w) // 5, w) - 4 * _atan((1 << w) // 239, w), -w)
-    (t,), e_t = _round_to_bits([pi], 2 * m, prec_bits)  # theta = t 2^(e_t + e_pi)
+    t, e_t = _round_value(pi, 2 * m, prec_bits)  # theta = t 2^(e_t + e_pi)
     x = t << (w + e_t + e_pi)  # theta 2^w, exactly
     x2, sin, term, k = x * x >> w, x, x, 0
     while term:

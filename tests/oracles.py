@@ -22,7 +22,7 @@ from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
 from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
-from shapeapprox.polynomial import Polynomial, bernstein_basis
+from shapeapprox.polynomial import Polynomial, bernstein_basis, bernstein_derivative
 from shapeapprox.special import TauPoly, chebyshev_T
 
 
@@ -128,7 +128,7 @@ def sampled_shape_verdict(p: Polynomial, k: int, tol: float) -> bool:
     """The library's polynomial shape verdict as it was when a sample
     decided it: p^(k) >= -tol at 4096 equispaced points of [0,1], in
     float64 from the exact Bernstein integers of p^(k)."""
-    c, den = p.integer_form.derivative(k)
+    c, den = bernstein_derivative(*p.bernstein_read(), k)
     xs = np.linspace(0.0, 1.0, 4096)
     return bool(np.min(bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])) >= -tol)
 

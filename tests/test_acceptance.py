@@ -40,6 +40,7 @@ from shapeapprox import (
 )
 from shapeapprox.experiments import run_lambda2_counterexample
 from shapeapprox.functions import PowerFunction
+from shapeapprox.polynomial import bernstein_derivative
 
 from oracles import fit_modulus_exponent, integral_01, jackson_ratio, moment_profile
 
@@ -174,7 +175,7 @@ def test_criterion_03_identity_suite():
 def _native_grid_min(P, nu):
     """min of P^(nu) on a uniform 2048-point grid of [0,1] over its largest
     Bernstein coefficient, evaluated at its own degree in float64."""
-    c, den = P.integer_form.derivative(nu)
+    c, den = bernstein_derivative(*P.bernstein_read(), nu)
     coeffs = np.array([x / den for x in c])
     d = len(coeffs) - 1
     xs = np.linspace(0.0, 1.0, 2048)

@@ -249,8 +249,8 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          f"cannot read a polynomial from {inf}: coefficient 0 = 'inf' is not a finite number"),
         (["shape", "--f", zero, "--k", "1"],
          f"cannot read a polynomial from {zero}: coefficient 2 = '1/0' is not a finite number"),
-        # list options: an eps that ln(x + eps) does not admit, and lists
-        # with no value
+        # list options: an eps that ln(x + eps) does not admit, lists with
+        # no value
         (["lambda2", "--eps-list", "-1"], "eps must be positive"),
         (["lambda2", "--eps-list", ","], "--eps-list names no value"),
         (["gen-report", "--r", "1", "--n-list", ","], "--n-list names no value"),
@@ -259,6 +259,13 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["jackson", "--f", "exp", "--q", "1", "--n-list", ","], "--n-list names no value"),
         (["moduli", "--f", "exp", "--t-grid", ","], "--t-grid names no value"),
         (["apply", "--op", "bernstein", "--n", "4", "--f", "exp", "--x", ","], "--x names no value"),
+        # and list entries that are no number of the option's kind
+        (["moduli", "--f", "exp", "--t-grid", "abc"], "--t-grid: 'abc' is not a number"),
+        (["jackson", "--f", "exp", "--q", "1", "--n-list", "1.5"],
+         "--n-list: '1.5' is not an integer"),
+        (["apply", "--op", "mn", "--n", "20", "--f", "exp", "--x", "abc"],
+         "--x: 'abc' is not a number"),
+        (["gen-report", "--r", "1", "--n-list", "x"], "--n-list: 'x' is not an integer"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])

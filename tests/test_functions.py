@@ -27,7 +27,7 @@ from shapeapprox import (
 )
 from shapeapprox import durrmeyer_image, functions, genuine_durrmeyer_image
 from shapeapprox.generator import PRECISION_BITS
-from shapeapprox.polynomial import bernstein_basis
+from shapeapprox.polynomial import bernstein_basis, bernstein_derivative
 
 from oracles import MpfExp, exact, exp_moments_reference, fractions, logeps_moments_reference
 
@@ -77,7 +77,7 @@ def test_exp_moments_reach_the_read_out_precision():
     # at n = 460 the image reads 458 moments at over 1000 bits; a recurrence
     # started a fixed 60 steps above them left errors that blew the image up
     xs = np.linspace(0.0, 1.0, 1025)
-    c, den = mn_image(1, 460, ExpFunction()).poly.integer_form.derivative(0)
+    c, den = bernstein_derivative(*mn_image(1, 460, ExpFunction()).poly.bernstein_read(), 0)
     values = bernstein_basis(len(c) - 1, xs) @ np.array([x / den for x in c])
     assert np.max(np.abs(values - np.exp(xs))) <= 1e-3
 
@@ -111,6 +111,17 @@ def test_truncated_power_values():
     f = TruncatedPowerFunction(Fraction(1, 2), 3)
     assert float(f(0.25)) == 0.0
     assert float(f(0.75)) == pytest.approx(0.25**3)
+
+
+def test_truncated_power_takes_integer_p_only():
+    # an int or an integral Fraction or float is p; any other p was once
+    # truncated to an int
+    for p in (3, Fraction(3), 3.0):
+        f = TruncatedPowerFunction(Fraction(1, 2), p)
+        assert f.p == 3 and type(f.p) is int
+    for p in (2.5, Fraction(5, 2), 1.0000001, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            TruncatedPowerFunction(Fraction(1, 2), p)
 
 
 def test_truncated_power_masks_the_power_bit_for_bit():

@@ -24,6 +24,7 @@ from shapeapprox import (
     mn_image,
     polynomial,
 )
+from shapeapprox.polynomial import bernstein_derivative
 from shapeapprox.special import tau
 
 from oracles import bernstein_coeffs, fractions, integral_01
@@ -34,7 +35,7 @@ XS = np.linspace(0.0, 1.0, 2048)
 def native_relative(poly, nu):
     """poly^(nu) on a 2048-point grid from its own native-degree Bernstein
     form, divided by its largest coefficient."""
-    c, den = poly.integer_form.derivative(nu)
+    c, den = bernstein_derivative(*poly.bernstein_read(), nu)
     coeffs = np.array([x / den for x in c])
     scale = max(1e-300, float(np.max(np.abs(coeffs))))
     return polynomial.bernstein_basis(len(coeffs) - 1, XS) @ coeffs / scale
@@ -158,13 +159,23 @@ def test_build_reads_generator_once(monkeypatch):
     assert calls["read"] == 1
 
 
-def test_build_forms_no_bernstein_integers():
-    # the build and its exact gate read P's monomial integers only; the
-    # Bernstein integers are formed by the first derivative read-out
+def test_build_forms_no_bernstein_integers(monkeypatch):
+    # the build and its exact gate read P's monomial integers only; P's
+    # Bernstein integers are formed by each read of them, and kept by none
+    calls = []
+    real = polynomial.bernstein_integers
+
+    def counted(num):
+        calls.append(len(num))
+        return real(num)
+
+    monkeypatch.setattr(polynomial, "bernstein_integers", counted)
     gen = build_generator.__wrapped__(128, 3)
-    assert "bern" not in vars(gen.P.integer_form)
-    gen.P.integer_form.derivative(3)
-    assert "bern" in vars(gen.P.integer_form)
+    assert calls == []
+    want = real(gen.P.integer_form.num)
+    for _ in range(2):
+        assert gen.P.bernstein_read() == (want, gen.P.den)
+    assert calls == [gen.P.degree + 1] * 2
 
 
 def _dyadic_key(c: Fraction):

@@ -18,8 +18,8 @@ from shapeapprox import (BasisError, DomainError, PolyFunction, Polynomial, buil
                          check_k_monotone_poly)
 from shapeapprox import polynomial
 from shapeapprox.polynomial import (_halve, _round_div, _round_to_bits, _round_value,
-                                    bernstein_basis, bernstein_elevation, bernstein_integers,
-                                    nonnegative_by_halving)
+                                    bernstein_basis, bernstein_derivative, bernstein_elevation,
+                                    bernstein_integers, nonnegative_by_halving)
 
 from oracles import bernstein_coeffs, compose, exact, fractions, integral_01, monomial_coeffs
 
@@ -44,6 +44,14 @@ def test_bernstein_eval_outside_domain_raises():
         b(Fraction(3, 2))
     with pytest.raises(DomainError):
         b(Fraction(-1, 10))
+
+
+def test_eval_at_non_finite_x_raises_domain_error():
+    # in either basis, naming x; NaN and the infinities have no exact value
+    for p in (Polynomial.monomial([1, 2]), Polynomial.bernstein([1, 2])):
+        for x in (math.inf, -math.inf, math.nan, np.float64("nan")):
+            with pytest.raises(DomainError, match=f"x={x}"):
+                p(x)
 
 
 def test_roundtrip_monomial_bernstein():
@@ -256,7 +264,7 @@ def test_integer_form_derivative_matches_fraction_oracle_on_generators():
         P = build_generator(n, r).P
         for nu in range(r + 1):
             exact = bernstein_coeffs(npoly.polyder(fractions(P.coeffs), nu))
-            c, den = P.integer_form.derivative(nu)
+            c, den = bernstein_derivative(*P.bernstein_read(), nu)
             assert [x / den for x in c] == [float(x) for x in exact]
             assert all(x >= 0 for x in c) == all(x >= 0 for x in exact)
 
@@ -294,17 +302,19 @@ def test_integer_form_value_matches_fraction_evaluation():
 
 
 def test_integer_form_bern_matches_fraction_oracle():
-    # bern[k] = den d! c_k for the Bernstein coefficients c of p at its exact
-    # degree d, and derivative(nu) the same for p^(nu) at degree d - nu, over
-    # den (d - nu)!; past the degree p^(nu) is 0
+    # bernstein_read gives b[k] = den d! c_k for the Bernstein coefficients c
+    # of p at its exact degree d, and bernstein_derivative of it the same for
+    # p^(nu) at degree d - nu, over den (d - nu)!; past the degree p^(nu) is 0
     for p in _integer_form_cases():
         form = p.integer_form
         d = form.degree
         mono = fractions(p.to_monomial().coeffs)
         oracle = bernstein_coeffs(mono, d)
-        assert list(form.bern) == [c * form.den * factorial(d) for c in oracle], p
+        bern, bern_den = p.bernstein_read()
+        assert bern_den == form.den
+        assert list(bern) == [c * form.den * factorial(d) for c in oracle], p
         for nu in range(d + 3):
-            c, den = form.derivative(nu)
+            c, den = bernstein_derivative(bern, bern_den, nu)
             if nu > d:
                 assert (c, den) == ([0], 1)
                 continue
@@ -313,24 +323,41 @@ def test_integer_form_bern_matches_fraction_oracle():
             assert c == [x * den for x in oracle], (p, nu)
 
 
-def test_bernstein_integers_seeded_from_the_stored_form():
-    # a Bernstein polynomial of full exact degree n takes its Bernstein
-    # integers from its stored numerators times n!; an elevated one of lower
-    # exact degree forms them at that degree. Either way they are those of
-    # its monomial form
+def test_bernstein_read_matches_the_monomial_form(monkeypatch):
+    # a Bernstein polynomial of full exact degree n reads its Bernstein
+    # integers as its stored numerators times n!, and forms no monomial
+    # integers; an elevated one of lower exact degree forms them from
+    # integer_form at that degree. Either way they are bernstein_integers
+    # of its monomial form, over its den, and the read caches nothing
     rng = random.Random(37)
+    formed = []
+    real = polynomial.bernstein_integers
+
+    def counted(num):
+        formed.append(len(num))
+        return real(num)
+
+    monkeypatch.setattr(polynomial, "bernstein_integers", counted)
     for n in (0, 1, 4, 17, 40):
         for b in _bernstein_cases(rng, n):
             p = Polynomial.bernstein(b)
+            formed.clear()
+            bern, den = p.bernstein_read()
+            stored = "integer_form" not in vars(p)
             form = p.integer_form
-            seeded = "bern" in vars(form)
-            assert seeded == (form.degree == n), (n, b)
-            want = bernstein_integers(np.array(form.num, dtype=object)[:, None])[:, 0]
-            assert list(form.bern) == list(want), (n, b)
-            if seeded:
-                assert list(form.bern) == [x * factorial(n) for x in p.num]
+            assert stored == (form.degree == n and any(b)), (n, b)
+            assert formed == ([] if stored else [form.degree + 1]), (n, b)
+            want = real(np.array(form.num, dtype=object)[:, None])[:, 0]
+            assert (list(bern), den) == (list(want), form.den), (n, b)
+            if stored:
+                assert bern == [x * factorial(n) for x in p.num]
+            assert p.bernstein_read() == (bern, den)
+            assert vars(p).keys() == {"basis", "num", "den", "integer_form"}
+            assert vars(form).keys() == {"num", "den"}
     elevated = Polynomial.bernstein(bernstein_coeffs([1, -3, 2], 9))
-    assert elevated.integer_form.degree == 2 and "bern" not in vars(elevated.integer_form)
+    bern, den = elevated.bernstein_read()
+    assert elevated.integer_form.degree == 2 and len(bern) == 3
+    assert bern == real(elevated.integer_form.num) and den == elevated.den
 
 
 def test_integer_form_chebyshev_matches_exact_values():
@@ -361,7 +388,7 @@ def test_tiny_negative_bernstein_coefficient_is_no_certificate(tiny):
     # -2^-1100 and -2^-1100/3 round to -0.0 in float64; the sign must come
     # from the exact value
     p = Polynomial.bernstein([1, tiny, 1])
-    c, den = p.integer_form.derivative(0)
+    c, den = bernstein_derivative(*p.bernstein_read(), 0)
     assert c[1] / den == 0.0 and c[1] < 0
     report = check_k_monotone_poly(p, 0)
     assert report.passed and not report.bernstein_certificate

@@ -17,7 +17,7 @@ from shapeapprox import (
     shape,
 )
 from shapeapprox.functions import TruncatedPowerFunction
-from shapeapprox.polynomial import nonnegative_by_halving
+from shapeapprox.polynomial import bernstein_derivative, nonnegative_by_halving
 from shapeapprox.shape import HALVINGS
 
 from oracles import bernstein_coeffs, fractions, sampled_shape_verdict
@@ -168,7 +168,7 @@ def test_interior_double_root_exhausts_budget_then_passes_within_tolerance():
     d = 35
     square = fractions([Fraction(1, 9), Fraction(-2, 3), 1])
     p = Polynomial.monomial(npoly.polymul(square, npoly.polypow(fractions([1, 1]), d - 2, d)))
-    c, _ = p.integer_form.derivative(0)
+    c, _ = bernstein_derivative(*p.bernstein_read(), 0)
     assert nonnegative_by_halving(c, HALVINGS) == (False, HALVINGS, None)
     rep = check_k_monotone_poly(p, 0)
     assert rep.passed and rep.x_grid_size == 0
