@@ -71,16 +71,22 @@ def _load_function(spec: str):
         raise ShapeApproxError(exc) from None
 
 
-def _emit(table: ExperimentTable, out: str | None) -> int:
-    text = table.to_csv()
+def _write(text: str, out: str | None, end: str = "\n") -> bool:
+    """Write text to the file `out` and say so, or print it, followed by
+    `end`, when there is none; whether it went to a file."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
         print(f"wrote {out}")
+    else:
+        print(text, end=end)
+    return bool(out)
+
+
+def _emit(table: ExperimentTable, out: str | None) -> int:
+    if _write(table.to_csv(), out, end=""):
         for k, v in table.assertions.items():
             print(f"assert {k}: {'pass' if v else 'FAIL'}")
-    else:
-        print(text, end="")
     return 0 if table.ok else 1
 
 
@@ -96,13 +102,7 @@ def _cmd_gen_poly(args) -> int:
         },
         "P": json.loads(gen.P.to_json()),
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -157,13 +157,7 @@ def _cmd_shape(args) -> int:
         report = check_k_monotone_fn(f, args.k)
     payload = dataclasses.asdict(report)
     payload["f"] = args.f
-    text = json.dumps(payload, indent=2, default=float)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2, default=float), args.out)
     return 0 if report.passed else 1
 
 

@@ -48,8 +48,7 @@ class FunctionHandle:
         reads them gives T p, within (1 + |T 1 - 1|) max|f - p| of T f."""
         K = max(64, d + 4)
         c = chebinterpolate(lambda u: np.asarray(self((u + 1) / 2), dtype=float), K)
-        form = _reconstruct(c).integer_form
-        moments, den = form.moments(d + 1)
+        moments, den = _reconstruct(c).moments(d + 1)
         (v0, q0), (v1, q1) = map(_rational, np.asarray(self(np.array([0.0, 1.0])), dtype=float))
         L = math.lcm(den, q0, q1)
         return [v0 * (L // q0), *(m * (L // den) for m in moments), v1 * (L // q1)], L
@@ -60,7 +59,7 @@ class FunctionHandle:
 
 class PolyFunction(FunctionHandle):
     """A polynomial, kept as given.  It is sampled by Clenshaw on its shifted
-    Chebyshev coefficients (``IntegerForm.chebyshev``), each rounded once to
+    Chebyshev coefficients (``Polynomial.chebyshev``), each rounded once to
     float64 on first use: bounded by 2 max|p|, and the same bits whatever the
     batch or thread count.  Its moments are exact, whatever its basis, and so
     are its values through ``self.poly(x)``."""
@@ -73,7 +72,7 @@ class PolyFunction(FunctionHandle):
 
     @cached_property
     def _cheb(self) -> np.ndarray:
-        c, den = self.poly.integer_form.chebyshev()
+        c, den = self.poly.chebyshev()
         return np.array([x / den for x in c])
 
     def __call__(self, x):
@@ -84,11 +83,11 @@ class PolyFunction(FunctionHandle):
         return chebval(2 * x - 1, self._cheb)[()]
 
     def moment_read(self, d: int, bits: int) -> tuple[list, int]:
-        """From the integer form, over the one denominator of its moments."""
-        form = self.poly.integer_form
-        T, den = form.moments(d + 1)
-        L = den // form.den
-        return [form.num[0] * L, *T, sum(form.num) * L], den
+        """From the monomial form, over the one denominator of its moments."""
+        m = self.poly.to_monomial()
+        T, den = m.moments(d + 1)
+        L = den // m.den
+        return [m.num[0] * L, *T, sum(m.num) * L], den
 
 
 class ExpFunction(FunctionHandle):
@@ -129,9 +128,9 @@ class PowerFunction(FunctionHandle):
 
     def __init__(self, eps):
         self.eps = Fraction(eps)
-        self.name = f"x^{float(self.eps):g}"
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0,1)")
+        self.name = f"x^{float(self.eps):g}"
         self.known_monotone_orders = frozenset({0, 1})
 
     def __call__(self, x):
@@ -263,18 +262,20 @@ _CATALOG = {"exp": ("exp", ExpFunction), "xeps": ("xeps:<eps>", PowerFunction),
 def parameter(text: str, integer: bool = False) -> Fraction | int | None:
     """A catalog parameter read exactly: an integer literal if ``integer``,
     otherwise "a/b" or a decimal as a Fraction; None for text that spells no
-    such number. ValueError for a zero denominator, or for a decimal that is
-    not finite or whose float is not (nan, inf, 1e400)."""
+    such number. ValueError for a zero denominator, or for text whose float
+    is not finite (nan, inf, 1e400, and an "a/b" too large for a float)."""
     try:
         value = int(text) if integer else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"catalog parameter {text!r} divides by zero") from None
     except ValueError:
         value = None
-    if integer or "/" in text:
+    if integer:
         return value
     try:
-        finite = math.isfinite(float(text))
+        finite = math.isfinite(float(text if value is None else value))
+    except OverflowError:  # a value too large for a float
+        finite = False
     except ValueError:  # no number
         return value
     if not finite:

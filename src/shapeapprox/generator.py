@@ -161,8 +161,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     m = math.ceil(n / (8 * r))
     deg_q = 4 * r * (m - 1)
     work = PRECISION_BITS + _guard_bits(m, r)
-    t = tau(m, prec_bits=work)
-    tf = t.poly.integer_form  # over a power of two
+    tf = tau(m, prec_bits=work).poly  # monomial, over a power of two
     s, es = _power(tf.num, 1 - tf.den.bit_length(), 2 * r, work)  # S = sum s_j 2^es x^j
     q, eq = _kronecker_mul(s, s), 2 * es  # Q = S^2, exact
     # int_0^1 x^j (1-x)^r = j! r!/(j+r+1)!, so with D = (deg Q + r + 1)!
@@ -194,7 +193,7 @@ def build_generator(n: int, r: int) -> GeneratorPoly:
     if (any(num[:r]) or len(d) != len(q) or u * v <= 0
             or any(x * v != y * u for x, y in zip(d, q))):
         raise PrecisionError(f"stored P^({r}) is not a positive multiple of tau^{4 * r}")
-    T, scale = P.integer_form.moments(5)  # int_0^1 x^mu P = T_mu/scale, mu <= 4
+    T, scale = P.moments(5)  # int_0^1 x^mu P = T_mu/scale, mu <= 4
     resid = abs(T[0] - scale) / scale  # exact, then rounded once
     deficiency = {}
     for mu in (1, 2, 3, 4):  # exact, then rounded once at `work` bits

@@ -37,7 +37,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import RegimeError
 from .functions import FunctionHandle, PolyFunction
 from .generator import PRECISION_BITS, GeneratorPoly, build_generator
-from .polynomial import (BERNSTEIN, IntegerForm, Polynomial, _round_value, bernstein_basis,
+from .polynomial import (BERNSTEIN, Polynomial, _round_value, bernstein_basis,
                          bernstein_integers)
 from .special import pochhammer, shifted_jacobi
 
@@ -198,7 +198,7 @@ def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:
         # (p + (k+1+t) q) and D_i = prod_{t<i} (2p + (n+2+t) q), so every
         # coefficient is an integer over den D_e
         p, q = Fraction(alpha).as_integer_ratio()
-        form = f.poly.integer_form
+        form = f.poly.to_monomial()
         D = [1]
         for t in range(form.degree):
             D.append(D[-1] * (2 * p + (n + 2 + t) * q))
@@ -322,12 +322,12 @@ def gavrea_image(gen_poly: Polynomial, f) -> Polynomial:
     exactly on the reading's integers, in O(e^2) products, and each
     Bernstein coefficient is rounded once at PRECISION_BITS.
     """
-    form = gen_poly.integer_form
-    D = form.degree + 2  # the degree of the image of a general f
+    P = gen_poly.to_monomial()
+    D = P.degree + 2  # the degree of the image of a general f
     f = _as_handle(f)
     # H f has f's degree; rounded at degree D it would gain noise above it
-    e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
-    lam = _eigenvalues(form, e + 1)
+    e = min(f.poly.to_monomial().degree, D) if isinstance(f, PolyFunction) else D
+    lam = _eigenvalues(P, e + 1)
     (v0, *moments, v1), Q, _ = _read_out(f, max(e - 2, 0), lam.gain)
     # H f = Lambda_0 (v0 p_0 + v1 p_1) + x(1-x) Z with
     # Z = sum_{j>=2} Lambda_j c_j P^(1,1)_{j-2}(2x-1), all over Q lam.den K
@@ -364,16 +364,16 @@ class _Eigenvalues:
 
 
 @lru_cache(maxsize=64)
-def _eigen_store(form: IntegerForm) -> _Eigenvalues:
+def _eigen_store(P: Polynomial) -> _Eigenvalues:
     """The per-generator store of ``_eigenvalues``, without eigenvalues."""
-    L = math.lcm(*range(1, form.degree + 2))
-    gain = sum(abs(x) * (L // (k + 1)) for k, x in enumerate(form.num)) // (L * form.den)
+    L = math.lcm(*range(1, P.degree + 2))
+    gain = sum(abs(x) * (L // (k + 1)) for k, x in enumerate(P.num)) // (L * P.den)
     return _Eigenvalues(gain.bit_length(), [], 1)
 
 
-def _eigenvalues(form: IntegerForm, count: int) -> _Eigenvalues:
-    """H's eigenvalues Lambda_j, j < count at least, for P's integer form,
-    over one denominator A L (P's A, L = lcm(1..d+count)): Lambda_0 =
+def _eigenvalues(P: Polynomial, count: int) -> _Eigenvalues:
+    """H's eigenvalues Lambda_j, j < count at least, for a monomial P, over
+    one denominator A L (P's A, L = lcm(1..d+count)): Lambda_0 =
     Lambda_1 = int P = sum_k a_k/(k+1), and for j = m + 2
     Lambda_j = sum_k a_k/(k+1) lambda_{k+2,j}
              = sum_{k >= m} a_k k!(k+2)!/((k-m)!(k+m+3)!).
@@ -381,16 +381,16 @@ def _eigenvalues(form: IntegerForm, count: int) -> _Eigenvalues:
     k+i+3 <= d+count, so L times it is an integer: L/(k+3) at m = 0, then
     times (k-m)/(k+m+4), an exact division.  Formed again only for a count
     larger than any before on this generator."""
-    store = _eigen_store(form)
+    store = _eigen_store(P)
     if len(store.num) < count:
-        d, a = form.degree, form.num
+        d, a = P.degree, P.num
         L = math.lcm(*range(1, d + max(count, 2) + 1))
         lam = [sum(x * (L // (k + 1)) for k, x in enumerate(a))] * 2
         w = [L // (k + 3) for k in range(d + 1)]  # the weights times L for k >= m
         for m in range(count - 2):
             lam.append(sum(map(mul, a[m:], w)))
             w = [x * (k - m) // (k + m + 4) for k, x in enumerate(w[1:], m + 1)]
-        store.num, store.den = lam, form.den * L
+        store.num, store.den = lam, P.den * L
     return store
 
 

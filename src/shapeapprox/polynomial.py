@@ -10,15 +10,15 @@ strings; it has no arithmetic. Code that combines coefficient vectors uses
 ``Fraction`` entries.
 
 Bernstein coefficients refer to the basis p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k).
-``Polynomial.integer_form`` is the one exact read of a polynomial in the
+``Polynomial.to_monomial`` is the one exact read of a polynomial in the
 monomial basis, and the one place where a polynomial is converted to it, in
-integers: a monomial polynomial's is its stored form, a Bernstein one's is
-converted once per instance; its shifted Chebyshev integers and moments
-are formed on request. ``Polynomial.bernstein_read`` is the one read of the
-Bernstein integers at the exact degree, which the shape verdicts take and
-``bernstein_derivative`` differences: a Bernstein form stored at its exact
-degree n gives its stored numerators times n!, with no monomial round trip;
-any other form, ``bernstein_integers`` of ``integer_form``. The way back,
+integers: a monomial polynomial is its own, a Bernstein one's is converted
+once per instance; its values, shifted Chebyshev integers and moments are
+formed from it on request. ``Polynomial.bernstein_read`` is the one read of
+the Bernstein integers at the exact degree, which the shape verdicts take
+and ``bernstein_derivative`` differences: a Bernstein form stored at its
+exact degree n gives its stored numerators times n!, with no monomial round
+trip; any other form, ``bernstein_integers`` of ``to_monomial``. The way back,
 float shifted Chebyshev coefficients to an exact monomial polynomial, is
 ``_reconstruct`` on the integer table ``_chebyshev_ints``, formed once per
 degree. ``nonnegative_by_halving`` proves Bernstein integers nonnegative
@@ -164,53 +164,6 @@ def _leading(b: Sequence[int]) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class IntegerForm:
-    """The exact value of a polynomial p of degree d, as integers over one
-    denominator: p = sum_k num[k]/den x^k."""
-
-    num: tuple
-    den: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.num) - 1
-
-    def chebyshev(self) -> tuple[list, int]:
-        """p = sum_j c_j T_j(2x - 1) (|c_j| <= 2 max|p| on [0,1], Trefethen,
-        ATAP ch. 3): the c_j as integers over den 4^d, by Horner's rule in x =
-        (1 + t)/2 over the T_j(t), with 4x T_j = 2 T_j + T_{j-1} + T_{j+1}
-        (T_{-1} = T_1): O(d^2) integer additions."""
-        c = np.zeros(self.degree + 1, dtype=object)
-        for k, a in enumerate(reversed(self.num)):
-            c, prev = 2 * c, c
-            c[1:] += prev[:-1]
-            c[:-1] += prev[1:]
-            c[1:2] += prev[:1]  # T_{-1} = T_1
-            c[0] += a << 2 * k
-        return list(c), self.den << 2 * self.degree
-
-    def value(self, x) -> Fraction:
-        """p(x) exactly at a rational x = a/b (an int, Fraction or float):
-        sum_k num[k] a^k b^(d-k) by integer Horner, over den
-        b^d, with one Fraction at the end."""
-        a, b = _rational(x)
-        acc, bk = 0, 1
-        for c in reversed(self.num):
-            acc = acc * a + c * bk
-            bk *= b
-        return Fraction(acc, self.den * b ** self.degree)
-
-    def moments(self, count: int) -> tuple[list, int]:
-        """int_0^1 x^mu p(x) dx for mu < count, exactly: the integers T_mu =
-        sum_k num[k] L/(k+mu+1) over den L, on the weights L/i of one L =
-        lcm(1..d+count)."""
-        top = self.degree + count
-        L = math.lcm(*range(1, top + 1))
-        w = [L // i for i in range(1, top + 1)]
-        return [sum(map(mul, self.num, w[mu:])) for mu in range(count)], self.den * L
-
-
 @lru_cache(maxsize=16)
 def _chebyshev_ints(n: int) -> np.ndarray:
     """The monomial coefficients of T_j(2x-1), j = 0..n, as Python integers
@@ -228,7 +181,7 @@ def _chebyshev_ints(n: int) -> np.ndarray:
 
 def _reconstruct(coeffs: np.ndarray) -> Polynomial:
     """Exact monomial polynomial from float Chebyshev-basis coefficients, the
-    inverse of ``IntegerForm.chebyshev``.
+    inverse of ``Polynomial.chebyshev``.
     Each float is a dyadic rational, so the sum is one integer product with
     ``_chebyshev_ints`` over the largest power-of-two denominator."""
     parts = [float(aj).as_integer_ratio() for aj in coeffs]
@@ -285,20 +238,6 @@ def nonnegative_by_halving(c: Sequence[int], budget: int
         left, right = _halve(b)
         pieces += [(left, 2 * j, depth + 1), (right, 2 * j + 1, depth + 1)]
     return True, halvings, None
-
-
-def _monomial_integers(b: Sequence[int]) -> list:
-    """The monomial numerators of sum_k b_k p_{n,k} over the b_k's
-    denominator, trimmed to the exact degree: the x^j coefficient is
-    C(n,j) Delta^j b_0 (Farouki, CAGD 29, 2012), in O(n^2) integer
-    subtractions."""
-    n, diff, num = len(b) - 1, list(b), []
-    for j in range(n + 1):
-        num.append(comb(n, j) * diff[0])
-        diff = list(map(sub, diff[1:], diff))
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
 
 
 def _from_mode(up: np.ndarray, down: np.ndarray, k: np.ndarray, mode: np.ndarray) -> np.ndarray:
@@ -448,30 +387,63 @@ class Polynomial:
     def __call__(self, x) -> Fraction:
         """p(x), exactly, at a rational scalar x (int, Fraction or float); a
         Bernstein form is defined on [0,1] only. DomainError for an x outside
-        it, or a float x with no exact value (NaN, an infinity)."""
+        it, or a float x with no exact value (NaN, an infinity). At x = a/b,
+        sum_k num[k] a^k b^(d-k) of the monomial form by integer Horner, over
+        den b^d, with one Fraction at the end."""
         if self.basis == BERNSTEIN and not 0 <= x <= 1:
             raise DomainError(f"Bernstein form evaluated at x={x} outside [0,1]")
         if isinstance(x, float) and not math.isfinite(x):
             raise DomainError(f"polynomial evaluated at x={x}, which is not finite")
-        return self.integer_form.value(x)
+        m = self.to_monomial()
+        a, b = _rational(x)
+        acc, bk = 0, 1
+        for c in reversed(m.num):
+            acc = acc * a + c * bk
+            bk *= b
+        return Fraction(acc, m.den * b ** m.degree)
 
     # ------------------------------------------------------------------
-    # basis conversion and the exact read
+    # the exact read and what is formed from it
     def to_monomial(self) -> "Polynomial":
-        """The monomial form: the values of ``integer_form``."""
-        if self.basis == MONOMIAL:
-            return self
-        form = self.integer_form
-        return Polynomial.from_integers(MONOMIAL, form.num, form.den)
+        """The monomial form, the one exact read of p in that basis: p
+        itself, or a Bernstein form converted once per instance."""
+        return self if self.basis == MONOMIAL else self._monomial
 
     @cached_property
-    def integer_form(self) -> IntegerForm:
-        """The exact value of p as monomial integers over den: the stored
-        form, or for the Bernstein basis ``_monomial_integers``, converted
-        once per instance."""
-        if self.basis == MONOMIAL:
-            return IntegerForm(self.num, self.den)
-        return IntegerForm(tuple(_monomial_integers(self.num)), self.den)
+    def _monomial(self) -> "Polynomial":
+        """The x^j coefficient of sum_k b_k p_{n,k} is C(n,j) Delta^j b_0
+        (Farouki, CAGD 29, 2012): O(n^2) integer subtractions on the
+        numerators, over den."""
+        n, diff, num = self.degree, list(self.num), []
+        for j in range(n + 1):
+            num.append(comb(n, j) * diff[0])
+            diff = list(map(sub, diff[1:], diff))
+        return Polynomial.from_integers(MONOMIAL, num, self.den)
+
+    def chebyshev(self) -> tuple[list, int]:
+        """p = sum_j c_j T_j(2x - 1) (|c_j| <= 2 max|p| on [0,1], Trefethen,
+        ATAP ch. 3): the c_j as integers over den 4^d of the monomial form, by
+        Horner's rule in x = (1 + t)/2 over the T_j(t), with 4x T_j = 2 T_j +
+        T_{j-1} + T_{j+1} (T_{-1} = T_1): O(d^2) integer additions."""
+        m = self.to_monomial()
+        c = np.zeros(m.degree + 1, dtype=object)
+        for k, a in enumerate(reversed(m.num)):
+            c, prev = 2 * c, c
+            c[1:] += prev[:-1]
+            c[:-1] += prev[1:]
+            c[1:2] += prev[:1]  # T_{-1} = T_1
+            c[0] += a << 2 * k
+        return list(c), m.den << 2 * m.degree
+
+    def moments(self, count: int) -> tuple[list, int]:
+        """int_0^1 x^mu p(x) dx for mu < count, exactly: the integers T_mu =
+        sum_k num[k] L/(k+mu+1) of the monomial form over den L, on the
+        weights L/i of one L = lcm(1..d+count)."""
+        m = self.to_monomial()
+        top = m.degree + count
+        L = math.lcm(*range(1, top + 1))
+        w = [L // i for i in range(1, top + 1)]
+        return [sum(map(mul, m.num, w[mu:])) for mu in range(count)], m.den * L
 
     def bernstein_read(self) -> tuple[list, int]:
         """p's Bernstein integers b at its exact degree d = len(b) - 1, and
@@ -479,12 +451,13 @@ class Polynomial:
         monomial coefficient (``_leading``) is not 0 is at its exact degree
         n, and b is its stored numerators times n!: O(n) products, with no
         monomial round trip. A monomial form, or a Bernstein form stored
-        above its exact degree, gives ``bernstein_integers`` of
-        ``integer_form``, formed on each read."""
+        above its exact degree, gives ``bernstein_integers`` of the monomial
+        form and its den, formed on each read."""
         if self.basis == BERNSTEIN and _leading(self.num):
             scale = math.factorial(self.degree)
             return [x * scale for x in self.num], self.den
-        return bernstein_integers(self.integer_form.num), self.den
+        m = self.to_monomial()
+        return bernstein_integers(m.num), m.den
 
     # ------------------------------------------------------------------
     # serialization: {"basis": ..., "n": int, "coeffs": [strings]}
@@ -497,11 +470,15 @@ class Polynomial:
     def from_json(text: str) -> "Polynomial":
         """Each coefficient string read as the rational it spells, exactly:
         "a", "a/b" or a decimal such as "0.1"; ValueError naming the first
-        one that spells none, such as "nan" or "1/0", and TypeError for a
-        coefficient that is not a string."""
+        one that spells none, such as "nan" or "1/0", or for an "n" that is
+        not the int len(coeffs) - 1, and TypeError for a coefficient that
+        is not a string. "n" may be left out."""
         obj = json.loads(text)
         if not all(isinstance(s, str) for s in obj["coeffs"]):
             raise TypeError("polynomial coefficients must be strings")
+        d = len(obj["coeffs"]) - 1
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != d):
+            raise ValueError(f"n = {obj['n']!r} is not {d}, the degree of the coefficients")
         coeffs = []
         for i, s in enumerate(obj["coeffs"]):
             try:

@@ -8,7 +8,7 @@ no sample, by integer de Casteljau halving of the Bernstein integers of
 p^(k), the differences of p's own (``Polynomial.bernstein_read``): a
 Bernstein form stored at its exact degree, as an M_n image is as a rule,
 gives its stored numerators, and any other form has them formed from
-its monomial integers (``integer_form``).
+its monomial form (``to_monomial``).
 Its ``certificate`` names the exit. Two are proofs of p^(k) >= 0: all of
 them are nonnegative ("native"), or they become so on every piece of a
 dyadic subdivision ("subdivision"). A proof within tolerance

@@ -272,7 +272,7 @@ def gavrea_reference(gen_poly: Polynomial, f, exact: bool = False) -> Polynomial
     polynomial f of degree e < d + 2 the exact sum is converted to degree e
     by Fraction binomial sums. Each Bernstein coefficient is rounded once,
     or with ``exact``, on exact data, kept exact."""
-    form = gen_poly.integer_form
+    form = gen_poly.to_monomial()
     a, A = form.num, form.den
     d = len(a) - 1
     lcm = math.lcm(*range(1, d + 2))
@@ -300,7 +300,7 @@ def gavrea_reference(gen_poly: Polynomial, f, exact: bool = False) -> Polynomial
     bern = [c * fact[j] * fact[D - j] for j, c in enumerate(acc)]
     den = A * Q * fact[d + 1] * fact[D]
     f = _as_handle(f)
-    e = min(f.poly.integer_form.degree, D) if isinstance(f, PolyFunction) else D
+    e = min(f.poly.to_monomial().degree, D) if isinstance(f, PolyFunction) else D
     if e < D:  # the image keeps f's degree
         c = bernstein_coeffs(monomial_coeffs([Fraction(x, den) for x in bern]), e)
         den = math.lcm(*(x.denominator for x in c))

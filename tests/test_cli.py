@@ -161,15 +161,18 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     # input errors: an unknown catalog name or one missing its parameters,
     # arguments out of range or not finite, and polynomial files that cannot
     # be read, such as one with a coefficient that is not a number
-    missing, nokey, notjson, notobj, nan, inf, zero = (
+    missing, nokey, notjson, notobj, nan, inf, zero, degree = (
         str(tmp_path / name)
-        for name in ("missing.json", "n.json", "t.json", "l.json", "nan.json", "inf.json", "z.json"))
+        for name in ("missing.json", "n.json", "t.json", "l.json", "nan.json", "inf.json", "z.json",
+                     "d.json"))
     (tmp_path / "n.json").write_text('{"n": 1}')
     (tmp_path / "t.json").write_text("hello")
     (tmp_path / "l.json").write_text("[1, 2]")
     (tmp_path / "nan.json").write_text('{"basis": "monomial", "n": 1, "coeffs": ["1", "nan"]}')
     (tmp_path / "inf.json").write_text('{"basis": "bernstein", "n": 1, "coeffs": ["inf", "1"]}')
     (tmp_path / "z.json").write_text('{"basis": "monomial", "n": 2, "coeffs": ["1", "2", "1/0"]}')
+    (tmp_path / "d.json").write_text('{"basis": "bernstein", "n": 3, "coeffs": ["1", "2"]}')
+    big = "1" + "0" * 400 + "/1"  # an a/b too large for a float
     for argv, message in [
         (["moduli", "--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
         (["moduli", "--f", "truncpow:0.5", "--t-grid", "0.1"],
@@ -211,6 +214,9 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["shape", "--f", "xeps:inf", "--k", "1"], "catalog parameter 'inf' is not finite"),
         (["shape", "--f", "truncpow:inf:2", "--k", "1"], "catalog parameter 'inf' is not finite"),
         (["shape", "--f", "xeps:1e400", "--k", "1"], "catalog parameter '1e400' is not finite"),
+        (["shape", "--f", f"xeps:{big}", "--k", "1"], f"catalog parameter '{big}' is not finite"),
+        (["shape", "--f", f"xeps:-{big}", "--k", "1"], f"catalog parameter '-{big}' is not finite"),
+        (["shape", "--f", f"logeps:{big}", "--k", "1"], f"catalog parameter '{big}' is not finite"),
         (["shape", "--f", "xeps:1/0", "--k", "1"], "catalog parameter '1/0' divides by zero"),
         (["shape", "--f", "linear:1:2/0", "--k", "1"], "catalog parameter '2/0' divides by zero"),
         # parameters that spell no number name the function and the parameter
@@ -249,6 +255,8 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          f"cannot read a polynomial from {inf}: coefficient 0 = 'inf' is not a finite number"),
         (["shape", "--f", zero, "--k", "1"],
          f"cannot read a polynomial from {zero}: coefficient 2 = '1/0' is not a finite number"),
+        (["apply", "--op", "bernstein", "--n", "2", "--f", degree, "--x", "0.5"],
+         f"cannot read a polynomial from {degree}: n = 3 is not 1, the degree of the coefficients"),
         # list options: an eps that ln(x + eps) does not admit, lists with
         # no value
         (["lambda2", "--eps-list", "-1"], "eps must be positive"),
@@ -402,7 +410,7 @@ def test_moduli_of_the_n512_generator_stays_within_its_range(tmp_path):
     out = tmp_path / "moduli.csv"
     assert main(["moduli", "--f", str(gen), "--t-grid", "0.1", "--out", str(out)]) == 0
     P = Polynomial.from_json(json.dumps(json.loads(_read(gen))["P"]))
-    top = max(abs(P.integer_form.value(Fraction(j, 256))) for j in range(257))
+    top = max(abs(P(Fraction(j, 256))) for j in range(257))
     (row,) = _rows(_read(out))
     assert 0 < float(row[1]) <= 4 * top
 

@@ -172,7 +172,7 @@ def test_build_forms_no_bernstein_integers(monkeypatch):
     monkeypatch.setattr(polynomial, "bernstein_integers", counted)
     gen = build_generator.__wrapped__(128, 3)
     assert calls == []
-    want = real(gen.P.integer_form.num)
+    want = real(gen.P.to_monomial().num)
     for _ in range(2):
         assert gen.P.bernstein_read() == (want, gen.P.den)
     assert calls == [gen.P.degree + 1] * 2
@@ -236,7 +236,7 @@ def _builds_digest(builds) -> str:
     digest = hashlib.sha256()
     for n, r in builds:
         gen = build_generator.__wrapped__(n, r)
-        form = gen.P.integer_form
+        form = gen.P.to_monomial()
         record = (n, r, form.num, form.den, [_dyadic_key(c) for c in gen.P.coeffs],
                   _dyadic_key(gen.lambda_n),
                   [(mu, _dyadic_key(v)) for mu, v in sorted(gen.moment_deficiency.items())],
@@ -278,7 +278,7 @@ def test_guard_covers_tau_growth():
         # at 256 bits tau(1) loses every bit from m = 212 on: read tau at the
         # build's precision
         bits = generator.PRECISION_BITS + generator._guard_bits(m, 1)
-        num = tau(m, prec_bits=bits).poly.integer_form.num
+        num = tau(m, prec_bits=bits).poly.to_monomial().num
         norm, value = sum(map(abs, num)), sum(num)
         for r in (1, 2, 3):
             allowance = (2 * a[r * m] - 1).bit_length()
@@ -299,7 +299,7 @@ def test_precision_bits_is_the_stored_precision(n, r, bits):
     assert kappa.numerator.bit_length() <= bits
     assert kappa.denominator & (kappa.denominator - 1) == 0
     assert max(_dyadic_key(c)[3] for c in gen.P.coeffs) > bits
-    den = gen.P.integer_form.den
+    den = gen.P.to_monomial().den
     assert den & (den - 1) == 0
 
 
@@ -308,7 +308,7 @@ def test_generator_has_one_narrow_denominator(n, r):
     # P's coefficients are exact dyadic rationals, so its exact read needs one
     # power-of-two denominator and no wider one
     gen = build_generator(n, r)
-    den = gen.P.integer_form.den
+    den = gen.P.to_monomial().den
     assert den & (den - 1) == 0
 
 
@@ -327,7 +327,7 @@ def library_square(gen):
     product as the build rounds it, and the square taken by schoolbook
     multiplication, exactly."""
     t = tau(gen.m, prec_bits=gen.precision_bits)
-    form = t.poly.integer_form
+    form = t.poly.to_monomial()
     s, es = generator._power(form.num, 1 - form.den.bit_length(), 2 * gen.r, gen.precision_bits)
     return [x * Fraction(2) ** (2 * es) for x in schoolbook(s, s)]
 
@@ -395,7 +395,7 @@ def test_kronecker_product_matches_schoolbook():
             a[-1] = -abs(a[-1]) or -1  # negative leading coefficient
             cases.append((a, b))
     # unequal lengths: tau^2 tau^4 at m = 19, the last product of S = tau^6
-    form = tau(19, prec_bits=500).poly.integer_form
+    form = tau(19, prec_bits=500).poly.to_monomial()
     s2, s4 = (generator._power(form.num, 0, k, 500)[0] for k in (2, 4))
     assert (len(s2), len(s4)) == (37, 73)
     cases.append((s2, s4))
@@ -407,7 +407,7 @@ def test_kronecker_product_matches_schoolbook():
     # a constant term far below the rest, as in tau for odd m: the others
     # share hundreds of trailing zeros, which the square shifts out
     for m in (7, 53):
-        num = tau(m, prec_bits=500).poly.integer_form.num
+        num = tau(m, prec_bits=500).poly.to_monomial().num
         assert (num[0] & -num[0]).bit_length() < 8
         assert all(x % 2**400 == 0 for x in num[1:])
         assert generator._square(num) == schoolbook(num, num)

@@ -302,7 +302,7 @@ def test_gavrea_image_keeps_the_degree_of_a_polynomial_above_half_of_p():
     f = PolyFunction(Polynomial.bernstein(list(rng.random(26))))
     res = mn_image(1, 80, f)
     assert res.generator.P.degree == 37
-    assert res.poly.degree == res.poly.integer_form.degree == 25
+    assert res.poly.degree == res.poly.to_monomial().degree == 25
     rep = check_k_monotone_poly(res.poly, 26)
     assert rep.passed and rep.x_grid_size == 0
 
@@ -330,9 +330,8 @@ def test_callable_read_out_is_repeatable():
 
 def _distance(p: Polynomial, q: Polynomial, points: int = 257) -> float:
     """max |p - q| over the points k/(points - 1), from exact values."""
-    fp, fq = p.integer_form, q.integer_form
     xs = [Fraction(k, points - 1) for k in range(points)]
-    return float(max(abs(fp.value(x) - fq.value(x)) for x in xs))
+    return float(max(abs(p(x) - q(x)) for x in xs))
 
 
 def test_durrmeyer_images_of_exp_moments():
@@ -365,7 +364,7 @@ def test_h_weights_are_formed_once_per_generator():
     images, formed = [], []
     for f in batch:
         images.append(gavrea_image(P, f))
-        formed.append(_eigenvalues(P.integer_form, 0).num)
+        formed.append(_eigenvalues(P.to_monomial(), 0).num)
     info = _eigen_store.cache_info()  # each image and each read takes the store
     assert (info.misses, info.hits) == (1, 2 * len(batch) - 1)
     assert len({id(lam) for lam in formed}) == 1 and len(formed[0]) == P.degree + 3
@@ -391,7 +390,7 @@ def test_eigenbasis_forms_the_moments_of_p_once_per_generator():
         formed, images = [], []
         for f in batch:
             images.append(gavrea_image(P, f))
-            formed.append(_eigenvalues(P.integer_form, 0).num)
+            formed.append(_eigenvalues(P.to_monomial(), 0).num)
         assert len({id(lam) for lam in formed}) == 1 and len(formed[0]) == D + 1, (n, r)
         assert [image.degree for image in images] == [D, 6, 0, 4, 1, D - 1, 3]
         for f, image in zip(batch, images):
@@ -400,7 +399,7 @@ def test_eigenbasis_forms_the_moments_of_p_once_per_generator():
         formed = []
         for f, image in zip(batch[1:6], images[1:6]):  # degrees 6, 0, 4, 1, D - 1
             assert gavrea_image(P, f) == image
-            lam = _eigenvalues(P.integer_form, 0)
+            lam = _eigenvalues(P.to_monomial(), 0)
             formed.append((lam.num, lam.den))
         assert [len(num) for num, den in formed] == [7, 7, 7, 7, D], (n, r)
         assert formed[0][0] is formed[3][0] and formed[3][0] is not formed[4][0]
@@ -413,7 +412,7 @@ def test_eigenbasis_forms_the_moments_of_p_once_per_generator():
 def test_eigenvalues_are_bounded_by_the_integral_of_p(n, r):
     # H is positive and H1 = Lambda_0 = int P, so every eigenvalue lies in
     # [-Lambda_0, Lambda_0]: checked in integers over their one denominator
-    form = build_generator(n, r).P.integer_form
+    form = build_generator(n, r).P.to_monomial()
     lam = _eigenvalues(form, form.degree + 3)
     assert lam.num[0] == lam.num[1] > 0 and lam.den > 0
     assert len(lam.num) == form.degree + 3
@@ -474,9 +473,9 @@ def test_mn_image_at_large_n_is_the_exact_image_rounded_once():
     for n in (402, 514):
         for f in (catalog("xeps:0.5"), catalog("truncpow:0.3:1")):
             res = mn_image(1, n, f)
-            got = res.poly.integer_form
-            exact = gavrea_reference(res.generator.P, f, exact=True).integer_form
-            assert max(abs(got.value(x) - exact.value(x)) for x in xs) <= Fraction(1, 10**50), (n, f)
+            got = res.poly
+            exact = gavrea_reference(res.generator.P, f, exact=True)
+            assert max(abs(got(x) - exact(x)) for x in xs) <= Fraction(1, 10**50), (n, f)
 
 
 def test_images_do_not_depend_on_the_ambient_precision():

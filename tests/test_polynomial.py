@@ -77,7 +77,7 @@ def test_json_roundtrip_exact():
 def test_json_roundtrip_float_keeps_every_bit():
     P = build_generator(256, 1).P
     q = Polynomial.from_json(P.to_json())
-    assert q == P and q.integer_form == P.integer_form
+    assert q == P and q.to_monomial() == P.to_monomial()
 
 
 def test_json_writes_exact_strings_and_reads_decimals_exactly():
@@ -93,6 +93,19 @@ def test_json_writes_exact_strings_and_reads_decimals_exactly():
             Polynomial.from_json(f'{{"basis": "monomial", "coeffs": ["1", "{bad}"]}}')
     with pytest.raises(TypeError):  # a JSON number has no exact spelling to read
         Polynomial.from_json('{"basis": "monomial", "coeffs": ["1", 0.1]}')
+
+
+def test_json_n_must_be_the_degree_of_the_coefficients():
+    # "n" is checked, not ignored: a file whose n is not len(coeffs) - 1
+    # (or is no int; a bool is none here) is not read as another degree
+    for n in (3, 0, -1, "1", 1.0, True, None):
+        with pytest.raises(ValueError, match="the degree of the coefficients"):
+            Polynomial.from_json(json.dumps({"basis": "bernstein", "n": n, "coeffs": ["1", "2"]}))
+    for text in ('{"basis": "bernstein", "n": 1, "coeffs": ["1", "2"]}',
+                 '{"basis": "bernstein", "coeffs": ["1", "2"]}'):
+        assert Polynomial.from_json(text) == Polynomial.bernstein([1, 2])
+    P = Polynomial.monomial([0])
+    assert Polynomial.from_json(P.to_json()) == P
 
 
 def test_round_to_bits_matches_from_rational():
@@ -194,7 +207,7 @@ def test_read_integers_by_shifts_matches_the_general_read():
                                1 << rng.randint(0, 300)) for _ in range(k)])
     for coeffs in cases:
         p = Polynomial.monomial(coeffs)
-        assert (p.num, p.den) == general(p.coeffs) == (p.integer_form.num, p.integer_form.den)
+        assert (p.num, p.den) == general(p.coeffs) and p.to_monomial() is p
         # integers handed over are put in lowest terms, trailing zeros dropped
         k = rng.choice([1, 3, 1 << rng.randint(1, 90)])
         assert Polynomial.from_integers("monomial", [x * k for x in p.num] + [0], p.den * k) == p
@@ -221,9 +234,9 @@ def test_bernstein_integer_form_matches_fraction_oracle():
     for n in range(41):
         for b in _bernstein_cases(rng, n) + [[0] * (n + 1)]:
             p = Polynomial.bernstein(b)
-            form = p.integer_form
+            form = p.to_monomial()
             assert [Fraction(a, form.den) for a in form.num] == monomial_coeffs(b), (n, b)
-            assert p.to_monomial().coeffs == tuple(monomial_coeffs(b))
+            assert p.to_monomial() is form and form.coeffs == tuple(monomial_coeffs(b))
 
 
 def test_bernstein_read_never_takes_a_fraction_copy(monkeypatch):
@@ -237,9 +250,11 @@ def test_bernstein_read_never_takes_a_fraction_copy(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Polynomial, "coeffs", property(coeffs))
             mono = p.to_monomial()
-            value, call = p.integer_form.value(Fraction(1, 2)), p(Fraction(1, 2))
+            value = p(Fraction(1, 2))
+            cheb, moments = p.chebyshev(), p.moments(3)
             sample = PolyFunction(p)(0.5)
-        assert mono.coeffs[0] == b[0] and value == call
+        assert mono.coeffs[0] == b[0] and value == (Fraction(b[0]) + 2 * Fraction(b[1]) + Fraction(b[2])) / 4
+        assert (cheb, moments) == (mono.chebyshev(), mono.moments(3))
         assert sample == pytest.approx(float(value), abs=1e-14)
 
 
@@ -248,7 +263,7 @@ def test_integer_form_moments_match_fraction_oracle():
     rng = random.Random(33)
     polys = _integer_form_cases() + [Polynomial.bernstein(b) for b in _bernstein_cases(rng, 17)]
     for p in polys:
-        form = p.integer_form
+        form = p.to_monomial()
         mono = list(fractions(p.coeffs)) if p.basis == "monomial" else monomial_coeffs(p.coeffs)
         for count in (0, 1, 7):
             T, den = form.moments(count)
@@ -295,10 +310,10 @@ def test_integer_form_value_matches_fraction_evaluation():
     for p in polys:
         mono = fractions(p.coeffs) if p.basis == "monomial" else monomial_coeffs(p.coeffs)
         for x in xs:
-            assert p.integer_form.value(x) == npoly.polyval(x, mono), (p, x)
+            assert p.to_monomial()(x) == npoly.polyval(x, mono), (p, x)
             if p.basis == "monomial" or 0 <= x <= 1:
-                assert p(x) == p.integer_form.value(x)
-    assert polys[0].integer_form.value(0.25) == polys[0](0.25) == polys[0](Fraction(1, 4))
+                assert p(x) == p.to_monomial()(x)
+    assert polys[0](0.25) == polys[0](Fraction(1, 4))
 
 
 def test_integer_form_bern_matches_fraction_oracle():
@@ -306,9 +321,9 @@ def test_integer_form_bern_matches_fraction_oracle():
     # of p at its exact degree d, and bernstein_derivative of it the same for
     # p^(nu) at degree d - nu, over den (d - nu)!; past the degree p^(nu) is 0
     for p in _integer_form_cases():
-        form = p.integer_form
+        form = p.to_monomial()
         d = form.degree
-        mono = fractions(p.to_monomial().coeffs)
+        mono = fractions(form.coeffs)
         oracle = bernstein_coeffs(mono, d)
         bern, bern_den = p.bernstein_read()
         assert bern_den == form.den
@@ -326,9 +341,10 @@ def test_integer_form_bern_matches_fraction_oracle():
 def test_bernstein_read_matches_the_monomial_form(monkeypatch):
     # a Bernstein polynomial of full exact degree n reads its Bernstein
     # integers as its stored numerators times n!, and forms no monomial
-    # integers; an elevated one of lower exact degree forms them from
-    # integer_form at that degree. Either way they are bernstein_integers
-    # of its monomial form, over its den, and the read caches nothing
+    # integers, over its den; an elevated one of lower exact degree forms
+    # them from its monomial form at that degree, over that form's den.
+    # Either way their values are those of bernstein_integers of the
+    # monomial form, and the read caches nothing
     rng = random.Random(37)
     formed = []
     real = polynomial.bernstein_integers
@@ -343,21 +359,44 @@ def test_bernstein_read_matches_the_monomial_form(monkeypatch):
             p = Polynomial.bernstein(b)
             formed.clear()
             bern, den = p.bernstein_read()
-            stored = "integer_form" not in vars(p)
-            form = p.integer_form
+            stored = "_monomial" not in vars(p)
+            form = p.to_monomial()
             assert stored == (form.degree == n and any(b)), (n, b)
             assert formed == ([] if stored else [form.degree + 1]), (n, b)
             want = real(np.array(form.num, dtype=object)[:, None])[:, 0]
-            assert (list(bern), den) == (list(want), form.den), (n, b)
+            assert [Fraction(x, den) for x in bern] == [Fraction(x, form.den) for x in want], (n, b)
+            assert den == (p.den if stored else form.den), (n, b)
             if stored:
                 assert bern == [x * factorial(n) for x in p.num]
             assert p.bernstein_read() == (bern, den)
-            assert vars(p).keys() == {"basis", "num", "den", "integer_form"}
-            assert vars(form).keys() == {"num", "den"}
+            assert vars(p).keys() == {"basis", "num", "den", "_monomial"}
+            assert vars(form).keys() == {"basis", "num", "den"}
     elevated = Polynomial.bernstein(bernstein_coeffs([1, -3, 2], 9))
     bern, den = elevated.bernstein_read()
-    assert elevated.integer_form.degree == 2 and len(bern) == 3
-    assert bern == real(elevated.integer_form.num) and den == elevated.den
+    assert elevated.to_monomial().degree == 2 and len(bern) == 3
+    # over the monomial form's den, in lowest terms: 1, where the stored one is 18
+    assert bern == real(elevated.to_monomial().num) and (den, elevated.den) == (1, 18)
+
+
+def test_bernstein_form_reads_through_one_cached_monomial_form():
+    # a Bernstein form is converted to the monomial basis once: to_monomial
+    # gives the same object on every call, and the form's values, shifted
+    # Chebyshev integers, moments and Bernstein read are those of a
+    # monomial polynomial built afresh from its coefficients
+    rng = random.Random(41)
+    xs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(99, 100), Fraction(1), 0.1]
+    cases = [b for n in (0, 1, 5, 17) for b in _bernstein_cases(rng, n)]
+    for b in cases + [bernstein_coeffs([1, -3, 2], 9), [0, 0, 0]]:
+        p = Polynomial.bernstein(b)
+        mono = p.to_monomial()
+        assert p.to_monomial() is mono and mono.basis == "monomial"
+        fresh = Polynomial.monomial(mono.coeffs)
+        assert [p(x) for x in xs] == [fresh(x) for x in xs], b
+        assert p.chebyshev() == fresh.chebyshev(), b
+        assert p.moments(4) == fresh.moments(4), b
+        (bern, den), (want, want_den) = p.bernstein_read(), fresh.bernstein_read()
+        assert [Fraction(x, den) for x in bern] == [Fraction(x, want_den) for x in want], b
+        assert p.to_monomial() is mono
 
 
 def test_integer_form_chebyshev_matches_exact_values():
@@ -365,12 +404,13 @@ def test_integer_form_chebyshev_matches_exact_values():
     # integer Horner value, at points inside and outside [0,1]
     xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 3)]
     for p in _integer_form_cases():
-        c, den = p.integer_form.chebyshev()
-        assert len(c) == p.integer_form.degree + 1
-        assert den == p.integer_form.den << 2 * p.integer_form.degree
+        form = p.to_monomial()
+        c, den = p.chebyshev()
+        assert len(c) == form.degree + 1
+        assert den == form.den << 2 * form.degree
         exact = np.array([Fraction(x, den) for x in c], dtype=object)
         for x in xs:
-            assert chebval(2 * x - 1, exact) == p.integer_form.value(x), (p, x)
+            assert chebval(2 * x - 1, exact) == form(x), (p, x)
 
 
 def test_poly_function_samples_ignore_ambient_precision():

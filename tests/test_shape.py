@@ -195,7 +195,7 @@ def test_certificate_names_each_exit(monkeypatch):
 
 def test_bernstein_forms_get_the_monomial_verdict(monkeypatch):
     # a Bernstein form at its exact degree reads its stored integers, an
-    # elevated one reads integer_form; both give the monomial form's
+    # elevated one reads its monomial form; both give the monomial form's
     # ShapeReport, every field, for k = 0..4 and each of the five exits
     polys = [Polynomial.e(3), Polynomial.monomial([Fraction(1, 16), Fraction(-1, 2), 1]),
              Polynomial.bernstein([-1e-12, 1, 1]).to_monomial(),
@@ -212,13 +212,13 @@ def test_bernstein_forms_get_the_monomial_verdict(monkeypatch):
             assert check_k_monotone_poly(exact, k) == want, (p.coeffs, k)
             assert check_k_monotone_poly(elevated, k) == want, (p.coeffs, k)
             seen.add(want.certificate)
-        assert "integer_form" not in vars(exact) and "integer_form" in vars(elevated)
+        assert "_monomial" not in vars(exact) and "_monomial" in vars(elevated)
 
     for p in polys:
         verdicts(p)
     monkeypatch.setattr(shape, "HALVINGS", 0)
     verdicts(polys[1])
     assert seen == {"native", "subdivision", "tolerance", "counterexample", "undecided"}
-    zero = Polynomial.bernstein([0, 0, 0])  # not of exact degree 2: read through integer_form
+    zero = Polynomial.bernstein([0, 0, 0])  # not of exact degree 2: read through to_monomial
     for k in range(3):
         assert check_k_monotone_poly(zero, k) == check_k_monotone_poly(Polynomial.monomial([0]), k)
