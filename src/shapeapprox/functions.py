@@ -190,13 +190,19 @@ class TruncatedPowerFunction(FunctionHandle):
 
 class LogShiftFunction(FunctionHandle):
     """ln(x + eps) for eps > 0, a float read as its exact value and sampled
-    at float(eps); the lambda=2 counterexample family."""
+    at float(eps), which must be finite and not 0; the lambda=2
+    counterexample family."""
 
     def __init__(self, eps):
+        try:
+            sample = float(eps)
+        except OverflowError:  # a rational too large for a float
+            sample = math.inf
+        if not 0 < sample < math.inf:  # NaN too
+            raise ValueError(f"eps must have a finite positive float (ln(x + eps) is sampled "
+                             f"at float(eps)), not {sample:g}")
         self.eps = Fraction(eps)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        self.name = f"ln(x+{float(self.eps):g})"
+        self.name = f"ln(x+{sample:g})"
         self.known_monotone_orders = frozenset({1})
 
     def __call__(self, x):

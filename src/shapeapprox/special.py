@@ -29,16 +29,21 @@ def pochhammer(beta, k: int) -> Fraction:
 
 @lru_cache(maxsize=256)
 def chebyshev_T(m: int) -> Polynomial:
-    """T_m in the monomial basis with exact integer coefficients."""
+    """T_m in the monomial basis with exact integer coefficients, in O(m)
+    steps from the closed form c_(m-2k) = (-1)^k 2^(m-2k-1) m/(m-k)
+    C(m-k,k) (T_0 = 1): c_m = 2^(m-1), and each next coefficient is
+    c_(m-2k-2) = -c_(m-2k) (m-2k)(m-2k-1)/(4(k+1)(m-k-1)), an exact
+    division."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    tm2, tm1 = [1], [0, 1]
-    for _ in range(2, m + 1):
-        nxt = [0] + [2 * c for c in tm1]
-        for i, c in enumerate(tm2):
-            nxt[i] -= c
-        tm2, tm1 = tm1, nxt
-    return Polynomial.from_integers(MONOMIAL, tm1 if m else tm2)
+    if m == 0:
+        return Polynomial.from_integers(MONOMIAL, [1])
+    c = [0] * (m + 1)
+    c[m] = 1 << (m - 1)
+    for k in range(m // 2):
+        j = m - 2 * k
+        c[j - 2] = -c[j] * j * (j - 1) // (4 * (k + 1) * (m - k - 1))
+    return Polynomial.from_integers(MONOMIAL, c)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,8 @@ def tau(m: int, prec_bits: int) -> TauPoly:
     tau(1) (1 - x_tilde), which T_m(1) = 1 makes |I_1| (1 - remainder), is
     off |I_1| by more than that relative: the division amplifies rounding
     by up to (1 + sqrt 2)^m, so too few bits lose tau(1) while the
-    remainder stays small."""
+    remainder stays small. Both checks are exact integer
+    cross-multiplications against TAU_REMAINDER_REL_TOL's ratio."""
     if m < 2:
         raise ValueError("tau requires m >= 2")
 
@@ -129,18 +135,26 @@ def tau(m: int, prec_bits: int) -> TauPoly:
         p, e = rnd(carry[0] * x_tilde[0], carry[1] + x_tilde[1])  # x_tilde * carry
         low = min(e, 0)
         carry = rnd((a[k] << -low) + (p << (e - low)), low)  # a[k] + that
-    remainder = _dyadic(*carry)
-    scale = max(abs(c) for c in a)
-    if abs(remainder) > TAU_REMAINDER_REL_TOL * scale:
+    # |remainder| against TOL = a_tol/b_tol times T_m's largest coefficient
+    a_tol, b_tol = TAU_REMAINDER_REL_TOL.as_integer_ratio()
+    (rem, e_rem), scale = carry, max(map(abs, a))
+    if abs(rem) * b_tol << max(e_rem, 0) > a_tol * scale << max(-e_rem, 0):
         raise PrecisionError(
-            f"tau({m}): division remainder {float(remainder)} too large at "
+            f"tau({m}): division remainder {float(_dyadic(rem, e_rem))} too large at "
             f"{prec_bits} bits"
         )
     poly = Polynomial.from_dyadics(MONOMIAL, [rnd(v * len_i1[0], e + len_i1[1]) for v, e in q])
-    x_tilde, len_i1 = _dyadic(*x_tilde), _dyadic(*len_i1)
-    gap = abs(Fraction(sum(poly.num), poly.den) * (1 - x_tilde) / len_i1 - 1)
-    if gap > TAU_REMAINDER_REL_TOL:
-        raise PrecisionError(f"tau({m}): tau(1) off by {float(gap):.2g} relative at {prec_bits} bits")
+    # tau(1) (1 - x_tilde)/|I_1| = N/D against 1, with 1 - x_tilde = c 2^e
+    # as (2^-low - c 2^(e - low)) 2^low
+    low = min(x_tilde[1], 0)
+    one_minus = (1 << -low) - (x_tilde[0] << (x_tilde[1] - low))
+    shift = low - len_i1[1]
+    N = sum(poly.num) * one_minus << max(shift, 0)
+    D = poly.den * len_i1[0] << max(-shift, 0)
+    if abs(N - D) * b_tol > a_tol * D:
+        raise PrecisionError(f"tau({m}): tau(1) off by {abs(N - D) / D:.2g} relative at "
+                             f"{prec_bits} bits")
+    x_tilde, len_i1, remainder = _dyadic(*x_tilde), _dyadic(*len_i1), _dyadic(rem, e_rem)
     return TauPoly(m=m, poly=poly, x_tilde=x_tilde, len_I1=len_i1, division_remainder=remainder)
 
 

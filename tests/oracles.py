@@ -8,14 +8,16 @@ the library's results: modulus decay exponents and Jackson ratios."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath
 import numpy as np
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_nearest, to_rational
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import chebinterpolate
 
+from shapeapprox import generator
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
 from shapeapprox.functions import ExpFunction, FunctionHandle, LogShiftFunction, PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
@@ -23,7 +25,7 @@ from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_d
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
 from shapeapprox.polynomial import Polynomial, bernstein_basis, bernstein_derivative
-from shapeapprox.special import TauPoly, chebyshev_T
+from shapeapprox.special import TauPoly, tau
 
 
 def exact(v) -> Fraction:
@@ -138,13 +140,13 @@ def callable_moments(f, d: int) -> list:
     Fractions: m_i the moments of the polynomial p that interpolates f at
     K + 1 first-kind Chebyshev points, K = max(64, d+4). numpy's float
     coefficients c_j of p = sum_j c_j T_j(2x - 1) are summed as Fractions
-    over ``chebyshev_T``, composed with t = 2x - 1 by Horner's rule and
-    integrated term by term."""
+    over ``chebyshev_T_reference``, composed with t = 2x - 1 by Horner's
+    rule and integrated term by term."""
     K = max(64, d + 4)
     c = chebinterpolate(lambda u: np.asarray(f((u + 1) / 2), dtype=float), K)
     in_t = np.array([Fraction(0)] * (K + 1), dtype=object)
     for j, cj in enumerate(c):
-        Tj = chebyshev_T(j).num
+        Tj = chebyshev_T_reference(j)
         in_t[:len(Tj)] += np.array(Tj, dtype=object) * Fraction(cj)
     a = np.array([Fraction(0)], dtype=object)
     for tk in reversed(in_t):
@@ -179,6 +181,19 @@ def bernstein_read_out(f, d: int, gain: int = 0) -> tuple[list, int, bool]:
 # ----------------------------------------------------------------------
 # the mpmath computations that integer arithmetic replaced, bit for bit or
 # to within the bits asked for
+@lru_cache(maxsize=None)
+def chebyshev_T_reference(m: int) -> tuple:
+    """T_m's integer monomial coefficients (ascending) by the three-term
+    recurrence T_(k+1) = 2x T_k - T_(k-1), as the library once formed them."""
+    prev, cur = [1], [0, 1]
+    for _ in range(m):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(prev)
+
+
 def tau_reference(m: int, prec_bits: int = 256) -> TauPoly:
     """tau_m as the library formed it in mpmath at ``prec_bits`` bits: cos
     and sin of pi/2m, each product and sum of the synthetic division by
@@ -187,13 +202,39 @@ def tau_reference(m: int, prec_bits: int = 256) -> TauPoly:
     with mpmath.workprec(prec_bits):
         x_tilde = mpmath.cos(mpmath.pi / (2 * m))
         len_i1 = 2 * mpmath.sin(mpmath.pi / (2 * m)) ** 2
-        a = [mpmath.mpf(c) for c in chebyshev_T(m).num]  # ascending, exact
+        a = [mpmath.mpf(c) for c in chebyshev_T_reference(m)]  # ascending, exact
         q, carry = [None] * m, a[m]  # the quotient, ascending
         for k in range(m - 1, -1, -1):
             q[k] = carry
             carry = a[k] + x_tilde * carry
         poly = Polynomial.monomial([exact(c * len_i1) for c in q])
     return TauPoly(m, poly, exact(x_tilde), exact(len_i1), exact(carry))
+
+
+def generator_scales_reference(gen: GeneratorPoly) -> tuple:
+    """lambda_n, the unit-integral residual and the moment deficiencies of a
+    build as the library once formed them: kappa~ 2^eq = D/((r-1)! G L)
+    on the weights g_j = D j!/(j+r+1)! of Q's integers, D = (deg Q + r + 1)!,
+    and int x^mu P from ``Polynomial.moments(5)`` of the stored P, each
+    rounded once at the build's bits as mpmath rounds."""
+    r, bits = gen.r, gen.precision_bits
+
+    def rounded(v: int, den: int) -> Fraction:
+        return Fraction(*to_rational(from_rational(v, den, bits, round_nearest)))
+
+    tf = tau(gen.m, bits).poly
+    s, es = generator._power(tf.num, 1 - tf.den.bit_length(), 2 * r, bits)
+    q, eq = generator._kronecker_mul(s, s), 2 * es
+    D = math.factorial(len(q) + r)
+    G, g = 0, D // math.factorial(r + 1)
+    for j, x in enumerate(q):
+        G += x * g
+        g = g * (j + 1) // (j + r + 2)
+    L = math.lcm(*(r * comb(j + r, r) for j in range(len(q))))
+    lam = rounded(D, math.factorial(r - 1) * G * L) * L / Fraction(2) ** eq
+    T, scale = gen.P.moments(5)
+    return (lam, abs(T[0] - scale) / scale,
+            {mu: rounded(scale - T[mu], scale) for mu in (1, 2, 3, 4)})
 
 
 def exp_moments_reference(imax: int, bits: int) -> list:

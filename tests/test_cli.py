@@ -103,6 +103,16 @@ def test_lambda2_cli(tmp_path):
     assert "assert modulus_bounded_2x: pass" in text
 
 
+def test_lambda2_cli_with_zero_error_fails_its_ratio(tmp_path):
+    # ln(x + 1e300) is constant in float64, so E_5 = 0: the ratio assertion
+    # fails, without dividing by that 0
+    out = tmp_path / "l2.csv"
+    assert main(["lambda2", "--eps-list", "1e300", "--out", str(out)]) == 1
+    text = _read(out)
+    assert "assert error_ratio_gt_3: FAIL" in text
+    assert text.rstrip().endswith("1.0000000000000001e+300,0,0")
+
+
 def test_gen_report_cli(tmp_path):
     out = tmp_path / "gr.csv"
     code = main(["gen-report", "--r", "1", "--n-list", "32,64,128",
@@ -260,6 +270,14 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         # list options: an eps that ln(x + eps) does not admit, lists with
         # no value
         (["lambda2", "--eps-list", "-1"], "eps must be positive"),
+        (["lambda2", "--eps-list", "nan"], "eps must be finite and positive"),
+        (["lambda2", "--eps-list", "inf"], "eps must be finite and positive"),
+        (["lambda2", "--eps-list", "1e400"], "eps must be finite and positive"),
+        # a catalog eps whose float, where ln(x + eps) is sampled, is 0
+        (["jackson", "--f", "logeps:1e-400", "--q", "0", "--n-list", "5"],
+         "eps must have a finite positive float (ln(x + eps) is sampled at float(eps)), not 0"),
+        (["moduli", "--f", "logeps:1e-400", "--t-grid", "0.1"],
+         "eps must have a finite positive float (ln(x + eps) is sampled at float(eps)), not 0"),
         (["lambda2", "--eps-list", ","], "--eps-list names no value"),
         (["gen-report", "--r", "1", "--n-list", ","], "--n-list names no value"),
         (["bern-xeps", "--eps", "0.5", "--n-list", ","], "--n-list names no value"),

@@ -183,6 +183,14 @@ def test_log_shift():
     assert g(Fraction(1, 3)) == float(np.log(1 / 3 + 1e-4))
 
 
+@pytest.mark.parametrize("eps", [Fraction(10**400), Fraction(1, 10**400), float("inf"),
+                                 float("nan"), 0, -1e-3])
+def test_log_shift_needs_a_finite_positive_float(eps):
+    # ln(x + eps) is sampled at float(eps), which must be finite and nonzero
+    with pytest.raises(ValueError, match="eps must have a finite positive float"):
+        LogShiftFunction(eps)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 10**4), Fraction(1, 3), Fraction(1), Fraction(3)])
 @pytest.mark.parametrize("d, gain", [(0, 0), (22, 0), (200, 40), (1024, 0)])
 def test_log_shift_integer_moments_are_within_the_bits_asked_for(eps, d, gain):

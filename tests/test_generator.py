@@ -27,7 +27,7 @@ from shapeapprox import (
 from shapeapprox.polynomial import bernstein_derivative
 from shapeapprox.special import tau
 
-from oracles import bernstein_coeffs, fractions, integral_01
+from oracles import bernstein_coeffs, fractions, generator_scales_reference, integral_01
 
 XS = np.linspace(0.0, 1.0, 2048)
 
@@ -186,6 +186,27 @@ def _dyadic_key(c: Fraction):
     man, exp = abs(c.numerator), 1 - c.denominator.bit_length()
     t = (man & -man).bit_length() - 1
     return (int(c < 0), man >> t, exp + t, (man >> t).bit_length())
+
+
+# the builds of the seed-1 gen_build benchmark list, and those M_n makes on
+# the mn_batch clusters (n - 2 for n = 21..73, every r it admits)
+SEED_1_BUILDS = [(9, 1), (14, 1), (22, 1), (34, 1), (52, 1), (78, 1), (119, 1), (180, 1),
+                 (273, 1), (417, 1), (19, 2), (28, 2), (39, 2), (55, 2), (75, 2), (108, 2),
+                 (152, 2), (216, 2), (303, 2), (430, 2), (28, 3), (38, 3), (51, 3), (69, 3),
+                 (94, 3), (130, 3), (175, 3), (239, 3), (323, 3), (439, 3)]
+MN_BATCH_BUILDS = [(n - 2, r) for n in range(21, 74) for r in (1, 2, 3) if n - 2 > 8 * r]
+
+
+def test_scales_from_q_moments_match_those_from_p_moments():
+    # lambda_n from Q's moments, and int P and the deficiencies through the
+    # gated identity P = (u/(v den)) I^r Q, equal the earlier route: kappa on
+    # the factorial weights of Q and the moments of the stored P
+    for n, r in SEED_1_BUILDS + MN_BATCH_BUILDS:
+        gen = build_generator.__wrapped__(n, r)
+        lam, resid, deficiency = generator_scales_reference(gen)
+        assert gen.lambda_n == lam, (n, r)
+        assert gen.unit_integral_residual == resid, (n, r)
+        assert gen.moment_deficiency == deficiency, (n, r)
 
 
 def test_build_output_is_pinned_bit_for_bit():

@@ -22,7 +22,7 @@ from shapeapprox import (
 from shapeapprox.generator import PRECISION_BITS, _guard_bits
 from shapeapprox.special import _log_fixed, shifted_jacobi
 
-from oracles import compose, exact, fractions, tau_reference
+from oracles import chebyshev_T_reference, compose, exact, fractions, tau_reference
 
 
 def test_pochhammer_values():
@@ -39,6 +39,12 @@ def test_chebyshev_T_known_coefficients():
     assert chebyshev_T(2).coeffs == (-1, 0, 2)
     assert chebyshev_T(3).coeffs == (0, -3, 0, 4)
     assert chebyshev_T(4).coeffs == (1, 0, -8, 0, 8)
+
+
+def test_chebyshev_T_closed_form_matches_the_recurrence():
+    # the O(m) closed form gives the three-term recurrence's integers
+    for m in range(301):
+        assert chebyshev_T(m).num == chebyshev_T_reference(m), m
 
 
 def test_chebyshev_T_cos_identity():
