@@ -145,6 +145,7 @@ def _cmd_moduli(args) -> int:
         monotone &= est.value >= prev - 1e-15
         prev = est.value
         table.rows.append([t, est.value, est.argmax_h, est.argmax_x])
+    table.config["route"] = est.route  # one route for every t: it follows f and k
     table.assertions["nondecreasing_in_t"] = monotone
     return _emit(table, args.out)
 

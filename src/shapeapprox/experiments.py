@@ -18,7 +18,7 @@ from .best_approx import best_uniform
 from .errors import RegimeError
 from .functions import FunctionHandle, LogShiftFunction, PolyFunction, PowerFunction
 from .generator import PRECISION_BITS, build_generator, deficiency_slope
-from .moduli import check_order, default_x_grid, modulus_sweep, omega_dt
+from .moduli import check_order, declared_sign, default_x_grid, modulus_sweep, omega_dt
 from .operators import _as_handle, mn_image
 from .polynomial import bernstein_basis
 
@@ -129,17 +129,21 @@ def run_bernstein_xeps(eps, n_list) -> ExperimentTable:
 def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> ExperimentTable:
     """Pointwise |f - M_n f| against the weighted modulus at the matching
     argument, with the empirical max ratio per n; lambda and n >= 1 are
-    checked (RegimeError) before any argument is formed."""
+    checked (RegimeError) before any argument is formed. The modulus is
+    omega_dt's at each argument when f declares the sign of f'' (its
+    signed route), and otherwise the prefix maxima of one sweep per n."""
     check_order(2, lam)
     f = _as_handle(f)
     ns = [int(n) for n in n_list]
     if any(n < 1 for n in ns):
         raise RegimeError("n must be >= 1")
     x_points = 129
+    signed = declared_sign(f, 2) is not None
     table = ExperimentTable(
         name="mn-error-study",
         config={"q": q, "lambda": lam, "f": f.name, "n_list": ns,
-                "prec_bits": PRECISION_BITS, "x_points": x_points},
+                "prec_bits": PRECISION_BITS, "x_points": x_points,
+                "route": "signed" if signed else "sweep"},
         columns=["n", "used_fallback", "max_err", "max_ratio"],
     )
     xs = default_x_grid(x_points)[1:-1]  # both sides interpolate the endpoints
@@ -147,11 +151,13 @@ def run_mn_error_study(q: int, lam: float, f: FunctionHandle, n_list) -> Experim
     ratios_all = []
     for n in ns:
         args = phi ** (1 - lam / 2) * (phi + 1.0 / n) ** (-lam / 2) / n
-        # omega_dt's sweep, once per n: per-h maxima, then prefix maxima give
-        # omega(t) for every needed t
-        hs = np.geomspace(max(args.min(), 1e-8) * 2.0**-8, args.max(), 256)
-        prefix = np.maximum.accumulate(modulus_sweep(f, 2, lam, hs)[0])
-        om = prefix[np.searchsorted(hs, args, side="right") - 1]
+        if signed:  # omega_dt's 1-D sup at each argument, exact in the step
+            om = np.array([omega_dt(f, 2, lam, t).value for t in args])
+        else:  # one sweep per n: per-h maxima, whose prefix maxima give
+            # omega(t) for every needed t
+            hs = np.geomspace(max(args.min(), 1e-8) * 2.0**-8, args.max(), 256)
+            prefix = np.maximum.accumulate(modulus_sweep(f, 2, lam, hs)[0])
+            om = prefix[np.searchsorted(hs, args, side="right") - 1]
         res = mn_image(q, n, f)
         vals = PolyFunction(res.poly)(xs)
         errs = np.abs(np.asarray(f(xs), dtype=float) - vals)

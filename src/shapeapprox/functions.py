@@ -9,7 +9,10 @@ ln(x + eps), whose moments are irrational and are formed in fixed point.
 Any other handle (a plain callable, wrapped by the operators) is read by the
 base class through the exact moments of its Chebyshev interpolant, sampled
 in float64. A polynomial's exact values come from ``Polynomial.__call__``.
-Handles declare the k-monotonicity orders they are known to satisfy.
+Handles declare the sign of f^(j) on (0,1) for the orders j where it has one
+(``derivative_signs``); the orders with sign +1 are the k-monotonicity
+orders, and a declared sign of f^(k) lets ``omega_dt`` take the k-th
+modulus without a search over the step.
 """
 from __future__ import annotations
 
@@ -27,10 +30,15 @@ from .special import _log_fixed
 
 class FunctionHandle:
     name = "f"
-    #: orders k for which the function is known to be k-monotone on [0,1]
-    known_monotone_orders: frozenset = frozenset()
+    #: {j: +1 or -1}, the sign of f^(j) on (0,1) where it has one (0 allowed)
+    derivative_signs: dict = {}
     #: whether ``moment_read`` gives exact values
     exact_moments = False
+
+    @property
+    def known_monotone_orders(self) -> frozenset:
+        """The orders k for which f is k-monotone on [0,1]: f^(k) >= 0."""
+        return frozenset(j for j, sign in self.derivative_signs.items() if sign > 0)
 
     def __call__(self, x):
         raise NotImplementedError
@@ -94,7 +102,7 @@ class ExpFunction(FunctionHandle):
     """exp(x); k-monotone for every k."""
 
     name = "exp"
-    known_monotone_orders = frozenset(range(32))
+    derivative_signs = dict.fromkeys(range(32), 1)
 
     def __call__(self, x):
         return np.exp(np.asarray(x, dtype=float))
@@ -121,8 +129,8 @@ class ExpFunction(FunctionHandle):
 
 
 class PowerFunction(FunctionHandle):
-    """x^eps with 0 < eps < 1, a float read as its exact value; nonnegative
-    and nondecreasing (k <= 1)."""
+    """x^eps with 0 < eps < 1, a float read as its exact value; nonnegative,
+    nondecreasing (k <= 1) and concave."""
 
     exact_moments = True
 
@@ -131,7 +139,7 @@ class PowerFunction(FunctionHandle):
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0,1)")
         self.name = f"x^{float(self.eps):g}"
-        self.known_monotone_orders = frozenset({0, 1})
+        self.derivative_signs = {0: 1, 1: 1, 2: -1}
 
     def __call__(self, x):
         return np.power(np.asarray(x, dtype=float), float(self.eps))
@@ -164,7 +172,7 @@ class TruncatedPowerFunction(FunctionHandle):
         if self.p < 1:
             raise ValueError("p must be >= 1")
         self.name = f"(x-{float(self.a):g})_+^{self.p}"
-        self.known_monotone_orders = frozenset(range(self.p + 2))
+        self.derivative_signs = dict.fromkeys(range(self.p + 2), 1)
 
     def __call__(self, x):
         d = np.asarray(x, dtype=float) - float(self.a)
@@ -191,7 +199,7 @@ class TruncatedPowerFunction(FunctionHandle):
 class LogShiftFunction(FunctionHandle):
     """ln(x + eps) for eps > 0, a float read as its exact value and sampled
     at float(eps), which must be finite and not 0; the lambda=2
-    counterexample family."""
+    counterexample family. Increasing and concave."""
 
     def __init__(self, eps):
         try:
@@ -203,7 +211,7 @@ class LogShiftFunction(FunctionHandle):
                              f"at float(eps)), not {sample:g}")
         self.eps = Fraction(eps)
         self.name = f"ln(x+{sample:g})"
-        self.known_monotone_orders = frozenset({1})
+        self.derivative_signs = {1: 1, 2: -1}
 
     def __call__(self, x):
         return np.log(np.asarray(x, dtype=float) + float(self.eps))
@@ -236,7 +244,7 @@ class LogShiftFunction(FunctionHandle):
 
 def monomial(i: int) -> PolyFunction:
     f = PolyFunction(Polynomial.e(i), name=f"x^{i}")
-    f.known_monotone_orders = frozenset(range(32))
+    f.derivative_signs = dict.fromkeys(range(32), 1)
     return f
 
 

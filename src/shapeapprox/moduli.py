@@ -1,11 +1,35 @@
 """Classical and weighted moduli of smoothness on [0,1].
 
 The step weight is phi(x)^lambda with phi(x) = sqrt(x(1-x)); lambda = 0
-recovers the classical modulus.  Suprema are approximated over finite grids
-(64 geometric h-points; 1025 Chebyshev-distributed x-points plus, for each h,
-the points where a node of the difference meets an endpoint), so every
-estimate is a lower bound of the true supremum; the grid sizes are recorded
-in the result.  ``modulus_sweep`` is the one sweep behind every estimate.
+recovers the classical modulus
+
+    omega_k^{phi^lambda}(f, t) = sup_{0<h<=t} sup_x |Delta^k_{h phi^lambda(x)} f(x)|,
+
+over the x whose nodes x + (i - k/2) h phi^lambda(x) all lie in [0,1].  No
+step above h* = 2^lambda/k admits a k-th difference (x = 1/2 is the most
+interior point for lambda <= 2), so omega(t) = omega(h*) for t >= h*, and
+``omega_dt`` reads t as min(t, h*).  It takes one of two routes, named in
+the result:
+
+- ``signed``, for k >= 1 when f declares the sign of f^(k)
+  (``FunctionHandle.derivative_signs``).  With M_k the centred B-spline of
+  order k, Delta^k_delta f(x) = delta^(k-1) int M_k(u/delta) f^(k)(x+u) du,
+  and M_k is symmetric and unimodal (DeVore & Lorentz, Constructive
+  Approximation, 1993), so when f^(k) has one sign |Delta^k_delta f(x)| is
+  nondecreasing in delta.  The sup over the step is then its largest
+  admissible value, delta(x) = min(t phi^lambda(x), 2x/k, 2(1-x)/k), and
+  the modulus is the 1-D sup over x of |Delta^k_{delta(x)} f(x)|.  It is
+  read on the Chebyshev grid, 1024 geometric points down to 1e-16 at each
+  end, and the point where t phi^lambda(x) = 2x/k with its mirror, read
+  with the step the aligned-point solve returns, so the outer node is
+  exactly on the endpoint; then on 65 points around each of the three
+  largest values.
+- ``sweep``, for every other f and k: ``modulus_sweep`` over 64 geometric
+  step bounds in (0, t], each read on 1025 Chebyshev points plus the
+  step's boundary-aligned points (where endpoint-singular f peak).
+
+Either way the estimate is a sup over finite grids, so it is a lower bound
+of the true supremum; the grid sizes are recorded in the result.
 
 One kernel, ``_sym_diff_grid``, forms every difference, here and in the
 function shape check: centred nodes x + (i - k/2) delta, all sent to f in one
@@ -19,10 +43,6 @@ the block stays inside: that block skips the clip and the range masks, and
 only the steps delta <= 0 are masked.  The aligned points of all h come
 from one bracketed Newton solve and are read in one more kernel call, with
 the outer node exactly on the endpoint.
-
-No step above h* = 2^lambda/k admits a k-th difference (x = 1/2 is the most
-interior point for lambda <= 2), so omega(t) = omega(h*) for t >= h*, and
-``omega_dt`` sweeps (0, min(t, h*)].
 """
 from __future__ import annotations
 
@@ -41,6 +61,10 @@ _H_SPAN = 2.0**-16  # smallest h is t * _H_SPAN
 # 1.55x as long as 8 (16.8 and 22.9 ms against 14.8 ms)
 _H_BLOCK = 8
 _ALIGN_STEPS = 60  # cap on the safeguarded Newton steps of the aligned points
+_EDGE_POINTS = 1024  # geometric points at each end on the signed route,
+_EDGE_SPAN = 1e-16  # from this distance to the end up to 1/2
+_REFINE_POINTS = 65  # points around each refined value on the signed route
+_REFINE_PEAKS = 3  # the largest values refined
 _LN2 = np.log(2.0)
 
 
@@ -60,6 +84,7 @@ class ModulusEstimate:
     x_grid_size: int
     argmax_h: float
     argmax_x: float
+    route: str  # "signed" (1-D sup at the largest admissible step) or "sweep"
 
 
 def default_h_grid(t: float) -> np.ndarray:
@@ -75,10 +100,16 @@ def default_x_grid(size: int = DEFAULT_X_POINTS) -> np.ndarray:
     return (1.0 - np.cos(np.pi * j / (size - 1))) / 2.0
 
 
-# the grids every sweep reads, formed once; read-only
+# the grids every sweep and every signed sup read, formed once; read-only.
+# The signed grid holds no endpoint, where delta(x) = 0, and no point twice
+# (1 - x rounds some x next to 0 alike). It is not sorted: np.sort and
+# np.searchsorted would map 0.2-0.25 MB more of numpy into memory
 _UNIT_H = np.geomspace(_H_SPAN, 1.0, DEFAULT_H_POINTS)
 _XS = default_x_grid()
-_UNIT_H.flags.writeable = _XS.flags.writeable = False
+_EDGE = np.geomspace(_EDGE_SPAN, 0.5, _EDGE_POINTS)
+_MIRROR = 1.0 - _EDGE[-2::-1]  # ascending, without 1/2
+_SIGNED_XS = np.concatenate([_XS[1:-1], _EDGE, _MIRROR[np.diff(_MIRROR, append=1.0) > 0]])
+_UNIT_H.flags.writeable = _XS.flags.writeable = _SIGNED_XS.flags.writeable = False
 
 
 def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
@@ -216,17 +247,66 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
     return values, args
 
 
+def declared_sign(f, k: int) -> int | None:
+    """The sign f declares for f^(k) on (0,1), +1 or -1, or None: from its
+    ``derivative_signs``, which a plain callable does not have."""
+    return getattr(f, "derivative_signs", {}).get(k)
+
+
+def _largest_steps(xs, k: int, lam: float, t: float) -> np.ndarray:
+    """delta(x) = min(t phi^lam(x), 2x/k, 2(1-x)/k): the largest step at x
+    of a k-th difference with step bound h <= t and nodes in [0,1]."""
+    return np.minimum(t * step_weight(xs, lam), np.minimum(xs, 1.0 - xs) * (2.0 / k))
+
+
+def _signed_sup(f, k: int, lam: float, t: float) -> tuple[float, float, float, int]:
+    """sup_x |Delta^k_{delta(x)} f(x)| for k >= 1, delta = _largest_steps:
+    the value, the first x read that attains it, its step and the number of
+    points read.  The points are _SIGNED_XS, then the two boundary-aligned
+    points of t, read with their own steps, then _REFINE_POINTS points
+    between the grid neighbours of each of the _REFINE_PEAKS largest
+    values."""
+    xs, deltas = _SIGNED_XS, _largest_steps(_SIGNED_XS, k, lam, t)
+    points, steps = _boundary_aligned_points(k, lam, t)
+    if not np.isnan(points[0, 0]):
+        xs, deltas = np.concatenate([xs, points[0]]), np.concatenate([deltas, steps[0]])
+    values = np.abs(_sym_diff_grid(f, k, deltas, xs))
+    rest, peaks = values.copy(), np.empty(_REFINE_PEAKS)
+    for i in range(_REFINE_PEAKS):  # no partial sort: it maps 0.13 MB more
+        j = np.argmax(rest)
+        peaks[i], rest[j] = xs[j], -1.0
+    lo = [_SIGNED_XS[_SIGNED_XS < x].max(initial=0.0) for x in peaks]
+    hi = [_SIGNED_XS[_SIGNED_XS > x].min(initial=1.0) for x in peaks]
+    fine = np.linspace(lo, hi, _REFINE_POINTS, axis=1).ravel()
+    fine_deltas = _largest_steps(fine, k, lam, t)
+    xs, deltas = np.concatenate([xs, fine]), np.concatenate([deltas, fine_deltas])
+    values = np.concatenate([values, np.abs(_sym_diff_grid(f, k, fine_deltas, fine))])
+    j = int(np.argmax(values))
+    return float(values[j]), float(xs[j]), float(deltas[j]), len(xs)
+
+
 def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
-    """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|,
-    the first maximum of modulus_sweep over default_h_grid(min(t, h*)),
-    h* = 2^lam/k the largest step that admits a difference (t for k = 0);
+    """Weighted modulus sup_{0<h<=t} max_x |Delta^k_{h phi^lam(x)}(f, x)|
+    at t' = min(t, h*), h* = 2^lam/k the largest step that admits a
+    difference (t' = t for k = 0).  On the signed route (k >= 1 and a
+    declared sign of f^(k)) it is _signed_sup at t', with argmax_h the step
+    bound delta(x)/phi^lam(x) of its argument and no h grid; otherwise it
+    is the first maximum of modulus_sweep over default_h_grid(t').
     RegimeError for a t that is not finite and positive, and for k and lam
     as in modulus_sweep, checked before h* is formed."""
     check_order(k, lam)
     if not np.isfinite(t):
         raise RegimeError(f"t must be finite, not {t}")
+    if t <= 0:
+        raise RegimeError("t must be positive")
     # no step above 2^lam/k admits a difference
-    hs = default_h_grid(min(t, 2.0**lam / k) if k else t)  # raises for t <= 0
+    top = min(t, 2.0**lam / k) if k else t
+    if k and declared_sign(f, k) is not None:
+        value, x, step, size = _signed_sup(f, k, lam, top)
+        return ModulusEstimate(k=k, lam=float(lam), t=float(t), value=value, h_grid_size=0,
+                               x_grid_size=size, argmax_h=step / float(step_weight(x, lam)),
+                               argmax_x=x, route="signed")
+    hs = default_h_grid(top)
     values, args = modulus_sweep(f, k, lam, hs)
     j = int(np.argmax(values))
     return ModulusEstimate(
@@ -238,6 +318,7 @@ def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:
         x_grid_size=DEFAULT_X_POINTS,
         argmax_h=float(hs[j]),
         argmax_x=float(args[j]),
+        route="sweep",
     )
 
 

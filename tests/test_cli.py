@@ -69,6 +69,19 @@ def test_moduli_cli(tmp_path):
     assert "assert nondecreasing_in_t: pass" in _read(out)
 
 
+def test_moduli_and_mn_study_name_their_route(tmp_path):
+    # the signed route for a declared sign of f^(k), the sweep otherwise
+    out = tmp_path / "mod.csv"
+    for argv, route in ((["moduli", "--f", "logeps:1e-8", "--lambda", "1.5"], "signed"),
+                        (["moduli", "--f", "xeps:0.5", "--k", "3"], "sweep"),
+                        (["mn-study", "--q", "1", "--f", "exp", "--n-list", "8"], "signed")):
+        if argv[0] == "moduli":
+            argv = argv + ["--t-grid", "0.00625"]
+        assert main(argv + ["--out", str(out)]) == 0
+        line = next(l for l in _read(out).splitlines() if l.startswith("# config: "))
+        assert json.loads(line[len("# config: "):])["route"] == route, argv
+
+
 def test_shape_cli_pass_and_fail(tmp_path):
     assert main(["shape", "--f", "exp", "--k", "2",
                  "--out", str(tmp_path / "s1.json")]) == 0

@@ -56,10 +56,13 @@ def test_mn_error_study_rejects_a_lambda_outside_0_2(lam):
 def test_mn_error_study_uses_the_boundary_aligned_modulus():
     # x^0.5 at lambda = 1 peaks where the leftmost node of the difference
     # touches 0; a sweep of the Chebyshev grid alone understated omega there
-    # and reported ratios of 5.409003 and 5.937328
+    # and reported ratios of 5.409003 and 5.937328, and the prefix maxima of
+    # a 256-step sweep with the aligned points, below each argument, 4.794651
+    # and 4.862898.  x^0.5 is concave, so omega is read on the signed route
     table = run_mn_error_study(1, 1.0, PowerFunction(0.5), [32, 64])
+    assert table.config["route"] == "signed"
     ratios = [row[3] for row in table.rows]
-    assert ratios == pytest.approx([4.794651, 4.862898], abs=1e-6)
+    assert ratios == pytest.approx([4.708091, 4.846780], abs=1e-6)
 
 
 def test_bounded_ratio_compares_against_one_of_the_values():
@@ -89,7 +92,8 @@ def test_lambda2_counterexample():
     # at t=1 the lambda=2 modulus genuinely grows ~ |ln eps|/2: its closed
     # form is -ln(1 - rho^2), rho = (sqrt(1+eps) - sqrt(eps))^2 -> 1, which is
     # why the experiment evaluates it at t < 1.  The grid value approaches
-    # the closed form from below (1.3e-4 relative low at eps = 1e-6).
+    # the closed form from below (2.5e-9 relative low at eps = 1e-6 on the
+    # signed route; the sweep read 1.3e-4 low).
     oms = []
     for eps in (1e-2, 1e-4, 1e-6):
         om = omega_dt(LogShiftFunction(eps), 2, 2.0, 1.0).value

@@ -27,6 +27,7 @@ from shapeapprox import (
 )
 from shapeapprox import durrmeyer_image, functions, genuine_durrmeyer_image
 from shapeapprox.generator import PRECISION_BITS
+from shapeapprox.moduli import _sym_diff_grid, default_x_grid
 from shapeapprox.polynomial import bernstein_basis, bernstein_derivative
 
 from oracles import MpfExp, exact, exp_moments_reference, fractions, logeps_moments_reference
@@ -285,6 +286,46 @@ def test_q_monotone_catalog_sizes():
         assert len(fns) == 5
         for f in fns:
             assert q in f.known_monotone_orders
+
+
+def test_known_monotone_orders_are_pinned():
+    # the orders with a declared sign +1; the benchmark's minimax and mn_batch
+    # task lists read them, so a change here changes those lists
+    for name, orders in (("exp", range(32)), ("xeps:0.5", {0, 1}), ("truncpow:0.5:3", range(5)),
+                         ("truncpow:0.3:1", range(3)), ("logeps:1e-4", {1}),
+                         ("monomial:3", range(32)), ("linear:1:2", ())):
+        assert catalog(name).known_monotone_orders == frozenset(orders), name
+    for q in (1, 2, 3, 4):
+        kink = frozenset(range(max(q - 1, 1) + 2))
+        assert [f.known_monotone_orders for f in q_monotone_catalog(q)] == (
+            [frozenset(range(32))] * 3 + [kink] * 2)
+
+
+def _declaring_handles():
+    names = ("exp", "xeps:0.5", "xeps:0.25", "truncpow:0.5:3", "truncpow:0.3:1",
+             "logeps:1e-2", "logeps:1e-4", "logeps:1e-8")
+    handles = {f.name: f for f in map(catalog, names)}
+    handles.update((f.name, f) for q in (1, 2, 3, 4) for f in q_monotone_catalog(q))
+    return list(handles.values())
+
+
+@pytest.mark.parametrize("f", _declaring_handles(), ids=lambda f: f.name)
+def test_declared_derivative_signs_hold_on_the_grid(f):
+    # omega_dt trusts a declared sign of f^(k) to skip the search over the
+    # step, so a wrong one would give a wrong modulus: each Delta^j_delta f
+    # has the declared sign, or is 0 up to the rounding of its 2^j-weighted
+    # sum, on the modulus grid (nodes outside [0,1] read 0)
+    xs = default_x_grid()
+    scale = float(np.max(np.abs(f(xs))))
+    checked = 0
+    for j, sign in f.derivative_signs.items():
+        if j > 4:
+            continue
+        for delta in (1e-3, 1e-2):
+            diff = _sym_diff_grid(f, j, delta, xs)
+            assert np.all(sign * diff >= -(2.0**j) * scale * 2.0**-46), (j, delta)
+            checked += 1
+    assert checked >= 4
 
 
 def test_vectorized_calls():

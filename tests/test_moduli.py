@@ -107,13 +107,16 @@ def test_omega_exp_second_order():
 
 
 def test_omega_dt_is_the_first_maximum_of_the_sweep():
-    f = PowerFunction(0.5)
+    # x^0.5 as a plain callable, which declares no derivative sign
+    root = PowerFunction(0.5)
+    f = lambda x: root(x)
     for k, lam, t in ((1, 0.0, 0.1), (2, 1.0, 0.05), (3, 1.5, 0.5)):
         hs = default_h_grid(t)
         values, args = modulus_sweep(f, k, lam, hs)
         est = omega_dt(f, k, lam, t)
         j = int(np.argmax(values))
         assert (est.value, est.argmax_h, est.argmax_x) == (values[j], hs[j], args[j])
+        assert (est.route, est.h_grid_size) == ("sweep", len(hs))
 
 
 def test_sweep_reaches_the_boundary_aligned_points():
@@ -195,7 +198,70 @@ def test_omega_dt_is_pinned_on_the_minimax_panel():
         for n in (4, 12, 19):
             est = omega_dt(catalog(name), 2, 1.0, 1.0 / n)
             digest.update(np.array([est.value, est.argmax_h, est.argmax_x]).tobytes())
-    assert digest.hexdigest() == "093f5f7629019825f95d19e36578aededf8dcecca8e2e29af06999e995088134"
+    assert digest.hexdigest() == "be53def2f8f6b7300aae0271a0c5236f4fde9a716934992df064dc5d10650702"
+
+
+_SIGNED_CASES = ["exp", "truncpow:0.5:3", "xeps:0.5", "xeps:0.25",
+                 "logeps:1e-2", "logeps:1e-4", "logeps:1e-6", "logeps:1e-8"]
+
+
+@pytest.mark.parametrize("name", _SIGNED_CASES)
+def test_signed_route_reads_at_least_the_sweep(name):
+    # f'' has one sign, so |Delta^2_delta f(x)| is nondecreasing in delta and
+    # the 1-D sup at the largest admissible step delta(x) bounds every step
+    # of every step bound the sweep reads, its aligned points included
+    f = catalog(name)
+    for lam in (0.0, 0.5, 1.0, 1.5, 1.9):
+        for t in (1 / 4, 1 / 19, 1 / 160, 1 / 1026):
+            est = omega_dt(f, 2, lam, t)
+            assert (est.route, est.h_grid_size) == ("signed", 0)
+            sweep = modulus_sweep(f, 2, lam, default_h_grid(min(t, 2.0**lam / 2)))[0].max()
+            assert est.value >= sweep * (1 - 1e-12), (lam, t, est.value, sweep)
+            # argmax_h is the step bound delta(x)/phi^lam(x) of the argument
+            x = est.argmax_x
+            delta = min(t * step_weight(x, lam), x, 1 - x)
+            assert est.argmax_h == pytest.approx(delta / step_weight(x, lam), rel=1e-12)
+
+
+def test_signed_route_reaches_the_peaks_next_to_the_endpoint():
+    # the sweep's smallest interior point is 2.35e-6, and it read 0.025574
+    # for the first, whose peak is at x = 3.0e-8 (0.135658 at 50 digits);
+    # the second is the Jackson quotient's own modulus
+    first = omega_dt(catalog("logeps:1e-8"), 2, 1.5, 1 / 160)
+    assert first.value >= 0.13565
+    assert 2.9e-8 <= first.argmax_x <= 3.1e-8
+    assert omega_dt(catalog("logeps:1e-4"), 2, 1.0, 1 / 160).value >= 0.10274
+
+
+def test_signed_route_reads_the_aligned_point_with_its_own_step():
+    # x^eps peaks where the outer node sits on 0; a step recomputed from the
+    # min formula at the rounded root can miss 0 and read low
+    for eps in (0.5, 0.25):
+        f = PowerFunction(eps)
+        for lam, t in ((1.0, 0.05), (1.5, 1 / 160)):
+            est = omega_dt(f, 2, lam, t)
+            points, steps = _boundary_aligned_points(2, lam, t)
+            assert est.argmax_x == points[0, 0]
+            assert est.value == abs(_sym_diff(f, 2, steps[0, 0], points[0, 0]))
+
+
+def test_signed_route_meets_the_lambda2_closed_form():
+    # Delta^2_delta ln(x+eps) with delta = t x(1-x) peaks at rho(eps) =
+    # (sqrt(1+eps) - sqrt(eps))^2: omega_2^{phi^2}(t) = -ln(1 - t^2 rho^2)
+    t = 0.5
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        rho = (math.sqrt(1 + eps) - math.sqrt(eps)) ** 2
+        exact = -math.log1p(-((t * rho) ** 2))
+        est = omega_dt(catalog(f"logeps:{eps}"), 2, 2.0, t)
+        assert est.route == "signed"
+        assert abs(est.value - exact) <= 1e-9 * exact, eps
+
+
+def test_a_handle_without_a_sign_at_k_keeps_the_sweep():
+    # x^0.5 declares no sign for k = 3, a linear function none at all
+    for f, k in ((PowerFunction(0.5), 3), (linear(1, 3), 2), (ExpFunction(), 0)):
+        est = omega_dt(f, k, 1.0, 0.1)
+        assert (est.route, est.h_grid_size) == ("sweep", 64)
 
 
 @pytest.mark.parametrize("k, lam", [(2, 1.0), (2, 1.5), (3, 1.5)])
