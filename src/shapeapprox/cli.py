@@ -293,20 +293,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(args) -> dict:
+    """The option values of the --config file: a JSON object whose keys
+    are option names of the subcommand (``lam`` for --lambda), each value of
+    that option's kind; a ShapeApproxError that names the file otherwise."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # no such file, not UTF-8 or not JSON
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ShapeApproxError(f"cannot read --config {args.config}: {reason}") from None
+    if not isinstance(config, dict):
+        raise ShapeApproxError(f"--config {args.config} holds no JSON object")
+    options = {a.dest: a for a in args.subparser._actions if a.dest != "help"}
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ShapeApproxError(f"config keys not taken by {args.command}: {', '.join(unknown)}")
+    for key, value in config.items():
+        kind, choices = options[key].type or str, options[key].choices
+        # a float option takes a JSON integer too, read as the flag reads it;
+        # OverflowError: an integer past any float
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise TypeError
+            config[key] = kind(value)
+        except (TypeError, OverflowError):
+            need = {int: "an integer", float: "a float"}.get(kind, "a string")
+            raise ShapeApproxError(f"config key {key}: {json.dumps(value)} is not {need}") from None
+        if choices and value not in choices:
+            raise ShapeApproxError(f"config key {key}: {json.dumps(value)} is not one of "
+                                   + ", ".join(choices))
+    return config
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        # config values become the subcommand's defaults; explicit flags win
-        with open(args.config) as fh:
-            config = json.load(fh)
-        options = set(vars(args)) - {"command", "config", "fn", "subparser"}
-        unknown = sorted(set(config) - options)
-        if unknown:
-            parser.error(f"config keys not taken by {args.command}: {', '.join(unknown)}")
-        args.subparser.set_defaults(**config)
-        args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config values become the subcommand's defaults; explicit flags win
+            args.subparser.set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return args.fn(args)
     except ShapeApproxError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

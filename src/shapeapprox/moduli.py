@@ -32,17 +32,10 @@ Either way the estimate is a sup over finite grids, so it is a lower bound
 of the true supremum; the grid sizes are recorded in the result.
 
 One kernel, ``_sym_diff_grid``, forms every difference, here and in the
-function shape check: centred nodes x + (i - k/2) delta, all sent to f in one
-call, and for even k the signed centre term passed in, so a sweep forms it
-once.  The sweep takes the step bounds in blocks of 8 and runs the kernel in
-place, in node and sum buffers that it allocates once; the sum starts from
-its first term, and the mask and the absolute value are taken in place.  The
-nodes x + o h w(x) move monotonically with h, also under rounding, so when
-a block's largest step keeps both outer node rows inside [0,1] every row of
-the block stays inside: that block skips the clip and the range masks, and
-only the steps delta <= 0 are masked.  The aligned points of all h come
-from one bracketed Newton solve and are read in one more kernel call, with
-the outer node exactly on the endpoint.
+function shape check: centred nodes x + (i - k/2) delta, all k+1 rows of
+them sent to f in one call.  The sweep takes the step bounds in blocks of
+8.  The aligned points of all h come from one bracketed Newton solve and are
+read in one more kernel call, with the outer node exactly on the endpoint.
 """
 from __future__ import annotations
 
@@ -56,9 +49,10 @@ from .errors import RegimeError
 DEFAULT_H_POINTS = 64
 DEFAULT_X_POINTS = 1025
 _H_SPAN = 2.0**-16  # smallest h is t * _H_SPAN
-# step bounds per kernel call. Timed on the 12 omega_dt(f, 2, 1, 1/n) calls of
-# the minimax panel (2-vCPU x86-64, medians of 60): 4 and 16 took 1.15x and
-# 1.55x as long as 8 (16.8 and 22.9 ms against 14.8 ms)
+# step bounds per kernel call: on omega_dt(f, 2, 1, 1/19) down the sweep
+# (2-vCPU x86-64, medians), 4, 16 and 64 took 7.3, 10.2 and 15 ms against
+# 6.8 ms at 8 for the degree-26 generator P(64, 2) as a PolyFunction, and
+# 1.3, 1.08 and 2.4 ms against 1.13 ms for x^0.5 as a plain callable
 _H_BLOCK = 8
 _ALIGN_STEPS = 60  # cap on the safeguarded Newton steps of the aligned points
 _EDGE_POINTS = 1024  # geometric points at each end on the signed route,
@@ -155,48 +149,21 @@ def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.nda
     return points, steps
 
 
-def _centre_term(k: int, fx) -> np.ndarray:
-    """The centre term (-1)^(k/2) C(k, k/2) f(x) of a difference of even
-    order k >= 2, from the values fx = f(x): the ``centre`` of
-    _sym_diff_grid."""
-    return (-1) ** (k // 2) * comb(k, k // 2) * np.asarray(fx, dtype=float)
-
-
-def _sym_diff_grid(f, k: int, deltas, xs, centre=None, buffers=None, widest=None
-                   ) -> np.ndarray:
+def _sym_diff_grid(f, k: int, deltas, xs) -> np.ndarray:
     """Delta^k_delta(f, x) = sum_i (-1)^(k-i) C(k,i) f(x + (i - k/2) delta)
     for steps deltas of any shape that broadcasts against the points xs; a
     difference with delta <= 0 or a node outside [0,1] is 0.  All nodes go to
-    f in one call, one contiguous row per i; for even k >= 2 the centre term
-    may be passed in (``_centre_term``), and f(xs) is then not evaluated.
-    ``buffers`` are optional caller-owned arrays (nodes, out) of shapes
-    (number of nodes sent to f per point, *shape) and shape; the result is
-    then ``out``, which the next call overwrites.  ``widest`` says that
-    deltas is 2-D with rows h w for steps h >= 0 and one weight w, and
-    names the row of the largest h: when its outer nodes lie in [0,1], so
-    do every row's, and only the steps delta <= 0 are masked."""
-    deltas = np.asarray(deltas, dtype=float)
-    shape = np.broadcast_shapes(deltas.shape, np.shape(xs))
-    if deltas.shape != shape:
-        deltas = np.broadcast_to(deltas, shape)
-    signs = [(-1) ** (k - i) * comb(k, i) for i in range(k + 1)]
-    offsets = [i - k / 2.0 for i in range(k + 1) if centre is None or 2 * i != k]
-    nodes, out = buffers or (np.empty((len(offsets),) + shape), np.empty(shape))
-    np.multiply.outer(offsets, deltas, out=nodes)
-    nodes += xs
+    f in one call, one contiguous row per i."""
+    deltas, xs = np.broadcast_arrays(np.asarray(deltas, dtype=float), xs)
+    nodes = np.multiply.outer([i - k / 2.0 for i in range(k + 1)], deltas) + xs
     # rows 0 and -1 hold the outer nodes x -+ (k/2) delta
-    if widest is not None and nodes[0, widest].min() >= 0 and nodes[-1, widest].max() <= 1:
-        invalid = deltas <= 0
-    else:
-        invalid = (deltas <= 0) | (nodes[0] < -1e-15) | (nodes[-1] > 1.0 + 1e-15)
-        np.clip(nodes, 0.0, 1.0, out=nodes)
-    rows = list(np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape))
-    if centre is not None:
-        rows.insert(k // 2, centre)
-        signs[k // 2] = 1
-    np.multiply(rows[0], signs[0], out=out)  # the sum starts from its first term
-    for sign, row in zip(signs[1:], rows[1:]):
-        out += row if sign == 1 else sign * row
+    invalid = (deltas <= 0) | (nodes[0] < -1e-15) | (nodes[-1] > 1.0 + 1e-15)
+    np.clip(nodes, 0.0, 1.0, out=nodes)
+    rows = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    out = (-1) ** k * rows[0]  # the sum starts from its first term
+    for i in range(1, k + 1):
+        sign = (-1) ** (k - i) * comb(k, i)
+        out += rows[i] if sign == 1 else sign * rows[i]
     out[invalid] = 0.0
     return out
 
@@ -218,20 +185,11 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
     hs = np.asarray(hs, dtype=float)
     xs = _XS
     w = step_weight(xs, lam)
-    centre = _centre_term(k, f(xs)) if k and k % 2 == 0 else None
-    block = (_H_BLOCK, len(xs))
-    buffers = np.empty((k + (centre is None),) + block), np.empty(block)
     values, args = np.empty(len(hs)), np.empty(len(hs))
     for s in range(0, len(hs), _H_BLOCK):
-        b = min(_H_BLOCK, len(hs) - s)
-        h = hs[s:s + b]
-        # the largest step bounds every row's nodes for steps h >= 0
-        widest = h.argmax() if h.min() >= 0 else None  # None for a nan h
-        vals = _sym_diff_grid(f, k, h[:, None] * w, xs, centre,
-                              (buffers[0][:, :b], buffers[1][:b]), widest)
-        np.abs(vals, out=vals)
-        values[s:s + b] = vals.max(axis=1)
-        args[s:s + b] = xs[vals.argmax(axis=1)]
+        vals = np.abs(_sym_diff_grid(f, k, hs[s:s + _H_BLOCK, None] * w, xs))
+        values[s:s + _H_BLOCK] = vals.max(axis=1)
+        args[s:s + _H_BLOCK] = xs[vals.argmax(axis=1)]
     # endpoint-singular functions peak exactly where the outer node of the
     # difference touches 0 (mirrored: 1), which no grid point does; those
     # points come after the grid, so they win only when strictly larger

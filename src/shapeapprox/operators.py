@@ -164,17 +164,23 @@ def genuine_durrmeyer_moment_recurrence(n: int, i: int) -> Polynomial:
 def _gauss_jacobi(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for (1-u^2)^alpha on [-1,1], weights of total mass 1: the
     eigenvalues of the Jacobi matrix of the orthonormal recurrence, and the
-    Christoffel numbers 1/sum_k p_k(u)^2 (Golub & Welsch, Math. Comp. 1969)."""
+    Christoffel numbers 1/sum_k p_k(u)^2 (Golub & Welsch, Math. Comp. 1969).
+    RegimeError when they are not finite: from alpha about 6.7e153 on, the
+    denominators of b_k overflow."""
     k = np.arange(2, order, dtype=float)
-    # b_1 apart: the general form is 0/0 at alpha = -1/2
-    b = np.concatenate([[math.sqrt(1 / (3 + 2 * alpha))], np.sqrt(
-        k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1)))])
-    u = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    prev, cur, total = np.zeros(order), np.ones(order), np.ones(order)
-    for bk, bk1 in zip(np.concatenate([[0.0], b[:-1]]), b):
-        prev, cur = cur, (u * cur - bk * prev) / bk1
-        total += cur * cur
-    return u, 1 / total
+    with np.errstate(all="ignore"):  # an overflow is caught below
+        # b_1 apart: the general form is 0/0 at alpha = -1/2
+        b = np.concatenate([[math.sqrt(1 / (3 + 2 * alpha))], np.sqrt(
+            k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1)))])
+        u = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+        prev, cur, total = np.zeros(order), np.ones(order), np.ones(order)
+        for bk, bk1 in zip(np.concatenate([[0.0], b[:-1]]), b):
+            prev, cur = cur, (u * cur - bk * prev) / bk1
+            total += cur * cur
+        w = 1 / total
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
+        raise RegimeError(f"no Gauss-Jacobi rule of order {order} in float64 at alpha = {alpha}")
+    return u, w
 
 
 def durrmeyer_lupas_image(n: int, alpha, f) -> Polynomial:

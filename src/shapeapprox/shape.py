@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeError
-from .moduli import _centre_term, _sym_diff_grid, default_x_grid
+from .moduli import _sym_diff_grid, default_x_grid
 from .polynomial import Polynomial, bernstein_derivative, nonnegative_by_halving
 
 FN_X_POINTS = 257
@@ -83,8 +83,7 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
         return ShapeReport(k, True, None, None, None,
                            FN_X_POINTS, FN_DELTA_POINTS, threshold)
     deltas = np.geomspace(2.0 ** -20, 1.0 / k, FN_DELTA_POINTS)
-    centre = _centre_term(k, vals) if k % 2 == 0 else None
-    diffs = _sym_diff_grid(f, k, deltas[:, None], xs, centre)
+    diffs = _sym_diff_grid(f, k, deltas[:, None], xs)
     i, j = np.unravel_index(np.argmin(diffs), diffs.shape)
     if diffs[i, j] < -threshold:
         return ShapeReport(k, False, float(xs[j]), float(deltas[i]), float(diffs[i, j]),

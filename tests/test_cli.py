@@ -196,6 +196,15 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
     (tmp_path / "z.json").write_text('{"basis": "monomial", "n": 2, "coeffs": ["1", "2", "1/0"]}')
     (tmp_path / "d.json").write_text('{"basis": "bernstein", "n": 3, "coeffs": ["1", "2"]}')
     big = "1" + "0" * 400 + "/1"  # an a/b too large for a float
+    # --config files that cannot be read, hold no JSON object, or hold a
+    # value that is not of its option's kind
+    configs = {"bad": "not json", "list": "[[1]]", "str": '"abc"', "k": '{"k": 2.5}',
+               "true": '{"k": true}', "grid": '{"t_grid": 0.1}', "lam": '{"lam": "1"}',
+               "big": '{"lam": 1%s}' % ("0" * 400), "op": '{"op": "nope"}'}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    cfg = {name: ["--config", str(tmp_path / f"{name}.cfg")] for name in configs}
+    cfg["missing"] = ["--config", missing]
     for argv, message in [
         (["moduli", "--f", "nope", "--t-grid", "0.1"], "unknown catalog function 'nope'"),
         (["moduli", "--f", "truncpow:0.5", "--t-grid", "0.1"],
@@ -230,6 +239,9 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
          "alpha must be finite, not nan"),
         (["apply", "--op", "lupas", "--alpha", "inf", "--n", "5", "--f", "exp"],
          "alpha must be finite, not inf"),
+        # an alpha whose Gauss-Jacobi rule overflows float64
+        (["apply", "--op", "lupas", "--alpha", "1e300", "--n", "3", "--f", "exp"],
+         "no Gauss-Jacobi rule of order 64 in float64 at alpha = 1e+300"),
         (["shape", "--f", "logeps:nan", "--k", "1"], "catalog parameter 'nan' is not finite"),
         (["shape", "--f", "logeps:inf", "--k", "1"], "catalog parameter 'inf' is not finite"),
         (["jackson", "--f", "logeps:nan", "--q", "0", "--n-list", "5"],
@@ -305,6 +317,24 @@ def test_library_error_is_one_line_and_exit_2(tmp_path, capsys):
         (["apply", "--op", "mn", "--n", "20", "--f", "exp", "--x", "abc"],
          "--x: 'abc' is not a number"),
         (["gen-report", "--r", "1", "--n-list", "x"], "--n-list: 'x' is not an integer"),
+        (cfg["missing"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         f"cannot read --config {missing}: No such file or directory"),
+        (cfg["bad"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         f"cannot read --config {cfg['bad'][1]}: Expecting value: line 1 column 1 (char 0)"),
+        (cfg["list"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         f"--config {cfg['list'][1]} holds no JSON object"),
+        (cfg["str"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         f"--config {cfg['str'][1]} holds no JSON object"),
+        (cfg["k"] + ["moduli", "--f", "exp", "--t-grid", "0.1"], "config key k: 2.5 is not an integer"),
+        (cfg["true"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         "config key k: true is not an integer"),
+        (cfg["grid"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         "config key t_grid: 0.1 is not a string"),
+        (cfg["lam"] + ["moduli", "--f", "exp", "--t-grid", "0.1"], 'config key lam: "1" is not a float'),
+        (cfg["big"] + ["moduli", "--f", "exp", "--t-grid", "0.1"],
+         "config key lam: 1%s is not a float" % ("0" * 400)),
+        (cfg["op"] + ["apply", "--op", "mn", "--n", "3", "--f", "exp"],
+         'config key op: "nope" is not one of bernstein, genuine-durrmeyer, durrmeyer, lupas, mn'),
     ]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])

@@ -88,8 +88,8 @@ def test_omega_of_a_t_that_is_not_finite_raises(t):
 
 @pytest.mark.parametrize("k, lam", [(-1, 1.0), (2, 3.0), (2, -1.0), (2, float("nan"))])
 def test_modulus_sweep_checks_k_and_lambda(k, lam):
-    # the one sweep behind every estimate checks them, so the mn-study
-    # ratios, which sweep without omega_dt, check them too
+    # the sweep checks them as omega_dt does, so the mn-study ratios, which
+    # sweep without omega_dt, check them too
     message = "k must be >= 0" if k < 0 else r"lambda must lie in \[0,2\]"
     with pytest.raises(RegimeError, match=message):
         modulus_sweep(ExpFunction(), k, lam, [0.1])
@@ -151,10 +151,11 @@ def _reference_sweep(f, k, lam, hs):
     return np.array(values), np.array(args)
 
 
-@pytest.mark.parametrize("name", ["exp", "truncpow:0.5:3", "xeps:0.5", "xeps:0.25", "logeps:1e-4"])
+@pytest.mark.parametrize("name", ["exp", "truncpow:0.5:3", "truncpow:0.3:1",
+                                  "xeps:0.5", "xeps:0.25", "logeps:1e-4"])
 def test_sweep_matches_a_per_h_reference(name):
-    # the block kernel (steps in blocks, the centre value read once, aligned
-    # points in one extra call) against one h at a time
+    # the block kernel (steps in blocks of 8, aligned points in one extra
+    # call) against one h at a time
     f = catalog(name)
     scale = float(np.max(np.abs(f(default_x_grid()))))
     for k, lam in ((1, 0.5), (2, 0.0), (2, 1.0), (2, 2.0), (3, 1.5), (4, 1.0)):
@@ -164,18 +165,34 @@ def test_sweep_matches_a_per_h_reference(name):
             ref_values, ref_args = _reference_sweep(f, k, lam, hs)
             assert np.max(np.abs(values - ref_values)) <= 1e-14 * scale, (k, lam, t)
             assert np.array_equal(args, ref_args), (k, lam, t)
+    # odd grids: 13 step bounds end in a part block, one grid descends, one
+    # is unsorted, one starts at subnormal steps, whose products with the
+    # weight round to 0 at some interior points, and one has 256 steps like
+    # mn-study's
+    grids = [np.geomspace(1e-4, 0.5, 13), np.geomspace(0.6, 1e-3, 19),
+             np.array([0.3, 1e-5, 0.01, 2e-3]), np.r_[5e-324, 1e-310, np.geomspace(1e-300, 0.2, 10)],
+             np.geomspace(2.0**-8 * 1e-8, 0.3, 256)]
+    for k in range(5):
+        for lam in (0.0, 1.0, 2.0):
+            for g, hs in enumerate(grids):
+                values, args = modulus_sweep(f, k, lam, hs)
+                ref_values, ref_args = _reference_sweep(f, k, lam, hs)
+                assert np.max(np.abs(values - ref_values)) <= 1e-14 * scale, (k, lam, g)
+                assert np.array_equal(args, ref_args), (k, lam, g)
 
 
 @pytest.mark.parametrize("name", ["exp", "truncpow:0.5:3", "truncpow:0.3:1",
                                   "xeps:0.5", "xeps:0.25", "logeps:1e-4"])
 def test_sweep_in_place_is_bit_identical_to_the_plain_sweep(name):
-    # sweep-owned buffers, the signed centre term formed once, the sum
-    # started from its first term and the blocks that skip the clip and the
-    # range masks change no bit of any value or argmax.  The grids mix
-    # blocks that skip and blocks that do not: 13 step bounds end in a part
-    # block, one grid descends, one is unsorted, one starts at subnormal
-    # steps, whose products with the weight round to 0 at some interior
-    # points, and one has 256 steps like mn-study's
+    # the sweep as it is (all k+1 node rows, the centre one too, sent to f in
+    # one call, the sum started from its first term, no buffers) changes no
+    # bit of any value or argmax against the plain sweep of the oracles (a
+    # fresh sum from zeros, for even k the centre values f(x) passed in),
+    # which the earlier in-place sweep also matched bit for bit.  The grids:
+    # 13 step bounds end in a part block, one grid descends, one is
+    # unsorted, one starts at subnormal steps, whose products with the
+    # weight round to 0 at some interior points, and one has 256 steps like
+    # mn-study's
     f = catalog(name)
     grids = [default_h_grid(t) for t in (0.5, 0.1, 1.0 / 19, 0.25, 1.0 / 12, 1.0)]
     grids += [np.geomspace(1e-4, 0.5, 13), np.geomspace(0.6, 1e-3, 19),

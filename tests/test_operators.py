@@ -14,6 +14,7 @@ from shapeapprox import (
     ExpFunction,
     PolyFunction,
     Polynomial,
+    RegimeError,
     bernstein_image,
     build_generator,
     catalog,
@@ -133,6 +134,19 @@ def test_gauss_jacobi_moments(alpha):
     for j in range(order):
         exact = float(mpmath.beta(j + 0.5, alpha + 1) / mass)
         assert abs(w @ u ** (2 * j) / exact - 1) <= 1e-10, j
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would reach the CLI's stderr
+def test_gauss_jacobi_rule_that_overflows_raises():
+    # (2k+2alpha+1)(2k+2alpha-1) overflows from alpha about 6.7e153: the rule
+    # is then NaN, and the image raises where it failed to convert a NaN
+    u, w = _gauss_jacobi(64, 1e150)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(w))
+    for alpha in (1e154, 1e300):
+        with pytest.raises(RegimeError, match="no Gauss-Jacobi rule of order 64"):
+            _gauss_jacobi(64, alpha)
+    with pytest.raises(RegimeError, match="no Gauss-Jacobi rule"):
+        durrmeyer_lupas_image(3, 1e300, ExpFunction())
 
 
 def test_lupas_derivative_identity():
