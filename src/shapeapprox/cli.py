@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output file (CSV/JSON); stdout if omitted")
-        p.set_defaults(subparser=p)
 
     p = sub.add_parser("gen-poly", help="build a generating polynomial")
     common(p)
@@ -293,22 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(args) -> dict:
+def _read_config(path: str, command: str, subparser) -> dict:
     """The option values of the --config file: a JSON object whose keys
     are option names of the subcommand (``lam`` for --lambda), each value of
     that option's kind; a ShapeApproxError that names the file otherwise."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:  # no such file, not UTF-8 or not JSON
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ShapeApproxError(f"cannot read --config {args.config}: {reason}") from None
+        raise ShapeApproxError(f"cannot read --config {path}: {reason}") from None
     if not isinstance(config, dict):
-        raise ShapeApproxError(f"--config {args.config} holds no JSON object")
-    options = {a.dest: a for a in args.subparser._actions if a.dest != "help"}
+        raise ShapeApproxError(f"--config {path} holds no JSON object")
+    options = {a.dest: a for a in subparser._actions if a.dest != "help"}
     unknown = sorted(set(config) - set(options))
     if unknown:
-        raise ShapeApproxError(f"config keys not taken by {args.command}: {', '.join(unknown)}")
+        raise ShapeApproxError(f"config keys not taken by {command}: {', '.join(unknown)}")
     for key, value in config.items():
         kind, choices = options[key].type or str, options[key].choices
         # a float option takes a JSON integer too, read as the flag reads it;
@@ -326,14 +325,34 @@ def _read_config(args) -> dict:
     return config
 
 
+def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
+    """Before the full parse, read the --config file named ahead of the
+    subcommand: its values become the subcommand's defaults, and the options
+    it gives are no longer required; explicit flags still win.  A command
+    line this first look cannot read is left to the full parse to report."""
+    first = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    first.add_argument("--config")
+    first.add_argument("command", nargs="?")
+    first.add_argument("rest", nargs=argparse.REMAINDER)  # no --config read from these
+    try:
+        known, _ = first.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return
+    subparser = next(a for a in parser._actions if a.dest == "command").choices.get(known.command)
+    if not known.config or subparser is None:
+        return
+    config = _read_config(known.config, known.command, subparser)
+    subparser.set_defaults(**config)
+    for action in subparser._actions:
+        if action.dest in config:
+            action.required = False
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            # config values become the subcommand's defaults; explicit flags win
-            args.subparser.set_defaults(**_read_config(args))
-            args = parser.parse_args(argv)
+        _apply_config(parser, argv)
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ShapeApproxError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

@@ -23,7 +23,9 @@ the result:
   end, and the point where t phi^lambda(x) = 2x/k with its mirror, read
   with the step the aligned-point solve returns, so the outer node is
   exactly on the endpoint; then on 65 points around each of the three
-  largest values.
+  largest values, between their neighbours in the grid.  Its one aligned
+  point is solved on float64 scalars, and the neighbours are found by
+  bisection of a sorted copy of the grid, made at import.
 - ``sweep``, for every other f and k: ``modulus_sweep`` over 64 geometric
   step bounds in (0, t], each read on 1025 Chebyshev points plus the
   step's boundary-aligned points (where endpoint-singular f peak).
@@ -34,11 +36,13 @@ of the true supremum; the grid sizes are recorded in the result.
 One kernel, ``_sym_diff_grid``, forms every difference, here and in the
 function shape check: centred nodes x + (i - k/2) delta, all k+1 rows of
 them sent to f in one call.  The sweep takes the step bounds in blocks of
-8.  The aligned points of all h come from one bracketed Newton solve and are
-read in one more kernel call, with the outer node exactly on the endpoint.
+8.  The aligned points of all h come from one bracketed Newton solve on
+arrays and are read in one more kernel call, with the outer node exactly on
+the endpoint.  Both solves share one Newton update, ``_align_newton``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -96,14 +100,42 @@ def default_x_grid(size: int = DEFAULT_X_POINTS) -> np.ndarray:
 
 # the grids every sweep and every signed sup read, formed once; read-only.
 # The signed grid holds no endpoint, where delta(x) = 0, and no point twice
-# (1 - x rounds some x next to 0 alike). It is not sorted: np.sort and
-# np.searchsorted would map 0.2-0.25 MB more of numpy into memory
+# (1 - x rounds some x next to 0 alike). np.sort and np.searchsorted would
+# map 0.2-0.25 MB more of numpy into memory, so the ascending copy, from
+# which bisection takes the grid neighbours of a point, is sorted in Python
 _UNIT_H = np.geomspace(_H_SPAN, 1.0, DEFAULT_H_POINTS)
 _XS = default_x_grid()
 _EDGE = np.geomspace(_EDGE_SPAN, 0.5, _EDGE_POINTS)
 _MIRROR = 1.0 - _EDGE[-2::-1]  # ascending, without 1/2
 _SIGNED_XS = np.concatenate([_XS[1:-1], _EDGE, _MIRROR[np.diff(_MIRROR, append=1.0) > 0]])
-_UNIT_H.flags.writeable = _XS.flags.writeable = _SIGNED_XS.flags.writeable = False
+_SORTED_XS = np.array(sorted(_SIGNED_XS.tolist()))
+_UNIT_H.flags.writeable = _XS.flags.writeable = False
+_SIGNED_XS.flags.writeable = _SORTED_XS.flags.writeable = False
+
+
+def _align_newton(u, a: float, b: float, log_c):
+    """g(u) = a u - b ln(1 - e^u) - ln c and the Newton iterate
+    u - g/g'(u), on float64 scalars and arrays alike (the same ufuncs, so
+    the same bits)."""
+    x = np.exp(u)
+    g = a * u - b * np.log1p(-x) - log_c
+    return g, u - g / (a + b * x / (1.0 - x))
+
+
+def _align_bracket(k: int, lam: float, hs):
+    """The coefficients a, b and ln c of the aligned-point equation in u =
+    ln x, and its bracket [lo, hi] below u = -ln 2, for the h in hs that
+    have a root: (a, b, log_c, lo, hi, has), has a boolean mask of hs."""
+    # g(u) = a u - b ln(1 - e^u) - ln c is convex and increasing; a root
+    # below u = -ln 2 exists iff g(-ln 2) > 0
+    a, b = 1.0 - lam / 2.0, lam / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.log(k * hs / 2.0)
+    # -inf where k h/2 rounds to 0, nan for h < 0: no point
+    has = np.isfinite(log_c) & ((b - a) * _LN2 > log_c)
+    lo = (log_c - b * _LN2) / a  # g(lo) <= 0, since -b ln(1 - x) <= b ln 2
+    hi = np.minimum(log_c / a, -_LN2)  # g(hi) >= 0, since -b ln(1 - x) >= 0
+    return a, b, log_c, lo, hi, has
 
 
 def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
@@ -118,23 +150,15 @@ def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.nda
     steps = np.full((len(hs), 2), np.nan)
     if k == 0 or lam >= 2:
         return points, steps
-    # in u = ln x the equation is g(u) = a u - b ln(1 - e^u) - ln c = 0, g
-    # convex and increasing; a root below u = -ln 2 exists iff g(-ln 2) > 0
-    a, b = 1.0 - lam / 2.0, lam / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.log(k * hs / 2.0)
-    # -inf where k h/2 rounds to 0, nan for h < 0: no point
-    has = np.flatnonzero(np.isfinite(log_c) & ((b - a) * _LN2 > log_c))
-    log_c = log_c[has]
-    lo = (log_c - b * _LN2) / a  # g(lo) <= 0, since -b ln(1 - x) <= b ln 2
-    hi = np.minimum(log_c / a, -_LN2)  # g(hi) >= 0, since -b ln(1 - x) >= 0
+    a, b, log_c, lo, hi, has = _align_bracket(k, lam, hs)
+    has = np.flatnonzero(has)
+    log_c, lo, hi = log_c[has], lo[has], hi[has]
     u = hi.copy()
     for _ in range(_ALIGN_STEPS):
-        x = np.exp(u)
-        g = a * u - b * np.log1p(-x) - log_c
+        g, nxt = _align_newton(u, a, b, log_c)
         lo = np.where(g < 0, u, lo)
         hi = np.where(g > 0, u, hi)
-        nxt = u - g / (a + b * x / (1.0 - x))  # Newton, safeguarded by bisection
+        # Newton, safeguarded by bisection
         nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, (lo + hi) / 2.0)
         converged = np.all(np.abs(nxt - u) <= 1e-15 * np.abs(u))
         u = nxt
@@ -147,6 +171,36 @@ def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.nda
     points[has] = np.stack([x, 1.0 - x], axis=1)
     steps[has] = step[:, None]
     return points, steps
+
+
+def _aligned_point(k: int, lam: float, t: float) -> tuple[float, float] | None:
+    """_boundary_aligned_points of the one step bound t, solved on float64
+    scalars: the x in (0, 1/2) and its step, bit for bit those of the array
+    solve, or None where t has no such point."""
+    if k == 0 or lam >= 2:
+        return None
+    a, b, log_c, lo, hi, has = _align_bracket(k, lam, np.float64(t))
+    if not has:
+        return None
+    u = hi
+    for _ in range(_ALIGN_STEPS):
+        g, nxt = _align_newton(u, a, b, log_c)
+        if g < 0:
+            lo = u
+        if g > 0:
+            hi = u
+        if not lo <= nxt <= hi:
+            nxt = (lo + hi) / 2.0
+        converged = abs(nxt - u) <= 1e-15 * abs(u)
+        u = nxt
+        if converged:
+            break
+    xu = np.exp(u)
+    # np.power, as step_weight's power of an array: ** of a float64 scalar
+    # takes another pow, whose last bit can differ
+    step = t * np.power(xu * (1.0 - xu), lam / 2.0)
+    x = (k / 2.0) * step
+    return (float(x), float(step)) if 0 < x < 0.5 else None
 
 
 def _sym_diff_grid(f, k: int, deltas, xs) -> np.ndarray:
@@ -180,9 +234,12 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
     """For each step bound h in hs, max_x |Delta^k_{h phi^lam(x)}(f, x)| over
     default_x_grid() and the boundary-aligned points, and the first x that
     attains it (grid points before the aligned points); RegimeError for
-    k < 0 or lam outside [0,2]."""
+    k < 0, lam outside [0,2] or a step bound that is not finite."""
     check_order(k, lam)
     hs = np.asarray(hs, dtype=float)
+    bad = hs[~np.isfinite(hs)]
+    if len(bad):  # its nodes would be NaN, where f reads what it likes
+        raise RegimeError(f"step bounds must be finite, not {bad[0]}")
     xs = _XS
     w = step_weight(xs, lam)
     values, args = np.empty(len(hs)), np.empty(len(hs))
@@ -217,6 +274,14 @@ def _largest_steps(xs, k: int, lam: float, t: float) -> np.ndarray:
     return np.minimum(t * step_weight(xs, lam), np.minimum(xs, 1.0 - xs) * (2.0 / k))
 
 
+def _grid_neighbours(x: float) -> tuple[float, float]:
+    """The largest point of _SIGNED_XS below x and the smallest above it (0
+    and 1 past the ends), by bisection of its ascending copy."""
+    below, above = bisect_left(_SORTED_XS, x), bisect_right(_SORTED_XS, x)
+    return (_SORTED_XS[below - 1] if below else 0.0,
+            _SORTED_XS[above] if above < len(_SORTED_XS) else 1.0)
+
+
 def _signed_sup(f, k: int, lam: float, t: float) -> tuple[float, float, float, int]:
     """sup_x |Delta^k_{delta(x)} f(x)| for k >= 1, delta = _largest_steps:
     the value, the first x read that attains it, its step and the number of
@@ -225,16 +290,17 @@ def _signed_sup(f, k: int, lam: float, t: float) -> tuple[float, float, float, i
     between the grid neighbours of each of the _REFINE_PEAKS largest
     values."""
     xs, deltas = _SIGNED_XS, _largest_steps(_SIGNED_XS, k, lam, t)
-    points, steps = _boundary_aligned_points(k, lam, t)
-    if not np.isnan(points[0, 0]):
-        xs, deltas = np.concatenate([xs, points[0]]), np.concatenate([deltas, steps[0]])
+    aligned = _aligned_point(k, lam, t)
+    if aligned is not None:
+        x, step = aligned
+        xs, deltas = np.concatenate([xs, [x, 1.0 - x]]), np.concatenate([deltas, [step, step]])
     values = np.abs(_sym_diff_grid(f, k, deltas, xs))
-    rest, peaks = values.copy(), np.empty(_REFINE_PEAKS)
-    for i in range(_REFINE_PEAKS):  # no partial sort: it maps 0.13 MB more
+    rest, around = values.copy(), []
+    for _ in range(_REFINE_PEAKS):  # no partial sort: it maps 0.13 MB more
         j = np.argmax(rest)
-        peaks[i], rest[j] = xs[j], -1.0
-    lo = [_SIGNED_XS[_SIGNED_XS < x].max(initial=0.0) for x in peaks]
-    hi = [_SIGNED_XS[_SIGNED_XS > x].min(initial=1.0) for x in peaks]
+        rest[j] = -1.0
+        around.append(_grid_neighbours(xs[j]))
+    lo, hi = zip(*around)
     fine = np.linspace(lo, hi, _REFINE_POINTS, axis=1).ravel()
     fine_deltas = _largest_steps(fine, k, lam, t)
     xs, deltas = np.concatenate([xs, fine]), np.concatenate([deltas, fine_deltas])

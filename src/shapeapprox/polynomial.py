@@ -168,13 +168,15 @@ def _leading(b: Sequence[int]) -> int:
 def _chebyshev_ints(n: int) -> np.ndarray:
     """The monomial coefficients of T_j(2x-1), j = 0..n, as Python integers
     in column j of an (n+1)-square object array, by the recurrence
-    T*_{j+1} = (4x-2) T*_j - T*_{j-1}, one list of ints per column; formed
-    once per n and read-only."""
-    cols = [[1] + [0] * n, [-1, 2] + [0] * (n - 1)][:n + 1]
+    T*_{j+1} = (4x-2) T*_j - T*_{j-1} on the j + 1 coefficients of T*_j
+    (the rest of column j is 0); formed once per n and read-only."""
+    cols = [[1], [-1, 2]][:n + 1]
     for j in range(1, n):
-        a, b = cols[j], cols[j - 1]
-        cols.append([-2 * a[0] - b[0]] + [4 * x - 2 * y - z for x, y, z in zip(a, a[1:], b[1:])])
-    T = np.array(cols, dtype=object).T
+        a, b = cols[j], cols[j - 1] + [0, 0]
+        cols.append([-2 * a[0] - b[0]] + [4 * x - 2 * y - z for x, y, z in zip(a, a[1:] + [0], b[1:])])
+    T = np.zeros((n + 1, n + 1), dtype=object)
+    for j, col in enumerate(cols):
+        T[:j + 1, j] = col
     T.flags.writeable = False
     return T
 

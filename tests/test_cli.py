@@ -158,6 +158,27 @@ def test_config_file_reaches_subcommand_defaults(tmp_path):
     assert config["k"] == 1 and config["lambda"] == 1.0
 
 
+def test_config_file_gives_required_options(tmp_path, capsys):
+    # the file's values are the defaults of every option, required ones too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"f": "exp", "t_grid": "0.1"}))
+    assert main(["--config", str(cfg), "moduli"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["moduli", "--f", "exp", "--t-grid", "0.1"]) == 0
+    assert capsys.readouterr().out == from_file
+    # a flag overrides the file
+    assert main(["--config", str(cfg), "moduli", "--t-grid", "0.2"]) == 0
+    overridden = capsys.readouterr().out
+    assert main(["moduli", "--f", "exp", "--t-grid", "0.2"]) == 0
+    assert capsys.readouterr().out == overridden != from_file
+    # a required option that neither gives is still missing
+    cfg.write_text(json.dumps({"f": "exp"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "moduli"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --t-grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["lamda", "fn"])
 def test_config_file_rejects_unknown_keys(key, tmp_path, capsys):
     # a misspelled key, or a parser-internal name, is an error, not a

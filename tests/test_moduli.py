@@ -7,6 +7,8 @@ import pytest
 
 from shapeapprox import (
     ExpFunction,
+    PolyFunction,
+    Polynomial,
     PowerFunction,
     RegimeError,
     catalog,
@@ -17,7 +19,10 @@ from shapeapprox import (
     step_weight,
 )
 from shapeapprox.moduli import (
+    _SIGNED_XS,
+    _aligned_point,
     _boundary_aligned_points,
+    _grid_neighbours,
     _sym_diff_grid,
     default_h_grid,
     default_x_grid,
@@ -95,6 +100,18 @@ def test_modulus_sweep_checks_k_and_lambda(k, lam):
         modulus_sweep(ExpFunction(), k, lam, [0.1])
     with pytest.raises(RegimeError, match=message):
         omega_dt(ExpFunction(), k, lam, 0.1)
+
+
+@pytest.mark.parametrize("f", [catalog("truncpow:0.5:3"), ExpFunction(),
+                               PolyFunction(Polynomial.from_json(
+                                   '{"basis": "monomial", "n": 2, "coeffs": ["0", "1", "1"]}'))],
+                         ids=["truncpow", "exp", "poly"])
+def test_modulus_sweep_rejects_a_step_bound_that_is_not_finite(f):
+    # its nodes would be NaN, which the truncated power reads as 0, exp as
+    # NaN and a polynomial not at all
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(RegimeError, match=f"step bounds must be finite, not {bad}"):
+            modulus_sweep(f, 2, 1.0, [0.1, bad, 0.2])
 
 
 def test_omega_exp_second_order():
@@ -279,6 +296,44 @@ def test_a_handle_without_a_sign_at_k_keeps_the_sweep():
     for f, k in ((PowerFunction(0.5), 3), (linear(1, 3), 2), (ExpFunction(), 0)):
         est = omega_dt(f, k, 1.0, 0.1)
         assert (est.route, est.h_grid_size) == ("sweep", 64)
+
+
+def test_one_aligned_point_is_the_array_solve_bit_for_bit():
+    # the signed route solves the aligned point of its one step bound on
+    # float64 scalars; the array solve of that bound alone gives the same
+    # bits.  (In the array solve of a whole grid, every lane steps until the
+    # last one converges, so a lane may move by an ulp after it converged.)
+    for k in range(1, 5):
+        for lam in (0.0, 0.5, 1.0, 1.5, 1.9, 2.0):
+            for t in (1.0, 1.0 / 19, 1.0 / 160, 1.0 / 1026):
+                for h in default_h_grid(t):
+                    points, steps = _boundary_aligned_points(k, lam, h)
+                    one = _aligned_point(k, lam, h)
+                    if one is None:
+                        assert np.isnan(points[0, 0]) and np.isnan(steps[0, 0]), (k, lam, h)
+                    else:
+                        x, step = one
+                        assert points[0].tolist() == [x, 1.0 - x], (k, lam, h)
+                        assert steps[0].tolist() == [step, step], (k, lam, h)
+    # no point: a step bound of 0, below 0, one whose k h/2 rounds to 0, one
+    # too large for a point in (0, 1/2), and lam >= 2
+    for k, lam, h in ((2, 1.0, 0.0), (2, 1.0, -0.1), (1, 1.0, 5e-324), (2, 1.0, 3.0),
+                      (2, 2.0, 0.1), (1, 2.0, 1e-3), (3, 2.0, 1.0 / 19)):
+        points, steps = _boundary_aligned_points(k, lam, h)
+        assert _aligned_point(k, lam, h) is None, (k, lam, h)
+        assert np.isnan(points).all() and np.isnan(steps).all(), (k, lam, h)
+
+
+def test_grid_neighbours_are_those_of_the_masked_grid():
+    # bisection of the sorted copy against the masked reductions it replaced
+    def masked(x):
+        return (_SIGNED_XS[_SIGNED_XS < x].max(initial=0.0),
+                _SIGNED_XS[_SIGNED_XS > x].min(initial=1.0))
+    aligned = [_aligned_point(2, lam, t) for lam in (0.5, 1.0, 1.5) for t in (0.25, 1 / 19, 1 / 160)]
+    xs = np.concatenate([_SIGNED_XS, [v for x, _ in aligned for v in (x, 1.0 - x)],
+                         np.random.default_rng(7).random(1000), [0.0, 1.0, 5e-324]])
+    for x in xs:
+        assert _grid_neighbours(x) == masked(x), x
 
 
 @pytest.mark.parametrize("k, lam", [(2, 1.0), (2, 1.5), (3, 1.5)])
