@@ -93,18 +93,12 @@ def _shape_rows(n: int, q: int, m: int) -> np.ndarray:
 
 def equioscillation_count(residuals: np.ndarray, error: float) -> int:
     """Number of alternating near-extrema of the residual with magnitude
-    within 1% of the error."""
+    within 1% of the error: the sign runs of the entries that reach it."""
     if error <= 0:
         return 0
-    level = 0.99 * error
-    count, last_sign = 0, 0
-    for r in residuals:
-        if abs(r) >= level:
-            s = 1 if r > 0 else -1
-            if s != last_sign:
-                count += 1
-                last_sign = s
-    return count
+    residuals = np.asarray(residuals)
+    positive = residuals[np.abs(residuals) >= 0.99 * error] > 0
+    return int(np.count_nonzero(positive[1:] != positive[:-1])) + 1 if len(positive) else 0
 
 
 def _sample(f, n: int, N: int | None):

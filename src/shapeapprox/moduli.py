@@ -37,14 +37,16 @@ One kernel, ``_sym_diff_grid``, forms every difference, here and in the
 function shape check: centred nodes x + (i - k/2) delta, all k+1 rows of
 them sent to f in one call.  The sweep takes the step bounds in blocks of
 8.  The aligned points of all h come from one bracketed Newton solve on
-arrays and are read in one more kernel call, with the outer node exactly on
-the endpoint.  Both solves share one Newton update, ``_align_newton``.
+arrays, each h stopping at its own convergence, so its point does not
+depend on the other h of the grid; they are read in one more kernel call,
+with the outer node exactly on the endpoint.  Both solves share one Newton
+update, ``_align_newton``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb
+from math import comb, isnan
 
 import numpy as np
 
@@ -144,7 +146,7 @@ def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.nda
     1 - x, and their common step h phi^lam(x): arrays of shape (len(hs), 2),
     nan where h has no such point.  The root is rounded to x = (k/2) step, so
     the outer node x - (k/2) step is exactly 0 (mirror: 1 - x + (k/2) step
-    is exactly 1)."""
+    is exactly 1).  Each h is the solve of that h alone, bit for bit."""
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
     points = np.full((len(hs), 2), np.nan)
     steps = np.full((len(hs), 2), np.nan)
@@ -153,16 +155,18 @@ def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.nda
     a, b, log_c, lo, hi, has = _align_bracket(k, lam, hs)
     has = np.flatnonzero(has)
     log_c, lo, hi = log_c[has], lo[has], hi[has]
-    u = hi.copy()
+    u, live = hi.copy(), np.ones(len(hi), dtype=bool)
     for _ in range(_ALIGN_STEPS):
         g, nxt = _align_newton(u, a, b, log_c)
         lo = np.where(g < 0, u, lo)
         hi = np.where(g > 0, u, hi)
         # Newton, safeguarded by bisection
         nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, (lo + hi) / 2.0)
-        converged = np.all(np.abs(nxt - u) <= 1e-15 * np.abs(u))
-        u = nxt
-        if converged:
+        # each lane stops at its own convergence, as the scalar solve does
+        converged = np.abs(nxt - u) <= 1e-15 * np.abs(u)
+        u = np.where(live, nxt, u)
+        live &= ~converged
+        if not live.any():
             break
     step = hs[has] * step_weight(np.exp(u), lam)
     x = (k / 2.0) * step
@@ -303,10 +307,15 @@ def _signed_sup(f, k: int, lam: float, t: float) -> tuple[float, float, float, i
     lo, hi = zip(*around)
     fine = np.linspace(lo, hi, _REFINE_POINTS, axis=1).ravel()
     fine_deltas = _largest_steps(fine, k, lam, t)
-    xs, deltas = np.concatenate([xs, fine]), np.concatenate([deltas, fine_deltas])
-    values = np.concatenate([values, np.abs(_sym_diff_grid(f, k, fine_deltas, fine))])
-    j = int(np.argmax(values))
-    return float(values[j]), float(xs[j]), float(deltas[j]), len(xs)
+    fine_values = np.abs(_sym_diff_grid(f, k, fine_deltas, fine))
+    size = len(xs) + len(fine)
+    # the first maximum over both reads (the first NaN, if any), as one
+    # argmax over their concatenation takes it: the grid's on a tie
+    j, i = int(np.argmax(values)), int(np.argmax(fine_values))
+    value, fine_value = float(values[j]), float(fine_values[i])
+    if not isnan(value) and not fine_value <= value:
+        return fine_value, float(fine[i]), float(fine_deltas[i]), size
+    return value, float(xs[j]), float(deltas[j]), size
 
 
 def omega_dt(f, k: int, lam: float, t: float) -> ModulusEstimate:

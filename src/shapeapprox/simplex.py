@@ -53,18 +53,17 @@ def _peaks(r, absr, j, size):
     trimmed from its ends to ``size`` nodes, each time at the end with the
     smaller |r| unless that end is the argmax j."""
     positive = r > 0
-    starts = np.flatnonzero(positive[1:] != positive[:-1]) + 1  # of every run but the first
-    if len(starts) + 1 < size:
+    change = positive[1:] != positive[:-1]
+    firsts = np.concatenate(([0], change.nonzero()[0] + 1))  # the first node of each run
+    if len(firsts) < size:
         return None
-    run = np.zeros(len(r), dtype=int)
-    run[starts] = 1
-    run = run.cumsum()
-    peak = np.maximum.reduceat(absr, np.concatenate(([0], starts)))
-    hit = np.flatnonzero(absr == peak[run])
-    nodes = hit[np.concatenate(([True], run[hit[1:]] != run[hit[:-1]]))]
-    lo, hi = 0, len(nodes) - 1
+    peak = np.maximum.reduceat(absr, firsts)
+    hit = (absr == peak[np.concatenate(([0], change.cumsum()))]).nonzero()[0]
+    nodes = hit[np.searchsorted(hit, firsts)]  # the first hit in each run
+    idx, tops = nodes.tolist(), absr[nodes].tolist()  # trimmed as Python ints and floats
+    lo, hi = 0, len(idx) - 1
     while hi - lo >= size:
-        if nodes[hi] == j or (nodes[lo] != j and absr[nodes[lo]] < absr[nodes[hi]]):
+        if idx[hi] == j or (idx[lo] != j and tops[lo] < tops[hi]):
             lo += 1
         else:
             hi -= 1
@@ -83,24 +82,30 @@ def exchange(fvals, V):
     stops once |h| reaches the grid error, the argmax is already a node, or
     |h| stops rising (at roundoff), so no reference is solved twice; the
     iterate with the smallest grid error is returned, with the last
-    reference."""
+    reference.  The reference matrix [V[ref], alt] and the residual arrays
+    are allocated once and refilled at each step."""
     N, k = V.shape
-    ref = np.round(np.linspace(0, N - 1, k + 1)).astype(int)  # the grid is Chebyshev-distributed
+    # k + 1 evenly spaced nodes, as np.linspace(0, N - 1, k + 1) places them:
+    # the grid is Chebyshev-distributed
+    ref = np.round(np.arange(k + 1) * ((N - 1) / k)).astype(int)
     alt = (-1.0) ** np.arange(k + 1)
+    M, r, absr = np.empty((k + 1, k + 1)), np.empty(N), np.empty(N)
+    M[:, k] = alt
     best_a, best_err, last_h = None, np.inf, -1.0
     for step in range(1, _MAX_EXCHANGE_STEPS_PER_NODE * (k + 1) + 1):
+        M[:, :k] = V[ref]
         try:
-            sol = np.linalg.solve(np.column_stack([V[ref], alt]), fvals[ref])
+            sol = np.linalg.solve(M, fvals[ref])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular exchange reference: {exc}") from None
         a, h = sol[:-1], abs(sol[-1])
-        r = fvals - V @ a
-        absr = np.abs(r)
+        np.subtract(fvals, np.matmul(V, a, out=r), out=r)
+        np.abs(r, out=absr)
         j = int(np.argmax(absr))
         err = float(absr[j])
         if err < best_err:
             best_a, best_err = a, err
-        if err <= h or j in ref or h <= last_h:
+        if err <= h or j in ref.tolist() or h <= last_h:
             break
         last_h = h
         peaks = _peaks(r, absr, j, k + 1)
@@ -130,10 +135,11 @@ def dual_simplex(fvals, V, R, ref: Reference):
 
     Each step prices the error and shape rows with one product, lets the
     most violated row enter, and picks the leaving row by the ratio test on
-    y, with ties broken by the lexicographic rule on the columns of
-    G_B^{-1}, which cannot cycle.  G_B^{-1} takes a rank-one update per step
-    and is formed afresh every n + 2 updates, before a stop is accepted and
-    before an entering row with no positive w is taken for infeasibility.
+    y, run over its n + 2 entries as Python floats, with ties broken by the
+    lexicographic rule on the columns of G_B^{-1}, which cannot cycle.
+    G_B^{-1} takes a rank-one update per step and is formed afresh every
+    n + 2 updates, before a stop is accepted and before an entering row with
+    no positive w is taken for infeasibility.
     The search stops once no row is violated by more than _ROUNDOFF max|f|:
     neighbouring shape rows are nearly parallel, and rows violated by
     roundoff alone would enter and leave in turn.  The final basis is
@@ -141,18 +147,20 @@ def dual_simplex(fvals, V, R, ref: Reference):
     N, k = V.shape
     A = np.vstack([V, R])  # error row i < N, shape row N + j
     At = np.column_stack([A, np.r_[np.ones(N), np.zeros(len(R))]])  # with the t column
+    np.negative(A, out=A)  # A now holds -A: (-A) a is A (-a), bit for bit
     rows = ref.rows.copy()
     G = np.column_stack([ref.signs[:, None] * V[rows], np.ones(k + 1)])
     g = ref.signs * fvals[rows]
     stop = _ROUNDOFF * np.max(np.abs(fvals))
-    z, neg_a, viol, r = np.empty(k + 1), np.empty(k), np.empty(len(A)), np.empty(N)
+    z, viol, r = np.empty(k + 1), np.empty(len(A)), np.empty(N)
     row, w, col, outer = np.empty(k + 1), np.empty(k + 1), np.empty(k + 1), np.empty((k + 1, k + 1))
+    a, errs, column = z[:k], viol[:N], col[:, None]  # views, made once
 
     def price(Binv):
         np.matmul(Binv, g, out=z)
-        np.matmul(A, np.negative(z[:k], out=neg_a), out=viol)  # -(R a) on the shape rows
-        np.add(viol[:N], fvals, out=r)
-        np.subtract(np.abs(r, out=viol[:N]), z[k], out=viol[:N])
+        np.matmul(A, a, out=viol)  # -(V a), and -(R a) on the shape rows
+        np.add(errs, fvals, out=r)
+        np.subtract(np.abs(r, out=errs), z[k], out=errs)
         viol[rows] = -np.inf
         e = int(viol.argmax())
         return viol[e], e
@@ -172,23 +180,30 @@ def dual_simplex(fvals, V, R, ref: Reference):
         else:
             row[:], rhs = At[e], 0.0
         np.matmul(row, Binv, out=w)  # the entering row in terms of the basis rows
-        pos = (w > 0).nonzero()[0]
-        if not len(pos) and updates:  # decide infeasibility on a fresh inverse
+        # the ratios y_l / w_l over the w_l > 0, with y = G_B^{-T} e_t; ties
+        # in ascending position
+        ws, y, least, ties = w.tolist(), Binv[k].tolist(), math.inf, []
+        for c, wc in enumerate(ws):
+            if wc > 0:
+                ratio = y[c] / wc
+                if ratio < least:
+                    least, ties = ratio, [c]
+                elif ratio == least:
+                    ties.append(c)
+        if not ties and updates:  # decide infeasibility on a fresh inverse
             Binv, updates = np.linalg.inv(G), 0
             continue
-        if not len(pos):
+        if not ties:
             raise SolverError("shape constraints are infeasible")
-        ratios = Binv[k, pos] / w[pos]  # y_l / w_l, with y = G_B^{-T} e_t
-        ties = pos[ratios == ratios.min()]
         l = ties[0] if len(ties) == 1 else min(ties, key=lambda c: tuple(Binv[:k, c] / w[c]))
         rows[l], G[l], g[l] = e, row, rhs
         updates += 1
         if updates == k + 1:
             Binv, updates = np.linalg.inv(G), 0
         else:  # row l of G_B became w G_B: G_B^{-1} -= (column l / w_l)(w - e_l)
-            np.divide(Binv[:, l], w[l], out=col)
+            np.divide(Binv[:, l], ws[l], out=col)
             w[l] -= 1.0
-            Binv -= np.multiply(col[:, None], w, out=outer)
+            Binv -= np.multiply(column, w, out=outer)
     else:
         raise SolverError(f"dual simplex did not converge in {step} steps")
     z = np.linalg.solve(G, g)

@@ -21,7 +21,9 @@ from shapeapprox import generator
 from shapeapprox.best_approx import best_qmonotone, jackson_quotient
 from shapeapprox.functions import ExpFunction, FunctionHandle, LogShiftFunction, PolyFunction
 from shapeapprox.generator import PRECISION_BITS, GeneratorPoly
-from shapeapprox.moduli import _boundary_aligned_points, default_x_grid, omega_dt, step_weight
+from shapeapprox.moduli import (_REFINE_PEAKS, _REFINE_POINTS, _SIGNED_XS, _aligned_point,
+                                _boundary_aligned_points, _grid_neighbours, _largest_steps,
+                                _sym_diff_grid, default_x_grid, omega_dt, step_weight)
 from shapeapprox.operators import (_as_handle, _bernstein, bernstein_image, durrmeyer_image,
                                    durrmeyer_lupas_image, gavrea_image, genuine_durrmeyer_image)
 from shapeapprox.polynomial import Polynomial, bernstein_basis, bernstein_derivative
@@ -124,6 +126,68 @@ def modulus_sweep(f, k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
         values[has[wins]] = best[wins]
         args[has[wins]] = points[has[wins], j[wins]]
     return values, args
+
+
+def equioscillation_count(residuals, error: float) -> int:
+    """The library's count of alternating near-extrema as it was before it
+    was vectorized: one pass over the residuals, counting sign changes
+    among the entries within 1% of the error."""
+    if error <= 0:
+        return 0
+    level = 0.99 * error
+    count, last_sign = 0, 0
+    for r in residuals:
+        if abs(r) >= level:
+            s = 1 if r > 0 else -1
+            if s != last_sign:
+                count += 1
+                last_sign = s
+    return count
+
+
+def exchange_peaks(r, j: int, size: int) -> list | None:
+    """The multi-point exchange's reference as one loop over the residual:
+    the first node reaching each sign run's largest |r|, trimmed from its
+    ends to ``size`` nodes, each time at the end with the smaller |r| unless
+    that end is j; None when r has fewer than ``size`` sign runs."""
+    nodes = []
+    for i, v in enumerate(r):
+        if i == 0 or (v > 0) != (r[i - 1] > 0):
+            nodes.append(i)
+        elif abs(v) > abs(r[nodes[-1]]):
+            nodes[-1] = i
+    if len(nodes) < size:
+        return None
+    while len(nodes) > size:
+        if nodes[-1] == j or (nodes[0] != j and abs(r[nodes[0]]) < abs(r[nodes[-1]])):
+            nodes.pop(0)
+        else:
+            nodes.pop()
+    return nodes
+
+
+def signed_sup(f, k: int, lam: float, t: float) -> tuple[float, float, float, int]:
+    """The library's signed-route sup as it was before it took the grid's
+    and the refined maximum apart: both reads concatenated, and the first
+    maximum of the concatenation."""
+    xs, deltas = _SIGNED_XS, _largest_steps(_SIGNED_XS, k, lam, t)
+    aligned = _aligned_point(k, lam, t)
+    if aligned is not None:
+        x, step = aligned
+        xs, deltas = np.concatenate([xs, [x, 1.0 - x]]), np.concatenate([deltas, [step, step]])
+    values = np.abs(_sym_diff_grid(f, k, deltas, xs))
+    rest, around = values.copy(), []
+    for _ in range(_REFINE_PEAKS):
+        j = np.argmax(rest)
+        rest[j] = -1.0
+        around.append(_grid_neighbours(xs[j]))
+    lo, hi = zip(*around)
+    fine = np.linspace(lo, hi, _REFINE_POINTS, axis=1).ravel()
+    fine_deltas = _largest_steps(fine, k, lam, t)
+    xs, deltas = np.concatenate([xs, fine]), np.concatenate([deltas, fine_deltas])
+    values = np.concatenate([values, np.abs(_sym_diff_grid(f, k, fine_deltas, fine))])
+    j = int(np.argmax(values))
+    return float(values[j]), float(xs[j]), float(deltas[j]), len(xs)
 
 
 def sampled_shape_verdict(p: Polynomial, k: int, tol: float) -> bool:

@@ -23,12 +23,13 @@ from shapeapprox import (
     linear,
     monomial,
 )
-from shapeapprox.best_approx import _sample, _shape_rows
+from shapeapprox.best_approx import _sample, _shape_rows, equioscillation_count
 from shapeapprox.polynomial import _chebyshev_ints, _reconstruct, bernstein_elevation
 from shapeapprox.shape import check_k_monotone_poly
-from shapeapprox.simplex import dual_simplex, exchange
+from shapeapprox.simplex import _peaks, dual_simplex, exchange
 from shapeapprox.special import chebyshev_T
 
+import oracles
 from oracles import bernstein_coeffs, compose, fractions, jackson_ratio
 
 EPS = 2.0 ** -52
@@ -94,6 +95,33 @@ def test_equioscillation_count_smooth():
     for n in (2, 4, 6):
         res = best_uniform(ExpFunction(), n)
         assert res.equioscillations >= n + 2
+
+
+def test_equioscillation_count_is_the_loop_count():
+    # the vectorized count against the loop it replaced, on seeded residuals
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(200):
+        error = float(rng.uniform(0.1, 2.0))
+        r = rng.uniform(-error, error, int(rng.integers(1, 60)))
+        # entries exactly at the level, of either sign, and exact zeros
+        at = rng.random(len(r)) < 0.2
+        r[at] = 0.99 * error * rng.choice([-1.0, 1.0], int(at.sum()))
+        r[rng.random(len(r)) < 0.05] = 0.0
+        cases.append((r, error))
+        # runs of one sign: the same entries sorted, and all positive
+        cases += [(np.sort(r), error), (np.abs(r), error)]
+    error = 0.5
+    one = np.zeros(41)
+    one[17] = -0.999 * error  # a single near-extremum
+    cases += [(one, error), (np.full(9, 0.98 * error), error),  # all below the level
+              (np.array([0.99 * error]), error), (np.array([-0.99 * error]), error),
+              (np.array([]), error), (np.array([1.0, -1.0]), 0.0), (np.array([1.0, -1.0]), -1.0)]
+    for r, err in cases:
+        assert equioscillation_count(r, err) == oracles.equioscillation_count(r, err), (r, err)
+    assert equioscillation_count(one, error) == 1
+    assert equioscillation_count(np.full(9, 0.98 * error), error) == 0
+    assert equioscillation_count(np.array([1.0, -1.0]), 0.0) == 0
 
 
 def test_best_monotone_constant_for_x():
@@ -295,6 +323,27 @@ def test_dual_simplex_is_pinned_bit_for_bit():
     assert digest.hexdigest() == "3186a024d03c2202784d0796a2feb65833c183c0ddab92762c5ee03ded79c532"
 
 
+def test_exchange_is_pinned_bit_for_bit():
+    # the 12 (f, n) problems of the benchmark's minimax panel (n = 4, 12, 19,
+    # N = 129), and the default grids (N = 257) at n = 19, 40 and 60 for two
+    # endpoint-singular functions: a SHA-256 over (a, error, bound, reference
+    # rows, signs, steps) pins every exchange step (float64 on x86-64 with
+    # OpenBLAS)
+    cases = [(name, n, 129) for name in ("exp", "truncpow:0.5:3", "xeps:0.5", "logeps:1e-4")
+             for n in (4, 12, 19)]
+    cases += [(name, n, None) for name in ("truncpow:0.5:3", "xeps:0.5") for n in (19, 40, 60)]
+    digest = hashlib.sha256()
+    for name, n, N in cases:
+        _, fvals, V = _sample(catalog(name), n, N)
+        a, err, bound, ref = exchange(fvals, V)
+        digest.update(np.ascontiguousarray(a).tobytes())
+        digest.update(np.array([err, bound]).tobytes())
+        digest.update(np.asarray(ref.rows, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(ref.signs, dtype=float).tobytes())
+        digest.update(str(ref.steps).encode())
+    assert digest.hexdigest() == "e2d948143136f4266cbe072e17f90d5e9f01e640bdebda403010c5369ff8c215"
+
+
 def test_shape_rows_are_pinned_bit_for_bit():
     # the rows of the benchmark's binding minimax problems (n = 4, 12, 19,
     # q <= 4, m = 512): every bit, and C-contiguous (float64 on x86-64)
@@ -304,6 +353,27 @@ def test_shape_rows_are_pinned_bit_for_bit():
         digest.update(R.tobytes())
         digest.update(bytes([R.flags.c_contiguous]))
     assert digest.hexdigest() == "f64ab85244cacb54c7a82e5f953f3d7d2352533265b9bc4044d0e6a781a60029"
+
+
+def test_exchange_peaks_match_a_loop_reference():
+    # the multi-point exchange's new reference against one loop over the
+    # residual, on seeded residuals with tied peaks, zeros and long runs
+    rng = np.random.default_rng(13)
+    for trial in range(3000):
+        n = int(rng.integers(1, 80))
+        if trial % 3 == 0:  # few distinct values: ties within and across runs
+            r = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n)
+        elif trial % 3 == 1:  # long runs of one sign
+            signs = np.repeat(rng.choice([-1.0, 1.0], n), rng.integers(1, 6, n))
+            r = signs * rng.random(len(signs))
+        else:
+            r = rng.standard_normal(n)
+        j, size = int(np.argmax(np.abs(r))), int(rng.integers(1, 15))
+        peaks = _peaks(r, np.abs(r), j, size)
+        want = oracles.exchange_peaks(r, j, size)
+        assert (peaks is None) == (want is None), (r, size)
+        if want is not None:
+            assert peaks.tolist() == want, (r, size)
 
 
 def test_exchange_degenerate_inputs():

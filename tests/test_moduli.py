@@ -1,5 +1,6 @@
 """Weighted moduli of smoothness."""
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from shapeapprox.moduli import (
     _aligned_point,
     _boundary_aligned_points,
     _grid_neighbours,
+    _signed_sup,
     _sym_diff_grid,
     default_h_grid,
     default_x_grid,
@@ -298,23 +300,58 @@ def test_a_handle_without_a_sign_at_k_keeps_the_sweep():
         assert (est.route, est.h_grid_size) == ("sweep", 64)
 
 
+def test_signed_sup_is_the_first_maximum_of_both_reads():
+    # the grid's and the refined maximum, taken apart, against one argmax
+    # over both reads: the grid's point on a tie, the first NaN if any.  The
+    # clipped ramp's first differences tie at its plateau; the next two
+    # functions read NaN on part of the grid, the last on part of the
+    # refined points only (each sup reads f twice, the grid first)
+    ramp = lambda x: np.clip(x, 0.4, 0.6)
+    holes = lambda x: np.where(np.abs(x - 0.37) < 1e-3, np.nan, np.sqrt(x))
+    nans = lambda x: np.where(x > 0.8, np.nan, x * x)
+
+    reads = itertools.count(1)
+
+    def nan_when_refined(x):
+        values = np.asarray(x, dtype=float) ** 2
+        if next(reads) % 2 == 0:
+            values[len(values) // 2:] = np.nan
+        return values
+
+    fs = [catalog(name) for name in _SIGNED_CASES] + [ramp, holes, nans, nan_when_refined]
+    for f in fs:
+        for k in (1, 2, 3):
+            for lam in (0.0, 1.0, 1.5):
+                for t in (0.5, 1 / 19, 1 / 160):
+                    got = _signed_sup(f, k, lam, t)
+                    want = oracles.signed_sup(f, k, lam, t)
+                    assert np.array_equal(got, want, equal_nan=True), (f, k, lam, t, got, want)
+
+
 def test_one_aligned_point_is_the_array_solve_bit_for_bit():
     # the signed route solves the aligned point of its one step bound on
-    # float64 scalars; the array solve of that bound alone gives the same
-    # bits.  (In the array solve of a whole grid, every lane steps until the
-    # last one converges, so a lane may move by an ulp after it converged.)
+    # float64 scalars; the array solve gives the same bits, of that bound
+    # alone and as one row of a whole grid, where each lane stops at its own
+    # convergence (113 of these 6,144 rows moved by an ulp when every lane
+    # stepped until the last one converged)
     for k in range(1, 5):
         for lam in (0.0, 0.5, 1.0, 1.5, 1.9, 2.0):
             for t in (1.0, 1.0 / 19, 1.0 / 160, 1.0 / 1026):
-                for h in default_h_grid(t):
+                hs = default_h_grid(t)
+                grid_points, grid_steps = _boundary_aligned_points(k, lam, hs)
+                for i, h in enumerate(hs):
                     points, steps = _boundary_aligned_points(k, lam, h)
                     one = _aligned_point(k, lam, h)
                     if one is None:
                         assert np.isnan(points[0, 0]) and np.isnan(steps[0, 0]), (k, lam, h)
+                        assert np.isnan(grid_points[i]).all(), (k, lam, h)
+                        assert np.isnan(grid_steps[i]).all(), (k, lam, h)
                     else:
                         x, step = one
                         assert points[0].tolist() == [x, 1.0 - x], (k, lam, h)
                         assert steps[0].tolist() == [step, step], (k, lam, h)
+                        assert grid_points[i].tolist() == [x, 1.0 - x], (k, lam, h)
+                        assert grid_steps[i].tolist() == [step, step], (k, lam, h)
     # no point: a step bound of 0, below 0, one whose k h/2 rounds to 0, one
     # too large for a point in (0, 1/2), and lam >= 2
     for k, lam, h in ((2, 1.0, 0.0), (2, 1.0, -0.1), (1, 1.0, 5e-324), (2, 1.0, 3.0),
