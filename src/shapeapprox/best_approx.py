@@ -103,13 +103,19 @@ def equioscillation_count(residuals: np.ndarray, error: float) -> int:
 
 def _sample(f, n: int, N: int | None):
     """The sample size, the values of f at N Chebyshev-distributed nodes and
-    the degree-n basis matrix there; N defaults to max(257, 4(n+1))."""
+    the degree-n basis matrix there; N defaults to max(257, 4(n+1)).
+    RegimeError for a sample that is not finite, naming the first."""
     if N is None:
         N = max(DEFAULT_SAMPLE_POINTS, 4 * (n + 1))
     if N < 4 * (n + 1):
         raise RegimeError("need N >= 4(n+1) sample nodes")
     xs = default_x_grid(N)
-    return N, np.asarray(f(xs), dtype=float), _basis_values(xs, n)
+    fvals = np.asarray(f(xs), dtype=float)
+    finite = np.isfinite(fvals)
+    if not finite.all():  # no level of the exchange is below a NaN or inf error
+        j = np.argmin(finite)
+        raise RegimeError(f"f must be finite at the sample nodes: f({xs[j]}) = {fvals[j]}")
+    return N, fvals, _basis_values(xs, n)
 
 
 def _solve(f, n: int, N: int | None, q: int | None = None, M: int = 0) -> ApproxResult:

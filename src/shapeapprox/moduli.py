@@ -23,9 +23,8 @@ the result:
   end, and the point where t phi^lambda(x) = 2x/k with its mirror, read
   with the step the aligned-point solve returns, so the outer node is
   exactly on the endpoint; then on 65 points around each of the three
-  largest values, between their neighbours in the grid.  Its one aligned
-  point is solved on float64 scalars, and the neighbours are found by
-  bisection of a sorted copy of the grid, made at import.
+  largest values, between their neighbours in the grid (found by bisection
+  of a sorted copy of the grid, made at import).
 - ``sweep``, for every other f and k: ``modulus_sweep`` over 64 geometric
   step bounds in (0, t], each read on 1025 Chebyshev points plus the
   step's boundary-aligned points (where endpoint-singular f peak).
@@ -36,17 +35,16 @@ of the true supremum; the grid sizes are recorded in the result.
 One kernel, ``_sym_diff_grid``, forms every difference, here and in the
 function shape check: centred nodes x + (i - k/2) delta, all k+1 rows of
 them sent to f in one call.  The sweep takes the step bounds in blocks of
-8.  The aligned points of all h come from one bracketed Newton solve on
-arrays, each h stopping at its own convergence, so its point does not
-depend on the other h of the grid; they are read in one more kernel call,
-with the outer node exactly on the endpoint.  Both solves share one Newton
-update, ``_align_newton``.
+8.  Both routes take their aligned points from one bracketed Newton solve
+on Python floats, ``_aligned_point``, one step bound at a time; the
+sweep reads those of all h in one more kernel call, with the outer node
+exactly on the endpoint.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb, isnan
+from math import comb, exp, inf, isnan, log, log1p
 
 import numpy as np
 
@@ -65,7 +63,7 @@ _EDGE_POINTS = 1024  # geometric points at each end on the signed route,
 _EDGE_SPAN = 1e-16  # from this distance to the end up to 1/2
 _REFINE_POINTS = 65  # points around each refined value on the signed route
 _REFINE_PEAKS = 3  # the largest values refined
-_LN2 = np.log(2.0)
+_LN2 = log(2.0)
 
 
 def step_weight(x, lam: float):
@@ -115,96 +113,51 @@ _UNIT_H.flags.writeable = _XS.flags.writeable = False
 _SIGNED_XS.flags.writeable = _SORTED_XS.flags.writeable = False
 
 
-def _align_newton(u, a: float, b: float, log_c):
-    """g(u) = a u - b ln(1 - e^u) - ln c and the Newton iterate
-    u - g/g'(u), on float64 scalars and arrays alike (the same ufuncs, so
-    the same bits)."""
-    x = np.exp(u)
-    g = a * u - b * np.log1p(-x) - log_c
-    return g, u - g / (a + b * x / (1.0 - x))
-
-
-def _align_bracket(k: int, lam: float, hs):
-    """The coefficients a, b and ln c of the aligned-point equation in u =
-    ln x, and its bracket [lo, hi] below u = -ln 2, for the h in hs that
-    have a root: (a, b, log_c, lo, hi, has), has a boolean mask of hs."""
-    # g(u) = a u - b ln(1 - e^u) - ln c is convex and increasing; a root
-    # below u = -ln 2 exists iff g(-ln 2) > 0
-    a, b = 1.0 - lam / 2.0, lam / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.log(k * hs / 2.0)
-    # -inf where k h/2 rounds to 0, nan for h < 0: no point
-    has = np.isfinite(log_c) & ((b - a) * _LN2 > log_c)
-    lo = (log_c - b * _LN2) / a  # g(lo) <= 0, since -b ln(1 - x) <= b ln 2
-    hi = np.minimum(log_c / a, -_LN2)  # g(hi) >= 0, since -b ln(1 - x) >= 0
-    return a, b, log_c, lo, hi, has
-
-
-def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
-    """For each step bound h, the x in (0, 1/2) with x = (k h/2) phi^lam(x),
-    where the leftmost node of the k-th difference sits on 0, its mirror
-    1 - x, and their common step h phi^lam(x): arrays of shape (len(hs), 2),
-    nan where h has no such point.  The root is rounded to x = (k/2) step, so
-    the outer node x - (k/2) step is exactly 0 (mirror: 1 - x + (k/2) step
-    is exactly 1).  Each h is the solve of that h alone, bit for bit."""
-    hs = np.atleast_1d(np.asarray(hs, dtype=float))
-    points = np.full((len(hs), 2), np.nan)
-    steps = np.full((len(hs), 2), np.nan)
-    if k == 0 or lam >= 2:
-        return points, steps
-    a, b, log_c, lo, hi, has = _align_bracket(k, lam, hs)
-    has = np.flatnonzero(has)
-    log_c, lo, hi = log_c[has], lo[has], hi[has]
-    u, live = hi.copy(), np.ones(len(hi), dtype=bool)
-    for _ in range(_ALIGN_STEPS):
-        g, nxt = _align_newton(u, a, b, log_c)
-        lo = np.where(g < 0, u, lo)
-        hi = np.where(g > 0, u, hi)
-        # Newton, safeguarded by bisection
-        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, (lo + hi) / 2.0)
-        # each lane stops at its own convergence, as the scalar solve does
-        converged = np.abs(nxt - u) <= 1e-15 * np.abs(u)
-        u = np.where(live, nxt, u)
-        live &= ~converged
-        if not live.any():
-            break
-    step = hs[has] * step_weight(np.exp(u), lam)
-    x = (k / 2.0) * step
-    ok = (0 < x) & (x < 0.5)
-    has, x, step = has[ok], x[ok], step[ok]
-    points[has] = np.stack([x, 1.0 - x], axis=1)
-    steps[has] = step[:, None]
-    return points, steps
-
-
 def _aligned_point(k: int, lam: float, t: float) -> tuple[float, float] | None:
-    """_boundary_aligned_points of the one step bound t, solved on float64
-    scalars: the x in (0, 1/2) and its step, bit for bit those of the array
-    solve, or None where t has no such point."""
-    if k == 0 or lam >= 2:
+    """The x in (0, 1/2) with x = (k t/2) phi^lam(x), where the leftmost node
+    of the k-th difference of step bound t sits on 0, and its step t
+    phi^lam(x), or None where t has no such point.  The root is rounded to
+    x = (k/2) step, so the outer node x - (k/2) step is exactly 0 (mirror:
+    1 - x + (k/2) step is exactly 1)."""
+    t = float(t)
+    c = k * t / 2.0
+    # no point for k = 0, t <= 0, a k t/2 that rounds to 0, inf or nan
+    if lam >= 2 or not 0 < c < inf:
         return None
-    a, b, log_c, lo, hi, has = _align_bracket(k, lam, np.float64(t))
-    if not has:
+    # in u = ln x, g(u) = a u - b ln(1 - e^u) - ln c is convex and
+    # increasing; a root below u = -ln 2 exists iff g(-ln 2) > 0
+    a, b, log_c = 1.0 - lam / 2.0, lam / 2.0, log(c)
+    if not (b - a) * _LN2 > log_c:
         return None
-    u = hi
+    lo = (log_c - b * _LN2) / a  # g(lo) <= 0, since -b ln(1 - x) <= b ln 2
+    u = hi = min(log_c / a, -_LN2)  # g(hi) >= 0, since -b ln(1 - x) >= 0
     for _ in range(_ALIGN_STEPS):
-        g, nxt = _align_newton(u, a, b, log_c)
+        x = exp(u)
+        g = a * u - b * log1p(-x) - log_c
+        nxt = u - g / (a + b * x / (1.0 - x))
         if g < 0:
             lo = u
-        if g > 0:
+        elif g > 0:
             hi = u
-        if not lo <= nxt <= hi:
+        if not lo <= nxt <= hi:  # Newton, safeguarded by bisection
             nxt = (lo + hi) / 2.0
         converged = abs(nxt - u) <= 1e-15 * abs(u)
         u = nxt
         if converged:
             break
-    xu = np.exp(u)
-    # np.power, as step_weight's power of an array: ** of a float64 scalar
-    # takes another pow, whose last bit can differ
-    step = t * np.power(xu * (1.0 - xu), lam / 2.0)
+    xu = exp(u)
+    step = t * (xu * (1.0 - xu)) ** (lam / 2.0)
     x = (k / 2.0) * step
-    return (float(x), float(step)) if 0 < x < 0.5 else None
+    return (x, step) if 0 < x < 0.5 else None
+
+
+def _boundary_aligned_points(k: int, lam: float, hs) -> tuple[np.ndarray, np.ndarray]:
+    """For each step bound h, _aligned_point's x, its mirror 1 - x and their
+    common step: arrays of shape (len(hs), 2), nan where h has no point."""
+    hs = np.atleast_1d(np.asarray(hs, dtype=float))
+    nan = (np.nan, np.nan)
+    x, step = np.array([_aligned_point(k, lam, h) or nan for h in hs.tolist()]).reshape(-1, 2).T
+    return np.stack([x, 1.0 - x], axis=1), np.stack([step, step], axis=1)
 
 
 def _sym_diff_grid(f, k: int, deltas, xs) -> np.ndarray:

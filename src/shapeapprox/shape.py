@@ -68,11 +68,17 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
     """Test Delta^k_delta(f, x) >= -tol*scale over a product grid, all 64
     steps in one kernel call; only points with x +- k delta/2 in [0,1]
     participate; scale = max|f|, tol = max(DEFAULT_TOL, 2^k eps): a k-th
-    difference sums 2^k roundings of size eps max|f|."""
+    difference sums 2^k roundings of size eps max|f|.  RegimeError for a
+    sample, or for k >= 1 a difference, that is not finite, naming the
+    first (a NaN compares false with every threshold)."""
     if k < 0:
         raise RegimeError("k must be >= 0")
     xs = default_x_grid(FN_X_POINTS)
     vals = np.asarray(f(xs), dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        j = np.argmin(finite)
+        raise RegimeError(f"f must be finite on [0,1]: f({xs[j]}) = {vals[j]}")
     tol = max(DEFAULT_TOL, 2.0**k * np.finfo(float).eps)
     threshold = tol * max(1e-30, float(np.max(np.abs(vals))))
     if k == 0:
@@ -84,6 +90,11 @@ def check_k_monotone_fn(f, k: int) -> ShapeReport:
                            FN_X_POINTS, FN_DELTA_POINTS, threshold)
     deltas = np.geomspace(2.0 ** -20, 1.0 / k, FN_DELTA_POINTS)
     diffs = _sym_diff_grid(f, k, deltas[:, None], xs)
+    finite = np.isfinite(diffs)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), diffs.shape)
+        raise RegimeError(f"differences of f must be finite: order {k} at x = {xs[j]}, "
+                          f"step {deltas[i]} is {diffs[i, j]}")
     i, j = np.unravel_index(np.argmin(diffs), diffs.shape)
     if diffs[i, j] < -threshold:
         return ShapeReport(k, False, float(xs[j]), float(deltas[i]), float(diffs[i, j]),

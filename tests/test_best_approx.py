@@ -24,6 +24,7 @@ from shapeapprox import (
     monomial,
 )
 from shapeapprox.best_approx import _sample, _shape_rows, equioscillation_count
+from shapeapprox.errors import RegimeError
 from shapeapprox.polynomial import _chebyshev_ints, _reconstruct, bernstein_elevation
 from shapeapprox.shape import check_k_monotone_poly
 from shapeapprox.simplex import _peaks, dual_simplex, exchange
@@ -89,6 +90,20 @@ def test_too_few_sample_nodes_rejected(solve):
     # 20 unknowns are not determined by 10 sample nodes, constrained or not
     with pytest.raises(ValueError, match="sample nodes"):
         solve(catalog("truncpow:0.5:3"))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda f: best_uniform(f, 3),
+    lambda f: best_qmonotone(f, 1, 3),
+])
+def test_non_finite_samples_rejected(solve):
+    # a NaN or inf sample makes every grid error NaN or inf, so the exchange
+    # kept no iterate; the first such node is named instead
+    with pytest.raises(RegimeError, match=r"finite at the sample nodes: f\(0\.5061\d*\) = nan"):
+        solve(lambda x: np.where(x > 0.5, np.nan, x))
+    with np.errstate(divide="ignore"):
+        with pytest.raises(RegimeError, match=r"f\(0\.0\) = inf"):
+            solve(lambda x: 1.0 / x)
 
 
 def test_equioscillation_count_smooth():

@@ -329,11 +329,9 @@ def test_signed_sup_is_the_first_maximum_of_both_reads():
 
 
 def test_one_aligned_point_is_the_array_solve_bit_for_bit():
-    # the signed route solves the aligned point of its one step bound on
-    # float64 scalars; the array solve gives the same bits, of that bound
-    # alone and as one row of a whole grid, where each lane stops at its own
-    # convergence (113 of these 6,144 rows moved by an ulp when every lane
-    # stepped until the last one converged)
+    # the sweep and the signed route read the same aligned point: the row of
+    # a step bound in the sweep's grid, and that bound alone, are the bits
+    # of _aligned_point, which the signed route reads
     for k in range(1, 5):
         for lam in (0.0, 0.5, 1.0, 1.5, 1.9, 2.0):
             for t in (1.0, 1.0 / 19, 1.0 / 160, 1.0 / 1026):
@@ -352,9 +350,10 @@ def test_one_aligned_point_is_the_array_solve_bit_for_bit():
                         assert steps[0].tolist() == [step, step], (k, lam, h)
                         assert grid_points[i].tolist() == [x, 1.0 - x], (k, lam, h)
                         assert grid_steps[i].tolist() == [step, step], (k, lam, h)
-    # no point: a step bound of 0, below 0, one whose k h/2 rounds to 0, one
-    # too large for a point in (0, 1/2), and lam >= 2
-    for k, lam, h in ((2, 1.0, 0.0), (2, 1.0, -0.1), (1, 1.0, 5e-324), (2, 1.0, 3.0),
+    # no point: a step bound of 0 or -0, below 0, one whose k h/2 rounds to
+    # 0, one too large for a point in (0, 1/2), inf, nan, and lam >= 2
+    for k, lam, h in ((2, 1.0, 0.0), (2, 1.0, -0.0), (2, 1.0, -0.1), (1, 1.0, 5e-324),
+                      (2, 1.0, 3.0), (2, 1.0, np.inf), (2, 1.0, np.nan),
                       (2, 2.0, 0.1), (1, 2.0, 1e-3), (3, 2.0, 1.0 / 19)):
         points, steps = _boundary_aligned_points(k, lam, h)
         assert _aligned_point(k, lam, h) is None, (k, lam, h)

@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from numpy.polynomial import polynomial as npoly
 
 from shapeapprox import (
@@ -16,9 +17,11 @@ from shapeapprox import (
     q_monotone_catalog,
     shape,
 )
+from shapeapprox.errors import RegimeError
 from shapeapprox.functions import TruncatedPowerFunction
+from shapeapprox.moduli import default_x_grid
 from shapeapprox.polynomial import bernstein_derivative, nonnegative_by_halving
-from shapeapprox.shape import HALVINGS
+from shapeapprox.shape import FN_X_POINTS, HALVINGS
 
 from oracles import bernstein_coeffs, fractions, sampled_shape_verdict
 
@@ -34,6 +37,22 @@ def test_decreasing_function_fails_monotone_check():
     rep = check_k_monotone_fn(lambda x: 1.0 - np.asarray(x), 1)
     assert not rep.passed
     assert rep.witness_value < 0
+
+
+def test_non_finite_samples_and_differences_rejected():
+    # -x with NaN above 1/2 passed k = 0, 1 and 2 when NaN compared false with
+    # the threshold; -x on the sample grid and NaN off it has finite samples
+    # and NaN differences
+    nan_above = lambda x: np.where(x > 0.5, np.nan, -x)
+    grid = default_x_grid(FN_X_POINTS)
+    off_grid = lambda x: np.where(np.isin(x, grid), -x, np.nan)
+    for k in range(3):
+        with pytest.raises(RegimeError, match=r"f\(0\.5061\d*\) = nan"):
+            check_k_monotone_fn(nan_above, k)
+    for k in (1, 2):
+        with pytest.raises(RegimeError, match=f"order {k} at x = .*, step .* is nan"):
+            check_k_monotone_fn(off_grid, k)
+    assert not check_k_monotone_fn(off_grid, 0).passed
 
 
 def test_concave_poly_fails_convexity_check():
