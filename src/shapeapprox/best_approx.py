@@ -23,7 +23,7 @@ shape rows and both reconstructions read, is formed once per degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -39,8 +39,7 @@ DEFAULT_SAMPLE_POINTS = 257
 DEFAULT_CONSTRAINT_POINTS = 257
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(NamedTuple):
     n: int
     q: int | None  # None for the unconstrained problem
     poly: Polynomial

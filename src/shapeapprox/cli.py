@@ -11,7 +11,6 @@ with one ``shapeapprox: error: ...`` line on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -156,7 +155,7 @@ def _cmd_shape(args) -> int:
         report = check_k_monotone_poly(f.poly, args.k)
     else:
         report = check_k_monotone_fn(f, args.k)
-    payload = dataclasses.asdict(report)
+    payload = report._asdict()
     payload["f"] = args.f
     _write(json.dumps(payload, indent=2, default=float), args.out)
     return 0 if report.passed else 1
@@ -179,6 +178,9 @@ def _cmd_jackson(args) -> int:
         ratio = jackson_quotient(res.error, om)
         ratios.append(ratio)
         table.rows.append([n, res.error, om, ratio])
+        table.diagnostics.append(" ".join(f"{k}={getattr(res, k)}" for k in (
+            "n", "sample_size", "constraint_size", "iterations", "simplex_steps",
+            "error_dual", "constraint_validated")))
     table.assertions["ratios_finite"] = all(r == r and r != float("inf") for r in ratios)
     return _emit(table, args.out)
 

@@ -10,7 +10,6 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,32 +22,25 @@ from .operators import _as_handle, mn_image
 from .polynomial import bernstein_basis
 
 
-@dataclass
 class ExperimentTable:
-    name: str
-    config: dict
-    columns: list
-    rows: list = field(default_factory=list)
-    assertions: dict = field(default_factory=dict)
+    """Rows with their config and assertion verdicts; ``diagnostics`` are
+    ``# diag`` lines, written after the assertions, outside the hash."""
+
+    def __init__(self, name: str, config: dict, columns: list):
+        self.name, self.config, self.columns = name, config, columns
+        self.rows, self.assertions, self.diagnostics = [], {}, []
 
     @property
     def ok(self) -> bool:
         return all(self.assertions.values())
 
     def to_csv(self) -> str:
-        body_lines = [",".join(self.columns)]
-        for row in self.rows:
-            body_lines.append(",".join(_fmt(v) for v in row))
-        body = "\n".join(body_lines)
-        digest = hashlib.sha256(
-            (json.dumps(self.config, sort_keys=True) + body).encode()
-        ).hexdigest()
-        head = [
-            f"# experiment: {self.name}",
-            f"# config: {json.dumps(self.config, sort_keys=True)}",
-            f"# sha256: {digest}",
-        ]
+        config = json.dumps(self.config, sort_keys=True)
+        body = "\n".join([",".join(self.columns)] + [",".join(map(_fmt, r)) for r in self.rows])
+        digest = hashlib.sha256((config + body).encode()).hexdigest()
+        head = [f"# experiment: {self.name}", f"# config: {config}", f"# sha256: {digest}"]
         head += [f"# assert {k}: {'pass' if v else 'FAIL'}" for k, v in self.assertions.items()]
+        head += [f"# diag {line}" for line in self.diagnostics]
         return "\n".join(head) + "\n" + body + "\n"
 
 

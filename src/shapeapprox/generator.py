@@ -28,10 +28,10 @@ rounded once."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .special import _log, tau
 PRECISION_BITS = 256  # working precision of the generator and the M_n image
 
 
-@dataclass(frozen=True)
-class GeneratorPoly:
+class GeneratorPoly(NamedTuple):
     """The degree-<=n generating polynomial with its construction metadata."""
 
     n: int
@@ -51,7 +50,7 @@ class GeneratorPoly:
     m: int
     lambda_n: Fraction  # lambda~ = L kappa~, exactly the scale P carries
     P: Polynomial  # exactly lambda_n (r-1)! int^r S^2, over one power of two
-    moment_deficiency: dict = field(repr=False)  # mu -> 1 - int x^mu P, a dyadic Fraction
+    moment_deficiency: dict  # mu -> 1 - int x^mu P, a dyadic Fraction
     # bits tau, each product of tau's power, kappa and each deficiency are
     # rounded to: PRECISION_BITS plus the guard bits for tau's growth
     precision_bits: int

@@ -43,8 +43,8 @@ exactly on the endpoint.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import comb, exp, inf, isnan, log, log1p
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def step_weight(x, lam: float):
     return (x * (1.0 - x)) ** (lam / 2.0)
 
 
-@dataclass(frozen=True)
-class ModulusEstimate:
+class ModulusEstimate(NamedTuple):
     k: int
     lam: float
     t: float

@@ -25,11 +25,11 @@ its projections on them, from its moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -358,15 +358,13 @@ def _jacobi_row(m: int) -> tuple:
     return tuple(shifted_jacobi(m, 1, 1))
 
 
-@dataclass
 class _Eigenvalues:
     """H's eigenvalues Lambda_j = num[j]/den, j < len(num), for one
     generator P = sum_k a_k x^k of degree d, and the bit length ``gain`` of
     floor(sum_k |a_k|/(k+1))."""
 
-    gain: int
-    num: list
-    den: int
+    def __init__(self, gain: int, num: list, den: int):
+        self.gain, self.num, self.den = gain, num, den
 
 
 @lru_cache(maxsize=64)
@@ -406,8 +404,7 @@ def _rounded_bernstein(num: list, den: int, e: int) -> Polynomial:
     return _bernstein(bernstein_integers(num[:e + 1]), den * math.factorial(e), False)
 
 
-@dataclass(frozen=True)
-class MnResult:
+class MnResult(NamedTuple):
     poly: Polynomial
     q: int
     n: int

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -310,17 +309,12 @@ def bernstein_elevation(d: int, m: int) -> np.ndarray:
     return _from_mode(up, down, k, mode)
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Immutable exact polynomial: num[k]/den multiplies x^k (monomial) or
     p_{n,k} (bernstein, n = len(num) - 1). The integers are in lowest terms,
     so den > 0 is the lcm of the reduced coefficients' denominators; a
     monomial form drops trailing zeros, a Bernstein form keeps its length,
     which encodes n."""
-
-    basis: str
-    num: tuple
-    den: int
 
     def __init__(self, basis: str, coeffs: Sequence):
         """Read int, Fraction and float coefficients exactly."""
@@ -342,6 +336,19 @@ class Polynomial:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a Polynomial is immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.num, self.den) == (other.basis, other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.basis, self.num, self.den))
 
     # ------------------------------------------------------------------
     # constructors

@@ -21,7 +21,7 @@ find none of these. A function's verdict is read from a sample ("sample").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ HALVINGS = 16
 PROOFS = ("native", "subdivision")
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """A verdict on k-monotonicity, with the name of how it was reached. For
     a polynomial, ``x_grid_size`` is 0 (it is decided exactly)."""
 

@@ -2,10 +2,10 @@
 polynomials on [0,1] with their Bernstein expansion."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -46,8 +46,7 @@ def chebyshev_T(m: int) -> Polynomial:
     return Polynomial.from_integers(MONOMIAL, c)
 
 
-@dataclass(frozen=True)
-class TauPoly:
+class TauPoly(NamedTuple):
     """T_m divided synthetically by (x - x_tilde) and scaled by |I_1|.
 
     Native variable lives on [-1,1]; x_tilde = cos(pi/2m) is the rightmost

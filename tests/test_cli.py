@@ -12,6 +12,7 @@ import pytest
 
 from shapeapprox import functions, operators
 from shapeapprox.cli import build_parser, main
+from shapeapprox.experiments import ExperimentTable
 from shapeapprox.functions import PolyFunction
 from shapeapprox.moduli import omega_dt
 from shapeapprox.polynomial import Polynomial
@@ -103,6 +104,26 @@ def test_jackson_cli(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert "assert ratios_finite: pass" in _read(out)
+
+
+def test_jackson_diag_lines_name_unvalidated_result_outside_digest(tmp_path):
+    out = tmp_path / "j.csv"
+    assert main(["jackson", "--f", "logeps:1e-4", "--q", "0", "--n-list", "19",
+                 "--out", str(out)]) == 0
+    lines = _read(out).splitlines()
+    diag = [l for l in lines if l.startswith("# diag ")]
+    assert len(diag) == 1
+    fields = dict(item.split("=") for item in diag[0][len("# diag "):].split())
+    assert fields["n"] == "19" and fields["constraint_validated"] == "False"
+    assert fields["constraint_size"] == "1025" and int(fields["simplex_steps"]) > 0
+    assert lines.index(diag[0]) == max(i for i, l in enumerate(lines) if l.startswith("#"))
+    # the same table without diagnostics writes every other line, digest too
+    config = json.loads(lines[1][len("# config: "):])
+    header = next(l for l in lines if not l.startswith("#"))
+    plain = ExperimentTable("jackson", config, header.split(","))
+    plain.rows = [[int(r[0])] + [float(v) for v in r[1:]] for r in _rows(_read(out))]
+    plain.assertions["ratios_finite"] = True
+    assert plain.to_csv().splitlines() == [l for l in lines if l != diag[0]]
 
 
 def test_lambda2_cli(tmp_path):
